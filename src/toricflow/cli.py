@@ -98,7 +98,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
     }
     if result.ok:
         phi = cfg.build_phi(poly.dimension)
-        pts = np.array([c.point for c in poly.grid_cells(32)])
+        pts = poly.grid_cells(32).points
         report = check_strict_convexity(phi, pts)
         payload["phi_strictly_convex"] = report.ok
         payload["phi_min_hessian_eigenvalue"] = report.min_eigenvalue

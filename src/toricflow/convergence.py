@@ -158,7 +158,7 @@ def _density_moments(
     has localized the mass.
     """
     lam = np.asarray(lam, dtype=float)
-    shift = -t * phi.value(lam)  # rescale so the peak value is O(1)
+    shift = t * phi.value(lam)  # = -t f_lam(lam): rescale so the peak value is O(1)
 
     def matrix(pts):
         density = np.exp(-t * concentration_rate(phi, lam, pts) - shift)
@@ -181,21 +181,6 @@ def _density_moments(
     return [r.value * np.exp(shift) for r in results]
 
 
-def _integrate_against_density(
-    f,
-    poly: DelzantPolytope,
-    phi: ConvexPotential,
-    lam,
-    t: float,
-    spec: QuadratureSpec,
-):
-    if f is None:
-        value = _density_moments([], poly, phi, lam, t, spec)[0]
-    else:
-        value = _density_moments([f], poly, phi, lam, t, spec)[1]
-    return value, 0.0
-
-
 def normalization_Ct(
     lam,
     phi: ConvexPotential,
@@ -207,7 +192,7 @@ def normalization_Ct(
     """C_t = [ kappa^n int_P e^{-t f_lam} dx ]^{-1} with kappa = 2 pi by
     default (the Liouville pushforward density for full toric rank)."""
     kappa = torus_volume(poly.dimension, torus_constant)
-    value, _ = _integrate_against_density(None, poly, phi, lam, t, spec)
+    value = _density_moments([], poly, phi, lam, t, spec)[0]
     return 1.0 / (kappa * value)
 
 
@@ -222,7 +207,7 @@ def pairing_iota(
     object with orbit profile H."""
     poly = s_t.polytope
     kappa = torus_volume(poly.dimension, torus_constant)
-    value, _ = _integrate_against_density(bump, poly, s_t.phi, s_t.lam, s_t.t, spec)
+    value = _density_moments([bump], poly, s_t.phi, s_t.lam, s_t.t, spec)[1]
     return C_t * kappa * value
 
 

@@ -12,8 +12,10 @@ specified by facets, not vertices: the facet functions l_k feed the canonical
 symplectic potential directly, and vertices are derived.
 
 Besides validation, this module enumerates the lattice points of P (the index
-set of the torus-weight basis) and builds midpoint-rule evaluation grids whose
-boundary cells are clipped by recursive bisection.
+set of the torus-weight basis) and builds midpoint-rule evaluation grids,
+stored as arrays (`Grid`).  Boxes cut by the boundary are clipped by one
+routine, `_clip_straddlers`, which bisects all boxes of one size together,
+level by level.
 """
 
 from __future__ import annotations
@@ -84,15 +86,20 @@ class LatticePoint:
         return np.asarray(self.coords, dtype=float)
 
 
-class GridCell(NamedTuple):
-    """A midpoint-rule sample: evaluation point, clipped Lebesgue volume of
-    its cell, and the cell geometry (lower corner, side length)."""
+@dataclass(frozen=True)
+class Grid:
+    """Midpoint-rule cells of a polytope, one row per cell: evaluation point,
+    clipped Lebesgue volume, lower corner and whether the boundary cuts the
+    cell.  All cells share the side length `size`; `len` is the cell count."""
 
-    point: np.ndarray
-    volume: float
-    lo: np.ndarray
+    points: np.ndarray   # (m, n)
+    volumes: np.ndarray  # (m,)
+    lo: np.ndarray       # (m, n)
     size: float
-    clipped: bool
+    clipped: np.ndarray  # (m,) bool
+
+    def __len__(self) -> int:
+        return len(self.volumes)
 
 
 class DelzantPolytope:
@@ -298,10 +305,12 @@ class DelzantPolytope:
 
     def grid_cells(
         self, resolution: int, margin: float = 0.0, clip_depth: int = 6
-    ) -> list[GridCell]:
+    ) -> Grid:
         """Axis-aligned cell decomposition at `resolution` cells per unit
-        length, clipped to {x : l_k(x) >= margin}.  Cells cut by the boundary
-        get their clipped volumes by recursive bisection to `clip_depth`."""
+        length, clipped to {x : l_k(x) >= margin}, as one `Grid` of arrays in
+        lexicographic cell order.  Cells cut by the boundary get their clipped
+        volumes by dyadic bisection to `clip_depth` (`_clip_straddlers`);
+        their point is the center of the largest inside sub-box."""
         key = ("grid", resolution, float(margin), clip_depth)
         if key in self._cache:
             return self._cache[key]
@@ -310,13 +319,13 @@ class DelzantPolytope:
         if margin < 0:
             raise ValueError("margin must be nonnegative")
         self.require_valid()
-        cells = _build_cells(self, resolution, margin, clip_depth)
-        if not cells:
+        grid = _build_cells(self, resolution, margin, clip_depth)
+        if not len(grid):
             raise EmptyGridError(
                 f"no grid cells: margin {margin} leaves an empty region"
             )
-        self._cache[key] = cells
-        return cells
+        self._cache[key] = grid
+        return grid
 
 
 # -- module-level operation surface -------------------------------------------
@@ -350,13 +359,14 @@ def interior_grid(
     ----------
     resolution : cells per unit length.
     margin : clip to the shrunk region {x : l_k(x) >= margin}.
-    clip_depth : recursive bisection depth for boundary cells.
+    clip_depth : bisection depth for boundary cells.
 
     Returns
     -------
     List of (point, volume) pairs; the point always lies inside the region.
     """
-    return [(c.point, c.volume) for c in poly.grid_cells(resolution, margin, clip_depth)]
+    grid = poly.grid_cells(resolution, margin, clip_depth)
+    return list(zip(grid.points, grid.volumes.tolist()))
 
 
 # -- convenience constructors --------------------------------------------------
@@ -418,109 +428,57 @@ def sample_interior(
 
 # -- grid construction ---------------------------------------------------------
 
-_INSIDE, _OUTSIDE, _STRADDLE = 0, 1, 2
-
 
 def _corner_offsets(n: int) -> np.ndarray:
     return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
 
 
-def _box_status(poly: DelzantPolytope, corners: np.ndarray, margin: float) -> int:
-    vals = corners @ poly.normals.T + poly.offsets - margin
-    if vals.min() >= 0.0:
-        return _INSIDE
-    if (vals.max(axis=0) < 0.0).any():
-        return _OUTSIDE
-    return _STRADDLE
-
-
-def _clip_box(poly, lo, size, margin, depth, offsets):
-    """Clipped volume of the box [lo, lo+size]^n plus a representative
-    interior point (center of the largest fully-inside sub-box found).
-
-    Returns (volume, point_or_None, point_box_size).
-    """
-    corners = lo + offsets * size
-    status = _box_status(poly, corners, margin)
-    if status == _OUTSIDE:
-        return 0.0, None, 0.0
-    center = lo + 0.5 * size
-    if status == _INSIDE:
-        return size ** len(lo), center, size
-    if depth == 0:
-        if poly.facet_values(center).min() >= margin:
-            return size ** len(lo), center, size
-        return 0.0, None, 0.0
-    half = 0.5 * size
-    volume = 0.0
-    best_point, best_size = None, -1.0
-    for shift in offsets:
-        v, p, s = _clip_box(poly, lo + shift * half, half, margin, depth - 1, offsets)
-        volume += v
-        if p is not None and s > best_size:
-            best_point, best_size = p, s
-    return volume, best_point, max(best_size, 0.0)
-
-
 def _classify_boxes(poly, los, size, margin, offsets):
-    """Vectorized inside/outside/straddle classification of equal boxes."""
+    """Vectorized (inside, straddle) masks of equal boxes; the rest are outside."""
     corner_pts = los[:, None, :] + offsets[None, :, :] * size  # (B, 2^n, n)
     vals = corner_pts @ poly.normals.T + poly.offsets - margin  # (B, 2^n, K)
     inside = (vals >= 0.0).all(axis=(1, 2))
     outside = (vals.max(axis=1) < 0.0).any(axis=1)
-    return inside, outside, ~inside & ~outside
+    return inside, ~inside & ~outside
 
 
-def _clip_straddlers(poly, los, h, margin, clip_depth, offsets):
-    """Clipped volumes and representative interior points for straddling
-    cells, by level-synchronous dyadic bisection (vectorized over boxes).
+def _clip_straddlers(poly, los, size, margin, clip_depth, offsets):
+    """Clipped volumes and representative interior points of the boxes
+    [lo, lo + size]^n, by level-synchronous dyadic bisection to `clip_depth`
+    (vectorized over boxes).  At the last level a straddling box counts iff
+    its center is inside.
 
-    Returns (volumes, points, has_point) aligned with the input cells.  The
-    representative is the center of the largest fully-inside descendant (the
-    first such box in deterministic level/lexicographic order).
+    Returns (volumes, points) aligned with `los`.  The representative is the
+    center of the largest fully-inside descendant (the first such box in
+    deterministic level/lexicographic order); a box of zero volume has none.
     """
     n = poly.dimension
-    count = len(los)
-    vols = np.zeros(count)
-    reps = np.zeros((count, n))
-    has_rep = np.zeros(count, dtype=bool)
-
-    boxes = los.copy()
-    parents = np.arange(count)
-    size = h
+    vols = np.zeros(len(los))
+    reps = np.zeros((len(los), n))
+    boxes = los
+    parents = np.arange(len(los))
     for depth in range(clip_depth, -1, -1):
-        if len(boxes) == 0:
-            break
-        inside, outside, straddle = _classify_boxes(poly, boxes, size, margin, offsets)
+        inside, straddle = _classify_boxes(poly, boxes, size, margin, offsets)
         if depth == 0:
-            # leaf level: count a straddling box iff its center is inside
             centers = boxes + 0.5 * size
             center_in = (centers @ poly.normals.T + poly.offsets - margin).min(axis=1) >= 0.0
             inside = inside | (straddle & center_in)
-        if inside.any():
-            np.add.at(vols, parents[inside], size**n)
-            # first inside box per parent at the earliest (largest) level
-            first_idx = {}
-            for j in np.flatnonzero(inside):
-                p = parents[j]
-                if not has_rep[p] and p not in first_idx:
-                    first_idx[p] = j
-            for p, j in first_idx.items():
-                reps[p] = boxes[j] + 0.5 * size
-                has_rep[p] = True
-        if depth == 0:
+        hit = parents[inside]
+        # a parent without volume yet has no representative: take its first box
+        first, at = np.unique(hit, return_index=True)
+        new = vols[first] == 0.0
+        reps[first[new]] = boxes[inside][at[new]] + 0.5 * size
+        np.add.at(vols, hit, size**n)
+        if depth == 0 or not straddle.any():
             break
-        boxes = boxes[straddle]
-        parents = parents[straddle]
-        if len(boxes):
-            half = 0.5 * size
-            boxes = (boxes[:, None, :] + offsets[None, :, :] * half).reshape(-1, n)
-            parents = np.repeat(parents, len(offsets))
-            size = half
-    return vols, reps, has_rep
+        half = 0.5 * size
+        boxes = (boxes[straddle][:, None, :] + offsets[None, :, :] * half).reshape(-1, n)
+        parents = np.repeat(parents[straddle], len(offsets))
+        size = half
+    return vols, reps
 
 
-def _build_cells(poly, resolution, margin, clip_depth) -> list[GridCell]:
+def _build_cells(poly, resolution, margin, clip_depth) -> Grid:
     n = poly.dimension
     lo, hi = poly.bounding_box()
     h = 1.0 / resolution
@@ -532,22 +490,11 @@ def _build_cells(poly, resolution, margin, clip_depth) -> list[GridCell]:
     mesh = np.meshgrid(*index_lists, indexing="ij")
     los = anchor + np.stack([m.ravel() for m in mesh], axis=-1) * h  # (M, n), lex order
 
-    inside, outside, straddle = _classify_boxes(poly, los, h, margin, offsets)
-
-    cells: list[GridCell] = []
-    centers = los + 0.5 * h
-    cell_vol = h ** n
-    straddle_idx = np.flatnonzero(straddle)
-    if len(straddle_idx):
-        vols, reps, has_rep = _clip_straddlers(
-            poly, los[straddle_idx], h, margin, clip_depth, offsets
-        )
-    cursor = 0
-    for i in range(los.shape[0]):
-        if inside[i]:
-            cells.append(GridCell(centers[i], cell_vol, los[i], h, False))
-        elif straddle[i]:
-            if vols[cursor] > 0.0 and has_rep[cursor]:
-                cells.append(GridCell(reps[cursor], vols[cursor], los[i], h, True))
-            cursor += 1
-    return cells
+    inside, clipped = _classify_boxes(poly, los, h, margin, offsets)
+    points = los + 0.5 * h
+    volumes = np.where(inside, h**n, 0.0)
+    volumes[clipped], points[clipped] = _clip_straddlers(
+        poly, los[clipped], h, margin, clip_depth, offsets
+    )
+    keep = volumes > 0.0
+    return Grid(points[keep], volumes[keep], los[keep], h, clipped[keep])

@@ -288,7 +288,7 @@ def f_lambda_min_check(
     lam = np.asarray(lam, dtype=float)
     if not poly.is_interior(lam):
         raise DomainError(f"center {lam.tolist()} is not interior to {poly.name}")
-    pts = np.array([c.point for c in poly.grid_cells(resolution)])
+    pts = poly.grid_cells(resolution).points
     vals = concentration_rate(phi, lam, pts)
     argmin = pts[int(np.argmin(vals))]
     h = 1.0 / resolution

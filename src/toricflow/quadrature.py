@@ -6,9 +6,12 @@ Richardson extrapolation and refinement by resolution doubling.  The open
 the boundary but not smooth there (Guillemin-type l log l behavior), so
 integrands are never evaluated on the boundary itself.
 
-Sharply peaked integrands (the Laplace densities e^{-t f_lam}) are handled by
-local subdivision around declared peak centers: cells are split in geometric
-rings down to a cell size of width/8 near the peak.
+The grid comes from `DelzantPolytope.grid_cells` as arrays.  Sharply peaked
+integrands (the Laplace densities e^{-t f_lam}) are handled by local
+subdivision around declared peak centers: a boolean mask picks the cells near
+a peak, which are split in geometric rings down to a cell size of width/8 near
+the peak.  Ring leaves descended from a boundary cell are clipped again by the
+same batched clipper the grid uses, one call per ring level.
 
 Accumulation uses pairwise summation in a fixed tree order so repeated runs
 are bit-identical.
@@ -22,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, QuadratureStagnation
-from .polytopes import DelzantPolytope, GridCell, _clip_box, _corner_offsets
+from .polytopes import DelzantPolytope, Grid, _clip_straddlers, _corner_offsets
 
 
 @dataclass(frozen=True)
@@ -72,39 +75,30 @@ def _pairwise_sum(values: np.ndarray) -> float:
     return float(v[0])
 
 
-def _split_near_peaks(
-    poly: DelzantPolytope,
-    cells: Sequence[GridCell],
-    peaks: Sequence[PeakHint],
-) -> tuple[list[GridCell], list[GridCell]]:
-    """Partition base cells into (far, near-peak)."""
-    if not peaks:
-        return list(cells), []
+def _near_peaks(grid: Grid, peaks: Sequence[PeakHint]) -> np.ndarray:
+    """Mask of the grid cells that the rings around some peak reach."""
     centers = np.array([p.center for p in peaks])
     widths = np.array([p.width for p in peaks])
-    n = poly.dimension
-    mids = np.array([c.lo for c in cells]) + 0.5 * np.array([c.size for c in cells])[:, None]
-    diags = np.array([c.size for c in cells]) * np.sqrt(n)
+    mids = grid.lo + 0.5 * grid.size
+    diag = grid.size * np.sqrt(grid.lo.shape[1])
     dists = np.linalg.norm(mids[:, None, :] - centers[None, :, :], axis=-1)
-    close = (dists <= 8.0 * widths[None, :] + diags[:, None]).any(axis=1)
-    far = [c for c, flag in zip(cells, close) if not flag]
-    near = [c for c, flag in zip(cells, close) if flag]
-    return far, near
+    return (dists <= 8.0 * widths[None, :] + diag).any(axis=1)
 
 
 def _peak_leaves(
     poly: DelzantPolytope,
-    near_cells: Sequence[GridCell],
+    grid: Grid,
+    near: np.ndarray,
     peaks: Sequence[PeakHint],
     margin: float,
     clip_depth: int,
     scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split near-peak cells in geometric rings down to leaf size
+    """Split the `near` cells of `grid` in geometric rings down to leaf size
     scale * max(width/8, distance/12), re-clipping boundary descendants.
 
     The dyadic splitting proceeds level by level, vectorized over all boxes;
-    returns (points, volumes).
+    the boxes of one level share one size.  Returns (points, volumes).
     """
     n = poly.dimension
     offsets = _corner_offsets(n)
@@ -115,32 +109,22 @@ def _peak_leaves(
         d = np.linalg.norm(mids[:, None, :] - centers[None, :, :], axis=-1)
         return scale * np.min(np.maximum(widths[None, :] / 8.0, d / 12.0), axis=1)
 
-    los = np.array([c.lo for c in near_cells])
-    sizes = np.array([c.size for c in near_cells])
-    clipped = np.array([c.clipped for c in near_cells])
-
+    los, clipped, size = grid.lo[near], grid.clipped[near], grid.size
     pts_parts: list[np.ndarray] = []
     vol_parts: list[np.ndarray] = []
     while len(los):
-        mids = los + 0.5 * sizes[:, None]
-        done = sizes <= targets(mids)
+        mids = los + 0.5 * size
+        done = size <= targets(mids)
         plain = done & ~clipped
-        if plain.any():
-            pts_parts.append(mids[plain])
-            vol_parts.append(sizes[plain] ** n)
-        tricky = done & clipped
-        for lo, size in zip(los[tricky], sizes[tricky]):
-            vol, point, _ = _clip_box(poly, lo, float(size), margin, clip_depth, offsets)
-            if vol > 0.0 and point is not None:
-                pts_parts.append(point[None, :])
-                vol_parts.append(np.array([vol]))
-        todo = ~done
-        los, sizes, clipped = los[todo], sizes[todo], clipped[todo]
-        if len(los):
-            half = 0.5 * sizes
-            los = (los[:, None, :] + offsets[None, :, :] * half[:, None, None]).reshape(-1, n)
-            sizes = np.repeat(half, len(offsets))
-            clipped = np.repeat(clipped, len(offsets))
+        pts_parts.append(mids[plain])
+        vol_parts.append(np.full(np.count_nonzero(plain), size**n))
+        vols, reps = _clip_straddlers(poly, los[done & clipped], size, margin, clip_depth, offsets)
+        pts_parts.append(reps[vols > 0.0])
+        vol_parts.append(vols[vols > 0.0])
+        half = 0.5 * size
+        los = (los[~done][:, None, :] + offsets[None, :, :] * half).reshape(-1, n)
+        clipped = np.repeat(clipped[~done], len(offsets))
+        size = half
     if not pts_parts:
         return np.zeros((0, n)), np.zeros(0)
     return np.concatenate(pts_parts), np.concatenate(vol_parts)
@@ -167,15 +151,14 @@ def _assembled_arrays(
     cache = poly._cache
     if key in cache:
         return cache[key]
-    cells = poly.grid_cells(resolution, margin, clip_depth)
+    grid = poly.grid_cells(resolution, margin, clip_depth)
     if peaks:
-        far, near = _split_near_peaks(poly, cells, peaks)
-        leaf_pts, leaf_vols = _peak_leaves(poly, near, peaks, margin, clip_depth, ball_scale)
-        pts = np.concatenate([np.array([c.point for c in far]).reshape(-1, poly.dimension), leaf_pts])
-        vols = np.concatenate([np.array([c.volume for c in far]), leaf_vols])
+        near = _near_peaks(grid, peaks)
+        leaf_pts, leaf_vols = _peak_leaves(poly, grid, near, peaks, margin, clip_depth, ball_scale)
+        pts = np.concatenate([grid.points[~near], leaf_pts])
+        vols = np.concatenate([grid.volumes[~near], leaf_vols])
     else:
-        pts = np.array([c.point for c in cells])
-        vols = np.array([c.volume for c in cells])
+        pts, vols = grid.points, grid.volumes
     cache[key] = (pts, vols)
     return pts, vols
 
@@ -237,19 +220,19 @@ def integrate_many(
 
     if peaks:
         # explicit ball correction: one extra leaf halving on the final grid
-        cells = poly.grid_cells(2 * res, margin, spec.clip_depth)
-        _, near = _split_near_peaks(poly, cells, peaks)
-        if near:
+        grid = poly.grid_cells(2 * res, margin, spec.clip_depth)
+        near = _near_peaks(grid, peaks)
+        if near.any():
             scale = level_scale(2 * res)
             ball_a = _matrix_sums(
                 matrix_f,
                 k,
-                *_peak_leaves(poly, near, peaks, margin, spec.clip_depth, scale),
+                *_peak_leaves(poly, grid, near, peaks, margin, spec.clip_depth, scale),
             )
             ball_b = _matrix_sums(
                 matrix_f,
                 k,
-                *_peak_leaves(poly, near, peaks, margin, spec.clip_depth, 0.5 * scale),
+                *_peak_leaves(poly, grid, near, peaks, margin, spec.clip_depth, 0.5 * scale),
             )
             delta = ball_b - ball_a
             values = values + 4.0 * delta / 3.0

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import toricflow as tf
 from toricflow.errors import EmptyGridError
+from toricflow.polytopes import _clip_straddlers, _corner_offsets
 
 
 def test_unit_interval_is_delzant(cp1_unit):
@@ -116,6 +119,43 @@ def test_interior_grid_margin_too_large(cp1_unit):
 def test_interior_grid_points_inside_margin(cp1_size2):
     for p, _ in tf.interior_grid(cp1_size2, 16, margin=0.25):
         assert cp1_size2.facet_values(p).min() >= 0.25 - 1e-12
+
+
+def _clip_reference(poly, lo, size, margin, depth):
+    """Depth-first, one box at a time: (volume, point or None, point box size)."""
+    n = len(lo)
+    corners = lo + _corner_offsets(n) * size
+    vals = corners @ poly.normals.T + poly.offsets - margin
+    center = lo + 0.5 * size
+    if (vals.max(axis=0) < 0.0).any():
+        return 0.0, None, 0.0
+    if vals.min() >= 0.0 or (depth == 0 and poly.facet_values(center).min() >= margin):
+        return size**n, center, size
+    if depth == 0:
+        return 0.0, None, 0.0
+    volume, best, best_size = 0.0, None, 0.0
+    for shift in _corner_offsets(n):
+        v, p, s = _clip_reference(poly, lo + shift * size / 2, size / 2, margin, depth - 1)
+        volume += v
+        if s > best_size:
+            best, best_size = p, s
+    return volume, best, best_size
+
+
+@pytest.mark.parametrize("dim,depth", [(2, 6), (3, 3)])
+def test_batched_clip_matches_depth_first_reference(dim, depth):
+    # dyadic sizes keep every partial volume exact, so the two orders agree bit for bit
+    poly, size, margin = tf.standard_simplex(dim, 1.0), 0.25, 0.05
+    los = np.array(list(itertools.product(np.arange(-1, 5) * size, repeat=dim)))
+    vols, reps = _clip_straddlers(poly, los, size, margin, depth, _corner_offsets(dim))
+    cut = 0
+    for lo, vol, rep in zip(los, vols, reps):
+        ref_vol, ref_rep, ref_size = _clip_reference(poly, lo, size, margin, depth)
+        assert vol == ref_vol
+        if ref_rep is not None:
+            assert np.array_equal(rep, ref_rep)
+        cut += 0.0 < ref_size < size
+    assert cut > 0
 
 
 def test_sample_interior_respects_margin(cp2_size2, rng):

@@ -133,6 +133,12 @@ def test_2d_simplex_area(cp2_size2):
 
 def test_2d_polynomial(cp2_size2):
     # int over the size-2 simplex of x y = 2^4 * 1!1!/(4!) = 16/24
+    f = lambda p: p[:, 0] * p[:, 1]
     spec = tf.QuadratureSpec(resolution=128, rel_tol=1e-4, max_refinements=2)
-    value, _ = tf.integrate(lambda p: p[:, 0] * p[:, 1], cp2_size2, spec)
+    value, _ = tf.integrate(f, cp2_size2, spec)
+    assert value == pytest.approx(16.0 / 24.0, rel=2e-4)
+    # the rings around (1, 0.5) reach the hypotenuse: their boundary leaves
+    # must be clipped, neither dropped nor counted at full box volume
+    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-6, max_refinements=2)
+    value, _ = tf.integrate_peaked(f, cp2_size2, (1.0, 0.5), 0.05, spec)
     assert value == pytest.approx(16.0 / 24.0, rel=2e-4)
