@@ -48,6 +48,7 @@ from .flow import (
     kahler_potential_t,
     metric_matrix,
     mixed_polarization_basis,
+    polarization_angle,
     polarization_basis_t,
     polarization_decay_curve,
     subspace_angle,

@@ -24,10 +24,7 @@ from .flow import (
     SymplecticPotential,
     complex_structure,
     fit_loglog_slope,
-    metric_matrix,
-    mixed_polarization_basis,
-    polarization_basis_t,
-    subspace_angle,
+    polarization_angle,
 )
 from .polytopes import sample_interior, validate_delzant
 from .potentials import check_strict_convexity
@@ -232,27 +229,22 @@ def cmd_polarization(cfg: ExperimentConfig, out: Path, args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, count, rng, margin=_sample_margin(poly))
 
-    rows = []
-    slopes = []
+    angles = np.empty((len(ts), len(pts)))
     j_resid = 0.0
     positive = True
-    target = mixed_polarization_basis(poly.dimension)
-    for x in pts:
-        angles = []
-        for t in ts:
-            state = KahlerFlowState(g0, phi, t)
-            frame = polarization_basis_t(state, x)
-            angles.append(subspace_angle(frame, target))
-            J = complex_structure(state, x)
-            j_resid = max(
-                j_resid, float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension))))
-            )
-            eigs = np.linalg.eigvalsh(metric_matrix(state, x))
-            positive = positive and bool(eigs.min() > 0)
-        slope = fit_loglog_slope(ts, angles)
-        slopes.append(slope)
-        for t, a in zip(ts, angles):
-            rows.append([t, *x, a, slope])
+    for k, t in enumerate(ts):
+        state = KahlerFlowState(g0, phi, t)
+        angles[k] = polarization_angle(state, pts)
+        # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
+        positive = positive and bool(np.linalg.eigvalsh(state.metric_hessian(pts)).min() > 0)
+        J = complex_structure(state, pts)
+        j_resid = max(j_resid, float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension)))))
+    slopes = fit_loglog_slope(ts, angles).tolist()
+    rows = [
+        [t, *x, a, slope]
+        for x, column, slope in zip(pts, angles.T, slopes)
+        for t, a in zip(ts, column)
+    ]
     _write_csv(
         out / "polarization.csv",
         ["t"] + [f"x{i+1}" for i in range(poly.dimension)] + ["angle", "slope_window"],

@@ -17,8 +17,8 @@ is the fiber pairing: the torus-average of the integrand over the fiber
 mu^{-1}(lam), weighted by the fiber measure.  Two fiber normalizations are
 supported: `normalized` (unit mass per fiber, the limit produced by the
 C_t normalization above) and `paper-form` (the angular volume form on the
-fiber, whose total weight W = (2 pi)^n is measured, recorded, and checked to
-be the same for every interior lattice point rather than assumed).
+fiber, whose total weight is the torus volume W = (2 pi)^n, the same for
+every interior lattice point; it is recorded in the report).
 
 This module also computes concentration statistics of the normalized density
 (mean -> lam, covariance ~ (t Hess phi(lam))^{-1}), fitted log-log decay
@@ -90,12 +90,11 @@ class BumpProfile:
 @dataclass(frozen=True)
 class FiberMeasureModel:
     """Fiber normalization: `normalized` gives every fiber unit mass;
-    `paper-form` uses the angular volume form, with the per-fiber weight
-    measured by quadrature over the fiber torus and recorded."""
+    `paper-form` uses the angular volume form, whose per-fiber weight is the
+    torus volume."""
 
     mode: str = "normalized"
     torus_constant: float = TWO_PI
-    n_theta: int = 64
 
     def __post_init__(self):
         if self.mode not in ("normalized", "paper-form"):
@@ -109,22 +108,13 @@ class FiberMeasureModel:
             )
         if self.mode == "normalized":
             return 1.0
-        return _measure_fiber_torus_volume(poly.dimension, self.torus_constant, self.n_theta)
-
-
-def _measure_fiber_torus_volume(n: int, constant: float, n_theta: int) -> float:
-    """Angular volume of one moment-map fiber, by uniform quadrature of the
-    constant function over the fiber torus (exact for a Riemann sum on a
-    periodic integrand)."""
-    h = constant / n_theta
-    one_axis = np.sum(np.ones(n_theta)) * h
-    return float(one_axis**n)
+        return torus_volume(poly.dimension, self.torus_constant)
 
 
 def fiber_weight_constancy(
     poly: DelzantPolytope, lams: Sequence, model: FiberMeasureModel
 ) -> tuple[list[float], float]:
-    """Measured fiber weights across lattice points and their relative spread."""
+    """Fiber weights across lattice points and their relative spread."""
     weights = [model.fiber_weight(poly, lam) for lam in lams]
     w = np.asarray(weights)
     spread = float((w.max() - w.min()) / np.abs(w).max())

@@ -40,7 +40,10 @@ and the module reports their residual as its central self-check.
 Polarizations: the anti-holomorphic frame of J_t is spanned by the columns of
 [ (1/2) G_t^{-1} ; (i/2) Id ]; as t grows these tilt into the pure angular
 directions span{d/dtheta_j}, the involutive mixed limit on the open orbit.
-Convergence is metrized by the largest principal angle between frames.
+Convergence is metrized by the largest principal angle between frames, which
+has the closed form arctan(1 / min |eig G_t(x)|) (`polarization_angle`).  The
+generic route, orthonormalized frames and an SVD (`subspace_angle`), is kept
+as its independent reference in the tests.
 """
 
 from __future__ import annotations
@@ -211,29 +214,50 @@ def kahler_potential_duality(state: KahlerFlowState, x):
 _COND_LIMIT = 1e12
 
 
-def complex_structure(state: KahlerFlowState, x) -> np.ndarray:
-    """J_t at x in the (d/dx, d/dtheta) frame: [[0, -G^{-1}], [G, 0]]."""
-    G = state.metric_hessian(np.asarray(x, dtype=float))
-    if G.ndim != 2:
-        raise DimensionMismatch("complex_structure expects a single point")
-    if np.linalg.cond(G) > _COND_LIMIT:
+def _checked_inverse(G: np.ndarray) -> np.ndarray:
+    """G^{-1} over the leading batch axes, refusing any ill-conditioned G."""
+    if (np.linalg.cond(G) > _COND_LIMIT).any():
         raise DomainError("metric Hessian is numerically singular at this point")
-    n = G.shape[0]
-    Ginv = np.linalg.inv(G)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -Ginv
-    J[n:, :n] = G
+    return np.linalg.inv(G)
+
+
+def complex_structure(state: KahlerFlowState, x) -> np.ndarray:
+    """J_t at x in the (d/dx, d/dtheta) frame: [[0, -G^{-1}], [G, 0]].
+
+    Batched over the leading axes of x: points of shape (..., n) give
+    matrices of shape (..., 2n, 2n).
+    """
+    G = state.metric_hessian(np.asarray(x, dtype=float))
+    n = G.shape[-1]
+    J = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
+    J[..., :n, n:] = -_checked_inverse(G)
+    J[..., n:, :n] = G
     return J
 
 
 def metric_matrix(state: KahlerFlowState, x) -> np.ndarray:
-    """omega(-, J_t -) in the same frame: block diag(G_t, G_t^{-1})."""
+    """omega(-, J_t -) in the same frame: block diag(G_t, G_t^{-1}), batched
+    like `complex_structure`.  It is positive definite exactly when G_t is."""
     G = state.metric_hessian(np.asarray(x, dtype=float))
-    n = G.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = G
-    M[n:, n:] = np.linalg.inv(G)
+    n = G.shape[-1]
+    M = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n] = G
+    M[..., n:, n:] = _checked_inverse(G)
     return M
+
+
+def polarization_angle(state: KahlerFlowState, x) -> np.ndarray:
+    """Largest principal angle between the J_t frame and the limit frame,
+    arctan(1 / min |eig G_t(x)|), batched over the leading axes of x.
+
+    The cosines of the principal angles between [ (1/2)G^{-1} ; (i/2)Id ] and
+    [0 ; Id] are the singular values of (Id + G^{-2})^{-1/2}, i.e.
+    |g| / sqrt(1 + g^2) over the eigenvalues g of the symmetric G.  Equals
+    `subspace_angle(polarization_basis_t(state, x), mixed_polarization_basis(n))`
+    without losing accuracy at small angles.
+    """
+    G = state.metric_hessian(np.asarray(x, dtype=float))
+    return np.arctan2(1.0, np.abs(np.linalg.eigvalsh(G)).min(-1))
 
 
 def polarization_basis_t(state: KahlerFlowState, x) -> np.ndarray:
@@ -284,24 +308,6 @@ def beta_of_hamiltonian_field(phi: ConvexPotential, x) -> np.ndarray:
     return np.einsum("...i,...i->...", x, phi.grad(x))
 
 
-def hamiltonian_derivative_of_beta_pairing(
-    phi: ConvexPotential, x, n_theta: int = 16
-) -> float:
-    """Numerical value of X_phi(beta(X_phi)) at x.
-
-    beta(X_phi) is constant along the torus fiber; the spectral angular
-    derivative of its values over a theta grid is identically zero, which is
-    what this returns (computed, not assumed).
-    """
-    x = np.asarray(x, dtype=float)
-    vals = np.repeat(beta_of_hamiltonian_field(phi, x), n_theta)
-    modes = np.fft.fft(vals)
-    freqs = np.fft.fftfreq(n_theta) * n_theta
-    dvals = np.fft.ifft(1j * freqs * modes)
-    coeff = np.max(np.abs(phi.grad(x)))
-    return float(coeff * np.max(np.abs(dvals)))
-
-
 # -- the biholomorphism psi_t -----------------------------------------------------
 
 
@@ -340,15 +346,17 @@ class DecayCurve(NamedTuple):
     slope: float
 
 
-def fit_loglog_slope(ts, values, decade: float = 10.0) -> float:
+def fit_loglog_slope(ts, values, decade: float = 10.0):
     """Least-squares slope of log(values) vs log(ts) over the trailing
-    decade ts >= max(ts)/decade."""
+    decade ts >= max(ts)/decade.  Values of shape (len(ts), k) hold k curves,
+    one per column, and give an array of k slopes."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = ts >= ts.max() / decade
     if mask.sum() < 2:
         raise ValueError("not enough points in the fitting window")
-    return float(np.polyfit(np.log(ts[mask]), np.log(values[mask]), 1)[0])
+    slope = np.polyfit(np.log(ts[mask]), np.log(values[mask]), 1)[0]
+    return float(slope) if slope.ndim == 0 else slope
 
 
 def polarization_decay_curve(
@@ -360,14 +368,7 @@ def polarization_decay_curve(
     ts = np.asarray(t_grid, dtype=float)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")
-    n = g0.dimension
-    target = mixed_polarization_basis(n)
-    angles = np.array(
-        [
-            subspace_angle(polarization_basis_t(KahlerFlowState(g0, phi, t), x), target)
-            for t in ts
-        ]
-    )
+    angles = np.array([polarization_angle(KahlerFlowState(g0, phi, t), x) for t in ts])
     positive = ts > 0
     slope = fit_loglog_slope(ts[positive], angles[positive]) if positive.sum() >= 2 else np.nan
     return DecayCurve(ts, angles, slope)

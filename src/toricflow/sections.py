@@ -305,9 +305,11 @@ def kostant_operator(
     """Check that (nabla_{xi#} + i mu^xi) acts on the weight-lam section as
     multiplication by i lam(xi).
 
-    The angular derivative is taken spectrally on a theta grid; the
-    connection term -i beta(xi#) = -i x.xi and the moment term +i mu^xi come
-    from the gauge and the moment map respectively and must cancel.
+    In the gauge beta = sum x_j dtheta_j the connection term is
+    -i beta(xi#) = -i x.xi = -i mu^xi, so it cancels the moment term
+    identically and the operator is the angular derivative xi.d/dtheta,
+    taken spectrally on a theta grid.  The check fails when the grid aliases
+    the weight (2 max|lam_j| >= n_theta).
     """
     xi = np.asarray(xi, dtype=float)
     n = s.g0.dimension
@@ -316,11 +318,9 @@ def kostant_operator(
     if n_theta is None:
         n_theta = max(8, 2 * max(abs(w) for w in s.weight) + 2)
     field = evaluate_on_grid([s], xs, n_theta)
-    deriv = np.zeros_like(field.values)
+    op = np.zeros_like(field.values)
     for j in range(n):
-        deriv = deriv + xi[j] * field.theta_derivative(j).values
-    pairing = (field.xs @ xi).reshape((-1,) + (1,) * n)
-    op = deriv - 1j * pairing * field.values + 1j * pairing * field.values
+        op = op + xi[j] * field.theta_derivative(j).values
     expected = 1j * complex(s.lam @ xi)
     scale = np.max(np.abs(field.values))
     residual = float(np.max(np.abs(op - expected * field.values)) / scale)
@@ -596,8 +596,7 @@ def frame_holomorphicity_residual(
                 for m in (-2, -1, 1, 2)
             ]
             grad_fd[k] = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-        # angular FD of the invariant frame: identically zero, kept explicit
-        theta_fd = np.zeros(n)
-        coeff = 0.5 * (Ginv @ grad_fd) + 0.5j * theta_fd + 0.5 * x * u0
+        # the frame is torus-invariant, so the (i/2) du/dtheta term vanishes
+        coeff = 0.5 * (Ginv @ grad_fd) + 0.5 * x * u0
         worst = max(worst, float(np.max(np.abs(coeff)) / u0))
     return worst

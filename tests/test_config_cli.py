@@ -142,6 +142,21 @@ def test_cli_section_flow_cp2(tmp_path):
     assert all(row.endswith("True") for row in rows[1:])
 
 
+def test_cli_polarization(tmp_path):
+    out = tmp_path / "cp2"
+    assert main(["polarization", "--config", str(CP2_CFG), "--out", str(out)]) == 0
+    assert "nan" not in (out / "polarization.csv").read_text().lower()
+    verdict = json.loads((out / "polarization.json").read_text())
+    assert verdict["pass"] and np.isfinite(verdict["slopes"]).all()
+    # negative control: phi flat in x2 stops the decay along one direction,
+    # so the largest angle stalls (slopes near 0) and the run must fail
+    flat = tmp_path / "flat.cfg"
+    flat.write_text(CP2_CFG.read_text().replace("phi.Q = 2 0 0 4", "phi.Q = 1 0 0 0"))
+    assert main(["polarization", "--config", str(flat), "--out", str(tmp_path / "flat")]) == 2
+    slopes = json.loads((tmp_path / "flat" / "polarization.json").read_text())["slopes"]
+    assert max(slopes) > -0.9
+
+
 def test_cli_tol_scale_loosens_gates(tmp_path):
     # the corrupted transition (O(1) residual) passes once tolerances are
     # scaled absurdly, which exercises the --tol-scale plumbing

@@ -163,6 +163,53 @@ def test_subspace_angle_rejects_rank_deficient():
         tf.subspace_angle(degenerate, np.eye(4, 2, dtype=complex))
 
 
+_ANGLE_TIMES = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 14)])
+
+
+@pytest.mark.parametrize(
+    "poly, phi",
+    [
+        (tf.segment(2.0), tf.QuadraticPotential([[1.5]])),
+        (tf.segment(2.0), tf.LogSumExpPotential([[1.0], [-1.0], [2.0]])),
+        (tf.standard_simplex(2, 2.0), tf.QuadraticPotential([[2.0, 0.5], [0.5, 1.0]])),
+        (tf.standard_simplex(2, 2.0), tf.LogSumExpPotential([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])),
+    ],
+    ids=["segment-quadratic", "segment-logsumexp", "simplex-quadratic", "simplex-logsumexp"],
+)
+def test_polarization_angle_matches_svd_route(poly, phi, rng):
+    # 12 points x 15 times per model, 720 (x, t) pairs in all
+    g0 = tf.SymplecticPotential(poly)
+    pts = tf.sample_interior(poly, 12, rng, margin=0.05)
+    target = tf.mixed_polarization_basis(poly.dimension)
+    for t in _ANGLE_TIMES:
+        state = tf.KahlerFlowState(g0, phi, t)
+        closed = tf.polarization_angle(state, pts)
+        reference = [tf.subspace_angle(tf.polarization_basis_t(state, x), target) for x in pts]
+        assert closed.shape == (12,)
+        assert np.abs(closed - reference).max() <= 2e-11
+
+
+def test_batched_structure_matches_single_points(cp2_size2, phi_aniso, rng):
+    state = tf.KahlerFlowState(tf.SymplecticPotential(cp2_size2), phi_aniso, 7.0)
+    pts = tf.sample_interior(cp2_size2, 8, rng, margin=0.05)
+    J = tf.complex_structure(state, pts)
+    M = tf.metric_matrix(state, pts)
+    assert J.shape == M.shape == (8, 4, 4)
+    for x, Jx, Mx in zip(pts, J, M):
+        assert np.array_equal(Jx, tf.complex_structure(state, x))
+        assert np.array_equal(Mx, tf.metric_matrix(state, x))
+
+
+def test_batched_structure_rejects_one_singular_point(cp2_size2, phi_aniso):
+    # a facet value of 1e-13 makes G_0 ill-conditioned at the first point only
+    state = tf.KahlerFlowState(tf.SymplecticPotential(cp2_size2), phi_aniso, 0.0)
+    pts = np.array([[1e-13, 0.5], [0.5, 0.5]])
+    tf.complex_structure(state, pts[1])
+    for build in (tf.complex_structure, tf.metric_matrix):
+        with pytest.raises(DomainError):
+            build(state, pts)
+
+
 def test_flow_map_identity_at_time_zero(cp1_unit, phi_1d):
     g0 = tf.SymplecticPotential(cp1_unit)
     p = tf.OrbitPoint((0.4,), (1.3,))
@@ -224,10 +271,6 @@ def test_beta_pairing_is_radial(cp1_size2, phi_1d, rng):
     x = tf.sample_interior(cp1_size2, 4, rng, margin=0.1)
     vals = tf.beta_of_hamiltonian_field(phi_1d, x)
     assert np.allclose(vals, x[:, 0] * phi_1d.grad(x)[:, 0])
-    # its derivative along the Hamiltonian field (an angular derivative)
-    # vanishes identically
-    for xi in x:
-        assert tf.flow.hamiltonian_derivative_of_beta_pairing(phi_1d, xi) < 1e-12
 
 
 def test_dimension_mismatch_rejected(cp1_unit, phi_2d):

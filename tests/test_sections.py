@@ -52,6 +52,18 @@ def test_kostant_linearity(model2, sample_points):
     assert two.measured_eigenvalue == pytest.approx(2 * one.measured_eigenvalue)
 
 
+def test_kostant_detects_aliased_weight(model2, sample_points):
+    # weight 2 on a 3-point theta grid aliases to -1: the check must fail
+    _, g0, phi = model2
+    xs, _ = sample_points
+    check = tf.kostant_operator(
+        np.array([1.0]), tf.WeightSection((2,), g0, phi), xs[:6], n_theta=3
+    )
+    assert check.expected_eigenvalue == 2j
+    assert check.residual > 1
+    assert abs(check.measured_eigenvalue - 2j) > 1
+
+
 # -- quantum operator -----------------------------------------------------------
 
 
