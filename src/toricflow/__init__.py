@@ -16,7 +16,6 @@ from .convergence import (
     concentration_profile,
     convergence_experiment,
     fiber_pairing_delta,
-    fiber_weight_constancy,
     normalization_Ct,
     pairing_iota,
     weight_orthogonality_check,
@@ -29,6 +28,7 @@ from .errors import (
     EmptyGridError,
     FiberDegenerationError,
     NewtonError,
+    QuadratureOverflow,
     QuadratureStagnation,
     ToricFlowError,
 )

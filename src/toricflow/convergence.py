@@ -27,7 +27,7 @@ rates, and assembles pass/fail reports for one (lam, phi, t-grid) experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .flow import SymplecticPotential, fit_loglog_slope
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, concentration_rate
 from .quadrature import PeakHint, QuadratureSpec, integrate, integrate_many
-from .sections import WeightSection, torus_volume
+from .sections import WeightSection, _laplace_width, torus_volume
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,26 +111,7 @@ class FiberMeasureModel:
         return torus_volume(poly.dimension, self.torus_constant)
 
 
-def fiber_weight_constancy(
-    poly: DelzantPolytope, lams: Sequence, model: FiberMeasureModel
-) -> tuple[list[float], float]:
-    """Fiber weights across lattice points and their relative spread."""
-    weights = [model.fiber_weight(poly, lam) for lam in lams]
-    w = np.asarray(weights)
-    spread = float((w.max() - w.min()) / np.abs(w).max())
-    return weights, spread
-
-
 # -- normalization constant and pairings ------------------------------------------
-
-
-def _laplace_width(phi: ConvexPotential, lam, t: float) -> Optional[float]:
-    if t <= 0:
-        return None
-    eig_min = float(np.linalg.eigvalsh(phi.hess(np.asarray(lam, dtype=float))).min())
-    if eig_min <= 0:
-        return None
-    return 1.0 / np.sqrt(t * eig_min)
 
 
 def _density_moments(
@@ -140,15 +121,18 @@ def _density_moments(
     lam,
     t: float,
     spec: QuadratureSpec,
-) -> list[float]:
-    """Integrals of e^{-t f_lam} f_i over P on one shared grid.
+) -> tuple[list[float], float]:
+    """Integrals of e^{-t f_lam - shift} f_i over P on one shared grid, and
+    the shift = -t f_lam(lam) that puts the peak value at 1.
 
-    The bare density is the reference column driving refinement; a peak hint
-    of Laplace width 1/sqrt(t min-eig Hess phi(lam)) is added once the flow
-    has localized the mass.
+    Ratios of the moments need no rescaling back, so they stay finite at
+    any t; the unscaled integrals are the moments times e^{shift}.  The bare
+    density is the reference column driving refinement; a peak hint of
+    Laplace width 1/sqrt(t min-eig Hess phi(lam)) is added once the flow has
+    localized the mass.
     """
     lam = np.asarray(lam, dtype=float)
-    shift = t * phi.value(lam)  # = -t f_lam(lam): rescale so the peak value is O(1)
+    shift = t * phi.value(lam)
 
     def matrix(pts):
         density = np.exp(-t * concentration_rate(phi, lam, pts) - shift)
@@ -157,18 +141,9 @@ def _density_moments(
 
     width = _laplace_width(phi, lam, t)
     if width is not None and poly.is_interior(lam):
-        hinted = QuadratureSpec(
-            resolution=spec.resolution,
-            max_refinements=spec.max_refinements,
-            rel_tol=spec.rel_tol,
-            abs_tol=spec.abs_tol,
-            clip_depth=spec.clip_depth,
-            peaks=spec.peaks + (PeakHint(tuple(lam), float(width)),),
-        )
-    else:
-        hinted = spec
-    results = integrate_many(matrix, 1 + len(fs), poly, hinted)
-    return [r.value * np.exp(shift) for r in results]
+        spec = replace(spec, peaks=spec.peaks + (PeakHint(tuple(lam), float(width)),))
+    results = integrate_many(matrix, 1 + len(fs), poly, spec)
+    return [r.value for r in results], shift
 
 
 def normalization_Ct(
@@ -182,8 +157,8 @@ def normalization_Ct(
     """C_t = [ kappa^n int_P e^{-t f_lam} dx ]^{-1} with kappa = 2 pi by
     default (the Liouville pushforward density for full toric rank)."""
     kappa = torus_volume(poly.dimension, torus_constant)
-    value = _density_moments([], poly, phi, lam, t, spec)[0]
-    return 1.0 / (kappa * value)
+    moments, shift = _density_moments([], poly, phi, lam, t, spec)
+    return 1.0 / (kappa * (moments[0] * np.exp(shift)))
 
 
 def pairing_iota(
@@ -197,8 +172,8 @@ def pairing_iota(
     object with orbit profile H."""
     poly = s_t.polytope
     kappa = torus_volume(poly.dimension, torus_constant)
-    value = _density_moments([bump], poly, s_t.phi, s_t.lam, s_t.t, spec)[1]
-    return C_t * kappa * value
+    moments, shift = _density_moments([bump], poly, s_t.phi, s_t.lam, s_t.t, spec)
+    return C_t * kappa * (moments[1] * np.exp(shift))
 
 
 def fiber_pairing_delta(
@@ -258,7 +233,7 @@ def concentration_profile(
     fs += [lambda p, i=i, j=j: (p[:, i] - lam[i]) * (p[:, j] - lam[j]) for i, j in pairs]
     if np.isfinite(radius):
         fs.append(lambda p: (np.linalg.norm(p - lam, axis=-1) <= radius).astype(float))
-    moments = _density_moments(fs, poly, phi, lam, t, spec)
+    moments, _ = _density_moments(fs, poly, phi, lam, t, spec)
     Z = moments[0]
     first = np.array(moments[1 : 1 + n]) / Z
     mean = lam + first
@@ -386,7 +361,7 @@ def convergence_experiment(
 
     def pairings_at(t: float) -> list[float]:
         # normalization and all bump pairings share one evaluation grid
-        moments = _density_moments(list(bumps), poly, phi, lam, float(t), spec)
+        moments, _ = _density_moments(list(bumps), poly, phi, lam, float(t), spec)
         return [m / moments[0] for m in moments[1:]]
 
     if threads > 1:

@@ -33,6 +33,11 @@ class QuadratureStagnation(ToricFlowError, RuntimeError):
         self.estimate = estimate
 
 
+class QuadratureOverflow(ToricFlowError, ArithmeticError):
+    """A quadrature value or error estimate came out non-finite, typically
+    because the integrand exceeds the float range."""
+
+
 class AliasingError(ToricFlowError, ValueError):
     """The angular grid is too coarse to separate the requested torus
     weights (two weights coincide modulo the grid size)."""

@@ -10,8 +10,10 @@ The grid comes from `DelzantPolytope.grid_cells` as arrays.  Sharply peaked
 integrands (the Laplace densities e^{-t f_lam}) are handled by local
 subdivision around declared peak centers: a boolean mask picks the cells near
 a peak, which are split in geometric rings down to a cell size of width/8 near
-the peak.  Ring leaves descended from a boundary cell are clipped again by the
-same batched clipper the grid uses, one call per ring level.
+the peak at the base resolution.  The leaves halve with the base cells at
+every refinement, so one Richardson rule covers the whole grid.  Ring leaves
+descended from a boundary cell are clipped again by the same batched clipper
+the grid uses, one call per ring level.
 
 Accumulation uses pairwise summation in a fixed tree order so repeated runs
 are bit-identical.
@@ -24,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureStagnation
+from .errors import DomainError, QuadratureOverflow, QuadratureStagnation
 from .polytopes import DelzantPolytope, Grid, _clip_straddlers, _corner_offsets
 
 
@@ -143,18 +145,19 @@ def _assembled_arrays(
     peaks: tuple[PeakHint, ...],
     clip_depth: int,
     margin: float,
-    ball_scale: float,
+    leaf_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(points, volumes) of the base grid with near-peak cells replaced by
-    ring leaves; memoized on the polytope."""
-    key = ("peakgrid", resolution, float(margin), clip_depth, peaks, round(ball_scale, 9))
+    ring leaves of `_peak_leaves` scale `leaf_scale`; memoized on the
+    polytope."""
+    key = ("peakgrid", resolution, float(margin), clip_depth, peaks, leaf_scale)
     cache = poly._cache
     if key in cache:
         return cache[key]
     grid = poly.grid_cells(resolution, margin, clip_depth)
     if peaks:
         near = _near_peaks(grid, peaks)
-        leaf_pts, leaf_vols = _peak_leaves(poly, grid, near, peaks, margin, clip_depth, ball_scale)
+        leaf_pts, leaf_vols = _peak_leaves(poly, grid, near, peaks, margin, clip_depth, leaf_scale)
         pts = np.concatenate([grid.points[~near], leaf_pts])
         vols = np.concatenate([grid.volumes[~near], leaf_vols])
     else:
@@ -189,21 +192,24 @@ def integrate_many(
     res = spec.resolution
     peaks = _quantized_peaks(spec.peaks)
 
-    def level_scale(resolution: int) -> float:
-        # ball leaves shrink with the first refinements, then freeze; the
-        # frozen part is corrected after the loop
-        return max(spec.resolution / resolution, 0.25)
-
     def sums(resolution: int) -> np.ndarray:
+        # ring leaves shrink with the base cells, so one Richardson rule
+        # covers the whole assembled grid
         pts, vols = _assembled_arrays(
-            poly, resolution, peaks, spec.clip_depth, margin, level_scale(resolution)
+            poly, resolution, peaks, spec.clip_depth, margin, spec.resolution / resolution
         )
         return _matrix_sums(matrix_f, k, pts, vols)
 
-    coarse = sums(res)
-    fine = sums(2 * res)
-    values = (4.0 * fine - coarse) / 3.0
-    estimates = np.abs(fine - coarse)
+    def richardson(coarse: np.ndarray, fine: np.ndarray):
+        values, estimates = (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
+        if not np.isfinite([values, estimates]).all():
+            raise QuadratureOverflow(
+                f"non-finite quadrature value {values[0]:.3e} (estimate {estimates[0]:.3e})"
+            )
+        return values, estimates
+
+    coarse, fine = sums(res), sums(2 * res)
+    values, estimates = richardson(coarse, fine)
 
     def good(v, e):
         return e <= max(spec.abs_tol, spec.rel_tol * max(abs(v), 1e-300))
@@ -213,30 +219,8 @@ def integrate_many(
     while not good(values[0], estimates[0]) and refinements < spec.max_refinements:
         refinements += 1
         res *= 2
-        coarse = fine
-        fine = sums(2 * res)
-        values = (4.0 * fine - coarse) / 3.0
-        estimates = np.abs(fine - coarse)
-
-    if peaks:
-        # explicit ball correction: one extra leaf halving on the final grid
-        grid = poly.grid_cells(2 * res, margin, spec.clip_depth)
-        near = _near_peaks(grid, peaks)
-        if near.any():
-            scale = level_scale(2 * res)
-            ball_a = _matrix_sums(
-                matrix_f,
-                k,
-                *_peak_leaves(poly, grid, near, peaks, margin, spec.clip_depth, scale),
-            )
-            ball_b = _matrix_sums(
-                matrix_f,
-                k,
-                *_peak_leaves(poly, grid, near, peaks, margin, spec.clip_depth, 0.5 * scale),
-            )
-            delta = ball_b - ball_a
-            values = values + 4.0 * delta / 3.0
-            estimates = estimates + np.abs(delta)
+        coarse, fine = fine, sums(2 * res)
+        values, estimates = richardson(coarse, fine)
 
     # transient growth is normal while a narrow feature is still unresolved,
     # so stagnation is judged over the whole refinement history: anything
@@ -262,10 +246,10 @@ def integrate(
 
     Returns the Richardson-extrapolated midpoint value and an error estimate
     from the difference of successive refinements.  Peak-hinted regions are
-    handled on ring-refined leaves whose contribution is corrected and
-    error-estimated separately (a two-scale difference on the leaf size).
-    Raises QuadratureStagnation when refinement stops improving the estimate
-    while the tolerance is still unmet.
+    handled on ring-refined leaves that halve with the base cells.  Raises
+    QuadratureStagnation when refinement stops improving the estimate while
+    the tolerance is still unmet, and QuadratureOverflow on a non-finite
+    value or estimate.
     """
 
     def matrix_f(pts):

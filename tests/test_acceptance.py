@@ -195,16 +195,25 @@ def test_criterion_09_weak_convergence():
     ok_slope = all(-1.15 <= b.slope <= -0.85 for b in overlap)
     ok_control = report.bumps[3].final_error < 1e-6
 
-    weights, spread = tf.fiber_weight_constancy(
-        tf.segment(4.0),
-        [np.array([v]) for v in (1.0, 2.0, 3.0)],
-        tf.FiberMeasureModel("paper-form"),
+    # the paper-form fiber weight is the torus volume (2 pi)^n at every
+    # interior lattice point; the normalized mode gives unit mass
+    interior = [
+        (wpoly, p.array)
+        for wpoly in (tf.segment(4.0), tf.standard_simplex(2, 3.0))
+        for p in tf.lattice_points(wpoly)
+        if wpoly.is_interior(p.array)
+    ]
+    paper, normalized = tf.FiberMeasureModel("paper-form"), tf.FiberMeasureModel("normalized")
+    ok_weights = len(interior) == 4 and all(
+        paper.fiber_weight(wpoly, lam) == (2 * np.pi) ** wpoly.dimension
+        and normalized.fiber_weight(wpoly, lam) == 1.0
+        for wpoly, lam in interior
     )
-    ok = ok_err and ok_slope and ok_control and spread < 1e-6
+    ok = ok_err and ok_slope and ok_control and ok_weights
     _report(9, "weak convergence to the fiber pairing with slope -1 +/- 0.15",
             ok,
             f"errors {[f'{b.final_error:.1e}' for b in overlap]}, "
-            f"slopes {[f'{b.slope:.2f}' for b in overlap]}, W spread {spread:.1e}")
+            f"slopes {[f'{b.slope:.2f}' for b in overlap]}, fiber weights {ok_weights}")
 
 
 def test_criterion_10_polarization_convergence():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
+from scipy.stats import norm
 
 import toricflow as tf
 from toricflow.errors import AliasingError, FiberDegenerationError
@@ -61,11 +63,6 @@ def test_Ct_matches_truncated_gaussian(model2, spec, t):
     assert C == pytest.approx(_truncated_gaussian_Ct(t), rel=1e-5, abs=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 5: integrate_many returns an unmet tolerance silently "
-    "(relative error 2e-6 at t = 1280)",
-)
 def test_Ct_meets_spec_tolerance_at_large_t(model2, spec):
     poly, _, phi = model2
     C = tf.normalization_Ct(np.array([1.0]), phi, poly, 1280.0, spec)
@@ -73,6 +70,21 @@ def test_Ct_meets_spec_tolerance_at_large_t(model2, spec):
 
 
 # -- pairings ------------------------------------------------------------------
+
+
+def test_pairing_matches_quad_oracle_at_large_t(model2, spec):
+    # e^{-t f_lam} is proportional to e^{-t (x-1)^2 / 2}; quad integrates
+    # the ratio independently of the clipped midpoint grid
+    poly, g0, phi = model2
+    bump = tf.BumpProfile((1.0,), 0.9, 1.0)
+    ts = [640.0, 1280.0]
+    report = tf.convergence_experiment(np.array([1.0]), phi, g0, [bump], ts, spec)
+    opts = dict(points=[1.0], epsabs=0.0, epsrel=1e-13, limit=200)
+    for t, pairing in zip(ts, report.bumps[0].pairings):
+        gauss = lambda x: np.exp(-t * (x - 1.0) ** 2 / 2.0)
+        weighted = lambda x: gauss(x) * bump(np.array([x]))
+        exact = quad(weighted, 0.0, 2.0, **opts)[0] / quad(gauss, 0.0, 2.0, **opts)[0]
+        assert pairing == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_pairing_uniform_average_at_time_zero(model2, spec):
@@ -131,16 +143,15 @@ def test_fiber_pairing_rejects_boundary(model2):
 
 
 def test_fiber_weight_modes_and_constancy():
-    poly = tf.segment(4.0)
-    model = tf.FiberMeasureModel("paper-form")
-    weights, spread = tf.fiber_weight_constancy(
-        poly, [np.array([v]) for v in (1.0, 2.0, 3.0)], model
-    )
-    assert spread < 1e-6
-    assert weights[0] == pytest.approx(2 * np.pi)
+    # the paper-form weight is the torus volume (2 pi)^n at every interior point
+    paper = tf.FiberMeasureModel("paper-form")
     normalized = tf.FiberMeasureModel("normalized")
-    w, _ = tf.fiber_weight_constancy(poly, [np.array([2.0])], normalized)
-    assert w[0] == 1.0
+    for poly in (tf.segment(4.0), tf.standard_simplex(2, 3.0)):
+        lams = [p.array for p in tf.lattice_points(poly) if poly.is_interior(p.array)]
+        assert lams
+        for lam in lams:
+            assert paper.fiber_weight(poly, lam) == (2 * np.pi) ** poly.dimension
+            assert normalized.fiber_weight(poly, lam) == 1.0
 
 
 # -- concentration statistics -----------------------------------------------------
@@ -163,6 +174,27 @@ def test_concentration_uniform_at_time_zero(model2, spec):
     stats = tf.concentration_profile(np.array([1.0]), phi, poly, 0.0, spec)
     # the centroid of [0, 2]
     assert stats.mean[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def _truncated_normal_variance(sigma2, half_width):
+    a = half_width / np.sqrt(sigma2)
+    return sigma2 * (1.0 - 2.0 * a * norm.pdf(a) / (2.0 * norm.cdf(a) - 1.0))
+
+
+def test_concentration_box_matches_truncated_normal(phi_aniso):
+    # on a box the Gaussian e^{-t f_lam} factors into truncated normals on
+    # [0, 2] around lam = 1 with variances 1 / (t Q_ii)
+    poly = tf.box([2.0, 2.0])
+    spec2 = tf.QuadratureSpec(resolution=32, rel_tol=1e-4, max_refinements=2)
+    lam = np.array([1.0, 1.0])
+    q = np.diag(phi_aniso.hess(lam))
+    for t in (20.0, 40.0, 80.0):
+        cov = tf.concentration_profile(lam, phi_aniso, poly, t, spec2).covariance_matrix
+        exact = [_truncated_normal_variance(1.0 / (t * qi), 1.0) for qi in q]
+        assert np.diag(cov) == pytest.approx(exact, rel=5e-6, abs=0.0)
+    # t phi(lam) = 960: the moment ratios must not overflow
+    cov = tf.concentration_profile(lam, phi_aniso, poly, 320.0, spec2).covariance_matrix
+    assert np.isfinite(cov).all()
 
 
 def test_concentration_2d_covariance(phi_aniso):
@@ -202,6 +234,17 @@ def test_convergence_experiment_gates(model2, spec):
     assert control.final_error < 1e-6
     d = report.to_dict()
     assert d["pass"] and len(d["bumps"]) == 4
+
+
+def test_convergence_experiment_past_float_range(model2, spec):
+    # t phi(lam) = 5120 at t = 10240: e^{t phi(lam)} overflows, the ratios must not
+    poly, g0, phi = model2
+    bumps = [tf.BumpProfile((1.0,), 0.9, 1.0), tf.BumpProfile((1.7,), 0.25, 1.0)]
+    ts = 10.0 * 2.0 ** np.arange(11)
+    report = tf.convergence_experiment(np.array([1.0]), phi, g0, bumps, ts, spec)
+    assert report.passed
+    assert np.isfinite(report.bumps[0].pairings).all()
+    assert -1.15 <= report.bumps[0].slope <= -0.85
 
 
 def test_convergence_requires_interior_weight(model2, spec):

@@ -99,8 +99,6 @@ def test_peaked_uses_fewer_evaluations(cp1_unit):
     v2, e2 = tf.integrate_peaked(peak_f, cp1_unit, [c], w, spec)
 
     for v, e in ((v1, e1), (v2, e2)):
-        # the post-loop ball correction may add (conservatively) to the
-        # reported estimate after the loop has met the tolerance
         assert e <= 2e-4 * abs(v)
         assert abs(v - exact) <= 2.0 * e   # honest estimates
     assert peak_count["n"] <= plain_count["n"] / 2

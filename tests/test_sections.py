@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import toricflow as tf
-from toricflow.errors import AliasingError, DomainError
+from toricflow.errors import AliasingError, DomainError, QuadratureOverflow
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +229,14 @@ def test_norm_monotone_convex_after_weight_shift(model2):
     # convex in t: slopes are nondecreasing
     slopes = np.diff(vals) / np.diff(ts)
     assert (np.diff(slopes) > -1e-10).all()
+
+
+def test_norm_beyond_float_range_raises(model2):
+    # the norm is about e^800 at t = 800: the quadrature must not return nan
+    _, g0, phi = model2
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureOverflow):
+            tf.section_norm_sq(tf.WeightSection((1,), g0, phi, 800.0))
 
 
 def test_density_extends_to_boundary(model2):
