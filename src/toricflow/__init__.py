@@ -45,7 +45,6 @@ from .flow import (
     guillemin_potential,
     holomorphic_log_coordinates,
     kahler_potential_duality,
-    kahler_potential_t,
     metric_matrix,
     mixed_polarization_basis,
     polarization_angle,
@@ -83,13 +82,7 @@ from .potentials import (
     legendre_inverse,
     make_potential,
 )
-from .quadrature import (
-    PeakHint,
-    QuadratureSpec,
-    count_evaluations,
-    integrate,
-    integrate_peaked,
-)
+from .quadrature import QuadratureSpec, integrate
 from .sections import (
     GridSectionField,
     KostantCheck,

@@ -27,17 +27,17 @@ rates, and assembles pass/fail reports for one (lam, phi, t-grid) experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatch, FiberDegenerationError
+from .errors import AliasingError, DimensionMismatch, FiberDegenerationError, QuadratureOverflow
 from .flow import SymplecticPotential, fit_loglog_slope
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, concentration_rate
-from .quadrature import PeakHint, QuadratureSpec, integrate, integrate_many
-from .sections import WeightSection, _laplace_width, torus_volume
+from .quadrature import QuadratureSpec, integrate, integrate_many
+from .sections import WeightSection, torus_volume
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,9 +127,7 @@ def _density_moments(
 
     Ratios of the moments need no rescaling back, so they stay finite at
     any t; the unscaled integrals are the moments times e^{shift}.  The bare
-    density is the reference column driving refinement; a peak hint of
-    Laplace width 1/sqrt(t min-eig Hess phi(lam)) is added once the flow has
-    localized the mass.
+    density is the reference column driving refinement of the uniform grid.
     """
     lam = np.asarray(lam, dtype=float)
     shift = t * phi.value(lam)
@@ -139,9 +137,6 @@ def _density_moments(
         cols = [density] + [density * f(pts) for f in fs]
         return np.stack(cols, axis=-1)
 
-    width = _laplace_width(phi, lam, t)
-    if width is not None and poly.is_interior(lam):
-        spec = replace(spec, peaks=spec.peaks + (PeakHint(tuple(lam), float(width)),))
     results = integrate_many(matrix, 1 + len(fs), poly, spec)
     return [r.value for r in results], shift
 
@@ -158,7 +153,13 @@ def normalization_Ct(
     default (the Liouville pushforward density for full toric rank)."""
     kappa = torus_volume(poly.dimension, torus_constant)
     moments, shift = _density_moments([], poly, phi, lam, t, spec)
-    return 1.0 / (kappa * (moments[0] * np.exp(shift)))
+    with np.errstate(over="ignore", divide="ignore"):
+        C_t = 1.0 / (kappa * (moments[0] * np.exp(shift)))
+    if not 0.0 < C_t < np.inf:
+        raise QuadratureOverflow(
+            f"C_t = {C_t} at t = {t}: e^(t phi(lam)) = e^{shift:.6g} is beyond the float range"
+        )
+    return C_t
 
 
 def pairing_iota(
@@ -173,7 +174,14 @@ def pairing_iota(
     poly = s_t.polytope
     kappa = torus_volume(poly.dimension, torus_constant)
     moments, shift = _density_moments([bump], poly, s_t.phi, s_t.lam, s_t.t, spec)
-    return C_t * kappa * (moments[1] * np.exp(shift))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = C_t * kappa * (moments[1] * np.exp(shift))
+    if not np.isfinite(value):
+        raise QuadratureOverflow(
+            f"pairing = {value} at t = {s_t.t}: e^(t phi(lam)) = e^{shift:.6g} "
+            "is beyond the float range"
+        )
+    return value
 
 
 def fiber_pairing_delta(
@@ -216,9 +224,9 @@ def concentration_profile(
 ) -> ConcentrationStats:
     """Moments of the normalized density e^{-t f_lam} / |e^{-t f_lam}|_1.
 
-    The quadrature refines automatically near lam once the predicted Laplace
-    peak width falls below the base cell size (peak hints plus Richardson
-    refinement); mean -> lam and covariance ~ (t Hess phi(lam))^{-1}.
+    All moments share one uniform grid, refined by resolution doubling until
+    the mass meets the tolerance; mean -> lam and covariance ~
+    (t Hess phi(lam))^{-1}.
     """
     lam = np.asarray(lam, dtype=float)
     if not poly.is_interior(lam):

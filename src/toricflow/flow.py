@@ -201,10 +201,6 @@ def flowed_potential(state: KahlerFlowState, x):
     return state.potential(x), state.moment_dual(x), state.metric_hessian(x)
 
 
-def kahler_potential_t(state: KahlerFlowState, x):
-    return state.kahler_potential(x)
-
-
 def kahler_potential_duality(state: KahlerFlowState, x):
     """(rho_t via Legendre, residual against the additive formula)."""
     leg = state.kahler_potential_legendre(x)

@@ -13,9 +13,9 @@ symplectic potential directly, and vertices are derived.
 
 Besides validation, this module enumerates the lattice points of P (the index
 set of the torus-weight basis) and builds midpoint-rule evaluation grids,
-stored as arrays (`Grid`).  Boxes cut by the boundary are clipped by one
-routine, `_clip_straddlers`, which bisects all boxes of one size together,
-level by level.
+stored as arrays (`Grid`): uniform cells at each resolution, with the cells
+cut by the boundary clipped by `_clip_straddlers`, which bisects them all
+together, level by level.
 """
 
 from __future__ import annotations
@@ -88,15 +88,11 @@ class LatticePoint:
 
 @dataclass(frozen=True)
 class Grid:
-    """Midpoint-rule cells of a polytope, one row per cell: evaluation point,
-    clipped Lebesgue volume, lower corner and whether the boundary cuts the
-    cell.  All cells share the side length `size`; `len` is the cell count."""
+    """Midpoint-rule cells of a polytope, one row per cell: evaluation point
+    and clipped Lebesgue volume; `len` is the cell count."""
 
     points: np.ndarray   # (m, n)
     volumes: np.ndarray  # (m,)
-    lo: np.ndarray       # (m, n)
-    size: float
-    clipped: np.ndarray  # (m,) bool
 
     def __len__(self) -> int:
         return len(self.volumes)
@@ -497,4 +493,4 @@ def _build_cells(poly, resolution, margin, clip_depth) -> Grid:
         poly, los[clipped], h, margin, clip_depth, offsets
     )
     keep = volumes > 0.0
-    return Grid(points[keep], volumes[keep], los[keep], h, clipped[keep])
+    return Grid(points[keep], volumes[keep])

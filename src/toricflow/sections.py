@@ -38,7 +38,7 @@ from .errors import AliasingError, DimensionMismatch, DomainError
 from .flow import KahlerFlowState, SymplecticPotential, beta_of_hamiltonian_field
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, ReflectedPotential, concentration_rate
-from .quadrature import QuadratureSpec, integrate, integrate_peaked
+from .quadrature import QuadratureSpec, integrate
 
 _TINY = 1e-300
 
@@ -398,17 +398,6 @@ def torus_volume(n: int, constant: float = 2.0 * np.pi) -> float:
     return float(constant**n)
 
 
-def _laplace_width(phi: ConvexPotential, lam, t: float) -> Optional[float]:
-    """Width 1/sqrt(t min-eig Hess phi(lam)) of the Laplace peak of
-    e^{-t f_lam}, or None when there is no peak to hint."""
-    if t <= 0:
-        return None
-    eig_min = float(np.linalg.eigvalsh(phi.hess(np.asarray(lam, dtype=float))).min())
-    if eig_min <= 0:
-        return None
-    return 1.0 / np.sqrt(t * eig_min)
-
-
 def section_norm_sq(
     s: WeightSection,
     spec: QuadratureSpec = QuadratureSpec(),
@@ -417,17 +406,11 @@ def section_norm_sq(
     """L^2 norm squared: (2 pi)^n int_P e^{-2 A_{lam,t}} dx.
 
     The torus direction integrates exactly to (2 pi)^n; the polytope factor
-    goes through the clipped midpoint quadrature, with a peak hint at lam once
-    the flow has localized the density (e^{-2 t f_lam}, hence width at 2t).
+    goes through the clipped midpoint quadrature on the uniform grid.
     """
     poly = s.polytope
-    kappa = torus_volume(poly.dimension, torus_constant)
-    width = _laplace_width(s.phi, s.lam, 2.0 * s.t) if poly.is_interior(s.lam) else None
-    if width is not None:
-        value, _ = integrate_peaked(s.density, poly, s.lam, width, spec)
-    else:
-        value, _ = integrate(s.density, poly, spec)
-    return kappa * value
+    value, _ = integrate(s.density, poly, spec)
+    return torus_volume(poly.dimension, torus_constant) * value
 
 
 # -- two-chart gluing on a segment model ----------------------------------------------

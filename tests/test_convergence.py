@@ -5,7 +5,7 @@ from scipy.special import erf
 from scipy.stats import norm
 
 import toricflow as tf
-from toricflow.errors import AliasingError, FiberDegenerationError
+from toricflow.errors import AliasingError, FiberDegenerationError, QuadratureOverflow
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,17 @@ def test_Ct_meets_spec_tolerance_at_large_t(model2, spec):
     poly, _, phi = model2
     C = tf.normalization_Ct(np.array([1.0]), phi, poly, 1280.0, spec)
     assert C == pytest.approx(_truncated_gaussian_Ct(1280.0), rel=spec.rel_tol, abs=0.0)
+
+
+def test_Ct_and_pairing_beyond_float_range_raise(model2, spec):
+    # t phi(lam) = 1280 at t = 2560: e^{t phi(lam)} overflows, so C_t would
+    # underflow to 0 and the pairing become 0 * inf
+    poly, g0, phi = model2
+    with pytest.raises(QuadratureOverflow):
+        tf.normalization_Ct(np.array([1.0]), phi, poly, 2560.0, spec)
+    s = tf.WeightSection((1,), g0, phi, 2560.0)
+    with pytest.raises(QuadratureOverflow):
+        tf.pairing_iota(s, tf.BumpProfile((1.0,), 0.9, 1.0), 0.0, spec)
 
 
 # -- pairings ------------------------------------------------------------------
@@ -183,7 +194,7 @@ def _truncated_normal_variance(sigma2, half_width):
 
 def test_concentration_box_matches_truncated_normal(phi_aniso):
     # on a box the Gaussian e^{-t f_lam} factors into truncated normals on
-    # [0, 2] around lam = 1 with variances 1 / (t Q_ii)
+    # [0, 2] around lam = 1 with variances 1 / (t Q_ii), and C_t into erfs
     poly = tf.box([2.0, 2.0])
     spec2 = tf.QuadratureSpec(resolution=32, rel_tol=1e-4, max_refinements=2)
     lam = np.array([1.0, 1.0])
@@ -192,6 +203,10 @@ def test_concentration_box_matches_truncated_normal(phi_aniso):
         cov = tf.concentration_profile(lam, phi_aniso, poly, t, spec2).covariance_matrix
         exact = [_truncated_normal_variance(1.0 / (t * qi), 1.0) for qi in q]
         assert np.diag(cov) == pytest.approx(exact, rel=5e-6, abs=0.0)
+        gauss = np.prod([np.sqrt(2 * np.pi / (t * qi)) * erf(np.sqrt(t * qi / 2)) for qi in q])
+        exact_Ct = 1.0 / ((2 * np.pi) ** 2 * np.exp(t * phi_aniso.value(lam)) * gauss)
+        C = tf.normalization_Ct(lam, phi_aniso, poly, t, spec2)
+        assert C == pytest.approx(exact_Ct, rel=1e-10, abs=0.0)
     # t phi(lam) = 960: the moment ratios must not overflow
     cov = tf.concentration_profile(lam, phi_aniso, poly, 320.0, spec2).covariance_matrix
     assert np.isfinite(cov).all()

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import toricflow as tf
-from toricflow.errors import DomainError, QuadratureStagnation
+from toricflow.errors import QuadratureStagnation
 
 
 def test_constant_exact(cp1_unit):
@@ -20,7 +20,7 @@ def test_linear_exact(cp1_unit):
 def test_gaussian_against_adaptive_oracle(cp1_unit):
     f = lambda p: np.exp(-100.0 * (p[:, 0] - 0.5) ** 2)
     spec = tf.QuadratureSpec(resolution=64, rel_tol=1e-10, max_refinements=4)
-    value, _ = tf.integrate_peaked(f, cp1_unit, [0.5], 0.1, spec)
+    value, _ = tf.integrate(f, cp1_unit, spec)
     oracle, _ = quad(lambda x: np.exp(-100.0 * (x - 0.5) ** 2), 0.0, 1.0, epsabs=1e-13)
     assert abs(value - oracle) < 1e-8
     assert oracle == pytest.approx(np.sqrt(np.pi / 100) * erf(5.0))
@@ -64,15 +64,15 @@ def test_error_estimate_conservative(cp1_unit):
             0.4,
         ),
         (
-            tf.integrate_peaked(
-                cusp, cp1_unit, [0.37], 0.01,
+            tf.integrate(
+                cusp, cp1_unit,
                 tf.QuadratureSpec(resolution=16, rel_tol=1e-4, max_refinements=10),
             ),
             cusp_exact,
         ),
         (
-            tf.integrate_peaked(
-                narrow, cp1_unit, [0.37], 0.004,
+            tf.integrate(
+                narrow, cp1_unit,
                 tf.QuadratureSpec(resolution=16, rel_tol=1e-6, max_refinements=9),
             ),
             narrow_exact,
@@ -82,37 +82,6 @@ def test_error_estimate_conservative(cp1_unit):
         1 for (value, est), exact in cases if abs(value - exact) <= 2.0 * max(est, 1e-15)
     )
     assert hits / len(cases) >= 0.95
-
-
-def test_peaked_uses_fewer_evaluations(cp1_unit):
-    # an exponential cusp: uniform dyadic midpoint has no superconvergence
-    # here, so local refinement genuinely wins at equal tolerance
-    w, c = 0.01, 0.37
-    f = lambda p: np.exp(-np.abs(p[:, 0] - c) / w)
-    exact = w * (2.0 - np.exp(-c / w) - np.exp(-(1 - c) / w))
-    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-4, max_refinements=10)
-
-    plain_f, plain_count = tf.count_evaluations(f)
-    v1, e1 = tf.integrate(plain_f, cp1_unit, spec)
-
-    peak_f, peak_count = tf.count_evaluations(f)
-    v2, e2 = tf.integrate_peaked(peak_f, cp1_unit, [c], w, spec)
-
-    for v, e in ((v1, e1), (v2, e2)):
-        assert e <= 2e-4 * abs(v)
-        assert abs(v - exact) <= 2.0 * e   # honest estimates
-    assert peak_count["n"] <= plain_count["n"] / 2
-
-
-def test_wide_hint_still_converges(cp1_unit):
-    f = lambda p: np.exp(-100.0 * (p[:, 0] - 0.5) ** 2)
-    value, _ = tf.integrate_peaked(f, cp1_unit, [0.5], 5.0)
-    assert value == pytest.approx(np.sqrt(np.pi / 100) * erf(5.0), rel=1e-7)
-
-
-def test_peak_center_at_vertex_rejected(cp1_unit):
-    with pytest.raises(DomainError):
-        tf.integrate_peaked(lambda p: np.ones(len(p)), cp1_unit, [0.0], 0.1)
 
 
 def test_stagnation_reported(cp1_unit):
@@ -134,9 +103,4 @@ def test_2d_polynomial(cp2_size2):
     f = lambda p: p[:, 0] * p[:, 1]
     spec = tf.QuadratureSpec(resolution=128, rel_tol=1e-4, max_refinements=2)
     value, _ = tf.integrate(f, cp2_size2, spec)
-    assert value == pytest.approx(16.0 / 24.0, rel=2e-4)
-    # the rings around (1, 0.5) reach the hypotenuse: their boundary leaves
-    # must be clipped, neither dropped nor counted at full box volume
-    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-6, max_refinements=2)
-    value, _ = tf.integrate_peaked(f, cp2_size2, (1.0, 0.5), 0.05, spec)
     assert value == pytest.approx(16.0 / 24.0, rel=2e-4)
