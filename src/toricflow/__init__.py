@@ -58,7 +58,6 @@ from .polytopes import (
     LatticePoint,
     box,
     contains,
-    interior_grid,
     lattice_points,
     sample_interior,
     segment,

@@ -13,9 +13,9 @@ symplectic potential directly, and vertices are derived.
 
 Besides validation, this module enumerates the lattice points of P (the index
 set of the torus-weight basis) and builds midpoint-rule evaluation grids,
-stored as arrays (`Grid`): uniform cells at each resolution, with the cells
-cut by the boundary clipped by `_clip_straddlers`, which bisects them all
-together, level by level.
+stored as arrays (`Grid`): a triangulation of P whose simplices are split by
+the Freudenthal-Kuhn edgewise subdivision, so every cell lies inside P and
+the cell volumes add up to vol(P) exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import DimensionMismatch, DomainError, EmptyGridError
 
@@ -89,7 +90,7 @@ class LatticePoint:
 @dataclass(frozen=True)
 class Grid:
     """Midpoint-rule cells of a polytope, one row per cell: evaluation point
-    and clipped Lebesgue volume; `len` is the cell count."""
+    (the cell centroid) and Lebesgue volume; `len` is the cell count."""
 
     points: np.ndarray   # (m, n)
     volumes: np.ndarray  # (m,)
@@ -146,27 +147,9 @@ class DelzantPolytope:
 
     def vertices(self) -> np.ndarray:
         """Vertices of P, derived from all feasible n-fold facet intersections."""
-        if "vertices" in self._cache:
-            return self._cache["vertices"]
-        n = self.dimension
-        found = []
-        for combo in itertools.combinations(range(len(self.facets)), n):
-            A = self._normals[list(combo)]
-            if abs(np.linalg.det(A)) < 1e-12:
-                continue
-            v = np.linalg.solve(A, -self._offsets[list(combo)])
-            if self.facet_values(v).min() >= -1e-8:
-                found.append(v)
-        if found:
-            uniq = []
-            for v in found:
-                if not any(np.max(np.abs(v - u)) < 1e-8 for u in uniq):
-                    uniq.append(v)
-            verts = np.array(sorted(uniq, key=tuple))
-        else:
-            verts = np.zeros((0, n))
-        self._cache["vertices"] = verts
-        return verts
+        if "vertices" not in self._cache:
+            self._cache["vertices"] = _intersection_vertices(self._normals, self._offsets)
+        return self._cache["vertices"]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         verts = self.vertices()
@@ -302,12 +285,17 @@ class DelzantPolytope:
     def grid_cells(
         self, resolution: int, margin: float = 0.0, clip_depth: int = 6
     ) -> Grid:
-        """Axis-aligned cell decomposition at `resolution` cells per unit
-        length, clipped to {x : l_k(x) >= margin}, as one `Grid` of arrays in
-        lexicographic cell order.  Cells cut by the boundary get their clipped
-        volumes by dyadic bisection to `clip_depth` (`_clip_straddlers`);
-        their point is the center of the largest inside sub-box."""
-        key = ("grid", resolution, float(margin), clip_depth)
+        """Midpoint-rule cells of {x : l_k(x) >= margin} as one `Grid`.
+
+        The region is triangulated from its vertices (a simplex is its
+        own triangulation, anything else goes through Delaunay), and each
+        simplex is split by the Freudenthal-Kuhn edgewise subdivision into
+        k^n congruent simplices, k = resolution * ceil(longest sup-norm
+        edge); doubling `resolution` doubles every k.  Points are the
+        sub-simplex centroids, so they are strictly interior, and the volumes
+        are exact.  `clip_depth` is unused; it stays for callers that pass it
+        by name.  Raises EmptyGridError when the region has no interior."""
+        key = ("grid", resolution, float(margin))
         if key in self._cache:
             return self._cache[key]
         if resolution < 2:
@@ -315,12 +303,8 @@ class DelzantPolytope:
         if margin < 0:
             raise ValueError("margin must be nonnegative")
         self.require_valid()
-        grid = _build_cells(self, resolution, margin, clip_depth)
-        if not len(grid):
-            raise EmptyGridError(
-                f"no grid cells: margin {margin} leaves an empty region"
-            )
-        self._cache[key] = grid
+        verts = _intersection_vertices(self._normals, self._offsets - margin)
+        grid = self._cache[key] = _build_cells(verts, resolution)
         return grid
 
 
@@ -344,25 +328,6 @@ def contains(poly: DelzantPolytope, x, tol: float = _FEAS_TOL) -> ContainsResult
 def lattice_points(poly: DelzantPolytope) -> list[LatticePoint]:
     """The integer points of P in deterministic lexicographic order."""
     return poly.lattice_points()
-
-
-def interior_grid(
-    poly: DelzantPolytope, resolution: int, margin: float = 0.0, clip_depth: int = 6
-) -> list[tuple[np.ndarray, float]]:
-    """Midpoint-rule sample points with clipped cell volumes.
-
-    Parameters
-    ----------
-    resolution : cells per unit length.
-    margin : clip to the shrunk region {x : l_k(x) >= margin}.
-    clip_depth : bisection depth for boundary cells.
-
-    Returns
-    -------
-    List of (point, volume) pairs; the point always lies inside the region.
-    """
-    grid = poly.grid_cells(resolution, margin, clip_depth)
-    return list(zip(grid.points, grid.volumes.tolist()))
 
 
 # -- convenience constructors --------------------------------------------------
@@ -425,72 +390,86 @@ def sample_interior(
 # -- grid construction ---------------------------------------------------------
 
 
-def _corner_offsets(n: int) -> np.ndarray:
-    return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+def _intersection_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Vertices of {x : normals x + offsets >= 0}: the feasible n-fold facet
+    intersections, deduplicated, in lexicographic order; (0, n) if none."""
+    n = normals.shape[1]
+    found = []
+    for combo in itertools.combinations(range(len(normals)), n):
+        A = normals[list(combo)]
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        v = np.linalg.solve(A, -offsets[list(combo)])
+        if (normals @ v + offsets).min() >= -1e-8:
+            found.append(v)
+    uniq = []
+    for v in found:
+        if not any(np.max(np.abs(v - u)) < 1e-8 for u in uniq):
+            uniq.append(v)
+    return np.array(sorted(uniq, key=tuple)).reshape(-1, n)
 
 
-def _classify_boxes(poly, los, size, margin, offsets):
-    """Vectorized (inside, straddle) masks of equal boxes; the rest are outside."""
-    corner_pts = los[:, None, :] + offsets[None, :, :] * size  # (B, 2^n, n)
-    vals = corner_pts @ poly.normals.T + poly.offsets - margin  # (B, 2^n, K)
-    inside = (vals >= 0.0).all(axis=(1, 2))
-    outside = (vals.max(axis=1) < 0.0).any(axis=1)
-    return inside, ~inside & ~outside
+def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-dimensional simplices (s, n + 1, n) covering the convex hull of
+    `verts`, with their volumes; a simplex is its own triangulation."""
+    n = verts.shape[1]
+    if len(verts) <= n:
+        raise EmptyGridError(f"region has {len(verts)} vertices, no interior")
+    try:
+        simplices = verts[None] if len(verts) == n + 1 else verts[Delaunay(verts).simplices]
+    except QhullError as exc:
+        raise EmptyGridError(f"region has no interior: {exc}") from exc
+    volumes = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / math.factorial(n)
+    extent = float(np.ptp(verts, axis=0).max())
+    keep = volumes > 1e-12 * extent**n
+    if not keep.any():
+        raise EmptyGridError("region has zero volume")
+    return simplices[keep], volumes[keep]
 
 
-def _clip_straddlers(poly, los, size, margin, clip_depth, offsets):
-    """Clipped volumes and representative interior points of the boxes
-    [lo, lo + size]^n, by level-synchronous dyadic bisection to `clip_depth`
-    (vectorized over boxes).  At the last level a straddling box counts iff
-    its center is inside.
+def _decreasing_sequences(n: int, top: int) -> np.ndarray:
+    """All integer rows top >= c_1 >= ... >= c_n >= 0, built column by column
+    from the last."""
+    seqs = np.arange(top + 1)[:, None]
+    for _ in range(n - 1):
+        counts = top + 1 - seqs[:, 0]
+        rows = np.repeat(np.arange(len(seqs)), counts)
+        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        seqs = np.column_stack([seqs[rows, 0] + step, seqs[rows]])
+    return seqs
 
-    Returns (volumes, points) aligned with `los`.  The representative is the
-    center of the largest fully-inside descendant (the first such box in
-    deterministic level/lexicographic order); a box of zero volume has none.
+
+def _kuhn_centroids(n: int, k: int) -> np.ndarray:
+    """Centroids of the k^n congruent simplices of the Kuhn subdivision of the
+    dilated order simplex {k >= z_1 >= ... >= z_n >= 0}.
+
+    The sub-simplex with integer anchor a and permutation p has vertices
+    a, a + e_p(1), a + e_p(1) + e_p(2), ..., so its centroid is a + w with
+    w_p(m) = (n + 1 - m)/(n + 1).  It lies in the order simplex iff
+    k - 1 >= a_1 >= ... >= a_n >= 0 with a_i > a_{i+1} wherever p takes
+    axis i + 1 before axis i; those anchors are enumerated directly.
     """
-    n = poly.dimension
-    vols = np.zeros(len(los))
-    reps = np.zeros((len(los), n))
-    boxes = los
-    parents = np.arange(len(los))
-    for depth in range(clip_depth, -1, -1):
-        inside, straddle = _classify_boxes(poly, boxes, size, margin, offsets)
-        if depth == 0:
-            centers = boxes + 0.5 * size
-            center_in = (centers @ poly.normals.T + poly.offsets - margin).min(axis=1) >= 0.0
-            inside = inside | (straddle & center_in)
-        hit = parents[inside]
-        # a parent without volume yet has no representative: take its first box
-        first, at = np.unique(hit, return_index=True)
-        new = vols[first] == 0.0
-        reps[first[new]] = boxes[inside][at[new]] + 0.5 * size
-        np.add.at(vols, hit, size**n)
-        if depth == 0 or not straddle.any():
-            break
-        half = 0.5 * size
-        boxes = (boxes[straddle][:, None, :] + offsets[None, :, :] * half).reshape(-1, n)
-        parents = np.repeat(parents[straddle], len(offsets))
-        size = half
-    return vols, reps
+    blocks = []
+    for perm in itertools.permutations(range(n)):
+        rank = np.argsort(perm)
+        strict = (rank[1:] < rank[:-1]).astype(int)
+        if strict.sum() > k - 1:
+            continue
+        shift = np.append(np.cumsum(strict[::-1])[::-1], 0)
+        base = _decreasing_sequences(n, k - 1 - strict.sum())
+        blocks.append(base + shift + (n - rank) / (n + 1))
+    return np.concatenate(blocks)
 
 
-def _build_cells(poly, resolution, margin, clip_depth) -> Grid:
-    n = poly.dimension
-    lo, hi = poly.bounding_box()
-    h = 1.0 / resolution
-    anchor = np.floor(lo * resolution) / resolution
-    counts = [int(math.ceil((hi[i] - anchor[i]) * resolution - 1e-12)) for i in range(n)]
-    offsets = _corner_offsets(n)
-
-    index_lists = [np.arange(c) for c in counts]
-    mesh = np.meshgrid(*index_lists, indexing="ij")
-    los = anchor + np.stack([m.ravel() for m in mesh], axis=-1) * h  # (M, n), lex order
-
-    inside, clipped = _classify_boxes(poly, los, h, margin, offsets)
-    points = los + 0.5 * h
-    volumes = np.where(inside, h**n, 0.0)
-    volumes[clipped], points[clipped] = _clip_straddlers(
-        poly, los[clipped], h, margin, clip_depth, offsets
-    )
-    keep = volumes > 0.0
-    return Grid(points[keep], volumes[keep])
+def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
+    """Kuhn-subdivide each simplex of a triangulation of conv(verts) into
+    k^n congruent pieces, k = resolution * ceil(longest sup-norm edge)."""
+    n = verts.shape[1]
+    points, volumes = [], []
+    for simplex, volume in zip(*_triangulate(verts)):
+        edges = simplex[:, None, :] - simplex[None, :, :]
+        k = resolution * max(1, math.ceil(np.abs(edges).max() - 1e-9))
+        steps = np.diff(simplex, axis=0) / k
+        points.append(simplex[0] + _kuhn_centroids(n, k) @ steps)
+        volumes.append(np.full(k**n, volume / k**n))
+    return Grid(np.concatenate(points), np.concatenate(volumes))

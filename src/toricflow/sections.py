@@ -406,7 +406,7 @@ def section_norm_sq(
     """L^2 norm squared: (2 pi)^n int_P e^{-2 A_{lam,t}} dx.
 
     The torus direction integrates exactly to (2 pi)^n; the polytope factor
-    goes through the clipped midpoint quadrature on the uniform grid.
+    goes through the midpoint quadrature on the uniform simplicial grid.
     """
     poly = s.polytope
     value, _ = integrate(s.density, poly, spec)

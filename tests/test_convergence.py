@@ -85,7 +85,7 @@ def test_Ct_and_pairing_beyond_float_range_raise(model2, spec):
 
 def test_pairing_matches_quad_oracle_at_large_t(model2, spec):
     # e^{-t f_lam} is proportional to e^{-t (x-1)^2 / 2}; quad integrates
-    # the ratio independently of the clipped midpoint grid
+    # the ratio independently of the midpoint grid
     poly, g0, phi = model2
     bump = tf.BumpProfile((1.0,), 0.9, 1.0)
     ts = [640.0, 1280.0]
@@ -221,6 +221,15 @@ def test_concentration_2d_covariance(phi_aniso):
     target = np.linalg.inv(phi_aniso.hess(lam))
     assert np.max(np.abs(cov_t - target)) < 0.05 * np.max(np.abs(target))
     assert np.allclose(stats.mean, lam, atol=1e-3)
+
+
+def test_concentration_3d_covariance():
+    poly = tf.standard_simplex(3, 4.0)
+    phi = tf.QuadraticPotential(np.diag([2.0, 3.0, 4.0]))
+    spec = tf.QuadratureSpec(resolution=8, rel_tol=1e-6, max_refinements=1)
+    stats = tf.concentration_profile(np.ones(3), phi, poly, 20.0, spec)
+    cov_t = 20.0 * np.diag(stats.covariance_matrix)
+    assert np.max(np.abs(cov_t - [0.5, 1.0 / 3.0, 0.25])) < 2e-3
 
 
 # -- the experiment ------------------------------------------------------------------

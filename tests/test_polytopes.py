@@ -5,7 +5,7 @@ import pytest
 
 import toricflow as tf
 from toricflow.errors import EmptyGridError
-from toricflow.polytopes import _clip_straddlers, _corner_offsets
+from toricflow.polytopes import _kuhn_centroids
 
 
 def test_unit_interval_is_delzant(cp1_unit):
@@ -90,72 +90,77 @@ def test_lattice_points_invariant_under_facet_relabeling():
 
 
 def test_interior_grid_midpoints(cp1_unit):
-    grid = tf.interior_grid(cp1_unit, 4)
-    points = sorted(float(p[0]) for p, _ in grid)
-    assert np.allclose(points, [0.125, 0.375, 0.625, 0.875])
-    assert all(abs(v - 0.25) < 1e-15 for _, v in grid)
+    grid = cp1_unit.grid_cells(4)
+    assert np.allclose(sorted(grid.points[:, 0]), [0.125, 0.375, 0.625, 0.875])
+    assert all(abs(v - 0.25) < 1e-15 for v in grid.volumes)
 
 
 def test_interior_grid_simplex_volume():
-    grid = tf.interior_grid(tf.standard_simplex(2, 1.0), 128)
-    assert abs(sum(v for _, v in grid) - 0.5) < 1e-3
+    grid = tf.standard_simplex(2, 1.0).grid_cells(128)
+    assert abs(grid.volumes.sum() - 0.5) < 1e-3
 
 
-def test_interior_grid_volume_order():
-    # clipped-cell volume error decays at least linearly in 1/resolution
-    poly = tf.standard_simplex(2, 1.0)
-    errors = [
-        abs(sum(v for _, v in tf.interior_grid(poly, r)) - 0.5) for r in (16, 64, 256)
-    ]
-    assert errors[0] > errors[1] > errors[2]
-    assert errors[0] / errors[2] >= (256 / 16) ** 0.9
+def _hirzebruch_f1():
+    # trapezoid with vertices (0,0), (3,0), (2,1), (0,1)
+    return tf.DelzantPolytope(
+        [tf.Facet((1, 0), 0.0), tf.Facet((0, 1), 0.0), tf.Facet((0, -1), 1.0),
+         tf.Facet((-1, -1), 3.0)]
+    )
+
+
+@pytest.mark.parametrize(
+    "poly,margin,volume,ks",
+    [
+        (tf.segment(2.0), 0.0, 2.0, [2]),
+        (tf.standard_simplex(2, 2.0), 0.0, 2.0, [2]),
+        (tf.standard_simplex(3, 3.0), 0.0, 4.5, [3]),
+        # Delaunay splits the square along a diagonal into two triangles
+        (tf.box([2.0, 2.0]), 0.0, 4.0, [2, 2]),
+        # Delaunay triangles (0,0),(0,1),(2,1) and (0,0),(2,1),(3,0)
+        (_hirzebruch_f1(), 0.0, 2.5, [2, 3]),
+        # the shrunk simplex {x_i >= 1/4, 2 - x1 - x2 >= 1/4}, legs 5/4
+        (tf.standard_simplex(2, 2.0), 0.25, 0.5 * 1.25**2, [2]),
+    ],
+    ids=["segment", "simplex2d", "simplex3d", "box", "hirzebruch-f1", "simplex2d-margin"],
+)
+@pytest.mark.parametrize("resolution", [4, 32])
+def test_grid_volumes_exact(poly, margin, volume, ks, resolution):
+    grid = poly.grid_cells(resolution, margin=margin)
+    assert grid.volumes.sum() == pytest.approx(volume, rel=1e-14, abs=0)
+    assert (poly.facet_values(grid.points).min(axis=1) > margin).all()
+    assert len(grid) == sum((k * resolution) ** poly.dimension for k in ks)
+
+
+def _kuhn_reference(n, k):
+    """Every Kuhn simplex of the cube grid on [0, k]^n whose vertices all lie
+    in {k >= z_1 >= ... >= z_n >= 0}, one at a time: centroids, sorted."""
+    centroids = []
+    for anchor in itertools.product(range(k), repeat=n):
+        for perm in itertools.permutations(range(n)):
+            verts = [np.array(anchor, dtype=float)]
+            for axis in perm:
+                verts.append(verts[-1] + np.eye(n)[axis])
+            verts = np.array(verts)
+            if (np.diff(verts, axis=1) <= 0).all() and verts.max() <= k and verts.min() >= 0:
+                centroids.append(verts.mean(axis=0))
+    return np.array(sorted(map(tuple, centroids)))
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 1), (2, 4), (3, 1), (3, 2), (3, 5)])
+def test_kuhn_centroids_match_reference(n, k):
+    direct = _kuhn_centroids(n, k)
+    assert len(direct) == k**n
+    assert np.allclose(np.array(sorted(map(tuple, direct))), _kuhn_reference(n, k), atol=1e-12)
 
 
 def test_interior_grid_margin_too_large(cp1_unit):
     with pytest.raises(EmptyGridError):
-        tf.interior_grid(cp1_unit, 8, margin=0.6)
+        cp1_unit.grid_cells(8, margin=0.6)
 
 
 def test_interior_grid_points_inside_margin(cp1_size2):
-    for p, _ in tf.interior_grid(cp1_size2, 16, margin=0.25):
+    for p in cp1_size2.grid_cells(16, margin=0.25).points:
         assert cp1_size2.facet_values(p).min() >= 0.25 - 1e-12
-
-
-def _clip_reference(poly, lo, size, margin, depth):
-    """Depth-first, one box at a time: (volume, point or None, point box size)."""
-    n = len(lo)
-    corners = lo + _corner_offsets(n) * size
-    vals = corners @ poly.normals.T + poly.offsets - margin
-    center = lo + 0.5 * size
-    if (vals.max(axis=0) < 0.0).any():
-        return 0.0, None, 0.0
-    if vals.min() >= 0.0 or (depth == 0 and poly.facet_values(center).min() >= margin):
-        return size**n, center, size
-    if depth == 0:
-        return 0.0, None, 0.0
-    volume, best, best_size = 0.0, None, 0.0
-    for shift in _corner_offsets(n):
-        v, p, s = _clip_reference(poly, lo + shift * size / 2, size / 2, margin, depth - 1)
-        volume += v
-        if s > best_size:
-            best, best_size = p, s
-    return volume, best, best_size
-
-
-@pytest.mark.parametrize("dim,depth", [(2, 6), (3, 3)])
-def test_batched_clip_matches_depth_first_reference(dim, depth):
-    # dyadic sizes keep every partial volume exact, so the two orders agree bit for bit
-    poly, size, margin = tf.standard_simplex(dim, 1.0), 0.25, 0.05
-    los = np.array(list(itertools.product(np.arange(-1, 5) * size, repeat=dim)))
-    vols, reps = _clip_straddlers(poly, los, size, margin, depth, _corner_offsets(dim))
-    cut = 0
-    for lo, vol, rep in zip(los, vols, reps):
-        ref_vol, ref_rep, ref_size = _clip_reference(poly, lo, size, margin, depth)
-        assert vol == ref_vol
-        if ref_rep is not None:
-            assert np.array_equal(rep, ref_rep)
-        cut += 0.0 < ref_size < size
-    assert cut > 0
 
 
 def test_sample_interior_respects_margin(cp2_size2, rng):

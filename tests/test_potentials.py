@@ -189,7 +189,7 @@ def test_legendre_inverse_budget_exhaustion(cp1_unit):
 
 
 def test_strict_convexity_identity(cp1_unit):
-    samples = np.array([p for p, _ in tf.interior_grid(cp1_unit, 16)])
+    samples = cp1_unit.grid_cells(16).points
     phi2 = tf.QuadraticPotential(np.eye(1))
     report = tf.check_strict_convexity(phi2, samples)
     assert report.ok

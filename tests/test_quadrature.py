@@ -104,3 +104,25 @@ def test_2d_polynomial(cp2_size2):
     spec = tf.QuadratureSpec(resolution=128, rel_tol=1e-4, max_refinements=2)
     value, _ = tf.integrate(f, cp2_size2, spec)
     assert value == pytest.approx(16.0 / 24.0, rel=2e-4)
+
+
+def test_2d_richardson_h2_expansion(cp2_size2):
+    # int over the size-2 simplex of exp(x1 + 2 x2) = (e^2 - 1)^2 / 2; the
+    # midpoint error is c h^2 + O(h^4), so Richardson's error falls ~16x per
+    # doubling and the difference of the two levels bounds it
+    exact = 0.5 * (np.e**2 - 1.0) ** 2
+    errors = []
+    for res in (16, 32, 64, 128):
+        spec = tf.QuadratureSpec(resolution=res, max_refinements=0)
+        value, est = tf.integrate(lambda p: np.exp(p[:, 0] + 2.0 * p[:, 1]), cp2_size2, spec)
+        errors.append(abs(value - exact))
+        assert est >= errors[-1]
+    assert all(a >= 12.0 * b for a, b in zip(errors, errors[1:]))
+
+
+def test_2d_quadratic_extrapolates_exactly(cp2_size2):
+    # for a quadratic the h^2 term is the whole midpoint error, so one
+    # Richardson step is exact up to rounding
+    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-10)
+    value, _ = tf.integrate(lambda p: p[:, 0] * p[:, 1], cp2_size2, spec)
+    assert abs(value - 2.0 / 3.0) <= 1e-14

@@ -1,7 +1,12 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 import toricflow as tf
+from toricflow.config import load_config
 from toricflow.errors import AliasingError, DomainError, QuadratureOverflow
 
 
@@ -206,6 +211,39 @@ def test_norm_beta_integral_unit_segment():
     for lam in (0, 1):
         norm = tf.section_norm_sq(tf.WeightSection((lam,), g0, phi))
         assert norm == pytest.approx(np.pi, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def cp2_model():
+    # the shipped cp2_size2 config, with its quadrature spec
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg")
+    poly = cfg.build_polytope()
+    return poly, tf.SymplecticPotential(poly), cfg.build_phi(2), cfg.quad_spec()
+
+
+def test_norm_dirichlet_integral_cp2(cp2_model):
+    # at t = 0 the density is prod_k l_k^{l_k(lam)} (sum l_k = 2 is constant),
+    # so the norm is the Dirichlet integral (2 pi)^2 2^{a+b+c+2} a! b! c! / (a+b+c+2)!
+    poly, g0, phi, spec = cp2_model
+    for point in poly.lattice_points():
+        a, b = point.coords
+        c = 2 - a - b
+        exact = (2 * np.pi) ** 2 * 2 ** (a + b + c + 2) * math.factorial(a) * math.factorial(
+            b
+        ) * math.factorial(c) / math.factorial(a + b + c + 2)
+        norm = tf.section_norm_sq(tf.WeightSection(point.coords, g0, phi), spec)
+        assert norm == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_norm_against_dblquad_cp2(cp2_model):
+    poly, g0, phi, spec = cp2_model
+    s = tf.WeightSection((1, 1), g0, phi, 10.0)
+    oracle, _ = dblquad(
+        lambda y, x: float(s.density(np.array([[x, y]]))[0]),
+        0.0, 2.0, 0.0, lambda x: 2.0 - x, epsabs=0.0, epsrel=1e-12,
+    )
+    norm = tf.section_norm_sq(s, spec)
+    assert norm == pytest.approx((2 * np.pi) ** 2 * oracle, rel=1e-8, abs=0)
 
 
 def test_norms_symmetric_under_flip(model2):
