@@ -99,6 +99,7 @@ from .sections import (
     quantum_operator,
     route_equality_residual,
     section_norm_sq,
+    section_norms_sq,
     torus_volume,
     weight_decompose,
 )

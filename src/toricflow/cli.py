@@ -34,7 +34,7 @@ from .sections import (
     gluing_check_cp1,
     lift_section_consistency,
     route_equality_residual,
-    section_norm_sq,
+    section_norms_sq,
 )
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def cmd_section_flow(cfg: ExperimentConfig, out: Path, args) -> int:
     spec = cfg.quad_spec()
 
     rows = []
-    norm_rows = []
+    pairs = []
     failures = 0
     for lam in lams:
         s0 = WeightSection(lam, g0, phi, 0.0)
@@ -176,9 +176,7 @@ def cmd_section_flow(cfg: ExperimentConfig, out: Path, args) -> int:
             ok = resid < tol
             failures += 0 if ok else 1
             rows.append(["route-equality", " ".join(map(str, lam)), t, resid, tol, ok])
-            norm_rows.append(
-                [" ".join(map(str, lam)), t, section_norm_sq(WeightSection(lam, g0, phi, t), spec)]
-            )
+            pairs.append((lam, t))
         if poly.dimension == 1:
             for t in ts:
                 check = gluing_check_cp1(s0, t, corrupt=args.corrupt_transition)
@@ -186,6 +184,9 @@ def cmd_section_flow(cfg: ExperimentConfig, out: Path, args) -> int:
                 ok = check.residual < tol
                 failures += 0 if ok else 1
                 rows.append(["gluing", " ".join(map(str, lam)), t, check.residual, tol, ok])
+
+    norms = section_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], spec)
+    norm_rows = [[" ".join(map(str, lam)), t, norm] for (lam, t), norm in zip(pairs, norms)]
 
     # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so this
     # check runs at moderate time and away from the boundary

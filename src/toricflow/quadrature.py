@@ -16,8 +16,11 @@ use the same grid: once the cells resolve the peak width, resolution
 doubling converges on them like on any smooth integrand, and the difference
 of two resolutions is the error estimate.
 
-Accumulation uses pairwise summation in a fixed tree order so repeated runs
-are bit-identical.
+The integrand is evaluated on consecutive blocks of 2^14 grid points, so a
+k-field integrand never holds more than a (2^14, k) value matrix.  Each
+block is reduced by pairwise summation and the block sums by the same tree;
+with a power-of-two block this is exactly one pairwise tree over the whole
+grid, in a fixed order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -65,61 +68,92 @@ def _pairwise_sum(values: np.ndarray) -> float:
     return float(v[0])
 
 
+# Points per integrand call.  A power of two, so the per-block trees and the
+# tree over the block sums make up exactly one _pairwise_sum over the column.
+_BLOCK = 2**14
+
+
+def _weighted_sums(matrix_f, k: int, points: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """Column sums of f(points) * volumes, evaluating f on blocks of _BLOCK
+    points so the (m, k) value matrix is never held whole."""
+    block_sums = []
+    for start in range(0, len(points), _BLOCK):
+        pts = points[start : start + _BLOCK]
+        vals = np.asarray(matrix_f(pts), dtype=float)
+        if vals.shape != (len(pts), k):
+            raise ValueError(f"integrand must map (m, n) points to (m, {k}) values")
+        vol = volumes[start : start + _BLOCK]
+        block_sums.append([_pairwise_sum(vals[:, j] * vol) for j in range(k)])
+    return np.array([_pairwise_sum(column) for column in np.transpose(block_sums)])
+
+
 def integrate_many(
     matrix_f,
     k: int,
     poly: DelzantPolytope,
     spec: QuadratureSpec = QuadratureSpec(),
+    independent: bool = False,
 ) -> list[QuadratureResult]:
     """Integrate k scalar fields sharing one evaluation grid.
 
-    `matrix_f` maps (m, n) points to (m, k) values.  Refinement and the
-    stagnation judgment are driven by the first field (the reference, e.g. a
-    density all other fields are moments of); every field gets its own
-    Richardson value and estimate.
+    `matrix_f` maps (m, n) points to (m, k) values; it is called on blocks of
+    at most _BLOCK points.  Every field gets its own Richardson value and
+    estimate.  By default refinement and the stagnation judgment are driven
+    by the first field (the reference, e.g. a density all other fields are
+    moments of).  With `independent`, each field is judged on its own: it is
+    frozen at the first level where it meets the tolerance, only fields still
+    refining are checked for finiteness and stagnation, and the results are
+    those of k separate calls.
     """
     res = spec.resolution
+    # column j is judged by column judge[j]
+    judge = np.arange(k) if independent else np.zeros(k, dtype=int)
 
     def sums(resolution: int) -> np.ndarray:
         grid = poly.grid_cells(resolution)
-        vals = np.asarray(matrix_f(grid.points), dtype=float)
-        if vals.shape != (len(grid), k):
-            raise ValueError(f"integrand must map (m, n) points to (m, {k}) values")
-        return np.array([_pairwise_sum(vals[:, j] * grid.volumes) for j in range(k)])
+        return _weighted_sums(matrix_f, k, grid.points, grid.volumes)
 
-    def richardson(coarse: np.ndarray, fine: np.ndarray):
+    def richardson(coarse: np.ndarray, fine: np.ndarray, refining: np.ndarray):
         values, estimates = (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
-        if not np.isfinite([values, estimates]).all():
+        bad = refining & ~(np.isfinite(values) & np.isfinite(estimates))
+        if bad.any():
+            j = int(np.argmax(bad))
             raise QuadratureOverflow(
-                f"non-finite quadrature value {values[0]:.3e} (estimate {estimates[0]:.3e})"
+                f"non-finite quadrature value {values[j]:.3e} in column {j} "
+                f"(estimate {estimates[j]:.3e})"
             )
         return values, estimates
 
-    coarse, fine = sums(res), sums(2 * res)
-    values, estimates = richardson(coarse, fine)
-
     def good(v, e):
-        return e <= spec.rel_tol * max(abs(v), 1e-300)
+        return (e <= spec.rel_tol * np.maximum(np.abs(v), 1e-300))[judge]
 
-    first_estimate = estimates[0]
+    coarse, fine = sums(res), sums(2 * res)
+    values, estimates = richardson(coarse, fine, np.ones(k, dtype=bool))
+    done = good(values, estimates)
+
+    first_estimates = estimates.copy()
     refinements = 0
-    while not good(values[0], estimates[0]) and refinements < spec.max_refinements:
+    while not done.all() and refinements < spec.max_refinements:
         refinements += 1
         res *= 2
         coarse, fine = fine, sums(2 * res)
-        values, estimates = richardson(coarse, fine)
+        new_values, new_estimates = richardson(coarse, fine, ~done)
+        values[~done], estimates[~done] = new_values[~done], new_estimates[~done]
+        done |= good(values, estimates)
 
     # transient growth is normal while a narrow feature is still unresolved,
     # so stagnation is judged over the whole refinement history: anything
     # converging at least first-order shrinks by 2x per round
-    if refinements == spec.max_refinements and not good(values[0], estimates[0]):
-        if estimates[0] > first_estimate * 0.6**refinements:
-            raise QuadratureStagnation(
-                f"error estimate stagnated at {estimates[0]:.3e} "
-                f"(value {values[0]:.12e})",
-                values[0],
-                estimates[0],
-            )
+    stagnated = ~done & (judge == np.arange(k))
+    stagnated &= estimates > first_estimates * 0.6**refinements
+    if stagnated.any():
+        j = int(np.argmax(stagnated))
+        raise QuadratureStagnation(
+            f"error estimate of column {j} stagnated at {estimates[j]:.3e} "
+            f"(value {values[j]:.12e})",
+            values[j],
+            estimates[j],
+        )
     return [QuadratureResult(float(v), float(e)) for v, e in zip(values, estimates)]
 
 

@@ -38,7 +38,7 @@ from .errors import AliasingError, DimensionMismatch, DomainError
 from .flow import KahlerFlowState, SymplecticPotential, beta_of_hamiltonian_field
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, ReflectedPotential, concentration_rate
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate_many
 
 _TINY = 1e-300
 
@@ -87,30 +87,10 @@ class WeightSection:
 
     def density(self, x) -> np.ndarray:
         """Pointwise squared h-norm e^{-2 A_{lam,t}}, extended continuously
-        to the boundary.
-
-        The Guillemin part is evaluated through the closed product
-        e^{-2 F} = exp(sum_k [l_k(lam) - l_k(x)]) prod_k l_k(x)^{l_k(lam)},
-        which is finite and continuous up to l_k = 0.
-        """
+        to the boundary: the one-column case of `_density_kernel`."""
         x = np.asarray(x, dtype=float)
-        poly = self.polytope
-        lx = poly.facet_values(x)
-        if lx.min() < -1e-12:
-            raise DomainError("density requested outside the closed polytope")
-        lx = np.maximum(lx, 0.0)
-        llam = poly.facet_values(self.lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pow = np.where(llam > 0.0, llam * np.log(np.maximum(lx, _TINY)), 0.0)
-        exponent = np.sum(llam - lx + log_pow, axis=-1)
-        out = np.exp(exponent)
-        if self.g0.extra is not None:
-            e = self.g0.extra
-            extra_amp = (
-                np.einsum("...i,...i->...", x - self.lam, e.grad(x)) - e.value(x)
-            )
-            out = out * np.exp(-2.0 * extra_amp)
-        return out * np.exp(-2.0 * self.t * concentration_rate(self.phi, self.lam, x))
+        flat = x.reshape(-1, self.g0.dimension)
+        return _density_kernel([self])(flat)[:, 0].reshape(x.shape[:-1])
 
     # -- local representatives ------------------------------------------------
 
@@ -398,19 +378,80 @@ def torus_volume(n: int, constant: float = 2.0 * np.pi) -> float:
     return float(constant**n)
 
 
+def _density_kernel(sections: Sequence[WeightSection]):
+    """x -> (m, K) densities e^{-2 A_{lam,t}(x)} of K sections that share one
+    g_0 and one phi, for (m, n) points of the closed polytope.
+
+    The Guillemin part goes through the closed product
+    e^{-2 F} = exp(sum_k [l_k(lam) - l_k(x)]) prod_k l_k(x)^{l_k(lam)}, which
+    is finite and continuous up to l_k = 0.  So log e^{-2 A_{lam,t}} is affine
+    in the features [log l_k(x), sum_k l_k(x), x.grad phi - phi, grad phi]
+    with coefficients [l_k(lam), -1, -2t, 2t lam] and constant
+    sum_k l_k(lam); a smooth part e of g_0 adds the features
+    [x.grad e - e, grad e] with coefficients [-2, 2 lam].  Every density is
+    then one column of a single product and one exponential.
+    """
+    g0, phi = sections[0].g0, sections[0].phi
+    if any(s.g0 is not g0 or s.phi is not phi for s in sections):
+        raise ValueError("batched sections must share one g0 and one phi")
+    poly = g0.polytope
+    lams = np.array([s.lam for s in sections])
+    ts = np.array([s.t for s in sections])
+    llam = poly.facet_values(lams)
+    rows = [llam.T, -np.ones_like(ts), -2.0 * ts, 2.0 * ts * lams.T]
+    if g0.extra is not None:
+        rows += [np.full_like(ts, -2.0), 2.0 * lams.T]
+    coeffs = np.vstack(rows)
+    const = llam.sum(axis=1)
+
+    def affine_features(pot: ConvexPotential, x: np.ndarray) -> list[np.ndarray]:
+        grad = pot.grad(x)
+        return [np.einsum("ij,ij->i", x, grad) - pot.value(x), grad]
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        lx = poly.facet_values(x)
+        if lx.min() < -1e-12:
+            raise DomainError("density requested outside the closed polytope")
+        lx = np.maximum(lx, 0.0)
+        feats = [np.log(np.maximum(lx, _TINY)), lx.sum(axis=1)]
+        feats += affine_features(phi, x)
+        if g0.extra is not None:
+            feats += affine_features(g0.extra, x)
+        exponent = np.column_stack(feats) @ coeffs + const
+        return np.exp(exponent, out=exponent)
+
+    return kernel
+
+
+def section_norms_sq(
+    sections: Sequence[WeightSection],
+    spec: QuadratureSpec = QuadratureSpec(),
+    torus_constant: float = 2.0 * np.pi,
+) -> list[float]:
+    """L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam,t}} dx of sections that
+    share one g_0 and one phi, in one pass over the grid.
+
+    The torus direction integrates exactly to (2 pi)^n; the polytope factor
+    goes through the midpoint quadrature on the uniform simplicial grid, and
+    every norm is judged on its own, at the refinement level a separate
+    integration would stop at.  Raises ValueError for sections of different
+    models.
+    """
+    poly = sections[0].polytope
+    results = integrate_many(
+        _density_kernel(sections), len(sections), poly, spec, independent=True
+    )
+    volume = torus_volume(poly.dimension, torus_constant)
+    return [volume * r.value for r in results]
+
+
 def section_norm_sq(
     s: WeightSection,
     spec: QuadratureSpec = QuadratureSpec(),
     torus_constant: float = 2.0 * np.pi,
 ) -> float:
-    """L^2 norm squared: (2 pi)^n int_P e^{-2 A_{lam,t}} dx.
-
-    The torus direction integrates exactly to (2 pi)^n; the polytope factor
-    goes through the midpoint quadrature on the uniform simplicial grid.
-    """
-    poly = s.polytope
-    value, _ = integrate(s.density, poly, spec)
-    return torus_volume(poly.dimension, torus_constant) * value
+    """L^2 norm squared of one section: `section_norms_sq([s])[0]`."""
+    return section_norms_sq([s], spec, torus_constant)[0]
 
 
 # -- two-chart gluing on a segment model ----------------------------------------------

@@ -4,7 +4,8 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import toricflow as tf
-from toricflow.errors import QuadratureStagnation
+from toricflow.errors import QuadratureOverflow, QuadratureStagnation
+from toricflow.quadrature import _BLOCK, _pairwise_sum, _weighted_sums, integrate_many
 
 
 def test_constant_exact(cp1_unit):
@@ -126,3 +127,66 @@ def test_2d_quadratic_extrapolates_exactly(cp2_size2):
     spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-10)
     value, _ = tf.integrate(lambda p: p[:, 0] * p[:, 1], cp2_size2, spec)
     assert abs(value - 2.0 / 3.0) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2**14 - 1, 2**14, 3 * 2**14 + 5])
+def test_block_sums_are_one_pairwise_tree(m):
+    # a power-of-two block keeps the summation tree of the whole column
+    rng = np.random.default_rng(m)
+    vals = rng.standard_normal((m, 2)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
+    volumes = rng.random(m)
+    points = np.arange(m, dtype=float)[:, None]
+    sums = _weighted_sums(lambda p: vals[p[:, 0].astype(int)], 2, points, volumes)
+    for j in range(2):
+        assert sums[j] == _pairwise_sum(vals[:, j] * volumes)
+
+
+def test_integrand_blocks_bounded():
+    # the fine level is the 884,736-cell grid of resolution 32
+    poly = tf.standard_simplex(3, 3.0)
+    sizes = []
+
+    def ones(p):
+        sizes.append(len(p))
+        return np.ones((len(p), 1))
+
+    spec = tf.QuadratureSpec(resolution=16, max_refinements=0)
+    (value, _), = integrate_many(ones, 1, poly, spec)
+    assert sum(sizes) == 110_592 + 884_736
+    assert max(sizes) == _BLOCK == 2**14
+    assert value == pytest.approx(4.5, rel=1e-12)
+
+
+def test_overflow_names_column(cp1_unit):
+    f = lambda p: np.column_stack([np.ones(len(p)), np.where(p[:, 0] > 0.5, np.inf, 1.0)])
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureOverflow, match="column 1"):
+        integrate_many(f, 2, cp1_unit)
+
+
+def test_stagnation_names_column(cp1_unit):
+    f = lambda p: np.column_stack([np.ones(len(p)), np.sin(1e7 * p[:, 0])])
+    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-12, max_refinements=5)
+    # column 0 judges every column by default and meets the tolerance at once
+    assert integrate_many(f, 2, cp1_unit, spec)[0].value == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(QuadratureStagnation, match="column 1") as err:
+        integrate_many(f, 2, cp1_unit, spec, independent=True)
+    with pytest.raises(QuadratureStagnation) as alone:
+        tf.integrate(lambda p: np.sin(1e7 * p[:, 0]), cp1_unit, spec)
+    assert (err.value.value, err.value.estimate) == (alone.value.value, alone.value.estimate)
+
+
+def test_independent_columns_freeze(cp1_unit):
+    # column 0 meets the tolerance at level 0 and is then frozen: its value
+    # on finer grids (here inf) is never judged nor reported, while a column
+    # refined along with the reference is
+    def f(p):
+        first = np.full(len(p), np.inf if len(p) > 32 else 1.0)
+        return np.column_stack([first, np.cos(30.0 * p[:, 0])])
+
+    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-10, max_refinements=3)
+    with np.errstate(invalid="ignore"):
+        frozen, refined = integrate_many(f, 2, cp1_unit, spec, independent=True)
+    assert frozen == (1.0, 0.0)
+    assert refined == integrate_many(lambda p: f(p)[:, [1]], 1, cp1_unit, spec)[0]
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureOverflow, match="column 1"):
+        integrate_many(lambda p: f(p)[:, ::-1], 2, cp1_unit, spec)

@@ -7,7 +7,16 @@ from scipy.integrate import dblquad
 
 import toricflow as tf
 from toricflow.config import load_config
-from toricflow.errors import AliasingError, DomainError, QuadratureOverflow
+from toricflow.errors import (
+    AliasingError,
+    DomainError,
+    QuadratureOverflow,
+    QuadratureStagnation,
+)
+from toricflow.quadrature import integrate_many
+from toricflow.sections import _density_kernel
+
+CP2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +225,7 @@ def test_norm_beta_integral_unit_segment():
 @pytest.fixture(scope="module")
 def cp2_model():
     # the shipped cp2_size2 config, with its quadrature spec
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg")
+    cfg = load_config(CP2_CONFIG)
     poly = cfg.build_polytope()
     return poly, tf.SymplecticPotential(poly), cfg.build_phi(2), cfg.quad_spec()
 
@@ -288,6 +297,120 @@ def test_density_extends_to_boundary(model2):
     s0 = tf.WeightSection((0,), g0, phi)
     # e^{-2F} = (2 - x)^2: bounded, nonzero at its own vertex
     assert s0.density(np.array([0.0])) == pytest.approx(4.0)
+
+
+# -- batched norms -------------------------------------------------------------------
+
+
+def _reference_density(s, x):
+    # the elementwise formula: exp(E) * exp(-2 extra) * exp(-2 t f_lam), with
+    # E = sum_k [l_k(lam) - l_k(x) + l_k(lam) log l_k(x)]
+    poly = s.polytope
+    lx = np.maximum(poly.facet_values(x), 0.0)
+    llam = poly.facet_values(s.lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pow = np.where(llam > 0.0, llam * np.log(np.maximum(lx, 1e-300)), 0.0)
+    out = np.exp(np.sum(llam - lx + log_pow, axis=-1))
+    if s.g0.extra is not None:
+        e = s.g0.extra
+        amp = np.einsum("...i,...i->...", x - s.lam, e.grad(x)) - e.value(x)
+        out = out * np.exp(-2.0 * amp)
+    return out * np.exp(-2.0 * s.t * tf.concentration_rate(s.phi, s.lam, x))
+
+
+def _assert_batch_matches_reference(sections, spec):
+    poly = sections[0].polytope
+    volume = (2 * np.pi) ** poly.dimension
+    norms = tf.section_norms_sq(sections, spec)
+    pts = poly.grid_cells(spec.resolution).points
+    for s, norm in zip(sections, norms):
+        np.testing.assert_allclose(s.density(pts), _reference_density(s, pts), rtol=1e-13, atol=0)
+        ref = volume * tf.integrate(lambda x: _reference_density(s, x), poly, spec).value
+        assert norm == pytest.approx(ref, rel=1e-13, abs=0)
+        assert norm == pytest.approx(tf.section_norm_sq(s, spec), rel=1e-13, abs=0)
+
+
+def test_batch_norms_match_reference_cp2():
+    # all 12 (lam, t) norms of the shipped config, as section-flow batches them
+    cfg = load_config(CP2_CONFIG)
+    poly = cfg.build_polytope()
+    g0, phi = tf.SymplecticPotential(poly), cfg.build_phi(2)
+    sections = [
+        tf.WeightSection(lam, g0, phi, t)
+        for lam in cfg.section_lambdas()
+        for t in cfg.t_grid("section.t", default=[])
+    ]
+    assert len(sections) == 12
+    _assert_batch_matches_reference(sections, cfg.quad_spec())
+
+
+def test_batch_freezes_each_column(model2):
+    # lam = 1, t = 10 meets the tolerance at level 0, the others refine 3
+    # times: the batch must equal one separate integration per column
+    poly, g0, phi = model2
+    spec = tf.QuadratureSpec()
+    sections = [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
+    kernel = _density_kernel(sections)
+    batch = integrate_many(kernel, len(sections), poly, spec, independent=True)
+    for j, s in enumerate(sections):
+        points = []
+
+        def column(x, j=j):
+            points.append(len(x))
+            return kernel(x)[:, [j]]
+
+        assert batch[j] == integrate_many(column, 1, poly, spec)[0]
+        levels = 2 if s.weight == (1,) and s.t == 10.0 else 5
+        assert sum(points) == sum(512 * 2**i for i in range(levels))
+    _assert_batch_matches_reference(sections, spec)
+
+
+def test_batch_norms_with_extra_potential(cp2_size2):
+    g0 = tf.SymplecticPotential(cp2_size2, extra=tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]))
+    phi = tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]])
+    sections = [
+        tf.WeightSection(lam, g0, phi, t) for lam in ((0, 0), (1, 1), (2, 0)) for t in (0.0, 3.0)
+    ]
+    _assert_batch_matches_reference(
+        sections, tf.QuadratureSpec(resolution=32, rel_tol=1e-6, max_refinements=2)
+    )
+
+
+def test_batch_norms_3d_simplex():
+    poly = tf.standard_simplex(3, 2.0)
+    g0 = tf.SymplecticPotential(poly)
+    phi = tf.QuadraticPotential(np.diag([2.0, 3.0, 4.0]))
+    sections = [
+        tf.WeightSection(lam, g0, phi, t) for lam in ((0, 0, 0), (1, 0, 1)) for t in (0.5, 2.0)
+    ]
+    _assert_batch_matches_reference(
+        sections, tf.QuadratureSpec(resolution=8, rel_tol=1e-3, max_refinements=1)
+    )
+
+
+def test_batch_stagnating_column_raises(model2):
+    # at t = 400 the peak is far narrower than the coarse cells
+    _, g0, phi = model2
+    spec = tf.QuadratureSpec(resolution=4, rel_tol=1e-10, max_refinements=1)
+    sections = [tf.WeightSection((1,), g0, phi, t) for t in (0.5, 400.0)]
+    with pytest.raises(QuadratureStagnation, match="column 1"):
+        tf.section_norms_sq(sections, spec)
+
+
+def test_batch_overflow_names_column(model2):
+    _, g0, phi = model2
+    sections = [tf.WeightSection((1,), g0, phi, t) for t in (2.0, 800.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureOverflow, match="value nan in column 1"):
+            tf.section_norms_sq(sections)
+
+
+def test_batch_rejects_mixed_models(model2):
+    _, g0, phi = model2
+    other = tf.QuadraticPotential([[2.0]])
+    sections = [tf.WeightSection((1,), g0, phi), tf.WeightSection((1,), g0, other)]
+    with pytest.raises(ValueError, match="share one g0 and one phi"):
+        tf.section_norms_sq(sections)
 
 
 # -- gluing -----------------------------------------------------------------------
