@@ -26,7 +26,7 @@ from .flow import (
     fit_loglog_slope,
     polarization_angle,
 )
-from .polytopes import sample_interior, validate_delzant
+from .polytopes import sample_interior
 from .potentials import check_strict_convexity
 from .sections import (
     WeightSection,
@@ -75,45 +75,38 @@ def _sample_margin(poly) -> float:
     return 0.25 * radius
 
 
-def _model(cfg: ExperimentConfig):
-    poly = cfg.build_polytope()
-    poly.require_valid()
-    phi = cfg.build_phi(poly.dimension)
-    return poly, SymplecticPotential(poly), phi
+def _model(cfg: ExperimentConfig, poly):
+    return SymplecticPotential(poly), cfg.build_phi(poly.dimension)
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly = cfg.build_polytope()
-    result = validate_delzant(poly)
-    payload = {
-        "polytope": poly.name,
-        "valid": result.ok,
-        "issues": [i.message for i in result.issues],
-    }
-    if result.ok:
-        phi = cfg.build_phi(poly.dimension)
-        pts = poly.grid_cells(32).points
-        report = check_strict_convexity(phi, pts)
-        payload["phi_strictly_convex"] = report.ok
-        payload["phi_min_hessian_eigenvalue"] = report.min_eigenvalue
-        if not report.ok:
-            payload["issues"].append(
-                f"phi is not strictly convex (min eig {report.min_eigenvalue:.3e} "
-                f"at {list(report.witness)})"
-            )
-    ok = result.ok and all("not strictly convex" not in msg for msg in payload["issues"])
-    _write_json(out / "validation.json", payload)
-    print(f"validate: {'OK' if ok else 'FAIL'} ({poly.name or 'polytope'})")
-    for issue in payload["issues"]:
+def cmd_validate(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    phi = cfg.build_phi(poly.dimension)
+    report = check_strict_convexity(phi, poly.grid_cells(32).points)
+    issues = [] if report.ok else [
+        f"phi is not strictly convex (min eig {report.min_eigenvalue:.3e} "
+        f"at {list(report.witness)})"
+    ]
+    _write_json(
+        out / "validation.json",
+        {
+            "polytope": poly.name,
+            "valid": True,
+            "issues": issues,
+            "phi_strictly_convex": report.ok,
+            "phi_min_hessian_eigenvalue": report.min_eigenvalue,
+        },
+    )
+    print(f"validate: {'OK' if report.ok else 'FAIL'} ({poly.name or 'polytope'})")
+    for issue in issues:
         print(f"  - {issue}")
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if report.ok else EXIT_CONFIG
 
 
-def cmd_potential_flow(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly, g0, phi = _model(cfg)
+def cmd_potential_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    g0, phi = _model(cfg, poly)
     ts = cfg.t_grid("flow.t_grid", default=[0.0, 0.5, 1.0, 5.0, 20.0])
     count = cfg._int("flow.sample_points", 20)
     rng = np.random.default_rng(args.seed)
@@ -156,8 +149,8 @@ def cmd_potential_flow(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_section_flow(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly, g0, phi = _model(cfg)
+def cmd_section_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    g0, phi = _model(cfg, poly)
     lams = cfg.section_lambdas() or [p.coords for p in poly.lattice_points()]
     ts = cfg.t_grid("section.t", default=[0.5, 2.0, 10.0])
     rng = np.random.default_rng(args.seed)
@@ -215,8 +208,8 @@ def cmd_section_flow(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_polarization(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly, g0, phi = _model(cfg)
+def cmd_polarization(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    g0, phi = _model(cfg, poly)
     default_grid = [float(t) for t in np.geomspace(10, 1000, 11)]
     ts = cfg.t_grid("flow.t_grid", default=default_grid)
     ts = [t for t in ts if t > 0]
@@ -272,8 +265,8 @@ def cmd_polarization(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_gluing(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly, g0, phi = _model(cfg)
+def cmd_gluing(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    g0, phi = _model(cfg, poly)
     if poly.dimension != 1:
         print("gluing: the two-chart model needs a one-dimensional polytope")
         return EXIT_CONFIG
@@ -298,8 +291,8 @@ def cmd_gluing(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_lift(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly, g0, phi = _model(cfg)
+def cmd_lift(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    g0, phi = _model(cfg, poly)
     lams = cfg.section_lambdas() or [p.coords for p in poly.lattice_points()]
     ts = cfg.t_grid("section.t", default=[0.5, 2.0])
     rng = np.random.default_rng(args.seed)
@@ -325,8 +318,8 @@ def cmd_lift(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_converge(cfg: ExperimentConfig, out: Path, args) -> int:
-    poly, g0, phi = _model(cfg)
+def cmd_converge(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+    g0, phi = _model(cfg, poly)
     lam = cfg.experiment_lambda()
     lam_arr = np.asarray(lam, dtype=float)
     if not poly.contains(lam_arr).inside:
@@ -374,7 +367,7 @@ def cmd_converge(cfg: ExperimentConfig, out: Path, args) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path, args) -> int:
+def cmd_report(cfg: ExperimentConfig, poly, out: Path, args) -> int:
     merged = {}
     ok = True
     for path in sorted(out.glob("*.json")):
@@ -428,12 +421,12 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = load_config(args.config)
-        cfg.validate()
+        poly = cfg.validate()
     except (ConfigError, OSError, ToricFlowError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.subcommand](cfg, out, args)
+        return _COMMANDS[args.subcommand](cfg, poly, out, args)
     except (ConfigError, FiberDegenerationError) as exc:
         print(f"error: {exc}")
         return EXIT_CONFIG

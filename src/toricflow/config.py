@@ -220,10 +220,11 @@ class ExperimentConfig:
                     f"bump line {raw!r} needs 'center ; radius ; height [; plateau]'"
                 )
             center = tuple(self._floats(parts[0], "experiment.bumps"))
-            radius = float(parts[1])
-            height = float(parts[2])
-            plateau = float(parts[3]) if len(parts) == 4 else 0.0
-            bumps.append(BumpProfile(center, radius, height, plateau))
+            try:
+                shape = [float(v) for v in parts[1:]]
+                bumps.append(BumpProfile(center, *shape))
+            except ValueError as exc:
+                raise ConfigError(f"bad experiment.bumps line {raw!r}: {exc}") from exc
         return bumps
 
     def experiment_mode(self) -> FiberMeasureModel:
@@ -237,8 +238,11 @@ class ExperimentConfig:
         """Residual gate for the finite-difference frame-holomorphicity check."""
         return self._float("gauge.check_tolerance", 1e-8)
 
-    def validate(self):
-        """Cross-field checks: referenced lattice points lie in P, grids rise."""
+    def validate(self) -> DelzantPolytope:
+        """Build the polytope and check it is Delzant, then cross-field
+        checks: referenced lattice points lie in P, every weight and bump
+        center has the polytope's dimension, grids rise.  Returns the
+        validated polytope, the one every subcommand of a CLI call uses."""
         poly = self.build_polytope()
         poly.require_valid()
         for lam in self.section_lambdas():
@@ -246,11 +250,25 @@ class ExperimentConfig:
                 raise ConfigError(f"section.lambda {lam} has the wrong dimension")
             if not poly.contains(np.asarray(lam, dtype=float)).inside:
                 raise ConfigError(f"section.lambda {lam} lies outside the polytope")
+        if self._scalar("experiment.lambda") is not None:
+            lam = self.experiment_lambda()
+            if len(lam) != poly.dimension:
+                raise ConfigError(
+                    f"experiment.lambda {lam} has dimension {len(lam)}, "
+                    f"polytope has {poly.dimension}"
+                )
+        for bump in self.experiment_bumps() if "experiment.bumps" in self.multis else ():
+            if len(bump.center) != poly.dimension:
+                raise ConfigError(
+                    f"experiment.bumps center {bump.center} has dimension "
+                    f"{len(bump.center)}, polytope has {poly.dimension}"
+                )
         for key in ("flow.t_grid", "experiment.t_grid", "section.t"):
             if self._scalar(key) is not None:
                 ts = self.t_grid(key)
                 if any(b <= a for a, b in zip(ts, ts[1:])):
                     raise ConfigError(f"{key} must be strictly increasing")
+        return poly
 
 
 def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:

@@ -11,6 +11,9 @@ with normals forming a Z-basis of Z^n (the Delzant condition).  Polytopes are
 specified by facets, not vertices: the facet functions l_k feed the canonical
 symplectic potential directly, and vertices are derived.
 
+Boundedness is read off a closed-form vertex enumeration of the recession
+cone; the one linear program, the Chebyshev radius, runs once per polytope.
+
 Besides validation, this module enumerates the lattice points of P (the index
 set of the torus-weight basis) and builds midpoint-rule evaluation grids,
 stored as arrays (`Grid`): a triangulation of P whose simplices are split by
@@ -68,12 +71,17 @@ class ContainsResult(NamedTuple):
 class ValidationIssue(NamedTuple):
     kind: str       # "unbounded" | "empty-interior" | "non-delzant-vertex" | "non-simple-vertex"
     message: str
-    witness: Optional[tuple]
+    witness: Optional[tuple[float, ...]]
 
 
 class DelzantValidation(NamedTuple):
     ok: bool
     issues: tuple[ValidationIssue, ...]
+
+
+def _plain(v) -> tuple[float, ...]:
+    """A witness point as Python floats, with -0.0 written as 0.0."""
+    return tuple(float(c) + 0.0 for c in v)
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,9 @@ class DelzantPolytope:
         return verts.min(axis=0), verts.max(axis=0)
 
     def chebyshev_center(self) -> tuple[np.ndarray, float]:
-        """Center and radius of the largest inscribed ball (an LP)."""
+        """Center and radius of the largest inscribed ball (one LP, memoized)."""
+        if "chebyshev" in self._cache:
+            return self._cache["chebyshev"]
         n = self.dimension
         norms = np.linalg.norm(self._normals, axis=1)
         A_ub = np.hstack([-self._normals, norms[:, None]])
@@ -171,28 +181,23 @@ class DelzantPolytope:
         )
         if not res.success:
             raise DomainError(f"Chebyshev-center LP failed: {res.message}")
-        return res.x[:n], float(res.x[n])
+        self._cache["chebyshev"] = (res.x[:n], float(res.x[n]))
+        return self._cache["chebyshev"]
 
     # -- validation ----------------------------------------------------------
 
     def _unbounded_direction(self) -> Optional[np.ndarray]:
-        """A nonzero recession direction d with <nu_k, d> >= 0 for all k,
-        or None when the polytope is bounded."""
+        """A recession direction d != 0 (<nu_k, d> >= 0, |d_i| <= 1), or None
+        when P is bounded: P is bounded iff 0 is the only vertex of its
+        recession cone cut by the box |d_i| <= 1."""
         n = self.dimension
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                c = np.zeros(n)
-                c[i] = -sign
-                res = linprog(
-                    c=c,
-                    A_ub=-self._normals,
-                    b_ub=np.zeros(len(self.facets)),
-                    bounds=[(-1.0, 1.0)] * n,
-                    method="highs",
-                )
-                if res.success and -res.fun > 1e-7:
-                    return res.x
-        return None
+        eye = np.eye(n)
+        verts = _intersection_vertices(
+            np.vstack([self._normals, eye, -eye]),
+            np.concatenate([np.zeros(len(self.facets)), np.ones(2 * n)]),
+        )
+        far = verts[np.abs(verts).max(axis=1) > 1e-7]
+        return far[0] if len(far) else None
 
     def validate(self) -> DelzantValidation:
         if "validation" in self._cache:
@@ -201,11 +206,12 @@ class DelzantPolytope:
 
         direction = self._unbounded_direction()
         if direction is not None:
+            witness = _plain(direction)
             issues.append(
                 ValidationIssue(
                     "unbounded",
-                    f"polytope is unbounded along direction {tuple(direction)}",
-                    tuple(direction),
+                    f"polytope is unbounded along direction {witness}",
+                    witness,
                 )
             )
         else:
@@ -230,7 +236,7 @@ class DelzantPolytope:
         n = self.dimension
         seen = set()
         for v in self.vertices():
-            key = tuple(np.round(v, 8))
+            key = _plain(np.round(v, 8))
             if key in seen:
                 continue
             seen.add(key)

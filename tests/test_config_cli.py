@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import toricflow as tf
+from toricflow import polytopes
 from toricflow.cli import main
 from toricflow.config import parse_config, parse_t_grid, serialize_config
 from toricflow.errors import ConfigError
@@ -176,3 +178,63 @@ def test_cli_report_flags_failures(tmp_path):
     assert main(["report", "--config", str(CP1_CFG), "--out", str(tmp_path)]) == 2
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert not summary["pass"]
+
+
+def test_cli_experiment_lambda_dimension_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "lambda2d.cfg"
+    cfg.write_text(
+        CP1_CFG.read_text().replace("experiment.lambda = 1", "experiment.lambda = 1 1")
+    )
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "experiment.lambda (1, 1) has dimension 2" in capsys.readouterr().out
+
+
+def test_cli_bump_center_dimension_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bump2d.cfg"
+    cfg.write_text(
+        CP1_CFG.read_text().replace(
+            "experiment.bumps = 1.7 ; 0.25 ; 1.0", "experiment.bumps = 1.7 0.2 ; 0.25 ; 1.0"
+        )
+    )
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "experiment.bumps center (1.7, 0.2) has dimension 2" in capsys.readouterr().out
+
+
+def test_cli_validate_non_delzant_is_config_error(tmp_path, capsys):
+    # at the vertex (1, 0) the normals (0, 1) and (-2, -1) have determinant 2
+    cfg = tmp_path / "non_delzant.cfg"
+    cfg.write_text(
+        "polytope.dim = 2\n"
+        "polytope.facet = 1 0 ; 0\n"
+        "polytope.facet = 0 1 ; 0\n"
+        "polytope.facet = -2 -1 ; 2\n"
+    )
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "vertex (1.0, 0.0)" in capsys.readouterr().out
+    assert not (out / "validation.json").exists()
+
+
+def test_one_lp_per_polytope(tmp_path, monkeypatch):
+    # the Chebyshev radius is the only LP: validation, sample margins and the
+    # frame-point margin share one solve, and boundedness needs none
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return linprog(*a, **kw)
+
+    monkeypatch.setattr(polytopes, "linprog", counting)
+    argv = ["section-flow", "--config", str(CP2_CFG), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert tf.standard_simplex(2, 2.0).validate().ok
+    assert len(calls) == 1
+
+
+def test_bad_bump_line_is_config_error():
+    # validate() parses the bumps, so a bad radius must be a ConfigError
+    cfg = parse_config(MINIMAL + "\nexperiment.bumps = 1.0 ; 0 ; 0.8\n")
+    with pytest.raises(ConfigError, match="bump radius must be positive"):
+        cfg.validate()

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import toricflow as tf
 from toricflow.errors import EmptyGridError
@@ -173,3 +174,52 @@ def test_vertices_of_box():
     verts = b.vertices()
     assert verts.shape == (4, 2)
     assert tf.validate_delzant(b).ok
+
+
+def _lp_unbounded_direction(poly):
+    """Reference boundedness check: maximize +-d_i by LP over the recession
+    cone {d : N d >= 0} cut by the box |d_i| <= 1 (2n solves)."""
+    n = poly.dimension
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[i] = -sign
+            res = linprog(
+                c=c,
+                A_ub=-poly.normals,
+                b_ub=np.zeros(len(poly.facets)),
+                bounds=[(-1.0, 1.0)] * n,
+                method="highs",
+            )
+            if res.success and -res.fun > 1e-7:
+                return res.x
+    return None
+
+
+@pytest.mark.parametrize(
+    "poly,unbounded",
+    [
+        (tf.DelzantPolytope([tf.Facet((1,), 0.0)]), True),
+        (tf.DelzantPolytope([tf.Facet((1, 0), 0.0), tf.Facet((0, 1), 0.0)]), True),
+        # the recession cone of a strip contains the line x1 = 0
+        (tf.DelzantPolytope([tf.Facet((1, 0), 0.0), tf.Facet((-1, 0), 1.0)]), True),
+        (tf.DelzantPolytope([tf.Facet((1, 0), 0.0), tf.Facet((-1, 2), 0.0)]), True),
+        (tf.segment(2.0), False),
+        (tf.standard_simplex(3, 4.0), False),
+        (tf.box([1.0, 2.0, 3.0]), False),
+        (_hirzebruch_f1(), False),
+    ],
+    ids=["half-line", "quadrant", "strip", "wedge", "segment", "simplex3d", "box3d",
+         "hirzebruch-f1"],
+)
+def test_boundedness_matches_lp_reference(poly, unbounded):
+    reference = _lp_unbounded_direction(poly)
+    issues = [i for i in poly.validate().issues if i.kind == "unbounded"]
+    assert bool(issues) == (reference is not None) == unbounded
+    witnesses = [reference] + [i.witness for i in issues] if unbounded else []
+    for d in witnesses:
+        d = np.asarray(d)
+        assert (poly.normals @ d).min() >= -1e-9
+        assert np.abs(d).max() > 1e-7
+    for issue in issues:
+        assert all(type(c) is float for c in issue.witness)
