@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, DomainError
 from .polytopes import DelzantPolytope
@@ -280,6 +279,8 @@ def subspace_angle(A: np.ndarray, B: np.ndarray) -> float:
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape[0] != B.shape[0]:
         raise DimensionMismatch("frames live in different ambient dimensions")
+    import scipy.linalg
+
     Qa = scipy.linalg.orth(A)
     Qb = scipy.linalg.orth(B)
     if Qa.shape[1] != A.shape[1] or Qb.shape[1] != B.shape[1]:

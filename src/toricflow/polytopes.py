@@ -11,8 +11,10 @@ with normals forming a Z-basis of Z^n (the Delzant condition).  Polytopes are
 specified by facets, not vertices: the facet functions l_k feed the canonical
 symplectic potential directly, and vertices are derived.
 
-Boundedness is read off a closed-form vertex enumeration of the recession
-cone; the one linear program, the Chebyshev radius, runs once per polytope.
+Validation solves no linear program.  Boundedness and the inscribed
+(Chebyshev) radius are both read off closed-form vertex enumerations: of the
+recession cone, and of the polyhedron of inscribed balls one dimension up.
+scipy is imported only when a grid triangulates a non-simplex (Delaunay).
 
 Besides validation, this module enumerates the lattice points of P (the index
 set of the torus-weight basis) and builds midpoint-rule evaluation grids,
@@ -29,8 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import DimensionMismatch, DomainError, EmptyGridError
 
@@ -166,22 +166,23 @@ class DelzantPolytope:
         return verts.min(axis=0), verts.max(axis=0)
 
     def chebyshev_center(self) -> tuple[np.ndarray, float]:
-        """Center and radius of the largest inscribed ball (one LP, memoized)."""
-        if "chebyshev" in self._cache:
-            return self._cache["chebyshev"]
-        n = self.dimension
-        norms = np.linalg.norm(self._normals, axis=1)
-        A_ub = np.hstack([-self._normals, norms[:, None]])
-        res = linprog(
-            c=np.concatenate([np.zeros(n), [-1.0]]),
-            A_ub=A_ub,
-            b_ub=self._offsets,
-            bounds=[(None, None)] * n + [(None, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise DomainError(f"Chebyshev-center LP failed: {res.message}")
-        self._cache["chebyshev"] = (res.x[:n], float(res.x[n]))
+        """Center and radius of the largest inscribed ball (memoized).
+
+        The pairs (x, r) with l_k(x) >= r |nu_k| form a polyhedron on which r
+        is bounded above when P is bounded, so the largest r is attained at
+        one of its vertices, which `_intersection_vertices` enumerates in
+        n + 1 dimensions.  Ties go to the first such vertex in lexicographic
+        order.  The radius is negative when P is empty; an unbounded P raises
+        DomainError."""
+        if "chebyshev" not in self._cache:
+            if self._unbounded_direction() is not None:
+                raise DomainError("polytope is unbounded; it has no Chebyshev center")
+            norms = np.linalg.norm(self._normals, axis=1)
+            lifted = _intersection_vertices(
+                np.hstack([self._normals, -norms[:, None]]), self._offsets
+            )
+            best = lifted[np.argmax(lifted[:, -1])]
+            self._cache["chebyshev"] = (best[:-1], float(best[-1]))
         return self._cache["chebyshev"]
 
     # -- validation ----------------------------------------------------------
@@ -189,15 +190,17 @@ class DelzantPolytope:
     def _unbounded_direction(self) -> Optional[np.ndarray]:
         """A recession direction d != 0 (<nu_k, d> >= 0, |d_i| <= 1), or None
         when P is bounded: P is bounded iff 0 is the only vertex of its
-        recession cone cut by the box |d_i| <= 1."""
-        n = self.dimension
-        eye = np.eye(n)
-        verts = _intersection_vertices(
-            np.vstack([self._normals, eye, -eye]),
-            np.concatenate([np.zeros(len(self.facets)), np.ones(2 * n)]),
-        )
-        far = verts[np.abs(verts).max(axis=1) > 1e-7]
-        return far[0] if len(far) else None
+        recession cone cut by the box |d_i| <= 1 (memoized)."""
+        if "unbounded" not in self._cache:
+            n = self.dimension
+            eye = np.eye(n)
+            verts = _intersection_vertices(
+                np.vstack([self._normals, eye, -eye]),
+                np.concatenate([np.zeros(len(self.facets)), np.ones(2 * n)]),
+            )
+            far = verts[np.abs(verts).max(axis=1) > 1e-7]
+            self._cache["unbounded"] = far[0] if len(far) else None
+        return self._cache["unbounded"]
 
     def validate(self) -> DelzantValidation:
         if "validation" in self._cache:
@@ -220,7 +223,7 @@ class DelzantPolytope:
                 issues.append(
                     ValidationIssue(
                         "empty-interior",
-                        f"polytope interior is empty (inscribed radius {radius:.3e})",
+                        f"polytope interior is empty (inscribed radius {radius + 0.0:.3e})",
                         None,
                     )
                 )
@@ -315,6 +318,16 @@ class DelzantPolytope:
 
 
 # -- module-level operation surface -------------------------------------------
+
+
+def __getattr__(name):
+    # `polytopes.linprog` is kept for perfbench/tracing.py, which wraps it by
+    # name; nothing in this package calls it, so scipy loads only on request
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def validate_delzant(poly: DelzantPolytope) -> DelzantValidation:
@@ -421,10 +434,15 @@ def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = verts.shape[1]
     if len(verts) <= n:
         raise EmptyGridError(f"region has {len(verts)} vertices, no interior")
-    try:
-        simplices = verts[None] if len(verts) == n + 1 else verts[Delaunay(verts).simplices]
-    except QhullError as exc:
-        raise EmptyGridError(f"region has no interior: {exc}") from exc
+    if len(verts) == n + 1:
+        simplices = verts[None]
+    else:
+        from scipy.spatial import Delaunay, QhullError
+
+        try:
+            simplices = verts[Delaunay(verts).simplices]
+        except QhullError as exc:
+            raise EmptyGridError(f"region has no interior: {exc}") from exc
     volumes = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / math.factorial(n)
     extent = float(np.ptp(verts, axis=0).max())
     keep = volumes > 1e-12 * extent**n

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, DomainError, NewtonError
 from .polytopes import DelzantPolytope
@@ -137,6 +136,14 @@ class PerturbedQuadratic(ConvexPotential):
         )
 
 
+def _logsumexp(a, **kwargs):
+    """scipy's logsumexp, imported on first use so that scipy stays off the
+    package's import path."""
+    from scipy.special import logsumexp
+
+    return logsumexp(a, **kwargs)
+
+
 class LogSumExpPotential(ConvexPotential):
     """phi(x) = log sum_i w_i exp(k_i . x); strictly convex when the k_i do
     not lie in a common affine hyperplane."""
@@ -155,18 +162,18 @@ class LogSumExpPotential(ConvexPotential):
 
     def value(self, x):
         x = self._coerce(x)
-        return logsumexp(self._log_terms(x), axis=-1)
+        return _logsumexp(self._log_terms(x), axis=-1)
 
     def grad(self, x):
         x = self._coerce(x)
         lt = self._log_terms(x)
-        p = np.exp(lt - logsumexp(lt, axis=-1, keepdims=True))
+        p = np.exp(lt - _logsumexp(lt, axis=-1, keepdims=True))
         return p @ self.K
 
     def hess(self, x):
         x = self._coerce(x)
         lt = self._log_terms(x)
-        p = np.exp(lt - logsumexp(lt, axis=-1, keepdims=True))
+        p = np.exp(lt - _logsumexp(lt, axis=-1, keepdims=True))
         mean = p @ self.K
         second = np.einsum("...k,ki,kj->...ij", p, self.K, self.K)
         return second - mean[..., :, None] * mean[..., None, :]

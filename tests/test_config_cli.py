@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,9 +218,35 @@ def test_cli_validate_non_delzant_is_config_error(tmp_path, capsys):
     assert not (out / "validation.json").exists()
 
 
-def test_one_lp_per_polytope(tmp_path, monkeypatch):
-    # the Chebyshev radius is the only LP: validation, sample margins and the
-    # frame-point margin share one solve, and boundedness needs none
+def test_cli_validate_empty_interior_is_config_error(tmp_path, capsys):
+    # x >= 1 and x <= 0: bounded but empty, with inscribed radius -1/2
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("polytope.dim = 1\npolytope.facet = 1 ; -1\npolytope.facet = -1 ; 0\n")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "interior is empty (inscribed radius -5.000e-01)" in capsys.readouterr().out
+    assert not (out / "validation.json").exists()
+
+
+def test_cli_path_solves_no_lp_and_imports_no_scipy(tmp_path, monkeypatch):
+    # boundedness and the Chebyshev radius are closed-form vertex
+    # enumerations, so a CLI call neither solves an LP nor imports scipy
+    script = f"""
+import sys
+from toricflow.cli import load_config, main
+load_config({str(CP2_CFG)!r}).validate()
+for command in ("section-flow", "converge"):
+    assert main([command, "--config", {str(CP1_CFG)!r}, "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
     calls = []
 
     def counting(*a, **kw):
@@ -225,12 +254,10 @@ def test_one_lp_per_polytope(tmp_path, monkeypatch):
         return linprog(*a, **kw)
 
     monkeypatch.setattr(polytopes, "linprog", counting)
-    argv = ["section-flow", "--config", str(CP2_CFG), "--out", str(tmp_path)]
+    argv = ["section-flow", "--config", str(CP2_CFG), "--out", str(tmp_path / "cp2")]
     assert main(argv) == 0
-    assert len(calls) == 1
-    calls.clear()
     assert tf.standard_simplex(2, 2.0).validate().ok
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_bad_bump_line_is_config_error():

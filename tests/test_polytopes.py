@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import toricflow as tf
-from toricflow.errors import EmptyGridError
+from toricflow.errors import DomainError, EmptyGridError
 from toricflow.polytopes import _kuhn_centroids
 
 
@@ -43,6 +43,8 @@ def test_empty_interior_reported():
     result = tf.validate_delzant(poly)
     assert not result.ok
     assert result.issues[0].kind == "empty-interior"
+    # the radius of the point x = 0 is written 0, not -0
+    assert "inscribed radius 0.000e+00" in result.issues[0].message
 
 
 def test_facet_normal_must_be_primitive():
@@ -223,3 +225,67 @@ def test_boundedness_matches_lp_reference(poly, unbounded):
         assert np.abs(d).max() > 1e-7
     for issue in issues:
         assert all(type(c) is float for c in issue.witness)
+
+
+def _lp_chebyshev_center(poly):
+    """Reference inscribed ball: maximize r subject to l_k(x) >= r |nu_k| by
+    LP over (x, r)."""
+    n = poly.dimension
+    norms = np.linalg.norm(poly.normals, axis=1)
+    res = linprog(
+        c=np.concatenate([np.zeros(n), [-1.0]]),
+        A_ub=np.hstack([-poly.normals, norms[:, None]]),
+        b_ub=poly.offsets,
+        bounds=[(None, None)] * (n + 1),
+        method="highs",
+    )
+    assert res.success, res.message
+    return res.x[:n], float(res.x[n])
+
+
+@pytest.mark.parametrize(
+    "poly,closed_form",
+    [
+        (tf.segment(1.0), 0.5),
+        (tf.segment(2.0), 1.0),
+        # s / (n + sqrt(n)) for the size-s standard n-simplex
+        (tf.standard_simplex(2, 2.0), 2.0 / (2 + np.sqrt(2))),
+        (tf.standard_simplex(2, 3.0), 3.0 / (2 + np.sqrt(2))),
+        (tf.standard_simplex(3, 4.0), 4.0 / (3 + np.sqrt(3))),
+        (tf.box([1.0, 2.0, 3.0]), 0.5),
+        (_hirzebruch_f1(), None),
+        # empty: x >= 1 and x <= 0 leave a negative radius
+        (tf.DelzantPolytope([tf.Facet((1,), -1.0), tf.Facet((-1,), 0.0)]), -0.5),
+        # degenerate: the single point x = 0
+        (tf.DelzantPolytope([tf.Facet((1,), 0.0), tf.Facet((-1,), 0.0)]), 0.0),
+    ],
+    ids=["segment1", "segment2", "simplex2d-2", "simplex2d-3", "simplex3d-4", "box3d",
+         "hirzebruch-f1", "empty", "degenerate"],
+)
+def test_chebyshev_radius_matches_lp_reference(poly, closed_form):
+    center, radius = poly.chebyshev_center()
+    _, reference = _lp_chebyshev_center(poly)
+    assert abs(radius - reference) <= 1e-12
+    if closed_form is not None:
+        assert abs(radius - closed_form) <= 1e-12
+    norms = np.linalg.norm(poly.normals, axis=1)
+    assert (poly.facet_values(center) >= radius * norms - 1e-9).all()
+
+
+def test_chebyshev_center_of_box_is_first_vertex_of_tie():
+    # every x1 = 1/2, x2 in [1/2, 3/2], x3 in [1/2, 5/2] is a center; the
+    # lexicographically first optimal vertex is returned every time
+    for _ in range(3):
+        poly = tf.box([1.0, 2.0, 3.0])
+        for _ in range(2):
+            center, radius = poly.chebyshev_center()
+            assert center.tolist() == [0.5, 0.5, 0.5] and radius == 0.5
+
+
+def test_chebyshev_center_of_unbounded_polytope_raises():
+    # a naive vertex maximum would return radius 0.707 on this wedge
+    wedge = tf.DelzantPolytope(
+        [tf.Facet((1, 0), 0.0), tf.Facet((0, 1), 0.0), tf.Facet((1, -1), 1.0)]
+    )
+    with pytest.raises(DomainError, match="unbounded"):
+        wedge.chebyshev_center()
