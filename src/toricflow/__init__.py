@@ -18,7 +18,6 @@ from .convergence import (
     fiber_pairing_delta,
     normalization_Ct,
     pairing_iota,
-    weight_orthogonality_check,
 )
 from .errors import (
     AliasingError,
@@ -41,10 +40,6 @@ from .flow import (
     complex_structure,
     fit_loglog_slope,
     flow_map_psi_t,
-    flowed_potential,
-    guillemin_potential,
-    holomorphic_log_coordinates,
-    kahler_potential_duality,
     metric_matrix,
     mixed_polarization_basis,
     polarization_angle,
@@ -57,8 +52,6 @@ from .polytopes import (
     Facet,
     LatticePoint,
     box,
-    contains,
-    lattice_points,
     sample_interior,
     segment,
     standard_simplex,
@@ -66,7 +59,6 @@ from .polytopes import (
 )
 from .potentials import (
     CallablePotential,
-    ConcentrationFunctional,
     ConvexPotential,
     ExponentialTerm,
     LogSumExpPotential,
@@ -75,11 +67,8 @@ from .potentials import (
     ReflectedPotential,
     check_strict_convexity,
     concentration_rate,
-    concentration_rate_grad,
     f_lambda_min_check,
-    legendre_dual,
     legendre_inverse,
-    make_potential,
 )
 from .quadrature import QuadratureSpec, integrate
 from .sections import (

@@ -26,6 +26,7 @@ t-grids are either comma lists `0,0.5,1` or geometric `start:stop:factor`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +35,13 @@ import numpy as np
 from .convergence import BumpProfile, FiberMeasureModel
 from .errors import ConfigError
 from .polytopes import DelzantPolytope, Facet
-from .potentials import ConvexPotential, make_potential
+from .potentials import (
+    ConvexPotential,
+    ExponentialTerm,
+    LogSumExpPotential,
+    PerturbedQuadratic,
+    QuadraticPotential,
+)
 from .quadrature import QuadratureSpec
 
 _SCALAR_KEYS = {
@@ -148,23 +155,19 @@ class ExperimentConfig:
                 Q = np.array(flat).reshape(dim, dim)
             b_raw = self._scalar("phi.b")
             b = None if b_raw is None else np.array(self._floats(b_raw, "phi.b"))
-            perturbations = []
+            terms = []
             for raw in self.multis.get("phi.perturbation", []):
                 if ";" not in raw:
                     raise ConfigError(
                         f"perturbation line {raw!r} needs 'coefficient ; wavevector'"
                     )
                 a_part, k_part = raw.split(";", 1)
-                perturbations.append(
-                    (float(a_part), tuple(self._floats(k_part, "phi.perturbation")))
-                )
-            return make_potential(
-                "quadratic",
-                Q=Q,
-                b=b,
-                c=self._float("phi.c", 0.0),
-                perturbations=perturbations,
-            )
+                with _as_config_error(f"perturbation line {raw!r}"):
+                    k = tuple(self._floats(k_part, "phi.perturbation"))
+                    terms.append(ExponentialTerm(float(a_part), k))
+            with _as_config_error("phi"):
+                base = QuadraticPotential(Q, b, self._float("phi.c", 0.0))
+                return PerturbedQuadratic(base, terms) if terms else base
         if kind == "log-sum-exp":
             wavevectors = [
                 self._floats(raw, "phi.wavevector")
@@ -172,17 +175,21 @@ class ExperimentConfig:
             ]
             if not wavevectors:
                 raise ConfigError("log-sum-exp phi needs phi.wavevector lines")
+            if any(len(k) != dim for k in wavevectors):
+                raise ConfigError(f"every phi.wavevector needs {dim} entries")
             w_raw = self._scalar("phi.weights")
             weights = None if w_raw is None else self._floats(w_raw, "phi.weights")
-            return make_potential("log-sum-exp", wavevectors=wavevectors, weights=weights)
+            with _as_config_error("phi"):
+                return LogSumExpPotential(wavevectors, weights)
         raise ConfigError(f"unknown phi.kind {kind!r}")
 
     def quad_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            resolution=self._int("quad.resolution", 256),
-            rel_tol=self._float("quad.tol", 1e-8),
-            max_refinements=self._int("quad.max_depth", 3),
-        )
+        with _as_config_error("quad"):
+            return QuadratureSpec(
+                resolution=self._int("quad.resolution", 256),
+                rel_tol=self._float("quad.tol", 1e-8),
+                max_refinements=self._int("quad.max_depth", 3),
+            )
 
     def t_grid(self, key: str, default=None) -> list[float]:
         raw = self._scalar(key)
@@ -241,8 +248,10 @@ class ExperimentConfig:
     def validate(self) -> DelzantPolytope:
         """Build the polytope and check it is Delzant, then cross-field
         checks: referenced lattice points lie in P, every weight and bump
-        center has the polytope's dimension, grids rise.  Returns the
-        validated polytope, the one every subcommand of a CLI call uses."""
+        center has the polytope's dimension, t grids rise and hold no
+        negative time, sample counts are positive, and phi and the quadrature
+        spec build.  Returns the validated polytope, the one every
+        subcommand of a CLI call uses."""
         poly = self.build_polytope()
         poly.require_valid()
         for lam in self.section_lambdas():
@@ -268,7 +277,25 @@ class ExperimentConfig:
                 ts = self.t_grid(key)
                 if any(b <= a for a, b in zip(ts, ts[1:])):
                     raise ConfigError(f"{key} must be strictly increasing")
+                if ts and ts[0] < 0:
+                    raise ConfigError(f"{key} holds the negative time {ts[0]}")
+        if self._int("flow.sample_points", 20) < 1:
+            raise ConfigError("flow.sample_points must be at least 1")
+        self.build_phi(poly.dimension)
+        self.quad_spec()
         return poly
+
+
+@contextmanager
+def _as_config_error(section: str):
+    """Re-raise a ValueError from parsing or a constructor as a ConfigError
+    on `section`; a ConfigError passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
@@ -277,7 +304,10 @@ def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{key}: geometric grids are 'start:stop:factor'")
-        start, stop, factor = (float(p) for p in parts)
+        try:
+            start, stop, factor = (float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad geometric grid {raw!r}") from exc
         if start <= 0 or stop < start or factor <= 1:
             raise ConfigError(f"{key}: need 0 < start <= stop and factor > 1")
         ts = []
@@ -316,14 +346,3 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) reproduces cfg."""
-    lines = []
-    for key in sorted(cfg.scalars):
-        lines.append(f"{key} = {cfg.scalars[key]}")
-    for key in sorted(cfg.multis):
-        for value in cfg.multis[key]:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

@@ -14,11 +14,12 @@ pairing of C_t s_t against a test object with orbit profile H(mu) is
 
 a Laplace limit with first correction of order 1/t.  The limiting functional
 is the fiber pairing: the torus-average of the integrand over the fiber
-mu^{-1}(lam), weighted by the fiber measure.  Two fiber normalizations are
-supported: `normalized` (unit mass per fiber, the limit produced by the
-C_t normalization above) and `paper-form` (the angular volume form on the
-fiber, whose total weight is the torus volume W = (2 pi)^n, the same for
-every interior lattice point; it is recorded in the report).
+mu^{-1}(lam), with unit mass per fiber, which is the limit the C_t
+normalization produces.  The experiment compares every pairing with H(lam)
+in either fiber mode; the mode only sets the fiber weight W recorded in the
+report: 1 for `normalized`, and for `paper-form` the total weight
+W = (2 pi)^n of the angular volume form on the fiber, the same for every
+interior lattice point.
 
 This module also computes concentration statistics of the normalized density
 (mean -> lam, covariance ~ (t Hess phi(lam))^{-1}), fitted log-log decay
@@ -32,14 +33,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatch, FiberDegenerationError, QuadratureOverflow
+from .errors import DimensionMismatch, FiberDegenerationError, QuadratureOverflow
 from .flow import SymplecticPotential, fit_loglog_slope
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, concentration_rate
-from .quadrature import QuadratureSpec, integrate, integrate_many
+from .quadrature import QuadratureSpec, integrate_many
 from .sections import WeightSection, torus_volume
-
-TWO_PI = 2.0 * np.pi
 
 
 # -- test profiles ------------------------------------------------------------
@@ -94,7 +93,6 @@ class FiberMeasureModel:
     torus volume."""
 
     mode: str = "normalized"
-    torus_constant: float = TWO_PI
 
     def __post_init__(self):
         if self.mode not in ("normalized", "paper-form"):
@@ -108,7 +106,7 @@ class FiberMeasureModel:
             )
         if self.mode == "normalized":
             return 1.0
-        return torus_volume(poly.dimension, self.torus_constant)
+        return torus_volume(poly.dimension)
 
 
 # -- normalization constant and pairings ------------------------------------------
@@ -147,11 +145,10 @@ def normalization_Ct(
     poly: DelzantPolytope,
     t: float,
     spec: QuadratureSpec = QuadratureSpec(),
-    torus_constant: float = TWO_PI,
 ) -> float:
-    """C_t = [ kappa^n int_P e^{-t f_lam} dx ]^{-1} with kappa = 2 pi by
-    default (the Liouville pushforward density for full toric rank)."""
-    kappa = torus_volume(poly.dimension, torus_constant)
+    """C_t = [ (2 pi)^n int_P e^{-t f_lam} dx ]^{-1}; (2 pi)^n is the
+    Liouville pushforward density for full toric rank."""
+    kappa = torus_volume(poly.dimension)
     moments, shift = _density_moments([], poly, phi, lam, t, spec)
     with np.errstate(over="ignore", divide="ignore"):
         C_t = 1.0 / (kappa * (moments[0] * np.exp(shift)))
@@ -167,12 +164,11 @@ def pairing_iota(
     bump: BumpProfile,
     C_t: float,
     spec: QuadratureSpec = QuadratureSpec(),
-    torus_constant: float = TWO_PI,
 ) -> float:
-    """iota(C_t s_t)(tau) = C_t kappa^n int_P e^{-t f_lam} H dx for the test
+    """iota(C_t s_t)(tau) = C_t (2 pi)^n int_P e^{-t f_lam} H dx for the test
     object with orbit profile H."""
     poly = s_t.polytope
-    kappa = torus_volume(poly.dimension, torus_constant)
+    kappa = torus_volume(poly.dimension)
     moments, shift = _density_moments([bump], poly, s_t.phi, s_t.lam, s_t.t, spec)
     with np.errstate(over="ignore", invalid="ignore"):
         value = C_t * kappa * (moments[1] * np.exp(shift))
@@ -203,7 +199,6 @@ def fiber_pairing_delta(
 @dataclass(frozen=True)
 class ConcentrationStats:
     t: float
-    total_mass: float           # quadrature mass of the normalized density
     mean: tuple[float, ...]
     covariance: tuple[tuple[float, ...], ...]
     localized_mass: float       # mass within `radius` of the center
@@ -252,7 +247,6 @@ def concentration_profile(
     localized = moments[-1] / Z if np.isfinite(radius) else 1.0
     return ConcentrationStats(
         t=float(t),
-        total_mass=1.0,
         mean=tuple(mean),
         covariance=tuple(tuple(row) for row in cov),
         localized_mass=float(localized),
@@ -290,7 +284,6 @@ class ConvergenceReport:
     slope_window: tuple[float, float]
     fiber_weight: float
     bumps: tuple[BumpReport, ...]
-    covariance_times_t: tuple[tuple[tuple[float, ...], ...], ...]
     passed: bool
 
     def to_dict(self) -> dict:
@@ -338,9 +331,7 @@ def convergence_experiment(
     t_grid: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
     mode: FiberMeasureModel = FiberMeasureModel(),
-    torus_constant: float = TWO_PI,
     final_error_tol: float = FINAL_ERROR_TOL,
-    with_concentration: bool = False,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Run the weak-convergence experiment for one interior lattice weight.
@@ -364,7 +355,6 @@ def convergence_experiment(
     window = (float(ts.max() / 10.0), float(ts.max()))
 
     s0 = WeightSection(tuple(int(round(v)) for v in lam), g0, phi, 0.0)
-    normalized_model = FiberMeasureModel("normalized")
     weight = mode.fiber_weight(poly, lam)
 
     def pairings_at(t: float) -> list[float]:
@@ -383,7 +373,7 @@ def convergence_experiment(
 
     bump_reports = []
     for bump_id, bump in enumerate(bumps):
-        fiber_norm = fiber_pairing_delta(s0, bump, lam, normalized_model)
+        fiber_norm = fiber_pairing_delta(s0, bump, lam)
         pairings = pairing_matrix[:, bump_id]
         errors = np.abs(pairings - fiber_norm)
         overlaps = bump.supported_at(lam)
@@ -408,7 +398,7 @@ def convergence_experiment(
                 radius=bump.radius,
                 height=bump.height,
                 plateau=bump.plateau,
-                fiber_value=float(fiber_norm * (weight if mode.mode == "paper-form" else 1.0)),
+                fiber_value=float(fiber_norm),
                 pairings=tuple(float(v) for v in pairings),
                 abs_errors=tuple(float(v) for v in errors),
                 final_error=final_error,
@@ -420,12 +410,6 @@ def convergence_experiment(
             )
         )
 
-    cov_t = []
-    if with_concentration:
-        for t in ts:
-            stats = concentration_profile(lam, phi, poly, float(t), spec)
-            cov_t.append(tuple(tuple(float(t) * v for v in row) for row in stats.covariance))
-
     return ConvergenceReport(
         lam=tuple(lam),
         phi_descriptor=phi.describe(),
@@ -434,52 +418,6 @@ def convergence_experiment(
         slope_window=window,
         fiber_weight=float(weight),
         bumps=tuple(bump_reports),
-        covariance_times_t=tuple(cov_t),
         passed=all(b.passed for b in bump_reports),
     )
 
-
-# -- weight orthogonality --------------------------------------------------------------
-
-
-def weight_orthogonality_check(
-    g0: SymplecticPotential,
-    phi: ConvexPotential,
-    lam1,
-    lam2,
-    t: float = 0.0,
-    n_theta: int = 8,
-    spec: QuadratureSpec = QuadratureSpec(resolution=64),
-) -> float:
-    """Theta-averaged pairing of a weight-lam1 section against a weight-lam2
-    test object.
-
-    Distinct weights vanish exactly by discrete Fourier orthogonality (the
-    returned number is the quadrature residual); equal weights return the
-    radial integral, which is positive.  A theta grid that cannot separate
-    the two weights raises AliasingError.
-    """
-    lam1 = tuple(int(v) for v in np.asarray(lam1).ravel())
-    lam2 = tuple(int(v) for v in np.asarray(lam2).ravel())
-    poly = g0.polytope
-    n = poly.dimension
-    if lam1 != lam2 and all((a - b) % n_theta == 0 for a, b in zip(lam1, lam2)):
-        raise AliasingError(
-            f"theta grid of {n_theta} points aliases weights {lam1} and {lam2}"
-        )
-    s1 = WeightSection(lam1, g0, phi, t)
-    s2 = WeightSection(lam2, g0, phi, t)
-
-    # the integrand separates: radial profile times prod_j e^{i d_j theta_j};
-    # average each angular factor over its own uniform grid
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    angular = 1.0 + 0.0j
-    for d in (a - b for a, b in zip(lam1, lam2)):
-        angular *= np.mean(np.exp(1j * d * thetas))
-
-    def integrand(pts):
-        radial = np.exp(s1._log_modulus(pts) + s2._log_modulus(pts))
-        return np.abs(radial * angular)
-
-    value, _ = integrate(integrand, poly, spec)
-    return float(value)

@@ -110,12 +110,6 @@ class SymplecticPotential:
         return out
 
 
-def guillemin_potential(poly: DelzantPolytope, x):
-    """Value, gradient and Hessian of the canonical symplectic potential."""
-    g = SymplecticPotential(poly)
-    return g.value(x), g.grad(x), g.hess(x)
-
-
 @dataclass(frozen=True)
 class OrbitPoint:
     """A point of the dense orbit: interior action coordinates and angles."""
@@ -156,9 +150,6 @@ class KahlerFlowState:
     def polytope(self) -> DelzantPolytope:
         return self.g0.polytope
 
-    def at_time(self, t: float) -> "KahlerFlowState":
-        return KahlerFlowState(self.g0, self.phi, t)
-
     # flowed symplectic potential and derivatives
     def potential(self, x) -> np.ndarray:
         return self.g0.value(x) + self.t * self.phi.value(x)
@@ -193,17 +184,6 @@ class KahlerFlowState:
     def duality_residual(self, x) -> np.ndarray:
         """|rho_t(formula) - rho_t(Legendre)|; vanishes identically."""
         return np.abs(self.kahler_potential(x) - self.kahler_potential_legendre(x))
-
-
-def flowed_potential(state: KahlerFlowState, x):
-    """g_t(x) together with its gradient and Hessian."""
-    return state.potential(x), state.moment_dual(x), state.metric_hessian(x)
-
-
-def kahler_potential_duality(state: KahlerFlowState, x):
-    """(rho_t via Legendre, residual against the additive formula)."""
-    leg = state.kahler_potential_legendre(x)
-    return leg, np.abs(leg - state.kahler_potential(x))
 
 
 _COND_LIMIT = 1e12
@@ -306,11 +286,6 @@ def beta_of_hamiltonian_field(phi: ConvexPotential, x) -> np.ndarray:
 
 
 # -- the biholomorphism psi_t -----------------------------------------------------
-
-
-def holomorphic_log_coordinates(state: KahlerFlowState, p: OrbitPoint) -> np.ndarray:
-    """log w^t at p: grad g_t(x) + i theta (J_t-holomorphic coordinates)."""
-    return state.moment_dual(p.x_array) + 1j * p.theta_array
 
 
 def flow_map_psi_t(state: KahlerFlowState, p: OrbitPoint) -> OrbitPoint:

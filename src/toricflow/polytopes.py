@@ -57,11 +57,6 @@ class Facet:
         if math.gcd(*(abs(v) for v in normal)) != 1:
             raise ValueError(f"facet normal {normal} is not primitive")
 
-    def value(self, x) -> np.ndarray:
-        """Evaluate l(x); broadcasts over a leading batch axis."""
-        x = np.asarray(x, dtype=float)
-        return x @ np.asarray(self.normal, dtype=float) + self.offset
-
 
 class ContainsResult(NamedTuple):
     inside: bool
@@ -147,6 +142,7 @@ class DelzantPolytope:
         return x @ self._normals.T + self._offsets
 
     def contains(self, x, tol: float = _FEAS_TOL) -> ContainsResult:
+        """Inside iff all l_k(x) >= -tol; boundary flag iff some l_k(x) <= tol."""
         vals = self.facet_values(x)
         return ContainsResult(bool(vals.min() >= -tol), bool(vals.min() <= tol))
 
@@ -275,6 +271,7 @@ class DelzantPolytope:
     # -- lattice points and grids ---------------------------------------------
 
     def lattice_points(self) -> list[LatticePoint]:
+        """The integer points of P in deterministic lexicographic order."""
         if "lattice" in self._cache:
             return self._cache["lattice"]
         self.require_valid()
@@ -337,16 +334,6 @@ def validate_delzant(poly: DelzantPolytope) -> DelzantValidation:
     or direction.
     """
     return poly.validate()
-
-
-def contains(poly: DelzantPolytope, x, tol: float = _FEAS_TOL) -> ContainsResult:
-    """Inside iff all l_k(x) >= -tol; boundary flag iff some l_k(x) <= tol."""
-    return poly.contains(x, tol)
-
-
-def lattice_points(poly: DelzantPolytope) -> list[LatticePoint]:
-    """The integer points of P in deterministic lexicographic order."""
-    return poly.lattice_points()
 
 
 # -- convenience constructors --------------------------------------------------

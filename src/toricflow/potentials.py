@@ -1,16 +1,16 @@
 """Strictly convex flow potentials on the dual Lie algebra t* ~ R^n.
 
 The deformation machinery is driven by one strictly convex function
-phi: t* -> R with analytic gradient and Hessian.  This module keeps a small
-registry of closed-form families (quadratics, quadratics with exponential
-perturbations, log-sum-exp, user-registered callables) and the derived
-objects built from phi:
+phi: t* -> R with analytic gradient and Hessian.  This module holds the
+closed-form families (quadratics, quadratics with exponential
+perturbations, log-sum-exp, user-supplied callables; the config layer picks
+one from `phi.kind`) and the objects derived from phi:
 
   * the concentration rate  f_lam(x) = (x - lam) . grad phi(x) - phi(x),
     whose unique minimum over the polytope sits at x = lam and drives the
     exponential localization of flowed sections onto the fiber over lam;
-  * Legendre-transform utilities (forward dual and a damped-Newton inverse
-    gradient lookup) used by the potential-duality checks.
+  * `legendre_inverse`, a damped-Newton solve of grad g(x) = y, which the
+    flow map psi_t uses to read an image point back in action coordinates.
 
 All evaluations are numpy-vectorized: `x` may be a single point of shape
 (n,) or a batch of shape (m, n).
@@ -183,7 +183,7 @@ class LogSumExpPotential(ConvexPotential):
 
 
 class CallablePotential(ConvexPotential):
-    """User-registered closed form with analytic gradient and Hessian."""
+    """User-supplied closed form with analytic gradient and Hessian."""
 
     def __init__(self, dimension: int, value_fn, grad_fn, hess_fn, label: str = "custom"):
         self.dimension = dimension
@@ -225,21 +225,6 @@ class ReflectedPotential(ConvexPotential):
         return f"reflected({self.base.describe()}, center={self.center.tolist()})"
 
 
-def make_potential(kind: str, **params) -> ConvexPotential:
-    """Factory used by the config layer.
-
-    kinds: "quadratic" (Q, b, c, perturbations), "log-sum-exp"
-    (wavevectors, weights).
-    """
-    if kind == "quadratic":
-        base = QuadraticPotential(params["Q"], params.get("b"), params.get("c", 0.0))
-        terms = [ExponentialTerm(a, tuple(k)) for a, k in params.get("perturbations", [])]
-        return PerturbedQuadratic(base, terms) if terms else base
-    if kind == "log-sum-exp":
-        return LogSumExpPotential(params["wavevectors"], params.get("weights"))
-    raise ValueError(f"unknown potential kind {kind!r}")
-
-
 # -- concentration rate f_lam ---------------------------------------------------
 
 
@@ -252,30 +237,6 @@ def concentration_rate(phi: ConvexPotential, lam, x) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
     return np.einsum("...i,...i->...", x - lam, phi.grad(x)) - phi.value(x)
-
-
-def concentration_rate_grad(phi: ConvexPotential, lam, x) -> np.ndarray:
-    """grad f_lam(x) = Hess phi(x) . (x - lam)."""
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.einsum("...ij,...j->...i", phi.hess(x), x - lam)
-
-
-@dataclass(frozen=True)
-class ConcentrationFunctional:
-    """f_lam bundled with its potential and center."""
-
-    base: ConvexPotential
-    center: tuple[float, ...]
-
-    def value(self, x):
-        return concentration_rate(self.base, self.center, x)
-
-    def grad(self, x):
-        return concentration_rate_grad(self.base, self.center, x)
-
-    def hess_at_center(self) -> np.ndarray:
-        return self.base.hess(np.asarray(self.center, dtype=float))
 
 
 class MinimumCheck(NamedTuple):
@@ -313,23 +274,7 @@ def f_lambda_min_check(
     return MinimumCheck(ok, tuple(argmin), dist, h, eig_min, msg)
 
 
-# -- Legendre transform utilities ----------------------------------------------
-
-
-class LegendreDual(NamedTuple):
-    y: np.ndarray
-    value: float
-
-
-def legendre_dual(g, x) -> LegendreDual:
-    """Forward transform at x: y = grad g(x), g*(y) = x.y - g(x).
-
-    `g` is anything with value/grad (a ConvexPotential or a symplectic
-    potential).
-    """
-    x = np.asarray(x, dtype=float)
-    y = g.grad(x)
-    return LegendreDual(y, float(x @ y - g.value(x)))
+# -- inverse Legendre gradient ---------------------------------------------------
 
 
 def legendre_inverse(

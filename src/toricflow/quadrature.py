@@ -48,6 +48,8 @@ class QuadratureSpec:
             raise ValueError("resolution must be at least 4")
         if self.rel_tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be nonnegative")
 
 
 class QuadratureResult(NamedTuple):

@@ -100,15 +100,6 @@ class WeightSection:
         theta = np.asarray(theta, dtype=float)
         return np.exp(self._log_modulus(np.asarray(x, dtype=float)) + 1j * (theta @ self.lam))
 
-    def holomorphic_representative(self, x, theta) -> np.ndarray:
-        """Representative against the time-zero holomorphic frame
-        e^{-rho_0/2} sigma: the monomial w^lam times e^{-t f_lam}."""
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        log_mod = np.einsum("...i,...i->...", np.broadcast_to(self.lam, x.shape), self.g0.grad(x))
-        log_mod = log_mod - self.t * concentration_rate(self.phi, self.lam, x)
-        return np.exp(log_mod + 1j * (theta @ self.lam))
-
 
 class PullbackWeightSection(WeightSection):
     """The geometric route: pull the monomial back along the biholomorphism
@@ -182,10 +173,6 @@ class GridSectionField:
     def dimension(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
     def theta_derivative(self, axis: int) -> "GridSectionField":
         """Spectral d/dtheta_axis; exact for bandlimited fields."""
         ax = 1 + axis
@@ -204,11 +191,6 @@ class GridSectionField:
 
     def __rmul__(self, scalar) -> "GridSectionField":
         return GridSectionField(self.xs, self.n_theta, scalar * self.values)
-
-    def scale_by_x_function(self, factors: np.ndarray) -> "GridSectionField":
-        """Multiply by a function of x (broadcast over the angular axes)."""
-        shape = (len(factors),) + (1,) * self.dimension
-        return GridSectionField(self.xs, self.n_theta, self.values * factors.reshape(shape))
 
 
 def evaluate_on_grid(
@@ -373,9 +355,9 @@ def flow_components(
 # -- norms ---------------------------------------------------------------------------
 
 
-def torus_volume(n: int, constant: float = 2.0 * np.pi) -> float:
-    """Angular volume of the fiber torus, (2 pi)^n by default."""
-    return float(constant**n)
+def torus_volume(n: int) -> float:
+    """Angular volume (2 pi)^n of the fiber torus."""
+    return float((2.0 * np.pi) ** n)
 
 
 def _density_kernel(sections: Sequence[WeightSection]):
@@ -426,7 +408,6 @@ def _density_kernel(sections: Sequence[WeightSection]):
 def section_norms_sq(
     sections: Sequence[WeightSection],
     spec: QuadratureSpec = QuadratureSpec(),
-    torus_constant: float = 2.0 * np.pi,
 ) -> list[float]:
     """L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam,t}} dx of sections that
     share one g_0 and one phi, in one pass over the grid.
@@ -441,17 +422,16 @@ def section_norms_sq(
     results = integrate_many(
         _density_kernel(sections), len(sections), poly, spec, independent=True
     )
-    volume = torus_volume(poly.dimension, torus_constant)
+    volume = torus_volume(poly.dimension)
     return [volume * r.value for r in results]
 
 
 def section_norm_sq(
     s: WeightSection,
     spec: QuadratureSpec = QuadratureSpec(),
-    torus_constant: float = 2.0 * np.pi,
 ) -> float:
     """L^2 norm squared of one section: `section_norms_sq([s])[0]`."""
-    return section_norms_sq([s], spec, torus_constant)[0]
+    return section_norms_sq([s], spec)[0]
 
 
 # -- two-chart gluing on a segment model ----------------------------------------------

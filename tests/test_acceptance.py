@@ -69,7 +69,7 @@ def test_criterion_03_route_equality():
     for poly, g0, phis in _models():
         xs = tf.sample_interior(poly, 30, rng, margin=0.05)
         thetas = rng.random((30, poly.dimension)) * 2 * np.pi
-        for lam in tf.lattice_points(poly):
+        for lam in poly.lattice_points():
             s0 = tf.WeightSection(lam.coords, g0, phis[-1])
             for t in (0.5, 2.0, 10.0):
                 worst = max(worst, tf.route_equality_residual(s0, t, xs, thetas))
@@ -99,7 +99,7 @@ def test_criterion_05_equivariance_and_weights():
     phi = tf.QuadraticPotential([[1.0]])
     xs = tf.sample_interior(poly, 8, rng, margin=0.1)
     kostant_worst = 0.0
-    for lam in tf.lattice_points(poly):
+    for lam in poly.lattice_points():
         s = tf.WeightSection(lam.coords, g0, phi)
         for xi in (np.array([1.0]), np.array([2.0])):
             check = tf.kostant_operator(xi, s, xs)
@@ -200,7 +200,7 @@ def test_criterion_09_weak_convergence():
     interior = [
         (wpoly, p.array)
         for wpoly in (tf.segment(4.0), tf.standard_simplex(2, 3.0))
-        for p in tf.lattice_points(wpoly)
+        for p in wpoly.lattice_points()
         if wpoly.is_interior(p.array)
     ]
     paper, normalized = tf.FiberMeasureModel("paper-form"), tf.FiberMeasureModel("normalized")

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 import toricflow as tf
 from toricflow import polytopes
 from toricflow.cli import main
-from toricflow.config import parse_config, parse_t_grid, serialize_config
+from toricflow.config import parse_config, parse_t_grid
 from toricflow.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,13 +36,6 @@ def test_parse_and_build():
     phi = cfg.build_phi()
     assert phi.value(np.array([1.0])) == pytest.approx(0.5)
     assert cfg.section_lambdas() == [(1,)]
-
-
-def test_roundtrip_through_serialize():
-    cfg = parse_config(MINIMAL)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    assert serialize_config(again) == serialize_config(cfg)
 
 
 def test_unknown_key_rejected():
@@ -265,3 +258,71 @@ def test_bad_bump_line_is_config_error():
     cfg = parse_config(MINIMAL + "\nexperiment.bumps = 1.0 ; 0 ; 0.8\n")
     with pytest.raises(ConfigError, match="bump radius must be positive"):
         cfg.validate()
+
+
+def _with_values(base: Path, *settings: str) -> str:
+    """The config text of `base` with each `key = value` setting applied;
+    a scalar key replaces its old line, a multi-valued key adds one."""
+    lines = base.read_text().splitlines()
+    for setting in settings:
+        key = setting.split("=", 1)[0].strip()
+        if key not in ("phi.perturbation", "phi.wavevector"):
+            lines = [line for line in lines if line.split("=", 1)[0].strip() != key]
+        lines.append(setting)
+    return "\n".join(lines) + "\n"
+
+
+def _case_id(v) -> str:
+    if isinstance(v, Path):
+        return v.name
+    if isinstance(v, list):
+        return "+".join(s.replace(" = ", "=").replace(" ", "_") for s in v)
+    return v
+
+
+@pytest.mark.parametrize(
+    "base,settings,command",
+    [
+        (CP1_CFG, ["quad.resolution = 2"], "section-flow"),
+        (CP1_CFG, ["quad.tol = 0"], "converge"),
+        (CP1_CFG, ["quad.max_depth = -1"], "converge"),
+        (CP1_CFG, ["section.t = -1,2"], "section-flow"),
+        (CP1_CFG, ["flow.t_grid = -1,0,1"], "potential-flow"),
+        (CP1_CFG, ["experiment.t_grid = a:b:2"], "converge"),
+        (CP2_CFG, ["phi.Q = 1 2 3 4"], "potential-flow"),
+        (CP1_CFG, ["phi.perturbation = x ; 1"], "potential-flow"),
+        (CP1_CFG, ["flow.sample_points = 0"], "potential-flow"),
+        (
+            CP1_CFG,
+            ["phi.kind = log-sum-exp", "phi.wavevector = 1 2", "phi.wavevector = -1 0"],
+            "section-flow",
+        ),
+    ],
+    ids=_case_id,
+)
+def test_cli_malformed_value_is_config_error(tmp_path, capsys, base, settings, command):
+    # every malformed value is caught by validate() before any artifact is written
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with_values(base, *settings))
+    for sub in ("validate", command):
+        out = tmp_path / sub
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("config error:")
+        assert list(out.iterdir()) == []
+
+
+def test_cli_paper_form_rows_are_consistent(tmp_path):
+    # paper-form only records the torus weight W = 2 pi; every row still
+    # compares the pairing with the fiber value H(lambda) it prints
+    cfg = tmp_path / "paper.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "experiment.mode = paper-form"))
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert rows[0] == "lambda,bump_id,t,pairing,fiber_value,abs_error"
+    for row in rows[1:]:
+        pairing, fiber_value, abs_error = (float(v) for v in row.split(",")[3:])
+        assert abs_error == abs(pairing - fiber_value)
+    assert rows[1].split(",")[4] == "1"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mode"] == "paper-form"
+    assert report["W_lambda"] == 2 * np.pi

@@ -5,7 +5,7 @@ from scipy.special import erf
 from scipy.stats import norm
 
 import toricflow as tf
-from toricflow.errors import AliasingError, FiberDegenerationError, QuadratureOverflow
+from toricflow.errors import FiberDegenerationError, QuadratureOverflow
 
 
 @pytest.fixture(scope="module")
@@ -125,16 +125,24 @@ def test_pairing_disjoint_bump_vanishes(model2, spec):
     assert abs(tf.pairing_iota(s, bump, C, spec)) < 1e-6
 
 
-def test_torus_constant_cancels(model2, spec):
-    # metamorphic: rescaling the torus-volume constant leaves pairings fixed
+def test_Ct_route_matches_experiment_ratio(model2, spec):
+    # the library route C_t kappa^n int e^{-t f} H against the experiment's
+    # moment ratio int e^{-t f} H / int e^{-t f}, on the cp1_size2 bumps
     poly, g0, phi = model2
-    bump = tf.BumpProfile((1.0,), 0.9, 1.0)
-    s = tf.WeightSection((1,), g0, phi, 40.0)
-    values = []
-    for kappa in (2 * np.pi, 1.0, 11.3):
-        C = tf.normalization_Ct(s.lam, phi, poly, 40.0, spec, torus_constant=kappa)
-        values.append(tf.pairing_iota(s, bump, C, spec, torus_constant=kappa))
-    assert np.allclose(values, values[0], rtol=1e-12)
+    bumps = [
+        tf.BumpProfile((1.0,), 0.9, 1.0),
+        tf.BumpProfile((1.2,), 0.75, 0.7),
+        tf.BumpProfile((0.9,), 0.85, 1.2),
+        tf.BumpProfile((1.7,), 0.25, 1.0),
+    ]
+    ts = [10.0, 20.0, 40.0, 80.0]
+    report = tf.convergence_experiment(np.array([1.0]), phi, g0, bumps, ts, spec)
+    for k, t in enumerate(ts):
+        s = tf.WeightSection((1,), g0, phi, t)
+        C = tf.normalization_Ct(s.lam, phi, poly, t, spec)
+        for j, bump in enumerate(bumps):
+            expected = report.bumps[j].pairings[k]
+            assert tf.pairing_iota(s, bump, C, spec) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_fiber_pairing_values(model2):
@@ -158,7 +166,7 @@ def test_fiber_weight_modes_and_constancy():
     paper = tf.FiberMeasureModel("paper-form")
     normalized = tf.FiberMeasureModel("normalized")
     for poly in (tf.segment(4.0), tf.standard_simplex(2, 3.0)):
-        lams = [p.array for p in tf.lattice_points(poly) if poly.is_interior(p.array)]
+        lams = [p.array for p in poly.lattice_points() if poly.is_interior(p.array)]
         assert lams
         for lam in lams:
             assert paper.fiber_weight(poly, lam) == (2 * np.pi) ** poly.dimension
@@ -288,16 +296,3 @@ def test_convergence_threads_agree(model2, spec):
     )
     assert seq.bumps[0].pairings == par.bumps[0].pairings
 
-
-# -- weight orthogonality ---------------------------------------------------------------
-
-
-def test_weight_orthogonality(model2):
-    _, g0, phi = model2
-    resid = tf.weight_orthogonality_check(g0, phi, (0,), (1,), n_theta=8)
-    assert resid < 1e-14
-    same = tf.weight_orthogonality_check(g0, phi, (1,), (1,), n_theta=8)
-    # radial integral of x(2-x) over [0, 2]
-    assert same == pytest.approx(4.0 / 3.0, rel=1e-6)
-    with pytest.raises(AliasingError):
-        tf.weight_orthogonality_check(g0, phi, (0,), (1,), n_theta=1)

@@ -6,7 +6,9 @@ from toricflow.errors import DimensionMismatch, DomainError
 
 
 def test_guillemin_values_interval(cp1_unit):
-    g, grad, hess = tf.guillemin_potential(cp1_unit, np.array([0.5]))
+    g0 = tf.SymplecticPotential(cp1_unit)
+    x = np.array([0.5])
+    g, grad, hess = g0.value(x), g0.grad(x), g0.hess(x)
     assert g == pytest.approx(-0.5 * np.log(2))
     assert grad[0] == pytest.approx(0.0)
     assert hess[0, 0] == pytest.approx(2.0)
@@ -14,7 +16,7 @@ def test_guillemin_values_interval(cp1_unit):
 
 def test_guillemin_simplex_center():
     poly = tf.standard_simplex(2, 1.0)
-    g, _, _ = tf.guillemin_potential(poly, np.array([1 / 3, 1 / 3]))
+    g = tf.SymplecticPotential(poly).value(np.array([1 / 3, 1 / 3]))
     assert g == pytest.approx(-0.5 * np.log(3))
 
 
@@ -41,7 +43,7 @@ def test_flowed_potential_time_zero(cp1_unit, phi_1d):
     g0 = tf.SymplecticPotential(cp1_unit)
     state = tf.KahlerFlowState(g0, phi_1d, 0.0)
     x = np.array([0.3])
-    g, y, G = tf.flowed_potential(state, x)
+    g, y, G = state.potential(x), state.moment_dual(x), state.metric_hessian(x)
     assert g == pytest.approx(g0.value(x))
     assert np.allclose(y, g0.grad(x))
     assert np.allclose(G, g0.hess(x))
@@ -50,7 +52,7 @@ def test_flowed_potential_time_zero(cp1_unit, phi_1d):
 def test_flowed_potential_arithmetic(cp1_unit, phi_1d):
     state = tf.KahlerFlowState(tf.SymplecticPotential(cp1_unit), phi_1d, 2.0)
     x = np.array([0.5])
-    g, _, G = tf.flowed_potential(state, x)
+    g, G = state.potential(x), state.metric_hessian(x)
     assert g == pytest.approx(-0.5 * np.log(2) + 0.25)
     assert G[0, 0] == pytest.approx(4.0)
 
@@ -101,7 +103,7 @@ def test_duality_residual_is_machine_zero(cp1_unit, cp2_size2, phi_1d, phi_aniso
     g2 = tf.SymplecticPotential(cp2_size2)
     state = tf.KahlerFlowState(g2, phi_aniso, 5.0)
     pts = tf.sample_interior(cp2_size2, 20, rng, margin=0.05)
-    _, resid = tf.kahler_potential_duality(state, pts)
+    resid = state.duality_residual(pts)
     assert resid.max() < 1e-10
 
 
@@ -224,11 +226,12 @@ def test_flow_map_log_modulus(cp1_unit, phi_1d):
     p = tf.OrbitPoint((0.5,), (0.7,))
     image = tf.flow_map_psi_t(state, p)
     # y(image) = grad g_0(x) + t grad phi(x) = 0 + 0.5, so |w| = e^{0.5}
-    w_log = tf.holomorphic_log_coordinates(tf.KahlerFlowState(g0, phi_1d, 0.0), image)
+    state0 = tf.KahlerFlowState(g0, phi_1d, 0.0)
+    w_log = state0.moment_dual(image.x_array) + 1j * image.theta_array
     assert np.exp(w_log.real[0]) == pytest.approx(np.exp(0.5))
     assert image.theta == p.theta
     # J_t-coordinate at p equals the J_0-coordinate at the image
-    wt = tf.holomorphic_log_coordinates(state, p)
+    wt = state.moment_dual(p.x_array) + 1j * p.theta_array
     assert np.allclose(wt, w_log, atol=1e-12)
 
 

@@ -59,7 +59,7 @@ def test_facet_normal_must_be_primitive():
     [(0.5, True, False), (0.0, True, True), (1.1, False, True)],
 )
 def test_contains_interval(cp1_unit, x, inside, boundary):
-    result = tf.contains(cp1_unit, np.array([x]))
+    result = cp1_unit.contains(np.array([x]))
     assert result.inside == inside
     assert result.boundary == boundary
 
@@ -68,18 +68,18 @@ def test_contains_consistent_with_facet_values(cp1_size2, rng):
     for _ in range(50):
         x = rng.uniform(-0.5, 2.5, size=1)
         vals = cp1_size2.facet_values(x)
-        assert tf.contains(cp1_size2, x).inside == (vals.min() >= -1e-9)
+        assert cp1_size2.contains(x).inside == (vals.min() >= -1e-9)
 
 
 def test_lattice_points_interval(cp1_unit):
-    assert [p.coords for p in tf.lattice_points(cp1_unit)] == [(0,), (1,)]
+    assert [p.coords for p in cp1_unit.lattice_points()] == [(0,), (1,)]
 
 
 def test_lattice_points_simplices():
     small = tf.standard_simplex(2, 1.0)
-    assert [p.coords for p in tf.lattice_points(small)] == [(0, 0), (0, 1), (1, 0)]
+    assert [p.coords for p in small.lattice_points()] == [(0, 0), (0, 1), (1, 0)]
     size2 = tf.standard_simplex(2, 2.0)
-    assert [p.coords for p in tf.lattice_points(size2)] == [
+    assert [p.coords for p in size2.lattice_points()] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
     ]
 
@@ -87,8 +87,8 @@ def test_lattice_points_simplices():
 def test_lattice_points_invariant_under_facet_relabeling():
     a = tf.standard_simplex(2, 2.0)
     shuffled = tf.DelzantPolytope(list(a.facets)[::-1])
-    assert [p.coords for p in tf.lattice_points(a)] == [
-        p.coords for p in tf.lattice_points(shuffled)
+    assert [p.coords for p in a.lattice_points()] == [
+        p.coords for p in shuffled.lattice_points()
     ]
 
 

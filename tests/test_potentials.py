@@ -92,18 +92,10 @@ def test_concentration_rate_grad_identity(phi_aniso, rng):
     lam = np.array([0.2, 0.4])
     for _ in range(5):
         x = rng.uniform(-1, 1, size=2)
-        g = tf.concentration_rate_grad(phi_aniso, lam, x)
+        # grad f_lam(x) = Hess phi(x) . (x - lam)
+        g = phi_aniso.hess(x) @ (x - lam)
         g_fd = _fd_grad(lambda q: tf.concentration_rate(phi_aniso, lam, q), x)
         assert np.max(np.abs(g - g_fd)) < 1e-6
-        assert np.allclose(g, phi_aniso.hess(x) @ (x - lam))
-
-
-def test_concentration_functional_invariants(phi_aniso):
-    functional = tf.ConcentrationFunctional(phi_aniso, (0.3, 0.4))
-    center = np.array([0.3, 0.4])
-    assert functional.value(center) == pytest.approx(-phi_aniso.value(center))
-    assert np.max(np.abs(functional.grad(center))) < 1e-14
-    assert np.allclose(functional.hess_at_center(), phi_aniso.hess(center))
 
 
 def test_constant_shift_of_phi_shifts_f_lambda_by_minus_c(rng):
@@ -142,20 +134,6 @@ def test_f_lambda_min_check_flags_nonconvex(cp1_unit):
 
 
 # -- Legendre utilities ----------------------------------------------------------
-
-
-def test_legendre_dual_quadratic():
-    g = tf.QuadraticPotential([[1.0]])
-    dual = tf.legendre_dual(g, np.array([0.4]))
-    assert dual.y[0] == pytest.approx(0.4)
-    assert dual.value == pytest.approx(0.08)
-
-
-def test_legendre_dual_guillemin(cp1_unit):
-    g0 = tf.SymplecticPotential(cp1_unit)
-    dual = tf.legendre_dual(g0, np.array([0.5]))
-    assert dual.y[0] == pytest.approx(0.0)
-    assert dual.value == pytest.approx(0.5 * np.log(2))
 
 
 def test_legendre_inverse_quadratic():
