@@ -17,15 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence as conv
-from .config import ExperimentConfig, load_config
+from .config import Experiment, load_config
 from .errors import ConfigError, FiberDegenerationError, ToricFlowError
-from .flow import (
-    KahlerFlowState,
-    SymplecticPotential,
-    complex_structure,
-    fit_loglog_slope,
-    polarization_angle,
-)
+from .flow import KahlerFlowState, complex_structure, fit_loglog_slope, polarization_angle
 from .polytopes import sample_interior
 from .potentials import check_strict_convexity
 from .sections import (
@@ -75,16 +69,41 @@ def _sample_margin(poly) -> float:
     return 0.25 * radius
 
 
-def _model(cfg: ExperimentConfig, poly):
-    return SymplecticPotential(poly), cfg.build_phi(poly.dimension)
+def _weights(exp: Experiment):
+    """The `section.lambda` weights, or every lattice point of P without them."""
+    return exp.weights or [p.coords for p in exp.poly.lattice_points()]
+
+
+def _row(check: str, lam, t, residual, tol) -> list:
+    """One `check,lambda,t,residual,tolerance,pass` row; lam=() prints '-'."""
+    return [check, " ".join(map(str, lam)) or "-", t, residual, tol, residual < tol]
+
+
+def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
+    """The two-chart gluing rows of one weight, for section-flow and gluing."""
+    tol = GLUING_TOL * args.tol_scale
+    checks = (gluing_check_cp1(s0, t, corrupt=args.corrupt_transition) for t in ts)
+    return [_row("gluing", lam, t, check.residual, tol) for t, check in zip(ts, checks)]
+
+
+def _finish(command: str, out: Path, rows: list[list], **payload) -> int:
+    """Write the rows to <command>.csv and the verdict to <command>.json,
+    print the verdict line and return the exit code."""
+    failures = sum(not row[-1] for row in rows)
+    passed = failures == 0
+    stem = command.replace("-", "_")
+    _write_csv(out / f"{stem}.csv", ["check", "lambda", "t", "residual", "tolerance", "pass"], rows)
+    _write_json(out / f"{stem}.json", {"pass": passed, "failures": failures, **payload})
+    print(f"{command}: {len(rows)} checks, {failures} failures {'PASS' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_validate(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    phi = cfg.build_phi(poly.dimension)
-    report = check_strict_convexity(phi, poly.grid_cells(32).points)
+def cmd_validate(exp: Experiment, out: Path, args) -> int:
+    poly = exp.poly
+    report = check_strict_convexity(exp.phi, poly.grid_cells(32).points)
     issues = [] if report.ok else [
         f"phi is not strictly convex (min eig {report.min_eigenvalue:.3e} "
         f"at {list(report.witness)})"
@@ -105,27 +124,28 @@ def cmd_validate(cfg: ExperimentConfig, poly, out: Path, args) -> int:
     return EXIT_OK if report.ok else EXIT_CONFIG
 
 
-def cmd_potential_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    g0, phi = _model(cfg, poly)
-    ts = cfg.t_grid("flow.t_grid", default=[0.0, 0.5, 1.0, 5.0, 20.0])
-    count = cfg._int("flow.sample_points", 20)
+def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
+    poly = exp.poly
+    ts = exp.flow_t_grid or [0.0, 0.5, 1.0, 5.0, 20.0]
     rng = np.random.default_rng(args.seed)
-    pts = sample_interior(poly, count, rng, margin=_sample_margin(poly))
+    pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
     tol = POTENTIAL_TOL * args.tol_scale
 
     rows = []
-    worst = 0.0
+    resids = []
     for t in ts:
-        state = KahlerFlowState(g0, phi, t)
+        state = KahlerFlowState(exp.g0, exp.phi, t)
         g_vals = state.potential(pts)
         rho_formula = state.kahler_potential(pts)
         rho_leg = state.kahler_potential_legendre(pts)
         resid = np.abs(rho_formula - rho_leg)
-        worst = max(worst, float(resid.max()))
+        resids.append(resid)
         for i, x in enumerate(pts):
             rows.append(
                 [t, *x, g_vals[i], rho_formula[i], rho_leg[i], resid[i]]
             )
+    # np.max, unlike Python's max, keeps a NaN residual, which then fails
+    worst = float(np.max(resids))
     header = (
         ["t"]
         + [f"x{i+1}" for i in range(poly.dimension)]
@@ -140,7 +160,7 @@ def cmd_potential_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
             "tolerance": tol,
             "pass": passed,
             "seed": args.seed,
-            "points": count,
+            "points": exp.sample_points,
             "t_grid": list(ts),
         },
     )
@@ -149,36 +169,25 @@ def cmd_potential_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_section_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    g0, phi = _model(cfg, poly)
-    lams = cfg.section_lambdas() or [p.coords for p in poly.lattice_points()]
-    ts = cfg.t_grid("section.t", default=[0.5, 2.0, 10.0])
+def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
+    poly, g0, phi = exp.poly, exp.g0, exp.phi
+    ts = exp.section_t or [0.5, 2.0, 10.0]
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 40, rng, margin=_sample_margin(poly))
     thetas = rng.random((40, poly.dimension)) * 2.0 * np.pi
-    spec = cfg.quad_spec()
 
     rows = []
     pairs = []
-    failures = 0
-    for lam in lams:
+    for lam in _weights(exp):
         s0 = WeightSection(lam, g0, phi, 0.0)
         for t in ts:
             resid = route_equality_residual(s0, t, pts, thetas)
-            tol = ROUTE_TOL * args.tol_scale
-            ok = resid < tol
-            failures += 0 if ok else 1
-            rows.append(["route-equality", " ".join(map(str, lam)), t, resid, tol, ok])
+            rows.append(_row("route-equality", lam, t, resid, ROUTE_TOL * args.tol_scale))
             pairs.append((lam, t))
         if poly.dimension == 1:
-            for t in ts:
-                check = gluing_check_cp1(s0, t, corrupt=args.corrupt_transition)
-                tol = GLUING_TOL * args.tol_scale
-                ok = check.residual < tol
-                failures += 0 if ok else 1
-                rows.append(["gluing", " ".join(map(str, lam)), t, check.residual, tol, ok])
+            rows += _gluing_rows(lam, s0, ts, args)
 
-    norms = section_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], spec)
+    norms = section_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], exp.spec)
     norm_rows = [[" ".join(map(str, lam)), t, norm] for (lam, t), norm in zip(pairs, norms)]
 
     # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so this
@@ -187,47 +196,32 @@ def cmd_section_flow(cfg: ExperimentConfig, poly, out: Path, args) -> int:
     _, radius = poly.chebyshev_center()
     frame_pts = sample_interior(poly, 10, rng, margin=0.5 * radius)
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
-    frame_tol = cfg.gauge_tolerance() * args.tol_scale
-    ok = frame_resid < frame_tol
-    failures += 0 if ok else 1
-    rows.append(["frame-holomorphicity", "-", t_frame, frame_resid, frame_tol, ok])
-
-    _write_csv(
-        out / "section_flow.csv",
-        ["check", "lambda", "t", "residual", "tolerance", "pass"],
-        rows,
+    rows.append(
+        _row("frame-holomorphicity", (), t_frame, frame_resid, exp.gauge_tol * args.tol_scale)
     )
+
     _write_csv(out / "section_norms.csv", ["lambda", "t", "norm_sq"], norm_rows)
-    passed = failures == 0
-    _write_json(
-        out / "section_flow.json",
-        {"pass": passed, "failures": failures, "checks": len(rows), "seed": args.seed},
-    )
-    print(f"section-flow: {len(rows)} checks, {failures} failures "
-          f"{'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    return _finish("section-flow", out, rows, checks=len(rows), seed=args.seed)
 
 
-def cmd_polarization(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    g0, phi = _model(cfg, poly)
+def cmd_polarization(exp: Experiment, out: Path, args) -> int:
+    poly = exp.poly
     default_grid = [float(t) for t in np.geomspace(10, 1000, 11)]
-    ts = cfg.t_grid("flow.t_grid", default=default_grid)
-    ts = [t for t in ts if t > 0]
+    ts = [t for t in exp.flow_t_grid or default_grid if t > 0]
     # the log-log fit needs a late-time decade; fall back when the flow grid
     # is a short potential-identity grid
     grid_source = "flow.t_grid"
     if len(ts) < 4 or max(ts) < 100 or max(ts) / min(ts) < 10:
         ts = default_grid
         grid_source = "default 10..1000 (flow.t_grid unsuitable for a decay fit)"
-    count = cfg._int("flow.sample_points", 20)
     rng = np.random.default_rng(args.seed)
-    pts = sample_interior(poly, count, rng, margin=_sample_margin(poly))
+    pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
 
     angles = np.empty((len(ts), len(pts)))
     j_resid = 0.0
     positive = True
     for k, t in enumerate(ts):
-        state = KahlerFlowState(g0, phi, t)
+        state = KahlerFlowState(exp.g0, exp.phi, t)
         angles[k] = polarization_angle(state, pts)
         # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
         positive = positive and bool(np.linalg.eigvalsh(state.metric_hessian(pts)).min() > 0)
@@ -265,62 +259,37 @@ def cmd_polarization(cfg: ExperimentConfig, poly, out: Path, args) -> int:
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_gluing(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    g0, phi = _model(cfg, poly)
-    if poly.dimension != 1:
+def cmd_gluing(exp: Experiment, out: Path, args) -> int:
+    if exp.poly.dimension != 1:
         print("gluing: the two-chart model needs a one-dimensional polytope")
         return EXIT_CONFIG
-    lams = cfg.section_lambdas() or [p.coords for p in poly.lattice_points()]
-    ts = cfg.t_grid("section.t", default=[1.0, 3.0])
+    ts = exp.section_t or [1.0, 3.0]
     rows = []
-    failures = 0
-    for lam in lams:
-        s0 = WeightSection(lam, g0, phi, 0.0)
-        for t in ts:
-            check = gluing_check_cp1(s0, t, corrupt=args.corrupt_transition)
-            tol = GLUING_TOL * args.tol_scale
-            ok = check.residual < tol
-            failures += 0 if ok else 1
-            rows.append(["gluing", " ".join(map(str, lam)), t, check.residual, tol, ok])
-    _write_csv(
-        out / "gluing.csv", ["check", "lambda", "t", "residual", "tolerance", "pass"], rows
-    )
-    passed = failures == 0
-    _write_json(out / "gluing.json", {"pass": passed, "failures": failures})
-    print(f"gluing: {len(rows)} checks, {failures} failures {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    for lam in _weights(exp):
+        rows += _gluing_rows(lam, WeightSection(lam, exp.g0, exp.phi, 0.0), ts, args)
+    return _finish("gluing", out, rows)
 
 
-def cmd_lift(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    g0, phi = _model(cfg, poly)
-    lams = cfg.section_lambdas() or [p.coords for p in poly.lattice_points()]
-    ts = cfg.t_grid("section.t", default=[0.5, 2.0])
+def cmd_lift(exp: Experiment, out: Path, args) -> int:
+    poly = exp.poly
+    ts = exp.section_t or [0.5, 2.0]
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 20, rng, margin=_sample_margin(poly))
     thetas = rng.random((20, poly.dimension)) * 2.0 * np.pi
     zetas = np.exp(1j * rng.random(20) * 2.0 * np.pi)
     rows = []
-    failures = 0
-    for lam in lams:
-        s0 = WeightSection(lam, g0, phi, 0.0)
+    for lam in _weights(exp):
+        s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
         for t in ts:
             check = lift_section_consistency(s0, t, pts, thetas, zetas)
-            tol = LIFT_TOL * args.tol_scale
-            ok = check.residual < tol
-            failures += 0 if ok else 1
-            rows.append(["lift", " ".join(map(str, lam)), t, check.residual, tol, ok])
-    _write_csv(
-        out / "lift.csv", ["check", "lambda", "t", "residual", "tolerance", "pass"], rows
-    )
-    passed = failures == 0
-    _write_json(out / "lift.json", {"pass": passed, "failures": failures, "seed": args.seed})
-    print(f"lift: {len(rows)} checks, {failures} failures {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+            rows.append(_row("lift", lam, t, check.residual, LIFT_TOL * args.tol_scale))
+    return _finish("lift", out, rows, seed=args.seed)
 
 
-def cmd_converge(cfg: ExperimentConfig, poly, out: Path, args) -> int:
-    g0, phi = _model(cfg, poly)
-    lam = cfg.experiment_lambda()
+def cmd_converge(exp: Experiment, out: Path, args) -> int:
+    poly, lam = exp.poly, exp.lam
+    if lam is None:
+        raise ConfigError("missing required config key 'experiment.lambda'")
     lam_arr = np.asarray(lam, dtype=float)
     if not poly.contains(lam_arr).inside:
         print(f"converge: lambda {lam} lies outside the moment polytope")
@@ -332,13 +301,12 @@ def cmd_converge(cfg: ExperimentConfig, poly, out: Path, args) -> int:
             "of the moment map (lambda in t*_{Z,reg}, i.e. interior to P)."
         )
         return EXIT_CONFIG
-    bumps = cfg.experiment_bumps()
-    ts = cfg.t_grid("experiment.t_grid", default=[10, 20, 40, 80, 160, 320])
-    mode = cfg.experiment_mode()
-    spec = cfg.quad_spec()
+    if not exp.bumps:
+        raise ConfigError("experiment.bumps lines are required for convergence runs")
 
     report = conv.convergence_experiment(
-        lam_arr, phi, g0, bumps, ts, spec, mode,
+        lam_arr, exp.phi, exp.g0, exp.bumps,
+        exp.experiment_t_grid or [10, 20, 40, 80, 160, 320], exp.spec, exp.mode,
         final_error_tol=conv.FINAL_ERROR_TOL * args.tol_scale,
         threads=max(1, args.threads),
     )
@@ -367,7 +335,7 @@ def cmd_converge(cfg: ExperimentConfig, poly, out: Path, args) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def cmd_report(cfg: ExperimentConfig, poly, out: Path, args) -> int:
+def cmd_report(exp: Experiment, out: Path, args) -> int:
     merged = {}
     ok = True
     for path in sorted(out.glob("*.json")):
@@ -420,13 +388,12 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = load_config(args.config)
-        poly = cfg.validate()
+        exp = load_config(args.config).validate()
     except (ConfigError, OSError, ToricFlowError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.subcommand](cfg, poly, out, args)
+        return _COMMANDS[args.subcommand](exp, out, args)
     except (ConfigError, FiberDegenerationError) as exc:
         print(f"error: {exc}")
         return EXIT_CONFIG

@@ -21,7 +21,11 @@ Scalar keys:
     experiment.lambda, experiment.t_grid, experiment.mode
     quad.resolution, quad.tol, quad.max_depth
 
-t-grids are either comma lists `0,0.5,1` or geometric `start:stop:factor`.
+t-grids are either comma lists `0,0.5,1` or geometric `start:stop:factor`;
+every time is finite and a grid holds at least one.
+
+`ExperimentConfig.validate()` is the only parser: it reads every key once,
+checks it, and returns a frozen `Experiment` that every subcommand reads.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from .convergence import BumpProfile, FiberMeasureModel
 from .errors import ConfigError
+from .flow import SymplecticPotential, fit_window
 from .polytopes import DelzantPolytope, Facet
 from .potentials import (
     ConvexPotential,
@@ -72,6 +77,30 @@ _MULTI_KEYS = {
 }
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """The model and settings of one CLI call, parsed and checked once.
+
+    A t grid is None when its key is absent, so each subcommand keeps its own
+    default.  `weights` holds the `section.lambda` lines (empty when there
+    are none), `lam` is None without `experiment.lambda`, and `bumps` is
+    empty without `experiment.bumps` lines."""
+
+    poly: DelzantPolytope
+    g0: SymplecticPotential
+    phi: ConvexPotential
+    spec: QuadratureSpec
+    flow_t_grid: Optional[tuple[float, ...]]
+    section_t: Optional[tuple[float, ...]]
+    experiment_t_grid: Optional[tuple[float, ...]]
+    sample_points: int
+    weights: tuple[tuple[int, ...], ...]
+    gauge_tol: float
+    lam: Optional[tuple[int, ...]]
+    bumps: tuple[BumpProfile, ...]
+    mode: FiberMeasureModel
+
+
 @dataclass
 class ExperimentConfig:
     scalars: dict[str, str] = field(default_factory=dict)
@@ -81,11 +110,6 @@ class ExperimentConfig:
 
     def _scalar(self, key: str, default=None) -> Optional[str]:
         return self.scalars.get(key, default)
-
-    def _require(self, key: str) -> str:
-        if key not in self.scalars:
-            raise ConfigError(f"missing required config key {key!r}")
-        return self.scalars[key]
 
     def _int(self, key: str, default=None) -> Optional[int]:
         raw = self._scalar(key)
@@ -111,9 +135,15 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} must be a list of numbers, got {raw!r}") from exc
 
-    # -- builders ---------------------------------------------------------------
+    def _ints(self, raw: str, what: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        except ValueError as exc:
+            raise ConfigError(f"bad {what} {raw!r}") from exc
 
-    def build_polytope(self) -> DelzantPolytope:
+    # -- parsers ----------------------------------------------------------------
+
+    def _polytope(self) -> DelzantPolytope:
         dim = self._int("polytope.dim")
         if dim is None:
             raise ConfigError("polytope.dim is required")
@@ -137,11 +167,8 @@ class ExperimentConfig:
             facets.append(Facet(normal, offset))
         return DelzantPolytope(facets, name=self._scalar("polytope.name", ""))
 
-    def build_phi(self, dim: Optional[int] = None) -> ConvexPotential:
+    def _phi(self, dim: int) -> ConvexPotential:
         kind = self._scalar("phi.kind", "quadratic")
-        dim = dim if dim is not None else self._int("polytope.dim")
-        if dim is None:
-            raise ConfigError("cannot infer dimension for phi")
         if kind == "quadratic":
             q_raw = self._scalar("phi.Q")
             if q_raw is None:
@@ -183,44 +210,9 @@ class ExperimentConfig:
                 return LogSumExpPotential(wavevectors, weights)
         raise ConfigError(f"unknown phi.kind {kind!r}")
 
-    def quad_spec(self) -> QuadratureSpec:
-        with _as_config_error("quad"):
-            return QuadratureSpec(
-                resolution=self._int("quad.resolution", 256),
-                rel_tol=self._float("quad.tol", 1e-8),
-                max_refinements=self._int("quad.max_depth", 3),
-            )
-
-    def t_grid(self, key: str, default=None) -> list[float]:
-        raw = self._scalar(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing t grid {key!r}")
-            return list(default)
-        return parse_t_grid(raw, key)
-
-    def section_lambdas(self) -> list[tuple[int, ...]]:
-        out = []
-        for raw in self.multis.get("section.lambda", []):
-            try:
-                out.append(tuple(int(tok) for tok in raw.replace(",", " ").split()))
-            except ValueError as exc:
-                raise ConfigError(f"bad section.lambda line {raw!r}") from exc
-        return out
-
-    def experiment_lambda(self) -> tuple[int, ...]:
-        raw = self._require("experiment.lambda")
-        try:
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"bad experiment.lambda {raw!r}") from exc
-
-    def experiment_bumps(self) -> list[BumpProfile]:
-        lines = self.multis.get("experiment.bumps", [])
-        if not lines:
-            raise ConfigError("experiment.bumps lines are required for convergence runs")
+    def _bumps(self) -> tuple[BumpProfile, ...]:
         bumps = []
-        for raw in lines:
+        for raw in self.multis.get("experiment.bumps", []):
             parts = [p.strip() for p in raw.split(";")]
             if len(parts) not in (3, 4):
                 raise ConfigError(
@@ -232,58 +224,84 @@ class ExperimentConfig:
                 bumps.append(BumpProfile(center, *shape))
             except ValueError as exc:
                 raise ConfigError(f"bad experiment.bumps line {raw!r}: {exc}") from exc
-        return bumps
+        return tuple(bumps)
 
-    def experiment_mode(self) -> FiberMeasureModel:
-        mode = self._scalar("experiment.mode", "normalized")
-        try:
-            return FiberMeasureModel(mode)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def _t_grid(self, key: str) -> Optional[tuple[float, ...]]:
+        raw = self._scalar(key)
+        if raw is None:
+            return None
+        ts = parse_t_grid(raw, key)
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ConfigError(f"{key} must be strictly increasing")
+        if ts[0] < 0:
+            raise ConfigError(f"{key} holds the negative time {ts[0]}")
+        return tuple(ts)
 
-    def gauge_tolerance(self) -> float:
-        """Residual gate for the finite-difference frame-holomorphicity check."""
-        return self._float("gauge.check_tolerance", 1e-8)
+    def validate(self) -> Experiment:
+        """Parse and check every key once, and return the `Experiment` that
+        every subcommand of a CLI call reads.
 
-    def validate(self) -> DelzantPolytope:
-        """Build the polytope and check it is Delzant, then cross-field
-        checks: referenced lattice points lie in P, every weight and bump
-        center has the polytope's dimension, t grids rise and hold no
-        negative time, sample counts are positive, and phi and the quadrature
-        spec build.  Returns the validated polytope, the one every
-        subcommand of a CLI call uses."""
-        poly = self.build_polytope()
+        Checks: the polytope is Delzant, referenced lattice points lie in P,
+        every weight and bump center has the polytope's dimension, t grids
+        are finite, non-empty and rising and hold no negative time, the
+        experiment grid leaves a log-log fit two times, the sample count is
+        positive, phi and the quadrature spec build, the fiber mode is known
+        and the gauge tolerance is positive and finite."""
+        poly = self._polytope()
         poly.require_valid()
-        for lam in self.section_lambdas():
+        lines = self.multis.get("section.lambda", [])
+        weights = tuple(self._ints(raw, "section.lambda line") for raw in lines)
+        for lam in weights:
             if len(lam) != poly.dimension:
                 raise ConfigError(f"section.lambda {lam} has the wrong dimension")
             if not poly.contains(np.asarray(lam, dtype=float)).inside:
                 raise ConfigError(f"section.lambda {lam} lies outside the polytope")
-        if self._scalar("experiment.lambda") is not None:
-            lam = self.experiment_lambda()
-            if len(lam) != poly.dimension:
-                raise ConfigError(
-                    f"experiment.lambda {lam} has dimension {len(lam)}, "
-                    f"polytope has {poly.dimension}"
-                )
-        for bump in self.experiment_bumps() if "experiment.bumps" in self.multis else ():
+        raw = self._scalar("experiment.lambda")
+        lam = None if raw is None else self._ints(raw, "experiment.lambda")
+        if lam is not None and len(lam) != poly.dimension:
+            raise ConfigError(
+                f"experiment.lambda {lam} has dimension {len(lam)}, "
+                f"polytope has {poly.dimension}"
+            )
+        bumps = self._bumps()
+        for bump in bumps:
             if len(bump.center) != poly.dimension:
                 raise ConfigError(
                     f"experiment.bumps center {bump.center} has dimension "
                     f"{len(bump.center)}, polytope has {poly.dimension}"
                 )
-        for key in ("flow.t_grid", "experiment.t_grid", "section.t"):
-            if self._scalar(key) is not None:
-                ts = self.t_grid(key)
-                if any(b <= a for a, b in zip(ts, ts[1:])):
-                    raise ConfigError(f"{key} must be strictly increasing")
-                if ts and ts[0] < 0:
-                    raise ConfigError(f"{key} holds the negative time {ts[0]}")
-        if self._int("flow.sample_points", 20) < 1:
+        flow_ts = self._t_grid("flow.t_grid")
+        experiment_ts = self._t_grid("experiment.t_grid")
+        section_ts = self._t_grid("section.t")
+        if experiment_ts is not None:
+            with _as_config_error("experiment.t_grid"):
+                fit_window(experiment_ts)
+        sample_points = self._int("flow.sample_points", 20)
+        if sample_points < 1:
             raise ConfigError("flow.sample_points must be at least 1")
-        self.build_phi(poly.dimension)
-        self.quad_spec()
-        return poly
+        phi = self._phi(poly.dimension)
+        with _as_config_error("quad"):
+            spec = QuadratureSpec(
+                resolution=self._int("quad.resolution", 256),
+                rel_tol=self._float("quad.tol", 1e-8),
+                max_refinements=self._int("quad.max_depth", 3),
+            )
+        try:
+            mode = FiberMeasureModel(self._scalar("experiment.mode", "normalized"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # residual gate of the finite-difference frame-holomorphicity check
+        gauge_tol = self._float("gauge.check_tolerance", 1e-8)
+        if not (np.isfinite(gauge_tol) and gauge_tol > 0):
+            raise ConfigError(
+                f"gauge.check_tolerance must be positive and finite, got {gauge_tol}"
+            )
+        return Experiment(
+            poly=poly, g0=SymplecticPotential(poly), phi=phi, spec=spec,
+            flow_t_grid=flow_ts, section_t=section_ts, experiment_t_grid=experiment_ts,
+            sample_points=sample_points, weights=weights, gauge_tol=gauge_tol,
+            lam=lam, bumps=bumps, mode=mode,
+        )
 
 
 @contextmanager
@@ -308,6 +326,8 @@ def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
             start, stop, factor = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"{key}: bad geometric grid {raw!r}") from exc
+        if not np.isfinite([start, stop, factor]).all():
+            raise ConfigError(f"{key}: geometric grid {raw!r} is not finite")
         if start <= 0 or stop < start or factor <= 1:
             raise ConfigError(f"{key}: need 0 < start <= stop and factor > 1")
         ts = []
@@ -317,9 +337,14 @@ def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
             t *= factor
         return ts
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        ts = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key}: bad list {raw!r}") from exc
+    if not ts:
+        raise ConfigError(f"{key}: the grid holds no time")
+    if not np.isfinite(ts).all():
+        raise ConfigError(f"{key}: times must be finite, got {raw!r}")
+    return ts
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -180,17 +180,13 @@ def pairing_iota(
     return value
 
 
-def fiber_pairing_delta(
-    s0: WeightSection,
-    bump: BumpProfile,
-    lam=None,
-    model: FiberMeasureModel = FiberMeasureModel(),
-) -> float:
+def fiber_pairing_delta(s0: WeightSection, bump: BumpProfile, lam=None) -> float:
     """Fiber pairing of the time-zero section against the test object: the
-    torus-averaged integrand H at the fiber, times the fiber weight."""
+    torus-averaged integrand H at the fiber, which must be interior."""
     lam = s0.lam if lam is None else np.asarray(lam, dtype=float)
-    weight = model.fiber_weight(s0.polytope, lam)
-    return float(bump(lam)) * weight
+    if not s0.polytope.is_interior(lam):
+        raise FiberDegenerationError(f"fiber over {lam.tolist()} degenerates on the boundary")
+    return float(bump(lam))
 
 
 # -- concentration statistics -------------------------------------------------------

@@ -153,6 +153,8 @@ class LogSumExpPotential(ConvexPotential):
         self.K = K
         self.dimension = K.shape[1]
         w = np.ones(K.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (K.shape[0],):
+            raise ValueError(f"need one weight per wavevector ({K.shape[0]}), got {w.size}")
         if (w <= 0).any():
             raise ValueError("weights must be positive")
         self.weights = w

@@ -46,6 +46,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.resolution < 4:
             raise ValueError("resolution must be at least 4")
+        if not np.isfinite(self.rel_tol):
+            raise ValueError("tolerance must be finite")
         if self.rel_tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_refinements < 0:
@@ -57,17 +59,17 @@ class QuadratureResult(NamedTuple):
     estimate: float
 
 
-def _pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise tree summation."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        return 0.0
-    while v.size > 1:
-        n = v.size
-        half = n // 2
+def _pairwise_sum(values: np.ndarray):
+    """Deterministic pairwise tree summation along axis 0: a scalar for a
+    vector, one sum per column for an (m, k) array."""
+    v = np.asarray(values, dtype=float)
+    if len(v) == 0:
+        return np.zeros(v.shape[1:])
+    while len(v) > 1:
+        half = len(v) // 2
         head = v[: 2 * half : 2] + v[1 : 2 * half : 2]
         v = np.concatenate([head, v[2 * half :]])
-    return float(v[0])
+    return v[0]
 
 
 # Points per integrand call.  A power of two, so the per-block trees and the
@@ -85,8 +87,8 @@ def _weighted_sums(matrix_f, k: int, points: np.ndarray, volumes: np.ndarray) ->
         if vals.shape != (len(pts), k):
             raise ValueError(f"integrand must map (m, n) points to (m, {k}) values")
         vol = volumes[start : start + _BLOCK]
-        block_sums.append([_pairwise_sum(vals[:, j] * vol) for j in range(k)])
-    return np.array([_pairwise_sum(column) for column in np.transpose(block_sums)])
+        block_sums.append(_pairwise_sum(vals * vol[:, None]))
+    return _pairwise_sum(np.array(block_sums))
 
 
 def integrate_many(

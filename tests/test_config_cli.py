@@ -29,13 +29,13 @@ section.lambda = 1
 
 
 def test_parse_and_build():
-    cfg = parse_config(MINIMAL)
-    poly = cfg.build_polytope()
+    exp = parse_config(MINIMAL).validate()
+    poly = exp.poly
     assert poly.dimension == 1
     assert tf.validate_delzant(poly).ok
-    phi = cfg.build_phi()
+    phi = exp.phi
     assert phi.value(np.array([1.0])) == pytest.approx(0.5)
-    assert cfg.section_lambdas() == [(1,)]
+    assert list(exp.weights) == [(1,)]
 
 
 def test_unknown_key_rejected():
@@ -50,8 +50,8 @@ def test_duplicate_scalar_rejected():
 
 def test_facet_dimension_mismatch():
     cfg = parse_config(MINIMAL.replace("polytope.facet = 1 ; 0", "polytope.facet = 1 2 ; 0"))
-    with pytest.raises(ConfigError):
-        cfg.build_polytope()
+    with pytest.raises(ConfigError, match="has dimension 2, expected 1"):
+        cfg.validate()
 
 
 def test_lambda_outside_polytope_rejected():
@@ -70,7 +70,7 @@ def test_t_grid_formats():
 
 def test_bump_parsing():
     cfg = parse_config(MINIMAL + "\nexperiment.bumps = 1.0 ; 0.5 ; 0.8 ; 0.3\n")
-    bumps = cfg.experiment_bumps()
+    bumps = cfg.validate().bumps
     assert bumps[0].center == (1.0,)
     assert bumps[0].plateau == pytest.approx(0.3)
 
@@ -297,6 +297,25 @@ def _case_id(v) -> str:
             ["phi.kind = log-sum-exp", "phi.wavevector = 1 2", "phi.wavevector = -1 0"],
             "section-flow",
         ),
+        (CP1_CFG, ["section.t ="], "section-flow"),
+        (CP1_CFG, ["experiment.t_grid ="], "converge"),
+        (CP1_CFG, ["experiment.t_grid = 10:nan:2"], "converge"),
+        (CP1_CFG, ["flow.t_grid = 0,inf"], "potential-flow"),
+        (CP1_CFG, ["experiment.t_grid = 10:inf:2"], "converge"),
+        (CP1_CFG, ["quad.tol = nan"], "section-flow"),
+        (CP1_CFG, ["experiment.t_grid = 10"], "converge"),
+        (CP1_CFG, ["experiment.t_grid = 1,100"], "converge"),
+        (
+            CP1_CFG,
+            [
+                "phi.kind = log-sum-exp", "phi.weights = 1 2 3",
+                "phi.wavevector = 1", "phi.wavevector = -1",
+            ],
+            "section-flow",
+        ),
+        (CP1_CFG, ["gauge.check_tolerance = -1"], "section-flow"),
+        (CP1_CFG, ["experiment.mode = bogus"], "converge"),
+        (CP1_CFG, ["gauge.check_tolerance = abc"], "section-flow"),
     ],
     ids=_case_id,
 )
@@ -309,6 +328,18 @@ def test_cli_malformed_value_is_config_error(tmp_path, capsys, base, settings, c
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().out.startswith("config error:")
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cli_potential_flow_nan_residual_fails(tmp_path, capsys):
+    # at t = 1e308 the flowed potentials overflow; the NaN residual rows must
+    # fail the run, not vanish from its maximum
+    cfg = tmp_path / "huge_t.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "flow.t_grid = 0,1e308"))
+    assert main(["potential-flow", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    assert "nan" in (tmp_path / "potential_flow.csv").read_text()
+    assert not json.loads((tmp_path / "potential_flow.json").read_text())["pass"]
 
 
 def test_cli_paper_form_rows_are_consistent(tmp_path):

@@ -225,9 +225,8 @@ def test_norm_beta_integral_unit_segment():
 @pytest.fixture(scope="module")
 def cp2_model():
     # the shipped cp2_size2 config, with its quadrature spec
-    cfg = load_config(CP2_CONFIG)
-    poly = cfg.build_polytope()
-    return poly, tf.SymplecticPotential(poly), cfg.build_phi(2), cfg.quad_spec()
+    exp = load_config(CP2_CONFIG).validate()
+    return exp.poly, exp.g0, exp.phi, exp.spec
 
 
 def test_norm_dirichlet_integral_cp2(cp2_model):
@@ -332,16 +331,14 @@ def _assert_batch_matches_reference(sections, spec):
 
 def test_batch_norms_match_reference_cp2():
     # all 12 (lam, t) norms of the shipped config, as section-flow batches them
-    cfg = load_config(CP2_CONFIG)
-    poly = cfg.build_polytope()
-    g0, phi = tf.SymplecticPotential(poly), cfg.build_phi(2)
+    exp = load_config(CP2_CONFIG).validate()
     sections = [
-        tf.WeightSection(lam, g0, phi, t)
-        for lam in cfg.section_lambdas()
-        for t in cfg.t_grid("section.t", default=[])
+        tf.WeightSection(lam, exp.g0, exp.phi, t)
+        for lam in exp.weights
+        for t in exp.section_t
     ]
     assert len(sections) == 12
-    _assert_batch_matches_reference(sections, cfg.quad_spec())
+    _assert_batch_matches_reference(sections, exp.spec)
 
 
 def test_batch_freezes_each_column(model2):
