@@ -19,7 +19,14 @@ import numpy as np
 from . import convergence as conv
 from .config import Experiment, load_config
 from .errors import ConfigError, FiberDegenerationError, ToricFlowError
-from .flow import KahlerFlowState, complex_structure, fit_loglog_slope, polarization_angle
+from .flow import (
+    FIT_DECADE,
+    KahlerFlowState,
+    complex_structure,
+    fit_loglog_slope,
+    fit_window,
+    polarization_angle,
+)
 from .polytopes import sample_interior
 from .potentials import check_strict_convexity
 from .sections import (
@@ -209,9 +216,13 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     default_grid = [float(t) for t in np.geomspace(10, 1000, 11)]
     ts = [t for t in exp.flow_t_grid or default_grid if t > 0]
     # the log-log fit needs a late-time decade; fall back when the flow grid
-    # is a short potential-identity grid
+    # is a short potential-identity grid or leaves the fit window too few times
     grid_source = "flow.t_grid"
-    if len(ts) < 4 or max(ts) < 100 or max(ts) / min(ts) < 10:
+    try:
+        if len(ts) < 4 or max(ts) < 100 or max(ts) / min(ts) < FIT_DECADE:
+            raise ValueError("short grid")
+        fit_window(ts)
+    except ValueError:
         ts = default_grid
         grid_source = "default 10..1000 (flow.t_grid unsuitable for a decay fit)"
     rng = np.random.default_rng(args.seed)

@@ -22,7 +22,8 @@ Scalar keys:
     quad.resolution, quad.tol, quad.max_depth
 
 t-grids are either comma lists `0,0.5,1` or geometric `start:stop:factor`;
-every time is finite and a grid holds at least one.
+every time is finite and a grid holds at least one; a geometric grid holds at
+most 10,000.
 
 `ExperimentConfig.validate()` is the only parser: it reads every key once,
 checks it, and returns a frozen `Experiment` that every subcommand reads.
@@ -316,6 +317,9 @@ def _as_config_error(section: str):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+_MAX_GRID_TIMES = 10_000
+
+
 def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
     raw = raw.strip()
     if ":" in raw:
@@ -330,6 +334,9 @@ def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
             raise ConfigError(f"{key}: geometric grid {raw!r} is not finite")
         if start <= 0 or stop < start or factor <= 1:
             raise ConfigError(f"{key}: need 0 < start <= stop and factor > 1")
+        # count the times first: a factor a few ulps above 1 never ends in practice
+        if (np.log(stop) - np.log(start)) / np.log(factor) >= _MAX_GRID_TIMES:
+            raise ConfigError(f"{key}: geometric grid {raw!r} holds over {_MAX_GRID_TIMES} times")
         ts = []
         t = start
         while t <= stop * (1 + 1e-12):

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FiberDegenerationError, QuadratureOverflow
-from .flow import SymplecticPotential, fit_loglog_slope
+from .flow import FIT_DECADE, SymplecticPotential, fit_loglog_slope
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, concentration_rate
 from .quadrature import QuadratureSpec, integrate_many
@@ -348,7 +348,7 @@ def convergence_experiment(
     ts = np.asarray(t_grid, dtype=float)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")
-    window = (float(ts.max() / 10.0), float(ts.max()))
+    window = (float(ts.max() / FIT_DECADE), float(ts.max()))
 
     s0 = WeightSection(tuple(int(round(v)) for v in lam), g0, phi, 0.0)
     weight = mode.fiber_weight(poly, lam)

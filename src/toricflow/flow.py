@@ -318,23 +318,27 @@ class DecayCurve(NamedTuple):
     slope: float
 
 
-def fit_window(ts, decade: float = 10.0) -> np.ndarray:
-    """Mask of the trailing decade ts >= max(ts)/decade that a log-log slope
-    is fitted over; raises ValueError unless it holds two times."""
+# log-log slopes are fitted over the trailing decade ts >= max(ts)/FIT_DECADE
+FIT_DECADE = 10.0
+
+
+def fit_window(ts) -> np.ndarray:
+    """Mask of the trailing decade of ts that a log-log slope is fitted over;
+    raises ValueError unless it holds two times."""
     ts = np.asarray(ts, dtype=float)
-    mask = ts >= ts.max() / decade
+    mask = ts >= ts.max() / FIT_DECADE
     if mask.sum() < 2:
         raise ValueError("not enough points in the fitting window")
     return mask
 
 
-def fit_loglog_slope(ts, values, decade: float = 10.0):
-    """Least-squares slope of log(values) vs log(ts) over the trailing
-    decade ts >= max(ts)/decade.  Values of shape (len(ts), k) hold k curves,
-    one per column, and give an array of k slopes."""
+def fit_loglog_slope(ts, values):
+    """Least-squares slope of log(values) vs log(ts) over fit_window(ts).
+    Values of shape (len(ts), k) hold k curves, one per column, and give an
+    array of k slopes."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = fit_window(ts, decade)
+    mask = fit_window(ts)
     slope = np.polyfit(np.log(ts[mask]), np.log(values[mask]), 1)[0]
     return float(slope) if slope.ndim == 0 else slope
 

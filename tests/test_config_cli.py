@@ -155,6 +155,17 @@ def test_cli_polarization(tmp_path):
     assert max(slopes) > -0.9
 
 
+def test_cli_polarization_falls_back_when_fit_window_is_short(tmp_path):
+    # the grid passes the short-grid test but leaves one time in the fit's
+    # trailing decade, so the run must use the default grid, not crash
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "flow.t_grid = 1,10,100,1e308"))
+    assert main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "polarization.json").read_text())
+    assert verdict["t_grid_source"].startswith("default")
+    assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
+
+
 def test_cli_tol_scale_loosens_gates(tmp_path):
     # the corrupted transition (O(1) residual) passes once tolerances are
     # scaled absurdly, which exercises the --tol-scale plumbing
@@ -302,6 +313,8 @@ def _case_id(v) -> str:
         (CP1_CFG, ["experiment.t_grid = 10:nan:2"], "converge"),
         (CP1_CFG, ["flow.t_grid = 0,inf"], "potential-flow"),
         (CP1_CFG, ["experiment.t_grid = 10:inf:2"], "converge"),
+        (CP1_CFG, ["experiment.t_grid = 10:20:1.0000000000000002"], "converge"),
+        (CP1_CFG, ["experiment.t_grid = 10:1000:1.000001"], "converge"),
         (CP1_CFG, ["quad.tol = nan"], "section-flow"),
         (CP1_CFG, ["experiment.t_grid = 10"], "converge"),
         (CP1_CFG, ["experiment.t_grid = 1,100"], "converge"),
