@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     EmptyGridError,
     FiberDegenerationError,
+    GridSizeError,
     NewtonError,
     QuadratureOverflow,
     QuadratureStagnation,

@@ -23,9 +23,8 @@ from .flow import (
     FIT_DECADE,
     KahlerFlowState,
     complex_structure,
-    fit_loglog_slope,
     fit_window,
-    polarization_angle,
+    polarization_decay_curve,
 )
 from .polytopes import sample_interior
 from .potentials import check_strict_convexity
@@ -46,6 +45,8 @@ ROUTE_TOL = 1e-12
 GLUING_TOL = 1e-10
 LIFT_TOL = 1e-10
 POTENTIAL_TOL = 1e-10
+FRAME_TOL = 1e-8
+J_SQUARED_TOL = 1e-12
 SLOPE_BAND = (-1.1, -0.9)
 
 
@@ -88,9 +89,8 @@ def _row(check: str, lam, t, residual, tol) -> list:
 
 def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
     """The two-chart gluing rows of one weight, for section-flow and gluing."""
-    tol = GLUING_TOL * args.tol_scale
     checks = (gluing_check_cp1(s0, t, corrupt=args.corrupt_transition) for t in ts)
-    return [_row("gluing", lam, t, check.residual, tol) for t, check in zip(ts, checks)]
+    return [_row("gluing", lam, t, check.residual, GLUING_TOL) for t, check in zip(ts, checks)]
 
 
 def _finish(command: str, out: Path, rows: list[list], **payload) -> int:
@@ -136,7 +136,6 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     ts = exp.flow_t_grid or [0.0, 0.5, 1.0, 5.0, 20.0]
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
-    tol = POTENTIAL_TOL * args.tol_scale
 
     rows = []
     resids = []
@@ -159,19 +158,19 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
         + ["g_t", "rho_t", "rho_t_legendre", "residual"]
     )
     _write_csv(out / "potential_flow.csv", header, rows)
-    passed = worst < tol
+    passed = worst < POTENTIAL_TOL
     _write_json(
         out / "potential_flow.json",
         {
             "max_residual": worst,
-            "tolerance": tol,
+            "tolerance": POTENTIAL_TOL,
             "pass": passed,
             "seed": args.seed,
             "points": exp.sample_points,
             "t_grid": list(ts),
         },
     )
-    print(f"potential-flow: max duality residual {worst:.3e} (tol {tol:.1e}) "
+    print(f"potential-flow: max duality residual {worst:.3e} (tol {POTENTIAL_TOL:.1e}) "
           f"{'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_NUMERICAL
 
@@ -189,7 +188,7 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
         s0 = WeightSection(lam, g0, phi, 0.0)
         for t in ts:
             resid = route_equality_residual(s0, t, pts, thetas)
-            rows.append(_row("route-equality", lam, t, resid, ROUTE_TOL * args.tol_scale))
+            rows.append(_row("route-equality", lam, t, resid, ROUTE_TOL))
             pairs.append((lam, t))
         if poly.dimension == 1:
             rows += _gluing_rows(lam, s0, ts, args)
@@ -203,9 +202,7 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     _, radius = poly.chebyshev_center()
     frame_pts = sample_interior(poly, 10, rng, margin=0.5 * radius)
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
-    rows.append(
-        _row("frame-holomorphicity", (), t_frame, frame_resid, exp.gauge_tol * args.tol_scale)
-    )
+    rows.append(_row("frame-holomorphicity", (), t_frame, frame_resid, FRAME_TOL))
 
     _write_csv(out / "section_norms.csv", ["lambda", "t", "norm_sq"], norm_rows)
     return _finish("section-flow", out, rows, checks=len(rows), seed=args.seed)
@@ -228,20 +225,19 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
 
-    angles = np.empty((len(ts), len(pts)))
+    curve = polarization_decay_curve(exp.g0, exp.phi, pts, ts)
     j_resid = 0.0
     positive = True
-    for k, t in enumerate(ts):
+    for t in ts:
         state = KahlerFlowState(exp.g0, exp.phi, t)
-        angles[k] = polarization_angle(state, pts)
         # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
         positive = positive and bool(np.linalg.eigvalsh(state.metric_hessian(pts)).min() > 0)
         J = complex_structure(state, pts)
         j_resid = max(j_resid, float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension)))))
-    slopes = fit_loglog_slope(ts, angles).tolist()
+    slopes = curve.slope.tolist()
     rows = [
         [t, *x, a, slope]
-        for x, column, slope in zip(pts, angles.T, slopes)
+        for x, column, slope in zip(pts, curve.angles.T, slopes)
         for t, a in zip(ts, column)
     ]
     _write_csv(
@@ -250,8 +246,7 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
         rows,
     )
     slope_ok = all(SLOPE_BAND[0] <= s <= SLOPE_BAND[1] for s in slopes)
-    j_ok = j_resid < 1e-12 * args.tol_scale
-    passed = slope_ok and j_ok and positive
+    passed = slope_ok and j_resid < J_SQUARED_TOL and positive
     _write_json(
         out / "polarization.json",
         {
@@ -293,7 +288,7 @@ def cmd_lift(exp: Experiment, out: Path, args) -> int:
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
         for t in ts:
             check = lift_section_consistency(s0, t, pts, thetas, zetas)
-            rows.append(_row("lift", lam, t, check.residual, LIFT_TOL * args.tol_scale))
+            rows.append(_row("lift", lam, t, check.residual, LIFT_TOL))
     return _finish("lift", out, rows, seed=args.seed)
 
 
@@ -318,7 +313,6 @@ def cmd_converge(exp: Experiment, out: Path, args) -> int:
     report = conv.convergence_experiment(
         lam_arr, exp.phi, exp.g0, exp.bumps,
         exp.experiment_t_grid or [10, 20, 40, 80, 160, 320], exp.spec, exp.mode,
-        final_error_tol=conv.FINAL_ERROR_TOL * args.tol_scale,
         threads=max(1, args.threads),
     )
     rows = []
@@ -387,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0,
                         help="sample-point selection seed (recorded in outputs)")
-    parser.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
     parser.add_argument("--corrupt-transition", action="store_true",
                         dest="corrupt_transition",
                         help="test hook: flip the two-chart transition sign")

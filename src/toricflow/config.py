@@ -17,13 +17,12 @@ Scalar keys:
     phi.weights
     flow.t_grid, flow.sample_points
     section.t
-    gauge.check_tolerance
     experiment.lambda, experiment.t_grid, experiment.mode
     quad.resolution, quad.tol, quad.max_depth
 
-t-grids are either comma lists `0,0.5,1` or geometric `start:stop:factor`;
-every time is finite and a grid holds at least one; a geometric grid holds at
-most 10,000.
+Every real number is finite.  t-grids are either comma lists `0,0.5,1` or
+geometric `start:stop:factor`; a grid holds at least one time and a geometric
+grid at most 10,000.
 
 `ExperimentConfig.validate()` is the only parser: it reads every key once,
 checks it, and returns a frozen `Experiment` that every subcommand reads.
@@ -61,7 +60,6 @@ _SCALAR_KEYS = {
     "flow.t_grid",
     "flow.sample_points",
     "section.t",
-    "gauge.check_tolerance",
     "experiment.lambda",
     "experiment.t_grid",
     "experiment.mode",
@@ -96,7 +94,6 @@ class Experiment:
     experiment_t_grid: Optional[tuple[float, ...]]
     sample_points: int
     weights: tuple[tuple[int, ...], ...]
-    gauge_tol: float
     lam: Optional[tuple[int, ...]]
     bumps: tuple[BumpProfile, ...]
     mode: FiberMeasureModel
@@ -123,18 +120,23 @@ class ExperimentConfig:
 
     def _float(self, key: str, default=None) -> Optional[float]:
         raw = self._scalar(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+        return default if raw is None else self._number(raw, key)
 
     def _floats(self, raw: str, key: str) -> list[float]:
+        """Every number of `raw`; the one place that rejects a non-finite one."""
         try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
+            values = [float(tok) for tok in raw.replace(",", " ").split()]
         except ValueError as exc:
             raise ConfigError(f"{key} must be a list of numbers, got {raw!r}") from exc
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
+        return values
+
+    def _number(self, raw: str, key: str) -> float:
+        values = self._floats(raw, key)
+        if len(values) != 1:
+            raise ConfigError(f"{key} must be a number, got {raw!r}")
+        return values[0]
 
     def _ints(self, raw: str, what: str) -> tuple[int, ...]:
         try:
@@ -156,16 +158,14 @@ class ExperimentConfig:
             if ";" not in raw:
                 raise ConfigError(f"facet line {raw!r} needs 'normal ; offset'")
             normal_part, offset_part = raw.split(";", 1)
-            try:
+            with _as_config_error(f"bad facet line {raw!r}"):
                 normal = tuple(int(tok) for tok in normal_part.split())
-                offset = float(offset_part.strip())
-            except ValueError as exc:
-                raise ConfigError(f"bad facet line {raw!r}") from exc
-            if len(normal) != dim:
-                raise ConfigError(
-                    f"facet normal {normal} has dimension {len(normal)}, expected {dim}"
-                )
-            facets.append(Facet(normal, offset))
+                offset = self._number(offset_part.strip(), "polytope.facet")
+                if len(normal) != dim:
+                    raise ConfigError(
+                        f"facet normal {normal} has dimension {len(normal)}, expected {dim}"
+                    )
+                facets.append(Facet(normal, offset))
         return DelzantPolytope(facets, name=self._scalar("polytope.name", ""))
 
     def _phi(self, dim: int) -> ConvexPotential:
@@ -190,9 +190,8 @@ class ExperimentConfig:
                         f"perturbation line {raw!r} needs 'coefficient ; wavevector'"
                     )
                 a_part, k_part = raw.split(";", 1)
-                with _as_config_error(f"perturbation line {raw!r}"):
-                    k = tuple(self._floats(k_part, "phi.perturbation"))
-                    terms.append(ExponentialTerm(float(a_part), k))
+                a = self._number(a_part.strip(), "phi.perturbation")
+                terms.append(ExponentialTerm(a, tuple(self._floats(k_part, "phi.perturbation"))))
             with _as_config_error("phi"):
                 base = QuadraticPotential(Q, b, self._float("phi.c", 0.0))
                 return PerturbedQuadratic(base, terms) if terms else base
@@ -220,11 +219,9 @@ class ExperimentConfig:
                     f"bump line {raw!r} needs 'center ; radius ; height [; plateau]'"
                 )
             center = tuple(self._floats(parts[0], "experiment.bumps"))
-            try:
-                shape = [float(v) for v in parts[1:]]
+            shape = [self._number(v, "experiment.bumps") for v in parts[1:]]
+            with _as_config_error(f"bad experiment.bumps line {raw!r}"):
                 bumps.append(BumpProfile(center, *shape))
-            except ValueError as exc:
-                raise ConfigError(f"bad experiment.bumps line {raw!r}: {exc}") from exc
         return tuple(bumps)
 
     def _t_grid(self, key: str) -> Optional[tuple[float, ...]]:
@@ -246,8 +243,8 @@ class ExperimentConfig:
         every weight and bump center has the polytope's dimension, t grids
         are finite, non-empty and rising and hold no negative time, the
         experiment grid leaves a log-log fit two times, the sample count is
-        positive, phi and the quadrature spec build, the fiber mode is known
-        and the gauge tolerance is positive and finite."""
+        positive, every real number is finite, phi and the quadrature spec
+        build and the fiber mode is known."""
         poly = self._polytope()
         poly.require_valid()
         lines = self.multis.get("section.lambda", [])
@@ -291,16 +288,10 @@ class ExperimentConfig:
             mode = FiberMeasureModel(self._scalar("experiment.mode", "normalized"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # residual gate of the finite-difference frame-holomorphicity check
-        gauge_tol = self._float("gauge.check_tolerance", 1e-8)
-        if not (np.isfinite(gauge_tol) and gauge_tol > 0):
-            raise ConfigError(
-                f"gauge.check_tolerance must be positive and finite, got {gauge_tol}"
-            )
         return Experiment(
             poly=poly, g0=SymplecticPotential(poly), phi=phi, spec=spec,
             flow_t_grid=flow_ts, section_t=section_ts, experiment_t_grid=experiment_ts,
-            sample_points=sample_points, weights=weights, gauge_tol=gauge_tol,
+            sample_points=sample_points, weights=weights,
             lam=lam, bumps=bumps, mode=mode,
         )
 

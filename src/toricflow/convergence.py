@@ -28,7 +28,7 @@ rates, and assembles pass/fail reports for one (lam, phi, t-grid) experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,6 +126,8 @@ def _density_moments(
     Ratios of the moments need no rescaling back, so they stay finite at
     any t; the unscaled integrals are the moments times e^{shift}.  The bare
     density is the reference column driving refinement of the uniform grid.
+    Raises QuadratureOverflow when its mass is not positive and finite, as
+    when the peak is so narrow that the density underflows on every cell.
     """
     lam = np.asarray(lam, dtype=float)
     shift = t * phi.value(lam)
@@ -135,8 +137,12 @@ def _density_moments(
         cols = [density] + [density * f(pts) for f in fs]
         return np.stack(cols, axis=-1)
 
-    results = integrate_many(matrix, 1 + len(fs), poly, spec)
-    return [r.value for r in results], shift
+    moments = [r.value for r in integrate_many(matrix, 1 + len(fs), poly, spec)]
+    if not 0.0 < moments[0] < np.inf:
+        raise QuadratureOverflow(
+            f"density mass {moments[0]} at t = {t:g}: the grid does not resolve its peak"
+        )
+    return moments, shift
 
 
 def normalization_Ct(
@@ -197,7 +203,7 @@ class ConcentrationStats:
     t: float
     mean: tuple[float, ...]
     covariance: tuple[tuple[float, ...], ...]
-    localized_mass: float       # mass within `radius` of the center
+    localized_mass: float       # mass within `radius` = 5/sqrt(t) of the center
     radius: float
 
     @property
@@ -211,7 +217,6 @@ def concentration_profile(
     poly: DelzantPolytope,
     t: float,
     spec: QuadratureSpec = QuadratureSpec(),
-    radius: Optional[float] = None,
 ) -> ConcentrationStats:
     """Moments of the normalized density e^{-t f_lam} / |e^{-t f_lam}|_1.
 
@@ -223,8 +228,7 @@ def concentration_profile(
     if not poly.is_interior(lam):
         raise FiberDegenerationError("concentration center must be interior")
     n = poly.dimension
-    if radius is None:
-        radius = 5.0 / np.sqrt(t) if t > 0 else float("inf")
+    radius = 5.0 / np.sqrt(t) if t > 0 else float("inf")
 
     # one shared grid: first moments, second moments about lam, tail mass
     fs = [lambda p, i=i: p[:, i] - lam[i] for i in range(n)]
@@ -251,6 +255,17 @@ def concentration_profile(
 
 
 # -- the full experiment --------------------------------------------------------------
+
+
+# the report.json name of each report field that is named differently there
+_JSON_NAMES = {
+    "lam": "lambda", "phi_descriptor": "phi", "fiber_weight": "W_lambda", "passed": "pass"
+}
+
+
+def _json_fields(report) -> dict:
+    """Every field of a report dataclass under its report.json name."""
+    return {_JSON_NAMES.get(f.name, f.name): getattr(report, f.name) for f in fields(report)}
 
 
 @dataclass(frozen=True)
@@ -283,34 +298,8 @@ class ConvergenceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "phi": self.phi_descriptor,
-            "mode": self.mode,
-            "t_grid": list(self.t_grid),
-            "slope_window": list(self.slope_window),
-            "W_lambda": self.fiber_weight,
-            "pass": self.passed,
-            "bumps": [
-                {
-                    "bump_id": b.bump_id,
-                    "center": list(b.center),
-                    "radius": b.radius,
-                    "height": b.height,
-                    "plateau": b.plateau,
-                    "fiber_value": b.fiber_value,
-                    "pairings": list(b.pairings),
-                    "abs_errors": list(b.abs_errors),
-                    "final_error": b.final_error,
-                    "slope": b.slope,
-                    "overlaps_center": b.overlaps_center,
-                    "error_decreasing": b.error_decreasing,
-                    "slope_ok": b.slope_ok,
-                    "pass": b.passed,
-                }
-                for b in self.bumps
-            ],
-        }
+        """Every field of the report and of its bumps, under its JSON name."""
+        return {**_json_fields(self), "bumps": [_json_fields(b) for b in self.bumps]}
 
 
 SLOPE_WINDOW = (-1.15, -0.85)
@@ -327,7 +316,6 @@ def convergence_experiment(
     t_grid: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
     mode: FiberMeasureModel = FiberMeasureModel(),
-    final_error_tol: float = FINAL_ERROR_TOL,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Run the weak-convergence experiment for one interior lattice weight.
@@ -382,7 +370,7 @@ def convergence_experiment(
             safe = np.maximum(errors, NOISE_FLOOR * 1e-3)
             slope = fit_loglog_slope(ts, safe)
             slope_ok = SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]
-            tol = final_error_tol
+            tol = FINAL_ERROR_TOL
         else:
             tol = DISJOINT_ERROR_TOL
         final_error = float(errors[-1])

@@ -19,6 +19,11 @@ class EmptyGridError(ToricFlowError, ValueError):
     swallowed the whole polytope."""
 
 
+class GridSizeError(ToricFlowError, MemoryError):
+    """A grid would hold more cells than the package allows; raised before
+    anything is allocated."""
+
+
 class NewtonError(ToricFlowError, RuntimeError):
     """Damped Newton iteration failed to converge within its budget."""
 

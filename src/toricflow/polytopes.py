@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyGridError
+from .errors import DimensionMismatch, DomainError, EmptyGridError, GridSizeError
 
 _FEAS_TOL = 1e-9
 
@@ -141,13 +141,14 @@ class DelzantPolytope:
             )
         return x @ self._normals.T + self._offsets
 
-    def contains(self, x, tol: float = _FEAS_TOL) -> ContainsResult:
-        """Inside iff all l_k(x) >= -tol; boundary flag iff some l_k(x) <= tol."""
-        vals = self.facet_values(x)
-        return ContainsResult(bool(vals.min() >= -tol), bool(vals.min() <= tol))
+    def contains(self, x) -> ContainsResult:
+        """Inside iff all l_k(x) >= -_FEAS_TOL; boundary flag iff some
+        l_k(x) <= _FEAS_TOL."""
+        low = self.facet_values(x).min()
+        return ContainsResult(bool(low >= -_FEAS_TOL), bool(low <= _FEAS_TOL))
 
-    def is_interior(self, x, margin: float = 0.0) -> bool:
-        return bool(self.facet_values(x).min() > margin)
+    def is_interior(self, x) -> bool:
+        return bool(self.facet_values(x).min() > 0.0)
 
     def vertices(self) -> np.ndarray:
         """Vertices of P, derived from all feasible n-fold facet intersections."""
@@ -339,26 +340,25 @@ def validate_delzant(poly: DelzantPolytope) -> DelzantValidation:
 # -- convenience constructors --------------------------------------------------
 
 
-def segment(length: float = 1.0, name: str = "") -> DelzantPolytope:
+def segment(length: float = 1.0) -> DelzantPolytope:
     """The interval [0, length]; the moment polytope of a weighted CP^1
     when length is a positive integer."""
     return DelzantPolytope(
-        [Facet((1,), 0.0), Facet((-1,), float(length))],
-        name=name or f"segment[0,{length:g}]",
+        [Facet((1,), 0.0), Facet((-1,), float(length))], name=f"segment[0,{length:g}]"
     )
 
 
-def standard_simplex(dimension: int, size: float = 1.0, name: str = "") -> DelzantPolytope:
+def standard_simplex(dimension: int, size: float = 1.0) -> DelzantPolytope:
     """{x_i >= 0, size - sum x_i >= 0}: the CP^n moment polytope."""
     facets = [
         Facet(tuple(1 if j == i else 0 for j in range(dimension)), 0.0)
         for i in range(dimension)
     ]
     facets.append(Facet(tuple(-1 for _ in range(dimension)), float(size)))
-    return DelzantPolytope(facets, name=name or f"simplex{dimension}d(size={size:g})")
+    return DelzantPolytope(facets, name=f"simplex{dimension}d(size={size:g})")
 
 
-def box(sides: Sequence[float], name: str = "") -> DelzantPolytope:
+def box(sides: Sequence[float]) -> DelzantPolytope:
     """Product of intervals [0, sides_i] (a product of CP^1's)."""
     n = len(sides)
     facets = []
@@ -367,7 +367,7 @@ def box(sides: Sequence[float], name: str = "") -> DelzantPolytope:
         me = tuple(-v for v in e)
         facets.append(Facet(e, 0.0))
         facets.append(Facet(me, float(sides[i])))
-    return DelzantPolytope(facets, name=name or "box")
+    return DelzantPolytope(facets, name="box")
 
 
 def sample_interior(
@@ -375,15 +375,15 @@ def sample_interior(
     count: int,
     rng: np.random.Generator,
     margin: float = 0.0,
-    max_tries: int = 100000,
 ) -> np.ndarray:
-    """Rejection-sample `count` points with all l_k > margin."""
+    """Rejection-sample `count` points with all l_k > margin, in at most
+    100,000 draws."""
     lo, hi = poly.bounding_box()
     pts = []
     tries = 0
     while len(pts) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > 100_000:
             raise EmptyGridError(
                 f"could not sample {count} interior points at margin {margin}"
             )
@@ -472,14 +472,25 @@ def _kuhn_centroids(n: int, k: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+# The most cells one grid may hold.  The largest grid a known run needs is
+# 256^3 = 2^24: `converge` on the size-4 3-simplex at t <= 320, quadrature
+# resolution 8 and depth 2.  At 2^24 cells in 3D the points alone take 400 MB.
+_MAX_GRID_CELLS = 2**24
+
+
 def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
     """Kuhn-subdivide each simplex of a triangulation of conv(verts) into
-    k^n congruent pieces, k = resolution * ceil(longest sup-norm edge)."""
+    k^n congruent pieces, k = resolution * ceil(longest sup-norm edge).
+    Raises GridSizeError, before allocating, above _MAX_GRID_CELLS cells."""
     n = verts.shape[1]
+    simplices, simplex_volumes = _triangulate(verts)
+    longest = np.abs(simplices[:, :, None] - simplices[:, None]).max(axis=(1, 2, 3))
+    ks = [resolution * max(1, math.ceil(e - 1e-9)) for e in longest]
+    cells = sum(k**n for k in ks)
+    if cells > _MAX_GRID_CELLS:
+        raise GridSizeError(f"a grid of {cells} cells exceeds the cap of {_MAX_GRID_CELLS}")
     points, volumes = [], []
-    for simplex, volume in zip(*_triangulate(verts)):
-        edges = simplex[:, None, :] - simplex[None, :, :]
-        k = resolution * max(1, math.ceil(np.abs(edges).max() - 1e-9))
+    for simplex, volume, k in zip(simplices, simplex_volumes, ks):
         steps = np.diff(simplex, axis=0) / k
         points.append(simplex[0] + _kuhn_centroids(n, k) @ steps)
         volumes.append(np.full(k**n, volume / k**n))

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NewtonError
-from .polytopes import DelzantPolytope
+from .polytopes import DelzantPolytope, _plain
 
 
 class ConvexPotential:
@@ -279,15 +279,18 @@ def f_lambda_min_check(
 # -- inverse Legendre gradient ---------------------------------------------------
 
 
+# residual |grad g(x) - y| at which `legendre_inverse` stops
+_NEWTON_TOL = 1e-12
+
+
 def legendre_inverse(
     g,
     y,
     x0,
-    tol: float = 1e-12,
     max_iter: int = 50,
     domain: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> np.ndarray:
-    """Solve grad g(x) = y by damped Newton (step halving).
+    """Solve grad g(x) = y to _NEWTON_TOL by damped Newton (step halving).
 
     `domain` rejects iterates outside the admissible open set; failures to
     converge within the budget raise NewtonError.
@@ -297,7 +300,7 @@ def legendre_inverse(
     for _ in range(max_iter):
         r = g.grad(x) - y
         rnorm = np.linalg.norm(r)
-        if rnorm <= tol:
+        if rnorm <= _NEWTON_TOL:
             return x
         step = np.linalg.solve(g.hess(x), r)
         alpha = 1.0
@@ -313,7 +316,7 @@ def legendre_inverse(
                 f"damping exhausted at x={x.tolist()} with residual {rnorm:.3e}"
             )
     r = np.linalg.norm(g.grad(x) - y)
-    if r <= tol:
+    if r <= _NEWTON_TOL:
         return x
     raise NewtonError(f"no convergence in {max_iter} iterations (residual {r:.3e})")
 
@@ -336,4 +339,4 @@ def check_strict_convexity(
     per_point = eigs.min(axis=-1)
     idx = int(np.argmin(per_point))
     val = float(per_point[idx])
-    return StrictConvexityReport(val > 0.0, val, tuple(samples[idx]))
+    return StrictConvexityReport(val > 0.0, val, _plain(samples[idx]))

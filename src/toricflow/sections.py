@@ -297,12 +297,12 @@ def kostant_operator(
 def weight_decompose(
     field: GridSectionField,
     expected: Optional[Sequence[Sequence[int]]] = None,
-    amplitude_tol: float = 1e-12,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Recover the weight components of a grid field by angular Fourier
     analysis: u = sum_lam c_lam(x) e^{i lam.theta}.
 
-    Returns a map lam -> c_lam over the x samples.  Raises AliasingError when
+    Returns a map lam -> c_lam over the x samples, without the components
+    below 1e-12 times the largest amplitude.  Raises AliasingError when
     the theta grid cannot separate the expected weights (congruent modulo the
     grid size).
     """
@@ -330,7 +330,7 @@ def weight_decompose(
         return out
     flat = np.moveaxis(coeffs, 0, -1).reshape((-1, coeffs.shape[0]))
     for flat_idx, profile in enumerate(flat):
-        if np.max(np.abs(profile)) <= amplitude_tol * peak:
+        if np.max(np.abs(profile)) <= 1e-12 * peak:
             continue
         idx = np.unravel_index(flat_idx, (N,) * n)
         lam = tuple(int(freqs[i]) for i in idx)
@@ -458,16 +458,10 @@ def _segment_length(poly: DelzantPolytope) -> int:
     return int(round(a))
 
 
-def gluing_check_cp1(
-    s: WeightSection,
-    t: float,
-    xs=None,
-    n_theta: int = 8,
-    margin: float = 0.05,
-    corrupt: bool = False,
-) -> GluingCheck:
+def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> GluingCheck:
     """Compare the chart-U and chart-V representatives of the flowed section
-    on the overlap of the two invariant charts of the segment [0, a].
+    on the overlap of the two invariant charts of the segment [0, a], at 13
+    points of [0.05, a - 0.05] and 8 angles.
 
     Chart V carries the reflected data x' = a - x, theta' = -theta, weight
     a - lam, reflected potentials; the transition is sigma_U = sigma_V
@@ -482,10 +476,8 @@ def gluing_check_cp1(
     if s.t != 0.0:
         raise ValueError("gluing check starts from a time-zero section")
 
-    if xs is None:
-        xs = np.linspace(margin, a - margin, 13).reshape(-1, 1)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    xs = np.linspace(0.05, a - 0.05, 13).reshape(-1, 1)
+    thetas = 2.0 * np.pi * np.arange(8) / 8
 
     g0 = s.g0
     phi = s.phi
@@ -577,7 +569,6 @@ def frame_holomorphicity_residual(
     phi: ConvexPotential,
     t: float,
     points,
-    spacing: float = 1e-3,
 ) -> float:
     """Finite-difference anti-holomorphic covariant derivative of the frame
     e^{-rho_t/2} sigma, maximized over points and directions.
@@ -588,13 +579,13 @@ def frame_holomorphicity_residual(
         (1/2)(G_t^{-1} grad u)_j + (i/2) du/dtheta_j + (x_j/2) u,
 
     with u = e^{-rho_t/2}.  Gradients are taken by fourth-order central
-    differences at the given spacing (the direction field itself uses the
+    differences of step h = 1e-3 (the direction field itself uses the
     analytic Hessian); the residual is relative to |u|.
     """
     state = KahlerFlowState(g0, phi, t)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
-    h = spacing
+    h = 1e-3
     worst = 0.0
     for x in pts:
         u0 = np.exp(-0.5 * state.kahler_potential_legendre(x))

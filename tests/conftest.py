@@ -1,7 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import toricflow as tf
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# address-space cap of `run_capped`: numpy imports well within it, and an
+# oversized grid overruns it at once
+ADDRESS_SPACE_CAP = 1_500_000_000
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +47,20 @@ def phi_2d():
 @pytest.fixture(scope="session")
 def phi_aniso():
     return tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]])
+
+
+@pytest.fixture(scope="session")
+def run_capped():
+    """Run Python `code` in a child process that first caps its own address
+    space, so an oversized allocation raises MemoryError there instead of
+    exhausting the machine's memory."""
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        cap = f"({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP})"
+        capped = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, {cap})\n{code}"
+        return subprocess.run(
+            [sys.executable, "-c", capped], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    return run

@@ -56,9 +56,7 @@ def test_criterion_02_frame_holomorphicity():
         phi = tf.QuadraticPotential(np.eye(poly.dimension))
         pts = tf.sample_interior(poly, 25, rng, margin=0.12)
         for t in (0.0, 1.0, 5.0):
-            worst = max(
-                worst, tf.frame_holomorphicity_residual(g0, phi, t, pts, spacing=1e-3)
-            )
+            worst = max(worst, tf.frame_holomorphicity_residual(g0, phi, t, pts))
     _report(2, "frame holomorphicity FD residual < 1e-8 (spacing 1e-3)",
             worst < 1e-8, f"max residual {worst:.2e}")
 

@@ -188,6 +188,14 @@ def test_concentration_large_time(spec):
     assert s400.radius == pytest.approx(5.0 / np.sqrt(400.0))
 
 
+def test_concentration_past_grid_resolution_raises():
+    # at t = 1e10 the peak is far narrower than a cell, so the density
+    # underflows to 0 on every cell and the mass cannot normalize anything
+    phi = tf.QuadraticPotential([[1.0]])
+    with pytest.raises(QuadratureOverflow, match=r"density mass 0.0 at t = 1e\+10: "):
+        tf.concentration_profile(np.array([1.0]), phi, tf.segment(2.0), 1e10)
+
+
 def test_concentration_uniform_at_time_zero(model2, spec):
     poly, _, phi = model2
     stats = tf.concentration_profile(np.array([1.0]), phi, poly, 0.0, spec)

@@ -166,6 +166,19 @@ def test_interior_grid_points_inside_margin(cp1_size2):
         assert cp1_size2.facet_values(p).min() >= 0.25 - 1e-12
 
 
+def test_oversized_grid_raises_before_allocating(run_capped):
+    # about 1.5e8 cells: the points alone would overrun the address-space cap
+    done = run_capped("""
+import toricflow as tf
+try:
+    tf.standard_simplex(2, 3.0).grid_cells(4096)
+except tf.ToricFlowError as exc:
+    print(type(exc).__name__, exc)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("GridSizeError a grid of 150994944 cells")
+
+
 def test_sample_interior_respects_margin(cp2_size2, rng):
     pts = tf.sample_interior(cp2_size2, 30, rng, margin=0.2)
     assert (cp2_size2.facet_values(pts).min(axis=1) > 0.2).all()

@@ -526,5 +526,5 @@ def test_weight_decompose_aliasing(model2, sample_points):
 def test_frame_holomorphicity(model2, rng, t):
     _, g0, phi = model2
     pts = tf.sample_interior(g0.polytope, 15, rng, margin=0.25)
-    resid = tf.frame_holomorphicity_residual(g0, phi, t, pts, spacing=1e-3)
+    resid = tf.frame_holomorphicity_residual(g0, phi, t, pts)
     assert resid < 1e-8
