@@ -29,12 +29,12 @@ def main():
         s0 = tf.WeightSection(lam, g0, phi)
         for t in (0.5, 2.0):
             route = tf.route_equality_residual(s0, t, xs, thetas)
-            glue = tf.gluing_check_cp1(s0, t).residual
-            lift = tf.lift_section_consistency(s0, t, xs, thetas, zetas).residual
+            glue = tf.gluing_check_cp1(s0, t)
+            lift = tf.lift_section_consistency(s0, t, xs, thetas, zetas)
             print(f"{lam[0]:>4} {t:5.1f} {route:12.2e} {glue:13.2e} {lift:12.2e}")
 
     corrupted = tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), 2.0, corrupt=True)
-    print(f"\nnegative control (corrupted transition): residual {corrupted.residual:.2f}")
+    print(f"\nnegative control (corrupted transition): residual {corrupted:.2f}")
 
     print("\nKostant operator eigenvalues (expected i * lam):")
     for lam in [(0,), (1,), (2,)]:

@@ -15,7 +15,6 @@ from .convergence import (
     FiberMeasureModel,
     concentration_profile,
     convergence_experiment,
-    fiber_pairing_delta,
     normalization_Ct,
     pairing_iota,
 )
@@ -35,7 +34,6 @@ from .errors import (
 from .flow import (
     DecayCurve,
     KahlerFlowState,
-    OrbitPoint,
     SymplecticPotential,
     beta_of_hamiltonian_field,
     complex_structure,
@@ -73,7 +71,6 @@ from .potentials import (
 )
 from .quadrature import QuadratureSpec, integrate
 from .sections import (
-    GridSectionField,
     KostantCheck,
     WeightSection,
     apply_flow_truncated,

@@ -89,8 +89,8 @@ def _row(check: str, lam, t, residual, tol) -> list:
 
 def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
     """The two-chart gluing rows of one weight, for section-flow and gluing."""
-    checks = (gluing_check_cp1(s0, t, corrupt=args.corrupt_transition) for t in ts)
-    return [_row("gluing", lam, t, check.residual, GLUING_TOL) for t, check in zip(ts, checks)]
+    resids = (gluing_check_cp1(s0, t, corrupt=args.corrupt_transition) for t in ts)
+    return [_row("gluing", lam, t, resid, GLUING_TOL) for t, resid in zip(ts, resids)]
 
 
 def _finish(command: str, out: Path, rows: list[list], **payload) -> int:
@@ -287,8 +287,8 @@ def cmd_lift(exp: Experiment, out: Path, args) -> int:
     for lam in _weights(exp):
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
         for t in ts:
-            check = lift_section_consistency(s0, t, pts, thetas, zetas)
-            rows.append(_row("lift", lam, t, check.residual, LIFT_TOL))
+            resid = lift_section_consistency(s0, t, pts, thetas, zetas)
+            rows.append(_row("lift", lam, t, resid, LIFT_TOL))
     return _finish("lift", out, rows, seed=args.seed)
 
 
@@ -297,7 +297,7 @@ def cmd_converge(exp: Experiment, out: Path, args) -> int:
     if lam is None:
         raise ConfigError("missing required config key 'experiment.lambda'")
     lam_arr = np.asarray(lam, dtype=float)
-    if not poly.contains(lam_arr).inside:
+    if not poly.contains(lam_arr):
         print(f"converge: lambda {lam} lies outside the moment polytope")
         return EXIT_CONFIG
     if not poly.is_interior(lam_arr):

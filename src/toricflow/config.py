@@ -252,7 +252,7 @@ class ExperimentConfig:
         for lam in weights:
             if len(lam) != poly.dimension:
                 raise ConfigError(f"section.lambda {lam} has the wrong dimension")
-            if not poly.contains(np.asarray(lam, dtype=float)).inside:
+            if not poly.contains(np.asarray(lam, dtype=float)):
                 raise ConfigError(f"section.lambda {lam} lies outside the polytope")
         raw = self._scalar("experiment.lambda")
         lam = None if raw is None else self._ints(raw, "experiment.lambda")

@@ -186,15 +186,6 @@ def pairing_iota(
     return value
 
 
-def fiber_pairing_delta(s0: WeightSection, bump: BumpProfile, lam=None) -> float:
-    """Fiber pairing of the time-zero section against the test object: the
-    torus-averaged integrand H at the fiber, which must be interior."""
-    lam = s0.lam if lam is None else np.asarray(lam, dtype=float)
-    if not s0.polytope.is_interior(lam):
-        raise FiberDegenerationError(f"fiber over {lam.tolist()} degenerates on the boundary")
-    return float(bump(lam))
-
-
 # -- concentration statistics -------------------------------------------------------
 
 
@@ -338,7 +329,6 @@ def convergence_experiment(
         raise ValueError("t grid must be strictly increasing")
     window = (float(ts.max() / FIT_DECADE), float(ts.max()))
 
-    s0 = WeightSection(tuple(int(round(v)) for v in lam), g0, phi, 0.0)
     weight = mode.fiber_weight(poly, lam)
 
     def pairings_at(t: float) -> list[float]:
@@ -357,9 +347,9 @@ def convergence_experiment(
 
     bump_reports = []
     for bump_id, bump in enumerate(bumps):
-        fiber_norm = fiber_pairing_delta(s0, bump, lam)
+        fiber_value = float(bump(lam))  # the fiber pairing H(lam)
         pairings = pairing_matrix[:, bump_id]
-        errors = np.abs(pairings - fiber_norm)
+        errors = np.abs(pairings - fiber_value)
         overlaps = bump.supported_at(lam)
         decreasing = bool(
             np.all(np.diff(errors) < NOISE_FLOOR) or errors[-1] < NOISE_FLOOR
@@ -382,7 +372,7 @@ def convergence_experiment(
                 radius=bump.radius,
                 height=bump.height,
                 plateau=bump.plateau,
-                fiber_value=float(fiber_norm),
+                fiber_value=fiber_value,
                 pairings=tuple(float(v) for v in pairings),
                 abs_errors=tuple(float(v) for v in errors),
                 final_error=final_error,

@@ -111,28 +111,6 @@ class SymplecticPotential:
 
 
 @dataclass(frozen=True)
-class OrbitPoint:
-    """A point of the dense orbit: interior action coordinates and angles."""
-
-    x: tuple[float, ...]
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        if len(self.x) != len(self.theta):
-            raise DimensionMismatch("x and theta must have equal length")
-
-    @property
-    def x_array(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
-
-    @property
-    def theta_array(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
-
-
-@dataclass(frozen=True)
 class KahlerFlowState:
     """The deformed structure at time t: g_t = g_0 + t*phi."""
 
@@ -288,25 +266,23 @@ def beta_of_hamiltonian_field(phi: ConvexPotential, x) -> np.ndarray:
 # -- the biholomorphism psi_t -----------------------------------------------------
 
 
-def flow_map_psi_t(state: KahlerFlowState, p: OrbitPoint) -> OrbitPoint:
-    """Image of p under the time-t biholomorphism, read in time-zero
-    holomorphic coordinates.
+def flow_map_psi_t(state: KahlerFlowState, x) -> np.ndarray:
+    """Action coordinates of the image under the time-t biholomorphism of a
+    point over x, read in time-zero holomorphic coordinates.
 
-    The log-modulus coordinates move by y -> grad g_0(x) + t grad phi(x)
-    while the angles are unchanged; the action coordinates of the image are
-    recovered by inverting grad g_0 (damped Newton).  Consequently the
-    J_t-coordinate of p equals the J_0-coordinate of the image.
+    The log-modulus coordinates move by y -> grad g_0(x) + t grad phi(x) while
+    the angles are unchanged; the new action coordinates are recovered by
+    inverting grad g_0 (damped Newton).  Consequently the J_t-coordinate of a
+    point equals the J_0-coordinate of its image.
     """
-    x = p.x_array
-    y_target = state.moment_dual(x)
+    x = np.asarray(x, dtype=float)
     poly = state.polytope
-    x_new = legendre_inverse(
+    return legendre_inverse(
         state.g0,
-        y_target,
+        state.moment_dual(x),
         x0=x,
         domain=lambda q: bool(poly.facet_values(q).min() > 0.0),
     )
-    return OrbitPoint(tuple(x_new), p.theta)
 
 
 # -- decay of the polarization angle ----------------------------------------------
@@ -326,6 +302,8 @@ def fit_window(ts) -> np.ndarray:
     """Mask of the trailing decade of ts that a log-log slope is fitted over;
     raises ValueError unless it holds two times."""
     ts = np.asarray(ts, dtype=float)
+    if ts.size < 2:
+        raise ValueError(f"a log-log fit needs at least two times, got {ts.size}")
     mask = ts >= ts.max() / FIT_DECADE
     if mask.sum() < 2:
         raise ValueError("not enough points in the fitting window")
@@ -347,12 +325,12 @@ def polarization_decay_curve(
     g0: SymplecticPotential, phi: ConvexPotential, x, t_grid
 ) -> DecayCurve:
     """Largest principal angle between the time-t frame and the angular
-    limit frame, along a t grid, with the log-log slope over the last decade."""
+    limit frame, along a t grid, with the log-log slope over the last decade
+    of its positive times; raises ValueError unless that decade holds two."""
     x = np.asarray(x, dtype=float)
     ts = np.asarray(t_grid, dtype=float)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")
     angles = np.array([polarization_angle(KahlerFlowState(g0, phi, t), x) for t in ts])
     positive = ts > 0
-    slope = fit_loglog_slope(ts[positive], angles[positive]) if positive.sum() >= 2 else np.nan
-    return DecayCurve(ts, angles, slope)
+    return DecayCurve(ts, angles, fit_loglog_slope(ts[positive], angles[positive]))

@@ -58,11 +58,6 @@ class Facet:
             raise ValueError(f"facet normal {normal} is not primitive")
 
 
-class ContainsResult(NamedTuple):
-    inside: bool
-    boundary: bool
-
-
 class ValidationIssue(NamedTuple):
     kind: str       # "unbounded" | "empty-interior" | "non-delzant-vertex" | "non-simple-vertex"
     message: str
@@ -141,11 +136,9 @@ class DelzantPolytope:
             )
         return x @ self._normals.T + self._offsets
 
-    def contains(self, x) -> ContainsResult:
-        """Inside iff all l_k(x) >= -_FEAS_TOL; boundary flag iff some
-        l_k(x) <= _FEAS_TOL."""
-        low = self.facet_values(x).min()
-        return ContainsResult(bool(low >= -_FEAS_TOL), bool(low <= _FEAS_TOL))
+    def contains(self, x) -> bool:
+        """True iff all l_k(x) >= -_FEAS_TOL (the closed polytope)."""
+        return bool(self.facet_values(x).min() >= -_FEAS_TOL)
 
     def is_interior(self, x) -> bool:
         return bool(self.facet_values(x).min() > 0.0)

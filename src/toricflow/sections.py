@@ -12,7 +12,9 @@ holomorphic section at time t is the monomial section
 
 Sections are stored as (weight, time) against the model data (g_0, phi), not
 as mesh values: the torus direction is exactly diagonalized and every
-identity closes on the polytope.
+identity closes on the polytope.  A field that must be sampled (quantum
+operator, weight decomposition) is a plain complex array of sigma-frame values
+of shape (m,) + (n_theta,)*n, passed with the (m, n) points xs it samples.
 
 The exponential of the quantum operator  phihat s = -i nabla_{X_phi} s + phi s
 acts diagonally on weights: e^{t phihat} s_{lam,0} = e^{-t f_lam(mu)} s_{lam,0}
@@ -34,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatch, DomainError
+from .errors import AliasingError, DimensionMismatch, DomainError, QuadratureOverflow
 from .flow import KahlerFlowState, SymplecticPotential, beta_of_hamiltonian_field
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential, ReflectedPotential, concentration_rate
@@ -54,12 +56,14 @@ class WeightSection:
     t: float = 0.0
 
     def __post_init__(self):
+        if not all(float(v).is_integer() for v in self.weight):
+            raise DomainError(f"weight {self.weight} is not a lattice point")
         object.__setattr__(self, "weight", tuple(int(v) for v in self.weight))
         if len(self.weight) != self.g0.dimension:
             raise DimensionMismatch("weight dimension does not match the model")
         if self.t < 0:
             raise ValueError("flow time must be nonnegative")
-        if not self.g0.polytope.contains(self.lam).inside:
+        if not self.g0.polytope.contains(self.lam):
             raise DomainError(f"weight {self.weight} lies outside the moment polytope")
 
     @property
@@ -149,54 +153,24 @@ def route_equality_residual(s0: WeightSection, t: float, xs, thetas) -> float:
     return float(np.max(np.abs(ua - ub) / np.abs(ua)))
 
 
-# -- grid section fields and the quantum operator ---------------------------------
+# -- sampled fields and the quantum operator ---------------------------------------
 
 
-@dataclass
-class GridSectionField:
-    """A section field sampled on (x points) x (uniform theta grid), stored
-    as sigma-frame values of shape (m,) + (n_theta,)*n."""
-
-    xs: np.ndarray
-    n_theta: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        expected = (self.xs.shape[0],) + (self.n_theta,) * self.dimension
-        if self.values.shape != expected:
-            raise DimensionMismatch(
-                f"field values have shape {self.values.shape}, expected {expected}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self.xs.shape[1]
-
-    def theta_derivative(self, axis: int) -> "GridSectionField":
-        """Spectral d/dtheta_axis; exact for bandlimited fields."""
-        ax = 1 + axis
-        freqs = np.fft.fftfreq(self.n_theta) * self.n_theta
-        shape = [1] * self.values.ndim
-        shape[ax] = self.n_theta
-        hat = np.fft.fft(self.values, axis=ax)
-        return GridSectionField(
-            self.xs, self.n_theta, np.fft.ifft(1j * freqs.reshape(shape) * hat, axis=ax)
-        )
-
-    def __add__(self, other: "GridSectionField") -> "GridSectionField":
-        if other.n_theta != self.n_theta or other.xs.shape != self.xs.shape:
-            raise DimensionMismatch("incompatible grid fields")
-        return GridSectionField(self.xs, self.n_theta, self.values + other.values)
-
-    def __rmul__(self, scalar) -> "GridSectionField":
-        return GridSectionField(self.xs, self.n_theta, scalar * self.values)
+def _theta_derivative(values: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral d/dtheta_axis of a sampled field; exact for bandlimited fields."""
+    ax = 1 + axis
+    n_theta = values.shape[ax]
+    freqs = np.fft.fftfreq(n_theta) * n_theta
+    shape = [1] * values.ndim
+    shape[ax] = n_theta
+    hat = np.fft.fft(values, axis=ax)
+    return np.fft.ifft(1j * freqs.reshape(shape) * hat, axis=ax)
 
 
-def evaluate_on_grid(
-    sections: Sequence[WeightSection], xs, n_theta: int
-) -> GridSectionField:
-    """Synthesize the sum of weight sections as a grid field."""
+def evaluate_on_grid(sections: Sequence[WeightSection], xs, n_theta: int) -> np.ndarray:
+    """Synthesize the sum of weight sections as a sampled field: sigma-frame
+    values of shape (m,) + (n_theta,)*n at the m points xs and the uniform
+    angles 2 pi k / n_theta on every axis."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, n = xs.shape
     values = np.zeros((m,) + (n_theta,) * n, dtype=complex)
@@ -212,41 +186,43 @@ def evaluate_on_grid(
             shape[1 + j] = n_theta
             term = term * phase.reshape(shape)
         values = values + term
-    return GridSectionField(xs, n_theta, values)
+    return values
 
 
-def quantum_operator(field: GridSectionField, phi: ConvexPotential) -> GridSectionField:
-    """One application of the quantum operator to a sigma-frame field:
+def quantum_operator(values: np.ndarray, xs, phi: ConvexPotential) -> np.ndarray:
+    """One application of the quantum operator to a sampled sigma-frame field
+    u at the points xs:
 
         phihat (u sigma) = [ -i X_phi u - beta(X_phi) u + phi u ] sigma,
 
     with X_phi u = sum_j (dphi/dx_j) du/dtheta_j evaluated spectrally.
-    On a weight-lam section this is multiplication by -f_lam(x).
+    On a weight-lam section this is multiplication by -f_lam(x).  Raises
+    DimensionMismatch unless values has one row per point and one angle axis
+    per dimension.
     """
-    xs = field.xs
-    n = field.dimension
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = xs.shape[1]
+    if len(values) != len(xs) or values.ndim != 1 + n:
+        raise DimensionMismatch(f"field of shape {values.shape} does not sample {xs.shape} points")
     grads = phi.grad(xs)  # (m, n)
-    out = np.zeros_like(field.values)
-    for j in range(n):
-        dj = field.theta_derivative(j).values
-        out = out + (-1j) * grads[:, j].reshape((-1,) + (1,) * n) * dj
-    beta_pairing = beta_of_hamiltonian_field(phi, xs)
     shape = (-1,) + (1,) * n
-    out = out - beta_pairing.reshape(shape) * field.values
-    out = out + phi.value(xs).reshape(shape) * field.values
-    return GridSectionField(xs, field.n_theta, out)
+    out = np.zeros_like(values)
+    for j in range(n):
+        out = out + (-1j) * grads[:, j].reshape(shape) * _theta_derivative(values, j)
+    out = out - beta_of_hamiltonian_field(phi, xs).reshape(shape) * values
+    return out + phi.value(xs).reshape(shape) * values
 
 
 def apply_flow_truncated(
-    field: GridSectionField, phi: ConvexPotential, t: float, order: int
-) -> GridSectionField:
-    """Partial sum sum_{k<=order} (t phihat)^k / k! applied to the field;
+    values: np.ndarray, xs, phi: ConvexPotential, t: float, order: int
+) -> np.ndarray:
+    """Partial sum sum_{k<=order} (t phihat)^k / k! applied to a sampled field;
     used to spot-check that the series collapses to the closed multiplier."""
-    total = GridSectionField(field.xs, field.n_theta, field.values.copy())
-    term = field
+    total = values
+    term = values
     fact = 1.0
     for k in range(1, order + 1):
-        term = quantum_operator(term, phi)
+        term = quantum_operator(term, xs, phi)
         fact *= k
         total = total + (t**k / fact) * term
     return total
@@ -279,15 +255,15 @@ def kostant_operator(
         raise DimensionMismatch("Lie-algebra vector has the wrong dimension")
     if n_theta is None:
         n_theta = max(8, 2 * max(abs(w) for w in s.weight) + 2)
-    field = evaluate_on_grid([s], xs, n_theta)
-    op = np.zeros_like(field.values)
+    values = evaluate_on_grid([s], xs, n_theta)
+    op = np.zeros_like(values)
     for j in range(n):
-        op = op + xi[j] * field.theta_derivative(j).values
+        op = op + xi[j] * _theta_derivative(values, j)
     expected = 1j * complex(s.lam @ xi)
-    scale = np.max(np.abs(field.values))
-    residual = float(np.max(np.abs(op - expected * field.values)) / scale)
-    weights = np.abs(field.values) ** 2
-    measured = complex(np.sum(op * np.conj(field.values)) / np.sum(weights))
+    scale = np.max(np.abs(values))
+    residual = float(np.max(np.abs(op - expected * values)) / scale)
+    weights = np.abs(values) ** 2
+    measured = complex(np.sum(op * np.conj(values)) / np.sum(weights))
     return KostantCheck(expected, measured, residual)
 
 
@@ -295,19 +271,19 @@ def kostant_operator(
 
 
 def weight_decompose(
-    field: GridSectionField,
+    values: np.ndarray,
     expected: Optional[Sequence[Sequence[int]]] = None,
 ) -> dict[tuple[int, ...], np.ndarray]:
-    """Recover the weight components of a grid field by angular Fourier
-    analysis: u = sum_lam c_lam(x) e^{i lam.theta}.
+    """Recover the weight components of a sampled field of shape
+    (m,) + (N,)*n by angular Fourier analysis: u = sum_lam c_lam(x) e^{i lam.theta}.
 
     Returns a map lam -> c_lam over the x samples, without the components
     below 1e-12 times the largest amplitude.  Raises AliasingError when
     the theta grid cannot separate the expected weights (congruent modulo the
     grid size).
     """
-    N = field.n_theta
-    n = field.dimension
+    N = values.shape[1]
+    n = values.ndim - 1
     if expected is not None:
         exp_list = [tuple(int(v) for v in lam) for lam in expected]
         for i in range(len(exp_list)):
@@ -322,7 +298,7 @@ def weight_decompose(
                 f"theta grid of {N} points is too coarse for weights {exp_list}"
             )
     axes = tuple(range(1, 1 + n))
-    coeffs = np.fft.fftn(field.values, axes=axes) / N**n
+    coeffs = np.fft.fftn(values, axes=axes) / N**n
     freqs = (np.fft.fftfreq(N) * N).astype(int)
     out: dict[tuple[int, ...], np.ndarray] = {}
     peak = np.max(np.abs(coeffs)) if coeffs.size else 0.0
@@ -416,14 +392,22 @@ def section_norms_sq(
     goes through the midpoint quadrature on the uniform simplicial grid, and
     every norm is judged on its own, at the refinement level a separate
     integration would stop at.  Raises ValueError for sections of different
-    models.
+    models, and QuadratureOverflow for a norm that is not positive and finite,
+    as when a density underflows on every grid cell.
     """
     poly = sections[0].polytope
     results = integrate_many(
         _density_kernel(sections), len(sections), poly, spec, independent=True
     )
     volume = torus_volume(poly.dimension)
-    return [volume * r.value for r in results]
+    norms = [volume * r.value for r in results]
+    for j, (s, norm) in enumerate(zip(sections, norms)):
+        if not 0.0 < norm < np.inf:
+            raise QuadratureOverflow(
+                f"norm {norm} in column {j} (weight {s.weight}, t = {s.t:g}): "
+                "the grid does not resolve its density"
+            )
+    return norms
 
 
 def section_norm_sq(
@@ -435,12 +419,6 @@ def section_norm_sq(
 
 
 # -- two-chart gluing on a segment model ----------------------------------------------
-
-
-class GluingCheck(NamedTuple):
-    residual: float
-    segment_length: int
-    corrupted: bool
 
 
 def _segment_length(poly: DelzantPolytope) -> int:
@@ -458,10 +436,10 @@ def _segment_length(poly: DelzantPolytope) -> int:
     return int(round(a))
 
 
-def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> GluingCheck:
-    """Compare the chart-U and chart-V representatives of the flowed section
-    on the overlap of the two invariant charts of the segment [0, a], at 13
-    points of [0.05, a - 0.05] and 8 angles.
+def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> float:
+    """Max relative deviation between the chart-U and chart-V representatives
+    of the flowed section on the overlap of the two invariant charts of the
+    segment [0, a], at 13 points of [0.05, a - 0.05] and 8 angles.
 
     Chart V carries the reflected data x' = a - x, theta' = -theta, weight
     a - lam, reflected potentials; the transition is sigma_U = sigma_V
@@ -501,8 +479,7 @@ def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> Gluin
 
     sign = -1.0 if corrupt else 1.0
     transition = np.exp(sign * 1j * a * th)
-    residual = float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
-    return GluingCheck(residual, a, corrupt)
+    return float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
 
 
 # -- bundle lift -------------------------------------------------------------------
@@ -516,22 +493,17 @@ def lift_scale(phi: ConvexPotential, x, t: float) -> np.ndarray:
     return np.exp(-t * concentration_rate(phi, zero, x))
 
 
-class LiftCheck(NamedTuple):
-    residual: float
-    samples: int
-
-
 def lift_section_consistency(
     s0: WeightSection,
     t: float,
     xs,
     thetas,
     zetas=None,
-) -> LiftCheck:
+) -> float:
     """Flow the bundle point (base by the biholomorphism, equivariant fiber
     coordinate by lift_scale) and evaluate the time-zero equivariant function
-    there; compare against the equivariant function of the flowed section at
-    the original point.
+    there; return its max relative deviation from the equivariant function of
+    the flowed section at the original point.
 
     Both sides reduce to e^{-t f_lam} times the original value; the left side
     assembles it from the pullback factor e^{t lam.grad phi} and the fiber
@@ -557,8 +529,7 @@ def lift_section_consistency(
         * phase
         * zetas
     )
-    residual = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
-    return LiftCheck(residual, xs.shape[0])
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
 
 # -- frame holomorphicity (finite differences) ----------------------------------------

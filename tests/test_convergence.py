@@ -137,28 +137,16 @@ def test_Ct_route_matches_experiment_ratio(model2, spec):
     ]
     ts = [10.0, 20.0, 40.0, 80.0]
     report = tf.convergence_experiment(np.array([1.0]), phi, g0, bumps, ts, spec)
+    # the fiber pairing is H(lam); the bump centered at lam = 1 gives its height
+    for j, bump in enumerate(bumps):
+        assert report.bumps[j].fiber_value == bump(np.array([1.0]))
+    assert report.bumps[0].fiber_value == 1.0
     for k, t in enumerate(ts):
         s = tf.WeightSection((1,), g0, phi, t)
         C = tf.normalization_Ct(s.lam, phi, poly, t, spec)
         for j, bump in enumerate(bumps):
             expected = report.bumps[j].pairings[k]
             assert tf.pairing_iota(s, bump, C, spec) == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-
-def test_fiber_pairing_values(model2):
-    _, g0, phi = model2
-    s0 = tf.WeightSection((1,), g0, phi)
-    unit = tf.BumpProfile((1.0,), 0.5, 1.0)
-    assert tf.fiber_pairing_delta(s0, unit) == pytest.approx(1.0)
-    scaled = tf.BumpProfile((1.0,), 0.5, 0.37)
-    assert tf.fiber_pairing_delta(s0, scaled) == pytest.approx(0.37)
-
-
-def test_fiber_pairing_rejects_boundary(model2):
-    _, g0, phi = model2
-    s0 = tf.WeightSection((0,), g0, phi)
-    with pytest.raises(FiberDegenerationError):
-        tf.fiber_pairing_delta(s0, tf.BumpProfile((0.0,), 0.5, 1.0))
 
 
 def test_fiber_weight_modes_and_constancy():

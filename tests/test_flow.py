@@ -214,35 +214,31 @@ def test_batched_structure_rejects_one_singular_point(cp2_size2, phi_aniso):
 
 def test_flow_map_identity_at_time_zero(cp1_unit, phi_1d):
     g0 = tf.SymplecticPotential(cp1_unit)
-    p = tf.OrbitPoint((0.4,), (1.3,))
-    q = tf.flow_map_psi_t(tf.KahlerFlowState(g0, phi_1d, 0.0), p)
-    assert q.x[0] == pytest.approx(0.4, abs=1e-12)
-    assert q.theta == p.theta
+    q = tf.flow_map_psi_t(tf.KahlerFlowState(g0, phi_1d, 0.0), np.array([0.4]))
+    assert q[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_flow_map_log_modulus(cp1_unit, phi_1d):
     g0 = tf.SymplecticPotential(cp1_unit)
     state = tf.KahlerFlowState(g0, phi_1d, 1.0)
-    p = tf.OrbitPoint((0.5,), (0.7,))
-    image = tf.flow_map_psi_t(state, p)
+    x, theta = np.array([0.5]), np.array([0.7])
+    image = tf.flow_map_psi_t(state, x)
     # y(image) = grad g_0(x) + t grad phi(x) = 0 + 0.5, so |w| = e^{0.5}
     state0 = tf.KahlerFlowState(g0, phi_1d, 0.0)
-    w_log = state0.moment_dual(image.x_array) + 1j * image.theta_array
+    w_log = state0.moment_dual(image) + 1j * theta
     assert np.exp(w_log.real[0]) == pytest.approx(np.exp(0.5))
-    assert image.theta == p.theta
-    # J_t-coordinate at p equals the J_0-coordinate at the image
-    wt = state.moment_dual(p.x_array) + 1j * p.theta_array
+    # J_t-coordinate at (x, theta) equals the J_0-coordinate at (image, theta)
+    wt = state.moment_dual(x) + 1j * theta
     assert np.allclose(wt, w_log, atol=1e-12)
 
 
 def test_flow_map_theta_unchanged_many(cp2_size2, phi_2d, rng):
     g0 = tf.SymplecticPotential(cp2_size2)
     state = tf.KahlerFlowState(g0, phi_2d, 0.5)
+    # psi_t keeps the angles, so only the action coordinates are mapped
     for x in tf.sample_interior(cp2_size2, 5, rng, margin=0.2):
-        p = tf.OrbitPoint(tuple(x), tuple(rng.random(2)))
-        image = tf.flow_map_psi_t(state, p)
-        assert image.theta == p.theta
-        assert np.allclose(g0.grad(image.x_array), state.moment_dual(x), atol=1e-9)
+        image = tf.flow_map_psi_t(state, x)
+        assert np.allclose(g0.grad(image), state.moment_dual(x), atol=1e-9)
 
 
 def test_flow_map_reports_unresolvable_targets(cp2_size2, phi_aniso, rng):
@@ -250,9 +246,8 @@ def test_flow_map_reports_unresolvable_targets(cp2_size2, phi_aniso, rng):
     # boundary; the inverse-gradient lookup reports failure rather than lying
     g0 = tf.SymplecticPotential(cp2_size2)
     state = tf.KahlerFlowState(g0, phi_aniso, 4.0)
-    p = tf.OrbitPoint((0.9, 1.05), (0.0, 0.0))
     with pytest.raises(tf.NewtonError):
-        tf.flow_map_psi_t(state, p)
+        tf.flow_map_psi_t(state, np.array([0.9, 1.05]))
 
 
 def test_polarization_decay_slope(cp1_unit, phi_1d):
@@ -268,6 +263,14 @@ def test_decay_curve_time_zero_consistency(cp1_unit, phi_1d):
     g0 = tf.SymplecticPotential(cp1_unit)
     curve = tf.polarization_decay_curve(g0, phi_1d, np.array([0.5]), [0.0, 10.0, 100.0])
     assert curve.angles[0] == pytest.approx(np.arctan(0.5))
+
+
+@pytest.mark.parametrize("ts", [[0.0], [0.0, 10.0], [1.0, 2.0, 100.0]])
+def test_decay_curve_without_a_fit_decade_raises(cp1_unit, phi_1d, ts):
+    # fewer than two positive times in the trailing decade: no slope, not NaN
+    g0 = tf.SymplecticPotential(cp1_unit)
+    with pytest.raises(ValueError, match="log-log fit needs|fitting window"):
+        tf.polarization_decay_curve(g0, phi_1d, np.array([0.5]), ts)
 
 
 def test_beta_pairing_is_radial(cp1_size2, phi_1d, rng):

@@ -59,16 +59,16 @@ def test_facet_normal_must_be_primitive():
     [(0.5, True, False), (0.0, True, True), (1.1, False, True)],
 )
 def test_contains_interval(cp1_unit, x, inside, boundary):
-    result = cp1_unit.contains(np.array([x]))
-    assert result.inside == inside
-    assert result.boundary == boundary
+    # boundary: x lies on a facet or beyond one, so it is not interior
+    assert cp1_unit.contains(np.array([x])) == inside
+    assert cp1_unit.is_interior(np.array([x])) == (not boundary)
 
 
 def test_contains_consistent_with_facet_values(cp1_size2, rng):
     for _ in range(50):
         x = rng.uniform(-0.5, 2.5, size=1)
         vals = cp1_size2.facet_values(x)
-        assert cp1_size2.contains(x).inside == (vals.min() >= -1e-9)
+        assert cp1_size2.contains(x) == (vals.min() >= -1e-9)
 
 
 def test_lattice_points_interval(cp1_unit):
