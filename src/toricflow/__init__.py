@@ -49,7 +49,6 @@ from .flow import (
 from .polytopes import (
     DelzantPolytope,
     Facet,
-    LatticePoint,
     box,
     sample_interior,
     segment,
@@ -59,9 +58,7 @@ from .polytopes import (
 from .potentials import (
     CallablePotential,
     ConvexPotential,
-    ExponentialTerm,
     LogSumExpPotential,
-    PerturbedQuadratic,
     QuadraticPotential,
     ReflectedPotential,
     check_strict_convexity,
@@ -77,12 +74,12 @@ from .sections import (
     evaluate_on_grid,
     flow_components,
     flow_section,
-    flow_section_pullback,
     frame_holomorphicity_residual,
     gluing_check_cp1,
     kostant_operator,
     lift_scale,
     lift_section_consistency,
+    pullback_amplitude_log,
     quantum_operator,
     route_equality_residual,
     section_norm_sq,

@@ -79,7 +79,7 @@ def _sample_margin(poly) -> float:
 
 def _weights(exp: Experiment):
     """The `section.lambda` weights, or every lattice point of P without them."""
-    return exp.weights or [p.coords for p in exp.poly.lattice_points()]
+    return exp.weights or exp.poly.lattice_points()
 
 
 def _row(check: str, lam, t, residual, tol) -> list:
@@ -119,7 +119,7 @@ def cmd_validate(exp: Experiment, out: Path, args) -> int:
         out / "validation.json",
         {
             "polytope": poly.name,
-            "valid": True,
+            "valid": report.ok,
             "issues": issues,
             "phi_strictly_convex": report.ok,
             "phi_min_hessian_eigenvalue": report.min_eigenvalue,

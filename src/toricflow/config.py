@@ -40,13 +40,7 @@ from .convergence import BumpProfile, FiberMeasureModel
 from .errors import ConfigError
 from .flow import SymplecticPotential, fit_window
 from .polytopes import DelzantPolytope, Facet
-from .potentials import (
-    ConvexPotential,
-    ExponentialTerm,
-    LogSumExpPotential,
-    PerturbedQuadratic,
-    QuadraticPotential,
-)
+from .potentials import ConvexPotential, LogSumExpPotential, QuadraticPotential
 from .quadrature import QuadratureSpec
 
 _SCALAR_KEYS = {
@@ -191,10 +185,9 @@ class ExperimentConfig:
                     )
                 a_part, k_part = raw.split(";", 1)
                 a = self._number(a_part.strip(), "phi.perturbation")
-                terms.append(ExponentialTerm(a, tuple(self._floats(k_part, "phi.perturbation"))))
+                terms.append((a, self._floats(k_part, "phi.perturbation")))
             with _as_config_error("phi"):
-                base = QuadraticPotential(Q, b, self._float("phi.c", 0.0))
-                return PerturbedQuadratic(base, terms) if terms else base
+                return QuadraticPotential(Q, b, self._float("phi.c", 0.0), terms)
         if kind == "log-sum-exp":
             wavevectors = [
                 self._floats(raw, "phi.wavevector")

@@ -79,9 +79,6 @@ class BumpProfile:
         taper = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
         return self.height * np.where(r < 1.0, taper, 0.0)
 
-    def supported_at(self, x) -> bool:
-        return bool(self(np.asarray(x, dtype=float)) != 0.0)
-
 
 # -- fiber measures -------------------------------------------------------------
 
@@ -350,7 +347,7 @@ def convergence_experiment(
         fiber_value = float(bump(lam))  # the fiber pairing H(lam)
         pairings = pairing_matrix[:, bump_id]
         errors = np.abs(pairings - fiber_value)
-        overlaps = bump.supported_at(lam)
+        overlaps = fiber_value != 0.0
         decreasing = bool(
             np.all(np.diff(errors) < NOISE_FLOOR) or errors[-1] < NOISE_FLOOR
         )

@@ -276,12 +276,8 @@ def flow_map_psi_t(state: KahlerFlowState, x) -> np.ndarray:
     point equals the J_0-coordinate of its image.
     """
     x = np.asarray(x, dtype=float)
-    poly = state.polytope
     return legendre_inverse(
-        state.g0,
-        state.moment_dual(x),
-        x0=x,
-        domain=lambda q: bool(poly.facet_values(q).min() > 0.0),
+        state.g0, state.moment_dual(x), x0=x, domain=state.polytope.is_interior
     )
 
 

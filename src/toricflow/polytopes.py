@@ -75,17 +75,6 @@ def _plain(v) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class LatticePoint:
-    """An integer point of the moment polytope, indexing a torus weight."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
-@dataclass(frozen=True)
 class Grid:
     """Midpoint-rule cells of a polytope, one row per cell: evaluation point
     (the cell centroid) and Lebesgue volume; `len` is the cell count."""
@@ -264,8 +253,8 @@ class DelzantPolytope:
 
     # -- lattice points and grids ---------------------------------------------
 
-    def lattice_points(self) -> list[LatticePoint]:
-        """The integer points of P in deterministic lexicographic order."""
+    def lattice_points(self) -> list[tuple[int, ...]]:
+        """The integer points of P as int tuples, in lexicographic order."""
         if "lattice" in self._cache:
             return self._cache["lattice"]
         self.require_valid()
@@ -274,11 +263,8 @@ class DelzantPolytope:
             range(math.ceil(l - 1e-9), math.floor(h + 1e-9) + 1)
             for l, h in zip(lo, hi)
         ]
-        pts = []
-        for coords in itertools.product(*ranges):
-            if self.facet_values(np.array(coords, dtype=float)).min() >= -_FEAS_TOL:
-                pts.append(LatticePoint(coords))
-        pts.sort(key=lambda p: p.coords)
+        # the product of ascending ranges is already in lexicographic order
+        pts = [coords for coords in itertools.product(*ranges) if self.contains(coords)]
         self._cache["lattice"] = pts
         return pts
 

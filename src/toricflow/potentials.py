@@ -2,9 +2,9 @@
 
 The deformation machinery is driven by one strictly convex function
 phi: t* -> R with analytic gradient and Hessian.  This module holds the
-closed-form families (quadratics, quadratics with exponential
-perturbations, log-sum-exp, user-supplied callables; the config layer picks
-one from `phi.kind`) and the objects derived from phi:
+closed-form families (quadratics with optional exponential terms,
+log-sum-exp, user-supplied callables; the config layer picks one from
+`phi.kind`) and the objects derived from phi:
 
   * the concentration rate  f_lam(x) = (x - lam) . grad phi(x) - phi(x),
     whose unique minimum over the polytope sits at x = lam and drives the
@@ -18,8 +18,7 @@ All evaluations are numpy-vectorized: `x` may be a single point of shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,9 +53,11 @@ class ConvexPotential:
 
 
 class QuadraticPotential(ConvexPotential):
-    """phi(x) = x.Q x / 2 + b.x + c with symmetric positive definite Q."""
+    """phi(x) = x.Q x / 2 + b.x + c + sum_i a_i exp(k_i . x) with symmetric
+    positive definite Q; `terms` holds the (a_i, k_i) pairs, and each term is
+    convex for a_i >= 0."""
 
-    def __init__(self, Q, b=None, c: float = 0.0):
+    def __init__(self, Q, b=None, c: float = 0.0, terms=()):
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         if Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
@@ -68,72 +69,35 @@ class QuadraticPotential(ConvexPotential):
         if self.b.shape != (self.dimension,):
             raise DimensionMismatch("b has the wrong shape")
         self.c = float(c)
+        self.terms = tuple((float(a), np.asarray(k, dtype=float)) for a, k in terms)
+        if any(k.shape != (self.dimension,) for _, k in self.terms):
+            raise DimensionMismatch("perturbation wavevector has wrong dimension")
 
     def value(self, x):
         x = self._coerce(x)
         quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.Q, x)
-        return quad + x @ self.b + self.c
-
-    def grad(self, x):
-        x = self._coerce(x)
-        return x @ self.Q + self.b
-
-    def hess(self, x):
-        x = self._coerce(x)
-        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape).copy()
-
-    def describe(self):
-        return f"quadratic(Q={self.Q.tolist()}, b={self.b.tolist()}, c={self.c})"
-
-
-@dataclass(frozen=True)
-class ExponentialTerm:
-    """a * exp(k . x); convex for a >= 0."""
-
-    coefficient: float
-    wavevector: tuple[float, ...]
-
-
-class PerturbedQuadratic(ConvexPotential):
-    """Quadratic plus exponential terms, e.g. x^2/2 + 0.1 e^x."""
-
-    def __init__(self, base: QuadraticPotential, terms: Sequence[ExponentialTerm]):
-        self.base = base
-        self.terms = tuple(terms)
-        self.dimension = base.dimension
-        for t in self.terms:
-            if len(t.wavevector) != self.dimension:
-                raise DimensionMismatch("perturbation wavevector has wrong dimension")
-
-    def value(self, x):
-        x = self._coerce(x)
-        out = self.base.value(x)
-        for t in self.terms:
-            out = out + t.coefficient * np.exp(x @ np.asarray(t.wavevector))
+        out = quad + x @ self.b + self.c
+        for a, k in self.terms:
+            out = out + a * np.exp(x @ k)
         return out
 
     def grad(self, x):
         x = self._coerce(x)
-        out = self.base.grad(x)
-        for t in self.terms:
-            k = np.asarray(t.wavevector)
-            out = out + (t.coefficient * np.exp(x @ k))[..., None] * k
+        out = x @ self.Q + self.b
+        for a, k in self.terms:
+            out = out + (a * np.exp(x @ k))[..., None] * k
         return out
 
     def hess(self, x):
         x = self._coerce(x)
-        out = self.base.hess(x)
-        for t in self.terms:
-            k = np.asarray(t.wavevector)
-            out = out + (t.coefficient * np.exp(x @ k))[..., None, None] * np.outer(k, k)
+        out = np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape).copy()
+        for a, k in self.terms:
+            out = out + (a * np.exp(x @ k))[..., None, None] * np.outer(k, k)
         return out
 
     def describe(self):
-        return (
-            self.base.describe()
-            + " + "
-            + " + ".join(f"{t.coefficient}*exp({list(t.wavevector)}.x)" for t in self.terms)
-        )
+        terms = "".join(f" + {a}*exp({k.tolist()}.x)" for a, k in self.terms)
+        return f"quadratic(Q={self.Q.tolist()}, b={self.b.tolist()}, c={self.c}){terms}"
 
 
 def _logsumexp(a, **kwargs):

@@ -18,15 +18,16 @@ of shape (m,) + (n_theta,)*n, passed with the (m, n) points xs it samples.
 
 The exponential of the quantum operator  phihat s = -i nabla_{X_phi} s + phi s
 acts diagonally on weights: e^{t phihat} s_{lam,0} = e^{-t f_lam(mu)} s_{lam,0}
-(multiplier route).  The same flow computed geometrically, by pulling the
-monomial back along the time-t biholomorphism and multiplying by the flowed
-frame (pullback route), must agree pointwise; so must the two local
+(multiplier route, `WeightSection.amplitude_log`).  The same flow computed
+geometrically, by pulling the monomial back along the time-t biholomorphism
+and multiplying by the flowed frame (pullback route,
+`pullback_amplitude_log`), must agree pointwise; so must the two local
 representatives of a flowed section on the two invariant charts of a segment
-model (gluing), and the bundle-lifted flow acting on equivariant functions
-(lift).  These cross-checks, together with the Kostant eigenvalue
-(nabla_{xi#} + i mu^xi) s = i lam(xi) s and the numerically verified
-holomorphicity of e^{-rho_t/2} sigma, pin every sign convention in the
-package.
+model (gluing, both charts evaluated by `WeightSection.sigma_representative`),
+and the bundle-lifted flow acting on equivariant functions (lift).  These
+cross-checks, together with the Kostant eigenvalue (nabla_{xi#} + i mu^xi) s
+= i lam(xi) s and the numerically verified holomorphicity of
+e^{-rho_t/2} sigma, pin every sign convention in the package.
 """
 
 from __future__ import annotations
@@ -76,18 +77,12 @@ class WeightSection:
 
     # -- amplitude fields ---------------------------------------------------
 
-    def base_amplitude(self, x) -> np.ndarray:
-        """F_{lam,0}(x) = (x - lam) . grad g_0(x) - g_0(x) (interior only)."""
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,...i->...", x - self.lam, self.g0.grad(x)) - self.g0.value(x)
-
     def amplitude_log(self, x) -> np.ndarray:
-        """A_{lam,t}(x) = F_{lam,0}(x) + t f_lam(x)."""
-        return self.base_amplitude(x) + self.t * concentration_rate(self.phi, self.lam, x)
-
-    def _log_modulus(self, x) -> np.ndarray:
-        """log of the sigma-frame representative modulus, -A_{lam,t}(x)."""
-        return -self.amplitude_log(x)
+        """A_{lam,t}(x) = F_{lam,0}(x) + t f_lam(x), with F_{lam,0} the
+        concentration rate of g_0 (interior only)."""
+        return concentration_rate(self.g0, self.lam, x) + self.t * concentration_rate(
+            self.phi, self.lam, x
+        )
 
     def density(self, x) -> np.ndarray:
         """Pointwise squared h-norm e^{-2 A_{lam,t}}, extended continuously
@@ -100,29 +95,9 @@ class WeightSection:
 
     def sigma_representative(self, x, theta) -> np.ndarray:
         """Complex representative against the unitary frame sigma at angles
-        theta: exp(lam . grad g_0 + i lam . theta - rho_0/2 - t f_lam)."""
+        theta: exp(-A_{lam,t}(x) + i lam . theta)."""
         theta = np.asarray(theta, dtype=float)
-        return np.exp(self._log_modulus(np.asarray(x, dtype=float)) + 1j * (theta @ self.lam))
-
-
-class PullbackWeightSection(WeightSection):
-    """The geometric route: pull the monomial back along the biholomorphism
-    and multiply by the flowed holomorphic frame.
-
-    Representatives are computed as (psi_t^* w^lam) e^{-rho_t/2} sigma with
-    rho_t obtained through the Legendre route, fully independently of the
-    multiplier formula of the base class.
-    """
-
-    def _log_modulus(self, x):
-        x = np.asarray(x, dtype=float)
-        state = KahlerFlowState(self.g0, self.phi, self.t)
-        pullback = self.t * (self.phi.grad(x) @ self.lam)
-        monomial = np.einsum("...i,...i->...", np.broadcast_to(self.lam, x.shape), self.g0.grad(x))
-        return pullback + monomial - 0.5 * state.kahler_potential_legendre(x)
-
-    def amplitude_log(self, x):
-        return -self._log_modulus(x)
+        return np.exp(-self.amplitude_log(np.asarray(x, dtype=float)) + 1j * (theta @ self.lam))
 
 
 def flow_section(s: WeightSection, t: float) -> WeightSection:
@@ -133,23 +108,28 @@ def flow_section(s: WeightSection, t: float) -> WeightSection:
     return WeightSection(s.weight, s.g0, s.phi, s.t + t)
 
 
-def flow_section_pullback(s0: WeightSection, t: float) -> PullbackWeightSection:
-    """Geometric route from a time-zero section; must agree with
-    flow_section pointwise."""
+def pullback_amplitude_log(s0: WeightSection, t: float, x) -> np.ndarray:
+    """A_{lam,t}(x) by the geometric route from a time-zero section: pull the
+    monomial w^lam back along the biholomorphism and multiply by the flowed
+    frame e^{-rho_t/2}, with rho_t from the Legendre route.  Shares no step
+    with the multiplier formula of `WeightSection.amplitude_log`."""
     if s0.t != 0.0:
         raise ValueError("the pullback route starts from a time-zero section")
     if t < 0:
         raise ValueError("flow time must be nonnegative")
-    return PullbackWeightSection(s0.weight, s0.g0, s0.phi, t)
+    x = np.asarray(x, dtype=float)
+    state = KahlerFlowState(s0.g0, s0.phi, t)
+    pullback = t * (s0.phi.grad(x) @ s0.lam)
+    monomial = np.einsum("...i,...i->...", np.broadcast_to(s0.lam, x.shape), s0.g0.grad(x))
+    return 0.5 * state.kahler_potential_legendre(x) - (pullback + monomial)
 
 
 def route_equality_residual(s0: WeightSection, t: float, xs, thetas) -> float:
     """Max relative deviation between the multiplier and pullback routes
     over the given sample points and angles."""
-    a = flow_section(s0, t)
-    b = flow_section_pullback(s0, t)
-    ua = a.sigma_representative(xs, thetas)
-    ub = b.sigma_representative(xs, thetas)
+    ua = flow_section(s0, t).sigma_representative(xs, thetas)
+    phase = 1j * (np.asarray(thetas, dtype=float) @ s0.lam)
+    ub = np.exp(-pullback_amplitude_log(s0, t, xs) + phase)
     return float(np.max(np.abs(ua - ub) / np.abs(ua)))
 
 
@@ -178,7 +158,7 @@ def evaluate_on_grid(sections: Sequence[WeightSection], xs, n_theta: int) -> np.
     for s in sections:
         if s.g0.dimension != n:
             raise DimensionMismatch("section dimension mismatch")
-        amp = np.exp(s._log_modulus(xs)).astype(complex)
+        amp = np.exp(-s.amplitude_log(xs)).astype(complex)
         term = amp.reshape((m,) + (1,) * n)
         for j in range(n):
             phase = np.exp(1j * s.weight[j] * thetas)
@@ -441,44 +421,31 @@ def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> float
     of the flowed section on the overlap of the two invariant charts of the
     segment [0, a], at 13 points of [0.05, a - 0.05] and 8 angles.
 
-    Chart V carries the reflected data x' = a - x, theta' = -theta, weight
-    a - lam, reflected potentials; the transition is sigma_U = sigma_V
-    e^{-i a theta}, so the representatives must satisfy
+    Both representatives are `WeightSection.sigma_representative`.  Chart V
+    carries the reflected data x' = a - x, theta' = -theta, weight a - lam and
+    reflected potentials; the Guillemin part of [0, a] is symmetric under the
+    reflection, so only the extra part of g_0 is reflected.  The transition
+    is sigma_U = sigma_V e^{-i a theta}, so the representatives must satisfy
     g^U = e^{i a theta} g^V.  `corrupt` flips the transition sign (negative
     control).
     """
-    poly = s.polytope
-    a = _segment_length(poly)
-    lam = float(s.lam[0])
-    lam_v = a - lam
+    a = _segment_length(s.polytope)
     if s.t != 0.0:
         raise ValueError("gluing check starts from a time-zero section")
+    x = np.linspace(0.05, a - 0.05, 13).reshape(-1, 1, 1)
+    theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
 
-    xs = np.linspace(0.05, a - 0.05, 13).reshape(-1, 1)
-    thetas = 2.0 * np.pi * np.arange(8) / 8
-
-    g0 = s.g0
-    phi = s.phi
-    center = np.array([float(a)])
-    g0_v = ReflectedPotential(g0, center)
-    phi_v = ReflectedPotential(phi, center)
-
-    x = xs[:, 0][:, None]                      # (m, 1) action coordinate
-    th = thetas[None, :]                       # (1, K)
-
-    y_u = g0.grad(xs)[:, 0][:, None]
-    rho0_u = 2.0 * (xs[:, 0] * g0.grad(xs)[:, 0] - g0.value(xs))[:, None]
-    f_u = concentration_rate(phi, np.array([lam]), xs)[:, None]
-    u_chart = np.exp(lam * y_u + 1j * lam * th - t * f_u - 0.5 * rho0_u)
-
-    xs_v = center - xs                          # x' = a - x
-    y_v = g0_v.grad(xs_v)[:, 0][:, None]
-    rho0_v = 2.0 * (xs_v[:, 0] * g0_v.grad(xs_v)[:, 0] - g0_v.value(xs_v))[:, None]
-    f_v = concentration_rate(phi_v, np.array([lam_v]), xs_v)[:, None]
-    v_chart = np.exp(lam_v * y_v - 1j * lam_v * th - t * f_v - 0.5 * rho0_v)
+    center = (float(a),)
+    extra_v = None if s.g0.extra is None else ReflectedPotential(s.g0.extra, center)
+    s_v = WeightSection(
+        (a - s.weight[0],), SymplecticPotential(s.polytope, extra_v),
+        ReflectedPotential(s.phi, center), t,
+    )
+    u_chart = flow_section(s, t).sigma_representative(x, theta)
+    v_chart = s_v.sigma_representative(a - x, -theta)
 
     sign = -1.0 if corrupt else 1.0
-    transition = np.exp(sign * 1j * a * th)
+    transition = np.exp(sign * 1j * a * theta[..., 0])
     return float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
 
 
@@ -498,7 +465,7 @@ def lift_section_consistency(
     t: float,
     xs,
     thetas,
-    zetas=None,
+    zetas,
 ) -> float:
     """Flow the bundle point (base by the biholomorphism, equivariant fiber
     coordinate by lift_scale) and evaluate the time-zero equivariant function
@@ -513,8 +480,6 @@ def lift_section_consistency(
         raise ValueError("lift check starts from a time-zero section")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if zetas is None:
-        zetas = np.ones(xs.shape[0], dtype=complex)
     zetas = np.asarray(zetas, dtype=complex)
 
     lam = s0.lam

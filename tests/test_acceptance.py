@@ -68,7 +68,7 @@ def test_criterion_03_route_equality():
         xs = tf.sample_interior(poly, 30, rng, margin=0.05)
         thetas = rng.random((30, poly.dimension)) * 2 * np.pi
         for lam in poly.lattice_points():
-            s0 = tf.WeightSection(lam.coords, g0, phis[-1])
+            s0 = tf.WeightSection(lam, g0, phis[-1])
             for t in (0.5, 2.0, 10.0):
                 worst = max(worst, tf.route_equality_residual(s0, t, xs, thetas))
     _report(3, "multiplier vs pullback route agreement < 1e-12 relative",
@@ -98,7 +98,7 @@ def test_criterion_05_equivariance_and_weights():
     xs = tf.sample_interior(poly, 8, rng, margin=0.1)
     kostant_worst = 0.0
     for lam in poly.lattice_points():
-        s = tf.WeightSection(lam.coords, g0, phi)
+        s = tf.WeightSection(lam, g0, phi)
         for xi in (np.array([1.0]), np.array([2.0])):
             check = tf.kostant_operator(xi, s, xs)
             kostant_worst = max(kostant_worst, check.residual)
@@ -192,10 +192,10 @@ def test_criterion_09_weak_convergence():
     # the paper-form fiber weight is the torus volume (2 pi)^n at every
     # interior lattice point; the normalized mode gives unit mass
     interior = [
-        (wpoly, p.array)
+        (wpoly, np.array(p, dtype=float))
         for wpoly in (tf.segment(4.0), tf.standard_simplex(2, 3.0))
         for p in wpoly.lattice_points()
-        if wpoly.is_interior(p.array)
+        if wpoly.is_interior(p)
     ]
     paper, normalized = tf.FiberMeasureModel("paper-form"), tf.FiberMeasureModel("normalized")
     ok_weights = len(interior) == 4 and all(

@@ -379,6 +379,16 @@ def test_cli_validate_witness_is_plain_floats(tmp_path):
     assert issues == ["phi is not strictly convex (min eig -1.000e+00 at [0.015625])"]
 
 
+def test_cli_report_fails_after_failed_validate(tmp_path):
+    # a validate FAIL is recorded in validation.json, so the report fails too
+    cfg = tmp_path / "concave.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "phi.Q = -1"))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "validation.json").read_text())["valid"] is False
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert json.loads((tmp_path / "summary.json").read_text())["pass"] is False
+
+
 def test_cli_paper_form_rows_are_consistent(tmp_path):
     # paper-form only records the torus weight W = 2 pi; every row still
     # compares the pairing with the fiber value H(lambda) it prints

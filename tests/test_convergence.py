@@ -154,7 +154,7 @@ def test_fiber_weight_modes_and_constancy():
     paper = tf.FiberMeasureModel("paper-form")
     normalized = tf.FiberMeasureModel("normalized")
     for poly in (tf.segment(4.0), tf.standard_simplex(2, 3.0)):
-        lams = [p.array for p in poly.lattice_points() if poly.is_interior(p.array)]
+        lams = [np.array(p, dtype=float) for p in poly.lattice_points() if poly.is_interior(p)]
         assert lams
         for lam in lams:
             assert paper.fiber_weight(poly, lam) == (2 * np.pi) ** poly.dimension

@@ -218,7 +218,7 @@ def test_flow_map_identity_at_time_zero(cp1_unit, phi_1d):
     assert q[0] == pytest.approx(0.4, abs=1e-12)
 
 
-def test_flow_map_log_modulus(cp1_unit, phi_1d):
+def test_flow_map_moves_moment_dual(cp1_unit, phi_1d):
     g0 = tf.SymplecticPotential(cp1_unit)
     state = tf.KahlerFlowState(g0, phi_1d, 1.0)
     x, theta = np.array([0.5]), np.array([0.7])

@@ -29,22 +29,19 @@ def test_anisotropic_quadratic_triple(phi_aniso):
 
 
 def test_exponential_perturbation():
-    phi = tf.PerturbedQuadratic(
-        tf.QuadraticPotential([[1.0]]), [tf.ExponentialTerm(0.1, (1.0,))]
-    )
+    phi = tf.QuadraticPotential([[1.0]], terms=[(0.1, (1.0,))])
     x = np.array([0.0])
     assert phi.value(x) == pytest.approx(0.1)
     assert phi.grad(x)[0] == pytest.approx(0.1)
     assert phi.hess(x)[0, 0] == pytest.approx(1.1)
+    assert phi.describe() == "quadratic(Q=[[1.0]], b=[0.0], c=0.0) + 0.1*exp([1.0].x)"
 
 
 @pytest.mark.parametrize(
     "phi",
     [
         tf.QuadraticPotential([[2.0, 0.5], [0.5, 4.0]], b=[0.1, -0.2], c=0.3),
-        tf.PerturbedQuadratic(
-            tf.QuadraticPotential(np.eye(2)), [tf.ExponentialTerm(0.05, (1.0, -0.5))]
-        ),
+        tf.QuadraticPotential(np.eye(2), terms=[(0.05, (1.0, -0.5))]),
         tf.LogSumExpPotential([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
     ],
 )

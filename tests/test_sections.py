@@ -214,17 +214,16 @@ def test_weight_preserved_by_flow(model2):
     _, g0, phi = model2
     s = tf.WeightSection((1,), g0, phi)
     assert tf.flow_section(s, 3.0).weight == s.weight
-    assert tf.flow_section_pullback(s, 3.0).weight == s.weight
 
 
 def test_pullback_route_semigroup(model2, sample_points):
-    # advancing the pullback section by the multiplier matches the pullback
+    # advancing the pullback amplitude by the multiplier matches the pullback
     # at the summed time
     _, g0, phi = model2
     xs, _ = sample_points
     s = tf.WeightSection((1,), g0, phi)
-    direct = tf.flow_section_pullback(s, 2.3).amplitude_log(xs)
-    staged = tf.flow_section_pullback(s, 0.7).amplitude_log(xs) + 1.6 * tf.concentration_rate(
+    direct = tf.pullback_amplitude_log(s, 2.3, xs)
+    staged = tf.pullback_amplitude_log(s, 0.7, xs) + 1.6 * tf.concentration_rate(
         phi, s.lam, xs
     )
     assert np.max(np.abs(direct - staged)) < 1e-12
@@ -254,12 +253,12 @@ def test_norm_dirichlet_integral_cp2(cp2_model):
     # so the norm is the Dirichlet integral (2 pi)^2 2^{a+b+c+2} a! b! c! / (a+b+c+2)!
     poly, g0, phi, spec = cp2_model
     for point in poly.lattice_points():
-        a, b = point.coords
+        a, b = point
         c = 2 - a - b
         exact = (2 * np.pi) ** 2 * 2 ** (a + b + c + 2) * math.factorial(a) * math.factorial(
             b
         ) * math.factorial(c) / math.factorial(a + b + c + 2)
-        norm = tf.section_norm_sq(tf.WeightSection(point.coords, g0, phi), spec)
+        norm = tf.section_norm_sq(tf.WeightSection(point, g0, phi), spec)
         assert norm == pytest.approx(exact, rel=1e-12, abs=0)
 
 
@@ -469,6 +468,22 @@ def test_gluing_needs_integer_segment():
         tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), 1.0)
 
 
+@pytest.mark.parametrize("lam", [(0,), (1,), (2,)])
+def test_checks_with_extra_potential(sample_points, lam):
+    # g_0 with a smooth part that is not symmetric under x -> 2 - x: chart V
+    # of the gluing must reflect it.  At lam = 1 an unreflected chart V
+    # cancels, so the off-centre weights are the ones that can fail.
+    g0 = tf.SymplecticPotential(tf.segment(2.0), extra=tf.QuadraticPotential([[0.3]], b=[0.1]))
+    phi = tf.QuadraticPotential([[1.0]])
+    xs, thetas = sample_points
+    s0 = tf.WeightSection(lam, g0, phi)
+    for t in (0.0, 1.0, 3.0):
+        assert tf.route_equality_residual(s0, t, xs, thetas) < 1e-12
+        assert np.max(tf.KahlerFlowState(g0, phi, t).duality_residual(xs)) < 1e-12
+        assert tf.gluing_check_cp1(s0, t) < 1e-10
+    assert tf.frame_holomorphicity_residual(g0, phi, 1.0, xs[:5]) < 1e-8
+
+
 # -- bundle lift ---------------------------------------------------------------------
 
 
@@ -540,6 +555,10 @@ def test_weight_decompose_aliasing(model2, sample_points):
     one_point = tf.evaluate_on_grid([s], xs[:3], 1)
     with pytest.raises(AliasingError):
         tf.weight_decompose(one_point, expected=[(0,), (1,)])
+    # 0 and 2 do not alias on 4 angles, but 2 is the grid's Nyquist frequency
+    four = tf.evaluate_on_grid([s], xs[:3], 4)
+    with pytest.raises(AliasingError, match="too coarse"):
+        tf.weight_decompose(four, expected=[(0,), (2,)])
 
 
 # -- frame holomorphicity ----------------------------------------------------------------
