@@ -313,7 +313,6 @@ def cmd_converge(exp: Experiment, out: Path, args) -> int:
     report = conv.convergence_experiment(
         lam_arr, exp.phi, exp.g0, exp.bumps,
         exp.experiment_t_grid or [10, 20, 40, 80, 160, 320], exp.spec, exp.mode,
-        threads=max(1, args.threads),
     )
     rows = []
     for b in report.bumps:
@@ -378,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored; recorded in converge's report.json")
     parser.add_argument("--seed", type=int, default=0,
                         help="sample-point selection seed (recorded in outputs)")
     parser.add_argument("--corrupt-transition", action="store_true",

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .convergence import BumpProfile, FiberMeasureModel
-from .errors import ConfigError
+from .errors import ConfigError, GridSizeError
 from .flow import SymplecticPotential, fit_window
 from .polytopes import DelzantPolytope, Facet
 from .potentials import ConvexPotential, LogSumExpPotential, QuadraticPotential
@@ -237,7 +237,8 @@ class ExperimentConfig:
         are finite, non-empty and rising and hold no negative time, the
         experiment grid leaves a log-log fit two times, the sample count is
         positive, every real number is finite, phi and the quadrature spec
-        build and the fiber mode is known."""
+        build, the finest grid the spec allows stays under the grid-size cap
+        and the fiber mode is known."""
         poly = self._polytope()
         poly.require_valid()
         lines = self.multis.get("section.lambda", [])
@@ -277,6 +278,16 @@ class ExperimentConfig:
                 rel_tol=self._float("quad.tol", 1e-8),
                 max_refinements=self._int("quad.max_depth", 3),
             )
+        # integrate_many's finest grid: the base resolution, doubled for the
+        # first fine sum and once more per refinement
+        finest = spec.resolution * 2 ** (spec.max_refinements + 1)
+        try:
+            poly.grid_cell_count(finest)
+        except GridSizeError as exc:
+            raise ConfigError(
+                f"quad: the finest grid that quad.resolution and quad.max_depth "
+                f"allow, at resolution {finest}, is too large: {exc}"
+            ) from exc
         try:
             mode = FiberMeasureModel(self._scalar("experiment.mode", "normalized"))
         except ValueError as exc:

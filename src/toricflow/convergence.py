@@ -114,32 +114,47 @@ def _density_moments(
     poly: DelzantPolytope,
     phi: ConvexPotential,
     lam,
-    t: float,
+    ts: Sequence[float],
     spec: QuadratureSpec,
-) -> tuple[list[float], float]:
-    """Integrals of e^{-t f_lam - shift} f_i over P on one shared grid, and
-    the shift = -t f_lam(lam) that puts the peak value at 1.
+) -> tuple[np.ndarray, list[float]]:
+    """Integrals of e^{-t f_lam - shift_t} f_i over P for every t of `ts`, in
+    one pass over the grid, and the shifts shift_t = -t f_lam(lam) that put
+    each peak value at 1.
 
-    Ratios of the moments need no rescaling back, so they stay finite at
-    any t; the unscaled integrals are the moments times e^{shift}.  The bare
-    density is the reference column driving refinement of the uniform grid.
-    Raises QuadratureOverflow when its mass is not positive and finite, as
+    Row r of the moments belongs to ts[r]: the bare density's mass, then one
+    moment per f_i.  f_lam and the f_i do not depend on t, so each grid block
+    evaluates them once and then writes the density and its moments for
+    every t.  Each t's columns form one quadrature group whose mass is the
+    reference driving its refinement, so every t gets the value it gets on
+    its own.  Ratios of the moments need no rescaling back, so they stay
+    finite at any t; the unscaled integrals are the moments times e^{shift}.
+    Raises QuadratureOverflow when a mass is not positive and finite, as
     when the peak is so narrow that the density underflows on every cell.
     """
     lam = np.asarray(lam, dtype=float)
-    shift = t * phi.value(lam)
+    ts = [float(t) for t in ts]
+    shifts = [t * phi.value(lam) for t in ts]
+    width = 1 + len(fs)
 
     def matrix(pts):
-        density = np.exp(-t * concentration_rate(phi, lam, pts) - shift)
-        cols = [density] + [density * f(pts) for f in fs]
-        return np.stack(cols, axis=-1)
+        f = concentration_rate(phi, lam, pts)
+        hs = [h(pts) for h in fs]
+        # column-major, so every column is written in place, contiguously
+        out = np.empty((len(pts), len(ts) * width), order="F")
+        for r, (t, shift) in enumerate(zip(ts, shifts)):
+            density = np.exp(-t * f - shift, out=out[:, r * width])
+            for j, h in enumerate(hs, start=r * width + 1):
+                np.multiply(density, h, out=out[:, j])
+        return out
 
-    moments = [r.value for r in integrate_many(matrix, 1 + len(fs), poly, spec)]
-    if not 0.0 < moments[0] < np.inf:
-        raise QuadratureOverflow(
-            f"density mass {moments[0]} at t = {t:g}: the grid does not resolve its peak"
-        )
-    return moments, shift
+    results = integrate_many(matrix, len(ts) * width, poly, spec, group=width)
+    moments = np.array([r.value for r in results]).reshape(len(ts), width)
+    for t, mass in zip(ts, moments[:, 0]):
+        if not 0.0 < mass < np.inf:
+            raise QuadratureOverflow(
+                f"density mass {mass} at t = {t:g}: the grid does not resolve its peak"
+            )
+    return moments, shifts
 
 
 def normalization_Ct(
@@ -152,9 +167,9 @@ def normalization_Ct(
     """C_t = [ (2 pi)^n int_P e^{-t f_lam} dx ]^{-1}; (2 pi)^n is the
     Liouville pushforward density for full toric rank."""
     kappa = torus_volume(poly.dimension)
-    moments, shift = _density_moments([], poly, phi, lam, t, spec)
+    ((mass,),), (shift,) = _density_moments([], poly, phi, lam, [t], spec)
     with np.errstate(over="ignore", divide="ignore"):
-        C_t = 1.0 / (kappa * (moments[0] * np.exp(shift)))
+        C_t = 1.0 / (kappa * (mass * np.exp(shift)))
     if not 0.0 < C_t < np.inf:
         raise QuadratureOverflow(
             f"C_t = {C_t} at t = {t}: e^(t phi(lam)) = e^{shift:.6g} is beyond the float range"
@@ -172,9 +187,9 @@ def pairing_iota(
     object with orbit profile H."""
     poly = s_t.polytope
     kappa = torus_volume(poly.dimension)
-    moments, shift = _density_moments([bump], poly, s_t.phi, s_t.lam, s_t.t, spec)
+    ((_, moment),), (shift,) = _density_moments([bump], poly, s_t.phi, s_t.lam, [s_t.t], spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = C_t * kappa * (moments[1] * np.exp(shift))
+        value = C_t * kappa * (moment * np.exp(shift))
     if not np.isfinite(value):
         raise QuadratureOverflow(
             f"pairing = {value} at t = {s_t.t}: e^(t phi(lam)) = e^{shift:.6g} "
@@ -224,7 +239,7 @@ def concentration_profile(
     fs += [lambda p, i=i, j=j: (p[:, i] - lam[i]) * (p[:, j] - lam[j]) for i, j in pairs]
     if np.isfinite(radius):
         fs.append(lambda p: (np.linalg.norm(p - lam, axis=-1) <= radius).astype(float))
-    moments, _ = _density_moments(fs, poly, phi, lam, t, spec)
+    (moments,), _ = _density_moments(fs, poly, phi, lam, [t], spec)
     Z = moments[0]
     first = np.array(moments[1 : 1 + n]) / Z
     mean = lam + first
@@ -304,7 +319,6 @@ def convergence_experiment(
     t_grid: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
     mode: FiberMeasureModel = FiberMeasureModel(),
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Run the weak-convergence experiment for one interior lattice weight.
 
@@ -312,8 +326,8 @@ def convergence_experiment(
     increasing t grid against the fiber value; bumps containing lam must show
     errors decreasing to below tolerance with a log-log slope of -1 (first
     Laplace correction), while bumps supported away from lam must vanish.
-    The (lam, bump, t) evaluations are independent; with threads > 1 the
-    per-t work runs concurrently and is merged in deterministic t order.
+    Every pairing at every t comes from one pass over the grid, which
+    evaluates f_lam and the bumps once per block.
     """
     poly = g0.polytope
     lam = np.asarray(lam, dtype=float)
@@ -328,19 +342,8 @@ def convergence_experiment(
 
     weight = mode.fiber_weight(poly, lam)
 
-    def pairings_at(t: float) -> list[float]:
-        # normalization and all bump pairings share one evaluation grid
-        moments, _ = _density_moments(list(bumps), poly, phi, lam, float(t), spec)
-        return [m / moments[0] for m in moments[1:]]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_t = list(pool.map(pairings_at, ts))
-    else:
-        per_t = [pairings_at(t) for t in ts]
-    pairing_matrix = np.asarray(per_t)  # (len(ts), len(bumps))
+    moments, _ = _density_moments(list(bumps), poly, phi, lam, ts, spec)
+    pairing_matrix = moments[:, 1:] / moments[:, :1]  # (len(ts), len(bumps))
 
     bump_reports = []
     for bump_id, bump in enumerate(bumps):

@@ -293,6 +293,12 @@ class DelzantPolytope:
         grid = self._cache[key] = _build_cells(verts, resolution)
         return grid
 
+    def grid_cell_count(self, resolution: int) -> int:
+        """The number of cells of `grid_cells(resolution)`, counted without
+        building the grid.  Raises GridSizeError where `grid_cells` would."""
+        self.require_valid()
+        return _kuhn_plan(self.vertices(), resolution)[3]
+
 
 # -- module-level operation surface -------------------------------------------
 
@@ -457,10 +463,10 @@ def _kuhn_centroids(n: int, k: int) -> np.ndarray:
 _MAX_GRID_CELLS = 2**24
 
 
-def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
-    """Kuhn-subdivide each simplex of a triangulation of conv(verts) into
-    k^n congruent pieces, k = resolution * ceil(longest sup-norm edge).
-    Raises GridSizeError, before allocating, above _MAX_GRID_CELLS cells."""
+def _kuhn_plan(verts: np.ndarray, resolution: int):
+    """A triangulation of conv(verts), its simplex volumes, the subdivision
+    k = resolution * ceil(longest sup-norm edge) of each simplex, and the
+    cell count sum k^n.  Raises GridSizeError above _MAX_GRID_CELLS cells."""
     n = verts.shape[1]
     simplices, simplex_volumes = _triangulate(verts)
     longest = np.abs(simplices[:, :, None] - simplices[:, None]).max(axis=(1, 2, 3))
@@ -468,6 +474,15 @@ def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
     cells = sum(k**n for k in ks)
     if cells > _MAX_GRID_CELLS:
         raise GridSizeError(f"a grid of {cells} cells exceeds the cap of {_MAX_GRID_CELLS}")
+    return simplices, simplex_volumes, ks, cells
+
+
+def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
+    """Kuhn-subdivide each simplex of a triangulation of conv(verts) into
+    k^n congruent pieces, k = resolution * ceil(longest sup-norm edge).
+    Raises GridSizeError, before allocating, above _MAX_GRID_CELLS cells."""
+    n = verts.shape[1]
+    simplices, simplex_volumes, ks, _ = _kuhn_plan(verts, resolution)
     points, volumes = [], []
     for simplex, volume, k in zip(simplices, simplex_volumes, ks):
         steps = np.diff(simplex, axis=0) / k

@@ -16,17 +16,18 @@ use the same grid: once the cells resolve the peak width, resolution
 doubling converges on them like on any smooth integrand, and the difference
 of two resolutions is the error estimate.
 
-The integrand is evaluated on consecutive blocks of 2^14 grid points, so a
-k-field integrand never holds more than a (2^14, k) value matrix.  Each
-block is reduced by pairwise summation and the block sums by the same tree;
-with a power-of-two block this is exactly one pairwise tree over the whole
-grid, in a fixed order, so repeated runs are bit-identical.
+The integrand is evaluated on consecutive blocks of grid points: 2^14 points
+for up to 4 fields, and fewer, a power of two, for more, so a k-field
+integrand never holds more than 2^16 values at once.  Each block is reduced
+by pairwise summation and the block sums by the same tree; with a
+power-of-two block this is exactly one pairwise tree over the whole grid, in
+a fixed order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,25 +69,31 @@ def _pairwise_sum(values: np.ndarray):
     while len(v) > 1:
         half = len(v) // 2
         head = v[: 2 * half : 2] + v[1 : 2 * half : 2]
-        v = np.concatenate([head, v[2 * half :]])
+        v = np.concatenate([head, v[2 * half :]]) if len(v) % 2 else head
     return v[0]
 
 
-# Points per integrand call.  A power of two, so the per-block trees and the
-# tree over the block sums make up exactly one _pairwise_sum over the column.
+# Most points, and most values, per integrand call.  Blocks are powers of
+# two, so the per-block trees and the tree over the block sums make up
+# exactly one _pairwise_sum over the column.
 _BLOCK = 2**14
+_BLOCK_VALUES = 2**16
 
 
 def _weighted_sums(matrix_f, k: int, points: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-    """Column sums of f(points) * volumes, evaluating f on blocks of _BLOCK
-    points so the (m, k) value matrix is never held whole."""
+    """Column sums of f(points) * volumes, evaluating f on blocks of at most
+    _BLOCK points and _BLOCK_VALUES values, so the (m, k) value matrix is
+    never held whole."""
+    block = _BLOCK
+    while block > 1 and block * k > _BLOCK_VALUES:
+        block //= 2
     block_sums = []
-    for start in range(0, len(points), _BLOCK):
-        pts = points[start : start + _BLOCK]
+    for start in range(0, len(points), block):
+        pts = points[start : start + block]
         vals = np.asarray(matrix_f(pts), dtype=float)
         if vals.shape != (len(pts), k):
             raise ValueError(f"integrand must map (m, n) points to (m, {k}) values")
-        vol = volumes[start : start + _BLOCK]
+        vol = volumes[start : start + block]
         block_sums.append(_pairwise_sum(vals * vol[:, None]))
     return _pairwise_sum(np.array(block_sums))
 
@@ -96,22 +103,26 @@ def integrate_many(
     k: int,
     poly: DelzantPolytope,
     spec: QuadratureSpec = QuadratureSpec(),
-    independent: bool = False,
+    group: Optional[int] = None,
 ) -> list[QuadratureResult]:
     """Integrate k scalar fields sharing one evaluation grid.
 
     `matrix_f` maps (m, n) points to (m, k) values; it is called on blocks of
-    at most _BLOCK points.  Every field gets its own Richardson value and
-    estimate.  By default refinement and the stagnation judgment are driven
-    by the first field (the reference, e.g. a density all other fields are
-    moments of).  With `independent`, each field is judged on its own: it is
-    frozen at the first level where it meets the tolerance, only fields still
-    refining are checked for finiteness and stagnation, and the results are
-    those of k separate calls.
+    at most _BLOCK points and _BLOCK_VALUES values.  Every field gets its own
+    Richardson value and estimate.  The fields come in consecutive groups of
+    `group` (default k, one group), and the first field of each group is its
+    reference (e.g. a density the others are moments of): a group is frozen
+    at the first level where its reference meets the tolerance, only groups
+    still refining are checked for finiteness, and stagnation is judged on
+    the references.  The results are those of k / group separate calls, one
+    per group; `group=1` judges every field on its own.
     """
+    group = k if group is None else group
+    if group < 1 or k % group:
+        raise ValueError(f"group size {group} does not divide {k} fields")
     res = spec.resolution
-    # column j is judged by column judge[j]
-    judge = np.arange(k) if independent else np.zeros(k, dtype=int)
+    # column j is judged by column judge[j], the first column of its group
+    judge = np.arange(k) // group * group
 
     def sums(resolution: int) -> np.ndarray:
         grid = poly.grid_cells(resolution)

@@ -376,9 +376,7 @@ def section_norms_sq(
     as when a density underflows on every grid cell.
     """
     poly = sections[0].polytope
-    results = integrate_many(
-        _density_kernel(sections), len(sections), poly, spec, independent=True
-    )
+    results = integrate_many(_density_kernel(sections), len(sections), poly, spec, group=1)
     volume = torus_volume(poly.dimension)
     norms = [volume * r.value for r in results]
     for j, (s, norm) in enumerate(zip(sections, norms)):

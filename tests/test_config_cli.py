@@ -361,14 +361,17 @@ def test_cli_converge_past_grid_resolution_is_numerical_failure(tmp_path, capsys
     assert capsys.readouterr().out.startswith("numerical failure:")
 
 
-def test_cli_oversized_grid_is_numerical_failure(tmp_path, run_capped):
-    # 10^8 cells at the first level: a typed error, not MemoryError or the OOM killer
+@pytest.mark.parametrize("sub", ["validate", "section-flow"])
+def test_cli_oversized_grid_is_config_error(tmp_path, run_capped, sub):
+    # 10^8 cells at the first level and 6.4e9 at depth 2: every subcommand
+    # refuses the config before it allocates a grid, as `validate` does
     cfg = tmp_path / "huge_grid.cfg"
     cfg.write_text(_with_values(CP2_CFG, "quad.resolution = 5000"))
-    argv = ["section-flow", "--config", str(cfg), "--out", str(tmp_path)]
+    argv = [sub, "--config", str(cfg), "--out", str(tmp_path)]
     done = run_capped(f"import sys\nfrom toricflow.cli import main\nsys.exit(main({argv!r}))")
-    assert done.returncode == 2, done.stderr
-    assert done.stdout.startswith("numerical failure: a grid of 100000000 cells")
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.startswith("config error: quad: the finest grid")
+    assert "a grid of 6400000000 cells exceeds the cap of 16777216" in done.stdout
 
 
 def test_cli_validate_witness_is_plain_floats(tmp_path):

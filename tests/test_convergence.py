@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +7,11 @@ from scipy.special import erf
 from scipy.stats import norm
 
 import toricflow as tf
+from toricflow.config import load_config, parse_t_grid
+from toricflow.convergence import _density_moments
 from toricflow.errors import FiberDegenerationError, QuadratureOverflow
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -283,12 +289,23 @@ def test_convergence_requires_interior_weight(model2, spec):
         )
 
 
-def test_convergence_threads_agree(model2, spec):
-    poly, g0, phi = model2
-    bumps = [tf.BumpProfile((1.0,), 0.9, 1.0)]
-    seq = tf.convergence_experiment(np.array([1.0]), phi, g0, bumps, [10, 20, 40], spec)
-    par = tf.convergence_experiment(
-        np.array([1.0]), phi, g0, bumps, [10, 20, 40], spec, threads=3
-    )
-    assert seq.bumps[0].pairings == par.bumps[0].pairings
+def test_batched_pairings_match_per_t_moments():
+    # cp1_size2's large-t grid: t = 10 refines twice and every later t stops
+    # at the first level; the one-pass pairings equal the per-t ratios
+    exp = load_config(REPO / "configs" / "cp1_size2.cfg").validate()
+    lam = np.asarray(exp.lam, dtype=float)
+    ts = parse_t_grid("10:1280:2")
+    report = tf.convergence_experiment(lam, exp.phi, exp.g0, exp.bumps, ts, exp.spec, exp.mode)
+    levels = []
+    for i, t in enumerate(ts):
+        sizes = []
 
+        def first_bump(p, sizes=sizes):
+            sizes.append(len(p))
+            return exp.bumps[0](p)
+
+        fs = [first_bump, *exp.bumps[1:]]
+        moments, _ = _density_moments(fs, exp.poly, exp.phi, lam, [t], exp.spec)
+        levels.append(len(sizes))
+        assert [b.pairings[i] for b in report.bumps] == list(moments[0, 1:] / moments[0, 0])
+    assert levels == [4] + [2] * (len(ts) - 1)

@@ -5,7 +5,9 @@ from scipy.special import erf
 
 import toricflow as tf
 from toricflow.errors import QuadratureOverflow, QuadratureStagnation
-from toricflow.quadrature import _BLOCK, _pairwise_sum, _weighted_sums, integrate_many
+from toricflow.quadrature import (
+    _BLOCK, _BLOCK_VALUES, _pairwise_sum, _weighted_sums, integrate_many,
+)
 
 
 def test_constant_exact(cp1_unit):
@@ -131,14 +133,23 @@ def test_2d_quadratic_extrapolates_exactly(cp2_size2):
 
 @pytest.mark.parametrize("m", [1, 2**14 - 1, 2**14, 3 * 2**14 + 5])
 def test_block_sums_are_one_pairwise_tree(m):
-    # a power-of-two block keeps the summation tree of the whole column
+    # a power-of-two block keeps the summation tree of the whole column; a
+    # wide matrix gets fewer points per block, never more than _BLOCK_VALUES
     rng = np.random.default_rng(m)
-    vals = rng.standard_normal((m, 2)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
     volumes = rng.random(m)
     points = np.arange(m, dtype=float)[:, None]
-    sums = _weighted_sums(lambda p: vals[p[:, 0].astype(int)], 2, points, volumes)
-    for j in range(2):
-        assert sums[j] == _pairwise_sum(vals[:, j] * volumes)
+    for k, block in ((2, 2**14), (12, 2**12)):
+        vals = rng.standard_normal((m, k)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
+        sizes = []
+
+        def f(p):
+            sizes.append(len(p))
+            return vals[p[:, 0].astype(int)]
+
+        sums = _weighted_sums(f, k, points, volumes)
+        assert max(sizes) == min(m, block) and block * k <= _BLOCK_VALUES
+        for j in range(k):
+            assert sums[j] == _pairwise_sum(vals[:, j] * volumes)
 
 
 def test_integrand_blocks_bounded():
@@ -169,7 +180,7 @@ def test_stagnation_names_column(cp1_unit):
     # column 0 judges every column by default and meets the tolerance at once
     assert integrate_many(f, 2, cp1_unit, spec)[0].value == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(QuadratureStagnation, match="column 1") as err:
-        integrate_many(f, 2, cp1_unit, spec, independent=True)
+        integrate_many(f, 2, cp1_unit, spec, group=1)
     with pytest.raises(QuadratureStagnation) as alone:
         tf.integrate(lambda p: np.sin(1e7 * p[:, 0]), cp1_unit, spec)
     assert (err.value.value, err.value.estimate) == (alone.value.value, alone.value.estimate)
@@ -185,8 +196,58 @@ def test_independent_columns_freeze(cp1_unit):
 
     spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-10, max_refinements=3)
     with np.errstate(invalid="ignore"):
-        frozen, refined = integrate_many(f, 2, cp1_unit, spec, independent=True)
+        frozen, refined = integrate_many(f, 2, cp1_unit, spec, group=1)
     assert frozen == (1.0, 0.0)
     assert refined == integrate_many(lambda p: f(p)[:, [1]], 1, cp1_unit, spec)[0]
     with np.errstate(invalid="ignore"), pytest.raises(QuadratureOverflow, match="column 1"):
         integrate_many(lambda p: f(p)[:, ::-1], 2, cp1_unit, spec)
+
+
+def _three_groups(p):
+    # three (reference, moment) groups whose references meet rel_tol 1e-4
+    # after 0, 2 and 1 refinements, on grids of 16, 32, 64 and 128 points
+    x = p[:, 0]
+    refs = [1.0 + 0.5 * np.cos(w * x) for w in (1.0, 8.0, 4.0)]
+    return np.column_stack([c for r in refs for c in (r, r * x**2)])
+
+
+GROUP_SPEC = tf.QuadratureSpec(resolution=16, rel_tol=1e-4, max_refinements=5)
+
+
+def test_groups_match_separate_calls(cp1_unit):
+    grouped = integrate_many(_three_groups, 6, cp1_unit, GROUP_SPEC, group=2)
+    for g, levels in enumerate((2, 4, 3)):
+        sizes = []
+
+        def alone(p, g=g):
+            sizes.append(len(p))
+            return _three_groups(p)[:, 2 * g : 2 * g + 2]
+
+        assert grouped[2 * g : 2 * g + 2] == integrate_many(alone, 2, cp1_unit, GROUP_SPEC)
+        assert sizes == [16 * 2**i for i in range(levels)]
+    with pytest.raises(ValueError, match="does not divide"):
+        integrate_many(_three_groups, 6, cp1_unit, GROUP_SPEC, group=4)
+
+
+def test_later_group_names_its_column(cp1_unit):
+    # past its group's last level a column is neither judged nor reported
+    # (columns 1 and 5); one whose group still refines is (column 3)
+    def overflow(p):
+        vals = _three_groups(p)
+        for j in (1, 3, 5):
+            vals[:, j] = np.inf if len(p) > 64 else 1.0
+        return vals
+
+    with pytest.raises(QuadratureOverflow, match="column 3"):
+        integrate_many(overflow, 6, cp1_unit, GROUP_SPEC, group=2)
+
+    def stagnates(p):
+        vals = _three_groups(p)
+        vals[:, 4] = np.sin(1e7 * p[:, 0])
+        return vals
+
+    with pytest.raises(QuadratureStagnation, match="column 4") as err:
+        integrate_many(stagnates, 6, cp1_unit, GROUP_SPEC, group=2)
+    with pytest.raises(QuadratureStagnation) as alone:
+        tf.integrate(lambda p: np.sin(1e7 * p[:, 0]), cp1_unit, GROUP_SPEC)
+    assert (err.value.value, err.value.estimate) == (alone.value.value, alone.value.estimate)

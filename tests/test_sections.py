@@ -376,7 +376,7 @@ def test_batch_freezes_each_column(model2):
     spec = tf.QuadratureSpec()
     sections = [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
     kernel = _density_kernel(sections)
-    batch = integrate_many(kernel, len(sections), poly, spec, independent=True)
+    batch = integrate_many(kernel, len(sections), poly, spec, group=1)
     for j, s in enumerate(sections):
         points = []
 
