@@ -32,6 +32,7 @@ from .sections import (
     WeightSection,
     frame_holomorphicity_residual,
     gluing_check_cp1,
+    gluing_points,
     lift_section_consistency,
     route_equality_residual,
     section_norms_sq,
@@ -87,6 +88,17 @@ def _row(check: str, lam, t, residual, tol) -> list:
     return [check, " ".join(map(str, lam)) or "-", t, residual, tol, residual < tol]
 
 
+def _require_kahler(exp: Experiment, ts, pts) -> None:
+    """Raise ToricFlowError (exit 2) unless G_t = Hess g_t is positive definite
+    at every point and time a check evaluates; elsewhere J_t is not Kahler."""
+    for t in ts:
+        eigs = np.linalg.eigvalsh(KahlerFlowState(exp.g0, exp.phi, t).metric_hessian(pts))
+        i = int(np.argmin(eigs.min(axis=-1)))  # a NaN minimum is picked first
+        if not eigs[i].min() > 0:
+            raise ToricFlowError(f"G_t is not positive definite at t = {t:g}, "
+                                 f"x = {pts[i].tolist()} (min eigenvalue {eigs[i].min():.3e})")
+
+
 def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
     """The two-chart gluing rows of one weight, for section-flow and gluing."""
     resids = (gluing_check_cp1(s0, t, corrupt=args.corrupt_transition) for t in ts)
@@ -136,6 +148,7 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     ts = exp.flow_t_grid or [0.0, 0.5, 1.0, 5.0, 20.0]
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
+    _require_kahler(exp, ts, pts)
 
     rows = []
     resids = []
@@ -181,6 +194,15 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 40, rng, margin=_sample_margin(poly))
     thetas = rng.random((40, poly.dimension)) * 2.0 * np.pi
+    # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so the
+    # frame check runs at moderate time and away from the boundary
+    t_frame = min(1.0, ts[-1])
+    _, radius = poly.chebyshev_center()
+    frame_pts = sample_interior(poly, 10, rng, margin=0.5 * radius)
+    _require_kahler(exp, ts, pts)
+    _require_kahler(exp, [t_frame], frame_pts)
+    if poly.dimension == 1:
+        _require_kahler(exp, ts, gluing_points(poly))
 
     rows = []
     pairs = []
@@ -196,11 +218,6 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     norms = section_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], exp.spec)
     norm_rows = [[" ".join(map(str, lam)), t, norm] for (lam, t), norm in zip(pairs, norms)]
 
-    # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so this
-    # check runs at moderate time and away from the boundary
-    t_frame = min(1.0, ts[-1])
-    _, radius = poly.chebyshev_center()
-    frame_pts = sample_interior(poly, 10, rng, margin=0.5 * radius)
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
     rows.append(_row("frame-holomorphicity", (), t_frame, frame_resid, FRAME_TOL))
 
@@ -270,6 +287,7 @@ def cmd_gluing(exp: Experiment, out: Path, args) -> int:
         print("gluing: the two-chart model needs a one-dimensional polytope")
         return EXIT_CONFIG
     ts = exp.section_t or [1.0, 3.0]
+    _require_kahler(exp, ts, gluing_points(exp.poly))
     rows = []
     for lam in _weights(exp):
         rows += _gluing_rows(lam, WeightSection(lam, exp.g0, exp.phi, 0.0), ts, args)
@@ -283,6 +301,7 @@ def cmd_lift(exp: Experiment, out: Path, args) -> int:
     pts = sample_interior(poly, 20, rng, margin=_sample_margin(poly))
     thetas = rng.random((20, poly.dimension)) * 2.0 * np.pi
     zetas = np.exp(1j * rng.random(20) * 2.0 * np.pi)
+    _require_kahler(exp, ts, pts)
     rows = []
     for lam in _weights(exp):
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)

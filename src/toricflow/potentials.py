@@ -75,7 +75,7 @@ class QuadraticPotential(ConvexPotential):
 
     def value(self, x):
         x = self._coerce(x)
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.Q, x)
+        quad = 0.5 * np.einsum("...i,...i->...", x @ self.Q, x)
         out = quad + x @ self.b + self.c
         for a, k in self.terms:
             out = out + a * np.exp(x @ k)

@@ -328,6 +328,9 @@ def _density_kernel(sections: Sequence[WeightSection]):
     sum_k l_k(lam); a smooth part e of g_0 adds the features
     [x.grad e - e, grad e] with coefficients [-2, 2 lam].  Every density is
     then one column of a single product and one exponential.
+    A block writes the features into the columns of one column-major matrix
+    with `out=` and calls each potential's grad and value once; sum_k l_k
+    adds in facet order, as `sum(axis=1)` does below 8 facets.
     """
     g0, phi = sections[0].g0, sections[0].phi
     if any(s.g0 is not g0 or s.phi is not phi for s in sections):
@@ -341,21 +344,28 @@ def _density_kernel(sections: Sequence[WeightSection]):
         rows += [np.full_like(ts, -2.0), 2.0 * lams.T]
     coeffs = np.vstack(rows)
     const = llam.sum(axis=1)
-
-    def affine_features(pot: ConvexPotential, x: np.ndarray) -> list[np.ndarray]:
-        grad = pot.grad(x)
-        return [np.einsum("ij,ij->i", x, grad) - pot.value(x), grad]
+    pots = [phi] if g0.extra is None else [phi, g0.extra]
+    n_facets = llam.shape[1]
 
     def kernel(x: np.ndarray) -> np.ndarray:
         lx = poly.facet_values(x)
         if lx.min() < -1e-12:
             raise DomainError("density requested outside the closed polytope")
-        lx = np.maximum(lx, 0.0)
-        feats = [np.log(np.maximum(lx, _TINY)), lx.sum(axis=1)]
-        feats += affine_features(phi, x)
-        if g0.extra is not None:
-            feats += affine_features(g0.extra, x)
-        exponent = np.column_stack(feats) @ coeffs + const
+        np.maximum(lx, 0.0, out=lx)
+        feats = np.empty((len(x), len(coeffs)), order="F")
+        np.log(np.maximum(lx, _TINY, out=feats[:, :n_facets]), out=feats[:, :n_facets])
+        feats[:, n_facets] = lx[:, 0]
+        for k in range(1, n_facets):
+            feats[:, n_facets] += lx[:, k]
+        col = n_facets + 1
+        for pot in pots:
+            grad = pot.grad(x)
+            np.einsum("ij,ij->i", x, grad, out=feats[:, col])
+            feats[:, col] -= pot.value(x)
+            feats[:, col + 1 : col + 1 + grad.shape[1]] = grad
+            col += 1 + grad.shape[1]
+        exponent = feats @ coeffs
+        exponent += const
         return np.exp(exponent, out=exponent)
 
     return kernel
@@ -414,6 +424,11 @@ def _segment_length(poly: DelzantPolytope) -> int:
     return int(round(a))
 
 
+def gluing_points(poly: DelzantPolytope) -> np.ndarray:
+    """The (13, 1) overlap points of [0.05, a - 0.05] that `gluing_check_cp1` uses."""
+    return np.linspace(0.05, _segment_length(poly) - 0.05, 13)[:, None]
+
+
 def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> float:
     """Max relative deviation between the chart-U and chart-V representatives
     of the flowed section on the overlap of the two invariant charts of the
@@ -430,7 +445,7 @@ def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> float
     a = _segment_length(s.polytope)
     if s.t != 0.0:
         raise ValueError("gluing check starts from a time-zero section")
-    x = np.linspace(0.05, a - 0.05, 13).reshape(-1, 1, 1)
+    x = gluing_points(s.polytope)[..., None]
     theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
 
     center = (float(a),)
@@ -514,27 +529,18 @@ def frame_holomorphicity_residual(
 
     with u = e^{-rho_t/2}.  Gradients are taken by fourth-order central
     differences of step h = 1e-3 (the direction field itself uses the
-    analytic Hessian); the residual is relative to |u|.
+    analytic Hessian); the residual is relative to |u|.  rho_t is evaluated
+    twice, at the points and at the (points, n, 4, n) stencil x + m h e_k.
     """
     state = KahlerFlowState(g0, phi, t)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
     h = 1e-3
-    worst = 0.0
-    for x in pts:
-        u0 = np.exp(-0.5 * state.kahler_potential_legendre(x))
-        G = state.metric_hessian(x)
-        Ginv = np.linalg.inv(G)
-        grad_fd = np.zeros(n)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            vals = [
-                np.exp(-0.5 * state.kahler_potential_legendre(x + m * e))
-                for m in (-2, -1, 1, 2)
-            ]
-            grad_fd[k] = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-        # the frame is torus-invariant, so the (i/2) du/dtheta term vanishes
-        coeff = 0.5 * (Ginv @ grad_fd) + 0.5 * x * u0
-        worst = max(worst, float(np.max(np.abs(coeff)) / u0))
-    return worst
+    # steps[k, i] = m_i h e_k for the stencil offsets m = -2, -1, 1, 2
+    steps = np.array([-2, -1, 1, 2])[:, None] * (h * np.eye(pts.shape[1]))[:, None, :]
+    vals = np.exp(-0.5 * state.kahler_potential_legendre(pts[:, None, None, :] + steps))
+    grad_fd = (vals[..., 0] - 8 * vals[..., 1] + 8 * vals[..., 2] - vals[..., 3]) / (12 * h)
+    u0 = np.exp(-0.5 * state.kahler_potential_legendre(pts))
+    Ginv = np.linalg.inv(state.metric_hessian(pts))
+    # the frame is torus-invariant, so the (i/2) du/dtheta term vanishes
+    coeff = 0.5 * (Ginv @ grad_fd[:, :, None])[..., 0] + 0.5 * pts * u0[:, None]
+    return float(np.max(np.max(np.abs(coeff), axis=1) / u0))

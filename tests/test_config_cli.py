@@ -382,6 +382,18 @@ def test_cli_validate_witness_is_plain_floats(tmp_path):
     assert issues == ["phi is not strictly convex (min eig -1.000e+00 at [0.015625])"]
 
 
+@pytest.mark.parametrize("sub", ["potential-flow", "section-flow", "gluing", "lift"])
+def test_cli_indefinite_metric_is_numerical_failure(tmp_path, capsys, sub):
+    # G_t = G_0 - t is indefinite near x = 1 once t > 1, so J_t is no Kahler
+    # structure there; every check evaluated at such a point must refuse
+    cfg = tmp_path / "concave.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "phi.Q = -1"))
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("numerical failure: G_t is not positive definite at t = ")
+    assert not list(out.iterdir())
+
+
 def test_cli_report_fails_after_failed_validate(tmp_path):
     # a validate FAIL is recorded in validation.json, so the report fails too
     cfg = tmp_path / "concave.cfg"

@@ -58,6 +58,27 @@ def test_grad_hess_consistent_with_finite_differences(phi, rng):
         assert np.max(np.abs(H - H_fd)) < 1e-6 * max(1.0, np.max(np.abs(H)))
 
 
+def _three_operand_value(phi, x):
+    # reference: the quadratic part as one three-operand x.Q.x contraction
+    out = 0.5 * np.einsum("...i,ij,...j->...", x, phi.Q, x) + x @ phi.b + phi.c
+    for a, k in phi.terms:
+        out = out + a * np.exp(x @ k)
+    return out
+
+
+def test_quadratic_value_matches_three_operand_form(rng):
+    x = rng.uniform(-1.5, 1.5, size=(4, 5, 2))
+    for Q in (np.diag([2.0, 4.0]), np.eye(2), np.diag([0.3, 7.0])):
+        phi = tf.QuadraticPotential(Q, b=[0.1, -0.2], c=0.3)
+        assert np.array_equal(phi.value(x), _three_operand_value(phi, x))
+        assert phi.value(x[0, 0]) == _three_operand_value(phi, x[0, 0])
+    # off the diagonal the contraction order changes, so only rounding moves
+    phi = tf.QuadraticPotential(
+        [[1.0, 0.5], [0.5, 3.0]], b=[0.1, -0.2], c=0.3, terms=[(0.05, (1.0, -0.5))]
+    )
+    np.testing.assert_allclose(phi.value(x), _three_operand_value(phi, x), rtol=1e-15, atol=0)
+
+
 def test_batched_evaluation_matches_pointwise(phi_aniso, rng):
     xs = rng.uniform(-1, 1, size=(7, 2))
     vals = phi_aniso.value(xs)

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import toricflow as tf
+from toricflow.cli import FRAME_TOL
 from toricflow.config import load_config
 from toricflow.errors import (
     AliasingError,
@@ -438,6 +439,92 @@ def test_batch_rejects_mixed_models(model2):
         tf.section_norms_sq(sections)
 
 
+def _column_stack_kernel(sections):
+    # reference: the density kernel as a list of feature arrays, joined by
+    # `column_stack`, one product and `exp`; `_density_kernel` must match
+    # it bit for bit
+    g0, phi = sections[0].g0, sections[0].phi
+    poly = g0.polytope
+    lams = np.array([s.lam for s in sections])
+    ts = np.array([s.t for s in sections])
+    llam = poly.facet_values(lams)
+    rows = [llam.T, -np.ones_like(ts), -2.0 * ts, 2.0 * ts * lams.T]
+    if g0.extra is not None:
+        rows += [np.full_like(ts, -2.0), 2.0 * lams.T]
+    coeffs = np.vstack(rows)
+    const = llam.sum(axis=1)
+
+    def affine_features(pot, x):
+        grad = pot.grad(x)
+        return [np.einsum("ij,ij->i", x, grad) - pot.value(x), grad]
+
+    def kernel(x):
+        lx = np.maximum(poly.facet_values(x), 0.0)
+        feats = [np.log(np.maximum(lx, 1e-300)), lx.sum(axis=1)]
+        feats += affine_features(phi, x)
+        if g0.extra is not None:
+            feats += affine_features(g0.extra, x)
+        return np.exp(np.column_stack(feats) @ coeffs + const)
+
+    return kernel
+
+
+def _kernel_cases():
+    exp = load_config(CP2_CONFIG).validate()
+    yield [tf.WeightSection(lam, exp.g0, exp.phi, t) for lam in exp.weights for t in exp.section_t]
+    poly = tf.standard_simplex(2, 2.0)
+    g0 = tf.SymplecticPotential(poly, extra=tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]))
+    phi = tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]])
+    yield [tf.WeightSection(lam, g0, phi, t) for lam in ((0, 0), (1, 1), (2, 0)) for t in (0.0, 3.0)]
+    g0 = tf.SymplecticPotential(tf.segment(2.0))
+    phi = tf.QuadraticPotential([[1.0]])
+    yield [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["cp2-config", "cp2-extra", "segment"])
+def test_density_kernel_is_bit_identical_to_column_stack_form(case):
+    sections = list(_kernel_cases())[case]
+    poly = sections[0].polytope
+    # a full block, an odd block, and the vertices, where log l_k hits _TINY
+    for x in (poly.grid_cells(48).points, poly.grid_cells(5).points[:37], poly.vertices()):
+        x = np.ascontiguousarray(x, dtype=float)
+        assert np.array_equal(_density_kernel(sections)(x), _column_stack_kernel(sections)(x))
+
+
+def _counting(pot, counts):
+    # pot behind a CallablePotential that counts each method's calls
+    def method(name):
+        def call(x):
+            counts[name] += 1
+            return getattr(pot, name)(x)
+
+        return call
+
+    return tf.CallablePotential(pot.dimension, method("value"), method("grad"), method("hess"))
+
+
+def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
+    phi_counts = dict.fromkeys(("value", "grad", "hess"), 0)
+    extra_counts = dict(phi_counts)
+    g0 = tf.SymplecticPotential(
+        cp2_size2, extra=_counting(tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]), extra_counts)
+    )
+    phi = _counting(tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]]), phi_counts)
+    kernel = _density_kernel([tf.WeightSection(lam, g0, phi, 1.0) for lam in ((0, 0), (1, 1))])
+    blocks = []
+
+    def counted_kernel(x):
+        blocks.append(len(x))
+        return kernel(x)
+
+    spec = tf.QuadratureSpec(resolution=64, rel_tol=1e-6, max_refinements=1)
+    integrate_many(counted_kernel, 2, cp2_size2, spec, group=1)
+    assert len(blocks) > 2
+    expected = {"value": len(blocks), "grad": len(blocks), "hess": 0}
+    assert phi_counts == expected
+    assert extra_counts == expected
+
+
 # -- gluing -----------------------------------------------------------------------
 
 
@@ -570,3 +657,78 @@ def test_frame_holomorphicity(model2, rng, t):
     pts = tf.sample_interior(g0.polytope, 15, rng, margin=0.25)
     resid = tf.frame_holomorphicity_residual(g0, phi, t, pts)
     assert resid < 1e-8
+
+
+def _pointwise_frame_residual(g0, phi, t, points):
+    # reference: the frame check as a per-point loop, one Legendre
+    # evaluation per point and per stencil point
+    state = tf.KahlerFlowState(g0, phi, t)
+    n = points.shape[1]
+    h = 1e-3
+    worst = 0.0
+    for x in points:
+        u0 = np.exp(-0.5 * state.kahler_potential_legendre(x))
+        Ginv = np.linalg.inv(state.metric_hessian(x))
+        grad_fd = np.zeros(n)
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = h
+            vals = [np.exp(-0.5 * state.kahler_potential_legendre(x + m * e)) for m in (-2, -1, 1, 2)]
+            grad_fd[k] = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+        coeff = 0.5 * (Ginv @ grad_fd) + 0.5 * x * u0
+        worst = max(worst, float(np.max(np.abs(coeff)) / u0))
+    return worst
+
+
+def _frame_points(poly, seed, count=10):
+    # the points section-flow samples for its frame check
+    _, radius = poly.chebyshev_center()
+    return tf.sample_interior(poly, count, np.random.default_rng(seed), margin=0.5 * radius)
+
+
+@pytest.mark.parametrize("config", ["cp1_unit", "cp1_size2", "cp2_size2"])
+def test_frame_residual_is_bit_identical_to_pointwise_loop(config):
+    exp = load_config(CP2_CONFIG.parent / f"{config}.cfg").validate()
+    for seed in range(4):
+        pts = _frame_points(exp.poly, seed)
+        for t in (0.0, 0.5, 1.0):
+            batched = tf.frame_holomorphicity_residual(exp.g0, exp.phi, t, pts)
+            assert batched == _pointwise_frame_residual(exp.g0, exp.phi, t, pts)
+
+
+class _ScaledGradient(tf.SymplecticPotential):
+    """g_0 whose gradient is planted 10% too large."""
+
+    def grad(self, x):
+        return 1.1 * super().grad(x)
+
+
+@pytest.mark.parametrize("plant", ["phi.hess", "g0.grad"])
+def test_frame_check_catches_planted_defect(plant):
+    # negative control: the batched check must still see a wrong Hessian of
+    # phi (the direction field) or a wrong gradient of g_0 (rho_t itself)
+    exp = load_config(CP2_CONFIG).validate()
+    g0, phi = exp.g0, exp.phi
+    pts = _frame_points(exp.poly, 0)
+    assert tf.frame_holomorphicity_residual(g0, phi, 1.0, pts) < FRAME_TOL
+    if plant == "phi.hess":
+        phi = tf.CallablePotential(2, phi.value, phi.grad, lambda x, hess=phi.hess: 1.1 * hess(x))
+    else:
+        g0 = _ScaledGradient(exp.poly)
+    assert tf.frame_holomorphicity_residual(g0, phi, 1.0, pts) > FRAME_TOL
+
+
+def test_frame_check_makes_two_legendre_calls(cp2_size2, monkeypatch):
+    g0, phi = tf.SymplecticPotential(cp2_size2), tf.QuadraticPotential(np.diag([2.0, 4.0]))
+    original = tf.KahlerFlowState.kahler_potential_legendre
+    calls = []
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(tf.KahlerFlowState, "kahler_potential_legendre", counted)
+    for count in (1, 10, 40):
+        calls.clear()
+        tf.frame_holomorphicity_residual(g0, phi, 1.0, _frame_points(cp2_size2, 3, count))
+        assert sorted(calls) == [(count, 2), (count, 2, 4, 2)]
