@@ -22,9 +22,11 @@ from .errors import ConfigError, FiberDegenerationError, ToricFlowError
 from .flow import (
     FIT_DECADE,
     KahlerFlowState,
-    complex_structure,
+    complex_structure_of,
+    fit_loglog_slope,
     fit_window,
-    polarization_decay_curve,
+    limit_angle,
+    metric_hessians,
 )
 from .polytopes import sample_interior
 from .potentials import check_strict_convexity
@@ -69,6 +71,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write a float64 table in `_write_csv`'s number format, one "%.17g"
+    row format per row instead of one call per cell."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header), *(row % tuple(values) for values in table.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -91,12 +101,12 @@ def _row(check: str, lam, t, residual, tol) -> list:
 def _require_kahler(exp: Experiment, ts, pts) -> None:
     """Raise ToricFlowError (exit 2) unless G_t = Hess g_t is positive definite
     at every point and time a check evaluates; elsewhere J_t is not Kahler."""
-    for t in ts:
-        eigs = np.linalg.eigvalsh(KahlerFlowState(exp.g0, exp.phi, t).metric_hessian(pts))
-        i = int(np.argmin(eigs.min(axis=-1)))  # a NaN minimum is picked first
-        if not eigs[i].min() > 0:
+    lows = np.linalg.eigvalsh(metric_hessians(exp.g0, exp.phi, ts, pts)).min(axis=-1)
+    for t, low in zip(ts, lows):
+        i = int(np.argmin(low))  # a NaN minimum is picked first
+        if not low[i] > 0:
             raise ToricFlowError(f"G_t is not positive definite at t = {t:g}, "
-                                 f"x = {pts[i].tolist()} (min eigenvalue {eigs[i].min():.3e})")
+                                 f"x = {pts[i].tolist()} (min eigenvalue {low[i]:.3e})")
 
 
 def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
@@ -150,27 +160,23 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
     _require_kahler(exp, ts, pts)
 
-    rows = []
-    resids = []
+    blocks = []
     for t in ts:
         state = KahlerFlowState(exp.g0, exp.phi, t)
         g_vals = state.potential(pts)
         rho_formula = state.kahler_potential(pts)
         rho_leg = state.kahler_potential_legendre(pts)
-        resid = np.abs(rho_formula - rho_leg)
-        resids.append(resid)
-        for i, x in enumerate(pts):
-            rows.append(
-                [t, *x, g_vals[i], rho_formula[i], rho_leg[i], resid[i]]
-            )
+        blocks.append(np.column_stack([np.full(len(pts), t), pts, g_vals, rho_formula,
+                                       rho_leg, np.abs(rho_formula - rho_leg)]))
+    table = np.vstack(blocks)
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
-    worst = float(np.max(resids))
+    worst = float(np.max(table[:, -1]))
     header = (
         ["t"]
         + [f"x{i+1}" for i in range(poly.dimension)]
         + ["g_t", "rho_t", "rho_t_legendre", "residual"]
     )
-    _write_csv(out / "potential_flow.csv", header, rows)
+    _write_table(out / "potential_flow.csv", header, table)
     passed = worst < POTENTIAL_TOL
     _write_json(
         out / "potential_flow.json",
@@ -242,25 +248,21 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
 
-    curve = polarization_decay_curve(exp.g0, exp.phi, pts, ts)
-    j_resid = 0.0
-    positive = True
-    for t in ts:
-        state = KahlerFlowState(exp.g0, exp.phi, t)
-        # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
-        positive = positive and bool(np.linalg.eigvalsh(state.metric_hessian(pts)).min() > 0)
-        J = complex_structure(state, pts)
-        j_resid = max(j_resid, float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension)))))
-    slopes = curve.slope.tolist()
-    rows = [
-        [t, *x, a, slope]
-        for x, column, slope in zip(pts, curve.angles.T, slopes)
-        for t, a in zip(ts, column)
-    ]
-    _write_csv(
+    G = metric_hessians(exp.g0, exp.phi, ts, pts)
+    eigs = np.linalg.eigvalsh(G)
+    angles = limit_angle(eigs)
+    slopes = fit_loglog_slope(ts, angles).tolist()
+    # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
+    positive = bool(eigs.min() > 0)
+    J = complex_structure_of(G)
+    # np.max, unlike Python's max, keeps a NaN residual, which then fails
+    j_resid = float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension))))
+    table = np.column_stack([np.tile(ts, len(pts)), np.repeat(pts, len(ts), axis=0),
+                             angles.T.ravel(), np.repeat(slopes, len(ts))])
+    _write_table(
         out / "polarization.csv",
         ["t"] + [f"x{i+1}" for i in range(poly.dimension)] + ["angle", "slope_window"],
-        rows,
+        table,
     )
     slope_ok = all(SLOPE_BAND[0] <= s <= SLOPE_BAND[1] for s in slopes)
     passed = slope_ok and j_resid < J_SQUARED_TOL and positive

@@ -138,7 +138,7 @@ class KahlerFlowState:
 
     def metric_hessian(self, x) -> np.ndarray:
         """G_t = Hess g_t(x)."""
-        return self.g0.hess(x) + self.t * self.phi.hess(x)
+        return metric_hessians(self.g0, self.phi, self.t, x)
 
     # Kahler potentials
     def kahler_potential_reference(self, x) -> np.ndarray:
@@ -164,6 +164,17 @@ class KahlerFlowState:
         return np.abs(self.kahler_potential(x) - self.kahler_potential_legendre(x))
 
 
+def metric_hessians(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.ndarray:
+    """G_t = Hess g_0(x) + t Hess phi(x), evaluating each Hessian once.
+
+    A scalar t gives shape (..., n, n); times of shape (T,) give the stack
+    (T, ..., n, n), bit for bit the per-t values.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return g0.hess(x) + t.reshape(t.shape + (1,) * (x.ndim + 1)) * phi.hess(x)
+
+
 _COND_LIMIT = 1e12
 
 
@@ -180,7 +191,12 @@ def complex_structure(state: KahlerFlowState, x) -> np.ndarray:
     Batched over the leading axes of x: points of shape (..., n) give
     matrices of shape (..., 2n, 2n).
     """
-    G = state.metric_hessian(np.asarray(x, dtype=float))
+    return complex_structure_of(state.metric_hessian(x))
+
+
+def complex_structure_of(G: np.ndarray) -> np.ndarray:
+    """[[0, -G^{-1}], [G, 0]] for each G over the leading axes, with G^{-1}
+    checked."""
     n = G.shape[-1]
     J = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
     J[..., :n, n:] = -_checked_inverse(G)
@@ -191,7 +207,7 @@ def complex_structure(state: KahlerFlowState, x) -> np.ndarray:
 def metric_matrix(state: KahlerFlowState, x) -> np.ndarray:
     """omega(-, J_t -) in the same frame: block diag(G_t, G_t^{-1}), batched
     like `complex_structure`.  It is positive definite exactly when G_t is."""
-    G = state.metric_hessian(np.asarray(x, dtype=float))
+    G = state.metric_hessian(x)
     n = G.shape[-1]
     M = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
     M[..., :n, :n] = G
@@ -209,13 +225,17 @@ def polarization_angle(state: KahlerFlowState, x) -> np.ndarray:
     `subspace_angle(polarization_basis_t(state, x), mixed_polarization_basis(n))`
     without losing accuracy at small angles.
     """
-    G = state.metric_hessian(np.asarray(x, dtype=float))
-    return np.arctan2(1.0, np.abs(np.linalg.eigvalsh(G)).min(-1))
+    return limit_angle(np.linalg.eigvalsh(state.metric_hessian(x)))
+
+
+def limit_angle(eigenvalues) -> np.ndarray:
+    """`polarization_angle` from the eigenvalues of G_t, over the last axis."""
+    return np.arctan2(1.0, np.abs(eigenvalues).min(-1))
 
 
 def polarization_basis_t(state: KahlerFlowState, x) -> np.ndarray:
     """Anti-holomorphic frame of J_t: columns [ (1/2)G_t^{-1} ; (i/2)Id ]."""
-    G = state.metric_hessian(np.asarray(x, dtype=float))
+    G = state.metric_hessian(x)
     n = G.shape[0]
     top = 0.5 * np.linalg.inv(G)
     bottom = 0.5j * np.eye(n)
@@ -327,6 +347,8 @@ def polarization_decay_curve(
     ts = np.asarray(t_grid, dtype=float)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")
-    angles = np.array([polarization_angle(KahlerFlowState(g0, phi, t), x) for t in ts])
+    if (ts < 0).any():
+        raise ValueError("flow time must be nonnegative")
+    angles = limit_angle(np.linalg.eigvalsh(metric_hessians(g0, phi, ts, x)))
     positive = ts > 0
     return DecayCurve(ts, angles, fit_loglog_slope(ts[positive], angles[positive]))

@@ -362,20 +362,24 @@ def sample_interior(
     margin: float = 0.0,
 ) -> np.ndarray:
     """Rejection-sample `count` points with all l_k > margin, in at most
-    100,000 draws."""
+    100,000 draws.
+
+    Each round draws the missing rows at once; it can accept no more than it
+    draws, so it makes the draws of a one-at-a-time loop, in the same order.
+    """
     lo, hi = poly.bounding_box()
-    pts = []
+    pts = np.empty((0, poly.dimension))
     tries = 0
     while len(pts) < count:
-        tries += 1
-        if tries > 100_000:
+        need = min(count - len(pts), 100_000 - tries)
+        if need == 0:
             raise EmptyGridError(
                 f"could not sample {count} interior points at margin {margin}"
             )
-        x = lo + rng.random(poly.dimension) * (hi - lo)
-        if poly.facet_values(x).min() > margin:
-            pts.append(x)
-    return np.array(pts)
+        tries += need
+        x = lo + rng.random((need, poly.dimension)) * (hi - lo)
+        pts = np.concatenate([pts, x[poly.facet_values(x).min(axis=1) > margin]])
+    return pts
 
 
 # -- grid construction ---------------------------------------------------------

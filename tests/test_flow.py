@@ -265,6 +265,18 @@ def test_decay_curve_time_zero_consistency(cp1_unit, phi_1d):
     assert curve.angles[0] == pytest.approx(np.arctan(0.5))
 
 
+def test_decay_curve_is_the_per_t_angle(cp2_size2, phi_aniso, rng):
+    g0 = tf.SymplecticPotential(cp2_size2)
+    pts = tf.sample_interior(cp2_size2, 6, rng, margin=0.05)
+    ts = np.concatenate([[0.0], np.geomspace(0.5, 2000, 12)])
+    curve = tf.polarization_decay_curve(g0, phi_aniso, pts, ts)
+    per_t = [tf.polarization_angle(tf.KahlerFlowState(g0, phi_aniso, t), pts) for t in ts]
+    assert np.array_equal(curve.angles, per_t)
+    # the one G_t stack still refuses a negative time, as KahlerFlowState does
+    with pytest.raises(ValueError, match="flow time must be nonnegative"):
+        tf.polarization_decay_curve(g0, phi_aniso, pts, [-1.0, 10.0, 100.0])
+
+
 @pytest.mark.parametrize("ts", [[0.0], [0.0, 10.0], [1.0, 2.0, 100.0]])
 def test_decay_curve_without_a_fit_decade_raises(cp1_unit, phi_1d, ts):
     # fewer than two positive times in the trailing decade: no slope, not NaN

@@ -300,3 +300,65 @@ def test_chebyshev_center_of_unbounded_polytope_raises():
     )
     with pytest.raises(DomainError, match="unbounded"):
         wedge.chebyshev_center()
+
+
+def _sample_one_at_a_time(poly, count, rng, margin):
+    """The one-draw rejection loop that `sample_interior` batches."""
+    lo, hi = poly.bounding_box()
+    pts = []
+    tries = 0
+    while len(pts) < count:
+        tries += 1
+        if tries > 100_000:
+            raise EmptyGridError(f"could not sample {count} interior points at margin {margin}")
+        x = lo + rng.random(poly.dimension) * (hi - lo)
+        if poly.facet_values(x).min() > margin:
+            pts.append(x)
+    return np.array(pts)
+
+
+_SAMPLED = [tf.segment(2.0), tf.standard_simplex(2, 2.0), tf.box((1.0, 2.0))]
+_SAMPLED_IDS = ["segment", "simplex", "box"]
+
+
+@pytest.mark.parametrize("poly", _SAMPLED, ids=_SAMPLED_IDS)
+@pytest.mark.parametrize("margin", ["0", "0.1", "half-radius"])
+def test_sample_interior_matches_one_draw_loop(poly, margin):
+    m = {"0": 0.0, "0.1": 0.1, "half-radius": 0.5 * poly.chebyshev_center()[1]}[margin]
+    for seed, count in ((0, 1), (1, 40), (2, 500)):
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts = tf.sample_interior(poly, count, batched, margin=m)
+        assert pts.shape == (count, poly.dimension)
+        assert np.array_equal(pts, _sample_one_at_a_time(poly, count, single, m))
+        assert batched.bit_generator.state == single.bit_generator.state
+
+
+def test_sample_interior_cap_raises_like_one_draw_loop():
+    # above twice the Chebyshev radius no point qualifies; both loops stop
+    # after exactly 100,000 draws with the same message
+    poly = tf.box((1.0, 2.0))
+    margin = 2.0 * poly.chebyshev_center()[1]
+    batched, single = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(EmptyGridError) as got:
+        tf.sample_interior(poly, 3, batched, margin=margin)
+    with pytest.raises(EmptyGridError) as want:
+        _sample_one_at_a_time(poly, 3, single, margin)
+    assert str(got.value) == str(want.value) == f"could not sample 3 interior points at margin {margin}"
+    assert batched.bit_generator.state == single.bit_generator.state
+
+
+def test_sample_interior_cap_cuts_the_last_round():
+    # min l_k > 0.66 holds on a small triangle around (2/3, 2/3) only, so a
+    # few of the 100,000 draws are accepted and the last round is cut short
+    poly = tf.standard_simplex(2, 2.0)
+    batched, single = np.random.default_rng(6), np.random.default_rng(6)
+    with pytest.raises(EmptyGridError):
+        tf.sample_interior(poly, 50, batched, margin=0.66)
+    with pytest.raises(EmptyGridError):
+        _sample_one_at_a_time(poly, 50, single, 0.66)
+    assert batched.bit_generator.state == single.bit_generator.state
+    # the same margin with a count the draws can meet returns the same points
+    batched, single = np.random.default_rng(6), np.random.default_rng(6)
+    pts = tf.sample_interior(poly, 2, batched, margin=0.66)
+    assert np.array_equal(pts, _sample_one_at_a_time(poly, 2, single, 0.66))
+    assert batched.bit_generator.state == single.bit_generator.state
