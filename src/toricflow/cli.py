@@ -21,10 +21,10 @@ from .config import Experiment, load_config
 from .errors import ConfigError, FiberDegenerationError, ToricFlowError
 from .flow import (
     FIT_DECADE,
-    KahlerFlowState,
     complex_structure_of,
     fit_loglog_slope,
     fit_window,
+    flowed_potentials,
     limit_angle,
     metric_hessians,
 )
@@ -160,15 +160,10 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
     _require_kahler(exp, ts, pts)
 
-    blocks = []
-    for t in ts:
-        state = KahlerFlowState(exp.g0, exp.phi, t)
-        g_vals = state.potential(pts)
-        rho_formula = state.kahler_potential(pts)
-        rho_leg = state.kahler_potential_legendre(pts)
-        blocks.append(np.column_stack([np.full(len(pts), t), pts, g_vals, rho_formula,
-                                       rho_leg, np.abs(rho_formula - rho_leg)]))
-    table = np.vstack(blocks)
+    table = np.vstack([
+        np.column_stack([np.full(len(pts), t), pts, g_t, rho, rho_leg, np.abs(rho - rho_leg)])
+        for t, (g_t, rho, rho_leg) in zip(ts, flowed_potentials(exp.g0, exp.phi, ts, pts))
+    ])
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
     worst = float(np.max(table[:, -1]))
     header = (

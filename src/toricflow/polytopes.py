@@ -20,7 +20,8 @@ Besides validation, this module enumerates the lattice points of P (the index
 set of the torus-weight basis) and builds midpoint-rule evaluation grids,
 stored as arrays (`Grid`): a triangulation of P whose simplices are split by
 the Freudenthal-Kuhn edgewise subdivision, so every cell lies inside P and
-the cell volumes add up to vol(P) exactly.
+the cell volumes add up to vol(P) exactly.  Grid points are column-major, as
+a ufunc over row-major (m, n) points loops over only n <= 3 entries per row.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ class DelzantValidation(NamedTuple):
     issues: tuple[ValidationIssue, ...]
 
 
+def _matmul_columns(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """x @ matrix, bit for bit, column-major for a column-major (m, n) batch
+    such as a block of grid points, so ufuncs on it run along its columns."""
+    if x.ndim != 2 or x.strides[0] >= x.strides[1]:  # one point, a stack, or row-major
+        return x @ matrix
+    return np.matmul(x, matrix, out=np.empty((len(x), matrix.shape[1]), order="F"))
+
+
 def _plain(v) -> tuple[float, ...]:
     """A witness point as Python floats, with -0.0 written as 0.0."""
     return tuple(float(c) + 0.0 for c in v)
@@ -77,9 +86,10 @@ def _plain(v) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class Grid:
     """Midpoint-rule cells of a polytope, one row per cell: evaluation point
-    (the cell centroid) and Lebesgue volume; `len` is the cell count."""
+    (the cell centroid) and Lebesgue volume; `len` is the cell count.  A block
+    of consecutive rows of the column-major points has contiguous columns."""
 
-    points: np.ndarray   # (m, n)
+    points: np.ndarray   # (m, n), column-major
     volumes: np.ndarray  # (m,)
 
     def __len__(self) -> int:
@@ -117,13 +127,13 @@ class DelzantPolytope:
         return self._offsets
 
     def facet_values(self, x) -> np.ndarray:
-        """All l_k(x) at once; batch axis allowed in front."""
+        """All l_k(x) at once, column-major for column-major x; batch axis allowed."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dimension:
             raise DimensionMismatch(
                 f"point has dimension {x.shape[-1]}, polytope has {self.dimension}"
             )
-        return x @ self._normals.T + self._offsets
+        return _matmul_columns(x, self._normals.T) + self._offsets
 
     def contains(self, x) -> bool:
         """True iff all l_k(x) >= -_FEAS_TOL (the closed polytope)."""
@@ -289,7 +299,8 @@ class DelzantPolytope:
         if margin < 0:
             raise ValueError("margin must be nonnegative")
         self.require_valid()
-        verts = _intersection_vertices(self._normals, self._offsets - margin)
+        offsets = self._offsets - margin
+        verts = self.vertices() if margin == 0 else _intersection_vertices(self._normals, offsets)
         grid = self._cache[key] = _build_cells(verts, resolution)
         return grid
 
@@ -427,21 +438,21 @@ def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return simplices[keep], volumes[keep]
 
 
-def _decreasing_sequences(n: int, top: int) -> np.ndarray:
-    """All integer rows top >= c_1 >= ... >= c_n >= 0, built column by column
-    from the last."""
-    seqs = np.arange(top + 1)[:, None]
+def _decreasing_sequences(n: int, top: int) -> list[np.ndarray]:
+    """The columns c_1, ..., c_n of all integer rows top >= c_1 >= ... >= c_n
+    >= 0, built column by column from the last."""
+    cols = [np.arange(top + 1)]
     for _ in range(n - 1):
-        counts = top + 1 - seqs[:, 0]
-        rows = np.repeat(np.arange(len(seqs)), counts)
+        counts = top + 1 - cols[0]
+        rows = np.repeat(np.arange(len(cols[0])), counts)
         step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        seqs = np.column_stack([seqs[rows, 0] + step, seqs[rows]])
-    return seqs
+        cols = [cols[0][rows] + step] + [c[rows] for c in cols]
+    return cols
 
 
 def _kuhn_centroids(n: int, k: int) -> np.ndarray:
     """Centroids of the k^n congruent simplices of the Kuhn subdivision of the
-    dilated order simplex {k >= z_1 >= ... >= z_n >= 0}.
+    dilated order simplex {k >= z_1 >= ... >= z_n >= 0}, column-major.
 
     The sub-simplex with integer anchor a and permutation p has vertices
     a, a + e_p(1), a + e_p(1) + e_p(2), ..., so its centroid is a + w with
@@ -449,7 +460,7 @@ def _kuhn_centroids(n: int, k: int) -> np.ndarray:
     k - 1 >= a_1 >= ... >= a_n >= 0 with a_i > a_{i+1} wherever p takes
     axis i + 1 before axis i; those anchors are enumerated directly.
     """
-    blocks = []
+    out, start = np.empty((k**n, n), order="F"), 0
     for perm in itertools.permutations(range(n)):
         rank = np.argsort(perm)
         strict = (rank[1:] < rank[:-1]).astype(int)
@@ -457,8 +468,10 @@ def _kuhn_centroids(n: int, k: int) -> np.ndarray:
             continue
         shift = np.append(np.cumsum(strict[::-1])[::-1], 0)
         base = _decreasing_sequences(n, k - 1 - strict.sum())
-        blocks.append(base + shift + (n - rank) / (n + 1))
-    return np.concatenate(blocks)
+        for i, col in enumerate(base):
+            np.add(col + shift[i], (n - rank[i]) / (n + 1), out=out[start : start + len(col), i])
+        start += len(base[0])
+    return out
 
 
 # The most cells one grid may hold.  The largest grid a known run needs is
@@ -486,10 +499,10 @@ def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
     k^n congruent pieces, k = resolution * ceil(longest sup-norm edge).
     Raises GridSizeError, before allocating, above _MAX_GRID_CELLS cells."""
     n = verts.shape[1]
-    simplices, simplex_volumes, ks, _ = _kuhn_plan(verts, resolution)
-    points, volumes = [], []
-    for simplex, volume, k in zip(simplices, simplex_volumes, ks):
-        steps = np.diff(simplex, axis=0) / k
-        points.append(simplex[0] + _kuhn_centroids(n, k) @ steps)
-        volumes.append(np.full(k**n, volume / k**n))
-    return Grid(np.concatenate(points), np.concatenate(volumes))
+    simplices, simplex_volumes, ks, cells = _kuhn_plan(verts, resolution)
+    counts, points = np.array(ks) ** n, np.empty((cells, n), order="F")
+    for simplex, k, stop in zip(simplices, ks, np.cumsum(counts)):
+        block = points[stop - k**n : stop]
+        np.matmul(_kuhn_centroids(n, k), np.diff(simplex, axis=0) / k, out=block)
+        block += simplex[0]
+    return Grid(points, np.repeat(simplex_volumes / counts, counts))

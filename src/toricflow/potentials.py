@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NewtonError
-from .polytopes import DelzantPolytope, _plain
+from .polytopes import DelzantPolytope, _matmul_columns, _plain
 
 
 class ConvexPotential:
@@ -75,7 +75,7 @@ class QuadraticPotential(ConvexPotential):
 
     def value(self, x):
         x = self._coerce(x)
-        quad = 0.5 * np.einsum("...i,...i->...", x @ self.Q, x)
+        quad = 0.5 * np.einsum("...i,...i->...", _matmul_columns(x, self.Q), x)
         out = quad + x @ self.b + self.c
         for a, k in self.terms:
             out = out + a * np.exp(x @ k)
@@ -83,7 +83,7 @@ class QuadraticPotential(ConvexPotential):
 
     def grad(self, x):
         x = self._coerce(x)
-        out = x @ self.Q + self.b
+        out = _matmul_columns(x, self.Q) + self.b
         for a, k in self.terms:
             out = out + (a * np.exp(x @ k))[..., None] * k
         return out

@@ -16,12 +16,13 @@ use the same grid: once the cells resolve the peak width, resolution
 doubling converges on them like on any smooth integrand, and the difference
 of two resolutions is the error estimate.
 
-The integrand is evaluated on consecutive blocks of grid points: 2^14 points
-for up to 4 fields, and fewer, a power of two, for more, so a k-field
-integrand never holds more than 2^16 values at once.  Each block is reduced
-by pairwise summation and the block sums by the same tree; with a
-power-of-two block this is exactly one pairwise tree over the whole grid, in
-a fixed order, so repeated runs are bit-identical.
+The integrand is evaluated on consecutive blocks of grid points, views of
+the column-major grid with contiguous coordinate columns: 2^14 points for up
+to 4 fields, and fewer, a power of two, for more, so a k-field integrand
+never holds more than 2^16 values at once.  Each block is reduced by
+pairwise summation and the block sums by the same tree; with a power-of-two
+block this is exactly one pairwise tree over the whole grid, in a fixed
+order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AliasingError, DimensionMismatch, DomainError, QuadratureOverflow
 from .flow import KahlerFlowState, SymplecticPotential, beta_of_hamiltonian_field
-from .polytopes import DelzantPolytope
+from .polytopes import DelzantPolytope, _matmul_columns
 from .potentials import ConvexPotential, ReflectedPotential, concentration_rate
 from .quadrature import QuadratureSpec, integrate_many
 
@@ -364,7 +364,7 @@ def _density_kernel(sections: Sequence[WeightSection]):
             feats[:, col] -= pot.value(x)
             feats[:, col + 1 : col + 1 + grad.shape[1]] = grad
             col += 1 + grad.shape[1]
-        exponent = feats @ coeffs
+        exponent = _matmul_columns(feats, coeffs)
         exponent += const
         return np.exp(exponent, out=exponent)
 

@@ -143,6 +143,33 @@ def test_require_kahler_evaluates_each_hessian_once_per_point_set(hess_calls):
         assert hess_calls == {"g0": 1, "phi": 1}
 
 
+@pytest.mark.parametrize("cfg", SHIPPED, ids=[c.stem for c in SHIPPED])
+def test_potential_flow_evaluates_values_and_gradients_once(tmp_path, monkeypatch, cfg):
+    # 15 value and 10 grad calls on each of g_0 and phi on a 5-time grid before
+    calls = {}
+
+    def counting(cls, method):
+        original = getattr(cls, method)
+
+        def wrapped(self, x):
+            key = f"{cls.__name__}.{method}"
+            calls[key] = calls.get(key, 0) + 1
+            return original(self, x)
+
+        monkeypatch.setattr(cls, method, wrapped)
+
+    for cls in (tf.SymplecticPotential, tf.QuadraticPotential):
+        for method in ("value", "grad"):
+            counting(cls, method)
+    exp = load_config(cfg).validate()
+    assert len(exp.flow_t_grid) == 5
+    assert cli.cmd_potential_flow(exp, tmp_path, _args("potential-flow", cfg, tmp_path)) == 0
+    assert calls == {
+        "SymplecticPotential.value": 1, "SymplecticPotential.grad": 1,
+        "QuadraticPotential.value": 1, "QuadraticPotential.grad": 1,
+    }
+
+
 @pytest.mark.parametrize("cfg", [CP1_CFG, CP2_CFG], ids=["cp1", "cp2"])
 def test_polarization_nan_in_one_j_fails(tmp_path, monkeypatch, capsys, cfg):
     # a NaN J^2 residual at one time must fail the run, not vanish from a max

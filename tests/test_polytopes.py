@@ -5,8 +5,9 @@ import pytest
 from scipy.optimize import linprog
 
 import toricflow as tf
+from toricflow import polytopes
 from toricflow.errors import DomainError, EmptyGridError
-from toricflow.polytopes import _kuhn_centroids
+from toricflow.polytopes import _kuhn_centroids, _kuhn_plan
 
 
 def test_unit_interval_is_delzant(cp1_unit):
@@ -362,3 +363,89 @@ def test_sample_interior_cap_cuts_the_last_round():
     pts = tf.sample_interior(poly, 2, batched, margin=0.66)
     assert np.array_equal(pts, _sample_one_at_a_time(poly, 2, single, 0.66))
     assert batched.bit_generator.state == single.bit_generator.state
+
+
+def _decreasing_rows_reference(n, top):
+    """The row-major `_decreasing_sequences` of the row-major grid builder."""
+    seqs = np.arange(top + 1)[:, None]
+    for _ in range(n - 1):
+        counts = top + 1 - seqs[:, 0]
+        rows = np.repeat(np.arange(len(seqs)), counts)
+        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        seqs = np.column_stack([seqs[rows, 0] + step, seqs[rows]])
+    return seqs
+
+
+def _row_major_cells_reference(poly, resolution):
+    """Points and volumes of the row-major grid builder, frozen: centroid rows
+    per permutation, concatenated, then mapped onto each simplex."""
+    n = poly.dimension
+    simplices, simplex_volumes, ks, _ = _kuhn_plan(poly.vertices(), resolution)
+    points, volumes = [], []
+    for simplex, volume, k in zip(simplices, simplex_volumes, ks):
+        blocks = []
+        for perm in itertools.permutations(range(n)):
+            rank = np.argsort(perm)
+            strict = (rank[1:] < rank[:-1]).astype(int)
+            if strict.sum() > k - 1:
+                continue
+            shift = np.append(np.cumsum(strict[::-1])[::-1], 0)
+            base = _decreasing_rows_reference(n, k - 1 - strict.sum())
+            blocks.append(base + shift + (n - rank) / (n + 1))
+        steps = np.diff(simplex, axis=0) / k
+        points.append(simplex[0] + np.concatenate(blocks) @ steps)
+        volumes.append(np.full(k**n, volume / k**n))
+    return np.concatenate(points), np.concatenate(volumes)
+
+
+LAYOUT_POLYTOPES = {
+    "segment": lambda: tf.segment(2.0),
+    "simplex2d-size3": lambda: tf.standard_simplex(2, 3.0),
+    "simplex3d": lambda: tf.standard_simplex(3, 2.0),
+    "box2d": lambda: tf.box([2.0, 3.0]),
+    "box3d": lambda: tf.box([1.0, 2.0, 3.0]),
+    "hirzebruch-f1": _hirzebruch_f1,
+}
+
+
+@pytest.mark.parametrize("resolution", [3, 8])
+@pytest.mark.parametrize("name", LAYOUT_POLYTOPES)
+def test_column_major_grid_is_bit_equal_to_row_major_build(name, resolution):
+    poly = LAYOUT_POLYTOPES[name]()
+    grid = poly.grid_cells(resolution)
+    points, volumes = _row_major_cells_reference(poly, resolution)
+    assert grid.points.flags.f_contiguous
+    assert grid.points.shape == points.shape and grid.volumes.shape == volumes.shape
+    assert np.ascontiguousarray(grid.points).tobytes() == points.tobytes()
+    assert grid.volumes.tobytes() == volumes.tobytes()
+
+
+@pytest.mark.parametrize("name", ["simplex2d-size3", "box3d", "hirzebruch-f1"])
+def test_facet_values_on_column_major_block_is_bit_equal(name):
+    poly = LAYOUT_POLYTOPES[name]()
+    block = poly.grid_cells(8).points[37:4133]
+    assert not block.flags.c_contiguous and block[:, 0].flags.c_contiguous
+    values = poly.facet_values(block)
+    rows = np.ascontiguousarray(block)
+    reference = (rows @ poly.normals.T + poly.offsets).tobytes()
+    assert values.flags.f_contiguous
+    assert np.ascontiguousarray(values).tobytes() == reference
+    assert poly.facet_values(rows).tobytes() == reference
+
+
+def test_margin_zero_grid_reuses_memoized_vertices(monkeypatch):
+    poly = _hirzebruch_f1()
+    poly.validate()
+    poly.vertices()
+    calls = []
+    original = polytopes._intersection_vertices
+
+    def counted(normals, offsets):
+        calls.append(len(normals))
+        return original(normals, offsets)
+
+    monkeypatch.setattr(polytopes, "_intersection_vertices", counted)
+    poly.grid_cells(4)
+    assert calls == []
+    poly.grid_cells(4, margin=0.1)
+    assert calls == [4]
