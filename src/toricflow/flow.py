@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .polytopes import DelzantPolytope
-from .potentials import ConvexPotential, legendre_inverse
+from .potentials import ConvexPotential, concentration_rate, legendre_inverse
 
 
 class SymplecticPotential:
@@ -144,35 +144,35 @@ class KahlerFlowState:
     def kahler_potential_reference(self, x) -> np.ndarray:
         """rho_0 = 2 (x . grad g_0 - g_0), the time-zero normalization."""
         x = np.asarray(x, dtype=float)
-        return 2.0 * _dual_value(x, self.g0.grad(x), self.g0.value(x))
+        return 2.0 * (np.einsum("...i,...i->...", x, self.g0.grad(x)) - self.g0.value(x))
 
     def kahler_potential(self, x) -> np.ndarray:
         """rho_t = rho_0 + 2 t f_0(x), with f_0 = x . grad phi - phi."""
-        return next(flowed_potentials(self.g0, self.phi, [self.t], x))[1]
+        x = np.asarray(x, dtype=float)
+        zero = np.zeros(self.phi.dimension)
+        return self.kahler_potential_reference(x) + 2.0 * self.t * concentration_rate(
+            self.phi, zero, x
+        )
 
     def kahler_potential_legendre(self, x) -> np.ndarray:
         """rho_t = 2 (x . grad g_t - g_t), through the flowed Legendre data."""
         x = np.asarray(x, dtype=float)
-        return 2.0 * _dual_value(x, self.moment_dual(x), self.potential(x))
+        return 2.0 * (np.einsum("...i,...i->...", x, self.moment_dual(x)) - self.potential(x))
 
     def duality_residual(self, x) -> np.ndarray:
         """|rho_t(formula) - rho_t(Legendre)|; vanishes identically."""
         return np.abs(self.kahler_potential(x) - self.kahler_potential_legendre(x))
 
 
-def _dual_value(x: np.ndarray, grad: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """x . grad - value: the Legendre dual of a potential, read at x."""
-    return np.einsum("...i,...i->...", x, grad) - value
-
-
 def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
-    """(g_t, rho_t = rho_0 + 2 t f_0, rho_t by the Legendre route) at x for
-    each t of `ts`, evaluating g_0, phi and their gradients once."""
+    """(g_t, rho_t = rho_0 + 2 t f_0, rho_t by the Legendre route) at x for each t
+    of `ts`, with the t-independent data evaluated once (f_0 by concentration_rate)."""
     g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
-    rho0, f0 = 2.0 * _dual_value(x, dg, g), _dual_value(x, dp, p)
+    rho0 = 2.0 * (np.einsum("...i,...i->...", x, dg) - g)
+    f0 = concentration_rate(phi, np.zeros(phi.dimension), x)
     for t in ts:
         g_t = g + t * p
-        yield g_t, rho0 + 2.0 * t * f0, 2.0 * _dual_value(x, dg + t * dp, g_t)
+        yield g_t, rho0 + 2.0 * t * f0, 2.0 * (np.einsum("...i,...i->...", x, dg + t * dp) - g_t)
 
 
 def metric_hessians(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.ndarray:

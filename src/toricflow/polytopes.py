@@ -299,8 +299,8 @@ class DelzantPolytope:
         if margin < 0:
             raise ValueError("margin must be nonnegative")
         self.require_valid()
-        offsets = self._offsets - margin
-        verts = self.vertices() if margin == 0 else _intersection_vertices(self._normals, offsets)
+        verts = (self.vertices() if margin == 0
+                 else _intersection_vertices(self._normals, self._offsets - margin))
         grid = self._cache[key] = _build_cells(verts, resolution)
         return grid
 

