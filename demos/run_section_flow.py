@@ -28,7 +28,7 @@ def main():
     for lam in [(0,), (1,), (2,)]:
         s0 = tf.WeightSection(lam, g0, phi)
         for t in (0.5, 2.0):
-            route = tf.route_equality_residual(s0, t, xs, thetas)
+            route = tf.route_equality_residual(s0, t, xs)
             glue = tf.gluing_check_cp1(s0, t)
             lift = tf.lift_section_consistency(s0, t, xs, thetas, zetas)
             print(f"{lam[0]:>4} {t:5.1f} {route:12.2e} {glue:13.2e} {lift:12.2e}")
@@ -42,10 +42,11 @@ def main():
         print(f"  lam = {lam[0]}: measured {check.measured_eigenvalue:.3g}, "
               f"residual {check.residual:.1e}")
 
-    print("\nnorm decay under the flow, lam = 1 (log norm is convex in t):")
-    for t in (0.0, 1.0, 4.0, 16.0):
-        norm = tf.section_norm_sq(tf.WeightSection((1,), g0, phi, t))
-        print(f"  t = {t:5.1f}  |s_t|^2 = {norm:.6e}")
+    print("\nnorm growth under the flow, lam = 1 (log norm is convex in t):")
+    ts = (0.0, 1.0, 4.0, 16.0, 1600.0)
+    sections = [tf.WeightSection((1,), g0, phi, t) for t in ts]
+    for t, log_norm in zip(ts, tf.section_log_norms_sq(sections)):
+        print(f"  t = {t:6.1f}  log |s_t|^2 = {log_norm:.6f}")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ from .convergence import (
     FiberMeasureModel,
     concentration_profile,
     convergence_experiment,
-    normalization_Ct,
-    pairing_iota,
 )
 from .errors import (
     AliasingError,
@@ -82,6 +80,7 @@ from .sections import (
     pullback_amplitude_log,
     quantum_operator,
     route_equality_residual,
+    section_log_norms_sq,
     section_norm_sq,
     section_norms_sq,
     torus_volume,

@@ -37,7 +37,7 @@ from .sections import (
     gluing_points,
     lift_section_consistency,
     route_equality_residual,
-    section_norms_sq,
+    section_log_norms_sq,
 )
 
 EXIT_OK = 0
@@ -194,7 +194,6 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     ts = exp.section_t or [0.5, 2.0, 10.0]
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 40, rng, margin=_sample_margin(poly))
-    thetas = rng.random((40, poly.dimension)) * 2.0 * np.pi
     # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so the
     # frame check runs at moderate time and away from the boundary
     t_frame = min(1.0, ts[-1])
@@ -210,19 +209,20 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     for lam in _weights(exp):
         s0 = WeightSection(lam, g0, phi, 0.0)
         for t in ts:
-            resid = route_equality_residual(s0, t, pts, thetas)
+            resid = route_equality_residual(s0, t, pts)
             rows.append(_row("route-equality", lam, t, resid, ROUTE_TOL))
             pairs.append((lam, t))
         if poly.dimension == 1:
             rows += _gluing_rows(lam, s0, ts, args)
 
-    norms = section_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], exp.spec)
-    norm_rows = [[" ".join(map(str, lam)), t, norm] for (lam, t), norm in zip(pairs, norms)]
+    sections = [WeightSection(lam, g0, phi, t) for lam, t in pairs]
+    log_norms = section_log_norms_sq(sections, exp.spec)
+    norm_rows = [[" ".join(map(str, lam)), t, v] for (lam, t), v in zip(pairs, log_norms)]
 
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
     rows.append(_row("frame-holomorphicity", (), t_frame, frame_resid, FRAME_TOL))
 
-    _write_csv(out / "section_norms.csv", ["lambda", "t", "norm_sq"], norm_rows)
+    _write_csv(out / "section_norms.csv", ["lambda", "t", "log_norm_sq"], norm_rows)
     return _finish("section-flow", out, rows, checks=len(rows), seed=args.seed)
 
 

@@ -12,14 +12,21 @@ pairing of C_t s_t against a test object with orbit profile H(mu) is
 
     C_t (2 pi)^n int_P e^{-t f_lam} H dx  -->  H(lam)   as t -> infinity,
 
-a Laplace limit with first correction of order 1/t.  The limiting functional
-is the fiber pairing: the torus-average of the integrand over the fiber
-mu^{-1}(lam), with unit mass per fiber, which is the limit the C_t
-normalization produces.  The experiment compares every pairing with H(lam)
-in either fiber mode; the mode only sets the fiber weight W recorded in the
-report: 1 for `normalized`, and for `paper-form` the total weight
-W = (2 pi)^n of the angular volume form on the fiber, the same for every
-interior lattice point.
+a Laplace limit with first correction of order 1/t.  C_t itself leaves the
+float range near t phi(lam) = 709, so the experiment reports its log,
+
+    log C_t = -log (2 pi)^n - log m_t - t phi(lam),
+    m_t = int_P e^{-t f_lam(x) - t phi(lam)} dx,
+
+with the density scaled by its peak value e^{t phi(lam)} (f_lam >= -phi(lam)),
+and each pairing as the ratio int e^{-t f_lam} H / int e^{-t f_lam}, in
+which C_t cancels.  The limiting functional is the fiber pairing: the
+torus-average of the integrand over the fiber mu^{-1}(lam), with unit mass
+per fiber, which is the limit the C_t normalization produces.  The
+experiment compares every pairing with H(lam) in either fiber mode; the mode
+only sets the fiber weight W recorded in the report: 1 for `normalized`, and
+for `paper-form` the total weight W = (2 pi)^n of the angular volume form on
+the fiber, the same for every interior lattice point.
 
 This module also computes concentration statistics of the normalized density
 (mean -> lam, covariance ~ (t Hess phi(lam))^{-1}), fitted log-log decay
@@ -33,12 +40,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FiberDegenerationError, QuadratureOverflow
+from .errors import DimensionMismatch, FiberDegenerationError
 from .flow import FIT_DECADE, SymplecticPotential, fit_loglog_slope
 from .polytopes import DelzantPolytope
-from .potentials import ConvexPotential, concentration_rate
-from .quadrature import QuadratureSpec, integrate_many
-from .sections import WeightSection, torus_volume
+from .potentials import ConvexPotential
+from .quadrature import QuadratureSpec
+from .sections import _laplace_moments, torus_volume
 
 
 # -- test profiles ------------------------------------------------------------
@@ -106,98 +113,6 @@ class FiberMeasureModel:
         return torus_volume(poly.dimension)
 
 
-# -- normalization constant and pairings ------------------------------------------
-
-
-def _density_moments(
-    fs: Sequence,
-    poly: DelzantPolytope,
-    phi: ConvexPotential,
-    lam,
-    ts: Sequence[float],
-    spec: QuadratureSpec,
-) -> tuple[np.ndarray, list[float]]:
-    """Integrals of e^{-t f_lam - shift_t} f_i over P for every t of `ts`, in
-    one pass over the grid, and the shifts shift_t = -t f_lam(lam) that put
-    each peak value at 1.
-
-    Row r of the moments belongs to ts[r]: the bare density's mass, then one
-    moment per f_i.  f_lam and the f_i do not depend on t, so each grid block
-    evaluates them once and then writes the density and its moments for
-    every t.  Each t's columns form one quadrature group whose mass is the
-    reference driving its refinement, so every t gets the value it gets on
-    its own.  Ratios of the moments need no rescaling back, so they stay
-    finite at any t; the unscaled integrals are the moments times e^{shift}.
-    Raises QuadratureOverflow when a mass is not positive and finite, as
-    when the peak is so narrow that the density underflows on every cell.
-    """
-    lam = np.asarray(lam, dtype=float)
-    ts = [float(t) for t in ts]
-    shifts = [t * phi.value(lam) for t in ts]
-    width = 1 + len(fs)
-
-    def matrix(pts):
-        f = concentration_rate(phi, lam, pts)
-        hs = [h(pts) for h in fs]
-        # column-major, so every column is written in place, contiguously
-        out = np.empty((len(pts), len(ts) * width), order="F")
-        for r, (t, shift) in enumerate(zip(ts, shifts)):
-            density = np.exp(-t * f - shift, out=out[:, r * width])
-            for j, h in enumerate(hs, start=r * width + 1):
-                np.multiply(density, h, out=out[:, j])
-        return out
-
-    results = integrate_many(matrix, len(ts) * width, poly, spec, group=width)
-    moments = np.array([r.value for r in results]).reshape(len(ts), width)
-    for t, mass in zip(ts, moments[:, 0]):
-        if not 0.0 < mass < np.inf:
-            raise QuadratureOverflow(
-                f"density mass {mass} at t = {t:g}: the grid does not resolve its peak"
-            )
-    return moments, shifts
-
-
-def normalization_Ct(
-    lam,
-    phi: ConvexPotential,
-    poly: DelzantPolytope,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """C_t = [ (2 pi)^n int_P e^{-t f_lam} dx ]^{-1}; (2 pi)^n is the
-    Liouville pushforward density for full toric rank."""
-    kappa = torus_volume(poly.dimension)
-    ((mass,),), (shift,) = _density_moments([], poly, phi, lam, [t], spec)
-    with np.errstate(over="ignore", divide="ignore"):
-        C_t = 1.0 / (kappa * (mass * np.exp(shift)))
-    if not 0.0 < C_t < np.inf:
-        raise QuadratureOverflow(
-            f"C_t = {C_t} at t = {t}: e^(t phi(lam)) = e^{shift:.6g} is beyond the float range"
-        )
-    return C_t
-
-
-def pairing_iota(
-    s_t: WeightSection,
-    bump: BumpProfile,
-    C_t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """iota(C_t s_t)(tau) = C_t (2 pi)^n int_P e^{-t f_lam} H dx for the test
-    object with orbit profile H."""
-    poly = s_t.polytope
-    kappa = torus_volume(poly.dimension)
-    ((_, moment),), (shift,) = _density_moments([bump], poly, s_t.phi, s_t.lam, [s_t.t], spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = C_t * kappa * (moment * np.exp(shift))
-    if not np.isfinite(value):
-        raise QuadratureOverflow(
-            f"pairing = {value} at t = {s_t.t}: e^(t phi(lam)) = e^{shift:.6g} "
-            "is beyond the float range"
-        )
-    return value
-
-
 # -- concentration statistics -------------------------------------------------------
 
 
@@ -239,15 +154,13 @@ def concentration_profile(
     fs += [lambda p, i=i, j=j: (p[:, i] - lam[i]) * (p[:, j] - lam[j]) for i, j in pairs]
     if np.isfinite(radius):
         fs.append(lambda p: (np.linalg.norm(p - lam, axis=-1) <= radius).astype(float))
-    (moments,), _ = _density_moments(fs, poly, phi, lam, [t], spec)
-    Z = moments[0]
-    first = np.array(moments[1 : 1 + n]) / Z
+    _, (ratios,) = _laplace_moments(poly, phi, [lam], [t], spec, fs=fs)
+    first = ratios[:n]
     mean = lam + first
     cov = np.zeros((n, n))
-    for (i, j), raw in zip(pairs, moments[1 + n : 1 + n + len(pairs)]):
-        centered = raw / Z - first[i] * first[j]
-        cov[i, j] = cov[j, i] = centered
-    localized = moments[-1] / Z if np.isfinite(radius) else 1.0
+    for (i, j), raw in zip(pairs, ratios[n : n + len(pairs)]):
+        cov[i, j] = cov[j, i] = raw - first[i] * first[j]
+    localized = ratios[-1] if np.isfinite(radius) else 1.0
     return ConcentrationStats(
         t=float(t),
         mean=tuple(mean),
@@ -295,6 +208,7 @@ class ConvergenceReport:
     phi_descriptor: str
     mode: str
     t_grid: tuple[float, ...]
+    log_C_t: tuple[float, ...]
     slope_window: tuple[float, float]
     fiber_weight: float
     bumps: tuple[BumpReport, ...]
@@ -326,8 +240,8 @@ def convergence_experiment(
     increasing t grid against the fiber value; bumps containing lam must show
     errors decreasing to below tolerance with a log-log slope of -1 (first
     Laplace correction), while bumps supported away from lam must vanish.
-    Every pairing at every t comes from one pass over the grid, which
-    evaluates f_lam and the bumps once per block.
+    Every pairing and log C_t at every t comes from one pass over the grid,
+    which evaluates phi and the bumps once per block.
     """
     poly = g0.polytope
     lam = np.asarray(lam, dtype=float)
@@ -342,8 +256,8 @@ def convergence_experiment(
 
     weight = mode.fiber_weight(poly, lam)
 
-    moments, _ = _density_moments(list(bumps), poly, phi, lam, ts, spec)
-    pairing_matrix = moments[:, 1:] / moments[:, :1]  # (len(ts), len(bumps))
+    lams = np.broadcast_to(lam, (len(ts), len(lam)))
+    log_masses, pairing_matrix = _laplace_moments(poly, phi, lams, ts, spec, fs=bumps)
 
     bump_reports = []
     for bump_id, bump in enumerate(bumps):
@@ -389,6 +303,7 @@ def convergence_experiment(
         phi_descriptor=phi.describe(),
         mode=mode.mode,
         t_grid=tuple(float(t) for t in ts),
+        log_C_t=tuple(float(v) for v in -np.log(torus_volume(poly.dimension)) - log_masses),
         slope_window=window,
         fiber_weight=float(weight),
         bumps=tuple(bump_reports),

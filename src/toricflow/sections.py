@@ -86,10 +86,14 @@ class WeightSection:
 
     def density(self, x) -> np.ndarray:
         """Pointwise squared h-norm e^{-2 A_{lam,t}}, extended continuously
-        to the boundary: the one-column case of `_density_kernel`."""
+        to the boundary: the one-column `_laplace_integrand`, times its peak
+        in the log, so it is 0 where the density underflows and inf only
+        where it exceeds the float range."""
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, self.g0.dimension)
-        return _density_kernel([self])(flat)[:, 0].reshape(x.shape[:-1])
+        kernel, (log_peak,) = _laplace_integrand(self.phi, [self.lam], [self.t], self.g0)
+        scaled = kernel(x.reshape(-1, self.g0.dimension))[:, 0]
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(np.log(scaled) + log_peak).reshape(x.shape[:-1])
 
     # -- local representatives ------------------------------------------------
 
@@ -124,13 +128,13 @@ def pullback_amplitude_log(s0: WeightSection, t: float, x) -> np.ndarray:
     return 0.5 * state.kahler_potential_legendre(x) - (pullback + monomial)
 
 
-def route_equality_residual(s0: WeightSection, t: float, xs, thetas) -> float:
-    """Max relative deviation between the multiplier and pullback routes
-    over the given sample points and angles."""
-    ua = flow_section(s0, t).sigma_representative(xs, thetas)
-    phase = 1j * (np.asarray(thetas, dtype=float) @ s0.lam)
-    ub = np.exp(-pullback_amplitude_log(s0, t, xs) + phase)
-    return float(np.max(np.abs(ua - ub) / np.abs(ua)))
+def route_equality_residual(s0: WeightSection, t: float, xs) -> float:
+    """Max relative deviation |e^{-A_pull} / e^{-A_mult} - 1| between the
+    multiplier and pullback routes over the given sample points, from the
+    log amplitudes, so it stays finite where both amplitudes underflow.  The
+    phase e^{i lam.theta} is the same factor on both routes and cancels."""
+    diff = flow_section(s0, t).amplitude_log(xs) - pullback_amplitude_log(s0, t, xs)
+    return float(np.max(np.abs(np.expm1(diff))))
 
 
 # -- sampled fields and the quantum operator ---------------------------------------
@@ -316,48 +320,64 @@ def torus_volume(n: int) -> float:
     return float((2.0 * np.pi) ** n)
 
 
-def _density_kernel(sections: Sequence[WeightSection]):
-    """x -> (m, K) densities e^{-2 A_{lam,t}(x)} of K sections that share one
-    g_0 and one phi, for (m, n) points of the closed polytope.
+def _laplace_integrand(phi: ConvexPotential, lams, ts, g0: Optional[SymplecticPotential] = None,
+                       fs: Sequence = ()):
+    """x -> (m, K (1 + len(fs))) peak-scaled Laplace densities and their
+    moments for (m, n) points of the closed polytope, and the K log-peaks
+    they are scaled by.
 
-    The Guillemin part goes through the closed product
+    Column j is the section density e^{-2 A_{lam_j,t_j}} of g0 and phi, or
+    without g0 the `converge` density e^{-t_j f_{lam_j}} of phi alone.  The
+    Guillemin part goes through the closed product
     e^{-2 F} = exp(sum_k [l_k(lam) - l_k(x)]) prod_k l_k(x)^{l_k(lam)}, which
     is finite and continuous up to l_k = 0.  So log e^{-2 A_{lam,t}} is affine
     in the features [log l_k(x), sum_k l_k(x), x.grad phi - phi, grad phi]
     with coefficients [l_k(lam), -1, -2t, 2t lam] and constant
     sum_k l_k(lam); a smooth part e of g_0 adds the features
-    [x.grad e - e, grad e] with coefficients [-2, 2 lam].  Every density is
-    then one column of a single product and one exponential.
-    A block writes the features into the columns of one column-major matrix
-    with `out=` and calls each potential's grad and value once; sum_k l_k
-    adds in facet order, as `sum(axis=1)` does below 8 facets.
+    [x.grad e - e, grad e] with coefficients [-2, 2 lam], and -t f_lam has
+    the coefficients [-t, t lam] on the phi features alone.  Each constant
+    then subtracts the column's exact log-peak, the maximum of its
+    log-density over P: 2 g_t(lam), with 0 log 0 = 0, for a section
+    (A_{lam,t} >= -g_t(lam) by convexity of g_t), and t phi(lam) for
+    `converge`.  So no density exceeds 1, and every density is one column
+    of a single product and one exponential, followed by its moments
+    density * f_i.  A block writes the features into the columns of one
+    column-major matrix with `out=` and calls each potential's grad and
+    value, and each f_i, once; sum_k l_k adds in facet order, as
+    `sum(axis=1)` does below 8 facets.
     """
-    g0, phi = sections[0].g0, sections[0].phi
-    if any(s.g0 is not g0 or s.phi is not phi for s in sections):
-        raise ValueError("batched sections must share one g0 and one phi")
-    poly = g0.polytope
-    lams = np.array([s.lam for s in sections])
-    ts = np.array([s.t for s in sections])
-    llam = poly.facet_values(lams)
-    rows = [llam.T, -np.ones_like(ts), -2.0 * ts, 2.0 * ts * lams.T]
-    if g0.extra is not None:
-        rows += [np.full_like(ts, -2.0), 2.0 * lams.T]
+    lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
+    log_peaks = ts * phi.value(lams)
+    pots, n_facets = [phi], 0
+    if g0 is None:
+        rows, const = [-ts, ts * lams.T], -log_peaks
+    else:
+        poly = g0.polytope
+        llam = poly.facet_values(lams)
+        rows = [llam.T, -np.ones_like(ts), -2.0 * ts, 2.0 * ts * lams.T]
+        n_facets = llam.shape[1]
+        log_peaks = (llam * np.log(np.where(llam > 0.0, llam, 1.0))).sum(axis=1) + 2.0 * log_peaks
+        if g0.extra is not None:
+            rows += [np.full_like(ts, -2.0), 2.0 * lams.T]
+            log_peaks += 2.0 * g0.extra.value(lams)
+            pots.append(g0.extra)
+        const = llam.sum(axis=1) - log_peaks
     coeffs = np.vstack(rows)
-    const = llam.sum(axis=1)
-    pots = [phi] if g0.extra is None else [phi, g0.extra]
-    n_facets = llam.shape[1]
+    width = 1 + len(fs)
 
     def kernel(x: np.ndarray) -> np.ndarray:
-        lx = poly.facet_values(x)
-        if lx.min() < -1e-12:
-            raise DomainError("density requested outside the closed polytope")
-        np.maximum(lx, 0.0, out=lx)
         feats = np.empty((len(x), len(coeffs)), order="F")
-        np.log(np.maximum(lx, _TINY, out=feats[:, :n_facets]), out=feats[:, :n_facets])
-        feats[:, n_facets] = lx[:, 0]
-        for k in range(1, n_facets):
-            feats[:, n_facets] += lx[:, k]
-        col = n_facets + 1
+        col = 0
+        if g0 is not None:
+            lx = poly.facet_values(x)
+            if lx.min() < -1e-12:
+                raise DomainError("density requested outside the closed polytope")
+            np.maximum(lx, 0.0, out=lx)
+            np.log(np.maximum(lx, _TINY, out=feats[:, :n_facets]), out=feats[:, :n_facets])
+            feats[:, n_facets] = lx[:, 0]
+            for k in range(1, n_facets):
+                feats[:, n_facets] += lx[:, k]
+            col = n_facets + 1
         for pot in pots:
             grad = pot.grad(x)
             np.einsum("ij,ij->i", x, grad, out=feats[:, col])
@@ -366,36 +386,80 @@ def _density_kernel(sections: Sequence[WeightSection]):
             col += 1 + grad.shape[1]
         exponent = _matmul_columns(feats, coeffs)
         exponent += const
-        return np.exp(exponent, out=exponent)
+        # column-major, so every column is written in place, contiguously
+        out = exponent if width == 1 else np.empty((len(x), len(ts) * width), order="F")
+        density = np.exp(exponent, out=out[:, ::width])
+        for j, f in enumerate(fs, start=1):
+            np.multiply(density, f(x)[:, None], out=out[:, j::width])
+        return out
 
-    return kernel
+    return kernel, log_peaks
+
+
+def _laplace_moments(poly: DelzantPolytope, phi: ConvexPotential, lams, ts, spec: QuadratureSpec,
+                     g0: Optional[SymplecticPotential] = None, fs: Sequence = ()):
+    """Log-masses log int_P rho_j dx and moment ratios
+    int_P rho_j f_i dx / int_P rho_j dx of the `_laplace_integrand`
+    densities rho_j, from one `integrate_many` call.
+
+    Density j and its moments form one quadrature group judged by its mass,
+    so every column stops at the level a separate integration would stop
+    at.  The log-masses add the log-peaks back, so they stay finite far
+    beyond the float range of the masses themselves.  Raises
+    QuadratureOverflow when a scaled mass is not positive, as when the peak
+    is so narrow that the density underflows on every cell.
+    """
+    kernel, log_peaks = _laplace_integrand(phi, lams, ts, g0, fs)
+    width = 1 + len(fs)
+    results = integrate_many(kernel, len(log_peaks) * width, poly, spec, group=width)
+    moments = np.array([r.value for r in results]).reshape(-1, width)
+    for j, mass in enumerate(moments[:, 0]):
+        if not mass > 0.0:
+            raise QuadratureOverflow(
+                f"density mass {mass} at t = {ts[j]:g}: the grid does not resolve "
+                f"the peak of column {j} (weight {np.asarray(lams[j]).tolist()})"
+            )
+    return np.log(moments[:, 0]) + log_peaks, moments[:, 1:] / moments[:, :1]
+
+
+def section_log_norms_sq(
+    sections: Sequence[WeightSection],
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> np.ndarray:
+    """log of the L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam,t}} dx of
+    sections that share one g_0 and one phi, in one pass over the grid.
+
+    The torus direction integrates exactly to (2 pi)^n; the polytope factor
+    goes through the midpoint quadrature on the uniform simplicial grid, and
+    every norm is judged on its own, at the refinement level a separate
+    integration would stop at.  Raises ValueError for sections of different
+    models, and QuadratureOverflow when a density underflows on every grid
+    cell.
+    """
+    g0, phi = sections[0].g0, sections[0].phi
+    if any(s.g0 is not g0 or s.phi is not phi for s in sections):
+        raise ValueError("batched sections must share one g0 and one phi")
+    lams, ts = [s.lam for s in sections], [s.t for s in sections]
+    log_masses, _ = _laplace_moments(g0.polytope, phi, lams, ts, spec, g0)
+    return np.log(torus_volume(g0.dimension)) + log_masses
 
 
 def section_norms_sq(
     sections: Sequence[WeightSection],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[float]:
-    """L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam,t}} dx of sections that
-    share one g_0 and one phi, in one pass over the grid.
-
-    The torus direction integrates exactly to (2 pi)^n; the polytope factor
-    goes through the midpoint quadrature on the uniform simplicial grid, and
-    every norm is judged on its own, at the refinement level a separate
-    integration would stop at.  Raises ValueError for sections of different
-    models, and QuadratureOverflow for a norm that is not positive and finite,
-    as when a density underflows on every grid cell.
-    """
-    poly = sections[0].polytope
-    results = integrate_many(_density_kernel(sections), len(sections), poly, spec, group=1)
-    volume = torus_volume(poly.dimension)
-    norms = [volume * r.value for r in results]
+    """The norms of `section_log_norms_sq` themselves.  Raises
+    QuadratureOverflow for a norm that is not positive and finite, as when
+    it lies beyond the float range; its log is still finite."""
+    with np.errstate(over="ignore"):
+        norms = np.exp(section_log_norms_sq(sections, spec))
     for j, (s, norm) in enumerate(zip(sections, norms)):
         if not 0.0 < norm < np.inf:
             raise QuadratureOverflow(
-                f"norm {norm} in column {j} (weight {s.weight}, t = {s.t:g}): "
-                "the grid does not resolve its density"
+                f"norm {norm} in column {j} (weight {s.weight}, t = {s.t:g}) "
+                "is beyond the float range"
             )
-    return norms
+    return norms.tolist()
 
 
 def section_norm_sq(

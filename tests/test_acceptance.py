@@ -66,11 +66,10 @@ def test_criterion_03_route_equality():
     worst = 0.0
     for poly, g0, phis in _models():
         xs = tf.sample_interior(poly, 30, rng, margin=0.05)
-        thetas = rng.random((30, poly.dimension)) * 2 * np.pi
         for lam in poly.lattice_points():
             s0 = tf.WeightSection(lam, g0, phis[-1])
             for t in (0.5, 2.0, 10.0):
-                worst = max(worst, tf.route_equality_residual(s0, t, xs, thetas))
+                worst = max(worst, tf.route_equality_residual(s0, t, xs))
     _report(3, "multiplier vs pullback route agreement < 1e-12 relative",
             worst < 1e-12, f"max residual {worst:.2e}")
 
@@ -162,9 +161,10 @@ def test_criterion_08_concentration():
     mean_err = abs(s100.mean[0] - 0.5)
     s400 = tf.concentration_profile(lam, phi, poly, 400.0, spec)
     cov_err = abs(400.0 * s400.covariance_matrix[0, 0] - 1.0)
-    C = tf.normalization_Ct(lam, phi, poly, 200.0, spec)
-    asym = 1.0 / (2 * np.pi * np.exp(200.0 / 8.0) * np.sqrt(2 * np.pi / 200.0))
-    laplace_err = abs(C - asym) / asym
+    g0 = tf.SymplecticPotential(poly)
+    (log_C,) = tf.convergence_experiment(lam, phi, g0, [], [200.0], spec).log_C_t
+    log_asym = -np.log(2 * np.pi) - 200.0 / 8.0 - 0.5 * np.log(2 * np.pi / 200.0)
+    laplace_err = abs(np.expm1(log_C - log_asym))
     ok = mean_err < 1e-3 and cov_err < 0.05 and laplace_err < 0.03
     _report(8, "concentration mean/covariance and C_t Laplace asymptotic",
             ok, f"mean {mean_err:.1e}, cov*t {cov_err:.1e}, C_t {laplace_err:.1e}")

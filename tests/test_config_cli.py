@@ -140,6 +140,18 @@ def test_cli_section_flow_cp2(tmp_path):
     assert all(row.endswith("True") for row in rows[1:])
 
 
+def test_cli_section_flow_large_t_log_norms(tmp_path):
+    # at t = 200 two amplitudes underflow at some sample points and the
+    # (1, 1) norm is about e^1198: the log-domain checks and norms stay finite
+    cfg = tmp_path / "large_t.cfg"
+    cfg.write_text(_with_values(CP2_CFG, "section.t = 0.5,2,200"))
+    assert main(["section-flow", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "section_norms.csv").read_text().splitlines()
+    assert rows[0] == "lambda,t,log_norm_sq"
+    log_norms = [float(row.split(",")[2]) for row in rows[1:]]
+    assert len(log_norms) == 12 and np.isfinite(log_norms).all()
+
+
 def test_cli_polarization(tmp_path):
     out = tmp_path / "cp2"
     assert main(["polarization", "--config", str(CP2_CFG), "--out", str(out)]) == 0

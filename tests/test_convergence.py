@@ -8,8 +8,9 @@ from scipy.stats import norm
 
 import toricflow as tf
 from toricflow.config import load_config, parse_t_grid
-from toricflow.convergence import _density_moments
 from toricflow.errors import FiberDegenerationError, QuadratureOverflow
+from toricflow.quadrature import integrate_many
+from toricflow.sections import _laplace_integrand, _laplace_moments
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -28,62 +29,73 @@ def spec():
 # -- normalization constant ----------------------------------------------------
 
 
+def _log_C_t(lam, phi, poly, ts, spec):
+    # report.json's log C_t of a `converge` run without bumps
+    g0 = tf.SymplecticPotential(poly)
+    report = tf.convergence_experiment(np.asarray(lam, dtype=float), phi, g0, [], ts, spec)
+    return np.array(report.log_C_t)
+
+
+def _pairings(lam, phi, poly, t, bumps, spec):
+    # the pairings of `converge` at one time, t = 0 included: the moment
+    # ratios of the one Laplace kernel
+    _, ratios = _laplace_moments(poly, phi, [lam], [t], spec, fs=bumps)
+    return ratios[0]
+
+
 def test_Ct_uniform_at_time_zero(spec):
     poly = tf.segment(1.0)
     phi = tf.QuadraticPotential([[1.0]])
-    C0 = tf.normalization_Ct(np.array([0.5]), phi, poly, 0.0, spec)
-    assert C0 == pytest.approx(1.0 / (2 * np.pi))
+    (log_C0,) = _log_C_t([0.5], phi, poly, [0.0], spec)
+    assert log_C0 == pytest.approx(-np.log(2 * np.pi), rel=0.0, abs=1e-12)
 
 
 def test_Ct_matches_laplace_asymptotic(spec):
     # int_0^1 e^{-t f_{1/2}} ~ e^{t/8} sqrt(2 pi / t): within 3% at t = 200
     poly = tf.segment(1.0)
     phi = tf.QuadraticPotential([[1.0]])
-    C = tf.normalization_Ct(np.array([0.5]), phi, poly, 200.0, spec)
-    asym = 1.0 / (2 * np.pi * np.exp(200.0 / 8.0) * np.sqrt(2 * np.pi / 200.0))
-    assert abs(C - asym) / asym < 0.03
+    (log_C,) = _log_C_t([0.5], phi, poly, [200.0], spec)
+    log_asym = -np.log(2 * np.pi) - 200.0 / 8.0 - 0.5 * np.log(2 * np.pi / 200.0)
+    assert abs(np.expm1(log_C - log_asym)) < 0.03
 
 
 def test_log_Ct_inverse_minus_drift_decreasing(model2, spec):
     # log C_t^{-1} - t phi(lam) ~ -log(t)/2 + const for large t
     poly, _, phi = model2
     lam = np.array([1.0])
-    vals = []
-    for t in (10.0, 20.0, 40.0, 80.0):
-        C = tf.normalization_Ct(lam, phi, poly, t, spec)
-        vals.append(-np.log(C) - t * phi.value(lam))
+    ts = np.array([10.0, 20.0, 40.0, 80.0])
+    vals = -_log_C_t(lam, phi, poly, ts, spec) - ts * phi.value(lam)
     assert (np.diff(vals) < 0).all()
 
 
-def _truncated_gaussian_Ct(t):
+def _truncated_gaussian_log_Ct(t):
     # phi = x^2/2 on [0, 2], lam = 1: e^{-t f_lam} = e^{t/2} e^{-t (x-1)^2 / 2}
-    return 1.0 / (2 * np.pi * np.exp(t / 2) * np.sqrt(2 * np.pi / t) * erf(np.sqrt(t / 2)))
+    return -(np.log(2 * np.pi) + t / 2 + 0.5 * np.log(2 * np.pi / t) + np.log(erf(np.sqrt(t / 2))))
 
 
-@pytest.mark.parametrize("t", [10.0, 320.0, 1280.0])
+@pytest.mark.parametrize("t", [10.0, 320.0, 1280.0, 2560.0, 1e4])
 def test_Ct_matches_truncated_gaussian(model2, spec, t):
-    # t phi(lam) = 640 at t = 1280: the peak rescale must not overflow
+    # C_t itself underflows from t phi(lam) = 709 on; its log stays exact
     poly, _, phi = model2
-    C = tf.normalization_Ct(np.array([1.0]), phi, poly, t, spec)
-    assert np.isfinite(C)
-    assert C == pytest.approx(_truncated_gaussian_Ct(t), rel=1e-5, abs=0.0)
+    (log_C,) = _log_C_t([1.0], phi, poly, [t], spec)
+    assert log_C == pytest.approx(_truncated_gaussian_log_Ct(t), rel=0.0, abs=1e-10)
 
 
 def test_Ct_meets_spec_tolerance_at_large_t(model2, spec):
     poly, _, phi = model2
-    C = tf.normalization_Ct(np.array([1.0]), phi, poly, 1280.0, spec)
-    assert C == pytest.approx(_truncated_gaussian_Ct(1280.0), rel=spec.rel_tol, abs=0.0)
+    (log_C,) = _log_C_t([1.0], phi, poly, [1280.0], spec)
+    assert log_C == pytest.approx(_truncated_gaussian_log_Ct(1280.0), rel=0.0, abs=spec.rel_tol)
 
 
-def test_Ct_and_pairing_beyond_float_range_raise(model2, spec):
-    # t phi(lam) = 1280 at t = 2560: e^{t phi(lam)} overflows, so C_t would
-    # underflow to 0 and the pairing become 0 * inf
+def test_log_Ct_and_pairing_finite_beyond_float_range(model2, spec):
+    # t phi(lam) = 1280 at t = 2560: e^{t phi(lam)} and C_t are beyond the
+    # float range, log C_t and the pairing ratio are not
     poly, g0, phi = model2
-    with pytest.raises(QuadratureOverflow):
-        tf.normalization_Ct(np.array([1.0]), phi, poly, 2560.0, spec)
-    s = tf.WeightSection((1,), g0, phi, 2560.0)
-    with pytest.raises(QuadratureOverflow):
-        tf.pairing_iota(s, tf.BumpProfile((1.0,), 0.9, 1.0), 0.0, spec)
+    bump = tf.BumpProfile((1.0,), 0.9, 1.0)
+    report = tf.convergence_experiment(np.array([1.0]), phi, g0, [bump], [256.0, 2560.0], spec)
+    assert np.isfinite(report.log_C_t).all()
+    assert report.log_C_t[1] < np.log(np.finfo(float).tiny)
+    assert np.isfinite(report.bumps[0].pairings).all()
 
 
 # -- pairings ------------------------------------------------------------------
@@ -105,35 +117,29 @@ def test_pairing_matches_quad_oracle_at_large_t(model2, spec):
 
 
 def test_pairing_uniform_average_at_time_zero(model2, spec):
-    poly, g0, phi = model2
+    poly, _, phi = model2
     bump = tf.BumpProfile((1.2,), 0.5, 0.8)
-    s0 = tf.WeightSection((1,), g0, phi, 0.0)
-    C0 = tf.normalization_Ct(s0.lam, phi, poly, 0.0, spec)
-    value = tf.pairing_iota(s0, bump, C0, spec)
+    (value,) = _pairings([1.0], phi, poly, 0.0, [bump], spec)
     integral, _ = tf.integrate(bump, poly, spec)
     assert value == pytest.approx(integral / 2.0, rel=1e-8)
 
 
 def test_pairing_plateau_bump_tends_to_height(model2, spec):
     # H identically 1 on a neighborhood of the peak: exponentially small error
-    poly, g0, phi = model2
+    poly, _, phi = model2
     bump = tf.BumpProfile((1.0,), 0.8, 1.0, plateau=0.5)
-    s = tf.WeightSection((1,), g0, phi, 200.0)
-    C = tf.normalization_Ct(s.lam, phi, poly, 200.0, spec)
-    assert tf.pairing_iota(s, bump, C, spec) == pytest.approx(1.0, abs=1e-6)
+    assert _pairings([1.0], phi, poly, 200.0, [bump], spec)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pairing_disjoint_bump_vanishes(model2, spec):
-    poly, g0, phi = model2
+    poly, _, phi = model2
     bump = tf.BumpProfile((1.7,), 0.25, 1.0)
-    s = tf.WeightSection((1,), g0, phi, 320.0)
-    C = tf.normalization_Ct(s.lam, phi, poly, 320.0, spec)
-    assert abs(tf.pairing_iota(s, bump, C, spec)) < 1e-6
+    assert abs(_pairings([1.0], phi, poly, 320.0, [bump], spec)[0]) < 1e-6
 
 
 def test_Ct_route_matches_experiment_ratio(model2, spec):
-    # the library route C_t kappa^n int e^{-t f} H against the experiment's
-    # moment ratio int e^{-t f} H / int e^{-t f}, on the cp1_size2 bumps
+    # one kernel call per t against the experiment's one call for the whole
+    # t grid, on the cp1_size2 bumps: log C_t and the pairings agree
     poly, g0, phi = model2
     bumps = [
         tf.BumpProfile((1.0,), 0.9, 1.0),
@@ -148,11 +154,11 @@ def test_Ct_route_matches_experiment_ratio(model2, spec):
         assert report.bumps[j].fiber_value == bump(np.array([1.0]))
     assert report.bumps[0].fiber_value == 1.0
     for k, t in enumerate(ts):
-        s = tf.WeightSection((1,), g0, phi, t)
-        C = tf.normalization_Ct(s.lam, phi, poly, t, spec)
-        for j, bump in enumerate(bumps):
+        (log_C,) = _log_C_t([1.0], phi, poly, [t], spec)
+        assert log_C == pytest.approx(report.log_C_t[k], rel=1e-12, abs=0.0)
+        for j, pairing in enumerate(_pairings([1.0], phi, poly, t, bumps, spec)):
             expected = report.bumps[j].pairings[k]
-            assert tf.pairing_iota(s, bump, C, spec) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert pairing == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_fiber_weight_modes_and_constancy():
@@ -213,10 +219,12 @@ def test_concentration_box_matches_truncated_normal(phi_aniso):
         cov = tf.concentration_profile(lam, phi_aniso, poly, t, spec2).covariance_matrix
         exact = [_truncated_normal_variance(1.0 / (t * qi), 1.0) for qi in q]
         assert np.diag(cov) == pytest.approx(exact, rel=5e-6, abs=0.0)
+    # C_t factors into erfs: the same times in one converge run
+    log_C = _log_C_t(lam, phi_aniso, poly, [20.0, 40.0, 80.0], spec2)
+    for t, value in zip((20.0, 40.0, 80.0), log_C):
         gauss = np.prod([np.sqrt(2 * np.pi / (t * qi)) * erf(np.sqrt(t * qi / 2)) for qi in q])
-        exact_Ct = 1.0 / ((2 * np.pi) ** 2 * np.exp(t * phi_aniso.value(lam)) * gauss)
-        C = tf.normalization_Ct(lam, phi_aniso, poly, t, spec2)
-        assert C == pytest.approx(exact_Ct, rel=1e-10, abs=0.0)
+        exact = -(2 * np.log(2 * np.pi) + t * phi_aniso.value(lam) + np.log(gauss))
+        assert value == pytest.approx(exact, rel=0.0, abs=1e-10)
     # t phi(lam) = 960: the moment ratios must not overflow
     cov = tf.concentration_profile(lam, phi_aniso, poly, 320.0, spec2).covariance_matrix
     assert np.isfinite(cov).all()
@@ -291,21 +299,24 @@ def test_convergence_requires_interior_weight(model2, spec):
 
 def test_batched_pairings_match_per_t_moments():
     # cp1_size2's large-t grid: t = 10 refines twice and every later t stops
-    # at the first level; the one-pass pairings equal the per-t ratios
+    # at the first level; each t's group, integrated alone from the same
+    # full-width kernel output, gives the one-pass pairings bit for bit
     exp = load_config(REPO / "configs" / "cp1_size2.cfg").validate()
     lam = np.asarray(exp.lam, dtype=float)
     ts = parse_t_grid("10:1280:2")
     report = tf.convergence_experiment(lam, exp.phi, exp.g0, exp.bumps, ts, exp.spec, exp.mode)
+    lams = np.broadcast_to(lam, (len(ts), len(lam)))
+    kernel, _ = _laplace_integrand(exp.phi, lams, ts, fs=exp.bumps)
+    width = 1 + len(exp.bumps)
     levels = []
-    for i, t in enumerate(ts):
+    for i in range(len(ts)):
         sizes = []
 
-        def first_bump(p, sizes=sizes):
+        def group(p, i=i, sizes=sizes):
             sizes.append(len(p))
-            return exp.bumps[0](p)
+            return kernel(p)[:, i * width : (i + 1) * width]
 
-        fs = [first_bump, *exp.bumps[1:]]
-        moments, _ = _density_moments(fs, exp.poly, exp.phi, lam, [t], exp.spec)
+        moments = np.array([r.value for r in integrate_many(group, width, exp.poly, exp.spec)])
         levels.append(len(sizes))
-        assert [b.pairings[i] for b in report.bumps] == list(moments[0, 1:] / moments[0, 0])
+        assert [b.pairings[i] for b in report.bumps] == list(moments[1:] / moments[0])
     assert levels == [4] + [2] * (len(ts) - 1)

@@ -16,7 +16,7 @@ from toricflow.errors import (
     QuadratureStagnation,
 )
 from toricflow.quadrature import integrate_many
-from toricflow.sections import _density_kernel
+from toricflow.sections import _laplace_integrand
 
 CP2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg"
 
@@ -177,9 +177,9 @@ def test_flow_section_semigroup(model2, sample_points):
 
 def test_pullback_route_weight_zero_trivial(model2, sample_points):
     _, g0, phi = model2
-    xs, thetas = sample_points
+    xs, _ = sample_points
     s0 = tf.WeightSection((0,), g0, phi)
-    assert tf.route_equality_residual(s0, 2.0, xs, thetas) < 1e-12
+    assert tf.route_equality_residual(s0, 2.0, xs) < 1e-12
 
 
 def test_pullback_route_factors(model2):
@@ -204,11 +204,10 @@ def test_pullback_route_factors(model2):
 def test_route_equality_random_simplex(cp2_size2, phi_aniso, rng):
     g0 = tf.SymplecticPotential(cp2_size2)
     xs = tf.sample_interior(cp2_size2, 15, rng, margin=0.05)
-    thetas = rng.random((15, 2)) * 2 * np.pi
     for lam in [(0, 0), (1, 1), (2, 0)]:
         s0 = tf.WeightSection(lam, g0, phi_aniso)
         for t in (0.5, 2.0, 10.0):
-            assert tf.route_equality_residual(s0, t, xs, thetas) < 1e-12
+            assert tf.route_equality_residual(s0, t, xs) < 1e-12
 
 
 def test_weight_preserved_by_flow(model2):
@@ -346,6 +345,32 @@ def _reference_density(s, x):
     return out * np.exp(-2.0 * s.t * tf.concentration_rate(s.phi, s.lam, x))
 
 
+@pytest.fixture(scope="module")
+def triangle3():
+    # the benchmark's converge model: the size-3 triangle, phi = diag(2, 4)
+    g0 = tf.SymplecticPotential(tf.standard_simplex(2, 3.0))
+    spec = tf.QuadratureSpec(resolution=32, rel_tol=1e-4, max_refinements=2)
+    return g0, tf.QuadraticPotential(np.diag([2.0, 4.0])), spec
+
+
+def test_log_norms_match_unshifted_reference(triangle3):
+    # near the float range the peak shift must not change the norm
+    g0, phi, spec = triangle3
+    sections = [tf.WeightSection((1, 1), g0, phi, t) for t in (80.0, 110.0)]
+    for s, log_norm in zip(sections, tf.section_log_norms_sq(sections, spec)):
+        ref = tf.integrate(lambda x: _reference_density(s, x), g0.polytope, spec).value
+        assert log_norm == pytest.approx(np.log((2 * np.pi) ** 2 * ref), rel=1e-13, abs=0)
+
+
+def test_log_norms_finite_beyond_float_range(triangle3):
+    # e^{-2 A} peaks at e^{2 g_t(lam)}, beyond the float range from t = 120
+    g0, phi, spec = triangle3
+    sections = [tf.WeightSection((1, 1), g0, phi, t) for t in (120.0, 640.0)]
+    log_norms = tf.section_log_norms_sq(sections, spec)
+    assert np.isfinite(log_norms).all()
+    assert log_norms.min() > np.log(np.finfo(float).max)
+
+
 def _assert_batch_matches_reference(sections, spec):
     poly = sections[0].polytope
     volume = (2 * np.pi) ** poly.dimension
@@ -376,7 +401,7 @@ def test_batch_freezes_each_column(model2):
     poly, g0, phi = model2
     spec = tf.QuadratureSpec()
     sections = [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
-    kernel = _density_kernel(sections)
+    kernel = _section_kernel(sections)
     batch = integrate_many(kernel, len(sections), poly, spec, group=1)
     for j, s in enumerate(sections):
         points = []
@@ -424,11 +449,12 @@ def test_batch_stagnating_column_raises(model2):
 
 
 def test_batch_overflow_names_column(model2):
+    # the norm at t = 800 is about e^800: its log is finite, the norm is not
     _, g0, phi = model2
     sections = [tf.WeightSection((1,), g0, phi, t) for t in (2.0, 800.0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureOverflow, match="value nan in column 1"):
-            tf.section_norms_sq(sections)
+    with pytest.raises(QuadratureOverflow, match="norm inf in column 1"):
+        tf.section_norms_sq(sections)
+    assert np.isfinite(tf.section_log_norms_sq(sections)).all()
 
 
 def test_batch_rejects_mixed_models(model2):
@@ -439,20 +465,29 @@ def test_batch_rejects_mixed_models(model2):
         tf.section_norms_sq(sections)
 
 
+def _section_kernel(sections):
+    # the section columns of the one Laplace kernel
+    g0, phi = sections[0].g0, sections[0].phi
+    return _laplace_integrand(phi, [s.lam for s in sections], [s.t for s in sections], g0)[0]
+
+
 def _column_stack_kernel(sections):
-    # reference: the density kernel as a list of feature arrays, joined by
-    # `column_stack`, one product and `exp`; `_density_kernel` must match
-    # it bit for bit
+    # reference: the section kernel as a list of feature arrays, joined by
+    # `column_stack`, one product and `exp`, with the same log-peak shift
+    # 2 g_t(lam); `_section_kernel` must match it bit for bit
     g0, phi = sections[0].g0, sections[0].phi
     poly = g0.polytope
     lams = np.array([s.lam for s in sections])
     ts = np.array([s.t for s in sections])
     llam = poly.facet_values(lams)
     rows = [llam.T, -np.ones_like(ts), -2.0 * ts, 2.0 * ts * lams.T]
+    log_peaks = (llam * np.log(np.where(llam > 0.0, llam, 1.0))).sum(axis=1)
+    log_peaks += 2.0 * (ts * phi.value(lams))
     if g0.extra is not None:
         rows += [np.full_like(ts, -2.0), 2.0 * lams.T]
+        log_peaks += 2.0 * g0.extra.value(lams)
     coeffs = np.vstack(rows)
-    const = llam.sum(axis=1)
+    const = llam.sum(axis=1) - log_peaks
 
     def affine_features(pot, x):
         grad = pot.grad(x)
@@ -488,7 +523,7 @@ def test_density_kernel_is_bit_identical_to_column_stack_form(case):
     # a full block, an odd block, and the vertices, where log l_k hits _TINY
     for x in (poly.grid_cells(48).points, poly.grid_cells(5).points[:37], poly.vertices()):
         x = np.ascontiguousarray(x, dtype=float)
-        assert np.array_equal(_density_kernel(sections)(x), _column_stack_kernel(sections)(x))
+        assert np.array_equal(_section_kernel(sections)(x), _column_stack_kernel(sections)(x))
 
 
 def _counting(pot, counts):
@@ -510,7 +545,11 @@ def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
         cp2_size2, extra=_counting(tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]), extra_counts)
     )
     phi = _counting(tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]]), phi_counts)
-    kernel = _density_kernel([tf.WeightSection(lam, g0, phi, 1.0) for lam in ((0, 0), (1, 1))])
+    kernel = _section_kernel([tf.WeightSection(lam, g0, phi, 1.0) for lam in ((0, 0), (1, 1))])
+    # building the kernel evaluates each value once, at the weights, for the log-peaks
+    assert phi_counts["value"] == extra_counts["value"] == 1
+    phi_counts.update(value=0)
+    extra_counts.update(value=0)
     blocks = []
 
     def counted_kernel(x):
@@ -562,10 +601,10 @@ def test_checks_with_extra_potential(sample_points, lam):
     # cancels, so the off-centre weights are the ones that can fail.
     g0 = tf.SymplecticPotential(tf.segment(2.0), extra=tf.QuadraticPotential([[0.3]], b=[0.1]))
     phi = tf.QuadraticPotential([[1.0]])
-    xs, thetas = sample_points
+    xs, _ = sample_points
     s0 = tf.WeightSection(lam, g0, phi)
     for t in (0.0, 1.0, 3.0):
-        assert tf.route_equality_residual(s0, t, xs, thetas) < 1e-12
+        assert tf.route_equality_residual(s0, t, xs) < 1e-12
         assert np.max(tf.KahlerFlowState(g0, phi, t).duality_residual(xs)) < 1e-12
         assert tf.gluing_check_cp1(s0, t) < 1e-10
     assert tf.frame_holomorphicity_residual(g0, phi, 1.0, xs[:5]) < 1e-8
