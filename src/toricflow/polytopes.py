@@ -17,11 +17,13 @@ recession cone, and of the polyhedron of inscribed balls one dimension up.
 scipy is imported only when a grid triangulates a non-simplex (Delaunay).
 
 Besides validation, this module enumerates the lattice points of P (the index
-set of the torus-weight basis) and builds midpoint-rule evaluation grids,
-stored as arrays (`Grid`): a triangulation of P whose simplices are split by
-the Freudenthal-Kuhn edgewise subdivision, so every cell lies inside P and
-the cell volumes add up to vol(P) exactly.  Grid points are column-major, as
-a ufunc over row-major (m, n) points loops over only n <= 3 entries per row.
+set of the torus-weight basis) and plans midpoint-rule evaluation grids
+(`Grid`): a triangulation of P whose simplices are split by the
+Freudenthal-Kuhn edgewise subdivision, so every cell lies inside P and the
+cell volumes add up to vol(P) exactly.  A grid is built block by block when
+it is iterated, so memory holds about one block, whatever the cell count.
+Grid points are column-major, as a ufunc over row-major (m, n) points loops
+over only n <= 3 entries per row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,15 +87,55 @@ def _plain(v) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Grid:
-    """Midpoint-rule cells of a polytope, one row per cell: evaluation point
-    (the cell centroid) and Lebesgue volume; `len` is the cell count.  A block
-    of consecutive rows of the column-major points has contiguous columns."""
+    """Midpoint-rule cells of a polytope, as a plan: a triangulation whose
+    simplex i is Kuhn-subdivided into ks[i]^n cells of volume
+    cell_volumes[i].  `len` is the cell count; no cell is built until
+    `blocks` is iterated.  Cell j has an evaluation point (the centroid) and
+    a Lebesgue volume, and the cells come in a fixed order."""
 
-    points: np.ndarray   # (m, n), column-major
-    volumes: np.ndarray  # (m,)
+    simplices: np.ndarray     # (s, n + 1, n)
+    ks: tuple[int, ...]
+    cell_volumes: np.ndarray  # (s,)
+    cells: int
 
     def __len__(self) -> int:
-        return len(self.volumes)
+        return self.cells
+
+    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The cells in order as (points, volumes) blocks of `rows` rows, the
+        last one possibly shorter; points are column-major (m, n).  Each
+        block is built when it is requested, so only one is held at a time."""
+        n = self.simplices.shape[2]
+        chunks = (
+            (chunk, simplex[0], np.diff(simplex, axis=0) / k, volume)
+            for simplex, k, volume in zip(self.simplices, self.ks, self.cell_volumes)
+            for chunk in _kuhn_centroid_chunks(n, k, rows)
+        )
+        chunk, used = np.empty((0, n)), 0
+        for start in range(0, self.cells, rows):
+            points = np.empty((min(rows, self.cells - start), n), order="F")
+            volumes = np.empty(len(points))
+            filled = 0
+            while filled < len(points):
+                if used == len(chunk):
+                    (chunk, origin, steps, volume), used = next(chunks), 0
+                take = min(len(points) - filled, len(chunk) - used)
+                out = points[filled : filled + take]
+                np.matmul(chunk[used : used + take], steps, out=out)
+                out += origin
+                volumes[filled : filled + take] = volume
+                filled, used = filled + take, used + take
+            yield points, volumes
+
+    @property
+    def points(self) -> np.ndarray:
+        """All cell centroids, (len, n) column-major: one block of the whole grid."""
+        return next(self.blocks(self.cells))[0]
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """All cell volumes, (len,)."""
+        return np.repeat(self.cell_volumes, np.array(self.ks) ** self.simplices.shape[2])
 
 
 class DelzantPolytope:
@@ -281,7 +323,8 @@ class DelzantPolytope:
     def grid_cells(
         self, resolution: int, margin: float = 0.0, clip_depth: int = 6
     ) -> Grid:
-        """Midpoint-rule cells of {x : l_k(x) >= margin} as one `Grid`.
+        """Midpoint-rule cells of {x : l_k(x) >= margin} as a `Grid` plan,
+        whose points are built block by block when `Grid.blocks` is iterated.
 
         The region is triangulated from its vertices (a simplex is its
         own triangulation, anything else goes through Delaunay), and each
@@ -301,7 +344,9 @@ class DelzantPolytope:
         self.require_valid()
         verts = (self.vertices() if margin == 0
                  else _intersection_vertices(self._normals, self._offsets - margin))
-        grid = self._cache[key] = _build_cells(verts, resolution)
+        simplices, simplex_volumes, ks, cells = _kuhn_plan(verts, resolution)
+        counts = np.array(ks) ** self.dimension
+        grid = self._cache[key] = Grid(simplices, tuple(ks), simplex_volumes / counts, cells)
         return grid
 
     def grid_cell_count(self, resolution: int) -> int:
@@ -438,10 +483,11 @@ def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return simplices[keep], volumes[keep]
 
 
-def _decreasing_sequences(n: int, top: int) -> list[np.ndarray]:
-    """The columns c_1, ..., c_n of all integer rows top >= c_1 >= ... >= c_n
-    >= 0, built column by column from the last."""
-    cols = [np.arange(top + 1)]
+def _decreasing_sequences(n: int, top: int, lo: int, hi: int) -> list[np.ndarray]:
+    """The columns c_1, ..., c_n of the integer rows top >= c_1 >= ... >= c_n
+    >= 0 with lo <= c_n < hi, built column by column from the last.  The rows
+    come in order of c_n, so consecutive ranges [lo, hi) tile the full set."""
+    cols = [np.arange(lo, hi)]
     for _ in range(n - 1):
         counts = top + 1 - cols[0]
         rows = np.repeat(np.arange(len(cols[0])), counts)
@@ -450,33 +496,47 @@ def _decreasing_sequences(n: int, top: int) -> list[np.ndarray]:
     return cols
 
 
-def _kuhn_centroids(n: int, k: int) -> np.ndarray:
+def _kuhn_centroid_chunks(n: int, k: int, rows: int) -> Iterator[np.ndarray]:
     """Centroids of the k^n congruent simplices of the Kuhn subdivision of the
-    dilated order simplex {k >= z_1 >= ... >= z_n >= 0}, column-major.
+    dilated order simplex {k >= z_1 >= ... >= z_n >= 0}, in column-major
+    chunks of at most `rows` rows, or of one value of the last anchor
+    coordinate where that alone has more.
 
     The sub-simplex with integer anchor a and permutation p has vertices
     a, a + e_p(1), a + e_p(1) + e_p(2), ..., so its centroid is a + w with
     w_p(m) = (n + 1 - m)/(n + 1).  It lies in the order simplex iff
     k - 1 >= a_1 >= ... >= a_n >= 0 with a_i > a_{i+1} wherever p takes
-    axis i + 1 before axis i; those anchors are enumerated directly.
+    axis i + 1 before axis i; those anchors are enumerated directly, in
+    order of a_n.  The C(top - v + n - 1, n - 1) anchors with a_n = v come
+    together, so a chunk is a range of a_n.
     """
-    out, start = np.empty((k**n, n), order="F"), 0
     for perm in itertools.permutations(range(n)):
         rank = np.argsort(perm)
         strict = (rank[1:] < rank[:-1]).astype(int)
-        if strict.sum() > k - 1:
+        top = k - 1 - strict.sum()
+        if top < 0:
             continue
         shift = np.append(np.cumsum(strict[::-1])[::-1], 0)
-        base = _decreasing_sequences(n, k - 1 - strict.sum())
-        for i, col in enumerate(base):
-            np.add(col + shift[i], (n - rank[i]) / (n + 1), out=out[start : start + len(col), i])
-        start += len(base[0])
-    return out
+        counts = np.ones(top + 1, dtype=np.int64)
+        for j in range(1, n):  # C(top - v + j, j) from C(top - v + j - 1, j - 1)
+            counts = counts * (top - np.arange(top + 1) + j) // j
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo <= top:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + rows, side="right")))
+            base = _decreasing_sequences(n, top, lo, hi)
+            chunk = np.empty((len(base[0]), n), order="F")
+            for i, col in enumerate(base):
+                np.add(col + shift[i], (n - rank[i]) / (n + 1), out=chunk[:, i])
+            yield chunk
+            lo = hi
 
 
 # The most cells one grid may hold.  The largest grid a known run needs is
 # 256^3 = 2^24: `converge` on the size-4 3-simplex at t <= 320, quadrature
-# resolution 8 and depth 2.  At 2^24 cells in 3D the points alone take 400 MB.
+# resolution 8 and depth 2.  Grids are built block by block, so the cap bounds
+# the work of one integral (2^24 integrand rows per field), not its memory.
 _MAX_GRID_CELLS = 2**24
 
 
@@ -492,17 +552,3 @@ def _kuhn_plan(verts: np.ndarray, resolution: int):
     if cells > _MAX_GRID_CELLS:
         raise GridSizeError(f"a grid of {cells} cells exceeds the cap of {_MAX_GRID_CELLS}")
     return simplices, simplex_volumes, ks, cells
-
-
-def _build_cells(verts: np.ndarray, resolution: int) -> Grid:
-    """Kuhn-subdivide each simplex of a triangulation of conv(verts) into
-    k^n congruent pieces, k = resolution * ceil(longest sup-norm edge).
-    Raises GridSizeError, before allocating, above _MAX_GRID_CELLS cells."""
-    n = verts.shape[1]
-    simplices, simplex_volumes, ks, cells = _kuhn_plan(verts, resolution)
-    counts, points = np.array(ks) ** n, np.empty((cells, n), order="F")
-    for simplex, k, stop in zip(simplices, ks, np.cumsum(counts)):
-        block = points[stop - k**n : stop]
-        np.matmul(_kuhn_centroids(n, k), np.diff(simplex, axis=0) / k, out=block)
-        block += simplex[0]
-    return Grid(points, np.repeat(simplex_volumes / counts, counts))

@@ -6,7 +6,7 @@ of Richardson extrapolation and refinement by resolution doubling.  The open
 the boundary but not smooth there (Guillemin-type l log l behavior), so
 integrands are never evaluated on the boundary itself.
 
-The grid comes from `DelzantPolytope.grid_cells` as arrays: the congruent
+The grid comes from `DelzantPolytope.grid_cells` as a plan: the congruent
 sub-simplices of a Kuhn-subdivided triangulation of P, with exact volumes.
 On such a grid the midpoint error of a smooth integrand expands in powers of
 h (Lyness-Puri), led by the h^2 term that Richardson's (4 fine - coarse)/3
@@ -16,13 +16,14 @@ use the same grid: once the cells resolve the peak width, resolution
 doubling converges on them like on any smooth integrand, and the difference
 of two resolutions is the error estimate.
 
-The integrand is evaluated on consecutive blocks of grid points, views of
-the column-major grid with contiguous coordinate columns: 2^14 points for up
-to 4 fields, and fewer, a power of two, for more, so a k-field integrand
-never holds more than 2^16 values at once.  Each block is reduced by
-pairwise summation and the block sums by the same tree; with a power-of-two
-block this is exactly one pairwise tree over the whole grid, in a fixed
-order, so repeated runs are bit-identical.
+The integrand is evaluated on consecutive blocks of grid points, each built
+by `Grid.blocks` when it is reached and dropped once it is summed, so no
+whole grid is ever held: 2^14 column-major points for up to 4 fields, and
+fewer, a power of two, for more, so a k-field integrand never holds more
+than 2^16 values at once.  Each block is reduced by pairwise summation and
+the block sums by the same tree; with a power-of-two block this is exactly
+one pairwise tree over the whole grid, in a fixed order, so repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import QuadratureOverflow, QuadratureStagnation
-from .polytopes import DelzantPolytope
+from .polytopes import DelzantPolytope, Grid
 
 
 @dataclass(frozen=True)
@@ -81,20 +82,18 @@ _BLOCK = 2**14
 _BLOCK_VALUES = 2**16
 
 
-def _weighted_sums(matrix_f, k: int, points: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-    """Column sums of f(points) * volumes, evaluating f on blocks of at most
-    _BLOCK points and _BLOCK_VALUES values, so the (m, k) value matrix is
-    never held whole."""
+def _weighted_sums(matrix_f, k: int, grid: Grid) -> np.ndarray:
+    """Column sums of f(points) * volumes over the grid, evaluating f on each
+    block of at most _BLOCK points and _BLOCK_VALUES values as soon as it is
+    built, so neither the grid nor the (m, k) value matrix is held whole."""
     block = _BLOCK
     while block > 1 and block * k > _BLOCK_VALUES:
         block //= 2
     block_sums = []
-    for start in range(0, len(points), block):
-        pts = points[start : start + block]
+    for pts, vol in grid.blocks(block):
         vals = np.asarray(matrix_f(pts), dtype=float)
         if vals.shape != (len(pts), k):
             raise ValueError(f"integrand must map (m, n) points to (m, {k}) values")
-        vol = volumes[start : start + block]
         block_sums.append(_pairwise_sum(vals * vol[:, None]))
     return _pairwise_sum(np.array(block_sums))
 
@@ -126,8 +125,7 @@ def integrate_many(
     judge = np.arange(k) // group * group
 
     def sums(resolution: int) -> np.ndarray:
-        grid = poly.grid_cells(resolution)
-        return _weighted_sums(matrix_f, k, grid.points, grid.volumes)
+        return _weighted_sums(matrix_f, k, poly.grid_cells(resolution))
 
     def richardson(coarse: np.ndarray, fine: np.ndarray, refining: np.ndarray):
         values, estimates = (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)

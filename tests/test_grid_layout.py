@@ -1,6 +1,6 @@
 """The CLI's numbers do not depend on the memory layout of the grid points:
-every `--out` file is the same, byte for byte, on the column-major grid and
-on a row-major copy of it."""
+every `--out` file is the same, byte for byte, on the column-major grid
+blocks and on row-major copies of them."""
 
 from pathlib import Path
 
@@ -37,16 +37,16 @@ def test_out_files_do_not_depend_on_grid_layout(tmp_path, monkeypatch, capsys, c
     column_major = _run_all(cfgs, tmp_path / "column_major")
     stdout = capsys.readouterr().out
 
-    build = polytopes._build_cells
+    blocks = polytopes.Grid.blocks
     layouts = []
 
-    def row_major(verts, resolution):
-        grid = build(verts, resolution)
-        points = np.ascontiguousarray(grid.points)
-        layouts.append(points.shape[1] == 1 or not points.flags.f_contiguous)
-        return polytopes.Grid(points, grid.volumes)
+    def row_major(grid, rows):
+        for points, volumes in blocks(grid, rows):
+            points = np.ascontiguousarray(points)
+            layouts.append(points.shape[1] == 1 or not points.flags.f_contiguous)
+            yield points, volumes
 
-    monkeypatch.setattr(polytopes, "_build_cells", row_major)
+    monkeypatch.setattr(polytopes.Grid, "blocks", row_major)
     row_major_run = _run_all(cfgs, tmp_path / "row_major")
     assert layouts and all(layouts)
     # cp2_size2 has no experiment section, so its converge is a config error

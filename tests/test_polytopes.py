@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 import toricflow as tf
 from toricflow import polytopes
 from toricflow.errors import DomainError, EmptyGridError
-from toricflow.polytopes import _kuhn_centroids, _kuhn_plan
+from toricflow.polytopes import _kuhn_centroid_chunks, _kuhn_plan
 
 
 def test_unit_interval_is_delzant(cp1_unit):
@@ -150,7 +150,7 @@ def _kuhn_reference(n, k):
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 1), (2, 4), (3, 1), (3, 2), (3, 5)])
 def test_kuhn_centroids_match_reference(n, k):
-    direct = _kuhn_centroids(n, k)
+    direct = np.concatenate(list(_kuhn_centroid_chunks(n, k, 5)))
     assert len(direct) == k**n
     assert np.allclose(np.array(sorted(map(tuple, direct))), _kuhn_reference(n, k), atol=1e-12)
 
@@ -418,6 +418,24 @@ def test_column_major_grid_is_bit_equal_to_row_major_build(name, resolution):
     assert grid.points.shape == points.shape and grid.volumes.shape == volumes.shape
     assert np.ascontiguousarray(grid.points).tobytes() == points.tobytes()
     assert grid.volumes.tobytes() == volumes.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096, None])
+@pytest.mark.parametrize("resolution", [3, 8])
+@pytest.mark.parametrize("name", LAYOUT_POLYTOPES)
+def test_grid_blocks_are_bit_equal_to_row_major_build(name, resolution, rows):
+    # the boxes and F1 triangulate into several simplices, so blocks cross
+    # simplex boundaries; rows=None asks for more rows than the grid has
+    poly = LAYOUT_POLYTOPES[name]()
+    grid = poly.grid_cells(resolution)
+    rows = rows or len(grid) + 5
+    points, volumes = _row_major_cells_reference(poly, resolution)
+    blocks = list(grid.blocks(rows))
+    assert all(len(p) == len(v) == rows for p, v in blocks[:-1])
+    assert 1 <= len(blocks[-1][0]) == len(blocks[-1][1]) <= rows
+    assert all(p.flags.f_contiguous and p.shape[1] == poly.dimension for p, _ in blocks)
+    assert np.concatenate([p for p, _ in blocks]).tobytes() == points.tobytes()
+    assert np.concatenate([v for _, v in blocks]).tobytes() == volumes.tobytes()
 
 
 @pytest.mark.parametrize("name", ["simplex2d-size3", "box3d", "hirzebruch-f1"])

@@ -131,6 +131,17 @@ def test_2d_quadratic_extrapolates_exactly(cp2_size2):
     assert abs(value - 2.0 / 3.0) <= 1e-14
 
 
+class _ArrayGrid:
+    """Cells given as whole arrays, served in blocks like `Grid.blocks`."""
+
+    def __init__(self, points, volumes):
+        self.points, self.volumes = points, volumes
+
+    def blocks(self, rows):
+        for start in range(0, len(self.volumes), rows):
+            yield self.points[start : start + rows], self.volumes[start : start + rows]
+
+
 @pytest.mark.parametrize("m", [1, 2**14 - 1, 2**14, 3 * 2**14 + 5])
 def test_block_sums_are_one_pairwise_tree(m):
     # a power-of-two block keeps the summation tree of the whole column; a
@@ -146,7 +157,7 @@ def test_block_sums_are_one_pairwise_tree(m):
             sizes.append(len(p))
             return vals[p[:, 0].astype(int)]
 
-        sums = _weighted_sums(f, k, points, volumes)
+        sums = _weighted_sums(f, k, _ArrayGrid(points, volumes))
         assert max(sizes) == min(m, block) and block * k <= _BLOCK_VALUES
         for j in range(k):
             assert sums[j] == _pairwise_sum(vals[:, j] * volumes)
