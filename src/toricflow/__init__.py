@@ -39,7 +39,6 @@ from .flow import (
     flow_map_psi_t,
     metric_matrix,
     mixed_polarization_basis,
-    polarization_angle,
     polarization_basis_t,
     polarization_decay_curve,
     subspace_angle,
@@ -61,10 +60,9 @@ from .potentials import (
     ReflectedPotential,
     check_strict_convexity,
     concentration_rate,
-    f_lambda_min_check,
     legendre_inverse,
 )
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec
 from .sections import (
     KostantCheck,
     WeightSection,
@@ -82,7 +80,6 @@ from .sections import (
     route_equality_residual,
     section_log_norms_sq,
     section_norm_sq,
-    section_norms_sq,
     torus_volume,
     weight_decompose,
 )

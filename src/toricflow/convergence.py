@@ -145,6 +145,8 @@ def concentration_profile(
     lam = np.asarray(lam, dtype=float)
     if not poly.is_interior(lam):
         raise FiberDegenerationError("concentration center must be interior")
+    if t < 0:
+        raise ValueError("flow time must be nonnegative")
     n = poly.dimension
     radius = 5.0 / np.sqrt(t) if t > 0 else float("inf")
 
@@ -252,6 +254,8 @@ def convergence_experiment(
     ts = np.asarray(t_grid, dtype=float)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")
+    if (ts < 0).any():
+        raise ValueError("flow time must be nonnegative")
     window = (float(ts.max() / FIT_DECADE), float(ts.max()))
 
     weight = mode.fiber_weight(poly, lam)

@@ -41,9 +41,10 @@ Polarizations: the anti-holomorphic frame of J_t is spanned by the columns of
 [ (1/2) G_t^{-1} ; (i/2) Id ]; as t grows these tilt into the pure angular
 directions span{d/dtheta_j}, the involutive mixed limit on the open orbit.
 Convergence is metrized by the largest principal angle between frames, which
-has the closed form arctan(1 / min |eig G_t(x)|) (`polarization_angle`).  The
-generic route, orthonormalized frames and an SVD (`subspace_angle`), is kept
-as its independent reference in the tests.
+has the closed form arctan(1 / min |eig G_t(x)|) (`limit_angle` of the
+`metric_hessians` eigenvalues, as `polarization` computes it).  The generic
+route, orthonormalized frames and an SVD (`subspace_angle`), is kept as its
+independent reference in the tests.
 """
 
 from __future__ import annotations
@@ -123,10 +124,6 @@ class KahlerFlowState:
             raise ValueError("flow time must be nonnegative")
         if self.g0.dimension != self.phi.dimension:
             raise DimensionMismatch("symplectic and flow potentials disagree in dimension")
-
-    @property
-    def polytope(self) -> DelzantPolytope:
-        return self.g0.polytope
 
     # flowed symplectic potential and derivatives
     def potential(self, x) -> np.ndarray:
@@ -226,9 +223,10 @@ def metric_matrix(state: KahlerFlowState, x) -> np.ndarray:
     return M
 
 
-def polarization_angle(state: KahlerFlowState, x) -> np.ndarray:
+def limit_angle(eigenvalues) -> np.ndarray:
     """Largest principal angle between the J_t frame and the limit frame,
-    arctan(1 / min |eig G_t(x)|), batched over the leading axes of x.
+    arctan(1 / min |eig G_t(x)|), from the eigenvalues of G_t over the last
+    axis.
 
     The cosines of the principal angles between [ (1/2)G^{-1} ; (i/2)Id ] and
     [0 ; Id] are the singular values of (Id + G^{-2})^{-1/2}, i.e.
@@ -236,11 +234,6 @@ def polarization_angle(state: KahlerFlowState, x) -> np.ndarray:
     `subspace_angle(polarization_basis_t(state, x), mixed_polarization_basis(n))`
     without losing accuracy at small angles.
     """
-    return limit_angle(np.linalg.eigvalsh(state.metric_hessian(x)))
-
-
-def limit_angle(eigenvalues) -> np.ndarray:
-    """`polarization_angle` from the eigenvalues of G_t, over the last axis."""
     return np.arctan2(1.0, np.abs(eigenvalues).min(-1))
 
 
@@ -308,7 +301,7 @@ def flow_map_psi_t(state: KahlerFlowState, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return legendre_inverse(
-        state.g0, state.moment_dual(x), x0=x, domain=state.polytope.is_interior
+        state.g0, state.moment_dual(x), x0=x, domain=state.g0.polytope.is_interior
     )
 
 

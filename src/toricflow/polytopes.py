@@ -332,8 +332,10 @@ class DelzantPolytope:
         k^n congruent simplices, k = resolution * ceil(longest sup-norm
         edge); doubling `resolution` doubles every k.  Points are the
         sub-simplex centroids, so they are strictly interior, and the volumes
-        are exact.  `clip_depth` is unused; it stays for callers that pass it
-        by name.  Raises EmptyGridError when the region has no interior."""
+        are exact.  `clip_depth` is unused; it stays because
+        perfbench/tracing.py binds it by name in its grid cache key, and goes
+        with that key (ROADMAP item 1).  Raises EmptyGridError when the region
+        has no interior."""
         key = ("grid", resolution, float(margin))
         if key in self._cache:
             return self._cache[key]

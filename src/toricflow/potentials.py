@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NewtonError
-from .polytopes import DelzantPolytope, _matmul_columns, _plain
+from .errors import DimensionMismatch, NewtonError
+from .polytopes import _matmul_columns, _plain
 
 
 class ConvexPotential:
@@ -203,41 +203,6 @@ def concentration_rate(phi: ConvexPotential, lam, x) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
     return np.einsum("...i,...i->...", x - lam, phi.grad(x)) - phi.value(x)
-
-
-class MinimumCheck(NamedTuple):
-    ok: bool
-    argmin: tuple[float, ...]
-    distance_to_center: float
-    cell_size: float
-    hessian_min_eigenvalue: float
-    message: str
-
-
-def f_lambda_min_check(
-    phi: ConvexPotential, lam, poly: DelzantPolytope, resolution: int = 256
-) -> MinimumCheck:
-    """Grid search confirming that f_lam attains its minimum next to lam and
-    that Hess f_lam(lam) = Hess phi(lam) is positive definite."""
-    lam = np.asarray(lam, dtype=float)
-    if not poly.is_interior(lam):
-        raise DomainError(f"center {lam.tolist()} is not interior to {poly.name}")
-    pts = poly.grid_cells(resolution).points
-    vals = concentration_rate(phi, lam, pts)
-    argmin = pts[int(np.argmin(vals))]
-    h = 1.0 / resolution
-    dist = float(np.max(np.abs(argmin - lam)))
-    eig_min = float(np.linalg.eigvalsh(phi.hess(lam)).min())
-    ok = dist <= h + 1e-12 and eig_min > 0
-    msg = "ok"
-    if dist > h + 1e-12:
-        msg = (
-            f"grid minimum at {argmin.tolist()} is {dist:.3e} away from the center "
-            f"(cell size {h:.3e}); the potential may not be strictly convex"
-        )
-    elif eig_min <= 0:
-        msg = f"Hessian at the center is not positive definite (min eig {eig_min:.3e})"
-    return MinimumCheck(ok, tuple(argmin), dist, h, eig_min, msg)
 
 
 # -- inverse Legendre gradient ---------------------------------------------------

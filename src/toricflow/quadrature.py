@@ -29,7 +29,7 @@ are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -170,22 +170,3 @@ def integrate_many(
         )
     return [QuadratureResult(float(v), float(e)) for v, e in zip(values, estimates)]
 
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    poly: DelzantPolytope,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """Integrate a vectorized scalar field over the polytope.
-
-    Returns the Richardson-extrapolated midpoint value and an error estimate
-    from the difference of successive refinements.  Raises
-    QuadratureStagnation when refinement stops improving the estimate while
-    the tolerance is still unmet, and QuadratureOverflow on a non-finite
-    value or estimate.
-    """
-
-    def matrix_f(pts):
-        return np.asarray(f(pts), dtype=float)[:, None]
-
-    return integrate_many(matrix_f, 1, poly, spec)[0]

@@ -84,17 +84,6 @@ class WeightSection:
             self.phi, self.lam, x
         )
 
-    def density(self, x) -> np.ndarray:
-        """Pointwise squared h-norm e^{-2 A_{lam,t}}, extended continuously
-        to the boundary: the one-column `_laplace_integrand`, times its peak
-        in the log, so it is 0 where the density underflows and inf only
-        where it exceeds the float range."""
-        x = np.asarray(x, dtype=float)
-        kernel, (log_peak,) = _laplace_integrand(self.phi, [self.lam], [self.t], self.g0)
-        scaled = kernel(x.reshape(-1, self.g0.dimension))[:, 0]
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(np.log(scaled) + log_peak).reshape(x.shape[:-1])
-
     # -- local representatives ------------------------------------------------
 
     def sigma_representative(self, x, theta) -> np.ndarray:
@@ -444,30 +433,21 @@ def section_log_norms_sq(
     return np.log(torus_volume(g0.dimension)) + log_masses
 
 
-def section_norms_sq(
-    sections: Sequence[WeightSection],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> list[float]:
-    """The norms of `section_log_norms_sq` themselves.  Raises
-    QuadratureOverflow for a norm that is not positive and finite, as when
-    it lies beyond the float range; its log is still finite."""
-    with np.errstate(over="ignore"):
-        norms = np.exp(section_log_norms_sq(sections, spec))
-    for j, (s, norm) in enumerate(zip(sections, norms)):
-        if not 0.0 < norm < np.inf:
-            raise QuadratureOverflow(
-                f"norm {norm} in column {j} (weight {s.weight}, t = {s.t:g}) "
-                "is beyond the float range"
-            )
-    return norms.tolist()
-
-
 def section_norm_sq(
     s: WeightSection,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """L^2 norm squared of one section: `section_norms_sq([s])[0]`."""
-    return section_norms_sq([s], spec)[0]
+    """L^2 norm squared of one section, the exp of
+    `section_log_norms_sq([s])[0]`.  Raises QuadratureOverflow when the norm
+    is not positive and finite, as when it lies beyond the float range; its
+    log is still finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.exp(section_log_norms_sq([s], spec)[0]))
+    if not 0.0 < norm < np.inf:
+        raise QuadratureOverflow(
+            f"norm {norm} of weight {s.weight} at t = {s.t:g} is beyond the float range"
+        )
+    return norm
 
 
 # -- two-chart gluing on a segment model ----------------------------------------------

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 import toricflow as tf
+from toricflow.quadrature import integrate_many
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # address-space cap of `run_capped`: numpy imports well within it, and an
 # oversized grid overruns it at once
 ADDRESS_SPACE_CAP = 1_500_000_000
+
+
+def integrate(f, poly, spec=tf.QuadratureSpec()):
+    """One scalar field f over poly: the k = 1 `integrate_many` call."""
+    return integrate_many(lambda p: np.asarray(f(p), dtype=float)[:, None], 1, poly, spec)[0]
 
 
 @pytest.fixture(scope="session")

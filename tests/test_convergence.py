@@ -7,6 +7,7 @@ from scipy.special import erf
 from scipy.stats import norm
 
 import toricflow as tf
+from conftest import integrate
 from toricflow.config import load_config, parse_t_grid
 from toricflow.errors import FiberDegenerationError, QuadratureOverflow
 from toricflow.quadrature import integrate_many
@@ -120,7 +121,7 @@ def test_pairing_uniform_average_at_time_zero(model2, spec):
     poly, _, phi = model2
     bump = tf.BumpProfile((1.2,), 0.5, 0.8)
     (value,) = _pairings([1.0], phi, poly, 0.0, [bump], spec)
-    integral, _ = tf.integrate(bump, poly, spec)
+    integral, _ = integrate(bump, poly, spec)
     assert value == pytest.approx(integral / 2.0, rel=1e-8)
 
 
@@ -194,6 +195,12 @@ def test_concentration_past_grid_resolution_raises():
     phi = tf.QuadraticPotential([[1.0]])
     with pytest.raises(QuadratureOverflow, match=r"density mass 0.0 at t = 1e\+10: "):
         tf.concentration_profile(np.array([1.0]), phi, tf.segment(2.0), 1e10)
+
+
+def test_concentration_rejects_negative_time(model2, spec):
+    poly, _, phi = model2
+    with pytest.raises(ValueError, match="flow time must be nonnegative"):
+        tf.concentration_profile(np.array([1.0]), phi, poly, -4.0, spec)
 
 
 def test_concentration_uniform_at_time_zero(model2, spec):
@@ -287,6 +294,13 @@ def test_convergence_experiment_past_float_range(model2, spec):
     assert report.passed
     assert np.isfinite(report.bumps[0].pairings).all()
     assert -1.15 <= report.bumps[0].slope <= -0.85
+
+
+def test_convergence_rejects_negative_time(model2, spec):
+    poly, g0, phi = model2
+    bump = tf.BumpProfile((1.0,), 0.5, 1.0)
+    with pytest.raises(ValueError, match="flow time must be nonnegative"):
+        tf.convergence_experiment(np.array([1.0]), phi, g0, [bump], [-1.0, 10.0, 100.0], spec)
 
 
 def test_convergence_requires_interior_weight(model2, spec):

@@ -1,9 +1,10 @@
-"""Peak memory of the quadrature path: grids are built one block at a time, so
-an integral holds about one block of points, never the whole grid.
+"""Peak memory of the grid paths: grids are built one block at a time, so an
+integral, or validate's convexity scan, holds about one block of points,
+never the whole grid.
 
 numpy reports its buffers to tracemalloc, so the traced peak counts every
 array the call allocates.  The bounds are about 3x the streamed peaks; a
-whole-grid build reads 9.2 MB and 133 MB here."""
+whole-grid build reads 9.2 MB, 133 MB and 252 MB here."""
 
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import toricflow as tf
+from toricflow.cli import main
 from toricflow.config import load_config, parse_t_grid
 
 CP2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg"
@@ -54,4 +56,26 @@ def test_converge_3d_peak_memory():
         )
     )
     assert report.passed
+    assert peak < 10.0
+
+
+CP3_CFG = """\
+polytope.dim = 3
+polytope.facet = 1 0 0 ; 0
+polytope.facet = 0 1 0 ; 0
+polytope.facet = 0 0 1 ; 0
+polytope.facet = -1 -1 -1 ; 4
+phi.Q = 2 0 0 0 3 0 0 0 4
+quad.resolution = 8
+quad.max_depth = 2
+"""
+
+
+def test_validate_3d_peak_memory(tmp_path):
+    # validate checks phi's convexity on the resolution-32 grid of the size-4
+    # 3-simplex, 2,097,152 cells, one block of 2^14 points at a time
+    cfg = tmp_path / "cp3_size4.cfg"
+    cfg.write_text(CP3_CFG)
+    code, peak = _traced_peak_mb(lambda: main(["validate", "--config", str(cfg), "--out", str(tmp_path)]))
+    assert code == 0
     assert peak < 10.0

@@ -125,32 +125,6 @@ def test_constant_shift_of_phi_shifts_f_lambda_by_minus_c(rng):
     assert np.allclose(d, -0.7)
 
 
-def test_f_lambda_min_check_1d(cp1_unit, phi_1d):
-    chk = tf.f_lambda_min_check(phi_1d, [0.5], cp1_unit, resolution=256)
-    assert chk.ok
-    assert chk.distance_to_center <= 1.0 / 256 + 1e-12
-    assert chk.hessian_min_eigenvalue == pytest.approx(1.0)
-
-
-def test_f_lambda_min_check_2d(phi_aniso):
-    poly = tf.standard_simplex(2, 1.0)
-    chk = tf.f_lambda_min_check(phi_aniso, [0.2, 0.2], poly, resolution=128)
-    assert chk.ok
-
-
-def test_f_lambda_min_check_flags_nonconvex(cp1_unit):
-    # concave potential: the grid minimum lands far from the center
-    bad = tf.CallablePotential(
-        1,
-        lambda x: -np.sum(x**2, axis=-1),
-        lambda x: -2 * x,
-        lambda x: np.broadcast_to(-2 * np.eye(1), x.shape[:-1] + (1, 1)),
-        label="concave",
-    )
-    chk = tf.f_lambda_min_check(bad, [0.5], cp1_unit, resolution=64)
-    assert not chk.ok
-
-
 # -- Legendre utilities ----------------------------------------------------------
 
 

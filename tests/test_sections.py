@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import toricflow as tf
+from conftest import integrate
 from toricflow.cli import FRAME_TOL
 from toricflow.config import load_config
 from toricflow.errors import (
@@ -262,11 +263,18 @@ def test_norm_dirichlet_integral_cp2(cp2_model):
         assert norm == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def _density(s, x):
+    # the pointwise squared h-norm e^{-2 A_{lam,t}}: the one-column Laplace
+    # kernel of s, times its peak
+    kernel, (log_peak,) = _laplace_integrand(s.phi, [s.lam], [s.t], s.g0)
+    return kernel(np.asarray(x, dtype=float).reshape(-1, s.g0.dimension))[:, 0] * np.exp(log_peak)
+
+
 def test_norm_against_dblquad_cp2(cp2_model):
     poly, g0, phi, spec = cp2_model
     s = tf.WeightSection((1, 1), g0, phi, 10.0)
     oracle, _ = dblquad(
-        lambda y, x: float(s.density(np.array([[x, y]]))[0]),
+        lambda y, x: float(_density(s, np.array([[x, y]]))[0]),
         0.0, 2.0, 0.0, lambda x: 2.0 - x, epsabs=0.0, epsrel=1e-12,
     )
     norm = tf.section_norm_sq(s, spec)
@@ -302,7 +310,7 @@ def test_norm_underflow_raises(cp2_model):
     _, g0, phi, spec = cp2_model
     sections = [tf.WeightSection((0, 0), g0, phi, t) for t in (0.5, 1e11)]
     with pytest.raises(QuadratureOverflow, match="column 1"):
-        tf.section_norms_sq(sections, spec)
+        tf.section_log_norms_sq(sections, spec)
 
 
 def test_norm_beyond_float_range_raises(model2):
@@ -316,14 +324,14 @@ def test_norm_beyond_float_range_raises(model2):
 def test_density_extends_to_boundary(model2):
     _, g0, phi = model2
     s1 = tf.WeightSection((1,), g0, phi)
-    edge = s1.density(np.array([[0.0], [2.0], [1.0]]))
+    edge = _density(s1, np.array([[0.0], [2.0], [1.0]]))
     # e^{-2F} = x (2 - x): vanishes at both ends for the interior weight
     assert edge[0] == pytest.approx(0.0)
     assert edge[1] == pytest.approx(0.0)
     assert edge[2] == pytest.approx(1.0)
     s0 = tf.WeightSection((0,), g0, phi)
     # e^{-2F} = (2 - x)^2: bounded, nonzero at its own vertex
-    assert s0.density(np.array([0.0])) == pytest.approx(4.0)
+    assert _density(s0, np.array([0.0])) == pytest.approx(4.0)
 
 
 # -- batched norms -------------------------------------------------------------------
@@ -358,7 +366,7 @@ def test_log_norms_match_unshifted_reference(triangle3):
     g0, phi, spec = triangle3
     sections = [tf.WeightSection((1, 1), g0, phi, t) for t in (80.0, 110.0)]
     for s, log_norm in zip(sections, tf.section_log_norms_sq(sections, spec)):
-        ref = tf.integrate(lambda x: _reference_density(s, x), g0.polytope, spec).value
+        ref = integrate(lambda x: _reference_density(s, x), g0.polytope, spec).value
         assert log_norm == pytest.approx(np.log((2 * np.pi) ** 2 * ref), rel=1e-13, abs=0)
 
 
@@ -374,11 +382,11 @@ def test_log_norms_finite_beyond_float_range(triangle3):
 def _assert_batch_matches_reference(sections, spec):
     poly = sections[0].polytope
     volume = (2 * np.pi) ** poly.dimension
-    norms = tf.section_norms_sq(sections, spec)
+    norms = np.exp(tf.section_log_norms_sq(sections, spec))
     pts = poly.grid_cells(spec.resolution).points
     for s, norm in zip(sections, norms):
-        np.testing.assert_allclose(s.density(pts), _reference_density(s, pts), rtol=1e-13, atol=0)
-        ref = volume * tf.integrate(lambda x: _reference_density(s, x), poly, spec).value
+        np.testing.assert_allclose(_density(s, pts), _reference_density(s, pts), rtol=1e-13, atol=0)
+        ref = volume * integrate(lambda x: _reference_density(s, x), poly, spec).value
         assert norm == pytest.approx(ref, rel=1e-13, abs=0)
         assert norm == pytest.approx(tf.section_norm_sq(s, spec), rel=1e-13, abs=0)
 
@@ -445,16 +453,19 @@ def test_batch_stagnating_column_raises(model2):
     spec = tf.QuadratureSpec(resolution=4, rel_tol=1e-10, max_refinements=1)
     sections = [tf.WeightSection((1,), g0, phi, t) for t in (0.5, 400.0)]
     with pytest.raises(QuadratureStagnation, match="column 1"):
-        tf.section_norms_sq(sections, spec)
+        tf.section_log_norms_sq(sections, spec)
 
 
 def test_batch_overflow_names_column(model2):
-    # the norm at t = 800 is about e^800: its log is finite, the norm is not
+    # the norm at t = 800 is about e^800: the batch's logs are finite, and
+    # the norm of that section alone, as a value, is refused with its name
     _, g0, phi = model2
     sections = [tf.WeightSection((1,), g0, phi, t) for t in (2.0, 800.0)]
-    with pytest.raises(QuadratureOverflow, match="norm inf in column 1"):
-        tf.section_norms_sq(sections)
-    assert np.isfinite(tf.section_log_norms_sq(sections)).all()
+    log_norms = tf.section_log_norms_sq(sections)
+    assert np.isfinite(log_norms).all()
+    assert tf.section_norm_sq(sections[0]) == pytest.approx(np.exp(log_norms[0]), rel=1e-13, abs=0)
+    with pytest.raises(QuadratureOverflow, match=r"norm inf of weight \(1,\) at t = 800"):
+        tf.section_norm_sq(sections[1])
 
 
 def test_batch_rejects_mixed_models(model2):
@@ -462,7 +473,7 @@ def test_batch_rejects_mixed_models(model2):
     other = tf.QuadraticPotential([[2.0]])
     sections = [tf.WeightSection((1,), g0, phi), tf.WeightSection((1,), g0, other)]
     with pytest.raises(ValueError, match="share one g0 and one phi"):
-        tf.section_norms_sq(sections)
+        tf.section_log_norms_sq(sections)
 
 
 def _section_kernel(sections):

@@ -1,0 +1,309 @@
+"""The product surface: every public function, method and property defined in
+src/toricflow is reached by a CLI run, or is allowlisted with the one reason
+it stays and the file that needs it.
+
+The probe runs `cli.main` in-process under `sys.setprofile` for every
+subcommand on each shipped config, on the benchmark's converge config, on
+two generated configs (a log-sum-exp phi, and cp2_size2 without its
+`section.lambda` lines) and on the `--corrupt-transition` control, and
+records the code objects that ran.  A function is reached when its own
+`__code__` ran: a comprehension or a nested function is a code object of its
+own, so it never counts for the function around it.
+
+`python tests/test_surface.py` prints every unreached function with its line
+count and allowlist reason.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import io
+import pkgutil
+import re
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+import pytest
+
+import toricflow
+from toricflow import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# A log-sum-exp phi on the size-3 triangle, with the benchmark's converge
+# experiment.  Hess phi decays exponentially toward the vertices, so the
+# polarization slopes and the converge errors are not yet asymptotic at these
+# times: both exit 2 (CHANGES.md, FOUND).
+LSE_CFG = """\
+polytope.dim = 2
+polytope.name = cp2-size3-lse
+polytope.facet = 1 0 ; 0
+polytope.facet = 0 1 ; 0
+polytope.facet = -1 -1 ; 3
+
+phi.kind = log-sum-exp
+phi.wavevector = 1 0
+phi.wavevector = 0 1
+phi.wavevector = -1 -1
+
+experiment.lambda = 1 1
+experiment.bumps = 1 1 ; 1.2 ; 1.0
+experiment.bumps = 2.2 0.4 ; 0.3 ; 1.0
+experiment.t_grid = 20:80:2
+
+quad.resolution = 32
+quad.tol = 0.0001
+quad.max_depth = 2
+"""
+
+
+class Run(NamedTuple):
+    subcommand: str
+    config: str
+    flags: tuple[str, ...] = ()
+
+
+def probe(out: Path, converge_cfg: str) -> tuple[set, dict[Run, int]]:
+    """Run every subcommand, `report` last, on every probe config, and the
+    `--corrupt-transition` control; return the code objects that ran and the
+    exit code of each run."""
+    shipped = {p.stem: p.read_text(encoding="utf-8") for p in sorted((ROOT / "configs").glob("*.cfg"))}
+    configs = {
+        **shipped,
+        "cp2_size3_converge": converge_cfg,
+        "cp2_size3_lse": LSE_CFG,
+        # without section.lambda every subcommand runs over all lattice points of P
+        "cp2_size2_all_weights": re.sub(r"(?m)^section\.lambda.*\n", "", shipped["cp2_size2"]),
+    }
+    runs = []
+    for name, text in configs.items():
+        (out / f"{name}.cfg").write_text(text, encoding="utf-8")
+        runs += [Run(sub, name) for sub in cli._COMMANDS]
+    runs.append(Run("gluing", "cp1_size2", ("--corrupt-transition",)))
+
+    reached: set = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    exits = {}
+    for run in runs:
+        argv = [run.subcommand, "--config", str(out / f"{run.config}.cfg"),
+                "--out", str(out / "-".join((run.config, *run.flags))), *run.flags]
+        with redirect_stdout(io.StringIO()):
+            sys.setprofile(record)
+            try:
+                exits[run] = cli.main(argv)
+            finally:
+                sys.setprofile(None)
+    return reached, exits
+
+
+def public_functions() -> dict[str, object]:
+    """Qualified name -> function of every public function, method and
+    property getter defined in src/toricflow, module-level hooks such as
+    `__getattr__` included."""
+    found = {}
+    for info in pkgutil.iter_modules(toricflow.__path__):
+        mod = importlib.import_module(f"toricflow.{info.name}")
+        for attr, value in vars(mod).items():
+            if getattr(value, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(value) and (not attr.startswith("_") or attr.endswith("__")):
+                found[f"{info.name}.{attr}"] = value
+            elif inspect.isclass(value):
+                for mname, member in vars(value).items():
+                    fn = member.fget if isinstance(member, property) else member
+                    if not mname.startswith("_") and inspect.isfunction(fn):
+                        found[f"{info.name}.{attr}.{mname}"] = fn
+    return found
+
+
+# -- the allowlist ------------------------------------------------------------
+
+TRACER = "perfbench/tracing.py binds it (goes with ROADMAP item 1)"
+ACCEPTANCE = "tests/test_acceptance.py calls it"
+REFERENCE = "a named test compares a CLI-reached function against it"
+SUPPORT = "test support"
+INTERFACE = "the ConvexPotential interface"
+
+
+class Keep(NamedTuple):
+    """Why an unreached name stays: one reason and the file that needs it,
+    `path` or `path::test`; that file must name `token` (default: the last
+    part of the allowlisted name)."""
+
+    reason: str
+    needed_by: str
+    token: Optional[str] = None
+
+
+# A key is a qualified name, or a class, which covers every public member
+# of that class.
+ALLOWLIST: dict[str, Keep] = {
+    "polytopes.__getattr__": Keep(TRACER, "perfbench/tracing.py", "linprog"),
+    "polytopes.validate_delzant": Keep(TRACER, "perfbench/tracing.py"),
+    "sections.section_norm_sq": Keep(TRACER, "perfbench/tracing.py"),
+    "flow.subspace_angle": Keep(TRACER, "perfbench/tracing.py"),
+    "convergence.concentration_profile": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "convergence.ConcentrationStats.covariance_matrix": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "flow.KahlerFlowState.duality_residual": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "flow.complex_structure": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "flow.metric_matrix": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "flow.polarization_decay_curve": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "sections.kostant_operator": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "sections.evaluate_on_grid": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "sections.weight_decompose": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "sections.flow_components": Keep(ACCEPTANCE, "tests/test_acceptance.py"),
+    "flow.KahlerFlowState.kahler_potential": Keep(
+        REFERENCE, "tests/test_cli_short_calls.py::test_potential_flow_csv_matches_per_cell_writer"),
+    "flow.KahlerFlowState.kahler_potential_reference": Keep(
+        REFERENCE, "tests/test_sections.py::test_pullback_route_factors"),
+    "flow.polarization_basis_t": Keep(
+        REFERENCE, "tests/test_flow.py::test_polarization_angle_matches_svd_route"),
+    "flow.mixed_polarization_basis": Keep(
+        REFERENCE, "tests/test_flow.py::test_polarization_angle_matches_svd_route"),
+    "flow.flow_map_psi_t": Keep(REFERENCE, "tests/test_flow.py::test_flow_map_theta_unchanged_many"),
+    "potentials.legendre_inverse": Keep(REFERENCE, "tests/test_potentials.py::test_legendre_inverse_roundtrip"),
+    "flow.beta_of_hamiltonian_field": Keep(REFERENCE, "tests/test_flow.py::test_beta_pairing_is_radial"),
+    "sections.quantum_operator": Keep(
+        REFERENCE, "tests/test_sections.py::test_lie_series_collapses_to_multiplier"),
+    "sections.apply_flow_truncated": Keep(
+        REFERENCE, "tests/test_sections.py::test_lie_series_collapses_to_multiplier"),
+    "polytopes.segment": Keep(SUPPORT, "tests/conftest.py"),
+    "polytopes.standard_simplex": Keep(SUPPORT, "tests/conftest.py"),
+    "polytopes.box": Keep(SUPPORT, "tests/test_polytopes.py::test_vertices_of_box"),
+    "polytopes.Grid.points": Keep(SUPPORT, "tests/test_polytopes.py::test_interior_grid_midpoints"),
+    "polytopes.Grid.volumes": Keep(SUPPORT, "tests/test_polytopes.py::test_interior_grid_midpoints"),
+    "polytopes.DelzantPolytope.offsets": Keep(
+        SUPPORT, "tests/test_polytopes.py::test_chebyshev_radius_matches_lp_reference"),
+    "potentials.CallablePotential": Keep(SUPPORT, "tests/test_sections.py"),
+    "potentials.ConvexPotential": Keep(INTERFACE, "src/toricflow/potentials.py"),
+    "potentials.ReflectedPotential.hess": Keep(INTERFACE, "src/toricflow/potentials.py"),
+    "potentials.ReflectedPotential.describe": Keep(INTERFACE, "src/toricflow/potentials.py"),
+}
+
+
+def _covers(key: str, name: str) -> bool:
+    return name == key or name.startswith(key + ".")
+
+
+def _entry(name: str, allowlist: dict[str, Keep]) -> Optional[str]:
+    """The allowlist key that covers `name`, or None."""
+    return next((key for key in allowlist if _covers(key, name)), None)
+
+
+def audit(functions: dict, reached: set, allowlist: dict[str, Keep] = ALLOWLIST) -> list[str]:
+    """Every unreached public function outside the allowlist, and every
+    stale allowlist entry: one that is not defined, is reached, or whose
+    named file no longer names it."""
+    unreached = {name for name, fn in functions.items() if fn.__code__ not in reached}
+    problems = [
+        f"{name}: reached by no CLI run and not allowlisted"
+        for name in sorted(unreached)
+        if _entry(name, allowlist) is None
+    ]
+    for key, keep in allowlist.items():
+        covered = [name for name in functions if _covers(key, name)]
+        path, _, test = keep.needed_by.partition("::")
+        text = (ROOT / path).read_text(encoding="utf-8") if (ROOT / path).is_file() else ""
+        token = keep.token or key.rsplit(".", 1)[-1]
+        if not covered:
+            problems.append(f"{key}: allowlisted but not defined in src/toricflow")
+        elif not unreached.issuperset(covered):
+            problems.append(f"{key}: allowlisted but reached by a CLI run")
+        if not re.search(rf"(?<!\w){re.escape(token)}(?!\w)", text) or (
+            test and not re.search(rf"def {re.escape(test)}\(", text)
+        ):
+            problems.append(f"{key}: {keep.needed_by} no longer names {token!r}")
+    return problems
+
+
+# -- tests ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def surface(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    return probe(tmp_path_factory.mktemp("surface"), workloads.CP2_CONVERGE_CFG)
+
+
+def test_every_public_function_is_reached_or_allowlisted(surface):
+    reached, _ = surface
+    assert audit(public_functions(), reached) == []
+
+
+def test_probe_exit_codes(surface):
+    _, exits = surface
+    assert exits[Run("gluing", "cp1_size2", ("--corrupt-transition",))] == 2
+    # the lse slopes and converge errors are not asymptotic by t = 1000 and
+    # t = 80, and a 2D polytope has no two-chart gluing model
+    expected = {
+        "cp2_size3_lse": [0, 0, 0, 2, 1, 0, 2, 2],
+        # no experiment.lambda: converge is a config error
+        "cp2_size2_all_weights": [0, 0, 0, 0, 1, 0, 1, 0],
+    }
+    for config, codes in expected.items():
+        assert [exits[Run(sub, config)] for sub in cli._COMMANDS] == codes, config
+
+
+def test_a_planted_public_function_fails_the_audit(surface, monkeypatch):
+    reached, _ = surface
+    sections = importlib.import_module("toricflow.sections")
+
+    def planted(x):
+        return x
+
+    planted.__module__ = sections.__name__
+    monkeypatch.setattr(sections, "planted", planted, raising=False)
+    assert audit(public_functions(), reached) == [
+        "sections.planted: reached by no CLI run and not allowlisted"
+    ]
+
+
+def test_a_reached_allowlisted_name_fails_the_audit(surface):
+    reached, _ = surface
+    allowlist = {**ALLOWLIST, "cli.main": Keep(SUPPORT, "tests/test_surface.py")}
+    assert audit(public_functions(), reached, allowlist) == [
+        "cli.main: allowlisted but reached by a CLI run"
+    ]
+
+
+@pytest.mark.parametrize("key, keep, problem", [
+    ("flow.no_such_function", Keep(SUPPORT, "tests/test_flow.py", "limit_angle"), "not defined"),
+    ("polytopes.box", Keep(SUPPORT, "tests/test_flow.py"), "tests/test_flow.py no longer names 'box'"),
+    ("polytopes.box", Keep(SUPPORT, "tests/test_polytopes.py::test_gone"), "no longer names"),
+])
+def test_a_stale_allowlist_entry_fails_the_audit(surface, key, keep, problem):
+    reached, _ = surface
+    problems = audit(public_functions(), reached, {**ALLOWLIST, key: keep})
+    assert len(problems) == 1 and problem in problems[0]
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        reached, exits = probe(Path(tmp), workloads.CP2_CONVERGE_CFG)
+    functions = public_functions()
+    total = 0
+    for name, fn in sorted(functions.items()):
+        if fn.__code__ in reached:
+            continue
+        key = _entry(name, ALLOWLIST)
+        why = f"{ALLOWLIST[key].reason} ({ALLOWLIST[key].needed_by})" if key else "NOT ALLOWLISTED"
+        lines = len(inspect.getsourcelines(fn)[0])
+        total += lines
+        print(f"{name:58s} {lines:4d}  {why}")
+    print(f"{total} lines of unreached function bodies")
+    for problem in audit(functions, reached):
+        print("problem:", problem)
