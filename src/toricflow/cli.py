@@ -29,7 +29,7 @@ from .flow import (
     metric_hessians,
 )
 from .polytopes import sample_interior
-from .potentials import check_strict_convexity
+from .potentials import _min_eigenvalues, check_strict_convexity
 from .sections import (
     WeightSection,
     frame_holomorphicity_residual,
@@ -101,7 +101,7 @@ def _row(check: str, lam, t, residual, tol) -> list:
 def _require_kahler(exp: Experiment, ts, pts) -> None:
     """Raise ToricFlowError (exit 2) unless G_t = Hess g_t is positive definite
     at every point and time a check evaluates; elsewhere J_t is not Kahler."""
-    lows = np.linalg.eigvalsh(metric_hessians(exp.g0, exp.phi, ts, pts)).min(axis=-1)
+    lows = _min_eigenvalues(metric_hessians(exp.g0, exp.phi, ts, pts))
     for t, low in zip(ts, lows):
         i = int(np.argmin(low))  # a NaN minimum is picked first
         if not low[i] > 0:
@@ -236,7 +236,7 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     ts = [t for t in exp.flow_t_grid or default_grid if t > 0]
     # the log-log fit needs a late-time decade; fall back when the flow grid
     # is a short potential-identity grid or leaves the fit window too few times
-    grid_source = "flow.t_grid"
+    grid_source = "flow.t_grid" if exp.flow_t_grid else "default 10..1000 (no flow.t_grid)"
     try:
         if len(ts) < 4 or max(ts) < 100 or max(ts) / min(ts) < FIT_DECADE:
             raise ValueError("short grid")
@@ -248,6 +248,10 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
 
     G = metric_hessians(exp.g0, exp.phi, ts, pts)
+    bad = np.argwhere(~np.isfinite(G).all(axis=(-2, -1)))
+    if len(bad):  # eigvalsh and J_t's inverse would raise or return garbage
+        k, i = bad[0]
+        raise ToricFlowError(f"G_t is not finite at t = {ts[k]:g}, x = {pts[i].tolist()}")
     eigs = np.linalg.eigvalsh(G)
     angles = limit_angle(eigs)
     slopes = fit_loglog_slope(ts, angles).tolist()

@@ -75,16 +75,26 @@ class BumpProfile:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        c = np.asarray(self.center)
-        if x.shape[-1] != len(c):
+        if x.shape[-1] != len(self.center):
             raise DimensionMismatch("bump center dimension mismatch")
-        r = np.linalg.norm(x - c, axis=-1) / self.radius
+        # |x - center|^2 column by column, summed in np.linalg.norm's order
+        d2 = np.square(x[..., 0] - self.center[0])
+        for i in range(1, len(self.center)):
+            d2 = d2 + np.square(x[..., i] - self.center[i])
+        r = np.sqrt(d2) / self.radius
+        # H only on rows with r < 1; one point keeps numpy's scalar powers' bits
+        inside = r < 1.0
+        rin = r[inside] if np.ndim(r) else r
         if self.plateau == 0.0:
-            s = np.clip(r**2, 0.0, 1.0)
-            return np.where(r < 1.0, self.height * (1 - s) ** 3 * (1 + 2 * s), 0.0)
-        u = np.clip((r - self.plateau) / (1.0 - self.plateau), 0.0, 1.0)
-        taper = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-        return self.height * np.where(r < 1.0, taper, 0.0)
+            s = np.clip(rin**2, 0.0, 1.0)
+            value, outside = self.height * (1 - s) ** 3 * (1 + 2 * s), 0.0
+        else:
+            u = np.clip((rin - self.plateau) / (1.0 - self.plateau), 0.0, 1.0)
+            value = self.height * (1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2))
+            outside = self.height * 0.0  # -0.0 for a negative height
+        out = np.full(np.shape(r), outside)
+        out[inside] = value
+        return out
 
 
 # -- fiber measures -------------------------------------------------------------

@@ -250,6 +250,15 @@ def legendre_inverse(
     raise NewtonError(f"no convergence in {max_iter} iterations (residual {r:.3e})")
 
 
+def _min_eigenvalues(hess: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in a stack, NaN where the
+    matrix is not finite (eigvalsh would raise or return garbage there)."""
+    finite = np.isfinite(hess).all(axis=(-2, -1))
+    lows = np.full(finite.shape, np.nan)
+    lows[finite] = np.linalg.eigvalsh(hess[finite]).min(axis=-1)
+    return lows
+
+
 class StrictConvexityReport(NamedTuple):
     ok: bool
     min_eigenvalue: float
@@ -260,12 +269,12 @@ def check_strict_convexity(
     phi: ConvexPotential, samples
 ) -> StrictConvexityReport:
     """Minimum Hessian eigenvalue of phi over the sample points; the witness
-    is the point where it is attained."""
+    is the point where it is attained.  A non-finite Hessian has minimum NaN,
+    so the first such point is the witness."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    eigs = np.linalg.eigvalsh(phi.hess(samples))
-    per_point = eigs.min(axis=-1)
+    per_point = _min_eigenvalues(phi.hess(samples))
     idx = int(np.argmin(per_point))
     val = float(per_point[idx])
     return StrictConvexityReport(val > 0.0, val, _plain(samples[idx]))

@@ -143,6 +143,25 @@ def test_require_kahler_evaluates_each_hessian_once_per_point_set(hess_calls):
         assert hess_calls == {"g0": 1, "phi": 1}
 
 
+def test_require_kahler_names_the_first_non_finite_metric(monkeypatch):
+    # eigvalsh gives [0, -0] on [[nan, 0], [0, 1]]: the check must see the NaN
+    exp = load_config(CP2_CFG).validate()
+    pts = _points(exp, 0)
+    build = cli.metric_hessians
+    cli._require_kahler(exp, [1.0, 2.0], pts)
+
+    def planted(g0, phi, ts, x):
+        G = build(g0, phi, ts, x)
+        G[-1, [7, 9]] = [[np.nan, 0.0], [0.0, 1.0]]
+        return G
+
+    monkeypatch.setattr(cli, "metric_hessians", planted)
+    with pytest.raises(tf.ToricFlowError) as err:
+        cli._require_kahler(exp, [1.0, 2.0], pts)
+    assert str(err.value) == (f"G_t is not positive definite at t = 2, "
+                              f"x = {pts[7].tolist()} (min eigenvalue nan)")
+
+
 @pytest.mark.parametrize("cfg", SHIPPED, ids=[c.stem for c in SHIPPED])
 def test_potential_flow_evaluates_values_and_gradients_once(tmp_path, monkeypatch, cfg):
     # 15 value and 10 grad calls on each of g_0 and phi on a 5-time grid before;

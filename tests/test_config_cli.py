@@ -178,6 +178,18 @@ def test_cli_polarization_falls_back_when_fit_window_is_short(tmp_path):
     assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
 
 
+def test_cli_polarization_without_flow_grid_labels_the_default(tmp_path):
+    cfg = tmp_path / "nogrid.cfg"
+    cfg.write_text("".join(
+        line for line in CP1_CFG.read_text().splitlines(keepends=True)
+        if not line.startswith("flow.t_grid")
+    ))
+    assert main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "polarization.json").read_text())
+    assert verdict["t_grid_source"] == "default 10..1000 (no flow.t_grid)"
+    assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
+
+
 def test_cli_report_flags_failures(tmp_path):
     assert main(
         ["gluing", "--config", str(CP1_CFG), "--out", str(tmp_path), "--corrupt-transition"]
@@ -403,6 +415,59 @@ def test_cli_indefinite_metric_is_numerical_failure(tmp_path, capsys, sub):
     out = tmp_path / "out"
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().out.startswith("numerical failure: G_t is not positive definite at t = ")
+    assert not list(out.iterdir())
+
+
+# exp(250 x3) overflows for x3 > 2.84, so phi's Hessian is inf - inf = NaN there
+NAN_HESSIAN_3D = """
+polytope.dim = 3
+polytope.facet = 1 0 0 ; 0
+polytope.facet = 0 1 0 ; 0
+polytope.facet = 0 0 1 ; 0
+polytope.facet = -1 -1 -1 ; 4
+phi.kind = quadratic
+phi.Q = 2 0 0 0 3 0 0 0 4
+phi.perturbation = -1 ; 0 0 250
+phi.perturbation = 1 ; 0 0 250
+quad.resolution = 8
+quad.max_depth = 2
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_validate_non_finite_hessian_is_a_failure(tmp_path):
+    cfg = tmp_path / "nan3d.cfg"
+    cfg.write_text(NAN_HESSIAN_3D)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "validation.json").read_text())
+    assert not report["valid"] and np.isnan(report["phi_min_hessian_eigenvalue"])
+    # the witness is the first grid point, in validate's scan order, whose
+    # Hessian is not finite
+    exp = parse_config(NAN_HESSIAN_3D).validate()
+    blocks = (pts for pts, _ in exp.poly.grid_cells(32).blocks(2**14))
+    first = next(pts[bad][0] for pts in blocks
+                 if (bad := ~np.isfinite(exp.phi.hess(pts)).all(axis=(-2, -1))).any())
+    assert report["issues"] == [f"phi is not strictly convex (min eig nan at {first.tolist()})"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "sub", ["potential-flow", "section-flow", "gluing", "lift", "polarization"]
+)
+def test_cli_non_finite_metric_is_numerical_failure(tmp_path, capsys, sub):
+    # exp(800 x) overflows for x > 0.89, where G_t is inf - inf = NaN
+    cfg = tmp_path / "nan1d.cfg"
+    cfg.write_text(_with_values(
+        CP1_CFG, "phi.perturbation = -1 ; 800", "phi.perturbation = 1 ; 800"
+    ))
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    said = capsys.readouterr().out
+    if sub == "polarization":
+        assert said.startswith("numerical failure: G_t is not finite at t = 10, x = [")
+    else:
+        assert said.startswith("numerical failure: G_t is not positive definite at t = ")
+        assert said.endswith("(min eigenvalue nan)\n")
     assert not list(out.iterdir())
 
 

@@ -138,6 +138,53 @@ def test_pairing_disjoint_bump_vanishes(model2, spec):
     assert abs(_pairings([1.0], phi, poly, 320.0, [bump], spec)[0]) < 1e-6
 
 
+# -- test profiles --------------------------------------------------------------
+
+
+def _norm_bump(bump, x):
+    """The bump as it was evaluated before its support was used: the norm and
+    the polynomial on every row."""
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x - np.asarray(bump.center), axis=-1) / bump.radius
+    if bump.plateau == 0.0:
+        s = np.clip(r**2, 0.0, 1.0)
+        return np.where(r < 1.0, bump.height * (1 - s) ** 3 * (1 + 2 * s), 0.0)
+    u = np.clip((r - bump.plateau) / (1.0 - bump.plateau), 0.0, 1.0)
+    taper = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    return bump.height * np.where(r < 1.0, taper, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("plateau", [0.0, 0.4])
+@pytest.mark.parametrize("height", [1.3, -0.7])
+def test_bump_matches_norm_reference_bit_for_bit(n, plateau, height):
+    rng = np.random.default_rng(n)
+    # the first block of a Kuhn grid is column-major, as converge passes it
+    grid = tf.standard_simplex(n, 3.0).grid_cells((1024, 16, 16)[n - 1])
+    block, _ = next(grid.blocks(2**12))
+    assert block.flags.f_contiguous and block.shape[0] > 1000
+    exact = tf.BumpProfile((0.5, 0.75, 1.0)[:n], 0.5, height, plateau)
+    bumps = [
+        exact,
+        tf.BumpProfile(rng.uniform(0.5, 1.0, n), 0.9, height, plateau),
+        tf.BumpProfile(np.full(n, 40.0), 0.5, height, plateau),  # misses the block
+    ]
+    # rows at r = 1 of `exact` exactly, just inside it, and NaN rows
+    edge = exact.center + 0.5 * np.eye(n)
+    inside = np.nextafter(edge, np.asarray(exact.center))
+    assert (_norm_bump(exact, edge) == 0).all() and (_norm_bump(exact, inside) != 0).any()
+    nan = np.full((2, n), np.nan)
+    nan[1, 0] = 0.5
+    rows = np.vstack([block[:996], edge, inside, nan])
+    inputs = [block, rows, np.asfortranarray(rows), rows.reshape(2, -1, n), *rows[-12:]]
+    for bump in bumps:
+        for x in inputs:
+            got, want = bump(x), _norm_bump(bump, x)
+            assert np.shape(got) == np.shape(want) == x.shape[:-1]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.signbit(bumps[2](block)).all() == (height < 0 and plateau > 0)
+
+
 def test_Ct_route_matches_experiment_ratio(model2, spec):
     # one kernel call per t against the experiment's one call for the whole
     # t grid, on the cp1_size2 bumps: log C_t and the pairings agree

@@ -187,6 +187,32 @@ def test_strict_convexity_failure_with_witness():
     assert report.witness == (0.0,)
 
 
+def test_strict_convexity_non_finite_hessian_is_nan_failure():
+    # eigvalsh returns finite garbage on this matrix, and raises on others
+    partly_nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    assert np.isfinite(np.linalg.eigvalsh(partly_nan)).all()
+
+    def hess(x):
+        out = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        out[x[..., 0] > 0.5] = partly_nan
+        return out
+
+    phi = tf.CallablePotential(2, lambda x: 0.0 * x[..., 0], lambda x: 0.0 * x, hess)
+    samples = np.array([[0.1, 0.1], [0.7, 0.2], [0.2, 0.3], [0.9, 0.4]])
+    report = tf.check_strict_convexity(phi, samples)
+    assert not report.ok
+    assert np.isnan(report.min_eigenvalue)
+    assert report.witness == (0.7, 0.2)
+
+
+def test_strict_convexity_finite_minimum_is_eigvalsh_minimum(phi_aniso, rng):
+    samples = rng.uniform(0.1, 0.9, size=(50, 2))
+    report = tf.check_strict_convexity(phi_aniso, samples)
+    lows = np.linalg.eigvalsh(phi_aniso.hess(samples)).min(axis=-1)
+    assert report.min_eigenvalue == lows.min()
+    assert report.witness == tuple(samples[np.argmin(lows)])
+
+
 def test_reflected_potential(phi_1d, rng):
     refl = tf.ReflectedPotential(phi_1d, [2.0])
     for _ in range(5):
