@@ -27,13 +27,14 @@ def main():
     print(f"{'lam':>4} {'t':>5} {'route resid':>12} {'gluing resid':>13} {'lift resid':>12}")
     for lam in [(0,), (1,), (2,)]:
         s0 = tf.WeightSection(lam, g0, phi)
-        for t in (0.5, 2.0):
-            route = tf.route_equality_residual(s0, t, xs)
-            glue = tf.gluing_check_cp1(s0, t)
-            lift = tf.lift_section_consistency(s0, t, xs, thetas, zetas)
-            print(f"{lam[0]:>4} {t:5.1f} {route:12.2e} {glue:13.2e} {lift:12.2e}")
+        ts = (0.5, 2.0)
+        route = tf.route_equality_residual(s0, ts, xs)
+        glue = tf.gluing_check_cp1(s0, ts)
+        lift = tf.lift_section_consistency(s0, ts, xs, thetas, zetas)
+        for row in zip(ts, route, glue, lift):
+            print(f"{lam[0]:>4} {row[0]:5.1f} {row[1]:12.2e} {row[2]:13.2e} {row[3]:12.2e}")
 
-    corrupted = tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), 2.0, corrupt=True)
+    corrupted = tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), [2.0], corrupt=True)[0]
     print(f"\nnegative control (corrupted transition): residual {corrupted:.2f}")
 
     print("\nKostant operator eigenvalues (expected i * lam):")

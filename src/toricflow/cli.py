@@ -53,21 +53,21 @@ J_SQUARED_TOL = 1e-12
 SLOPE_BAND = (-1.1, -0.9)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _cell_format(kind: type) -> str:
+    """A number prints as "%.17g" of its float; a bool, str or other cell as str."""
+    number = issubclass(kind, (int, float, np.integer, np.floating))
+    return "%.17g" if number and not issubclass(kind, (bool, np.bool_)) else "%s"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    def cell(v) -> str:
-        if isinstance(v, (bool, np.bool_)):
-            return str(bool(v))
-        if isinstance(v, (int, float, np.floating, np.integer)):
-            return _fmt(v)
-        return str(v)
-
+    """Write the rows with one %-format per row, built from its cells' types."""
+    formats: dict[tuple, str] = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell(v) for v in row))
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(formats[kinds] % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -109,10 +109,14 @@ def _require_kahler(exp: Experiment, ts, pts) -> None:
                                  f"x = {pts[i].tolist()} (min eigenvalue {low[i]:.3e})")
 
 
+def _rows(check: str, lam, ts, resids, tol) -> list[list]:
+    """The `_row`s of one weight's residuals over the t grid."""
+    return [_row(check, lam, t, resid, tol) for t, resid in zip(ts, resids.tolist())]
+
+
 def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
     """The two-chart gluing rows of one weight, for section-flow and gluing."""
-    resids = (gluing_check_cp1(s0, t, corrupt=args.corrupt_transition) for t in ts)
-    return [_row("gluing", lam, t, resid, GLUING_TOL) for t, resid in zip(ts, resids)]
+    return _rows("gluing", lam, ts, gluing_check_cp1(s0, ts, args.corrupt_transition), GLUING_TOL)
 
 
 def _finish(command: str, out: Path, rows: list[list], **payload) -> int:
@@ -133,11 +137,15 @@ def _finish(command: str, out: Path, rows: list[list], **payload) -> int:
 def cmd_validate(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
     # block by block, keeping the first minimum that an argmin over the whole
-    # grid would give (a NaN first), so no Hessian stack of the grid is held
-    blocks = [check_strict_convexity(exp.phi, pts)
-              for pts, _ in poly.grid_cells(32).blocks(2**14)]
+    # grid would give (a NaN first), so no Hessian stack of the grid is held;
+    # a Hessian that overflows is reported as not finite, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [check_strict_convexity(exp.phi, pts)
+                  for pts, _ in poly.grid_cells(32).blocks(2**14)]
     report = blocks[int(np.argmin([b.min_eigenvalue for b in blocks]))]
     issues = [] if report.ok else [
+        f"phi's Hessian is not finite at {list(report.witness)}"
+        if np.isnan(report.min_eigenvalue) else
         f"phi is not strictly convex (min eig {report.min_eigenvalue:.3e} "
         f"at {list(report.witness)})"
     ]
@@ -212,10 +220,8 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     pairs = []
     for lam in _weights(exp):
         s0 = WeightSection(lam, g0, phi, 0.0)
-        for t in ts:
-            resid = route_equality_residual(s0, t, pts)
-            rows.append(_row("route-equality", lam, t, resid, ROUTE_TOL))
-            pairs.append((lam, t))
+        rows += _rows("route-equality", lam, ts, route_equality_residual(s0, ts, pts), ROUTE_TOL)
+        pairs += [(lam, t) for t in ts]
         if poly.dimension == 1:
             rows += _gluing_rows(lam, s0, ts, args)
 
@@ -310,9 +316,7 @@ def cmd_lift(exp: Experiment, out: Path, args) -> int:
     rows = []
     for lam in _weights(exp):
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
-        for t in ts:
-            resid = lift_section_consistency(s0, t, pts, thetas, zetas)
-            rows.append(_row("lift", lam, t, resid, LIFT_TOL))
+        rows += _rows("lift", lam, ts, lift_section_consistency(s0, ts, pts, thetas, zetas), LIFT_TOL)
     return _finish("lift", out, rows, seed=args.seed)
 
 

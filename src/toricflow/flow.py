@@ -168,8 +168,13 @@ def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
     rho0 = 2.0 * (np.einsum("...i,...i->...", x, dg) - g)
     f0 = concentration_rate(phi, np.zeros(phi.dimension), x)
     for t in ts:
-        g_t = g + t * p
-        yield g_t, rho0 + 2.0 * t * f0, 2.0 * (np.einsum("...i,...i->...", x, dg + t * dp) - g_t)
+        yield g + t * p, rho0 + 2.0 * t * f0, _legendre_rho(x, g, dg, p, dp, t)
+
+
+def _legendre_rho(x, g, dg, p, dp, t) -> np.ndarray:
+    """rho_t = 2 (x . grad g_t - g_t) at x from the values g, p and gradients
+    dg, dp of g_0 and phi there, the expression of `kahler_potential_legendre`."""
+    return 2.0 * (np.einsum("...i,...i->...", x, dg + t * dp) - (g + t * p))
 
 
 def metric_hessians(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.ndarray:

@@ -266,34 +266,24 @@ class DelzantPolytope:
         return result
 
     def _vertex_issues(self) -> list[ValidationIssue]:
-        issues = []
+        """Non-simple and non-unimodular vertices, in vertex order, from one
+        `facet_values` call and one stacked det over the simple vertices."""
         n = self.dimension
-        seen = set()
-        for v in self.vertices():
-            key = _plain(np.round(v, 8))
-            if key in seen:
-                continue
-            seen.add(key)
-            active = np.where(np.abs(self.facet_values(v)) <= 1e-8)[0]
-            if len(active) != n:
-                issues.append(
-                    ValidationIssue(
-                        "non-simple-vertex",
-                        f"vertex {key} meets {len(active)} facets, expected {n}",
-                        key,
-                    )
-                )
-                continue
-            det = round(np.linalg.det(self._normals[active]))
-            if abs(det) != 1:
-                issues.append(
-                    ValidationIssue(
-                        "non-delzant-vertex",
-                        f"vertex {key}: meeting normals have determinant {det}, "
-                        "not a Z-basis",
-                        key,
-                    )
-                )
+        keys = [_plain(np.round(v, 8)) for v in self.vertices()]
+        first = [i for i, key in enumerate(keys) if keys.index(key) == i]
+        active = np.abs(self.facet_values(self.vertices()[first])) <= 1e-8
+        simple = active.sum(axis=1) == n
+        dets = iter(np.linalg.det(self._normals[np.nonzero(active[simple])[1].reshape(-1, n)]))
+        issues = []
+        for i, meets, ok in zip(first, active.sum(axis=1), simple):
+            key = keys[i]
+            if not ok:
+                issues.append(ValidationIssue(
+                    "non-simple-vertex", f"vertex {key} meets {meets} facets, expected {n}", key))
+            elif abs(det := round(next(dets))) != 1:
+                issues.append(ValidationIssue(
+                    "non-delzant-vertex",
+                    f"vertex {key}: meeting normals have determinant {det}, not a Z-basis", key))
         return issues
 
     def require_valid(self):
@@ -343,10 +333,7 @@ class DelzantPolytope:
             raise ValueError("resolution must be at least 2")
         if margin < 0:
             raise ValueError("margin must be nonnegative")
-        self.require_valid()
-        verts = (self.vertices() if margin == 0
-                 else _intersection_vertices(self._normals, self._offsets - margin))
-        simplices, simplex_volumes, ks, cells = _kuhn_plan(verts, resolution)
+        simplices, simplex_volumes, ks, cells = _kuhn_plan(self._triangulation(margin), resolution)
         counts = np.array(ks) ** self.dimension
         grid = self._cache[key] = Grid(simplices, tuple(ks), simplex_volumes / counts, cells)
         return grid
@@ -354,8 +341,17 @@ class DelzantPolytope:
     def grid_cell_count(self, resolution: int) -> int:
         """The number of cells of `grid_cells(resolution)`, counted without
         building the grid.  Raises GridSizeError where `grid_cells` would."""
-        self.require_valid()
-        return _kuhn_plan(self.vertices(), resolution)[3]
+        return _kuhn_plan(self._triangulation(0.0), resolution)[3]
+
+    def _triangulation(self, margin: float) -> tuple[np.ndarray, np.ndarray]:
+        """`_triangulate` of {x : l_k(x) >= margin}, once per margin."""
+        key = ("triangulation", float(margin))
+        if key not in self._cache:
+            self.require_valid()
+            verts = (self.vertices() if margin == 0
+                     else _intersection_vertices(self._normals, self._offsets - margin))
+            self._cache[key] = _triangulate(verts)
+        return self._cache[key]
 
 
 # -- module-level operation surface -------------------------------------------
@@ -445,21 +441,22 @@ def sample_interior(
 
 def _intersection_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Vertices of {x : normals x + offsets >= 0}: the feasible n-fold facet
-    intersections, deduplicated, in lexicographic order; (0, n) if none."""
+    intersections, deduplicated, in lexicographic order; (0, n) if none.
+    All combinations go through one stacked det and one stacked solve, which
+    give each system's per-matrix result bit for bit."""
     n = normals.shape[1]
-    found = []
-    for combo in itertools.combinations(range(len(normals)), n):
-        A = normals[list(combo)]
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        v = np.linalg.solve(A, -offsets[list(combo)])
-        if (normals @ v + offsets).min() >= -1e-8:
-            found.append(v)
+    combos = itertools.combinations(range(len(normals)), n)
+    combos = np.array(list(combos), dtype=int).reshape(-1, n)
+    systems = normals[combos]
+    regular = np.abs(np.linalg.det(systems)) >= 1e-12
+    found = np.linalg.solve(systems[regular], -offsets[combos[regular]][..., None])[..., 0]
+    found = found[(found @ normals.T + offsets).min(axis=1) >= -1e-8]
+    close = (np.abs(found[:, None] - found[None]) < 1e-8).all(axis=2).tolist()
     uniq = []
-    for v in found:
-        if not any(np.max(np.abs(v - u)) < 1e-8 for u in uniq):
-            uniq.append(v)
-    return np.array(sorted(uniq, key=tuple)).reshape(-1, n)
+    for i, row in enumerate(close):  # first come, as each was compared with those kept
+        if not any(row[j] for j in uniq):
+            uniq.append(i)
+    return np.array(sorted(found[uniq].tolist())).reshape(-1, n)
 
 
 def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -542,12 +539,12 @@ def _kuhn_centroid_chunks(n: int, k: int, rows: int) -> Iterator[np.ndarray]:
 _MAX_GRID_CELLS = 2**24
 
 
-def _kuhn_plan(verts: np.ndarray, resolution: int):
-    """A triangulation of conv(verts), its simplex volumes, the subdivision
-    k = resolution * ceil(longest sup-norm edge) of each simplex, and the
-    cell count sum k^n.  Raises GridSizeError above _MAX_GRID_CELLS cells."""
-    n = verts.shape[1]
-    simplices, simplex_volumes = _triangulate(verts)
+def _kuhn_plan(triangulation: tuple[np.ndarray, np.ndarray], resolution: int):
+    """The simplices and volumes of a `_triangulate` result, the subdivision
+    k = resolution * ceil(longest sup-norm edge) of each simplex, and the cell
+    count sum k^n.  Raises GridSizeError above _MAX_GRID_CELLS cells."""
+    simplices, simplex_volumes = triangulation
+    n = simplices.shape[2]
     longest = np.abs(simplices[:, :, None] - simplices[:, None]).max(axis=(1, 2, 3))
     ks = [resolution * max(1, math.ceil(e - 1e-9)) for e in longest]
     cells = sum(k**n for k in ks)

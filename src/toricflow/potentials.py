@@ -200,9 +200,13 @@ def concentration_rate(phi: ConvexPotential, lam, x) -> np.ndarray:
     Strict convexity of phi makes lam the unique minimizer over any convex
     domain containing it, with minimum value -phi(lam).
     """
-    lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
-    return np.einsum("...i,...i->...", x - lam, phi.grad(x)) - phi.value(x)
+    return _rate(x, np.asarray(lam, dtype=float), phi.grad(x), phi.value(x))
+
+
+def _rate(x, lam, grad, value) -> np.ndarray:
+    """f_lam(x) from the potential's gradient and value at x."""
+    return np.einsum("...i,...i->...", x - lam, grad) - value
 
 
 # -- inverse Legendre gradient ---------------------------------------------------

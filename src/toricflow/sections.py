@@ -23,9 +23,9 @@ geometrically, by pulling the monomial back along the time-t biholomorphism
 and multiplying by the flowed frame (pullback route,
 `pullback_amplitude_log`), must agree pointwise; so must the two local
 representatives of a flowed section on the two invariant charts of a segment
-model (gluing, both charts evaluated by `WeightSection.sigma_representative`),
-and the bundle-lifted flow acting on equivariant functions (lift).  These
-cross-checks, together with the Kostant eigenvalue (nabla_{xi#} + i mu^xi) s
+model (gluing, both charts as `WeightSection.sigma_representative` gives
+them), and the bundle-lifted flow acting on equivariant functions (lift).
+Each check takes one weight's whole t grid.  These cross-checks, together with the Kostant eigenvalue (nabla_{xi#} + i mu^xi) s
 = i lam(xi) s and the numerically verified holomorphicity of
 e^{-rho_t/2} sigma, pin every sign convention in the package.
 """
@@ -38,9 +38,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AliasingError, DimensionMismatch, DomainError, QuadratureOverflow
-from .flow import KahlerFlowState, SymplecticPotential, beta_of_hamiltonian_field
+from .flow import KahlerFlowState, SymplecticPotential, _legendre_rho, beta_of_hamiltonian_field
 from .polytopes import DelzantPolytope, _matmul_columns
-from .potentials import ConvexPotential, ReflectedPotential, concentration_rate
+from .potentials import ConvexPotential, ReflectedPotential, _rate, concentration_rate
 from .quadrature import QuadratureSpec, integrate_many
 
 _TINY = 1e-300
@@ -117,13 +117,30 @@ def pullback_amplitude_log(s0: WeightSection, t: float, x) -> np.ndarray:
     return 0.5 * state.kahler_potential_legendre(x) - (pullback + monomial)
 
 
-def route_equality_residual(s0: WeightSection, t: float, xs) -> float:
+def _times(s0: WeightSection, ts, check: str) -> None:
+    if s0.t != 0.0:
+        raise ValueError(f"{check} starts from a time-zero section")
+    if any(t < 0 for t in ts):
+        raise ValueError("flow time must be nonnegative")
+
+
+def route_equality_residual(s0: WeightSection, ts, xs) -> np.ndarray:
     """Max relative deviation |e^{-A_pull} / e^{-A_mult} - 1| between the
-    multiplier and pullback routes over the given sample points, from the
-    log amplitudes, so it stays finite where both amplitudes underflow.  The
-    phase e^{i lam.theta} is the same factor on both routes and cancels."""
-    diff = flow_section(s0, t).amplitude_log(xs) - pullback_amplitude_log(s0, t, xs)
-    return float(np.max(np.abs(np.expm1(diff))))
+    multiplier and pullback routes over the sample points, at each time of
+    `ts`, from the log amplitudes, so it stays finite where both amplitudes
+    underflow; the phase e^{i lam.theta} cancels.  g_0 and phi are evaluated
+    once, and each residual is bit for bit that of `amplitude_log` of
+    `flow_section(s0, t)` against `pullback_amplitude_log(s0, t, xs)`."""
+    _times(s0, ts, "the pullback route")
+    x, lam = np.asarray(xs, dtype=float), s0.lam
+    g, dg, p, dp = s0.g0.value(x), s0.g0.grad(x), s0.phi.value(x), s0.phi.grad(x)
+    rate_g0, rate, push = _rate(x, lam, dg, g), _rate(x, lam, dp, p), dp @ lam
+    monomial = np.einsum("...i,...i->...", np.broadcast_to(lam, x.shape), dg)
+    out = []
+    for t in ts:
+        pullback = 0.5 * _legendre_rho(x, g, dg, p, dp, t) - (t * push + monomial)
+        out.append(np.max(np.abs(np.expm1((rate_g0 + t * rate) - pullback))))
+    return np.array(out)
 
 
 # -- sampled fields and the quantum operator ---------------------------------------
@@ -473,37 +490,43 @@ def gluing_points(poly: DelzantPolytope) -> np.ndarray:
     return np.linspace(0.05, _segment_length(poly) - 0.05, 13)[:, None]
 
 
-def gluing_check_cp1(s: WeightSection, t: float, corrupt: bool = False) -> float:
+def gluing_check_cp1(s: WeightSection, ts, corrupt: bool = False) -> np.ndarray:
     """Max relative deviation between the chart-U and chart-V representatives
     of the flowed section on the overlap of the two invariant charts of the
-    segment [0, a], at 13 points of [0.05, a - 0.05] and 8 angles.
+    segment [0, a], at 13 points of [0.05, a - 0.05] and 8 angles, at each
+    time of `ts`.  Each chart's exp(-A_{lam,t}(x) + i lam . theta) is bit for
+    bit `WeightSection.sigma_representative`, from the chart's two
+    concentration rates, evaluated once.
 
-    Both representatives are `WeightSection.sigma_representative`.  Chart V
-    carries the reflected data x' = a - x, theta' = -theta, weight a - lam and
-    reflected potentials; the Guillemin part of [0, a] is symmetric under the
-    reflection, so only the extra part of g_0 is reflected.  The transition
-    is sigma_U = sigma_V e^{-i a theta}, so the representatives must satisfy
-    g^U = e^{i a theta} g^V.  `corrupt` flips the transition sign (negative
-    control).
+    Chart V carries the reflected data x' = a - x, theta' = -theta, weight
+    a - lam and reflected potentials; the Guillemin part of [0, a] is
+    symmetric under the reflection, so only the extra part of g_0 is
+    reflected.  The transition is sigma_U = sigma_V e^{-i a theta}, so the
+    representatives must satisfy g^U = e^{i a theta} g^V.  `corrupt` flips
+    the transition sign (negative control).
     """
     a = _segment_length(s.polytope)
-    if s.t != 0.0:
-        raise ValueError("gluing check starts from a time-zero section")
+    _times(s, ts, "gluing check")
     x = gluing_points(s.polytope)[..., None]
     theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
 
     center = (float(a),)
     extra_v = None if s.g0.extra is None else ReflectedPotential(s.g0.extra, center)
-    s_v = WeightSection(
-        (a - s.weight[0],), SymplecticPotential(s.polytope, extra_v),
-        ReflectedPotential(s.phi, center), t,
+    charts = (
+        (s.g0, s.phi, s.lam, x, theta),
+        (SymplecticPotential(s.polytope, extra_v), ReflectedPotential(s.phi, center),
+         np.array([a - s.weight[0]], dtype=float), a - x, -theta),
     )
-    u_chart = flow_section(s, t).sigma_representative(x, theta)
-    v_chart = s_v.sigma_representative(a - x, -theta)
+    rates = [(concentration_rate(g0, lam, y), concentration_rate(phi, lam, y), 1j * (th @ lam))
+             for g0, phi, lam, y, th in charts]
 
     sign = -1.0 if corrupt else 1.0
     transition = np.exp(sign * 1j * a * theta[..., 0])
-    return float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
+    out = []
+    for t in ts:
+        u_chart, v_chart = (np.exp(-(rate_g0 + t * rate) + phase) for rate_g0, rate, phase in rates)
+        out.append(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
+    return np.array(out)
 
 
 # -- bundle lift -------------------------------------------------------------------
@@ -517,13 +540,7 @@ def lift_scale(phi: ConvexPotential, x, t: float) -> np.ndarray:
     return np.exp(-t * concentration_rate(phi, zero, x))
 
 
-def lift_section_consistency(
-    s0: WeightSection,
-    t: float,
-    xs,
-    thetas,
-    zetas,
-) -> float:
+def lift_section_consistency(s0: WeightSection, ts, xs, thetas, zetas) -> np.ndarray:
     """Flow the bundle point (base by the biholomorphism, equivariant fiber
     coordinate by lift_scale) and evaluate the time-zero equivariant function
     there; return its max relative deviation from the equivariant function of
@@ -531,27 +548,24 @@ def lift_section_consistency(
 
     Both sides reduce to e^{-t f_lam} times the original value; the left side
     assembles it from the pullback factor e^{t lam.grad phi} and the fiber
-    scale e^{-t f_0}, the right side from the diagonal multiplier.
+    scale e^{-t f_0}, the right side from the diagonal multiplier, at each
+    time of `ts`, with g_0 and phi evaluated once.
     """
-    if s0.t != 0.0:
-        raise ValueError("lift check starts from a time-zero section")
+    _times(s0, ts, "lift check")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     zetas = np.asarray(zetas, dtype=complex)
 
     lam = s0.lam
-    g0, phi = s0.g0, s0.phi
+    dg, dp, p = s0.g0.grad(xs), s0.phi.grad(xs), s0.phi.value(xs)
+    rate0, rate = _rate(xs, np.zeros(len(lam)), dp, p), _rate(xs, lam, dp, p)
     phase = np.exp(1j * (thetas @ lam))
-
-    y_flowed = g0.grad(xs) + t * phi.grad(xs)
-    lhs = np.exp(y_flowed @ lam) * phase * lift_scale(phi, xs, t) * zetas
-
-    rhs = (
-        np.exp(g0.grad(xs) @ lam - t * concentration_rate(phi, lam, xs))
-        * phase
-        * zetas
-    )
-    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+    out = []
+    for t in ts:
+        lhs = np.exp((dg + t * dp) @ lam) * phase * np.exp(-t * rate0) * zetas
+        rhs = np.exp(dg @ lam - t * rate) * phase * zetas
+        out.append(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+    return np.array(out)
 
 
 # -- frame holomorphicity (finite differences) ----------------------------------------

@@ -81,6 +81,34 @@ def test_write_table_matches_csv_cell_rule(tmp_path):
     assert (tmp_path / "table.csv").read_text().startswith("a,b,c,d\n-0,0,nan,inf\n-inf,")
 
 
+def _per_cell_csv(header, rows) -> str:
+    """The CSV text of the per-cell writer that `_write_csv`'s row formats replace."""
+    def fmt(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return str(bool(v))
+        if isinstance(v, (int, float, np.floating, np.integer)):
+            return format(float(v), ".17g")
+        return str(v)
+
+    return "\n".join([",".join(header), *(",".join(map(fmt, row)) for row in rows)]) + "\n"
+
+
+def test_write_csv_matches_per_cell_writer(tmp_path):
+    floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 0.1, 1e308, 2.0**53 + 2]
+    cells = [
+        True, False, np.True_, np.False_,
+        0, -7, 2**53 + 1, 10**20, np.int64(-3), np.uint8(255), np.int32(7),
+        *floats, *map(np.float64, floats), np.float32(0.1), np.float16(-0.0), np.float32(np.nan),
+        "route-equality", "1 0", "", "-", "%s %d 100%",
+    ]
+    # every rotation gives another row of cell types; the repeats reuse a format
+    rows = [cells[i:] + cells[:i] for i in range(len(cells))] * 2
+    rows += [[True, 1, 0.5, "a"], [np.True_, np.int64(1), np.float64(0.5), "a"], ["x"], []]
+    header = [f"c{i}" for i in range(len(cells))]
+    cli._write_csv(tmp_path / "rows.csv", header, rows)
+    assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == _per_cell_csv(header, rows)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("cfg", SHIPPED, ids=[c.stem for c in SHIPPED])
 def test_potential_flow_csv_matches_per_cell_writer(tmp_path, cfg, seed):

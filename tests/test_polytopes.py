@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.optimize import linprog
 
 import toricflow as tf
 from toricflow import polytopes
+from toricflow.config import load_config
 from toricflow.errors import DomainError, EmptyGridError
 from toricflow.polytopes import _kuhn_centroid_chunks, _kuhn_plan
 
@@ -380,7 +382,7 @@ def _row_major_cells_reference(poly, resolution):
     """Points and volumes of the row-major grid builder, frozen: centroid rows
     per permutation, concatenated, then mapped onto each simplex."""
     n = poly.dimension
-    simplices, simplex_volumes, ks, _ = _kuhn_plan(poly.vertices(), resolution)
+    simplices, simplex_volumes, ks, _ = _kuhn_plan(poly._triangulation(0.0), resolution)
     points, volumes = [], []
     for simplex, volume, k in zip(simplices, simplex_volumes, ks):
         blocks = []
@@ -467,3 +469,132 @@ def test_margin_zero_grid_reuses_memoized_vertices(monkeypatch):
     assert calls == []
     poly.grid_cells(4, margin=0.1)
     assert calls == [4]
+
+
+# -- batched validation against its per-combination and per-vertex loops ---------
+
+
+def _intersection_vertices_reference(normals, offsets):
+    """The per-combination vertex enumeration that `_intersection_vertices` batches."""
+    n = normals.shape[1]
+    found = []
+    for combo in itertools.combinations(range(len(normals)), n):
+        A = normals[list(combo)]
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        v = np.linalg.solve(A, -offsets[list(combo)])
+        if (normals @ v + offsets).min() >= -1e-8:
+            found.append(v)
+    uniq = []
+    for v in found:
+        if not any(np.max(np.abs(v - u)) < 1e-8 for u in uniq):
+            uniq.append(v)
+    return np.array(sorted(uniq, key=tuple)).reshape(-1, n)
+
+
+def _vertex_systems(poly):
+    """The vertex, box-cut recession cone and Chebyshev-lift systems of P."""
+    normals, offsets, n = poly.normals, poly.offsets, poly.dimension
+    eye = np.eye(n)
+    return {
+        "vertices": (normals, offsets),
+        "recession": (np.vstack([normals, eye, -eye]),
+                      np.concatenate([np.zeros(len(normals)), np.ones(2 * n)])),
+        "chebyshev": (np.hstack([normals, -np.linalg.norm(normals, axis=1)[:, None]]), offsets),
+    }
+
+
+F = tf.Facet
+# validate()'s issues on each of these, as the per-vertex loop reported them
+ISSUE_POLYTOPES = {
+    "unbounded-wedge": ([F((1, 0), 0.0), F((0, 1), 0.0)], [
+        ("unbounded", "polytope is unbounded along direction (0.0, 1.0)", (0.0, 1.0))]),
+    "vertex-free-strip": ([F((0, 1), 0.0), F((0, -1), 1.0)], [
+        ("unbounded", "polytope is unbounded along direction (-1.0, 0.0)", (-1.0, 0.0))]),
+    "empty": ([F((1,), 0.0), F((-1,), -1.0)], [
+        ("empty-interior", "polytope interior is empty (inscribed radius -5.000e-01)", None)]),
+    "non-simple-pyramid": ([F((0, 0, 1), 0.0), F((1, 0, -1), 0.0), F((0, 1, -1), 0.0),
+                            F((-1, 0, -1), 2.0), F((0, -1, -1), 2.0)], [
+        ("non-simple-vertex", "vertex (1.0, 1.0, 1.0) meets 4 facets, expected 3", (1.0, 1.0, 1.0))]),
+    "non-unimodular-triangle": ([F((1, 0), 0.0), F((0, 1), 0.0), F((-2, -1), 2.0)], [
+        ("non-delzant-vertex",
+         "vertex (1.0, 0.0): meeting normals have determinant 2, not a Z-basis", (1.0, 0.0))]),
+    "steep-pyramid": ([F((0, 0, 1), 0.0), F((2, 0, -1), 0.0), F((0, 2, -1), 0.0),
+                       F((-2, 0, -1), 4.0), F((0, -2, -1), 4.0)], [
+        ("non-delzant-vertex",
+         "vertex (0.0, 0.0, 0.0): meeting normals have determinant 4, not a Z-basis", (0.0, 0.0, 0.0)),
+        ("non-delzant-vertex",
+         "vertex (0.0, 2.0, 0.0): meeting normals have determinant -4, not a Z-basis", (0.0, 2.0, 0.0)),
+        ("non-simple-vertex", "vertex (1.0, 1.0, 2.0) meets 4 facets, expected 3", (1.0, 1.0, 2.0)),
+        ("non-delzant-vertex",
+         "vertex (2.0, 0.0, 0.0): meeting normals have determinant 4, not a Z-basis", (2.0, 0.0, 0.0)),
+        ("non-delzant-vertex",
+         "vertex (2.0, 2.0, 0.0): meeting normals have determinant 4, not a Z-basis", (2.0, 2.0, 0.0))]),
+}
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+VERTEX_POLYTOPES = {
+    **{path.stem: (lambda path=path: load_config(path).validate().poly) for path in sorted(CONFIG_DIR.glob("*.cfg"))},
+    "simplex2d-size3": lambda: tf.standard_simplex(2, 3.0),
+    "simplex3d-size4": lambda: tf.standard_simplex(3, 4.0),
+    "box123": lambda: tf.box([1.0, 2.0, 3.0]),
+    "hirzebruch-f1": _hirzebruch_f1,
+    **{name: (lambda facets=facets: tf.DelzantPolytope(facets))
+       for name, (facets, _) in ISSUE_POLYTOPES.items()},
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_POLYTOPES)
+def test_batched_vertices_are_bit_equal_to_per_combination_loop(name):
+    poly = VERTEX_POLYTOPES[name]()
+    for system, (normals, offsets) in _vertex_systems(poly).items():
+        batched = polytopes._intersection_vertices(normals, offsets)
+        expected = _intersection_vertices_reference(normals, offsets)
+        assert batched.shape == expected.shape, system
+        assert batched.tobytes() == expected.tobytes(), system
+
+
+@pytest.mark.parametrize("margin", [0.05, 0.25, 1 / 3, 0.6, 0.7])
+def test_batched_vertices_of_margin_shrunk_simplex(margin):
+    # past margin 2/3 the shrunk triangle {x, y >= m, x + y <= 2 - m} is
+    # empty, and both enumerations find no vertex
+    poly = tf.standard_simplex(2, 2.0)
+    batched = polytopes._intersection_vertices(poly.normals, poly.offsets - margin)
+    expected = _intersection_vertices_reference(poly.normals, poly.offsets - margin)
+    assert batched.shape == expected.shape and batched.tobytes() == expected.tobytes()
+
+
+def test_vertex_free_system_has_no_vertices():
+    assert polytopes._intersection_vertices(np.array([[0.0, 1.0], [0.0, -1.0]]),
+                                            np.array([0.0, 1.0])).shape == (0, 2)
+    assert polytopes._intersection_vertices(np.array([[1.0, 0.0]]), np.array([0.0])).shape == (0, 2)
+
+
+@pytest.mark.parametrize("name", ISSUE_POLYTOPES)
+def test_validate_issues_unchanged(name):
+    facets, expected = ISSUE_POLYTOPES[name]
+    result = tf.DelzantPolytope(facets).validate()
+    assert not result.ok
+    assert [tuple(issue) for issue in result.issues] == expected
+
+
+@pytest.mark.parametrize("make", [lambda: tf.standard_simplex(2, 2.0), _hirzebruch_f1,
+                                  lambda: tf.box([1.0, 2.0, 3.0])],
+                         ids=["simplex", "hirzebruch-f1", "box123"])
+def test_validate_and_grids_triangulate_once(monkeypatch, make):
+    calls = []
+    original = polytopes._triangulate
+
+    def counted(verts):
+        calls.append(len(verts))
+        return original(verts)
+
+    monkeypatch.setattr(polytopes, "_triangulate", counted)
+    poly = make()
+    assert poly.validate().ok
+    for resolution in (4, 8, 16):
+        assert poly.grid_cell_count(resolution) == len(poly.grid_cells(resolution))
+    assert len(calls) == 1
+    poly.grid_cells(4, margin=0.1)
+    poly.grid_cells(8, margin=0.1)
+    assert len(calls) == 2

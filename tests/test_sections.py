@@ -17,7 +17,7 @@ from toricflow.errors import (
     QuadratureStagnation,
 )
 from toricflow.quadrature import integrate_many
-from toricflow.sections import _laplace_integrand
+from toricflow.sections import _laplace_integrand, gluing_points
 
 CP2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg"
 
@@ -180,7 +180,7 @@ def test_pullback_route_weight_zero_trivial(model2, sample_points):
     _, g0, phi = model2
     xs, _ = sample_points
     s0 = tf.WeightSection((0,), g0, phi)
-    assert tf.route_equality_residual(s0, 2.0, xs) < 1e-12
+    assert tf.route_equality_residual(s0, [2.0], xs)[0] < 1e-12
 
 
 def test_pullback_route_factors(model2):
@@ -207,8 +207,7 @@ def test_route_equality_random_simplex(cp2_size2, phi_aniso, rng):
     xs = tf.sample_interior(cp2_size2, 15, rng, margin=0.05)
     for lam in [(0, 0), (1, 1), (2, 0)]:
         s0 = tf.WeightSection(lam, g0, phi_aniso)
-        for t in (0.5, 2.0, 10.0):
-            assert tf.route_equality_residual(s0, t, xs) < 1e-12
+        assert tf.route_equality_residual(s0, (0.5, 2.0, 10.0), xs).max() < 1e-12
 
 
 def test_weight_preserved_by_flow(model2):
@@ -582,19 +581,19 @@ def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
 @pytest.mark.parametrize("t", [1.0, 3.0])
 def test_gluing_residual(model2, lam, t):
     _, g0, phi = model2
-    assert tf.gluing_check_cp1(tf.WeightSection(lam, g0, phi), t) < 1e-10
+    assert tf.gluing_check_cp1(tf.WeightSection(lam, g0, phi), [t])[0] < 1e-10
 
 
 def test_gluing_time_zero_unit_segment():
     poly = tf.segment(1.0)
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential([[1.0]])
-    assert tf.gluing_check_cp1(tf.WeightSection((0,), g0, phi), 0.0) < 1e-12
+    assert tf.gluing_check_cp1(tf.WeightSection((0,), g0, phi), [0.0])[0] < 1e-12
 
 
 def test_gluing_corrupted_transition_flagged(model2):
     _, g0, phi = model2
-    assert tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), 3.0, corrupt=True) > 0.1
+    assert tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), [3.0], corrupt=True)[0] > 0.1
 
 
 def test_gluing_needs_integer_segment():
@@ -602,7 +601,7 @@ def test_gluing_needs_integer_segment():
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential([[1.0]])
     with pytest.raises(DomainError):
-        tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), 1.0)
+        tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), [1.0])
 
 
 @pytest.mark.parametrize("lam", [(0,), (1,), (2,)])
@@ -614,10 +613,11 @@ def test_checks_with_extra_potential(sample_points, lam):
     phi = tf.QuadraticPotential([[1.0]])
     xs, _ = sample_points
     s0 = tf.WeightSection(lam, g0, phi)
-    for t in (0.0, 1.0, 3.0):
-        assert tf.route_equality_residual(s0, t, xs) < 1e-12
+    ts = (0.0, 1.0, 3.0)
+    assert tf.route_equality_residual(s0, ts, xs).max() < 1e-12
+    assert tf.gluing_check_cp1(s0, ts).max() < 1e-10
+    for t in ts:
         assert np.max(tf.KahlerFlowState(g0, phi, t).duality_residual(xs)) < 1e-12
-        assert tf.gluing_check_cp1(s0, t) < 1e-10
     assert tf.frame_holomorphicity_residual(g0, phi, 1.0, xs[:5]) < 1e-8
 
 
@@ -639,9 +639,102 @@ def test_lift_consistency(model2, sample_points, rng):
     zetas = np.exp(1j * rng.random(len(xs)) * 2 * np.pi)
     for lam in [(0,), (1,)]:
         s0 = tf.WeightSection(lam, g0, phi)
-        assert tf.lift_section_consistency(s0, 0.0, xs, thetas, zetas) < 1e-14
-        for t in (0.5, 2.0):
-            assert tf.lift_section_consistency(s0, t, xs, thetas, zetas) < 1e-10
+        resids = tf.lift_section_consistency(s0, (0.0, 0.5, 2.0), xs, thetas, zetas)
+        assert resids[0] < 1e-14 and resids.max() < 1e-10
+
+
+# -- the t-grid checks against their per-t references ---------------------------------
+
+
+def _route_reference(s0, t, xs):
+    """The route-equality residual at one time, from the two routes' amplitudes."""
+    diff = tf.flow_section(s0, t).amplitude_log(xs) - tf.pullback_amplitude_log(s0, t, xs)
+    return float(np.max(np.abs(np.expm1(diff))))
+
+
+def _gluing_reference(s, t, corrupt):
+    """The gluing residual at one time, from the two charts' sigma_representative."""
+    a = int(round(s.polytope.vertices()[-1, 0]))
+    x = gluing_points(s.polytope)[..., None]
+    theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
+    center = (float(a),)
+    extra_v = None if s.g0.extra is None else tf.ReflectedPotential(s.g0.extra, center)
+    s_v = tf.WeightSection((a - s.weight[0],), tf.SymplecticPotential(s.polytope, extra_v),
+                           tf.ReflectedPotential(s.phi, center), t)
+    u_chart = tf.flow_section(s, t).sigma_representative(x, theta)
+    v_chart = s_v.sigma_representative(a - x, -theta)
+    transition = np.exp((-1.0 if corrupt else 1.0) * 1j * a * theta[..., 0])
+    return float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
+
+
+def _lift_reference(s0, t, xs, thetas, zetas):
+    """The lift residual at one time: the per-t formula with `lift_scale`."""
+    lam, g0, phi = s0.lam, s0.g0, s0.phi
+    phase = np.exp(1j * (thetas @ lam))
+    lhs = np.exp((g0.grad(xs) + t * phi.grad(xs)) @ lam) * phase * tf.lift_scale(phi, xs, t) * zetas
+    rhs = np.exp(g0.grad(xs) @ lam - t * tf.concentration_rate(phi, lam, xs)) * phase * zetas
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+
+
+T_GRID = (0.0, 0.5, 2.0, 10.0, 20.0)
+CHECK_CONFIGS = {name: Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+                 for name in ("cp1_size2", "cp2_size2")}
+
+
+@pytest.fixture(scope="module", params=list(CHECK_CONFIGS))
+def check_model(request):
+    exp = load_config(CHECK_CONFIGS[request.param]).validate()
+    rng = np.random.default_rng(3)
+    xs = tf.sample_interior(exp.poly, 20, rng, margin=0.1)
+    thetas = rng.random((20, exp.poly.dimension)) * 2 * np.pi
+    zetas = np.exp(1j * rng.random(20) * 2 * np.pi)
+    return exp, xs, thetas, zetas
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_route_equality_grid_is_bit_equal_to_per_t(check_model):
+    exp, xs, _, _ = check_model
+    for lam in exp.poly.lattice_points():
+        s0 = tf.WeightSection(lam, exp.g0, exp.phi)
+        expected = [_route_reference(s0, t, xs) for t in T_GRID]
+        assert _bits(tf.route_equality_residual(s0, T_GRID, xs)) == _bits(expected)
+
+
+def test_lift_grid_is_bit_equal_to_per_t(check_model):
+    exp, xs, thetas, zetas = check_model
+    for lam in exp.poly.lattice_points():
+        s0 = tf.WeightSection(lam, exp.g0, exp.phi)
+        expected = [_lift_reference(s0, t, xs, thetas, zetas) for t in T_GRID]
+        assert _bits(tf.lift_section_consistency(s0, T_GRID, xs, thetas, zetas)) == _bits(expected)
+
+
+@pytest.mark.parametrize("extra", [None, tf.QuadraticPotential([[0.3]], b=[0.1])])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_gluing_grid_is_bit_equal_to_per_t(extra, corrupt):
+    exp = load_config(CHECK_CONFIGS["cp1_size2"]).validate()
+    g0 = tf.SymplecticPotential(exp.poly, extra)
+    for lam in exp.poly.lattice_points():
+        s = tf.WeightSection(lam, g0, exp.phi)
+        expected = [_gluing_reference(s, t, corrupt) for t in T_GRID]
+        assert _bits(tf.gluing_check_cp1(s, T_GRID, corrupt)) == _bits(expected)
+
+
+def test_t_grid_checks_refuse_a_negative_time(check_model):
+    exp, xs, thetas, zetas = check_model
+    checks = [lambda s, ts: tf.route_equality_residual(s, ts, xs),
+              lambda s, ts: tf.lift_section_consistency(s, ts, xs, thetas, zetas)]
+    if exp.poly.dimension == 1:
+        checks.append(tf.gluing_check_cp1)
+    s0 = tf.WeightSection(exp.poly.lattice_points()[0], exp.g0, exp.phi)
+    for check in checks:
+        assert check(s0, []).shape == (0,)
+        with pytest.raises(ValueError, match="nonnegative"):
+            check(s0, [1.0, -0.5])
+        with pytest.raises(ValueError, match="time-zero section"):
+            check(tf.flow_section(s0, 1.0), [1.0])
 
 
 # -- weight decomposition --------------------------------------------------------------
