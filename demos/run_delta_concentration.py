@@ -49,7 +49,10 @@ def main():
         print(f"{t:6.0f} {log_C:14.6f} {log_asym:14.6f} (gap {log_C - log_asym:.1e})")
     print("fitted slopes:",
           [None if b.slope is None else round(b.slope, 3) for b in report.bumps])
-    print("overall pass:", report.passed)
+    for row in report.checks:
+        print(f"{row.check:22s} residual {row.residual:10.3e} "
+              f"tol {row.tolerance:.2e} {'PASS' if row.passed else 'FAIL'}")
+    print("overall pass:", all(row.passed for row in report.checks))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .convergence import (
 )
 from .errors import (
     AliasingError,
+    Check,
     ConfigError,
     DimensionMismatch,
     DomainError,

@@ -1,10 +1,13 @@
 """Experiment runner: parse a config, dispatch pipelines, write CSV/JSON.
 
 Subcommands: validate, potential-flow, section-flow, polarization, gluing,
-lift, converge, report.  Exit codes: 0 all checks pass, 1 configuration or
-validation error, 2 numerical failure (tolerance breach).  Outputs are
-deterministic: fixed float formatting, sorted keys, seeded sampling with the
-seed recorded.
+lift, converge, report.  Each subcommand but `report` judges its checks as
+`Check` rows and writes them to `<subcommand>.json` (dashes as underscores),
+with a top-level `pass`; `report` merges those files into `summary.json`.
+Exit codes: 0 all checks pass, 1 configuration or validation error (a failed
+`validate` row included), 2 numerical failure (any other failed row).
+Outputs are deterministic: fixed float formatting, sorted keys, seeded
+sampling with the seed recorded.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import convergence as conv
 from .config import Experiment, load_config
-from .errors import ConfigError, FiberDegenerationError, ToricFlowError
+from .errors import Check, ConfigError, FiberDegenerationError, ToricFlowError
 from .flow import (
     FIT_DECADE,
     complex_structure_of,
@@ -80,7 +83,8 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """One line with sorted keys: without `indent`, json encodes in C."""
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _sample_margin(poly) -> float:
@@ -91,11 +95,6 @@ def _sample_margin(poly) -> float:
 def _weights(exp: Experiment):
     """The `section.lambda` weights, or every lattice point of P without them."""
     return exp.weights or exp.poly.lattice_points()
-
-
-def _row(check: str, lam, t, residual, tol) -> list:
-    """One `check,lambda,t,residual,tolerance,pass` row; lam=() prints '-'."""
-    return [check, " ".join(map(str, lam)) or "-", t, residual, tol, residual < tol]
 
 
 def _require_kahler(exp: Experiment, ts, pts) -> None:
@@ -109,26 +108,28 @@ def _require_kahler(exp: Experiment, ts, pts) -> None:
                                  f"x = {pts[i].tolist()} (min eigenvalue {low[i]:.3e})")
 
 
-def _rows(check: str, lam, ts, resids, tol) -> list[list]:
-    """The `_row`s of one weight's residuals over the t grid."""
-    return [_row(check, lam, t, resid, tol) for t, resid in zip(ts, resids.tolist())]
+def _rows(check: str, lam, ts, resids, tols) -> list[Check]:
+    """The rows of one weight's residuals over the t grid; `tols` is one
+    tolerance, or one per time."""
+    return [Check(check, lam, t, r, tol)
+            for t, r, tol in zip(ts, resids.tolist(), np.broadcast_to(tols, len(ts)).tolist())]
 
 
-def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[list]:
+def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[Check]:
     """The two-chart gluing rows of one weight, for section-flow and gluing."""
     return _rows("gluing", lam, ts, gluing_check_cp1(s0, ts, args.corrupt_transition), GLUING_TOL)
 
 
-def _finish(command: str, out: Path, rows: list[list], **payload) -> int:
-    """Write the rows to <command>.csv and the verdict to <command>.json,
-    print the verdict line and return the exit code."""
-    failures = sum(not row[-1] for row in rows)
-    passed = failures == 0
-    stem = command.replace("-", "_")
-    _write_csv(out / f"{stem}.csv", ["check", "lambda", "t", "residual", "tolerance", "pass"], rows)
-    _write_json(out / f"{stem}.json", {"pass": passed, "failures": failures, **payload})
-    print(f"{command}: {len(rows)} checks, {failures} failures {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+def _finish(command: str, out: Path, rows: list[Check], fail_code: int = EXIT_NUMERICAL,
+            **payload) -> int:
+    """Write the rows and the payload to <command>.json, print the verdict
+    line and return the exit code: `fail_code` if any row fails."""
+    failures = sum(not row.passed for row in rows)
+    checks = [row.to_dict() for row in rows]
+    _write_json(out / f"{command.replace('-', '_')}.json",
+                {"pass": failures == 0, "failures": failures, "checks": checks, **payload})
+    print(f"{command}: {len(rows)} checks, {failures} failures {'FAIL' if failures else 'PASS'}")
+    return fail_code if failures else EXIT_OK
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -149,20 +150,11 @@ def cmd_validate(exp: Experiment, out: Path, args) -> int:
         f"phi is not strictly convex (min eig {report.min_eigenvalue:.3e} "
         f"at {list(report.witness)})"
     ]
-    _write_json(
-        out / "validation.json",
-        {
-            "polytope": poly.name,
-            "valid": report.ok,
-            "issues": issues,
-            "phi_strictly_convex": report.ok,
-            "phi_min_hessian_eigenvalue": report.min_eigenvalue,
-        },
-    )
-    print(f"validate: {'OK' if report.ok else 'FAIL'} ({poly.name or 'polytope'})")
+    row = Check("strict-convexity", None, None, -report.min_eigenvalue, 0.0)
+    code = _finish("validate", out, [row], EXIT_CONFIG, polytope=poly.name, issues=issues)
     for issue in issues:
         print(f"  - {issue}")
-    return EXIT_OK if report.ok else EXIT_CONFIG
+    return code
 
 
 def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
@@ -176,29 +168,17 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
         np.column_stack([np.full(len(pts), t), pts, g_t, rho, rho_leg, np.abs(rho - rho_leg)])
         for t, (g_t, rho, rho_leg) in zip(ts, flowed_potentials(exp.g0, exp.phi, ts, pts))
     ])
-    # np.max, unlike Python's max, keeps a NaN residual, which then fails
-    worst = float(np.max(table[:, -1]))
     header = (
         ["t"]
         + [f"x{i+1}" for i in range(poly.dimension)]
         + ["g_t", "rho_t", "rho_t_legendre", "residual"]
     )
     _write_table(out / "potential_flow.csv", header, table)
-    passed = worst < POTENTIAL_TOL
-    _write_json(
-        out / "potential_flow.json",
-        {
-            "max_residual": worst,
-            "tolerance": POTENTIAL_TOL,
-            "pass": passed,
-            "seed": args.seed,
-            "points": exp.sample_points,
-            "t_grid": list(ts),
-        },
-    )
-    print(f"potential-flow: max duality residual {worst:.3e} (tol {POTENTIAL_TOL:.1e}) "
-          f"{'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    # np.max, unlike Python's max, keeps a NaN residual, which then fails
+    worst = np.max(table[:, -1].reshape(len(ts), len(pts)), axis=1)
+    rows = _rows("duality", None, ts, worst, POTENTIAL_TOL)
+    return _finish("potential-flow", out, rows, seed=args.seed, points=exp.sample_points,
+                   t_grid=list(ts))
 
 
 def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
@@ -216,11 +196,16 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     if poly.dimension == 1:
         _require_kahler(exp, ts, gluing_points(poly))
 
+    # route equality compares two log amplitudes summed from terms of size
+    # t |x . grad phi|, t |lam . grad phi| and t |phi|: its rounding grows like t
+    dp = phi.grad(pts)
+    sizes = np.abs(np.einsum("ij,ij->i", pts, dp)) + np.abs(phi.value(pts))
     rows = []
     pairs = []
     for lam in _weights(exp):
         s0 = WeightSection(lam, g0, phi, 0.0)
-        rows += _rows("route-equality", lam, ts, route_equality_residual(s0, ts, pts), ROUTE_TOL)
+        tols = ROUTE_TOL * np.maximum(1.0, np.multiply(ts, np.max(sizes + np.abs(dp @ lam))))
+        rows += _rows("route-equality", lam, ts, route_equality_residual(s0, ts, pts), tols)
         pairs += [(lam, t) for t in ts]
         if poly.dimension == 1:
             rows += _gluing_rows(lam, s0, ts, args)
@@ -230,10 +215,10 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     norm_rows = [[" ".join(map(str, lam)), t, v] for (lam, t), v in zip(pairs, log_norms)]
 
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
-    rows.append(_row("frame-holomorphicity", (), t_frame, frame_resid, FRAME_TOL))
+    rows.append(Check("frame-holomorphicity", None, t_frame, frame_resid, FRAME_TOL))
 
     _write_csv(out / "section_norms.csv", ["lambda", "t", "log_norm_sq"], norm_rows)
-    return _finish("section-flow", out, rows, checks=len(rows), seed=args.seed)
+    return _finish("section-flow", out, rows, seed=args.seed)
 
 
 def cmd_polarization(exp: Experiment, out: Path, args) -> int:
@@ -261,8 +246,6 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     eigs = np.linalg.eigvalsh(G)
     angles = limit_angle(eigs)
     slopes = fit_loglog_slope(ts, angles).tolist()
-    # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
-    positive = bool(eigs.min() > 0)
     J = complex_structure_of(G)
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
     j_resid = float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension))))
@@ -273,24 +256,13 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
         ["t"] + [f"x{i+1}" for i in range(poly.dimension)] + ["angle", "slope_window"],
         table,
     )
-    slope_ok = all(SLOPE_BAND[0] <= s <= SLOPE_BAND[1] for s in slopes)
-    passed = slope_ok and j_resid < J_SQUARED_TOL and positive
-    _write_json(
-        out / "polarization.json",
-        {
-            "pass": passed,
-            "slopes": slopes,
-            "slope_band": list(SLOPE_BAND),
-            "max_J_squared_residual": j_resid,
-            "metric_positive": positive,
-            "t_grid": list(ts),
-            "t_grid_source": grid_source,
-            "seed": args.seed,
-        },
-    )
-    print(f"polarization: slopes in [{min(slopes):.3f}, {max(slopes):.3f}], "
-          f"J^2 residual {j_resid:.2e} {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    rows = [Check.within("slope", s, SLOPE_BAND) for s in slopes] + [
+        Check("J-squared", None, None, j_resid, J_SQUARED_TOL),
+        # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
+        Check("metric-positive", None, None, -eigs.min(), 0.0),
+    ]
+    return _finish("polarization", out, rows, slope_band=list(SLOPE_BAND), t_grid=list(ts),
+                   t_grid_source=grid_source, seed=args.seed)
 
 
 def cmd_gluing(exp: Experiment, out: Path, args) -> int:
@@ -353,18 +325,7 @@ def cmd_converge(exp: Experiment, out: Path, args) -> int:
         ["lambda", "bump_id", "t", "pairing", "fiber_value", "abs_error"],
         rows,
     )
-    payload = report.to_dict()
-    payload["slope"] = [b.slope for b in report.bumps]
-    payload["final_error"] = max(b.final_error for b in report.bumps)
-    payload["threads"] = args.threads
-    payload["seed"] = args.seed
-    _write_json(out / "report.json", payload)
-    print(
-        f"converge: lambda={lam} final errors "
-        + ", ".join(f"{b.final_error:.2e}" for b in report.bumps)
-        + f" {'PASS' if report.passed else 'FAIL'}"
-    )
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
+    return _finish("converge", out, report.checks, **report.to_dict(), seed=args.seed)
 
 
 def cmd_report(exp: Experiment, out: Path, args) -> int:
@@ -376,10 +337,12 @@ def cmd_report(exp: Experiment, out: Path, args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             content = json.load(fh)
         merged[path.name] = content
-        verdict = content.get("pass", content.get("valid"))
+        verdict = content.get("pass")
         if verdict is not None:
             ok = ok and bool(verdict)
-            print(f"{path.name:28s} {'PASS' if verdict else 'FAIL'}")
+            rows = content.get("checks", [])
+            failed = ", ".join(dict.fromkeys(row["check"] for row in rows if not row["pass"]))
+            print(f"{path.name:28s} {'PASS' if verdict else 'FAIL ' + failed}")
     _write_json(out / "summary.json", {"pass": ok, "reports": merged})
     print(f"report: overall {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -406,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="ignored; recorded in converge's report.json")
+                        help="ignored; accepted for callers that pass it")
     parser.add_argument("--seed", type=int, default=0,
                         help="sample-point selection seed (recorded in outputs)")
     parser.add_argument("--corrupt-transition", action="store_true",

@@ -30,7 +30,8 @@ the fiber, the same for every interior lattice point.
 
 This module also computes concentration statistics of the normalized density
 (mean -> lam, covariance ~ (t Hess phi(lam))^{-1}), fitted log-log decay
-rates, and assembles pass/fail reports for one (lam, phi, t-grid) experiment.
+rates, and assembles reports with verdict rows for one (lam, phi, t-grid)
+experiment.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FiberDegenerationError
+from .errors import Check, DimensionMismatch, FiberDegenerationError
 from .flow import FIT_DECADE, SymplecticPotential, fit_loglog_slope
 from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential
@@ -185,14 +186,12 @@ def concentration_profile(
 # -- the full experiment --------------------------------------------------------------
 
 
-# the report.json name of each report field that is named differently there
-_JSON_NAMES = {
-    "lam": "lambda", "phi_descriptor": "phi", "fiber_weight": "W_lambda", "passed": "pass"
-}
+# the converge.json name of each report field that is named differently there
+_JSON_NAMES = {"lam": "lambda", "phi_descriptor": "phi", "fiber_weight": "W_lambda"}
 
 
 def _json_fields(report) -> dict:
-    """Every field of a report dataclass under its report.json name."""
+    """Every field of a report dataclass under its converge.json name."""
     return {_JSON_NAMES.get(f.name, f.name): getattr(report, f.name) for f in fields(report)}
 
 
@@ -206,12 +205,8 @@ class BumpReport:
     fiber_value: float
     pairings: tuple[float, ...]
     abs_errors: tuple[float, ...]
-    final_error: float
     slope: Optional[float]
     overlaps_center: bool
-    error_decreasing: bool
-    slope_ok: bool
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,23 @@ class ConvergenceReport:
     slope_window: tuple[float, float]
     fiber_weight: float
     bumps: tuple[BumpReport, ...]
-    passed: bool
+
+    @property
+    def checks(self) -> list[Check]:
+        """Per bump: the final error below its tolerance, errors that fall (or
+        end) within the noise floor, and, for a bump that covers lam, the
+        log-log slope inside SLOPE_WINDOW."""
+        rows = []
+        for b in self.bumps:
+            errors, tag = np.asarray(b.abs_errors), f"-bump{b.bump_id}"
+            # np.minimum and np.max, unlike Python's min and max, keep a NaN, which then fails
+            falling = np.minimum(np.max(np.diff(errors), initial=-np.inf), errors[-1])
+            tol = FINAL_ERROR_TOL if b.overlaps_center else DISJOINT_ERROR_TOL
+            rows += [Check("final-error" + tag, self.lam, self.t_grid[-1], errors[-1], tol),
+                     Check("error-decreasing" + tag, self.lam, None, falling, NOISE_FLOOR)]
+            if b.overlaps_center:
+                rows.append(Check.within("slope" + tag, b.slope, SLOPE_WINDOW, self.lam))
+        return rows
 
     def to_dict(self) -> dict:
         """Every field of the report and of its bumps, under its JSON name."""
@@ -279,20 +290,8 @@ def convergence_experiment(
         pairings = pairing_matrix[:, bump_id]
         errors = np.abs(pairings - fiber_value)
         overlaps = fiber_value != 0.0
-        decreasing = bool(
-            np.all(np.diff(errors) < NOISE_FLOOR) or errors[-1] < NOISE_FLOOR
-        )
-        slope = None
-        slope_ok = True
-        if overlaps:
-            safe = np.maximum(errors, NOISE_FLOOR * 1e-3)
-            slope = fit_loglog_slope(ts, safe)
-            slope_ok = SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]
-            tol = FINAL_ERROR_TOL
-        else:
-            tol = DISJOINT_ERROR_TOL
-        final_error = float(errors[-1])
-        passed = bool(final_error < tol and decreasing and slope_ok)
+        # the floor keeps an error that the quadrature resolves as 0 on the log scale
+        slope = fit_loglog_slope(ts, np.maximum(errors, NOISE_FLOOR * 1e-3)) if overlaps else None
         bump_reports.append(
             BumpReport(
                 bump_id=bump_id,
@@ -303,12 +302,8 @@ def convergence_experiment(
                 fiber_value=fiber_value,
                 pairings=tuple(float(v) for v in pairings),
                 abs_errors=tuple(float(v) for v in errors),
-                final_error=final_error,
                 slope=slope,
                 overlaps_center=overlaps,
-                error_decreasing=decreasing,
-                slope_ok=slope_ok,
-                passed=passed,
             )
         )
 
@@ -321,6 +316,5 @@ def convergence_experiment(
         slope_window=window,
         fiber_weight=float(weight),
         bumps=tuple(bump_reports),
-        passed=all(b.passed for b in bump_reports),
     )
 

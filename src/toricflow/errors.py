@@ -1,4 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types and the verdict row shared across the package."""
+
+from typing import NamedTuple, Optional
+
+
+class Check(NamedTuple):
+    """One verdict row: a named check of weight `lam` at time `t` (None where
+    the check has none) passes when residual < tolerance, so a NaN fails."""
+
+    check: str
+    lam: Optional[tuple]
+    t: Optional[float]
+    residual: float
+    tolerance: float
+
+    @classmethod
+    def within(cls, check: str, value: float, band: tuple, lam=None, t=None) -> "Check":
+        """The row of `value`: its distance from the centre of `band` against
+        the band's half-width."""
+        centre, half = (band[0] + band[1]) / 2, (band[1] - band[0]) / 2
+        return cls(check, lam, t, abs(value - centre), half)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual < self.tolerance)
+
+    def to_dict(self) -> dict:
+        """The row under its JSON keys: `lambda` an int list or None, `t` a float or None."""
+        return {
+            "check": self.check,
+            "lambda": None if self.lam is None else [int(v) for v in self.lam],
+            "t": None if self.t is None else float(self.t),
+            "residual": float(self.residual),
+            "tolerance": float(self.tolerance),
+            "pass": self.passed,
+        }
 
 
 class ToricFlowError(Exception):

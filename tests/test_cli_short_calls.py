@@ -129,9 +129,11 @@ def test_polarization_matches_per_t_loop(tmp_path, cfg, seed):
     header = (tmp_path / "polarization.csv").read_text().splitlines()[0].split(",")
     cli._write_csv(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "polarization.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert verdict["slopes"] == slopes
-    assert verdict["metric_positive"] is positive is True
-    assert verdict["max_J_squared_residual"] == j_resid
+    rows = {row["check"]: row for row in verdict["checks"]}
+    expected = [tf.Check.within("slope", s, cli.SLOPE_BAND).to_dict() for s in slopes]
+    assert [row for row in verdict["checks"] if row["check"] == "slope"] == expected
+    assert rows["metric-positive"]["pass"] is positive is True
+    assert rows["J-squared"]["residual"] == j_resid
 
 
 @pytest.fixture
@@ -231,6 +233,7 @@ def test_polarization_nan_in_one_j_fails(tmp_path, monkeypatch, capsys, cfg):
 
     monkeypatch.setattr(cli, "complex_structure_of", planted)
     assert cli.main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().out.endswith("J^2 residual nan FAIL\n")
+    assert capsys.readouterr().out.endswith("1 failures FAIL\n")
     verdict = json.loads((tmp_path / "polarization.json").read_text())
-    assert not verdict["pass"] and np.isnan(verdict["max_J_squared_residual"])
+    (j_squared,) = [row for row in verdict["checks"] if row["check"] == "J-squared"]
+    assert not verdict["pass"] and not j_squared["pass"] and np.isnan(j_squared["residual"])

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 import toricflow as tf
-from toricflow import polytopes
+from toricflow import polytopes, potentials, sections
 from toricflow.cli import main
 from toricflow.config import parse_config, parse_t_grid
 from toricflow.errors import ConfigError
@@ -17,6 +17,15 @@ from toricflow.errors import ConfigError
 REPO = Path(__file__).resolve().parent.parent
 CP1_CFG = REPO / "configs" / "cp1_size2.cfg"
 CP2_CFG = REPO / "configs" / "cp2_size2.cfg"
+
+
+def _verdict(out: Path, stem: str) -> dict:
+    return json.loads((out / f"{stem}.json").read_text())
+
+
+def _rows(out: Path, stem: str, check: str) -> list[dict]:
+    """The rows of one check in <stem>.json."""
+    return [row for row in _verdict(out, stem)["checks"] if row["check"] == check]
 
 MINIMAL = """
 polytope.dim = 1
@@ -77,8 +86,9 @@ def test_bump_parsing():
 
 def test_cli_validate_ok(tmp_path):
     assert main(["validate", "--config", str(CP1_CFG), "--out", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "validation.json").read_text())
-    assert payload["valid"] and payload["phi_strictly_convex"]
+    payload = _verdict(tmp_path, "validate")
+    assert payload["pass"] and payload["checks"][0]["check"] == "strict-convexity"
+    assert payload["checks"][0]["pass"] and payload["checks"][0]["residual"] < 0
 
 
 def test_cli_validate_bad_config(tmp_path):
@@ -104,16 +114,18 @@ def test_cli_gluing_and_corruption(tmp_path):
         ["gluing", "--config", str(CP1_CFG), "--out", str(tmp_path), "--corrupt-transition"]
     )
     assert code == 2
-    rows = (tmp_path / "gluing.csv").read_text().splitlines()
-    assert rows[0] == "check,lambda,t,residual,tolerance,pass"
-    assert any(row.endswith("False") for row in rows[1:])
+    rows = _verdict(tmp_path, "gluing")["checks"]
+    assert all(set(row) == {"check", "lambda", "t", "residual", "tolerance", "pass"} for row in rows)
+    assert any(not row["pass"] for row in rows)
+    assert not (tmp_path / "gluing.csv").exists()
 
 
 def test_cli_lift_and_potential_flow(tmp_path):
     assert main(["potential-flow", "--config", str(CP1_CFG), "--out", str(tmp_path)]) == 0
     assert main(["lift", "--config", str(CP1_CFG), "--out", str(tmp_path)]) == 0
-    verdict = json.loads((tmp_path / "potential_flow.json").read_text())
-    assert verdict["pass"] and verdict["max_residual"] < 1e-10
+    verdict = _verdict(tmp_path, "potential_flow")
+    assert verdict["pass"] and max(row["residual"] for row in verdict["checks"]) < 1e-10
+    assert [row["t"] for row in _rows(tmp_path, "potential_flow", "duality")] == verdict["t_grid"]
 
 
 def test_cli_determinism(tmp_path):
@@ -136,8 +148,8 @@ def test_cli_report_merges(tmp_path):
 
 def test_cli_section_flow_cp2(tmp_path):
     assert main(["section-flow", "--config", str(CP2_CFG), "--out", str(tmp_path)]) == 0
-    rows = (tmp_path / "section_flow.csv").read_text().splitlines()
-    assert all(row.endswith("True") for row in rows[1:])
+    rows = _verdict(tmp_path, "section_flow")["checks"]
+    assert rows and all(row["pass"] for row in rows)
 
 
 def test_cli_section_flow_large_t_log_norms(tmp_path):
@@ -152,19 +164,51 @@ def test_cli_section_flow_large_t_log_norms(tmp_path):
     assert len(log_norms) == 12 and np.isfinite(log_norms).all()
 
 
+def test_cli_route_equality_passes_at_large_t(tmp_path):
+    # at t = 1000 the residuals read 0.9e-12 to 1.8e-12, the rounding of
+    # summands of size t |x . grad phi| ~ 1e4: a fixed 1e-12 failed them
+    cfg = tmp_path / "t1000.cfg"
+    cfg.write_text(_with_values(CP2_CFG, "section.t = 0.5,2,1000"))
+    assert main(["section-flow", "--config", str(cfg), "--out", str(tmp_path), "--seed", "0"]) == 0
+    rows = _rows(tmp_path, "section_flow", "route-equality")
+    assert len(rows) == 12 and all(row["pass"] for row in rows)
+    assert max(row["residual"] for row in rows if row["t"] == 1000) > 1e-12
+
+
+def test_cli_route_equality_fails_a_scaled_phi_term(tmp_path, monkeypatch):
+    # the concentration rate with its phi term x 0.9, (x - lam) . grad phi - 0.9 phi,
+    # in potentials and in the t-grid route of sections, which calls it directly
+    rate = potentials._rate
+
+    def planted(x, lam, grad, value):
+        return rate(x, lam, grad, 0.9 * value)
+
+    monkeypatch.setattr(potentials, "_rate", planted)
+    monkeypatch.setattr(sections, "_rate", planted)
+    # f_lam(x) = (x - lam) phi'(x) - 0.9 phi(x) = 2 - 1.8 for phi = x^2 / 2, x = 2, lam = 1
+    assert tf.concentration_rate(tf.QuadraticPotential([[1.0]]), [1.0], [2.0]) == pytest.approx(0.2)
+    for t_grid, name in (("0.5,2,10", "shipped"), ("0.5,2,1000", "t1000")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(_with_values(CP2_CFG, f"section.t = {t_grid}"))
+        out = tmp_path / name
+        assert main(["section-flow", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == 2
+        assert not any(row["pass"] for row in _rows(out, "section_flow", "route-equality"))
+
+
 def test_cli_polarization(tmp_path):
     out = tmp_path / "cp2"
     assert main(["polarization", "--config", str(CP2_CFG), "--out", str(out)]) == 0
     assert "nan" not in (out / "polarization.csv").read_text().lower()
-    verdict = json.loads((out / "polarization.json").read_text())
-    assert verdict["pass"] and np.isfinite(verdict["slopes"]).all()
+    verdict = _verdict(out, "polarization")
+    assert verdict["pass"] and np.isfinite([row["residual"] for row in verdict["checks"]]).all()
     # negative control: phi flat in x2 stops the decay along one direction,
     # so the largest angle stalls (slopes near 0) and the run must fail
     flat = tmp_path / "flat.cfg"
     flat.write_text(CP2_CFG.read_text().replace("phi.Q = 2 0 0 4", "phi.Q = 1 0 0 0"))
     assert main(["polarization", "--config", str(flat), "--out", str(tmp_path / "flat")]) == 2
-    slopes = json.loads((tmp_path / "flat" / "polarization.json").read_text())["slopes"]
+    slopes = np.loadtxt(tmp_path / "flat" / "polarization.csv", delimiter=",", skiprows=1)[:, -1]
     assert max(slopes) > -0.9
+    assert not all(row["pass"] for row in _rows(tmp_path / "flat", "polarization", "slope"))
 
 
 def test_cli_polarization_falls_back_when_fit_window_is_short(tmp_path):
@@ -231,7 +275,7 @@ def test_cli_validate_non_delzant_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
     assert "vertex (1.0, 0.0)" in capsys.readouterr().out
-    assert not (out / "validation.json").exists()
+    assert not (out / "validate.json").exists()
 
 
 def test_cli_validate_empty_interior_is_config_error(tmp_path, capsys):
@@ -241,7 +285,7 @@ def test_cli_validate_empty_interior_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
     assert "interior is empty (inscribed radius -5.000e-01)" in capsys.readouterr().out
-    assert not (out / "validation.json").exists()
+    assert not (out / "validate.json").exists()
 
 
 def test_cli_path_solves_no_lp_and_imports_no_scipy(tmp_path, monkeypatch):
@@ -374,7 +418,8 @@ def test_cli_potential_flow_nan_residual_fails(tmp_path, capsys):
     assert main(["potential-flow", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().out.endswith("FAIL\n")
     assert "nan" in (tmp_path / "potential_flow.csv").read_text()
-    assert not json.loads((tmp_path / "potential_flow.json").read_text())["pass"]
+    verdict = _verdict(tmp_path, "potential_flow")
+    assert not verdict["pass"] and np.isnan(verdict["checks"][-1]["residual"])
 
 
 def test_cli_converge_past_grid_resolution_is_numerical_failure(tmp_path, capsys):
@@ -402,7 +447,7 @@ def test_cli_validate_witness_is_plain_floats(tmp_path):
     cfg = tmp_path / "concave.cfg"
     cfg.write_text(_with_values(CP1_CFG, "phi.Q = -1"))
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    issues = json.loads((tmp_path / "validation.json").read_text())["issues"]
+    issues = _verdict(tmp_path, "validate")["issues"]
     assert issues == ["phi is not strictly convex (min eig -1.000e+00 at [0.015625])"]
 
 
@@ -439,8 +484,8 @@ def test_cli_validate_non_finite_hessian_is_a_failure(tmp_path, capsys):
     cfg = tmp_path / "nan3d.cfg"
     cfg.write_text(NAN_HESSIAN_3D)
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "validation.json").read_text())
-    assert not report["valid"] and np.isnan(report["phi_min_hessian_eigenvalue"])
+    report = _verdict(tmp_path, "validate")
+    assert not report["pass"] and np.isnan(report["checks"][0]["residual"])
     assert capsys.readouterr().err == ""
     # the witness is the first grid point, in validate's scan order, whose
     # Hessian is not finite
@@ -474,11 +519,11 @@ def test_cli_non_finite_metric_is_numerical_failure(tmp_path, capsys, sub):
 
 
 def test_cli_report_fails_after_failed_validate(tmp_path):
-    # a validate FAIL is recorded in validation.json, so the report fails too
+    # a validate FAIL is recorded in validate.json, so the report fails too
     cfg = tmp_path / "concave.cfg"
     cfg.write_text(_with_values(CP1_CFG, "phi.Q = -1"))
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert json.loads((tmp_path / "validation.json").read_text())["valid"] is False
+    assert _verdict(tmp_path, "validate")["pass"] is False
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert json.loads((tmp_path / "summary.json").read_text())["pass"] is False
 
@@ -495,6 +540,6 @@ def test_cli_paper_form_rows_are_consistent(tmp_path):
         pairing, fiber_value, abs_error = (float(v) for v in row.split(",")[3:])
         assert abs_error == abs(pairing - fiber_value)
     assert rows[1].split(",")[4] == "1"
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _verdict(tmp_path, "converge")
     assert report["mode"] == "paper-form"
     assert report["W_lambda"] == 2 * np.pi

@@ -318,18 +318,23 @@ def test_convergence_experiment_gates(model2, spec):
     report = tf.convergence_experiment(
         np.array([1.0]), phi, g0, bumps, [10, 20, 40, 80, 160, 320], spec
     )
-    assert report.passed
+    rows = {row.check: row for row in report.checks}
+    assert all(row.passed for row in rows.values())
     for b in report.bumps[:3]:
         assert b.overlaps_center
-        assert b.final_error < 1e-2
+        assert b.abs_errors[-1] < 1e-2
         assert -1.15 <= b.slope <= -0.85
-        assert b.error_decreasing
+        assert rows[f"error-decreasing-bump{b.bump_id}"].passed
+        assert rows[f"slope-bump{b.bump_id}"].residual == abs(b.slope + 1.0)
     control = report.bumps[3]
     assert not control.overlaps_center
     assert control.slope is None
-    assert control.final_error < 1e-6
+    assert control.abs_errors[-1] < 1e-6
+    # a disjoint bump has no slope, so no slope row and no NaN
+    assert rows["final-error-bump3"].tolerance == 1e-6 and "slope-bump3" not in rows
+    assert len(rows) == 3 * 3 + 2
     d = report.to_dict()
-    assert d["pass"] and len(d["bumps"]) == 4
+    assert len(d["bumps"]) == 4 and "pass" not in d
 
 
 def test_convergence_experiment_past_float_range(model2, spec):
@@ -338,7 +343,7 @@ def test_convergence_experiment_past_float_range(model2, spec):
     bumps = [tf.BumpProfile((1.0,), 0.9, 1.0), tf.BumpProfile((1.7,), 0.25, 1.0)]
     ts = 10.0 * 2.0 ** np.arange(11)
     report = tf.convergence_experiment(np.array([1.0]), phi, g0, bumps, ts, spec)
-    assert report.passed
+    assert all(row.passed for row in report.checks)
     assert np.isfinite(report.bumps[0].pairings).all()
     assert -1.15 <= report.bumps[0].slope <= -0.85
 

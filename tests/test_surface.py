@@ -12,21 +12,32 @@ own, so it never counts for the function around it.
 
 `python tests/test_surface.py` prints every unreached function with its line
 count and allowlist reason.
+
+The same runs pin the verdict contract (every verdict is the `checks` rows of
+the run's one JSON file) and the artifact manifest: the sha256 of every
+`--out` file, committed in `artifact_manifest.json` with the numpy version and
+platform it was made on.  `python tests/test_surface.py --write-manifest`
+regenerates it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import inspect
 import io
+import json
+import platform
 import pkgutil
 import re
+import shutil
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 
 import toricflow
@@ -34,6 +45,10 @@ from toricflow import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+MANIFEST = Path(__file__).resolve().parent / "artifact_manifest.json"
+# the data tables; every verdict is a row of the run's JSON, never a CSV
+DATA_TABLES = {"potential_flow.csv", "polarization.csv", "section_norms.csv", "convergence.csv"}
+ROW_KEYS = {"check", "lambda", "t", "residual", "tolerance", "pass"}
 
 # A log-sum-exp phi on the size-3 triangle, with the benchmark's converge
 # experiment.  Hess phi decays exponentially toward the vertices, so the
@@ -95,7 +110,7 @@ def probe(out: Path, converge_cfg: str) -> tuple[set, dict[Run, int]]:
     exits = {}
     for run in runs:
         argv = [run.subcommand, "--config", str(out / f"{run.config}.cfg"),
-                "--out", str(out / "-".join((run.config, *run.flags))), *run.flags]
+                "--out", str(run_dir(out, run)), *run.flags]
         with redirect_stdout(io.StringIO()):
             sys.setprofile(record)
             try:
@@ -103,6 +118,34 @@ def probe(out: Path, converge_cfg: str) -> tuple[set, dict[Run, int]]:
             finally:
                 sys.setprofile(None)
     return reached, exits
+
+
+def run_dir(out: Path, run: Run) -> Path:
+    return out / "-".join((run.config, *run.flags))
+
+
+def artifact_hashes(out: Path) -> dict[str, str]:
+    """sha256 of every file the probe's runs wrote under `out`, by relative path."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.glob("*/*"))
+    }
+
+
+def build_info() -> dict[str, str]:
+    return {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
+
+
+def manifest_problems(out: Path, manifest: dict) -> list[str]:
+    """Every artifact whose sha256 differs from the manifest's, or that only
+    one side has."""
+    got, want = artifact_hashes(out), manifest["sha256"]
+    problems = []
+    for name in sorted(set(got) | set(want)):
+        if got.get(name) != want.get(name):
+            problems.append(f"{name}: " + ("new" if name not in want else
+                                           "missing" if name not in got else "differs"))
+    return problems
 
 
 def public_functions() -> dict[str, object]:
@@ -238,11 +281,16 @@ def audit(functions: dict, reached: set, allowlist: dict[str, Keep] = ALLOWLIST)
 
 
 @pytest.fixture(scope="module")
-def surface(tmp_path_factory):
+def probe_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("surface")
+
+
+@pytest.fixture(scope="module")
+def surface(probe_out):
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         import workloads
-    return probe(tmp_path_factory.mktemp("surface"), workloads.CP2_CONVERGE_CFG)
+    return probe(probe_out, workloads.CP2_CONVERGE_CFG)
 
 
 def test_every_public_function_is_reached_or_allowlisted(surface):
@@ -262,6 +310,59 @@ def test_probe_exit_codes(surface):
     }
     for config, codes in expected.items():
         assert [exits[Run(sub, config)] for sub in cli._COMMANDS] == codes, config
+
+
+def test_every_verdict_is_the_rows_of_one_json(surface, probe_out):
+    _, exits = surface
+    for run, code in exits.items():
+        stem = "summary" if run.subcommand == "report" else run.subcommand.replace("-", "_")
+        path = run_dir(probe_out, run) / f"{stem}.json"
+        if code == 1 and run.subcommand != "validate":
+            # a configuration error stops the run before any check is judged
+            assert not path.exists(), run
+            continue
+        verdict = json.loads(path.read_text(encoding="utf-8"))
+        if run.subcommand == "report":
+            assert verdict["pass"] == (code == 0), run
+            continue
+        assert verdict["pass"] == (verdict["failures"] == 0) == (code == 0), run
+        assert verdict["failures"] == sum(not row["pass"] for row in verdict["checks"]), run
+        assert verdict["checks"] and all(set(row) == ROW_KEYS for row in verdict["checks"]), run
+    tables = {path.name for path in probe_out.glob("*/*.csv")}
+    assert tables <= DATA_TABLES and "section_norms.csv" in tables
+
+
+def test_report_names_the_failing_check(surface, probe_out, tmp_path, capsys):
+    control = Run("gluing", "cp1_size2", ("--corrupt-transition",))
+    out = tmp_path / "control"
+    shutil.copytree(run_dir(probe_out, control), out)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(probe_out / "cp1_size2.cfg"), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'gluing.json':28s} FAIL gluing", "report: overall FAIL"
+    ]
+
+
+def test_artifacts_match_the_manifest(surface, probe_out):
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    pinned, running = manifest["built_with"], build_info()
+    if pinned != running:
+        pytest.skip(f"manifest made with numpy {pinned['numpy']} on {pinned['platform']}, "
+                    f"running numpy {running['numpy']} on {running['platform']}")
+    assert manifest_problems(probe_out, manifest) == []
+
+
+def test_a_one_ulp_edit_fails_the_manifest(surface, probe_out, tmp_path):
+    manifest = {"sha256": artifact_hashes(probe_out)}
+    copy = tmp_path / "copy"
+    shutil.copytree(probe_out, copy)
+    table = copy / "cp1_size2" / "potential_flow.csv"
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[1] = "%.17g" % np.nextafter(float(cells[1]), np.inf)
+    lines[1] = ",".join(cells)
+    table.write_text("".join(lines), encoding="utf-8")
+    assert manifest_problems(copy, manifest) == ["cp1_size2/potential_flow.csv: differs"]
 
 
 def test_a_planted_public_function_fails_the_audit(surface, monkeypatch):
@@ -303,6 +404,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         reached, exits = probe(Path(tmp), workloads.CP2_CONVERGE_CFG)
+        if sys.argv[1:] == ["--write-manifest"]:
+            manifest = {"built_with": build_info(), "sha256": artifact_hashes(Path(tmp))}
+            MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            print(f"wrote {len(manifest['sha256'])} hashes to {MANIFEST.name}")
+            sys.exit(0)
     functions = public_functions()
     total = 0
     for name, fn in sorted(functions.items()):
