@@ -31,17 +31,12 @@ from .errors import (
     ToricFlowError,
 )
 from .flow import (
-    DecayCurve,
-    KahlerFlowState,
     SymplecticPotential,
     beta_of_hamiltonian_field,
-    complex_structure,
     fit_loglog_slope,
     flow_map_psi_t,
-    metric_matrix,
     mixed_polarization_basis,
     polarization_basis_t,
-    polarization_decay_curve,
     subspace_angle,
 )
 from .polytopes import (

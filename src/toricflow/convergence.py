@@ -228,8 +228,10 @@ class ConvergenceReport:
         rows = []
         for b in self.bumps:
             errors, tag = np.asarray(b.abs_errors), f"-bump{b.bump_id}"
-            # np.minimum and np.max, unlike Python's min and max, keep a NaN, which then fails
-            falling = np.minimum(np.max(np.diff(errors), initial=-np.inf), errors[-1])
+            # np.minimum and np.max, unlike Python's min and max, keep a NaN, which
+            # then fails; one time has no steps, so its final error is judged alone
+            falling = (np.minimum(np.max(np.diff(errors)), errors[-1]) if errors.size > 1
+                       else errors[-1])
             tol = FINAL_ERROR_TOL if b.overlaps_center else DISJOINT_ERROR_TOL
             rows += [Check("final-error" + tag, self.lam, self.t_grid[-1], errors[-1], tol),
                      Check("error-decreasing" + tag, self.lam, None, falling, NOISE_FLOOR)]

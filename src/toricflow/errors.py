@@ -5,7 +5,8 @@ from typing import NamedTuple, Optional
 
 class Check(NamedTuple):
     """One verdict row: a named check of weight `lam` at time `t` (None where
-    the check has none) passes when residual < tolerance, so a NaN fails."""
+    the check has none) passes when -inf < residual < tolerance, so a NaN or
+    an infinite residual fails."""
 
     check: str
     lam: Optional[tuple]
@@ -22,7 +23,7 @@ class Check(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return bool(self.residual < self.tolerance)
+        return bool(float("-inf") < self.residual < self.tolerance)
 
     def to_dict(self) -> dict:
         """The row under its JSON keys: `lambda` an int list or None, `t` a float or None."""

@@ -33,9 +33,12 @@ e^{-rho/2} sigma holomorphic (see sections.py).  Two exact identities anchor
 everything:
 
     rho_t = rho_0 + 2 t f_0(x),          f_0(x) = x . grad phi - phi,
-    rho_t = 2 (x . grad g_t - g_t)       (Legendre route),
+    rho_t = 2 (x . grad g_t - g_t)       (Legendre route);
 
-and the module reports their residual as its central self-check.
+`flowed_potentials` gives both along a t grid, and `potential-flow` reports
+their residual.  Every time-t quantity is a function of (g_0, phi, t, x):
+`metric_hessians` (G_t, which refuses t < 0), `flowed_potentials`,
+`polarization_basis_t` and `flow_map_psi_t`.
 
 Polarizations: the anti-holomorphic frame of J_t is spanned by the columns of
 [ (1/2) G_t^{-1} ; (i/2) Id ]; as t grows these tilt into the pure angular
@@ -49,8 +52,7 @@ independent reference in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,56 +113,6 @@ class SymplecticPotential:
         return out
 
 
-@dataclass(frozen=True)
-class KahlerFlowState:
-    """The deformed structure at time t: g_t = g_0 + t*phi."""
-
-    g0: SymplecticPotential
-    phi: ConvexPotential
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("flow time must be nonnegative")
-        if self.g0.dimension != self.phi.dimension:
-            raise DimensionMismatch("symplectic and flow potentials disagree in dimension")
-
-    # flowed symplectic potential and derivatives
-    def potential(self, x) -> np.ndarray:
-        return self.g0.value(x) + self.t * self.phi.value(x)
-
-    def moment_dual(self, x) -> np.ndarray:
-        """y_t = grad g_t(x), the log-modulus coordinates of w^t."""
-        return self.g0.grad(x) + self.t * self.phi.grad(x)
-
-    def metric_hessian(self, x) -> np.ndarray:
-        """G_t = Hess g_t(x)."""
-        return metric_hessians(self.g0, self.phi, self.t, x)
-
-    # Kahler potentials
-    def kahler_potential_reference(self, x) -> np.ndarray:
-        """rho_0 = 2 (x . grad g_0 - g_0), the time-zero normalization."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (np.einsum("...i,...i->...", x, self.g0.grad(x)) - self.g0.value(x))
-
-    def kahler_potential(self, x) -> np.ndarray:
-        """rho_t = rho_0 + 2 t f_0(x), with f_0 = x . grad phi - phi."""
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros(self.phi.dimension)
-        return self.kahler_potential_reference(x) + 2.0 * self.t * concentration_rate(
-            self.phi, zero, x
-        )
-
-    def kahler_potential_legendre(self, x) -> np.ndarray:
-        """rho_t = 2 (x . grad g_t - g_t), through the flowed Legendre data."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (np.einsum("...i,...i->...", x, self.moment_dual(x)) - self.potential(x))
-
-    def duality_residual(self, x) -> np.ndarray:
-        """|rho_t(formula) - rho_t(Legendre)|; vanishes identically."""
-        return np.abs(self.kahler_potential(x) - self.kahler_potential_legendre(x))
-
-
 def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
     """(g_t, rho_t = rho_0 + 2 t f_0, rho_t by the Legendre route) at x for each t
     of `ts`, with the t-independent data evaluated once (f_0 by concentration_rate)."""
@@ -173,7 +125,7 @@ def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
 
 def _legendre_rho(x, g, dg, p, dp, t) -> np.ndarray:
     """rho_t = 2 (x . grad g_t - g_t) at x from the values g, p and gradients
-    dg, dp of g_0 and phi there, the expression of `kahler_potential_legendre`."""
+    dg, dp of g_0 and phi there: the Legendre route to the Kahler potential."""
     return 2.0 * (np.einsum("...i,...i->...", x, dg + t * dp) - (g + t * p))
 
 
@@ -181,10 +133,13 @@ def metric_hessians(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.n
     """G_t = Hess g_0(x) + t Hess phi(x), evaluating each Hessian once.
 
     A scalar t gives shape (..., n, n); times of shape (T,) give the stack
-    (T, ..., n, n), bit for bit the per-t values.
+    (T, ..., n, n), bit for bit the per-t values.  A negative time raises
+    ValueError: g_t need not be convex there.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError("flow time must be nonnegative")
     return g0.hess(x) + t.reshape(t.shape + (1,) * (x.ndim + 1)) * phi.hess(x)
 
 
@@ -198,15 +153,6 @@ def _checked_inverse(G: np.ndarray) -> np.ndarray:
     return np.linalg.inv(G)
 
 
-def complex_structure(state: KahlerFlowState, x) -> np.ndarray:
-    """J_t at x in the (d/dx, d/dtheta) frame: [[0, -G^{-1}], [G, 0]].
-
-    Batched over the leading axes of x: points of shape (..., n) give
-    matrices of shape (..., 2n, 2n).
-    """
-    return complex_structure_of(state.metric_hessian(x))
-
-
 def complex_structure_of(G: np.ndarray) -> np.ndarray:
     """[[0, -G^{-1}], [G, 0]] for each G over the leading axes, with G^{-1}
     checked."""
@@ -217,17 +163,6 @@ def complex_structure_of(G: np.ndarray) -> np.ndarray:
     return J
 
 
-def metric_matrix(state: KahlerFlowState, x) -> np.ndarray:
-    """omega(-, J_t -) in the same frame: block diag(G_t, G_t^{-1}), batched
-    like `complex_structure`.  It is positive definite exactly when G_t is."""
-    G = state.metric_hessian(x)
-    n = G.shape[-1]
-    M = np.zeros(G.shape[:-2] + (2 * n, 2 * n))
-    M[..., :n, :n] = G
-    M[..., n:, n:] = _checked_inverse(G)
-    return M
-
-
 def limit_angle(eigenvalues) -> np.ndarray:
     """Largest principal angle between the J_t frame and the limit frame,
     arctan(1 / min |eig G_t(x)|), from the eigenvalues of G_t over the last
@@ -236,15 +171,15 @@ def limit_angle(eigenvalues) -> np.ndarray:
     The cosines of the principal angles between [ (1/2)G^{-1} ; (i/2)Id ] and
     [0 ; Id] are the singular values of (Id + G^{-2})^{-1/2}, i.e.
     |g| / sqrt(1 + g^2) over the eigenvalues g of the symmetric G.  Equals
-    `subspace_angle(polarization_basis_t(state, x), mixed_polarization_basis(n))`
+    `subspace_angle(polarization_basis_t(g0, phi, t, x), mixed_polarization_basis(n))`
     without losing accuracy at small angles.
     """
     return np.arctan2(1.0, np.abs(eigenvalues).min(-1))
 
 
-def polarization_basis_t(state: KahlerFlowState, x) -> np.ndarray:
-    """Anti-holomorphic frame of J_t: columns [ (1/2)G_t^{-1} ; (i/2)Id ]."""
-    G = state.metric_hessian(x)
+def polarization_basis_t(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.ndarray:
+    """Anti-holomorphic frame of J_t at one point: columns [ (1/2)G_t^{-1} ; (i/2)Id ]."""
+    G = metric_hessians(g0, phi, t, x)
     n = G.shape[0]
     top = 0.5 * np.linalg.inv(G)
     bottom = 0.5j * np.eye(n)
@@ -295,7 +230,7 @@ def beta_of_hamiltonian_field(phi: ConvexPotential, x) -> np.ndarray:
 # -- the biholomorphism psi_t -----------------------------------------------------
 
 
-def flow_map_psi_t(state: KahlerFlowState, x) -> np.ndarray:
+def flow_map_psi_t(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.ndarray:
     """Action coordinates of the image under the time-t biholomorphism of a
     point over x, read in time-zero holomorphic coordinates.
 
@@ -305,18 +240,10 @@ def flow_map_psi_t(state: KahlerFlowState, x) -> np.ndarray:
     point equals the J_0-coordinate of its image.
     """
     x = np.asarray(x, dtype=float)
-    return legendre_inverse(
-        state.g0, state.moment_dual(x), x0=x, domain=state.g0.polytope.is_interior
-    )
+    return legendre_inverse(g0, g0.grad(x) + t * phi.grad(x), x0=x, domain=g0.polytope.is_interior)
 
 
 # -- decay of the polarization angle ----------------------------------------------
-
-
-class DecayCurve(NamedTuple):
-    ts: np.ndarray
-    angles: np.ndarray
-    slope: float
 
 
 # log-log slopes are fitted over the trailing decade ts >= max(ts)/FIT_DECADE
@@ -344,20 +271,3 @@ def fit_loglog_slope(ts, values):
     mask = fit_window(ts)
     slope = np.polyfit(np.log(ts[mask]), np.log(values[mask]), 1)[0]
     return float(slope) if slope.ndim == 0 else slope
-
-
-def polarization_decay_curve(
-    g0: SymplecticPotential, phi: ConvexPotential, x, t_grid
-) -> DecayCurve:
-    """Largest principal angle between the time-t frame and the angular
-    limit frame, along a t grid, with the log-log slope over the last decade
-    of its positive times; raises ValueError unless that decade holds two."""
-    x = np.asarray(x, dtype=float)
-    ts = np.asarray(t_grid, dtype=float)
-    if not (np.diff(ts) > 0).all():
-        raise ValueError("t grid must be strictly increasing")
-    if (ts < 0).any():
-        raise ValueError("flow time must be nonnegative")
-    angles = limit_angle(np.linalg.eigvalsh(metric_hessians(g0, phi, ts, x)))
-    positive = ts > 0
-    return DecayCurve(ts, angles, fit_loglog_slope(ts[positive], angles[positive]))

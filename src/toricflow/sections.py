@@ -25,9 +25,12 @@ and multiplying by the flowed frame (pullback route,
 representatives of a flowed section on the two invariant charts of a segment
 model (gluing, both charts as `WeightSection.sigma_representative` gives
 them), and the bundle-lifted flow acting on equivariant functions (lift).
-Each check takes one weight's whole t grid.  These cross-checks, together with the Kostant eigenvalue (nabla_{xi#} + i mu^xi) s
-= i lam(xi) s and the numerically verified holomorphicity of
-e^{-rho_t/2} sigma, pin every sign convention in the package.
+Each check takes one weight's whole t grid.
+
+These cross-checks, together with the Kostant eigenvalue
+(nabla_{xi#} + i mu^xi) s = i lam(xi) s and the numerically verified
+holomorphicity of e^{-rho_t/2} sigma, pin every sign convention in the
+package.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AliasingError, DimensionMismatch, DomainError, QuadratureOverflow
-from .flow import KahlerFlowState, SymplecticPotential, _legendre_rho, beta_of_hamiltonian_field
+from .flow import SymplecticPotential, _legendre_rho, beta_of_hamiltonian_field, metric_hessians
 from .polytopes import DelzantPolytope, _matmul_columns
 from .potentials import ConvexPotential, ReflectedPotential, _rate, concentration_rate
 from .quadrature import QuadratureSpec, integrate_many
@@ -106,15 +109,12 @@ def pullback_amplitude_log(s0: WeightSection, t: float, x) -> np.ndarray:
     monomial w^lam back along the biholomorphism and multiply by the flowed
     frame e^{-rho_t/2}, with rho_t from the Legendre route.  Shares no step
     with the multiplier formula of `WeightSection.amplitude_log`."""
-    if s0.t != 0.0:
-        raise ValueError("the pullback route starts from a time-zero section")
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
+    _times(s0, [t], "the pullback route")
     x = np.asarray(x, dtype=float)
-    state = KahlerFlowState(s0.g0, s0.phi, t)
-    pullback = t * (s0.phi.grad(x) @ s0.lam)
-    monomial = np.einsum("...i,...i->...", np.broadcast_to(s0.lam, x.shape), s0.g0.grad(x))
-    return 0.5 * state.kahler_potential_legendre(x) - (pullback + monomial)
+    g, dg, p, dp = s0.g0.value(x), s0.g0.grad(x), s0.phi.value(x), s0.phi.grad(x)
+    pullback = t * (dp @ s0.lam)
+    monomial = np.einsum("...i,...i->...", np.broadcast_to(s0.lam, x.shape), dg)
+    return 0.5 * _legendre_rho(x, g, dg, p, dp, t) - (pullback + monomial)
 
 
 def _times(s0: WeightSection, ts, check: str) -> None:
@@ -590,15 +590,16 @@ def frame_holomorphicity_residual(
     analytic Hessian); the residual is relative to |u|.  rho_t is evaluated
     twice, at the points and at the (points, n, 4, n) stencil x + m h e_k.
     """
-    state = KahlerFlowState(g0, phi, t)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    Ginv = np.linalg.inv(metric_hessians(g0, phi, t, pts))
     h = 1e-3
     # steps[k, i] = m_i h e_k for the stencil offsets m = -2, -1, 1, 2
     steps = np.array([-2, -1, 1, 2])[:, None] * (h * np.eye(pts.shape[1]))[:, None, :]
-    vals = np.exp(-0.5 * state.kahler_potential_legendre(pts[:, None, None, :] + steps))
+    vals, u0 = (
+        np.exp(-0.5 * _legendre_rho(x, g0.value(x), g0.grad(x), phi.value(x), phi.grad(x), t))
+        for x in (pts[:, None, None, :] + steps, pts)
+    )
     grad_fd = (vals[..., 0] - 8 * vals[..., 1] + 8 * vals[..., 2] - vals[..., 3]) / (12 * h)
-    u0 = np.exp(-0.5 * state.kahler_potential_legendre(pts))
-    Ginv = np.linalg.inv(state.metric_hessian(pts))
     # the frame is torus-invariant, so the (i/2) du/dtheta term vanishes
     coeff = 0.5 * (Ginv @ grad_fd[:, :, None])[..., 0] + 0.5 * pts * u0[:, None]
     return float(np.max(np.max(np.abs(coeff), axis=1) / u0))

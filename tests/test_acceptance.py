@@ -9,6 +9,7 @@ import pytest
 
 import toricflow as tf
 from toricflow.cli import main as cli_main
+from toricflow.flow import complex_structure_of, flowed_potentials, limit_angle, metric_hessians
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 20260810
@@ -41,9 +42,9 @@ def test_criterion_01_potential_flow_identity():
     for poly, g0, phis in _models():
         pts = tf.sample_interior(poly, 200, rng, margin=1e-3)
         for phi in phis:
-            for t in (0.0, 0.5, 1.0, 5.0, 20.0):
-                state = tf.KahlerFlowState(g0, phi, t)
-                worst = max(worst, float(state.duality_residual(pts).max()))
+            # what potential-flow computes
+            for _, rho, rho_leg in flowed_potentials(g0, phi, (0.0, 0.5, 1.0, 5.0, 20.0), pts):
+                worst = max(worst, float(np.max(np.abs(rho - rho_leg))))
     _report(1, "potential-flow identity residual < 1e-10", worst < 1e-10,
             f"max residual {worst:.2e}")
 
@@ -216,17 +217,14 @@ def test_criterion_10_polarization_convergence():
     for poly, g0, phis in _models():
         phi = phis[-1]
         pts = tf.sample_interior(poly, 10, rng, margin=0.1)
-        for x in pts:
-            curve = tf.polarization_decay_curve(g0, phi, x, ts)
-            slopes.append(curve.slope)
-            for t in ts:
-                state = tf.KahlerFlowState(g0, phi, t)
-                J = tf.complex_structure(state, x)
-                j_worst = max(
-                    j_worst, float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension))))
-                )
-                eigs = np.linalg.eigvalsh(tf.metric_matrix(state, x))
-                positive = positive and bool(eigs.min() > 0)
+        # what the polarization subcommand computes: one G_t stack over (t, x)
+        G = metric_hessians(g0, phi, ts, pts)
+        eigs = np.linalg.eigvalsh(G)
+        slopes += tf.fit_loglog_slope(ts, limit_angle(eigs)).tolist()
+        J = complex_structure_of(G)
+        j_worst = max(j_worst, float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension)))))
+        # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
+        positive = positive and bool(eigs.min() > 0)
     ok_slope = all(-1.1 <= s <= -0.9 for s in slopes)
     ok = ok_slope and j_worst < 1e-12 and positive
     _report(10, "polarization angle decay slope -1 +/- 0.1; J_t^2 = -Id; metric > 0",

@@ -32,11 +32,14 @@ def _reference_potential_flow_rows(exp, seed):
     """The per-t, per-point rows that potential-flow wrote cell by cell."""
     pts = _points(exp, seed)
     rows = []
+    g0, phi = exp.g0, exp.phi
+    rho_0 = 2.0 * (np.einsum("...i,...i->...", pts, g0.grad(pts)) - g0.value(pts))
+    f_0 = tf.concentration_rate(phi, np.zeros(phi.dimension), pts)
     for t in exp.flow_t_grid or [0.0, 0.5, 1.0, 5.0, 20.0]:
-        state = tf.KahlerFlowState(exp.g0, exp.phi, t)
-        g_vals = state.potential(pts)
-        rho = state.kahler_potential(pts)
-        rho_leg = state.kahler_potential_legendre(pts)
+        g_vals = g0.value(pts) + t * phi.value(pts)
+        rho = rho_0 + 2.0 * t * f_0
+        dg_t = g0.grad(pts) + t * phi.grad(pts)
+        rho_leg = 2.0 * (np.einsum("...i,...i->...", pts, dg_t) - g_vals)
         resid = np.abs(rho - rho_leg)
         rows += [[t, *x, g_vals[i], rho[i], rho_leg[i], resid[i]] for i, x in enumerate(pts)]
     return rows

@@ -348,6 +348,24 @@ def test_convergence_experiment_past_float_range(model2, spec):
     assert -1.15 <= report.bumps[0].slope <= -0.85
 
 
+def test_one_time_grid_judges_the_final_error():
+    # one time has no step to fall by: the row judges errors[-1], not -inf
+    report = tf.convergence_experiment(
+        [1.0], tf.QuadraticPotential([[1.0]]), tf.SymplecticPotential(tf.segment(2.0)),
+        [tf.BumpProfile((1.7,), 0.25, 1.0)], [20.0],
+    )
+    rows = {row.check: row for row in report.checks}
+    assert all(np.isfinite(row.residual) for row in rows.values())
+    falling = rows["error-decreasing-bump0"]
+    assert falling.residual == report.bumps[0].abs_errors[-1] and not falling.passed
+
+
+@pytest.mark.parametrize("residual", [np.nan, -np.inf, np.inf])
+def test_a_non_finite_residual_fails(residual):
+    row = tf.Check("any", None, None, residual, 1.0)
+    assert not row.passed and row.to_dict()["pass"] is False
+
+
 def test_convergence_rejects_negative_time(model2, spec):
     poly, g0, phi = model2
     bump = tf.BumpProfile((1.0,), 0.5, 1.0)

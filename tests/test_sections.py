@@ -16,6 +16,8 @@ from toricflow.errors import (
     QuadratureOverflow,
     QuadratureStagnation,
 )
+from toricflow import sections
+from toricflow.flow import flowed_potentials
 from toricflow.quadrature import integrate_many
 from toricflow.sections import _laplace_integrand, gluing_points
 
@@ -194,8 +196,10 @@ def test_pullback_route_factors(model2):
     t = 1.0
     pullback_factor = np.exp(t * phi.grad(x) @ np.array([1.0]))
     assert pullback_factor == pytest.approx(np.exp(0.5))
-    state = tf.KahlerFlowState(g0, phi, t)
-    frame_ratio = np.exp(-0.5 * (state.kahler_potential_legendre(x) - state.kahler_potential_reference(x)))
+    # e^{-(rho_t - rho_0)/2}, each rho by the Legendre expression 2 (x . grad g - g)
+    rho_t = 2.0 * (x @ (g0.grad(x) + t * phi.grad(x)) - (g0.value(x) + t * phi.value(x)))
+    rho_0 = 2.0 * (x @ g0.grad(x) - g0.value(x))
+    frame_ratio = np.exp(-0.5 * (rho_t - rho_0))
     assert frame_ratio == pytest.approx(np.exp(-0.125))
     f1 = tf.concentration_rate(phi, [1.0], x)
     assert f1 == pytest.approx(-0.375)
@@ -616,8 +620,8 @@ def test_checks_with_extra_potential(sample_points, lam):
     ts = (0.0, 1.0, 3.0)
     assert tf.route_equality_residual(s0, ts, xs).max() < 1e-12
     assert tf.gluing_check_cp1(s0, ts).max() < 1e-10
-    for t in ts:
-        assert np.max(tf.KahlerFlowState(g0, phi, t).duality_residual(xs)) < 1e-12
+    for _, rho, rho_leg in flowed_potentials(g0, phi, ts, xs):
+        assert np.max(np.abs(rho - rho_leg)) < 1e-12
     assert tf.frame_holomorphicity_residual(g0, phi, 1.0, xs[:5]) < 1e-8
 
 
@@ -805,18 +809,22 @@ def test_frame_holomorphicity(model2, rng, t):
 def _pointwise_frame_residual(g0, phi, t, points):
     # reference: the frame check as a per-point loop, one Legendre
     # evaluation per point and per stencil point
-    state = tf.KahlerFlowState(g0, phi, t)
+    def frame(x):
+        # e^{-rho_t/2}, rho_t = 2 (x . grad g_t - g_t)
+        g_t, dg_t = g0.value(x) + t * phi.value(x), g0.grad(x) + t * phi.grad(x)
+        return np.exp(-0.5 * (2.0 * (np.einsum("...i,...i->...", x, dg_t) - g_t)))
+
     n = points.shape[1]
     h = 1e-3
     worst = 0.0
     for x in points:
-        u0 = np.exp(-0.5 * state.kahler_potential_legendre(x))
-        Ginv = np.linalg.inv(state.metric_hessian(x))
+        u0 = frame(x)
+        Ginv = np.linalg.inv(g0.hess(x) + t * phi.hess(x))
         grad_fd = np.zeros(n)
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            vals = [np.exp(-0.5 * state.kahler_potential_legendre(x + m * e)) for m in (-2, -1, 1, 2)]
+            vals = [frame(x + m * e) for m in (-2, -1, 1, 2)]
             grad_fd[k] = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
         coeff = 0.5 * (Ginv @ grad_fd) + 0.5 * x * u0
         worst = max(worst, float(np.max(np.abs(coeff)) / u0))
@@ -863,14 +871,14 @@ def test_frame_check_catches_planted_defect(plant):
 
 def test_frame_check_makes_two_legendre_calls(cp2_size2, monkeypatch):
     g0, phi = tf.SymplecticPotential(cp2_size2), tf.QuadraticPotential(np.diag([2.0, 4.0]))
-    original = tf.KahlerFlowState.kahler_potential_legendre
+    original = sections._legendre_rho
     calls = []
 
-    def counted(self, x):
+    def counted(x, *args):
         calls.append(np.shape(x))
-        return original(self, x)
+        return original(x, *args)
 
-    monkeypatch.setattr(tf.KahlerFlowState, "kahler_potential_legendre", counted)
+    monkeypatch.setattr(sections, "_legendre_rho", counted)
     for count in (1, 10, 40):
         calls.clear()
         tf.frame_holomorphicity_residual(g0, phi, 1.0, _frame_points(cp2_size2, 3, count))
