@@ -17,7 +17,6 @@ from .convergence import (
     convergence_experiment,
 )
 from .errors import (
-    AliasingError,
     Check,
     ConfigError,
     DimensionMismatch,
@@ -32,7 +31,6 @@ from .errors import (
 )
 from .flow import (
     SymplecticPotential,
-    beta_of_hamiltonian_field,
     fit_loglog_slope,
     flow_map_psi_t,
     mixed_polarization_basis,
@@ -60,24 +58,16 @@ from .potentials import (
 )
 from .quadrature import QuadratureSpec
 from .sections import (
-    KostantCheck,
     WeightSection,
-    apply_flow_truncated,
-    evaluate_on_grid,
-    flow_components,
-    flow_section,
     frame_holomorphicity_residual,
     gluing_check_cp1,
-    kostant_operator,
     lift_scale,
     lift_section_consistency,
     pullback_amplitude_log,
-    quantum_operator,
     route_equality_residual,
     section_log_norms_sq,
     section_norm_sq,
     torus_volume,
-    weight_decompose,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

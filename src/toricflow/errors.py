@@ -79,11 +79,6 @@ class QuadratureOverflow(ToricFlowError, ArithmeticError):
     because the integrand exceeds the float range."""
 
 
-class AliasingError(ToricFlowError, ValueError):
-    """The angular grid is too coarse to separate the requested torus
-    weights (two weights coincide modulo the grid size)."""
-
-
 class FiberDegenerationError(ToricFlowError, ValueError):
     """A moment-map fiber over a boundary lattice point was requested; the
     torus does not act freely there and the fiber measure degenerates."""

@@ -37,8 +37,8 @@ everything:
 
 `flowed_potentials` gives both along a t grid, and `potential-flow` reports
 their residual.  Every time-t quantity is a function of (g_0, phi, t, x):
-`metric_hessians` (G_t, which refuses t < 0), `flowed_potentials`,
-`polarization_basis_t` and `flow_map_psi_t`.
+`metric_hessians` (G_t), `flowed_potentials`, `polarization_basis_t` and
+`flow_map_psi_t`; the first two refuse t < 0.
 
 Polarizations: the anti-holomorphic frame of J_t is spanned by the columns of
 [ (1/2) G_t^{-1} ; (i/2) Id ]; as t grows these tilt into the pure angular
@@ -115,7 +115,10 @@ class SymplecticPotential:
 
 def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
     """(g_t, rho_t = rho_0 + 2 t f_0, rho_t by the Legendre route) at x for each t
-    of `ts`, with the t-independent data evaluated once (f_0 by concentration_rate)."""
+    of `ts`, with the t-independent data evaluated once (f_0 by concentration_rate).
+    A negative time raises ValueError, as in `metric_hessians`."""
+    if any(t < 0 for t in ts):
+        raise ValueError("flow time must be nonnegative")
     g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
     rho0 = 2.0 * (np.einsum("...i,...i->...", x, dg) - g)
     f0 = concentration_rate(phi, np.zeros(phi.dimension), x)
@@ -178,12 +181,12 @@ def limit_angle(eigenvalues) -> np.ndarray:
 
 
 def polarization_basis_t(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.ndarray:
-    """Anti-holomorphic frame of J_t at one point: columns [ (1/2)G_t^{-1} ; (i/2)Id ]."""
+    """Anti-holomorphic frame of J_t, columns [ (1/2)G_t^{-1} ; (i/2)Id ]: shape
+    (2n, n) at one point, (..., 2n, n) over the leading axes of x."""
     G = metric_hessians(g0, phi, t, x)
-    n = G.shape[0]
     top = 0.5 * np.linalg.inv(G)
-    bottom = 0.5j * np.eye(n)
-    return np.vstack([top.astype(complex), bottom])
+    bottom = np.broadcast_to(0.5j * np.eye(G.shape[-1]), G.shape)
+    return np.concatenate([top.astype(complex), bottom], axis=-2)
 
 
 def mixed_polarization_basis(n: int) -> np.ndarray:
@@ -212,19 +215,6 @@ def subspace_angle(A: np.ndarray, B: np.ndarray) -> float:
     s = scipy.linalg.svd(Qa.conj().T @ Qb, compute_uv=False)
     s = np.clip(s, 0.0, 1.0)
     return float(np.arccos(s.min()))
-
-
-# -- gauge bookkeeping -----------------------------------------------------------
-
-
-def beta_of_hamiltonian_field(phi: ConvexPotential, x) -> np.ndarray:
-    """beta(X_phi) = x . grad phi(x) in the gauge beta = sum x_j dtheta_j.
-
-    Depends on x only, so its derivative along X_phi (an angular derivative)
-    vanishes identically.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.einsum("...i,...i->...", x, phi.grad(x))
 
 
 # -- the biholomorphism psi_t -----------------------------------------------------

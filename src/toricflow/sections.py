@@ -11,37 +11,34 @@ holomorphic section at time t is the monomial section
     A_{lam,t}(x) = (x - lam) . grad g_t(x) - g_t(x) = F_{lam,0}(x) + t f_lam(x).
 
 Sections are stored as (weight, time) against the model data (g_0, phi), not
-as mesh values: the torus direction is exactly diagonalized and every
-identity closes on the polytope.  A field that must be sampled (quantum
-operator, weight decomposition) is a plain complex array of sigma-frame values
-of shape (m,) + (n_theta,)*n, passed with the (m, n) points xs it samples.
+as mesh values: the torus direction is exactly diagonalized, the weight-lam
+section being the single angular mode e^{i lam . theta}, and every identity
+closes on the polytope.
 
 The exponential of the quantum operator  phihat s = -i nabla_{X_phi} s + phi s
 acts diagonally on weights: e^{t phihat} s_{lam,0} = e^{-t f_lam(mu)} s_{lam,0}
-(multiplier route, `WeightSection.amplitude_log`).  The same flow computed
-geometrically, by pulling the monomial back along the time-t biholomorphism
-and multiplying by the flowed frame (pullback route,
-`pullback_amplitude_log`), must agree pointwise; so must the two local
-representatives of a flowed section on the two invariant charts of a segment
-model (gluing, both charts as `WeightSection.sigma_representative` gives
-them), and the bundle-lifted flow acting on equivariant functions (lift).
-Each check takes one weight's whole t grid.
-
-These cross-checks, together with the Kostant eigenvalue
-(nabla_{xi#} + i mu^xi) s = i lam(xi) s and the numerically verified
-holomorphicity of e^{-rho_t/2} sigma, pin every sign convention in the
+(multiplier route, `WeightSection(lam, g_0, phi, t).amplitude_log`).  The same
+flow computed geometrically, by pulling the monomial back along the
+T-equivariant time-t biholomorphism and multiplying by the flowed frame
+(pullback route, `pullback_amplitude_log`), must agree pointwise, weight by
+weight; so must the two local representatives of a flowed section on the two
+invariant charts of a segment model (gluing, both charts as
+`WeightSection.sigma_representative` gives them), and the bundle-lifted flow
+acting on equivariant functions (lift).  Each check takes one weight's whole
+t grid.  Together with the numerically verified holomorphicity of
+e^{-rho_t/2} sigma, these cross-checks pin every sign convention in the
 package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatch, DomainError, QuadratureOverflow
-from .flow import SymplecticPotential, _legendre_rho, beta_of_hamiltonian_field, metric_hessians
+from .errors import DimensionMismatch, DomainError, QuadratureOverflow
+from .flow import SymplecticPotential, _legendre_rho, metric_hessians
 from .polytopes import DelzantPolytope, _matmul_columns
 from .potentials import ConvexPotential, ReflectedPotential, _rate, concentration_rate
 from .quadrature import QuadratureSpec, integrate_many
@@ -96,14 +93,6 @@ class WeightSection:
         return np.exp(-self.amplitude_log(np.asarray(x, dtype=float)) + 1j * (theta @ self.lam))
 
 
-def flow_section(s: WeightSection, t: float) -> WeightSection:
-    """Multiplier route: advance the section time, i.e. multiply the
-    amplitude by e^{-t f_lam}.  Exact semigroup."""
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    return WeightSection(s.weight, s.g0, s.phi, s.t + t)
-
-
 def pullback_amplitude_log(s0: WeightSection, t: float, x) -> np.ndarray:
     """A_{lam,t}(x) by the geometric route from a time-zero section: pull the
     monomial w^lam back along the biholomorphism and multiply by the flowed
@@ -130,7 +119,8 @@ def route_equality_residual(s0: WeightSection, ts, xs) -> np.ndarray:
     `ts`, from the log amplitudes, so it stays finite where both amplitudes
     underflow; the phase e^{i lam.theta} cancels.  g_0 and phi are evaluated
     once, and each residual is bit for bit that of `amplitude_log` of
-    `flow_section(s0, t)` against `pullback_amplitude_log(s0, t, xs)`."""
+    `WeightSection(s0.weight, s0.g0, s0.phi, t)` against
+    `pullback_amplitude_log(s0, t, xs)`."""
     _times(s0, ts, "the pullback route")
     x, lam = np.asarray(xs, dtype=float), s0.lam
     g, dg, p, dp = s0.g0.value(x), s0.g0.grad(x), s0.phi.value(x), s0.phi.grad(x)
@@ -141,181 +131,6 @@ def route_equality_residual(s0: WeightSection, ts, xs) -> np.ndarray:
         pullback = 0.5 * _legendre_rho(x, g, dg, p, dp, t) - (t * push + monomial)
         out.append(np.max(np.abs(np.expm1((rate_g0 + t * rate) - pullback))))
     return np.array(out)
-
-
-# -- sampled fields and the quantum operator ---------------------------------------
-
-
-def _theta_derivative(values: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral d/dtheta_axis of a sampled field; exact for bandlimited fields."""
-    ax = 1 + axis
-    n_theta = values.shape[ax]
-    freqs = np.fft.fftfreq(n_theta) * n_theta
-    shape = [1] * values.ndim
-    shape[ax] = n_theta
-    hat = np.fft.fft(values, axis=ax)
-    return np.fft.ifft(1j * freqs.reshape(shape) * hat, axis=ax)
-
-
-def evaluate_on_grid(sections: Sequence[WeightSection], xs, n_theta: int) -> np.ndarray:
-    """Synthesize the sum of weight sections as a sampled field: sigma-frame
-    values of shape (m,) + (n_theta,)*n at the m points xs and the uniform
-    angles 2 pi k / n_theta on every axis."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    m, n = xs.shape
-    values = np.zeros((m,) + (n_theta,) * n, dtype=complex)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    for s in sections:
-        if s.g0.dimension != n:
-            raise DimensionMismatch("section dimension mismatch")
-        amp = np.exp(-s.amplitude_log(xs)).astype(complex)
-        term = amp.reshape((m,) + (1,) * n)
-        for j in range(n):
-            phase = np.exp(1j * s.weight[j] * thetas)
-            shape = [1] * (1 + n)
-            shape[1 + j] = n_theta
-            term = term * phase.reshape(shape)
-        values = values + term
-    return values
-
-
-def quantum_operator(values: np.ndarray, xs, phi: ConvexPotential) -> np.ndarray:
-    """One application of the quantum operator to a sampled sigma-frame field
-    u at the points xs:
-
-        phihat (u sigma) = [ -i X_phi u - beta(X_phi) u + phi u ] sigma,
-
-    with X_phi u = sum_j (dphi/dx_j) du/dtheta_j evaluated spectrally.
-    On a weight-lam section this is multiplication by -f_lam(x).  Raises
-    DimensionMismatch unless values has one row per point and one angle axis
-    per dimension.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n = xs.shape[1]
-    if len(values) != len(xs) or values.ndim != 1 + n:
-        raise DimensionMismatch(f"field of shape {values.shape} does not sample {xs.shape} points")
-    grads = phi.grad(xs)  # (m, n)
-    shape = (-1,) + (1,) * n
-    out = np.zeros_like(values)
-    for j in range(n):
-        out = out + (-1j) * grads[:, j].reshape(shape) * _theta_derivative(values, j)
-    out = out - beta_of_hamiltonian_field(phi, xs).reshape(shape) * values
-    return out + phi.value(xs).reshape(shape) * values
-
-
-def apply_flow_truncated(
-    values: np.ndarray, xs, phi: ConvexPotential, t: float, order: int
-) -> np.ndarray:
-    """Partial sum sum_{k<=order} (t phihat)^k / k! applied to a sampled field;
-    used to spot-check that the series collapses to the closed multiplier."""
-    total = values
-    term = values
-    fact = 1.0
-    for k in range(1, order + 1):
-        term = quantum_operator(term, xs, phi)
-        fact *= k
-        total = total + (t**k / fact) * term
-    return total
-
-
-# -- Kostant operator --------------------------------------------------------------
-
-
-class KostantCheck(NamedTuple):
-    expected_eigenvalue: complex
-    measured_eigenvalue: complex
-    residual: float
-
-
-def kostant_operator(
-    xi, s: WeightSection, xs, n_theta: Optional[int] = None
-) -> KostantCheck:
-    """Check that (nabla_{xi#} + i mu^xi) acts on the weight-lam section as
-    multiplication by i lam(xi).
-
-    In the gauge beta = sum x_j dtheta_j the connection term is
-    -i beta(xi#) = -i x.xi = -i mu^xi, so it cancels the moment term
-    identically and the operator is the angular derivative xi.d/dtheta,
-    taken spectrally on a theta grid.  The check fails when the grid aliases
-    the weight (2 max|lam_j| >= n_theta).
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = s.g0.dimension
-    if xi.shape != (n,):
-        raise DimensionMismatch("Lie-algebra vector has the wrong dimension")
-    if n_theta is None:
-        n_theta = max(8, 2 * max(abs(w) for w in s.weight) + 2)
-    values = evaluate_on_grid([s], xs, n_theta)
-    op = np.zeros_like(values)
-    for j in range(n):
-        op = op + xi[j] * _theta_derivative(values, j)
-    expected = 1j * complex(s.lam @ xi)
-    scale = np.max(np.abs(values))
-    residual = float(np.max(np.abs(op - expected * values)) / scale)
-    weights = np.abs(values) ** 2
-    measured = complex(np.sum(op * np.conj(values)) / np.sum(weights))
-    return KostantCheck(expected, measured, residual)
-
-
-# -- weight decomposition -----------------------------------------------------------
-
-
-def weight_decompose(
-    values: np.ndarray,
-    expected: Optional[Sequence[Sequence[int]]] = None,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Recover the weight components of a sampled field of shape
-    (m,) + (N,)*n by angular Fourier analysis: u = sum_lam c_lam(x) e^{i lam.theta}.
-
-    Returns a map lam -> c_lam over the x samples, without the components
-    below 1e-12 times the largest amplitude.  Raises AliasingError when
-    the theta grid cannot separate the expected weights (congruent modulo the
-    grid size).
-    """
-    N = values.shape[1]
-    n = values.ndim - 1
-    if expected is not None:
-        exp_list = [tuple(int(v) for v in lam) for lam in expected]
-        for i in range(len(exp_list)):
-            for j in range(i + 1, len(exp_list)):
-                if all((a - b) % N == 0 for a, b in zip(exp_list[i], exp_list[j])):
-                    raise AliasingError(
-                        f"weights {exp_list[i]} and {exp_list[j]} alias on a "
-                        f"theta grid of {N} points"
-                    )
-        if any(2 * abs(v) >= N for lam in exp_list for v in lam):
-            raise AliasingError(
-                f"theta grid of {N} points is too coarse for weights {exp_list}"
-            )
-    axes = tuple(range(1, 1 + n))
-    coeffs = np.fft.fftn(values, axes=axes) / N**n
-    freqs = (np.fft.fftfreq(N) * N).astype(int)
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    peak = np.max(np.abs(coeffs)) if coeffs.size else 0.0
-    if peak == 0.0:
-        return out
-    flat = np.moveaxis(coeffs, 0, -1).reshape((-1, coeffs.shape[0]))
-    for flat_idx, profile in enumerate(flat):
-        if np.max(np.abs(profile)) <= 1e-12 * peak:
-            continue
-        idx = np.unravel_index(flat_idx, (N,) * n)
-        lam = tuple(int(freqs[i]) for i in idx)
-        out[lam] = profile
-    return dict(sorted(out.items()))
-
-
-def flow_components(
-    components: dict[tuple[int, ...], np.ndarray],
-    xs,
-    phi: ConvexPotential,
-    t: float,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Flow each weight component by its diagonal multiplier e^{-t f_lam}."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return {
-        lam: c * np.exp(-t * concentration_rate(phi, np.asarray(lam, dtype=float), xs))
-        for lam, c in components.items()
-    }
 
 
 # -- norms ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
-line, at the stated tolerances.  Run with `pytest tests/test_acceptance.py -v -s`.
+line, at the stated tolerances, plus a planted-defect control for criterion 5.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import csv
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import toricflow as tf
+from toricflow import potentials, sections
 from toricflow.cli import main as cli_main
+from toricflow.config import load_config
 from toricflow.flow import complex_structure_of, flowed_potentials, limit_angle, metric_hessians
 
 REPO = Path(__file__).resolve().parent.parent
@@ -89,36 +95,56 @@ def test_criterion_04_norm_oracle():
             worst < 1e-6, f"max relative error {worst:.2e}")
 
 
-def test_criterion_05_equivariance_and_weights():
-    rng = np.random.default_rng(SEED + 3)
-    poly = tf.segment(2.0)
-    g0 = tf.SymplecticPotential(poly)
-    phi = tf.QuadraticPotential([[1.0]])
-    xs = tf.sample_interior(poly, 8, rng, margin=0.1)
-    kostant_worst = 0.0
-    for lam in poly.lattice_points():
-        s = tf.WeightSection(lam, g0, phi)
-        for xi in (np.array([1.0]), np.array([2.0])):
-            check = tf.kostant_operator(xi, s, xs)
-            kostant_worst = max(kostant_worst, check.residual)
-    ok_kostant = kostant_worst < 1e-10
+def _criterion_05_verdict(out: Path) -> tuple[bool, str]:
+    """Run `section-flow` on cp1_size2 and on cp2_size2 without its
+    `section.lambda` lines, so over every lattice point of P.  True when every
+    (lattice point, t) pair has a passing route-equality row (the multiplier,
+    acting on each weight separately, equals the pullback along the
+    T-equivariant psi_t) and a finite log_norm_sq in section_norms.csv."""
+    cp2 = re.sub(r"(?m)^section\.lambda.*\n", "", (REPO / "configs" / "cp2_size2.cfg").read_text())
+    (out / "cp2_all_weights.cfg").write_text(cp2, encoding="utf-8")
+    worst, count = 0.0, 0
+    for cfg in (REPO / "configs" / "cp1_size2.cfg", out / "cp2_all_weights.cfg"):
+        exp = load_config(cfg).validate()
+        pairs = {(tuple(lam), t) for lam in exp.poly.lattice_points() for t in exp.section_t}
+        run = out / cfg.stem
+        code = cli_main(["section-flow", "--config", str(cfg), "--out", str(run), "--seed", str(SEED + 3)])
+        if not (run / "section_flow.json").is_file():
+            return False, f"{cfg.stem}: section-flow exited {code} without a verdict"
+        checks = json.loads((run / "section_flow.json").read_text())["checks"]
+        routes = [row for row in checks if row["check"] == "route-equality"]
+        with open(run / "section_norms.csv", newline="") as fh:
+            norms = {(tuple(map(int, row["lambda"].split())), float(row["t"])): float(row["log_norm_sq"])
+                     for row in csv.DictReader(fh)}
+        if sorted((tuple(row["lambda"]), row["t"]) for row in routes) != sorted(pairs):
+            return False, f"{cfg.stem}: route-equality rows do not cover every weight and time"
+        failed = [row for row in routes if not row["pass"]]
+        if failed:
+            return False, f"{cfg.stem}: {len(failed)} of {len(routes)} route-equality rows fail"
+        if set(norms) != pairs or not np.isfinite(list(norms.values())).all():
+            return False, f"{cfg.stem}: section_norms.csv lacks a finite norm for some pair"
+        worst = max(worst, *(row["residual"] / row["tolerance"] for row in routes))
+        count += len(pairs)
+    return True, f"{count} (lattice point, t) pairs, worst route residual {worst:.1e} of its tolerance"
 
-    t = 2.0
-    s0 = tf.WeightSection((0,), g0, phi)
-    s1 = tf.WeightSection((1,), g0, phi)
-    flowed = tf.weight_decompose(
-        tf.evaluate_on_grid([tf.flow_section(s0, t), tf.flow_section(s1, t)], xs, 8)
-    )
-    commuted = tf.flow_components(
-        tf.weight_decompose(tf.evaluate_on_grid([s0, s1], xs, 8)), xs, phi, t
-    )
-    commute_worst = max(
-        float(np.max(np.abs(flowed[k] - commuted[k]))) for k in ((0,), (1,))
-    )
-    ok_commute = commute_worst < 1e-12
-    _report(5, "Kostant eigenvalue < 1e-10 and flow-equivariant weights",
-            ok_kostant and ok_commute,
-            f"kostant {kostant_worst:.2e}, commute {commute_worst:.2e}")
+
+def test_criterion_05_equivariance_and_weights(tmp_path):
+    ok, detail = _criterion_05_verdict(tmp_path)
+    _report(5, "section-flow: route equality on every weight, finite norms", ok, detail)
+
+
+def test_criterion_05_fails_a_scaled_phi_term(tmp_path, monkeypatch):
+    # negative control: the concentration rate with its phi term x 0.9, as in
+    # test_config_cli.py::test_cli_route_equality_fails_a_scaled_phi_term
+    rate = potentials._rate
+
+    def planted(x, lam, grad, value):
+        return rate(x, lam, grad, 0.9 * value)
+
+    monkeypatch.setattr(potentials, "_rate", planted)
+    monkeypatch.setattr(sections, "_rate", planted)
+    ok, detail = _criterion_05_verdict(tmp_path)
+    assert not ok and "route-equality rows fail" in detail
 
 
 def test_criterion_06_gluing():

@@ -291,12 +291,6 @@ def test_decay_curve_without_a_fit_decade_raises(cp1_unit, phi_1d, ts):
         tf.fit_loglog_slope(ts[positive], angles[positive])
 
 
-def test_beta_pairing_is_radial(cp1_size2, phi_1d, rng):
-    x = tf.sample_interior(cp1_size2, 4, rng, margin=0.1)
-    vals = tf.beta_of_hamiltonian_field(phi_1d, x)
-    assert np.allclose(vals, x[:, 0] * phi_1d.grad(x)[:, 0])
-
-
 def test_dimension_mismatch_rejected(cp1_unit, phi_2d):
     g0 = tf.SymplecticPotential(cp1_unit)
     x = np.array([0.5])
@@ -316,7 +310,21 @@ def test_negative_time_rejected(cp2_size2, phi_aniso):
     for ts in (-1.0, [-1.0, 10.0, 100.0]):
         with pytest.raises(ValueError, match="flow time must be nonnegative"):
             metric_hessians(g0, phi_aniso, ts, x)
+    for ts in ([-1.0], [0.0, 1.0, -1.0]):
+        with pytest.raises(ValueError, match="flow time must be nonnegative"):
+            next(flowed_potentials(g0, phi_aniso, ts, x))
     with pytest.raises(ValueError, match="flow time must be nonnegative"):
         tf.polarization_basis_t(g0, phi_aniso, -1.0, x[0])
     with pytest.raises(ValueError, match="flow time must be nonnegative"):
         tf.frame_holomorphicity_residual(g0, phi_aniso, -1.0, x)
+
+
+def test_polarization_basis_batch_is_the_per_point_frames(cp2_size2, phi_aniso):
+    g0 = tf.SymplecticPotential(cp2_size2)
+    pts = np.array([[0.5, 0.5], [1.0, 0.5], [0.2, 1.3]])
+    frames = tf.polarization_basis_t(g0, phi_aniso, 1.0, pts)
+    assert frames.shape == (3, 4, 2)
+    for x, frame in zip(pts, frames):
+        assert np.array_equal(frame, tf.polarization_basis_t(g0, phi_aniso, 1.0, x))
+    stack = tf.polarization_basis_t(g0, phi_aniso, np.array([1.0, 10.0]), pts)
+    assert stack.shape == (2, 3, 4, 2) and np.array_equal(stack[0], frames)

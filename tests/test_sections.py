@@ -10,8 +10,6 @@ from conftest import integrate
 from toricflow.cli import FRAME_TOL
 from toricflow.config import load_config
 from toricflow.errors import (
-    AliasingError,
-    DimensionMismatch,
     DomainError,
     QuadratureOverflow,
     QuadratureStagnation,
@@ -41,105 +39,6 @@ def sample_points(model2):
     return xs, thetas
 
 
-# -- Kostant operator ---------------------------------------------------------
-
-
-def test_kostant_invariant_section(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    check = tf.kostant_operator(np.array([1.0]), tf.WeightSection((0,), g0, phi), xs[:6])
-    assert check.expected_eigenvalue == 0
-    assert abs(check.measured_eigenvalue) < 1e-12
-    assert check.residual < 1e-12
-
-
-def test_kostant_weight_one(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    check = tf.kostant_operator(np.array([1.0]), tf.WeightSection((1,), g0, phi), xs[:6])
-    assert check.expected_eigenvalue == 1j
-    assert abs(check.measured_eigenvalue - 1j) < 1e-10
-    assert check.residual < 1e-10
-
-
-def test_kostant_linearity(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s = tf.WeightSection((1,), g0, phi)
-    one = tf.kostant_operator(np.array([1.0]), s, xs[:6])
-    two = tf.kostant_operator(np.array([2.0]), s, xs[:6])
-    assert two.measured_eigenvalue == pytest.approx(2 * one.measured_eigenvalue)
-
-
-def test_kostant_detects_aliased_weight(model2, sample_points):
-    # weight 2 on a 3-point theta grid aliases to -1: the check must fail
-    _, g0, phi = model2
-    xs, _ = sample_points
-    check = tf.kostant_operator(
-        np.array([1.0]), tf.WeightSection((2,), g0, phi), xs[:6], n_theta=3
-    )
-    assert check.expected_eigenvalue == 2j
-    assert check.residual > 1
-    assert abs(check.measured_eigenvalue - 2j) > 1
-
-
-# -- quantum operator -----------------------------------------------------------
-
-
-def test_quantum_operator_on_invariant_frame(model2):
-    _, g0, phi = model2
-    s0 = tf.WeightSection((0,), g0, phi)
-    xs = np.array([[0.5]])
-    field = tf.evaluate_on_grid([s0], xs, 8)
-    out = tf.quantum_operator(field, xs, phi)
-    # phihat sigma = (phi - beta(X_phi)) sigma = -f_0 sigma
-    assert out[0, 0] / field[0, 0] == pytest.approx(-0.125)
-
-
-def test_quantum_operator_weight_section_at_center(model2):
-    _, g0, phi = model2
-    s1 = tf.WeightSection((1,), g0, phi)
-    xs = np.array([[1.0]])
-    field = tf.evaluate_on_grid([s1], xs, 8)
-    out = tf.quantum_operator(field, xs, phi)
-    # coefficient -f_lam(lam) = +phi(lam)
-    assert out[0, 0] / field[0, 0] == pytest.approx(phi.value(np.array([1.0])))
-
-
-def test_quantum_operator_linearity(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s0 = tf.WeightSection((0,), g0, phi)
-    s1 = tf.WeightSection((1,), g0, phi)
-    f0 = tf.evaluate_on_grid([s0], xs[:4], 8)
-    f1 = tf.evaluate_on_grid([s1], xs[:4], 8)
-    combined = tf.quantum_operator(f0 + 2.0 * f1, xs[:4], phi)
-    separate = tf.quantum_operator(f0, xs[:4], phi) + 2.0 * tf.quantum_operator(f1, xs[:4], phi)
-    assert np.max(np.abs(combined - separate)) < 1e-13
-
-
-def test_quantum_operator_rejects_mismatched_samples(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    field = tf.evaluate_on_grid([tf.WeightSection((1,), g0, phi)], xs[:4], 8)
-    with pytest.raises(DimensionMismatch):
-        tf.quantum_operator(field, xs[:3], phi)
-    with pytest.raises(DimensionMismatch):
-        tf.quantum_operator(field[:, :, None], xs[:4], phi)
-
-
-def test_lie_series_collapses_to_multiplier(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s1 = tf.WeightSection((1,), g0, phi)
-    field = tf.evaluate_on_grid([s1], xs[:4], 8)
-    t = 0.2
-    truncated = tf.apply_flow_truncated(field, xs[:4], phi, t, order=14)
-    exact = tf.evaluate_on_grid([tf.flow_section(s1, t)], xs[:4], 8)
-    rel = np.max(np.abs(truncated - exact)) / np.max(np.abs(exact))
-    assert rel < 1e-13
-
-
 # -- flow routes -----------------------------------------------------------------
 
 
@@ -147,7 +46,7 @@ def test_flow_section_time_zero_identity(model2, sample_points):
     _, g0, phi = model2
     xs, thetas = sample_points
     s = tf.WeightSection((1,), g0, phi)
-    flowed = tf.flow_section(s, 0.0)
+    flowed = tf.WeightSection(s.weight, s.g0, s.phi, s.t + 0.0)
     assert np.allclose(
         flowed.sigma_representative(xs, thetas), s.sigma_representative(xs, thetas)
     )
@@ -165,17 +64,9 @@ def test_flow_section_multiplier(model2):
     s0 = tf.WeightSection((0,), g0, phi)
     x = np.array([0.5])
     th = np.array([0.9])
-    ratio = tf.flow_section(s0, 1.0).sigma_representative(x, th) / s0.sigma_representative(x, th)
+    flowed = tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + 1.0)
+    ratio = flowed.sigma_representative(x, th) / s0.sigma_representative(x, th)
     assert ratio == pytest.approx(np.exp(-0.125))
-
-
-def test_flow_section_semigroup(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s = tf.WeightSection((1,), g0, phi)
-    a = tf.flow_section(tf.flow_section(s, 0.7), 1.6)
-    b = tf.flow_section(s, 2.3)
-    assert np.max(np.abs(a.amplitude_log(xs) - b.amplitude_log(xs))) < 1e-12
 
 
 def test_pullback_route_weight_zero_trivial(model2, sample_points):
@@ -216,8 +107,14 @@ def test_route_equality_random_simplex(cp2_size2, phi_aniso, rng):
 
 def test_weight_preserved_by_flow(model2):
     _, g0, phi = model2
+    # the multiplier is real and positive: the flowed section keeps the phase
+    # e^{i lam . theta} of its weight at every angle
     s = tf.WeightSection((1,), g0, phi)
-    assert tf.flow_section(s, 3.0).weight == s.weight
+    flowed = tf.WeightSection(s.weight, s.g0, s.phi, s.t + 3.0)
+    x, theta = np.full((8, 1), 0.7), np.linspace(0.0, 2 * np.pi, 8)[:, None]
+    ratio = flowed.sigma_representative(x, theta) / s.sigma_representative(x, theta)
+    assert flowed.weight == s.weight
+    assert np.allclose(ratio.imag, 0.0, atol=1e-15) and (ratio.real > 0).all()
 
 
 def test_pullback_route_semigroup(model2, sample_points):
@@ -652,7 +549,8 @@ def test_lift_consistency(model2, sample_points, rng):
 
 def _route_reference(s0, t, xs):
     """The route-equality residual at one time, from the two routes' amplitudes."""
-    diff = tf.flow_section(s0, t).amplitude_log(xs) - tf.pullback_amplitude_log(s0, t, xs)
+    flowed = tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + t)
+    diff = flowed.amplitude_log(xs) - tf.pullback_amplitude_log(s0, t, xs)
     return float(np.max(np.abs(np.expm1(diff))))
 
 
@@ -665,7 +563,7 @@ def _gluing_reference(s, t, corrupt):
     extra_v = None if s.g0.extra is None else tf.ReflectedPotential(s.g0.extra, center)
     s_v = tf.WeightSection((a - s.weight[0],), tf.SymplecticPotential(s.polytope, extra_v),
                            tf.ReflectedPotential(s.phi, center), t)
-    u_chart = tf.flow_section(s, t).sigma_representative(x, theta)
+    u_chart = tf.WeightSection(s.weight, s.g0, s.phi, s.t + t).sigma_representative(x, theta)
     v_chart = s_v.sigma_representative(a - x, -theta)
     transition = np.exp((-1.0 if corrupt else 1.0) * 1j * a * theta[..., 0])
     return float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
@@ -738,61 +636,7 @@ def test_t_grid_checks_refuse_a_negative_time(check_model):
         with pytest.raises(ValueError, match="nonnegative"):
             check(s0, [1.0, -0.5])
         with pytest.raises(ValueError, match="time-zero section"):
-            check(tf.flow_section(s0, 1.0), [1.0])
-
-
-# -- weight decomposition --------------------------------------------------------------
-
-
-def test_weight_decompose_single(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s1 = tf.WeightSection((1,), g0, phi)
-    field = tf.evaluate_on_grid([s1], xs[:5], 8)
-    comps = tf.weight_decompose(field)
-    assert list(comps) == [(1,)]
-
-
-def test_weight_decompose_commutes_with_flow(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s0 = tf.WeightSection((0,), g0, phi)
-    s1 = tf.WeightSection((1,), g0, phi)
-    t = 2.0
-    field = tf.evaluate_on_grid([s0, s1], xs[:5], 8)
-    flowed_then_decomposed = tf.weight_decompose(
-        tf.evaluate_on_grid([tf.flow_section(s0, t), tf.flow_section(s1, t)], xs[:5], 8)
-    )
-    decomposed_then_flowed = tf.flow_components(
-        tf.weight_decompose(field), xs[:5], phi, t
-    )
-    for lam in ((0,), (1,)):
-        diff = np.max(
-            np.abs(flowed_then_decomposed[lam] - decomposed_then_flowed[lam])
-        )
-        assert diff < 1e-12
-
-
-def test_weight_decompose_empty(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    assert tf.weight_decompose(np.zeros((3, 8), dtype=complex)) == {}
-
-
-def test_weight_decompose_aliasing(model2, sample_points):
-    _, g0, phi = model2
-    xs, _ = sample_points
-    s = tf.WeightSection((1,), g0, phi)
-    field = tf.evaluate_on_grid([s], xs[:3], 8)
-    with pytest.raises(AliasingError):
-        tf.weight_decompose(field, expected=[(0,), (8,)])
-    one_point = tf.evaluate_on_grid([s], xs[:3], 1)
-    with pytest.raises(AliasingError):
-        tf.weight_decompose(one_point, expected=[(0,), (1,)])
-    # 0 and 2 do not alias on 4 angles, but 2 is the grid's Nyquist frequency
-    four = tf.evaluate_on_grid([s], xs[:3], 4)
-    with pytest.raises(AliasingError, match="too coarse"):
-        tf.weight_decompose(four, expected=[(0,), (2,)])
+            check(tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + 1.0), [1.0])
 
 
 # -- frame holomorphicity ----------------------------------------------------------------
