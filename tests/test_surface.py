@@ -5,8 +5,9 @@ it stays and the file that needs it.
 The probe runs `cli.main` in-process under `sys.setprofile` for every
 subcommand on each shipped config, on the benchmark's converge config, on
 two generated configs (a log-sum-exp phi, and cp2_size2 without its
-`section.lambda` lines) and on the `--corrupt-transition` control, and
-records the code objects that ran.  A function is reached when its own
+`section.lambda` lines), runs `converge` on two cp1_size2 variants (the
+benchmark's large-t grid, and `experiment.mode = paper-form`) and the
+`--corrupt-transition` control, and records the code objects that ran.  A function is reached when its own
 `__code__` ran: a comprehension or a nested function is a code object of its
 own, so it never counts for the function around it.
 
@@ -84,10 +85,10 @@ class Run(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
-def probe(out: Path, converge_cfg: str) -> tuple[set, dict[Run, int]]:
-    """Run every subcommand, `report` last, on every probe config, and the
-    `--corrupt-transition` control; return the code objects that ran and the
-    exit code of each run."""
+def probe(out: Path, converge_cfg: str, large_t_grid: str) -> tuple[set, dict[Run, int]]:
+    """Run every subcommand, `report` last, on every probe config, `converge`
+    on the two converge variants, and the `--corrupt-transition` control;
+    return the code objects that ran and the exit code of each run."""
     shipped = {p.stem: p.read_text(encoding="utf-8") for p in sorted((ROOT / "configs").glob("*.cfg"))}
     configs = {
         **shipped,
@@ -96,10 +97,16 @@ def probe(out: Path, converge_cfg: str) -> tuple[set, dict[Run, int]]:
         # without section.lambda every subcommand runs over all lattice points of P
         "cp2_size2_all_weights": re.sub(r"(?m)^section\.lambda.*\n", "", shipped["cp2_size2"]),
     }
+    # cp1_size2 with the benchmark's large-t grid, and with the paper-form fiber weight
+    variants = {
+        "cp1_size2_large_t": re.sub(r"(?m)^experiment\.t_grid.*$", large_t_grid, shipped["cp1_size2"]),
+        "cp1_size2_paper_form": re.sub(r"(?m)^experiment\.mode.*$", "experiment.mode = paper-form",
+                                       shipped["cp1_size2"]),
+    }
     runs = []
-    for name, text in configs.items():
+    for name, text in {**configs, **variants}.items():
         (out / f"{name}.cfg").write_text(text, encoding="utf-8")
-        runs += [Run(sub, name) for sub in cli._COMMANDS]
+        runs += [Run(sub, name) for sub in (cli._COMMANDS if name in configs else ["converge"])]
     runs.append(Run("gluing", "cp1_size2", ("--corrupt-transition",)))
 
     reached: set = set()
@@ -289,7 +296,7 @@ def surface(probe_out):
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         import workloads
-    return probe(probe_out, workloads.CP2_CONVERGE_CFG)
+    return probe(probe_out, workloads.CP2_CONVERGE_CFG, workloads.LARGE_T_GRID)
 
 
 def test_every_public_function_is_reached_or_allowlisted(surface):
@@ -314,6 +321,8 @@ def test_probe_exit_codes(surface):
     }
     for config, codes in expected.items():
         assert [exits[Run(sub, config)] for sub in cli._COMMANDS] == codes, config
+    assert exits[Run("converge", "cp1_size2_large_t")] == 0
+    assert exits[Run("converge", "cp1_size2_paper_form")] == 0
 
 
 def test_every_verdict_is_the_rows_of_one_json(surface, probe_out):
@@ -407,7 +416,7 @@ if __name__ == "__main__":
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
-        reached, exits = probe(Path(tmp), workloads.CP2_CONVERGE_CFG)
+        reached, exits = probe(Path(tmp), workloads.CP2_CONVERGE_CFG, workloads.LARGE_T_GRID)
         if sys.argv[1:] == ["--write-manifest"]:
             manifest = {"built_with": build_info(), "sha256": artifact_hashes(Path(tmp))}
             MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
