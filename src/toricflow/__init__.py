@@ -10,10 +10,7 @@ polarizations and of normalized sections onto moment-map fibers.
 
 from .convergence import (
     BumpProfile,
-    ConcentrationStats,
     ConvergenceReport,
-    FiberMeasureModel,
-    concentration_profile,
     convergence_experiment,
 )
 from .errors import (

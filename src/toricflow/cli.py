@@ -62,24 +62,21 @@ def _cell_format(kind: type) -> str:
     return "%.17g" if number and not issubclass(kind, (bool, np.bool_)) else "%s"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write the rows with one %-format per row, built from its cells' types."""
-    formats: dict[tuple, str] = {}
-    lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = ",".join(map(_cell_format, kinds))
-        lines.append(formats[kinds] % tuple(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write a float64 table in `_write_csv`'s number format, one "%.17g"
-    row format per row instead of one call per cell."""
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header), *(row % tuple(values) for values in table.tolist())]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the rows, a list or a 2D float array, with one %-format per tuple
+    of cell types, built once per table: every row of an array shares one."""
+    if isinstance(rows, np.ndarray):
+        row_format = ",".join([_cell_format(float)] * rows.shape[1])
+        lines = [row_format % tuple(row) for row in rows.tolist()]
+    else:
+        formats: dict[tuple, str] = {}
+        lines = []
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join(map(_cell_format, kinds))
+            lines.append(formats[kinds] % tuple(row))
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -173,7 +170,7 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
         + [f"x{i+1}" for i in range(poly.dimension)]
         + ["g_t", "rho_t", "rho_t_legendre", "residual"]
     )
-    _write_table(out / "potential_flow.csv", header, table)
+    _write_csv(out / "potential_flow.csv", header, table)
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
     worst = np.max(table[:, -1].reshape(len(ts), len(pts)), axis=1)
     rows = _rows("duality", None, ts, worst, POTENTIAL_TOL)
@@ -251,7 +248,7 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     j_resid = float(np.max(np.abs(J @ J + np.eye(2 * poly.dimension))))
     table = np.column_stack([np.tile(ts, len(pts)), np.repeat(pts, len(ts), axis=0),
                              angles.T.ravel(), np.repeat(slopes, len(ts))])
-    _write_table(
+    _write_csv(
         out / "polarization.csv",
         ["t"] + [f"x{i+1}" for i in range(poly.dimension)] + ["angle", "slope_window"],
         table,

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convergence import BumpProfile, FiberMeasureModel
+from .convergence import FIBER_WEIGHTS, BumpProfile
 from .errors import ConfigError, GridSizeError
 from .flow import SymplecticPotential, fit_window
 from .polytopes import DelzantPolytope, Facet
@@ -90,7 +90,7 @@ class Experiment:
     weights: tuple[tuple[int, ...], ...]
     lam: Optional[tuple[int, ...]]
     bumps: tuple[BumpProfile, ...]
-    mode: FiberMeasureModel
+    mode: str
 
 
 @dataclass
@@ -288,10 +288,9 @@ class ExperimentConfig:
                 f"quad: the finest grid that quad.resolution and quad.max_depth "
                 f"allow, at resolution {finest}, is too large: {exc}"
             ) from exc
-        try:
-            mode = FiberMeasureModel(self._scalar("experiment.mode", "normalized"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        mode = self._scalar("experiment.mode", "normalized")
+        if mode not in FIBER_WEIGHTS:
+            raise ConfigError(f"experiment.mode must be {' or '.join(map(repr, FIBER_WEIGHTS))}")
         return Experiment(
             poly=poly, g0=SymplecticPotential(poly), phi=phi, spec=spec,
             flow_t_grid=flow_ts, section_t=section_ts, experiment_t_grid=experiment_ts,

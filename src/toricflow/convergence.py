@@ -28,10 +28,8 @@ only sets the fiber weight W recorded in the report: 1 for `normalized`, and
 for `paper-form` the total weight W = (2 pi)^n of the angular volume form on
 the fiber, the same for every interior lattice point.
 
-This module also computes concentration statistics of the normalized density
-(mean -> lam, covariance ~ (t Hess phi(lam))^{-1}), fitted log-log decay
-rates, and assembles reports with verdict rows for one (lam, phi, t-grid)
-experiment.
+This module also fits the log-log decay rates and assembles the report, with
+its verdict rows, of one (lam, phi, t-grid) experiment.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import numpy as np
 
 from .errors import Check, DimensionMismatch, FiberDegenerationError
 from .flow import FIT_DECADE, SymplecticPotential, fit_loglog_slope
-from .polytopes import DelzantPolytope
 from .potentials import ConvexPotential
 from .quadrature import QuadratureSpec
 from .sections import _laplace_moments, torus_volume
@@ -98,93 +95,11 @@ class BumpProfile:
         return out
 
 
-# -- fiber measures -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiberMeasureModel:
-    """Fiber normalization: `normalized` gives every fiber unit mass;
-    `paper-form` uses the angular volume form, whose per-fiber weight is the
-    torus volume."""
-
-    mode: str = "normalized"
-
-    def __post_init__(self):
-        if self.mode not in ("normalized", "paper-form"):
-            raise ValueError("mode must be 'normalized' or 'paper-form'")
-
-    def fiber_weight(self, poly: DelzantPolytope, lam) -> float:
-        lam = np.asarray(lam, dtype=float)
-        if not poly.is_interior(lam):
-            raise FiberDegenerationError(
-                f"fiber over {lam.tolist()} degenerates on the boundary"
-            )
-        if self.mode == "normalized":
-            return 1.0
-        return torus_volume(poly.dimension)
-
-
-# -- concentration statistics -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcentrationStats:
-    t: float
-    mean: tuple[float, ...]
-    covariance: tuple[tuple[float, ...], ...]
-    localized_mass: float       # mass within `radius` = 5/sqrt(t) of the center
-    radius: float
-
-    @property
-    def covariance_matrix(self) -> np.ndarray:
-        return np.asarray(self.covariance)
-
-
-def concentration_profile(
-    lam,
-    phi: ConvexPotential,
-    poly: DelzantPolytope,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> ConcentrationStats:
-    """Moments of the normalized density e^{-t f_lam} / |e^{-t f_lam}|_1.
-
-    All moments share one uniform grid, refined by resolution doubling until
-    the mass meets the tolerance; mean -> lam and covariance ~
-    (t Hess phi(lam))^{-1}.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if not poly.is_interior(lam):
-        raise FiberDegenerationError("concentration center must be interior")
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    n = poly.dimension
-    radius = 5.0 / np.sqrt(t) if t > 0 else float("inf")
-
-    # one shared grid: first moments, second moments about lam, tail mass
-    fs = [lambda p, i=i: p[:, i] - lam[i] for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    fs += [lambda p, i=i, j=j: (p[:, i] - lam[i]) * (p[:, j] - lam[j]) for i, j in pairs]
-    if np.isfinite(radius):
-        fs.append(lambda p: (np.linalg.norm(p - lam, axis=-1) <= radius).astype(float))
-    _, (ratios,) = _laplace_moments(poly, phi, [lam], [t], spec, fs=fs)
-    first = ratios[:n]
-    mean = lam + first
-    cov = np.zeros((n, n))
-    for (i, j), raw in zip(pairs, ratios[n : n + len(pairs)]):
-        cov[i, j] = cov[j, i] = raw - first[i] * first[j]
-    localized = ratios[-1] if np.isfinite(radius) else 1.0
-    return ConcentrationStats(
-        t=float(t),
-        mean=tuple(mean),
-        covariance=tuple(tuple(row) for row in cov),
-        localized_mass=float(localized),
-        radius=float(radius),
-    )
-
-
 # -- the full experiment --------------------------------------------------------------
 
+
+# the fiber weight W of each `experiment.mode`, by the polytope's dimension n
+FIBER_WEIGHTS = {"normalized": lambda n: 1.0, "paper-form": torus_volume}
 
 # the converge.json name of each report field that is named differently there
 _JSON_NAMES = {"lam": "lambda", "phi_descriptor": "phi", "fiber_weight": "W_lambda"}
@@ -257,7 +172,7 @@ def convergence_experiment(
     bumps: Sequence[BumpProfile],
     t_grid: Sequence[float],
     spec: QuadratureSpec = QuadratureSpec(),
-    mode: FiberMeasureModel = FiberMeasureModel(),
+    mode: str = "normalized",
 ) -> ConvergenceReport:
     """Run the weak-convergence experiment for one interior lattice weight.
 
@@ -266,7 +181,8 @@ def convergence_experiment(
     errors decreasing to below tolerance with a log-log slope of -1 (first
     Laplace correction), while bumps supported away from lam must vanish.
     Every pairing and log C_t at every t comes from one pass over the grid,
-    which evaluates phi and the bumps once per block.
+    which evaluates phi and the bumps once per block.  `mode` is a key of
+    FIBER_WEIGHTS.
     """
     poly = g0.polytope
     lam = np.asarray(lam, dtype=float)
@@ -279,9 +195,9 @@ def convergence_experiment(
         raise ValueError("t grid must be strictly increasing")
     if (ts < 0).any():
         raise ValueError("flow time must be nonnegative")
+    if mode not in FIBER_WEIGHTS:
+        raise ValueError(f"mode must be {' or '.join(map(repr, FIBER_WEIGHTS))}")
     window = (float(ts.max() / FIT_DECADE), float(ts.max()))
-
-    weight = mode.fiber_weight(poly, lam)
 
     lams = np.broadcast_to(lam, (len(ts), len(lam)))
     log_masses, pairing_matrix = _laplace_moments(poly, phi, lams, ts, spec, fs=bumps)
@@ -312,11 +228,11 @@ def convergence_experiment(
     return ConvergenceReport(
         lam=tuple(lam),
         phi_descriptor=phi.describe(),
-        mode=mode.mode,
+        mode=mode,
         t_grid=tuple(float(t) for t in ts),
         log_C_t=tuple(float(v) for v in -np.log(torus_volume(poly.dimension)) - log_masses),
         slope_window=window,
-        fiber_weight=float(weight),
+        fiber_weight=float(FIBER_WEIGHTS[mode](poly.dimension)),
         bumps=tuple(bump_reports),
     )
 

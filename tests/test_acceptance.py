@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import toricflow as tf
+from conftest import concentration_moments, fiber_weight
 from toricflow import potentials, sections
 from toricflow.cli import main as cli_main
 from toricflow.config import load_config
@@ -181,10 +182,11 @@ def test_criterion_08_concentration():
     phi = tf.QuadraticPotential([[1.0]])
     spec = tf.QuadratureSpec(resolution=256)
     lam = np.array([0.5])
-    s100 = tf.concentration_profile(lam, phi, poly, 100.0, spec)
-    mean_err = abs(s100.mean[0] - 0.5)
-    s400 = tf.concentration_profile(lam, phi, poly, 400.0, spec)
-    cov_err = abs(400.0 * s400.covariance_matrix[0, 0] - 1.0)
+    # the moments come from the Laplace kernel that `converge` calls
+    mean, _, _ = concentration_moments(lam, phi, poly, 100.0, spec)
+    mean_err = abs(mean[0] - 0.5)
+    _, cov, _ = concentration_moments(lam, phi, poly, 400.0, spec)
+    cov_err = abs(400.0 * cov[0, 0] - 1.0)
     g0 = tf.SymplecticPotential(poly)
     (log_C,) = tf.convergence_experiment(lam, phi, g0, [], [200.0], spec).log_C_t
     log_asym = -np.log(2 * np.pi) - 200.0 / 8.0 - 0.5 * np.log(2 * np.pi / 200.0)
@@ -221,10 +223,9 @@ def test_criterion_09_weak_convergence():
         for p in wpoly.lattice_points()
         if wpoly.is_interior(p)
     ]
-    paper, normalized = tf.FiberMeasureModel("paper-form"), tf.FiberMeasureModel("normalized")
     ok_weights = len(interior) == 4 and all(
-        paper.fiber_weight(wpoly, lam) == (2 * np.pi) ** wpoly.dimension
-        and normalized.fiber_weight(wpoly, lam) == 1.0
+        fiber_weight(wpoly, lam, "paper-form") == (2 * np.pi) ** wpoly.dimension
+        and fiber_weight(wpoly, lam, "normalized") == 1.0
         for wpoly, lam in interior
     )
     ok = ok_err and ok_slope and ok_control and ok_weights

@@ -68,13 +68,13 @@ def _reference_polarization(exp, seed, ts):
     return rows, slopes, positive, j_resid
 
 
-def test_write_table_matches_csv_cell_rule(tmp_path):
+def test_write_csv_array_matches_list_rows(tmp_path):
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3, 2.5e-308]
     bits = np.random.default_rng(0).integers(0, 2**64, size=4 * len(special), dtype=np.uint64)
     table = np.concatenate([special, bits.view(np.float64)]).reshape(-1, 4)
     header = ["a", "b", "c", "d"]
-    cli._write_table(tmp_path / "table.csv", header, table)
+    cli._write_csv(tmp_path / "table.csv", header, table)
     as_floats = table.tolist()
     # np.float64 cells beside float cells in every row
     mixed = [[v if j % 2 else np.float64(v) for j, v in enumerate(row)] for row in as_floats]

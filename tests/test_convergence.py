@@ -7,7 +7,7 @@ from scipy.special import erf
 from scipy.stats import norm
 
 import toricflow as tf
-from conftest import integrate
+from conftest import concentration_moments, fiber_weight, integrate
 from toricflow.config import load_config, parse_t_grid
 from toricflow.errors import FiberDegenerationError, QuadratureOverflow
 from toricflow.quadrature import integrate_many
@@ -211,14 +211,14 @@ def test_Ct_route_matches_experiment_ratio(model2, spec):
 
 def test_fiber_weight_modes_and_constancy():
     # the paper-form weight is the torus volume (2 pi)^n at every interior point
-    paper = tf.FiberMeasureModel("paper-form")
-    normalized = tf.FiberMeasureModel("normalized")
     for poly in (tf.segment(4.0), tf.standard_simplex(2, 3.0)):
         lams = [np.array(p, dtype=float) for p in poly.lattice_points() if poly.is_interior(p)]
         assert lams
         for lam in lams:
-            assert paper.fiber_weight(poly, lam) == (2 * np.pi) ** poly.dimension
-            assert normalized.fiber_weight(poly, lam) == 1.0
+            assert fiber_weight(poly, lam, "paper-form") == (2 * np.pi) ** poly.dimension
+            assert fiber_weight(poly, lam, "normalized") == 1.0
+        with pytest.raises(ValueError, match="mode must be 'normalized' or 'paper-form'"):
+            fiber_weight(poly, lams[0], "bogus")
 
 
 # -- concentration statistics -----------------------------------------------------
@@ -228,12 +228,11 @@ def test_concentration_large_time(spec):
     poly = tf.segment(1.0)
     phi = tf.QuadraticPotential([[1.0]])
     lam = np.array([0.5])
-    s100 = tf.concentration_profile(lam, phi, poly, 100.0, spec)
-    assert abs(s100.mean[0] - 0.5) < 1e-3
-    s400 = tf.concentration_profile(lam, phi, poly, 400.0, spec)
-    assert abs(400.0 * s400.covariance_matrix[0, 0] - 1.0) < 0.05
-    assert s400.localized_mass >= 0.999
-    assert s400.radius == pytest.approx(5.0 / np.sqrt(400.0))
+    mean, _, _ = concentration_moments(lam, phi, poly, 100.0, spec)
+    assert abs(mean[0] - 0.5) < 1e-3
+    _, cov, tail_mass = concentration_moments(lam, phi, poly, 400.0, spec)
+    assert abs(400.0 * cov[0, 0] - 1.0) < 0.05
+    assert tail_mass >= 0.999
 
 
 def test_concentration_past_grid_resolution_raises():
@@ -241,20 +240,14 @@ def test_concentration_past_grid_resolution_raises():
     # underflows to 0 on every cell and the mass cannot normalize anything
     phi = tf.QuadraticPotential([[1.0]])
     with pytest.raises(QuadratureOverflow, match=r"density mass 0.0 at t = 1e\+10: "):
-        tf.concentration_profile(np.array([1.0]), phi, tf.segment(2.0), 1e10)
-
-
-def test_concentration_rejects_negative_time(model2, spec):
-    poly, _, phi = model2
-    with pytest.raises(ValueError, match="flow time must be nonnegative"):
-        tf.concentration_profile(np.array([1.0]), phi, poly, -4.0, spec)
+        concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10)
 
 
 def test_concentration_uniform_at_time_zero(model2, spec):
     poly, _, phi = model2
-    stats = tf.concentration_profile(np.array([1.0]), phi, poly, 0.0, spec)
+    mean, _, _ = concentration_moments(np.array([1.0]), phi, poly, 0.0, spec)
     # the centroid of [0, 2]
-    assert stats.mean[0] == pytest.approx(1.0, abs=1e-9)
+    assert mean[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def _truncated_normal_variance(sigma2, half_width):
@@ -270,7 +263,7 @@ def test_concentration_box_matches_truncated_normal(phi_aniso):
     lam = np.array([1.0, 1.0])
     q = np.diag(phi_aniso.hess(lam))
     for t in (20.0, 40.0, 80.0):
-        cov = tf.concentration_profile(lam, phi_aniso, poly, t, spec2).covariance_matrix
+        _, cov, _ = concentration_moments(lam, phi_aniso, poly, t, spec2)
         exact = [_truncated_normal_variance(1.0 / (t * qi), 1.0) for qi in q]
         assert np.diag(cov) == pytest.approx(exact, rel=5e-6, abs=0.0)
     # C_t factors into erfs: the same times in one converge run
@@ -280,7 +273,7 @@ def test_concentration_box_matches_truncated_normal(phi_aniso):
         exact = -(2 * np.log(2 * np.pi) + t * phi_aniso.value(lam) + np.log(gauss))
         assert value == pytest.approx(exact, rel=0.0, abs=1e-10)
     # t phi(lam) = 960: the moment ratios must not overflow
-    cov = tf.concentration_profile(lam, phi_aniso, poly, 320.0, spec2).covariance_matrix
+    _, cov, _ = concentration_moments(lam, phi_aniso, poly, 320.0, spec2)
     assert np.isfinite(cov).all()
 
 
@@ -288,19 +281,18 @@ def test_concentration_2d_covariance(phi_aniso):
     poly = tf.standard_simplex(2, 2.0)
     spec2 = tf.QuadratureSpec(resolution=64, rel_tol=1e-6, max_refinements=2)
     lam = np.array([0.5, 0.5])
-    stats = tf.concentration_profile(lam, phi_aniso, poly, 400.0, spec2)
-    cov_t = 400.0 * stats.covariance_matrix
+    mean, cov, _ = concentration_moments(lam, phi_aniso, poly, 400.0, spec2)
     target = np.linalg.inv(phi_aniso.hess(lam))
-    assert np.max(np.abs(cov_t - target)) < 0.05 * np.max(np.abs(target))
-    assert np.allclose(stats.mean, lam, atol=1e-3)
+    assert np.max(np.abs(400.0 * cov - target)) < 0.05 * np.max(np.abs(target))
+    assert np.allclose(mean, lam, atol=1e-3)
 
 
 def test_concentration_3d_covariance():
     poly = tf.standard_simplex(3, 4.0)
     phi = tf.QuadraticPotential(np.diag([2.0, 3.0, 4.0]))
     spec = tf.QuadratureSpec(resolution=8, rel_tol=1e-6, max_refinements=1)
-    stats = tf.concentration_profile(np.ones(3), phi, poly, 20.0, spec)
-    cov_t = 20.0 * np.diag(stats.covariance_matrix)
+    _, cov, _ = concentration_moments(np.ones(3), phi, poly, 20.0, spec)
+    cov_t = 20.0 * np.diag(cov)
     assert np.max(np.abs(cov_t - [0.5, 1.0 / 3.0, 0.25])) < 2e-3
 
 

@@ -42,16 +42,6 @@ def sample_points(model2):
 # -- flow routes -----------------------------------------------------------------
 
 
-def test_flow_section_time_zero_identity(model2, sample_points):
-    _, g0, phi = model2
-    xs, thetas = sample_points
-    s = tf.WeightSection((1,), g0, phi)
-    flowed = tf.WeightSection(s.weight, s.g0, s.phi, s.t + 0.0)
-    assert np.allclose(
-        flowed.sigma_representative(xs, thetas), s.sigma_representative(xs, thetas)
-    )
-
-
 @pytest.mark.parametrize("weight", [(1.7,), (0.9999999,)])
 def test_weight_section_rejects_non_lattice_weight(model2, weight):
     _, g0, phi = model2
