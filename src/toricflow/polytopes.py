@@ -101,36 +101,33 @@ class Grid:
     def __len__(self) -> int:
         return self.cells
 
-    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The cells in order as (points, volumes) blocks of `rows` rows, the
-        last one possibly shorter; points are column-major (m, n).  Each
-        block is built when it is requested, so only one is held at a time."""
+    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, float]]:
+        """The cells in order as (points, volume) blocks of at most `rows`
+        rows; points are column-major (m, n).  A block never crosses a
+        simplex, so all its cells have that simplex's cell volume `volume`.
+        Each block is built when it is requested, so only one is held at a
+        time."""
         n = self.simplices.shape[2]
-        chunks = (
-            (chunk, simplex[0], np.diff(simplex, axis=0) / k, volume)
-            for simplex, k, volume in zip(self.simplices, self.ks, self.cell_volumes)
-            for chunk in _kuhn_centroid_chunks(n, k, rows)
-        )
-        chunk, used = np.empty((0, n)), 0
-        for start in range(0, self.cells, rows):
-            points = np.empty((min(rows, self.cells - start), n), order="F")
-            volumes = np.empty(len(points))
-            filled = 0
-            while filled < len(points):
-                if used == len(chunk):
-                    (chunk, origin, steps, volume), used = next(chunks), 0
-                take = min(len(points) - filled, len(chunk) - used)
-                out = points[filled : filled + take]
-                np.matmul(chunk[used : used + take], steps, out=out)
-                out += origin
-                volumes[filled : filled + take] = volume
-                filled, used = filled + take, used + take
-            yield points, volumes
+        for simplex, k, volume in zip(self.simplices, self.ks, self.cell_volumes):
+            origin, steps = simplex[0], np.diff(simplex, axis=0) / k
+            chunks, chunk, used = _kuhn_centroid_chunks(n, k, rows), np.empty((0, n)), 0
+            for start in range(0, k**n, rows):
+                points = np.empty((min(rows, k**n - start), n), order="F")
+                filled = 0
+                while filled < len(points):
+                    if used == len(chunk):
+                        chunk, used = next(chunks), 0
+                    take = min(len(points) - filled, len(chunk) - used)
+                    out = points[filled : filled + take]
+                    np.matmul(chunk[used : used + take], steps, out=out)
+                    out += origin
+                    filled, used = filled + take, used + take
+                yield points, float(volume)
 
     @property
     def points(self) -> np.ndarray:
-        """All cell centroids, (len, n) column-major: one block of the whole grid."""
-        return next(self.blocks(self.cells))[0]
+        """All cell centroids, (len, n) column-major."""
+        return np.concatenate([points for points, _ in self.blocks(self.cells)])
 
     @property
     def volumes(self) -> np.ndarray:

@@ -18,6 +18,7 @@ All evaluations are numpy-vectorized: `x` may be a single point of shape
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -78,14 +79,16 @@ class QuadraticPotential(ConvexPotential):
         quad = 0.5 * np.einsum("...i,...i->...", _matmul_columns(x, self.Q), x)
         out = quad + x @ self.b + self.c
         for a, k in self.terms:
-            out = out + a * np.exp(x @ k)
+            out += a * np.exp(x @ k)
         return out
 
     def grad(self, x):
         x = self._coerce(x)
         out = _matmul_columns(x, self.Q) + self.b
         for a, k in self.terms:
-            out = out + (a * np.exp(x @ k))[..., None] * k
+            term = a * np.exp(x @ k)
+            for j, k_j in enumerate(k):  # column by column, keeping out's layout
+                out[..., j] += term * k_j
         return out
 
     def hess(self, x):
@@ -98,14 +101,6 @@ class QuadraticPotential(ConvexPotential):
     def describe(self):
         terms = "".join(f" + {a}*exp({k.tolist()}.x)" for a, k in self.terms)
         return f"quadratic(Q={self.Q.tolist()}, b={self.b.tolist()}, c={self.c}){terms}"
-
-
-def _logsumexp(a, **kwargs):
-    """scipy's logsumexp, imported on first use so that scipy stays off the
-    package's import path."""
-    from scipy.special import logsumexp
-
-    return logsumexp(a, **kwargs)
 
 
 class LogSumExpPotential(ConvexPotential):
@@ -123,23 +118,34 @@ class LogSumExpPotential(ConvexPotential):
             raise ValueError("weights must be positive")
         self.weights = w
 
-    def _log_terms(self, x):
-        return x @ self.K.T + np.log(self.weights)
+    def _shifted_terms(self, x):
+        """The exponents e_i = k_i . x + log w_i, one array per wavevector,
+        shifted by their pointwise maximum `top`: returns top, the terms
+        exp(e_i - top) and their sum, which lies in [1, K]."""
+        exponents = [x @ k + log_w for k, log_w in zip(self.K, np.log(self.weights))]
+        top = functools.reduce(np.maximum, exponents)
+        terms = [np.exp(e - top) for e in exponents]
+        return top, terms, sum(terms)
+
+    def _probabilities(self, x):
+        _, terms, total = self._shifted_terms(x)
+        return [term / total for term in terms]
 
     def value(self, x):
-        x = self._coerce(x)
-        return _logsumexp(self._log_terms(x), axis=-1)
+        top, _, total = self._shifted_terms(self._coerce(x))
+        return top + np.log(total)
 
     def grad(self, x):
         x = self._coerce(x)
-        lt = self._log_terms(x)
-        p = np.exp(lt - _logsumexp(lt, axis=-1, keepdims=True))
-        return p @ self.K
+        out = np.empty_like(x)  # column-major for a column-major block
+        probs = self._probabilities(x)
+        for j, column in enumerate(self.K.T):
+            out[..., j] = sum(p * c for p, c in zip(probs, column))
+        return out
 
     def hess(self, x):
         x = self._coerce(x)
-        lt = self._log_terms(x)
-        p = np.exp(lt - _logsumexp(lt, axis=-1, keepdims=True))
+        p = np.stack(self._probabilities(x), axis=-1)
         mean = p @ self.K
         second = np.einsum("...k,ki,kj->...ij", p, self.K, self.K)
         return second - mean[..., :, None] * mean[..., None, :]

@@ -18,12 +18,13 @@ of two resolutions is the error estimate.
 
 The integrand is evaluated on consecutive blocks of grid points, each built
 by `Grid.blocks` when it is reached and dropped once it is summed, so no
-whole grid is ever held: 2^14 column-major points for up to 4 fields, and
-fewer, a power of two, for more, so a k-field integrand never holds more
-than 2^16 values at once.  Each block is reduced by pairwise summation and
-the block sums by the same tree; with a power-of-two block this is exactly
-one pairwise tree over the whole grid, in a fixed order, so repeated runs
-are bit-identical.
+whole grid is ever held: 2^12 column-major points, whatever the number of
+fields.  A block lies inside one simplex, so its cells share one volume and
+its sum is that volume times the column sums of its values.  Each column,
+and then each column of block sums, is reduced by numpy's pairwise sum over
+its own contiguous memory.  The block partition does not depend on the
+number of fields, so a field's integral does not depend on the fields beside
+it, and repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -62,40 +63,21 @@ class QuadratureResult(NamedTuple):
     estimate: float
 
 
-def _pairwise_sum(values: np.ndarray):
-    """Deterministic pairwise tree summation along axis 0: a scalar for a
-    vector, one sum per column for an (m, k) array."""
-    v = np.asarray(values, dtype=float)
-    if len(v) == 0:
-        return np.zeros(v.shape[1:])
-    while len(v) > 1:
-        half = len(v) // 2
-        head = v[: 2 * half : 2] + v[1 : 2 * half : 2]
-        v = np.concatenate([head, v[2 * half :]]) if len(v) % 2 else head
-    return v[0]
-
-
-# Most points, and most values, per integrand call.  Blocks are powers of
-# two, so the per-block trees and the tree over the block sums make up
-# exactly one _pairwise_sum over the column.
-_BLOCK = 2**14
-_BLOCK_VALUES = 2**16
+# Points per integrand call, whatever the number of fields.
+_BLOCK = 2**12
 
 
 def _weighted_sums(matrix_f, k: int, grid: Grid) -> np.ndarray:
     """Column sums of f(points) * volumes over the grid, evaluating f on each
-    block of at most _BLOCK points and _BLOCK_VALUES values as soon as it is
-    built, so neither the grid nor the (m, k) value matrix is held whole."""
-    block = _BLOCK
-    while block > 1 and block * k > _BLOCK_VALUES:
-        block //= 2
+    block of at most _BLOCK points as soon as it is built, so neither the grid
+    nor the (m, k) value matrix is held whole."""
     block_sums = []
-    for pts, vol in grid.blocks(block):
-        vals = np.asarray(matrix_f(pts), dtype=float)
+    for pts, volume in grid.blocks(_BLOCK):
+        vals = np.asfortranarray(matrix_f(pts), dtype=float)
         if vals.shape != (len(pts), k):
             raise ValueError(f"integrand must map (m, n) points to (m, {k}) values")
-        block_sums.append(_pairwise_sum(vals * vol[:, None]))
-    return _pairwise_sum(np.array(block_sums))
+        block_sums.append(np.add.reduce(vals, axis=0) * volume)
+    return np.add.reduce(np.asfortranarray(block_sums), axis=0)
 
 
 def integrate_many(
@@ -108,13 +90,12 @@ def integrate_many(
     """Integrate k scalar fields sharing one evaluation grid.
 
     `matrix_f` maps (m, n) points to (m, k) values; it is called on blocks of
-    at most _BLOCK points and _BLOCK_VALUES values.  Every field gets its own
-    Richardson value and estimate.  The fields come in consecutive groups of
-    `group` (default k, one group), and the first field of each group is its
-    reference (e.g. a density the others are moments of): a group is frozen
-    at the first level where its reference meets the tolerance, only groups
-    still refining are checked for finiteness, and stagnation is judged on
-    the references.  The results are those of k / group separate calls, one
+    at most _BLOCK points.  Every field gets its own Richardson value and
+    estimate.  The fields come in consecutive groups of `group` (default k,
+    one group), and the first field of each group is its reference (e.g. a
+    density the others are moments of): a group is frozen at the first level
+    where its reference meets the tolerance, only groups still refining are
+    checked for finiteness, and stagnation is judged on the references.  The results are those of k / group separate calls, one
     per group; `group=1` judges every field on its own.
     """
     group = k if group is None else group

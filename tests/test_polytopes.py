@@ -426,18 +426,25 @@ def test_column_major_grid_is_bit_equal_to_row_major_build(name, resolution):
 @pytest.mark.parametrize("resolution", [3, 8])
 @pytest.mark.parametrize("name", LAYOUT_POLYTOPES)
 def test_grid_blocks_are_bit_equal_to_row_major_build(name, resolution, rows):
-    # the boxes and F1 triangulate into several simplices, so blocks cross
-    # simplex boundaries; rows=None asks for more rows than the grid has
+    # the boxes and F1 triangulate into several simplices, and a block stops
+    # at each simplex's last cell; rows=None asks for more rows than the grid has
     poly = LAYOUT_POLYTOPES[name]()
     grid = poly.grid_cells(resolution)
     rows = rows or len(grid) + 5
     points, volumes = _row_major_cells_reference(poly, resolution)
     blocks = list(grid.blocks(rows))
-    assert all(len(p) == len(v) == rows for p, v in blocks[:-1])
-    assert 1 <= len(blocks[-1][0]) == len(blocks[-1][1]) <= rows
+    assert all(1 <= len(p) <= rows and isinstance(v, float) for p, v in blocks)
     assert all(p.flags.f_contiguous and p.shape[1] == poly.dimension for p, _ in blocks)
     assert np.concatenate([p for p, _ in blocks]).tobytes() == points.tobytes()
-    assert np.concatenate([v for _, v in blocks]).tobytes() == volumes.tobytes()
+    repeated = np.concatenate([np.full(len(p), v) for p, v in blocks])
+    assert repeated.tobytes() == volumes.tobytes()
+    # block ends include every simplex end, and a block is short only there
+    ends = np.cumsum([len(p) for p, _ in blocks])
+    simplex_ends = np.cumsum(np.array(grid.ks) ** poly.dimension)
+    assert np.isin(simplex_ends, ends).all()
+    assert all(len(p) == rows or end in simplex_ends for (p, _), end in zip(blocks, ends))
+    if name in ("box2d", "box3d", "hirzebruch-f1"):
+        assert len(simplex_ends) > 1
 
 
 @pytest.mark.parametrize("name", ["simplex2d-size3", "box3d", "hirzebruch-f1"])

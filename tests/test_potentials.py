@@ -79,6 +79,51 @@ def test_quadratic_value_matches_three_operand_form(rng):
     np.testing.assert_allclose(phi.value(x), _three_operand_value(phi, x), rtol=1e-15, atol=0)
 
 
+def _size3_block():
+    # a column-major 4,096-row block of the size-3 triangle's grid
+    block, _ = next(tf.standard_simplex(2, 3.0).grid_cells(64).blocks(4096))
+    assert block.flags.f_contiguous and len(block) == 4096
+    return block
+
+
+def test_quadratic_terms_added_column_by_column_are_bit_equal():
+    terms = [(0.05, (1.0, -0.5)), (0.2, (-0.3, 0.7))]
+    phi = tf.QuadraticPotential([[1.0, 0.5], [0.5, 3.0]], b=[0.1, -0.2], c=0.3, terms=terms)
+    base = tf.QuadraticPotential(phi.Q, b=phi.b, c=phi.c)
+    block = _size3_block()
+    for x in (block, block[17]):
+        # the row-major broadcast of each term, frozen
+        value, grad = base.value(x), base.grad(x)
+        for a, k in phi.terms:
+            value = value + a * np.exp(x @ k)
+            grad = grad + (a * np.exp(x @ k))[..., None] * k
+        assert np.array_equal(phi.value(x), value)
+        assert np.array_equal(phi.grad(x), grad)
+    assert phi.grad(block).flags.f_contiguous
+
+
+@pytest.mark.parametrize("weights", [None, (0.5, 2.0, 1.0)])
+def test_log_sum_exp_matches_scipy(weights):
+    # scipy is the oracle only; a gradient component can be near zero, so its
+    # error is measured against the largest component
+    from scipy.special import logsumexp
+
+    phi = tf.LogSumExpPotential([(1, 0), (0, 1), (-1, -1)], weights)
+    block = _size3_block()
+    for x in (block, np.ascontiguousarray(block), block[17]):
+        exponents = x @ phi.K.T + np.log(phi.weights)
+        p = np.exp(exponents - logsumexp(exponents, axis=-1, keepdims=True))
+        np.testing.assert_allclose(
+            phi.value(x), logsumexp(exponents, axis=-1), rtol=1e-15, atol=0
+        )
+        grad = p @ phi.K
+        assert np.abs(phi.grad(x) - grad).max() <= 1e-15 * np.abs(grad).max()
+        mean = grad[..., :, None] * grad[..., None, :]
+        hess = np.einsum("...k,ki,kj->...ij", p, phi.K, phi.K) - mean
+        assert np.abs(phi.hess(x) - hess).max() <= 1e-15 * np.abs(hess).max()
+    assert phi.grad(block).flags.f_contiguous
+
+
 def test_batched_evaluation_matches_pointwise(phi_aniso, rng):
     xs = rng.uniform(-1, 1, size=(7, 2))
     vals = phi_aniso.value(xs)

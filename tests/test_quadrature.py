@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,9 +8,7 @@ from scipy.special import erf
 import toricflow as tf
 from conftest import integrate
 from toricflow.errors import QuadratureOverflow, QuadratureStagnation
-from toricflow.quadrature import (
-    _BLOCK, _BLOCK_VALUES, _pairwise_sum, _weighted_sums, integrate_many,
-)
+from toricflow.quadrature import _BLOCK, _weighted_sums, integrate_many
 
 
 def test_constant_exact(cp1_unit):
@@ -133,35 +133,51 @@ def test_2d_quadratic_extrapolates_exactly(cp2_size2):
 
 
 class _ArrayGrid:
-    """Cells given as whole arrays, served in blocks like `Grid.blocks`."""
+    """Cells of one volume given as a whole array, served in blocks like
+    `Grid.blocks`."""
 
-    def __init__(self, points, volumes):
-        self.points, self.volumes = points, volumes
+    def __init__(self, points, volume):
+        self.points, self.volume = points, volume
 
     def blocks(self, rows):
-        for start in range(0, len(self.volumes), rows):
-            yield self.points[start : start + rows], self.volumes[start : start + rows]
+        for start in range(0, len(self.points), rows):
+            yield self.points[start : start + rows], self.volume
 
 
-@pytest.mark.parametrize("m", [1, 2**14 - 1, 2**14, 3 * 2**14 + 5])
-def test_block_sums_are_one_pairwise_tree(m):
-    # a power-of-two block keeps the summation tree of the whole column; a
-    # wide matrix gets fewer points per block, never more than _BLOCK_VALUES
-    rng = np.random.default_rng(m)
-    volumes = rng.random(m)
-    points = np.arange(m, dtype=float)[:, None]
-    for k, block in ((2, 2**14), (12, 2**12)):
-        vals = rng.standard_normal((m, k)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
-        sizes = []
+SUM_SIZES = [1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 5]
 
-        def f(p):
-            sizes.append(len(p))
-            return vals[p[:, 0].astype(int)]
 
-        sums = _weighted_sums(f, k, _ArrayGrid(points, volumes))
-        assert max(sizes) == min(m, block) and block * k <= _BLOCK_VALUES
+def _signed_values(m, k, seed):
+    # rows scaled over 17 decades, so a sum in another order reads differently
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, k)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
+
+
+def _block_sums(vals, volume=0.37):
+    def f(p):
+        return vals[p[:, 0].astype(int)]
+
+    points = np.arange(len(vals), dtype=float)[:, None]
+    return _weighted_sums(f, vals.shape[1], _ArrayGrid(points, volume))
+
+
+@pytest.mark.parametrize("m", SUM_SIZES)
+def test_column_sum_does_not_depend_on_other_columns(m):
+    for k in (1, 2, 12, 40):
+        vals = _signed_values(m, k, m + k)
+        sums = _block_sums(vals)
         for j in range(k):
-            assert sums[j] == _pairwise_sum(vals[:, j] * volumes)
+            assert sums[j] == _block_sums(vals[:, j : j + 1].copy())[0]
+
+
+@pytest.mark.parametrize("m", SUM_SIZES)
+def test_column_sums_match_exact_sum(m):
+    # signed values cancel, so the error is measured against the sum of |v|
+    vals = _signed_values(m, 12, m)
+    sums = _block_sums(vals)
+    for j in range(12):
+        exact = math.fsum(vals[:, j] * 0.37)
+        assert abs(sums[j] - exact) <= 1e-13 * math.fsum(np.abs(vals[:, j]) * 0.37)
 
 
 def test_integrand_blocks_bounded():
@@ -176,7 +192,7 @@ def test_integrand_blocks_bounded():
     spec = tf.QuadratureSpec(resolution=16, max_refinements=0)
     (value, _), = integrate_many(ones, 1, poly, spec)
     assert sum(sizes) == 110_592 + 884_736
-    assert max(sizes) == _BLOCK == 2**14
+    assert max(sizes) == _BLOCK == 2**12
     assert value == pytest.approx(4.5, rel=1e-12)
 
 

@@ -7,9 +7,10 @@ subcommand on each shipped config, on the benchmark's converge config, on
 two generated configs (a log-sum-exp phi, and cp2_size2 without its
 `section.lambda` lines), runs `converge` on two cp1_size2 variants (the
 benchmark's large-t grid, and `experiment.mode = paper-form`) and the
-`--corrupt-transition` control, and records the code objects that ran.  A function is reached when its own
-`__code__` ran: a comprehension or a nested function is a code object of its
-own, so it never counts for the function around it.
+`--corrupt-transition` control, repeats the benchmark's runs among these at
+its seed 1, and records the code objects that ran.  A function is reached
+when its own `__code__` ran: a comprehension or a nested function is a code
+object of its own, so it never counts for the function around it.
 
 `python tests/test_surface.py` prints every unreached function with its line
 count and allowlist reason, and exits 1 on any audit problem or when the
@@ -87,8 +88,9 @@ class Run(NamedTuple):
 
 def probe(out: Path, converge_cfg: str, large_t_grid: str) -> tuple[set, dict[Run, int]]:
     """Run every subcommand, `report` last, on every probe config, `converge`
-    on the two converge variants, and the `--corrupt-transition` control;
-    return the code objects that ran and the exit code of each run."""
+    on the two converge variants, and the `--corrupt-transition` control,
+    then the benchmark's runs among these again with `--seed 1`; return the
+    code objects that ran and the exit code of each run."""
     shipped = {p.stem: p.read_text(encoding="utf-8") for p in sorted((ROOT / "configs").glob("*.cfg"))}
     configs = {
         **shipped,
@@ -108,6 +110,12 @@ def probe(out: Path, converge_cfg: str, large_t_grid: str) -> tuple[set, dict[Ru
         (out / f"{name}.cfg").write_text(text, encoding="utf-8")
         runs += [Run(sub, name) for sub in (cli._COMMANDS if name in configs else ["converge"])]
     runs.append(Run("gluing", "cp1_size2", ("--corrupt-transition",)))
+    # the benchmark's runs again at its seed, 1: the shipped configs, the two
+    # converge configs and the control
+    benchmark_converge = ("cp2_size3_converge", "cp1_size2_large_t")
+    seeded = [run for run in runs if run.config in shipped
+              or (run.config in benchmark_converge and run.subcommand == "converge")]
+    runs += [run._replace(flags=(*run.flags, "--seed", "1")) for run in seeded]
 
     reached: set = set()
 
@@ -320,6 +328,10 @@ def test_probe_exit_codes(surface):
         assert [exits[Run(sub, config)] for sub in cli._COMMANDS] == codes, config
     assert exits[Run("converge", "cp1_size2_large_t")] == 0
     assert exits[Run("converge", "cp1_size2_paper_form")] == 0
+    seeded = {run: code for run, code in exits.items() if run.flags[-2:] == ("--seed", "1")}
+    assert len(seeded) == 3 * len(cli._COMMANDS) + 3
+    for run, code in seeded.items():
+        assert code == exits[run._replace(flags=run.flags[:-2])], run
 
 
 def test_every_verdict_is_the_rows_of_one_json(surface, probe_out):
