@@ -21,8 +21,6 @@ def main():
     phi = tf.QuadraticPotential([[1.0]])
     rng = np.random.default_rng(5)
     xs = tf.sample_interior(poly, 25, rng, margin=0.1)
-    thetas = rng.random((25, 1)) * 2 * np.pi
-    zetas = np.exp(1j * rng.random(25) * 2 * np.pi)
 
     print(f"{'lam':>4} {'t':>5} {'route resid':>12} {'gluing resid':>13} {'lift resid':>12}")
     for lam in [(0,), (1,), (2,)]:
@@ -30,7 +28,7 @@ def main():
         ts = (0.5, 2.0)
         route = tf.route_equality_residual(s0, ts, xs)
         glue = tf.gluing_check_cp1(s0, ts)
-        lift = tf.lift_section_consistency(s0, ts, xs, thetas, zetas)
+        lift = tf.lift_section_consistency(s0, ts, xs)
         for row in zip(ts, route, glue, lift):
             print(f"{lam[0]:>4} {row[0]:5.1f} {row[1]:12.2e} {row[2]:13.2e} {row[3]:12.2e}")
 

@@ -58,7 +58,6 @@ from .sections import (
     WeightSection,
     frame_holomorphicity_residual,
     gluing_check_cp1,
-    lift_scale,
     lift_section_consistency,
     pullback_amplitude_log,
     route_equality_residual,

@@ -23,10 +23,8 @@ from . import convergence as conv
 from .config import Experiment, load_config
 from .errors import Check, ConfigError, FiberDegenerationError, ToricFlowError
 from .flow import (
-    FIT_DECADE,
     complex_structure_of,
     fit_loglog_slope,
-    fit_window,
     flowed_potentials,
     limit_angle,
     metric_hessians,
@@ -54,6 +52,11 @@ POTENTIAL_TOL = 1e-10
 FRAME_TOL = 1e-8
 J_SQUARED_TOL = 1e-12
 SLOPE_BAND = (-1.1, -0.9)
+
+# the times of section-flow, gluing and lift when `section.t` is unset
+SECTION_T = (0.5, 2.0, 10.0)
+# the times polarization fits its principal-angle decay over: a late decade
+POLARIZATION_T = tuple(float(t) for t in np.geomspace(10, 1000, 11))
 
 
 def _cell_format(kind: type) -> str:
@@ -180,7 +183,7 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
 
 def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     poly, g0, phi = exp.poly, exp.g0, exp.phi
-    ts = exp.section_t or [0.5, 2.0, 10.0]
+    ts = exp.section_t or SECTION_T
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 40, rng, margin=_sample_margin(poly))
     # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so the
@@ -220,18 +223,7 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
 
 def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
-    default_grid = [float(t) for t in np.geomspace(10, 1000, 11)]
-    ts = [t for t in exp.flow_t_grid or default_grid if t > 0]
-    # the log-log fit needs a late-time decade; fall back when the flow grid
-    # is a short potential-identity grid or leaves the fit window too few times
-    grid_source = "flow.t_grid" if exp.flow_t_grid else "default 10..1000 (no flow.t_grid)"
-    try:
-        if len(ts) < 4 or max(ts) < 100 or max(ts) / min(ts) < FIT_DECADE:
-            raise ValueError("short grid")
-        fit_window(ts)
-    except ValueError:
-        ts = default_grid
-        grid_source = "default 10..1000 (flow.t_grid unsuitable for a decay fit)"
+    ts = POLARIZATION_T
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
 
@@ -259,14 +251,14 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
         Check("metric-positive", None, None, -eigs.min(), 0.0),
     ]
     return _finish("polarization", out, rows, slope_band=list(SLOPE_BAND), t_grid=list(ts),
-                   t_grid_source=grid_source, seed=args.seed)
+                   seed=args.seed)
 
 
 def cmd_gluing(exp: Experiment, out: Path, args) -> int:
     if exp.poly.dimension != 1:
         print("gluing: the two-chart model needs a one-dimensional polytope")
         return EXIT_CONFIG
-    ts = exp.section_t or [1.0, 3.0]
+    ts = exp.section_t or SECTION_T
     _require_kahler(exp, ts, gluing_points(exp.poly))
     rows = []
     for lam in _weights(exp):
@@ -276,16 +268,14 @@ def cmd_gluing(exp: Experiment, out: Path, args) -> int:
 
 def cmd_lift(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
-    ts = exp.section_t or [0.5, 2.0]
+    ts = exp.section_t or SECTION_T
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 20, rng, margin=_sample_margin(poly))
-    thetas = rng.random((20, poly.dimension)) * 2.0 * np.pi
-    zetas = np.exp(1j * rng.random(20) * 2.0 * np.pi)
     _require_kahler(exp, ts, pts)
     rows = []
     for lam in _weights(exp):
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
-        rows += _rows("lift", lam, ts, lift_section_consistency(s0, ts, pts, thetas, zetas), LIFT_TOL)
+        rows += _rows("lift", lam, ts, lift_section_consistency(s0, ts, pts), LIFT_TOL)
     return _finish("lift", out, rows, seed=args.seed)
 
 

@@ -167,12 +167,10 @@ def test_criterion_07_bundle_lift():
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential([[1.0]])
     xs = tf.sample_interior(poly, 20, rng, margin=0.05)
-    thetas = rng.random((20, 1)) * 2 * np.pi
-    zetas = np.exp(1j * rng.random(20) * 2 * np.pi)
     worst = 0.0
     for lam in ((0,), (1,), (2,)):
         s0 = tf.WeightSection(lam, g0, phi)
-        worst = max(worst, *tf.lift_section_consistency(s0, (0.5, 2.0), xs, thetas, zetas))
+        worst = max(worst, *tf.lift_section_consistency(s0, (0.5, 2.0), xs))
     _report(7, "bundle-lift consistency < 1e-10 at 20 random points",
             worst < 1e-10, f"max residual {worst:.2e}")
 

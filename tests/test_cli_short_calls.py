@@ -157,13 +157,14 @@ def hess_calls(monkeypatch):
 
 @pytest.mark.parametrize("grid", ["0,0.5,1,5,20", "1:3000:1.5", "2,20,200,2000"])
 def test_polarization_evaluates_each_hessian_once(tmp_path, hess_calls, grid):
-    # the shipped grid falls back on the 11-time default; the others are fitted
+    # whatever flow.t_grid holds, the fit runs on polarization's 11 fixed times
     cfg = tmp_path / "cp2.cfg"
     cfg.write_text(CP2_CFG.read_text().replace("flow.t_grid = 0,0.5,1,5,20", f"flow.t_grid = {grid}"))
     exp = load_config(cfg).validate()
     hess_calls.update(g0=0, phi=0)
     assert cli.cmd_polarization(exp, tmp_path, _args("polarization", cfg, tmp_path)) == 0
-    assert len(json.loads((tmp_path / "polarization.json").read_text())["t_grid"]) >= 4
+    verdict = json.loads((tmp_path / "polarization.json").read_text())
+    assert verdict["t_grid"] == list(cli.POLARIZATION_T)
     assert hess_calls == {"g0": 1, "phi": 1}
 
 

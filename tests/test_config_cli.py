@@ -18,6 +18,7 @@ from test_surface import LSE_CFG
 
 REPO = Path(__file__).resolve().parent.parent
 CP1_CFG = REPO / "configs" / "cp1_size2.cfg"
+CP1_UNIT_CFG = REPO / "configs" / "cp1_unit.cfg"
 CP2_CFG = REPO / "configs" / "cp2_size2.cfg"
 
 
@@ -177,6 +178,27 @@ def test_cli_route_equality_passes_at_large_t(tmp_path):
     assert max(row["residual"] for row in rows if row["t"] == 1000) > 1e-12
 
 
+@pytest.mark.parametrize("base", [CP1_CFG, CP1_UNIT_CFG], ids=lambda p: p.stem)
+def test_cli_section_checks_pass_at_large_t(tmp_path, base):
+    # e^{-A_{lam,t}} overflows at t = 400 on these segments: gluing and lift
+    # compare log amplitudes, so a correct program passes up to t = 1e4
+    cfg = tmp_path / "large_t.cfg"
+    cfg.write_text(_with_values(base, "section.t = 0.5,2,10,400,1000,10000"))
+    for sub, checks in (("section-flow", ("route-equality", "gluing")), ("gluing", ("gluing",)),
+                        ("lift", ("lift",))):
+        out = tmp_path / sub
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0, sub
+        stem = sub.replace("-", "_")
+        for check in checks:
+            rows = _rows(out, stem, check)
+            assert {row["t"] for row in rows} == {0.5, 2.0, 10.0, 400.0, 1000.0, 10000.0}
+            residuals = [row["residual"] for row in rows]
+            assert np.isfinite(residuals).all(), (sub, check)
+            assert all(row["residual"] < row["tolerance"] for row in rows), (sub, check)
+    control = tmp_path / "control"
+    assert main(["gluing", "--config", str(cfg), "--out", str(control), "--corrupt-transition"]) == 2
+
+
 def test_cli_route_equality_fails_a_scaled_phi_term(tmp_path, monkeypatch):
     # the concentration rate with its phi term x 0.9, (x - lam) . grad phi - 0.9 phi,
     # in potentials and in the t-grid route of sections, which calls it directly
@@ -213,26 +235,13 @@ def test_cli_polarization(tmp_path):
     assert not all(row["pass"] for row in _rows(tmp_path / "flat", "polarization", "slope"))
 
 
-def test_cli_polarization_falls_back_when_fit_window_is_short(tmp_path):
-    # the grid passes the short-grid test but leaves one time in the fit's
-    # trailing decade, so the run must use the default grid, not crash
-    cfg = tmp_path / "sparse.cfg"
-    cfg.write_text(_with_values(CP1_CFG, "flow.t_grid = 1,10,100,1e308"))
+def test_cli_polarization_fits_on_its_own_grid(tmp_path):
+    # a flow.t_grid that would suit a decay fit still leaves the fit on the
+    # 11 fixed times: flow.t_grid is potential-flow's grid only
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "flow.t_grid = 1:3000:1.5"))
     assert main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     verdict = json.loads((tmp_path / "polarization.json").read_text())
-    assert verdict["t_grid_source"].startswith("default")
-    assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
-
-
-def test_cli_polarization_without_flow_grid_labels_the_default(tmp_path):
-    cfg = tmp_path / "nogrid.cfg"
-    cfg.write_text("".join(
-        line for line in CP1_CFG.read_text().splitlines(keepends=True)
-        if not line.startswith("flow.t_grid")
-    ))
-    assert main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    verdict = json.loads((tmp_path / "polarization.json").read_text())
-    assert verdict["t_grid_source"] == "default 10..1000 (no flow.t_grid)"
     assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
 
 

@@ -34,9 +34,7 @@ def model2():
 def sample_points(model2):
     poly, _, _ = model2
     rng = np.random.default_rng(11)
-    xs = tf.sample_interior(poly, 20, rng, margin=0.1)
-    thetas = rng.random((20, 1)) * 2 * np.pi
-    return xs, thetas
+    return tf.sample_interior(poly, 20, rng, margin=0.1)
 
 
 # -- flow routes -----------------------------------------------------------------
@@ -53,15 +51,14 @@ def test_flow_section_multiplier(model2):
     _, g0, phi = model2
     s0 = tf.WeightSection((0,), g0, phi)
     x = np.array([0.5])
-    th = np.array([0.9])
     flowed = tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + 1.0)
-    ratio = flowed.sigma_representative(x, th) / s0.sigma_representative(x, th)
+    ratio = np.exp(s0.amplitude_log(x) - flowed.amplitude_log(x))
     assert ratio == pytest.approx(np.exp(-0.125))
 
 
 def test_pullback_route_weight_zero_trivial(model2, sample_points):
     _, g0, phi = model2
-    xs, _ = sample_points
+    xs = sample_points
     s0 = tf.WeightSection((0,), g0, phi)
     assert tf.route_equality_residual(s0, [2.0], xs)[0] < 1e-12
 
@@ -95,23 +92,11 @@ def test_route_equality_random_simplex(cp2_size2, phi_aniso, rng):
         assert tf.route_equality_residual(s0, (0.5, 2.0, 10.0), xs).max() < 1e-12
 
 
-def test_weight_preserved_by_flow(model2):
-    _, g0, phi = model2
-    # the multiplier is real and positive: the flowed section keeps the phase
-    # e^{i lam . theta} of its weight at every angle
-    s = tf.WeightSection((1,), g0, phi)
-    flowed = tf.WeightSection(s.weight, s.g0, s.phi, s.t + 3.0)
-    x, theta = np.full((8, 1), 0.7), np.linspace(0.0, 2 * np.pi, 8)[:, None]
-    ratio = flowed.sigma_representative(x, theta) / s.sigma_representative(x, theta)
-    assert flowed.weight == s.weight
-    assert np.allclose(ratio.imag, 0.0, atol=1e-15) and (ratio.real > 0).all()
-
-
 def test_pullback_route_semigroup(model2, sample_points):
     # advancing the pullback amplitude by the multiplier matches the pullback
     # at the summed time
     _, g0, phi = model2
-    xs, _ = sample_points
+    xs = sample_points
     s = tf.WeightSection((1,), g0, phi)
     direct = tf.pullback_amplitude_log(s, 2.3, xs)
     staged = tf.pullback_amplitude_log(s, 0.7, xs) + 1.6 * tf.concentration_rate(
@@ -502,7 +487,7 @@ def test_checks_with_extra_potential(sample_points, lam):
     # cancels, so the off-centre weights are the ones that can fail.
     g0 = tf.SymplecticPotential(tf.segment(2.0), extra=tf.QuadraticPotential([[0.3]], b=[0.1]))
     phi = tf.QuadraticPotential([[1.0]])
-    xs, _ = sample_points
+    xs = sample_points
     s0 = tf.WeightSection(lam, g0, phi)
     ts = (0.0, 1.0, 3.0)
     assert tf.route_equality_residual(s0, ts, xs).max() < 1e-12
@@ -515,22 +500,12 @@ def test_checks_with_extra_potential(sample_points, lam):
 # -- bundle lift ---------------------------------------------------------------------
 
 
-def test_lift_scale_values(model2):
-    _, _, phi = model2
-    assert tf.lift_scale(phi, np.array([0.5]), 0.0) == pytest.approx(1.0)
-    assert tf.lift_scale(phi, np.array([0.5]), 1.0) == pytest.approx(np.exp(-0.125))
-    a = tf.lift_scale(phi, np.array([0.7]), 0.9)
-    b = tf.lift_scale(phi, np.array([0.7]), 1.4)
-    assert a * b == pytest.approx(tf.lift_scale(phi, np.array([0.7]), 2.3))
-
-
-def test_lift_consistency(model2, sample_points, rng):
+def test_lift_consistency(model2, sample_points):
     _, g0, phi = model2
-    xs, thetas = sample_points
-    zetas = np.exp(1j * rng.random(len(xs)) * 2 * np.pi)
+    xs = sample_points
     for lam in [(0,), (1,)]:
         s0 = tf.WeightSection(lam, g0, phi)
-        resids = tf.lift_section_consistency(s0, (0.0, 0.5, 2.0), xs, thetas, zetas)
+        resids = tf.lift_section_consistency(s0, (0.0, 0.5, 2.0), xs)
         assert resids[0] < 1e-14 and resids.max() < 1e-10
 
 
@@ -545,7 +520,7 @@ def _route_reference(s0, t, xs):
 
 
 def _gluing_reference(s, t, corrupt):
-    """The gluing residual at one time, from the two charts' sigma_representative."""
+    """The gluing residual at one time, from the two charts' log amplitudes."""
     a = int(round(s.polytope.vertices()[-1, 0]))
     x = gluing_points(s.polytope)[..., None]
     theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
@@ -553,19 +528,20 @@ def _gluing_reference(s, t, corrupt):
     extra_v = None if s.g0.extra is None else tf.ReflectedPotential(s.g0.extra, center)
     s_v = tf.WeightSection((a - s.weight[0],), tf.SymplecticPotential(s.polytope, extra_v),
                            tf.ReflectedPotential(s.phi, center), t)
-    u_chart = tf.WeightSection(s.weight, s.g0, s.phi, s.t + t).sigma_representative(x, theta)
-    v_chart = s_v.sigma_representative(a - x, -theta)
-    transition = np.exp((-1.0 if corrupt else 1.0) * 1j * a * theta[..., 0])
-    return float(np.max(np.abs(u_chart - transition * v_chart) / np.abs(u_chart)))
+    s_u = tf.WeightSection(s.weight, s.g0, s.phi, s.t + t)
+    u_chart = -s_u.amplitude_log(x) + 1j * (theta @ s_u.lam)
+    v_chart = -s_v.amplitude_log(a - x) + 1j * (-theta @ s_v.lam)
+    transition = (-1.0 if corrupt else 1.0) * 1j * a * theta[..., 0]
+    return float(np.max(np.abs(np.expm1(v_chart + transition - u_chart))))
 
 
-def _lift_reference(s0, t, xs, thetas, zetas):
-    """The lift residual at one time: the per-t formula with `lift_scale`."""
+def _lift_reference(s0, t, xs):
+    """The lift residual at one time, from the two sides' logs."""
     lam, g0, phi = s0.lam, s0.g0, s0.phi
-    phase = np.exp(1j * (thetas @ lam))
-    lhs = np.exp((g0.grad(xs) + t * phi.grad(xs)) @ lam) * phase * tf.lift_scale(phi, xs, t) * zetas
-    rhs = np.exp(g0.grad(xs) @ lam - t * tf.concentration_rate(phi, lam, xs)) * phase * zetas
-    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+    fiber_scale_log = -t * tf.concentration_rate(phi, np.zeros(len(lam)), xs)
+    lhs = (g0.grad(xs) + t * phi.grad(xs)) @ lam + fiber_scale_log
+    rhs = g0.grad(xs) @ lam - t * tf.concentration_rate(phi, lam, xs)
+    return float(np.max(np.abs(np.expm1(lhs - rhs))))
 
 
 T_GRID = (0.0, 0.5, 2.0, 10.0, 20.0)
@@ -577,10 +553,7 @@ CHECK_CONFIGS = {name: Path(__file__).resolve().parent.parent / "configs" / f"{n
 def check_model(request):
     exp = load_config(CHECK_CONFIGS[request.param]).validate()
     rng = np.random.default_rng(3)
-    xs = tf.sample_interior(exp.poly, 20, rng, margin=0.1)
-    thetas = rng.random((20, exp.poly.dimension)) * 2 * np.pi
-    zetas = np.exp(1j * rng.random(20) * 2 * np.pi)
-    return exp, xs, thetas, zetas
+    return exp, tf.sample_interior(exp.poly, 20, rng, margin=0.1)
 
 
 def _bits(values):
@@ -588,7 +561,7 @@ def _bits(values):
 
 
 def test_route_equality_grid_is_bit_equal_to_per_t(check_model):
-    exp, xs, _, _ = check_model
+    exp, xs = check_model
     for lam in exp.poly.lattice_points():
         s0 = tf.WeightSection(lam, exp.g0, exp.phi)
         expected = [_route_reference(s0, t, xs) for t in T_GRID]
@@ -596,11 +569,11 @@ def test_route_equality_grid_is_bit_equal_to_per_t(check_model):
 
 
 def test_lift_grid_is_bit_equal_to_per_t(check_model):
-    exp, xs, thetas, zetas = check_model
+    exp, xs = check_model
     for lam in exp.poly.lattice_points():
         s0 = tf.WeightSection(lam, exp.g0, exp.phi)
-        expected = [_lift_reference(s0, t, xs, thetas, zetas) for t in T_GRID]
-        assert _bits(tf.lift_section_consistency(s0, T_GRID, xs, thetas, zetas)) == _bits(expected)
+        expected = [_lift_reference(s0, t, xs) for t in T_GRID]
+        assert _bits(tf.lift_section_consistency(s0, T_GRID, xs)) == _bits(expected)
 
 
 @pytest.mark.parametrize("extra", [None, tf.QuadraticPotential([[0.3]], b=[0.1])])
@@ -615,9 +588,9 @@ def test_gluing_grid_is_bit_equal_to_per_t(extra, corrupt):
 
 
 def test_t_grid_checks_refuse_a_negative_time(check_model):
-    exp, xs, thetas, zetas = check_model
+    exp, xs = check_model
     checks = [lambda s, ts: tf.route_equality_residual(s, ts, xs),
-              lambda s, ts: tf.lift_section_consistency(s, ts, xs, thetas, zetas)]
+              lambda s, ts: tf.lift_section_consistency(s, ts, xs)]
     if exp.poly.dimension == 1:
         checks.append(tf.gluing_check_cp1)
     s0 = tf.WeightSection(exp.poly.lattice_points()[0], exp.g0, exp.phi)
