@@ -245,6 +245,29 @@ def test_cli_polarization_fits_on_its_own_grid(tmp_path):
     assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
 
 
+def test_cli_polarization_falls_back_when_fit_window_is_short(tmp_path):
+    # a grid that leaves one time in the fit's trailing decade does not reach
+    # the fit at all: the run uses the fixed times, not crash
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "flow.t_grid = 1,10,100,1e308"))
+    assert main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "polarization.json").read_text())
+    assert "t_grid_source" not in verdict
+    assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
+
+
+def test_cli_polarization_without_flow_grid_labels_the_default(tmp_path):
+    cfg = tmp_path / "nogrid.cfg"
+    cfg.write_text("".join(
+        line for line in CP1_CFG.read_text().splitlines(keepends=True)
+        if not line.startswith("flow.t_grid")
+    ))
+    assert main(["polarization", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "polarization.json").read_text())
+    assert "t_grid_source" not in verdict
+    assert verdict["t_grid"] == pytest.approx(np.geomspace(10, 1000, 11))
+
+
 def test_cli_report_flags_failures(tmp_path):
     assert main(
         ["gluing", "--config", str(CP1_CFG), "--out", str(tmp_path), "--corrupt-transition"]
