@@ -46,9 +46,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 ROUTE_TOL = 1e-12
-GLUING_TOL = 1e-10
-LIFT_TOL = 1e-10
-POTENTIAL_TOL = 1e-10
 FRAME_TOL = 1e-8
 J_SQUARED_TOL = 1e-12
 SLOPE_BAND = (-1.1, -0.9)
@@ -115,9 +112,25 @@ def _rows(check: str, lam, ts, resids, tols) -> list[Check]:
             for t, r, tol in zip(ts, resids.tolist(), np.broadcast_to(tols, len(ts)).tolist())]
 
 
-def _gluing_rows(lam, s0: WeightSection, ts, args) -> list[Check]:
-    """The two-chart gluing rows of one weight, for section-flow and gluing."""
-    return _rows("gluing", lam, ts, gluing_check_cp1(s0, ts, args.corrupt_transition), GLUING_TOL)
+def _rounding_tols(phi, pts, ts, lams) -> np.ndarray:
+    """The tolerances of a two-route residual at `pts`, one row per weight of
+    `lams` and one column per time: the two logs sum terms of size
+    t |x . grad phi|, t |phi| and t |grad phi . lam|, so their rounding grows
+    like t, and the tolerance is ROUTE_TOL max(1, t max_x of that sum).  Past
+    the float range it is inf, and the residual, NaN there, still fails."""
+    dp = phi.grad(pts)
+    sizes = np.abs(np.einsum("ij,ij->i", pts, dp)) + np.abs(phi.value(pts))
+    scales = [np.max(sizes + np.abs(dp @ lam)) for lam in lams]
+    with np.errstate(over="ignore"):
+        return ROUTE_TOL * np.maximum(1.0, np.multiply.outer(scales, ts))
+
+
+def _gluing_rows(exp: Experiment, lams, ts, args) -> list[list[Check]]:
+    """The two-chart gluing rows of each weight, for section-flow and gluing."""
+    tols = _rounding_tols(exp.phi, gluing_points(exp.poly), ts, lams)
+    return [_rows("gluing", lam, ts, gluing_check_cp1(WeightSection(lam, exp.g0, exp.phi, 0.0),
+                                                      ts, args.corrupt_transition), tol)
+            for lam, tol in zip(lams, tols)]
 
 
 def _finish(command: str, out: Path, rows: list[Check], fail_code: int = EXIT_NUMERICAL,
@@ -176,7 +189,8 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     _write_csv(out / "potential_flow.csv", header, table)
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
     worst = np.max(table[:, -1].reshape(len(ts), len(pts)), axis=1)
-    rows = _rows("duality", None, ts, worst, POTENTIAL_TOL)
+    tols = _rounding_tols(exp.phi, pts, ts, [np.zeros(poly.dimension)])[0]
+    rows = _rows("duality", None, ts, worst, tols)
     return _finish("potential-flow", out, rows, seed=args.seed, points=exp.sample_points,
                    t_grid=list(ts))
 
@@ -196,19 +210,14 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     if poly.dimension == 1:
         _require_kahler(exp, ts, gluing_points(poly))
 
-    # route equality compares two log amplitudes summed from terms of size
-    # t |x . grad phi|, t |lam . grad phi| and t |phi|: its rounding grows like t
-    dp = phi.grad(pts)
-    sizes = np.abs(np.einsum("ij,ij->i", pts, dp)) + np.abs(phi.value(pts))
+    lams = list(_weights(exp))
+    gluing = _gluing_rows(exp, lams, ts, args) if poly.dimension == 1 else [[]] * len(lams)
     rows = []
-    pairs = []
-    for lam in _weights(exp):
+    for lam, tols, gluing_rows in zip(lams, _rounding_tols(phi, pts, ts, lams), gluing):
         s0 = WeightSection(lam, g0, phi, 0.0)
-        tols = ROUTE_TOL * np.maximum(1.0, np.multiply(ts, np.max(sizes + np.abs(dp @ lam))))
         rows += _rows("route-equality", lam, ts, route_equality_residual(s0, ts, pts), tols)
-        pairs += [(lam, t) for t in ts]
-        if poly.dimension == 1:
-            rows += _gluing_rows(lam, s0, ts, args)
+        rows += gluing_rows
+    pairs = [(lam, t) for lam in lams for t in ts]
 
     sections = [WeightSection(lam, g0, phi, t) for lam, t in pairs]
     log_norms = section_log_norms_sq(sections, exp.spec)
@@ -260,9 +269,7 @@ def cmd_gluing(exp: Experiment, out: Path, args) -> int:
         return EXIT_CONFIG
     ts = exp.section_t or SECTION_T
     _require_kahler(exp, ts, gluing_points(exp.poly))
-    rows = []
-    for lam in _weights(exp):
-        rows += _gluing_rows(lam, WeightSection(lam, exp.g0, exp.phi, 0.0), ts, args)
+    rows = sum(_gluing_rows(exp, list(_weights(exp)), ts, args), [])
     return _finish("gluing", out, rows)
 
 
@@ -272,10 +279,11 @@ def cmd_lift(exp: Experiment, out: Path, args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 20, rng, margin=_sample_margin(poly))
     _require_kahler(exp, ts, pts)
+    lams = list(_weights(exp))
     rows = []
-    for lam in _weights(exp):
+    for lam, tols in zip(lams, _rounding_tols(exp.phi, pts, ts, lams)):
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
-        rows += _rows("lift", lam, ts, lift_section_consistency(s0, ts, pts), LIFT_TOL)
+        rows += _rows("lift", lam, ts, lift_section_consistency(s0, ts, pts), tols)
     return _finish("lift", out, rows, seed=args.seed)
 
 

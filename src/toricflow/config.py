@@ -155,6 +155,11 @@ class ExperimentConfig:
             with _as_config_error(f"bad facet line {raw!r}"):
                 normal = tuple(int(tok) for tok in normal_part.split())
                 offset = self._number(offset_part.strip(), "polytope.facet")
+                if not offset.is_integer():
+                    raise ConfigError(
+                        f"facet offset {offset:g} is not an integer: the prequantum "
+                        "line bundle L needs a lattice polytope"
+                    )
                 if len(normal) != dim:
                     raise ConfigError(
                         f"facet normal {normal} has dimension {len(normal)}, expected {dim}"

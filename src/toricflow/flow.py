@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .polytopes import DelzantPolytope
-from .potentials import ConvexPotential, concentration_rate, legendre_inverse
+from .potentials import ConvexPotential, _rate, legendre_inverse
 
 
 class SymplecticPotential:
@@ -115,13 +115,13 @@ class SymplecticPotential:
 
 def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
     """(g_t, rho_t = rho_0 + 2 t f_0, rho_t by the Legendre route) at x for each t
-    of `ts`, with the t-independent data evaluated once (f_0 by concentration_rate).
+    of `ts`, with g_0 and phi evaluated once (f_0 from phi's value and gradient).
     A negative time raises ValueError, as in `metric_hessians`."""
     if any(t < 0 for t in ts):
         raise ValueError("flow time must be nonnegative")
     g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
     rho0 = 2.0 * (np.einsum("...i,...i->...", x, dg) - g)
-    f0 = concentration_rate(phi, np.zeros(phi.dimension), x)
+    f0 = _rate(x, np.zeros(phi.dimension), dp, p)
     for t in ts:
         yield g + t * p, rho0 + 2.0 * t * f0, _legendre_rho(x, g, dg, p, dp, t)
 

@@ -199,7 +199,7 @@ def test_require_kahler_names_the_first_non_finite_metric(monkeypatch):
 @pytest.mark.parametrize("cfg", SHIPPED, ids=[c.stem for c in SHIPPED])
 def test_potential_flow_evaluates_values_and_gradients_once(tmp_path, monkeypatch, cfg):
     # 15 value and 10 grad calls on each of g_0 and phi on a 5-time grid before;
-    # phi is called twice, once more through concentration_rate for f_0
+    # phi is called twice, once more for the duality tolerances
     calls = {}
 
     def counting(cls, method):

@@ -178,25 +178,32 @@ def test_cli_route_equality_passes_at_large_t(tmp_path):
     assert max(row["residual"] for row in rows if row["t"] == 1000) > 1e-12
 
 
-@pytest.mark.parametrize("base", [CP1_CFG, CP1_UNIT_CFG], ids=lambda p: p.stem)
+@pytest.mark.parametrize("base", [CP1_CFG, CP1_UNIT_CFG, CP2_CFG], ids=lambda p: p.stem)
 def test_cli_section_checks_pass_at_large_t(tmp_path, base):
-    # e^{-A_{lam,t}} overflows at t = 400 on these segments: gluing and lift
-    # compare log amplitudes, so a correct program passes up to t = 1e4
+    # e^{-A_{lam,t}} overflows at t = 400 on the segments: gluing and lift
+    # compare log amplitudes, and the rounding of every two-route residual
+    # grows like t, so do their tolerances: a correct program passes up to t = 1e6
+    times = {0.5, 2.0, 10.0, 400.0, 1000.0, 1e4, 1e5, 1e6}
+    grid = ",".join("%g" % t for t in sorted(times))
     cfg = tmp_path / "large_t.cfg"
-    cfg.write_text(_with_values(base, "section.t = 0.5,2,10,400,1000,10000"))
-    for sub, checks in (("section-flow", ("route-equality", "gluing")), ("gluing", ("gluing",)),
-                        ("lift", ("lift",))):
+    cfg.write_text(_with_values(base, f"section.t = {grid}", f"flow.t_grid = {grid}"))
+    runs = [("potential-flow", ("duality",)), ("lift", ("lift",))]
+    if base != CP2_CFG:
+        runs += [("section-flow", ("route-equality", "gluing")), ("gluing", ("gluing",))]
+    for sub, checks in runs:
         out = tmp_path / sub
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0, sub
         stem = sub.replace("-", "_")
         for check in checks:
             rows = _rows(out, stem, check)
-            assert {row["t"] for row in rows} == {0.5, 2.0, 10.0, 400.0, 1000.0, 10000.0}
+            assert {row["t"] for row in rows} == times
             residuals = [row["residual"] for row in rows]
             assert np.isfinite(residuals).all(), (sub, check)
             assert all(row["residual"] < row["tolerance"] for row in rows), (sub, check)
-    control = tmp_path / "control"
-    assert main(["gluing", "--config", str(cfg), "--out", str(control), "--corrupt-transition"]) == 2
+    if base != CP2_CFG:
+        control = tmp_path / "control"
+        argv = ["gluing", "--config", str(cfg), "--out", str(control), "--corrupt-transition"]
+        assert main(argv) == 2
 
 
 def test_cli_route_equality_fails_a_scaled_phi_term(tmp_path, monkeypatch):
@@ -435,6 +442,19 @@ def _case_id(v) -> str:
         (CP1_CFG, ["phi.b = inf"], "potential-flow"),
         (CP1_CFG, ["phi.Q = inf"], "potential-flow"),
         (CP1_CFG, ["phi.perturbation = 1 ; nan"], "potential-flow"),
+        (CP1_CFG, ["section.lambda = 1 1"], "section-flow"),
+        (CP1_CFG, ["experiment.lambda = 1.5"], "converge"),
+        (CP1_CFG, ["phi.b = 1 2"], "potential-flow"),
+        (CP1_CFG, ["phi.perturbation = 1 ; 1 2"], "potential-flow"),
+        (
+            CP1_CFG,
+            ["phi.kind = log-sum-exp", "phi.wavevector = 1", "phi.wavevector = 1 2"],
+            "section-flow",
+        ),
+        (CP1_CFG, ["polytope.facet = 1 ; 0", "polytope.facet = -1 ; 2 ; 3"], "section-flow"),
+        (CP1_CFG, ["experiment.bumps = 1 ; 0.5 ; 1 ; 0.2 ; 3"], "converge"),
+        # no prequantum line bundle: a lattice polytope has integer offsets
+        (CP1_CFG, ["polytope.facet = 1 ; 0", "polytope.facet = -1 ; 2.5"], "section-flow"),
     ],
     ids=_case_id,
 )

@@ -6,8 +6,8 @@ The probe runs `cli.main` in-process under `sys.setprofile` for every
 subcommand on each shipped config, on the benchmark's converge config, on
 two generated configs (a log-sum-exp phi, and cp2_size2 without its
 `section.lambda` lines), runs `converge` on two cp1_size2 variants (the
-benchmark's large-t grid, and `experiment.mode = paper-form`), the three
-section checks on a third (section times up to t = 1e4) and the
+benchmark's large-t grid, and `experiment.mode = paper-form`), the four
+two-route checks on a third (flow and section times up to t = 1e6) and the
 `--corrupt-transition` control, repeats the benchmark's runs among these at
 its seed 1, and records the code objects that ran.  A function is reached
 when its own `__code__` ran: a comprehension or a nested function is a code
@@ -81,8 +81,10 @@ quad.max_depth = 2
 """
 
 
-LARGE_SECTION_T = "section.t = 0.5,2,10,400,1000,10000"
-SECTION_CHECKS = ("section-flow", "gluing", "lift")
+LARGE_SECTION_T = "section.t = 0.5,2,10,400,1000,10000,100000,1000000"
+LARGE_FLOW_T = "flow.t_grid = 0,0.5,2,10,400,1000,10000,100000,1000000"
+# the runs of the large-t variant: the two-route checks
+LARGE_T_RUNS = ("potential-flow", "section-flow", "gluing", "lift")
 
 
 class Run(NamedTuple):
@@ -93,7 +95,7 @@ class Run(NamedTuple):
 
 def probe(out: Path, converge_cfg: str, large_t_grid: str) -> tuple[set, dict[Run, int]]:
     """Run every subcommand, `report` last, on every probe config, `converge`
-    on the two converge variants, the section checks on the large section-t
+    on the two converge variants, the two-route checks on the large-t
     variant, and the `--corrupt-transition` control,
     then the benchmark's runs among these again with `--seed 1`; return the
     code objects that ran and the exit code of each run."""
@@ -106,20 +108,21 @@ def probe(out: Path, converge_cfg: str, large_t_grid: str) -> tuple[set, dict[Ru
         "cp2_size2_all_weights": re.sub(r"(?m)^section\.lambda.*\n", "", shipped["cp2_size2"]),
     }
     # cp1_size2 with the benchmark's large-t grid and with the paper-form fiber
-    # weight, both for converge, and with section times where e^{-A_{lam,t}}
-    # overflows, for the section checks
+    # weight, both for converge, and with flow and section times where
+    # e^{-A_{lam,t}} overflows, for the two-route checks
     variants = {
         "cp1_size2_large_t": re.sub(r"(?m)^experiment\.t_grid.*$", large_t_grid, shipped["cp1_size2"]),
         "cp1_size2_paper_form": re.sub(r"(?m)^experiment\.mode.*$", "experiment.mode = paper-form",
                                        shipped["cp1_size2"]),
-        "cp1_size2_large_section_t": re.sub(r"(?m)^section\.t.*$", LARGE_SECTION_T,
-                                            shipped["cp1_size2"]),
+        "cp1_size2_large_section_t": re.sub(
+            r"(?m)^flow\.t_grid.*$", LARGE_FLOW_T,
+            re.sub(r"(?m)^section\.t.*$", LARGE_SECTION_T, shipped["cp1_size2"])),
     }
     runs = []
     for name, text in {**configs, **variants}.items():
         (out / f"{name}.cfg").write_text(text, encoding="utf-8")
         subcommands = (cli._COMMANDS if name in configs
-                       else SECTION_CHECKS if name == "cp1_size2_large_section_t" else ["converge"])
+                       else LARGE_T_RUNS if name == "cp1_size2_large_section_t" else ["converge"])
         runs += [Run(sub, name) for sub in subcommands]
     runs.append(Run("gluing", "cp1_size2", ("--corrupt-transition",)))
     # the benchmark's runs again at its seed, 1: the shipped configs, the two
@@ -336,8 +339,9 @@ def test_probe_exit_codes(surface):
         assert [exits[Run(sub, config)] for sub in cli._COMMANDS] == codes, config
     assert exits[Run("converge", "cp1_size2_large_t")] == 0
     assert exits[Run("converge", "cp1_size2_paper_form")] == 0
-    # large section times: the checks compare log amplitudes, so they pass
-    for sub in SECTION_CHECKS:
+    # large times: the checks compare logs, and their tolerances grow with
+    # the rounding, like t, so they pass
+    for sub in LARGE_T_RUNS:
         assert exits[Run(sub, "cp1_size2_large_section_t")] == 0, sub
     seeded = {run: code for run, code in exits.items() if run.flags[-2:] == ("--seed", "1")}
     assert len(seeded) == 3 * len(cli._COMMANDS) + 3
