@@ -50,8 +50,6 @@ FRAME_TOL = 1e-8
 J_SQUARED_TOL = 1e-12
 SLOPE_BAND = (-1.1, -0.9)
 
-# the times of section-flow, gluing and lift when `section.t` is unset
-SECTION_T = (0.5, 2.0, 10.0)
 # the times polarization fits its principal-angle decay over: a late decade
 POLARIZATION_T = tuple(float(t) for t in np.geomspace(10, 1000, 11))
 
@@ -89,9 +87,9 @@ def _sample_margin(poly) -> float:
     return 0.25 * radius
 
 
-def _weights(exp: Experiment):
+def _weights(exp: Experiment) -> list:
     """The `section.lambda` weights, or every lattice point of P without them."""
-    return exp.weights or exp.poly.lattice_points()
+    return list(exp.weights or exp.poly.lattice_points())
 
 
 def _require_kahler(exp: Experiment, ts, pts) -> None:
@@ -172,7 +170,7 @@ def cmd_validate(exp: Experiment, out: Path, args) -> int:
 
 def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
-    ts = exp.flow_t_grid or [0.0, 0.5, 1.0, 5.0, 20.0]
+    ts = exp.flow_t_grid
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
     _require_kahler(exp, ts, pts)
@@ -197,7 +195,7 @@ def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
 
 def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     poly, g0, phi = exp.poly, exp.g0, exp.phi
-    ts = exp.section_t or SECTION_T
+    ts = exp.section_t
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 40, rng, margin=_sample_margin(poly))
     # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so the
@@ -210,7 +208,7 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     if poly.dimension == 1:
         _require_kahler(exp, ts, gluing_points(poly))
 
-    lams = list(_weights(exp))
+    lams = _weights(exp)
     gluing = _gluing_rows(exp, lams, ts, args) if poly.dimension == 1 else [[]] * len(lams)
     rows = []
     for lam, tols, gluing_rows in zip(lams, _rounding_tols(phi, pts, ts, lams), gluing):
@@ -267,19 +265,18 @@ def cmd_gluing(exp: Experiment, out: Path, args) -> int:
     if exp.poly.dimension != 1:
         print("gluing: the two-chart model needs a one-dimensional polytope")
         return EXIT_CONFIG
-    ts = exp.section_t or SECTION_T
+    ts = exp.section_t
     _require_kahler(exp, ts, gluing_points(exp.poly))
-    rows = sum(_gluing_rows(exp, list(_weights(exp)), ts, args), [])
-    return _finish("gluing", out, rows)
+    return _finish("gluing", out, sum(_gluing_rows(exp, _weights(exp), ts, args), []))
 
 
 def cmd_lift(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
-    ts = exp.section_t or SECTION_T
+    ts = exp.section_t
     rng = np.random.default_rng(args.seed)
     pts = sample_interior(poly, 20, rng, margin=_sample_margin(poly))
     _require_kahler(exp, ts, pts)
-    lams = list(_weights(exp))
+    lams = _weights(exp)
     rows = []
     for lam, tols in zip(lams, _rounding_tols(exp.phi, pts, ts, lams)):
         s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
@@ -307,7 +304,7 @@ def cmd_converge(exp: Experiment, out: Path, args) -> int:
 
     report = conv.convergence_experiment(
         lam_arr, exp.phi, exp.g0, exp.bumps,
-        exp.experiment_t_grid or [10, 20, 40, 80, 160, 320], exp.spec, exp.mode,
+        exp.experiment_t_grid, exp.spec, exp.mode,
     )
     rows = []
     for b in report.bumps:

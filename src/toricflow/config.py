@@ -1,28 +1,31 @@
 """Plain-text experiment configuration.
 
 Grammar: one `dotted.key = value` per line, `#` comments, blank lines
-ignored.  Unknown keys are rejected.  Multi-valued keys (one entry per line,
-order preserved):
+ignored.  Unknown keys are rejected, and so is a second line of a scalar
+key.  Multi-valued keys (one entry per line, order preserved):
 
-    polytope.facet     = n1 n2 ... nk ; c        integer normal, real offset
+    polytope.facet     = n1 n2 ... nk ; c        integer normal, integer offset
     phi.perturbation   = a ; k1 k2 ... kn        a * exp(k.x) added to phi
     phi.wavevector     = k1 k2 ... kn            log-sum-exp summand
     section.lambda     = l1 l2 ... ln            weight lattice point
     experiment.bumps   = c1 .. cn ; r ; h [; p]  bump center/radius/height[/plateau]
 
-Scalar keys:
+Scalar keys, with the value an absent key takes:
 
-    polytope.dim, polytope.name
-    phi.kind (quadratic | log-sum-exp), phi.Q (row-major), phi.b, phi.c,
-    phi.weights
-    flow.t_grid, flow.sample_points
-    section.t
-    experiment.lambda, experiment.t_grid, experiment.mode
-    quad.resolution, quad.tol, quad.max_depth
+    polytope.dim (required), polytope.name (empty)
+    phi.kind (quadratic | log-sum-exp; quadratic), phi.Q (row-major; the
+    identity), phi.b (zero), phi.c (0), phi.weights (all 1)
+    flow.t_grid (0,0.5,1,5,20), flow.sample_points (20)
+    section.t (0.5,2,10)
+    experiment.lambda (none; converge needs it), experiment.t_grid
+    (10:320:2), experiment.mode (normalized | paper-form; normalized)
+    quad.resolution, quad.tol, quad.max_depth (QuadratureSpec's fields)
 
-Every real number is finite.  t-grids are either comma lists `0,0.5,1` or
-geometric `start:stop:factor`; a grid holds at least one time and a geometric
-grid at most 10,000.
+The numbers of a value are separated by whitespace or commas, and every
+real number is finite.  Facet offsets are integers: the prequantum line
+bundle L exists only on a lattice polytope.  t-grids are either comma
+lists `0,0.5,1` or geometric `start:stop:factor`; a grid holds at least
+one time and a geometric grid at most 10,000.
 
 `ExperimentConfig.validate()` is the only parser: it reads every key once,
 checks it, and returns a frozen `Experiment` that every subcommand reads.
@@ -43,246 +46,171 @@ from .polytopes import DelzantPolytope, Facet
 from .potentials import ConvexPotential, LogSumExpPotential, QuadraticPotential
 from .quadrature import QuadratureSpec
 
-_SCALAR_KEYS = {
-    "polytope.dim",
-    "polytope.name",
-    "phi.kind",
-    "phi.Q",
-    "phi.b",
-    "phi.c",
-    "phi.weights",
-    "flow.t_grid",
-    "flow.sample_points",
-    "section.t",
-    "experiment.lambda",
-    "experiment.t_grid",
-    "experiment.mode",
-    "quad.resolution",
-    "quad.tol",
-    "quad.max_depth",
+# Every key: True when it takes one entry per line, False when it takes one line.
+_KEYS = {
+    "polytope.dim": False, "polytope.name": False, "polytope.facet": True,
+    "phi.kind": False, "phi.Q": False, "phi.b": False, "phi.c": False,
+    "phi.weights": False, "phi.perturbation": True, "phi.wavevector": True,
+    "flow.t_grid": False, "flow.sample_points": False,
+    "section.t": False, "section.lambda": True,
+    "experiment.lambda": False, "experiment.t_grid": False, "experiment.mode": False,
+    "experiment.bumps": True,
+    "quad.resolution": False, "quad.tol": False, "quad.max_depth": False,
 }
-_MULTI_KEYS = {
-    "polytope.facet",
-    "phi.perturbation",
-    "phi.wavevector",
-    "section.lambda",
-    "experiment.bumps",
-}
+# The keys that Experiment and QuadratureSpec take only when present, so
+# that each default is stated once, in their fields.
+_T_GRIDS = {"flow.t_grid": "flow_t_grid", "section.t": "section_t",
+            "experiment.t_grid": "experiment_t_grid"}
+_QUAD = {"quad.resolution": ("resolution", int), "quad.tol": ("rel_tol", float),
+         "quad.max_depth": ("max_refinements", int)}
 
 
 @dataclass(frozen=True)
 class Experiment:
     """The model and settings of one CLI call, parsed and checked once.
 
-    A t grid is None when its key is absent, so each subcommand keeps its own
-    default.  `weights` holds the `section.lambda` lines (empty when there
-    are none), `lam` is None without `experiment.lambda`, and `bumps` is
-    empty without `experiment.bumps` lines."""
+    `weights` holds the `section.lambda` lines, `lam` is None without
+    `experiment.lambda`, and the t grids are potential-flow's, section-flow's
+    (also gluing's and lift's) and converge's, each a default without its key."""
 
     poly: DelzantPolytope
     g0: SymplecticPotential
     phi: ConvexPotential
     spec: QuadratureSpec
-    flow_t_grid: Optional[tuple[float, ...]]
-    section_t: Optional[tuple[float, ...]]
-    experiment_t_grid: Optional[tuple[float, ...]]
     sample_points: int
     weights: tuple[tuple[int, ...], ...]
     lam: Optional[tuple[int, ...]]
     bumps: tuple[BumpProfile, ...]
     mode: str
+    flow_t_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 5.0, 20.0)
+    section_t: tuple[float, ...] = (0.5, 2.0, 10.0)
+    experiment_t_grid: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
+
+
+def _numbers(raw: str, key: str, kind: type = float, count: Optional[int] = None) -> tuple:
+    """Every number of `raw` as `kind` (int or float): the one place that
+    rejects a malformed, non-finite or miscounted entry."""
+    try:
+        values = tuple(kind(tok) for tok in raw.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"{key} must hold {kind.__name__}s, got {raw!r}") from exc
+    if kind is float and not np.isfinite(values).all():
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{key} {values} has dimension {len(values)}, expected {count}")
+    return values
+
+
+def _fields(raw: str, key: str, shape: str, counts: tuple[int, ...]) -> list[str]:
+    """The `;`-separated fields of one line of `key`, as many as one of `counts`."""
+    fields = [part.strip() for part in raw.split(";")]
+    if len(fields) not in counts:
+        raise ConfigError(f"{key} line {raw!r} needs '{shape}'")
+    return fields
 
 
 @dataclass
 class ExperimentConfig:
-    scalars: dict[str, str] = field(default_factory=dict)
-    multis: dict[str, list[str]] = field(default_factory=dict)
+    """The lines of every key of a config, in file order."""
 
-    # -- primitive accessors --------------------------------------------------
+    lines: dict[str, list[str]] = field(default_factory=dict)
 
-    def _scalar(self, key: str, default=None) -> Optional[str]:
-        return self.scalars.get(key, default)
-
-    def _int(self, key: str, default=None) -> Optional[int]:
-        raw = self._scalar(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-
-    def _float(self, key: str, default=None) -> Optional[float]:
-        raw = self._scalar(key)
-        return default if raw is None else self._number(raw, key)
-
-    def _floats(self, raw: str, key: str) -> list[float]:
-        """Every number of `raw`; the one place that rejects a non-finite one."""
-        try:
-            values = [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a list of numbers, got {raw!r}") from exc
-        if not np.isfinite(values).all():
-            raise ConfigError(f"{key} must be finite, got {raw!r}")
-        return values
-
-    def _number(self, raw: str, key: str) -> float:
-        values = self._floats(raw, key)
-        if len(values) != 1:
-            raise ConfigError(f"{key} must be a number, got {raw!r}")
-        return values[0]
-
-    def _ints(self, raw: str, what: str) -> tuple[int, ...]:
-        try:
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"bad {what} {raw!r}") from exc
-
-    # -- parsers ----------------------------------------------------------------
+    def _get(self, key: str, default: Optional[str] = None) -> Optional[str]:
+        """The line of the scalar `key`, or `default` without one."""
+        return self.lines.get(key, [default])[0]
 
     def _polytope(self) -> DelzantPolytope:
-        dim = self._int("polytope.dim")
-        if dim is None:
+        raw = self._get("polytope.dim")
+        if raw is None:
             raise ConfigError("polytope.dim is required")
-        lines = self.multis.get("polytope.facet", [])
+        (dim,) = _numbers(raw, "polytope.dim", int, 1)
+        lines = self.lines.get("polytope.facet", [])
         if not lines:
             raise ConfigError("at least one polytope.facet line is required")
         facets = []
         for raw in lines:
-            if ";" not in raw:
-                raise ConfigError(f"facet line {raw!r} needs 'normal ; offset'")
-            normal_part, offset_part = raw.split(";", 1)
-            with _as_config_error(f"bad facet line {raw!r}"):
-                normal = tuple(int(tok) for tok in normal_part.split())
-                offset = self._number(offset_part.strip(), "polytope.facet")
-                if not offset.is_integer():
-                    raise ConfigError(
-                        f"facet offset {offset:g} is not an integer: the prequantum "
-                        "line bundle L needs a lattice polytope"
-                    )
-                if len(normal) != dim:
-                    raise ConfigError(
-                        f"facet normal {normal} has dimension {len(normal)}, expected {dim}"
-                    )
+            normal, offset = _fields(raw, "polytope.facet", "normal ; offset", (2,))
+            normal = _numbers(normal, "polytope.facet normal", int, dim)
+            (offset,) = _numbers(offset, "polytope.facet offset", float, 1)
+            if not offset.is_integer():  # L is prequantum only on a lattice polytope
+                raise ConfigError(f"polytope.facet offset {offset:g} is not an integer")
+            with _as_config_error(f"polytope.facet {raw!r}"):
                 facets.append(Facet(normal, offset))
-        return DelzantPolytope(facets, name=self._scalar("polytope.name", ""))
+        return DelzantPolytope(facets, name=self._get("polytope.name", ""))
 
     def _phi(self, dim: int) -> ConvexPotential:
-        kind = self._scalar("phi.kind", "quadratic")
+        kind = self._get("phi.kind", "quadratic")
         if kind == "quadratic":
-            q_raw = self._scalar("phi.Q")
-            if q_raw is None:
-                Q = np.eye(dim)
-            else:
-                flat = self._floats(q_raw, "phi.Q")
-                if len(flat) != dim * dim:
-                    raise ConfigError(
-                        f"phi.Q needs {dim * dim} entries (row-major), got {len(flat)}"
-                    )
-                Q = np.array(flat).reshape(dim, dim)
-            b_raw = self._scalar("phi.b")
-            b = None if b_raw is None else np.array(self._floats(b_raw, "phi.b"))
+            raw = self._get("phi.Q")
+            Q = np.eye(dim) if raw is None else np.reshape(
+                _numbers(raw, "phi.Q", float, dim * dim), (dim, dim))
+            raw = self._get("phi.b")
+            b = None if raw is None else np.array(_numbers(raw, "phi.b", float, dim))
+            (c,) = _numbers(self._get("phi.c", "0"), "phi.c", float, 1)
             terms = []
-            for raw in self.multis.get("phi.perturbation", []):
-                if ";" not in raw:
-                    raise ConfigError(
-                        f"perturbation line {raw!r} needs 'coefficient ; wavevector'"
-                    )
-                a_part, k_part = raw.split(";", 1)
-                a = self._number(a_part.strip(), "phi.perturbation")
-                terms.append((a, self._floats(k_part, "phi.perturbation")))
+            for raw in self.lines.get("phi.perturbation", []):
+                a, k = _fields(raw, "phi.perturbation", "coefficient ; wavevector", (2,))
+                terms.append((_numbers(a, "phi.perturbation", float, 1)[0],
+                              _numbers(k, "phi.perturbation wavevector", float, dim)))
             with _as_config_error("phi"):
-                return QuadraticPotential(Q, b, self._float("phi.c", 0.0), terms)
+                return QuadraticPotential(Q, b, c, terms)
         if kind == "log-sum-exp":
-            wavevectors = [
-                self._floats(raw, "phi.wavevector")
-                for raw in self.multis.get("phi.wavevector", [])
-            ]
+            wavevectors = [_numbers(raw, "phi.wavevector", float, dim)
+                           for raw in self.lines.get("phi.wavevector", [])]
             if not wavevectors:
                 raise ConfigError("log-sum-exp phi needs phi.wavevector lines")
-            if any(len(k) != dim for k in wavevectors):
-                raise ConfigError(f"every phi.wavevector needs {dim} entries")
-            w_raw = self._scalar("phi.weights")
-            weights = None if w_raw is None else self._floats(w_raw, "phi.weights")
+            raw = self._get("phi.weights")
+            weights = None if raw is None else _numbers(raw, "phi.weights")
             with _as_config_error("phi"):
                 return LogSumExpPotential(wavevectors, weights)
         raise ConfigError(f"unknown phi.kind {kind!r}")
 
-    def _bumps(self) -> tuple[BumpProfile, ...]:
+    def _bumps(self, dim: int) -> tuple[BumpProfile, ...]:
         bumps = []
-        for raw in self.multis.get("experiment.bumps", []):
-            parts = [p.strip() for p in raw.split(";")]
-            if len(parts) not in (3, 4):
-                raise ConfigError(
-                    f"bump line {raw!r} needs 'center ; radius ; height [; plateau]'"
-                )
-            center = tuple(self._floats(parts[0], "experiment.bumps"))
-            shape = [self._number(v, "experiment.bumps") for v in parts[1:]]
-            with _as_config_error(f"bad experiment.bumps line {raw!r}"):
+        for raw in self.lines.get("experiment.bumps", []):
+            center, *shape = _fields(raw, "experiment.bumps",
+                                     "center ; radius ; height [; plateau]", (3, 4))
+            center = _numbers(center, "experiment.bumps center", float, dim)
+            shape = [_numbers(v, "experiment.bumps", float, 1)[0] for v in shape]
+            with _as_config_error(f"experiment.bumps {raw!r}"):
                 bumps.append(BumpProfile(center, *shape))
         return tuple(bumps)
-
-    def _t_grid(self, key: str) -> Optional[tuple[float, ...]]:
-        raw = self._scalar(key)
-        if raw is None:
-            return None
-        ts = parse_t_grid(raw, key)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ConfigError(f"{key} must be strictly increasing")
-        if ts[0] < 0:
-            raise ConfigError(f"{key} holds the negative time {ts[0]}")
-        return tuple(ts)
 
     def validate(self) -> Experiment:
         """Parse and check every key once, and return the `Experiment` that
         every subcommand of a CLI call reads.
 
-        Checks: the polytope is Delzant, referenced lattice points lie in P,
-        every weight and bump center has the polytope's dimension, t grids
-        are finite, non-empty and rising and hold no negative time, the
-        experiment grid leaves a log-log fit two times, the sample count is
-        positive, every real number is finite, phi and the quadrature spec
-        build, the finest grid the spec allows stays under the grid-size cap
-        and the fiber mode is known."""
+        Checks: the polytope is Delzant with integer facet offsets,
+        referenced lattice points lie in P, every weight and bump center has
+        the polytope's dimension, t grids are finite, non-empty and rising
+        and hold no negative time, the experiment grid leaves a log-log fit
+        two times, the sample count is positive, every real number is
+        finite, phi and the quadrature spec build, the finest grid the spec
+        allows stays under the grid-size cap and the fiber mode is known."""
         poly = self._polytope()
         poly.require_valid()
-        lines = self.multis.get("section.lambda", [])
-        weights = tuple(self._ints(raw, "section.lambda line") for raw in lines)
+        dim = poly.dimension
+        weights = tuple(_numbers(raw, "section.lambda", int, dim)
+                        for raw in self.lines.get("section.lambda", []))
         for lam in weights:
-            if len(lam) != poly.dimension:
-                raise ConfigError(f"section.lambda {lam} has the wrong dimension")
             if not poly.contains(np.asarray(lam, dtype=float)):
                 raise ConfigError(f"section.lambda {lam} lies outside the polytope")
-        raw = self._scalar("experiment.lambda")
-        lam = None if raw is None else self._ints(raw, "experiment.lambda")
-        if lam is not None and len(lam) != poly.dimension:
-            raise ConfigError(
-                f"experiment.lambda {lam} has dimension {len(lam)}, "
-                f"polytope has {poly.dimension}"
-            )
-        bumps = self._bumps()
-        for bump in bumps:
-            if len(bump.center) != poly.dimension:
-                raise ConfigError(
-                    f"experiment.bumps center {bump.center} has dimension "
-                    f"{len(bump.center)}, polytope has {poly.dimension}"
-                )
-        flow_ts = self._t_grid("flow.t_grid")
-        experiment_ts = self._t_grid("experiment.t_grid")
-        section_ts = self._t_grid("section.t")
-        if experiment_ts is not None:
+        raw = self._get("experiment.lambda")
+        lam = None if raw is None else _numbers(raw, "experiment.lambda", int, dim)
+        bumps = self._bumps(dim)
+        grids = {name: tuple(parse_t_grid(self.lines[key][0], key))
+                 for key, name in _T_GRIDS.items() if key in self.lines}
+        if "experiment_t_grid" in grids:
             with _as_config_error("experiment.t_grid"):
-                fit_window(experiment_ts)
-        sample_points = self._int("flow.sample_points", 20)
+                fit_window(grids["experiment_t_grid"])
+        (sample_points,) = _numbers(self._get("flow.sample_points", "20"),
+                                    "flow.sample_points", int, 1)
         if sample_points < 1:
             raise ConfigError("flow.sample_points must be at least 1")
-        phi = self._phi(poly.dimension)
+        phi = self._phi(dim)
         with _as_config_error("quad"):
-            spec = QuadratureSpec(
-                resolution=self._int("quad.resolution", 256),
-                rel_tol=self._float("quad.tol", 1e-8),
-                max_refinements=self._int("quad.max_depth", 3),
-            )
+            spec = QuadratureSpec(**{name: _numbers(self.lines[key][0], key, kind, 1)[0]
+                                     for key, (name, kind) in _QUAD.items() if key in self.lines})
         # integrate_many's finest grid: the base resolution, doubled for the
         # first fine sum and once more per refinement
         finest = spec.resolution * 2 ** (spec.max_refinements + 1)
@@ -293,14 +221,13 @@ class ExperimentConfig:
                 f"quad: the finest grid that quad.resolution and quad.max_depth "
                 f"allow, at resolution {finest}, is too large: {exc}"
             ) from exc
-        mode = self._scalar("experiment.mode", "normalized")
+        mode = self._get("experiment.mode", "normalized")
         if mode not in FIBER_WEIGHTS:
             raise ConfigError(f"experiment.mode must be {' or '.join(map(repr, FIBER_WEIGHTS))}")
         return Experiment(
             poly=poly, g0=SymplecticPotential(poly), phi=phi, spec=spec,
-            flow_t_grid=flow_ts, section_t=section_ts, experiment_t_grid=experiment_ts,
-            sample_points=sample_points, weights=weights,
-            lam=lam, bumps=bumps, mode=mode,
+            sample_points=sample_points, weights=weights, lam=lam, bumps=bumps, mode=mode,
+            **grids,
         )
 
 
@@ -320,17 +247,12 @@ _MAX_GRID_TIMES = 10_000
 
 
 def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
-    raw = raw.strip()
+    """The times of a t grid: finite, rising, nonnegative and at least one."""
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{key}: geometric grids are 'start:stop:factor'")
-        try:
-            start, stop, factor = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad geometric grid {raw!r}") from exc
-        if not np.isfinite([start, stop, factor]).all():
-            raise ConfigError(f"{key}: geometric grid {raw!r} is not finite")
+        start, stop, factor = (_numbers(part, key, float, 1)[0] for part in parts)
         if start <= 0 or stop < start or factor <= 1:
             raise ConfigError(f"{key}: need 0 < start <= stop and factor > 1")
         # count the times first: a factor a few ulps above 1 never ends in practice
@@ -342,20 +264,18 @@ def parse_t_grid(raw: str, key: str = "t_grid") -> list[float]:
             ts.append(t)
             t *= factor
         return ts
-    try:
-        ts = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: bad list {raw!r}") from exc
+    ts = [_numbers(tok, key, float, 1)[0] for tok in raw.split(",") if tok.strip()]
     if not ts:
         raise ConfigError(f"{key}: the grid holds no time")
-    if not np.isfinite(ts).all():
-        raise ConfigError(f"{key}: times must be finite, got {raw!r}")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ConfigError(f"{key} must be strictly increasing")
+    if ts[0] < 0:
+        raise ConfigError(f"{key} holds the negative time {ts[0]}")
     return ts
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    scalars: dict[str, str] = {}
-    multis: dict[str, list[str]] = {}
+    lines: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -363,15 +283,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key in _MULTI_KEYS:
-            multis.setdefault(key, []).append(value)
-        elif key in _SCALAR_KEYS:
-            if key in scalars:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = value
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    return ExperimentConfig(scalars, multis)
+        if key in lines and not _KEYS[key]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        lines.setdefault(key, []).append(value)
+    return ExperimentConfig(lines)
 
 
 def load_config(path) -> ExperimentConfig:

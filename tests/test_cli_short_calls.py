@@ -35,7 +35,7 @@ def _reference_potential_flow_rows(exp, seed):
     g0, phi = exp.g0, exp.phi
     rho_0 = 2.0 * (np.einsum("...i,...i->...", pts, g0.grad(pts)) - g0.value(pts))
     f_0 = tf.concentration_rate(phi, np.zeros(phi.dimension), pts)
-    for t in exp.flow_t_grid or [0.0, 0.5, 1.0, 5.0, 20.0]:
+    for t in exp.flow_t_grid:
         g_vals = g0.value(pts) + t * phi.value(pts)
         rho = rho_0 + 2.0 * t * f_0
         dg_t = g0.grad(pts) + t * phi.grad(pts)
