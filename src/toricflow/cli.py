@@ -87,9 +87,9 @@ def _sample_margin(poly) -> float:
     return 0.25 * radius
 
 
-def _weights(exp: Experiment) -> list:
+def _weights(exp: Experiment):
     """The `section.lambda` weights, or every lattice point of P without them."""
-    return list(exp.weights or exp.poly.lattice_points())
+    return exp.weights or exp.poly.lattice_points()
 
 
 def _require_kahler(exp: Experiment, ts, pts) -> None:
