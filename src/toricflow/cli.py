@@ -54,26 +54,14 @@ SLOPE_BAND = (-1.1, -0.9)
 POLARIZATION_T = tuple(float(t) for t in np.geomspace(10, 1000, 11))
 
 
-def _cell_format(kind: type) -> str:
-    """A number prints as "%.17g" of its float; a bool, str or other cell as str."""
-    number = issubclass(kind, (int, float, np.integer, np.floating))
-    return "%.17g" if number and not issubclass(kind, (bool, np.bool_)) else "%s"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the rows, a list or a 2D float array, with one %-format per tuple
-    of cell types, built once per table: every row of an array shares one."""
-    if isinstance(rows, np.ndarray):
-        row_format = ",".join([_cell_format(float)] * rows.shape[1])
-        lines = [row_format % tuple(row) for row in rows.tolist()]
-    else:
-        formats: dict[tuple, str] = {}
-        lines = []
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = ",".join(map(_cell_format, kinds))
-            lines.append(formats[kinds] % tuple(row))
+def _write_csv(path: Path, header: list[str], table, labels=None) -> None:
+    """Write a 2D float table with "%.17g" cells, after an optional first
+    column of strings, `labels`."""
+    table = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    lines = [row_format % tuple(row) for row in table.tolist()]
+    if labels is not None:
+        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
     path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
 
 
@@ -82,9 +70,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _sample_margin(poly) -> float:
-    _, radius = poly.chebyshev_center()
-    return 0.25 * radius
+def _sample(exp: Experiment, count: int, rng, share: float = 0.25) -> np.ndarray:
+    """`count` points of P, each at least `share` of P's inscribed radius
+    inside every facet."""
+    _, radius = exp.poly.chebyshev_center()
+    return sample_interior(exp.poly, count, rng, margin=share * radius)
 
 
 def _weights(exp: Experiment):
@@ -123,12 +113,17 @@ def _rounding_tols(phi, pts, ts, lams) -> np.ndarray:
         return ROUTE_TOL * np.maximum(1.0, np.multiply.outer(scales, ts))
 
 
+def _weight_rows(check: str, residual, exp: Experiment, lams, ts, pts) -> list[list[Check]]:
+    """Each weight's rows of a two-route check: `residual(s0, ts, pts)` of
+    the weight's time-zero section against the rounding tolerances at `pts`."""
+    return [_rows(check, lam, ts, residual(WeightSection(lam, exp.g0, exp.phi, 0.0), ts, pts), tols)
+            for lam, tols in zip(lams, _rounding_tols(exp.phi, pts, ts, lams))]
+
+
 def _gluing_rows(exp: Experiment, lams, ts, args) -> list[list[Check]]:
     """The two-chart gluing rows of each weight, for section-flow and gluing."""
-    tols = _rounding_tols(exp.phi, gluing_points(exp.poly), ts, lams)
-    return [_rows("gluing", lam, ts, gluing_check_cp1(WeightSection(lam, exp.g0, exp.phi, 0.0),
-                                                      ts, args.corrupt_transition), tol)
-            for lam, tol in zip(lams, tols)]
+    return _weight_rows("gluing", lambda s0, ts, _: gluing_check_cp1(s0, ts, args.corrupt_transition),
+                        exp, lams, ts, gluing_points(exp.poly))
 
 
 def _finish(command: str, out: Path, rows: list[Check], fail_code: int = EXIT_NUMERICAL,
@@ -171,8 +166,7 @@ def cmd_validate(exp: Experiment, out: Path, args) -> int:
 def cmd_potential_flow(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
     ts = exp.flow_t_grid
-    rng = np.random.default_rng(args.seed)
-    pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
+    pts = _sample(exp, exp.sample_points, np.random.default_rng(args.seed))
     _require_kahler(exp, ts, pts)
 
     table = np.vstack([
@@ -197,42 +191,35 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     poly, g0, phi = exp.poly, exp.g0, exp.phi
     ts = exp.section_t
     rng = np.random.default_rng(args.seed)
-    pts = sample_interior(poly, 40, rng, margin=_sample_margin(poly))
+    pts = _sample(exp, 40, rng)
     # the FD truncation error scales like (grad rho_t / 2)^5 h^4, so the
     # frame check runs at moderate time and away from the boundary
     t_frame = min(1.0, ts[-1])
-    _, radius = poly.chebyshev_center()
-    frame_pts = sample_interior(poly, 10, rng, margin=0.5 * radius)
+    frame_pts = _sample(exp, 10, rng, share=0.5)
     _require_kahler(exp, ts, pts)
     _require_kahler(exp, [t_frame], frame_pts)
     if poly.dimension == 1:
         _require_kahler(exp, ts, gluing_points(poly))
 
     lams = _weights(exp)
+    route = _weight_rows("route-equality", route_equality_residual, exp, lams, ts, pts)
     gluing = _gluing_rows(exp, lams, ts, args) if poly.dimension == 1 else [[]] * len(lams)
-    rows = []
-    for lam, tols, gluing_rows in zip(lams, _rounding_tols(phi, pts, ts, lams), gluing):
-        s0 = WeightSection(lam, g0, phi, 0.0)
-        rows += _rows("route-equality", lam, ts, route_equality_residual(s0, ts, pts), tols)
-        rows += gluing_rows
-    pairs = [(lam, t) for lam in lams for t in ts]
-
-    sections = [WeightSection(lam, g0, phi, t) for lam, t in pairs]
-    log_norms = section_log_norms_sq(sections, exp.spec)
-    norm_rows = [[" ".join(map(str, lam)), t, v] for (lam, t), v in zip(pairs, log_norms)]
-
+    rows = [row for route_rows, gluing_rows in zip(route, gluing) for row in route_rows + gluing_rows]
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
     rows.append(Check("frame-holomorphicity", None, t_frame, frame_resid, FRAME_TOL))
 
-    _write_csv(out / "section_norms.csv", ["lambda", "t", "log_norm_sq"], norm_rows)
+    pairs = [(lam, t) for lam in lams for t in ts]
+    log_norms = section_log_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], exp.spec)
+    _write_csv(out / "section_norms.csv", ["lambda", "t", "log_norm_sq"],
+               np.column_stack([[t for _, t in pairs], log_norms]),
+               [" ".join(map(str, lam)) for lam, _ in pairs])
     return _finish("section-flow", out, rows, seed=args.seed)
 
 
 def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
     ts = POLARIZATION_T
-    rng = np.random.default_rng(args.seed)
-    pts = sample_interior(poly, exp.sample_points, rng, margin=_sample_margin(poly))
+    pts = _sample(exp, exp.sample_points, np.random.default_rng(args.seed))
 
     G = metric_hessians(exp.g0, exp.phi, ts, pts)
     bad = np.argwhere(~np.isfinite(G).all(axis=(-2, -1)))
@@ -263,60 +250,35 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
 
 def cmd_gluing(exp: Experiment, out: Path, args) -> int:
     if exp.poly.dimension != 1:
-        print("gluing: the two-chart model needs a one-dimensional polytope")
-        return EXIT_CONFIG
+        raise ConfigError("gluing: the two-chart model needs a one-dimensional polytope")
     ts = exp.section_t
     _require_kahler(exp, ts, gluing_points(exp.poly))
     return _finish("gluing", out, sum(_gluing_rows(exp, _weights(exp), ts, args), []))
 
 
 def cmd_lift(exp: Experiment, out: Path, args) -> int:
-    poly = exp.poly
     ts = exp.section_t
-    rng = np.random.default_rng(args.seed)
-    pts = sample_interior(poly, 20, rng, margin=_sample_margin(poly))
+    pts = _sample(exp, 20, np.random.default_rng(args.seed))
     _require_kahler(exp, ts, pts)
-    lams = _weights(exp)
-    rows = []
-    for lam, tols in zip(lams, _rounding_tols(exp.phi, pts, ts, lams)):
-        s0 = WeightSection(lam, exp.g0, exp.phi, 0.0)
-        rows += _rows("lift", lam, ts, lift_section_consistency(s0, ts, pts), tols)
-    return _finish("lift", out, rows, seed=args.seed)
+    rows = _weight_rows("lift", lift_section_consistency, exp, _weights(exp), ts, pts)
+    return _finish("lift", out, sum(rows, []), seed=args.seed)
 
 
 def cmd_converge(exp: Experiment, out: Path, args) -> int:
-    poly, lam = exp.poly, exp.lam
-    if lam is None:
+    if exp.lam is None:
         raise ConfigError("missing required config key 'experiment.lambda'")
-    lam_arr = np.asarray(lam, dtype=float)
-    if not poly.contains(lam_arr):
-        print(f"converge: lambda {lam} lies outside the moment polytope")
-        return EXIT_CONFIG
-    if not poly.is_interior(lam_arr):
-        print(
-            f"converge: lambda {lam} lies on the polytope boundary; the fiber "
-            "degenerates there.  Convergence requires a regular integral value "
-            "of the moment map (lambda in t*_{Z,reg}, i.e. interior to P)."
-        )
-        return EXIT_CONFIG
     if not exp.bumps:
         raise ConfigError("experiment.bumps lines are required for convergence runs")
-
+    # convergence_experiment refuses a lambda that is not interior to P
     report = conv.convergence_experiment(
-        lam_arr, exp.phi, exp.g0, exp.bumps,
+        exp.lam, exp.phi, exp.g0, exp.bumps,
         exp.experiment_t_grid, exp.spec, exp.mode,
     )
-    rows = []
-    for b in report.bumps:
-        for t, pairing, err in zip(report.t_grid, b.pairings, b.abs_errors):
-            rows.append(
-                [" ".join(map(str, lam)), b.bump_id, t, pairing, b.fiber_value, err]
-            )
-    _write_csv(
-        out / "convergence.csv",
-        ["lambda", "bump_id", "t", "pairing", "fiber_value", "abs_error"],
-        rows,
-    )
+    table = [[b.bump_id, t, pairing, b.fiber_value, err] for b in report.bumps
+             for t, pairing, err in zip(report.t_grid, b.pairings, b.abs_errors)]
+    _write_csv(out / "convergence.csv",
+               ["lambda", "bump_id", "t", "pairing", "fiber_value", "abs_error"],
+               table, [" ".join(map(str, exp.lam))] * len(table))
     return _finish("converge", out, report.checks, **report.to_dict(), seed=args.seed)
 
 

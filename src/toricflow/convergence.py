@@ -188,8 +188,8 @@ def convergence_experiment(
     lam = np.asarray(lam, dtype=float)
     if not poly.is_interior(lam):
         raise FiberDegenerationError(
-            "convergence requires an interior (regular) lattice weight"
-        )
+            f"lambda {lam.tolist()} is not interior to the polytope; convergence needs a "
+            "regular integral value of the moment map (lambda in t*_{Z,reg})")
     ts = np.asarray(t_grid, dtype=float)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")

@@ -1,5 +1,5 @@
-"""The short subcommands against reference copies of their per-cell CSV
-writer and per-t loops: the same bytes, one G_t stack per call."""
+"""The short subcommands against reference copies of their per-t loops: the
+same bytes, one G_t stack per call."""
 
 import json
 from pathlib import Path
@@ -24,8 +24,7 @@ def _args(command, cfg, out, seed=0):
 
 
 def _points(exp, seed):
-    rng = np.random.default_rng(seed)
-    return tf.sample_interior(exp.poly, exp.sample_points, rng, margin=cli._sample_margin(exp.poly))
+    return cli._sample(exp, exp.sample_points, np.random.default_rng(seed))
 
 
 def _reference_potential_flow_rows(exp, seed):
@@ -84,32 +83,16 @@ def test_write_csv_array_matches_list_rows(tmp_path):
     assert (tmp_path / "table.csv").read_text().startswith("a,b,c,d\n-0,0,nan,inf\n-inf,")
 
 
-def _per_cell_csv(header, rows) -> str:
-    """The CSV text of the per-cell writer that `_write_csv`'s row formats replace."""
-    def fmt(v) -> str:
-        if isinstance(v, (bool, np.bool_)):
-            return str(bool(v))
-        if isinstance(v, (int, float, np.floating, np.integer)):
-            return format(float(v), ".17g")
-        return str(v)
-
-    return "\n".join([",".join(header), *(",".join(map(fmt, row)) for row in rows)]) + "\n"
-
-
-def test_write_csv_matches_per_cell_writer(tmp_path):
-    floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 0.1, 1e308, 2.0**53 + 2]
-    cells = [
-        True, False, np.True_, np.False_,
-        0, -7, 2**53 + 1, 10**20, np.int64(-3), np.uint8(255), np.int32(7),
-        *floats, *map(np.float64, floats), np.float32(0.1), np.float16(-0.0), np.float32(np.nan),
-        "route-equality", "1 0", "", "-", "%s %d 100%",
-    ]
-    # every rotation gives another row of cell types; the repeats reuse a format
-    rows = [cells[i:] + cells[:i] for i in range(len(cells))] * 2
-    rows += [[True, 1, 0.5, "a"], [np.True_, np.int64(1), np.float64(0.5), "a"], ["x"], []]
-    header = [f"c{i}" for i in range(len(cells))]
-    cli._write_csv(tmp_path / "rows.csv", header, rows)
-    assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == _per_cell_csv(header, rows)
+def test_write_csv_bytes(tmp_path):
+    # an int-valued column prints as the ints, as convergence.csv's bump_id
+    table = np.array([[0.0, 1 / 3, -0.0], [2.0, np.nan, 1e308], [10.0, -np.inf, 5e-324]])
+    rows = [b"0,0.33333333333333331,-0", b"2,nan,1e+308", b"10,-inf,4.9406564584124654e-324"]
+    cli._write_csv(tmp_path / "labelled.csv", ["lambda", "bump_id", "x", "y"], table,
+                   ["1 1", "0 2", "-1 0"])
+    assert (tmp_path / "labelled.csv").read_bytes() == b"\n".join(
+        [b"lambda,bump_id,x,y", b"1 1," + rows[0], b"0 2," + rows[1], b"-1 0," + rows[2], b""])
+    cli._write_csv(tmp_path / "plain.csv", ["bump_id", "x", "y"], table)
+    assert (tmp_path / "plain.csv").read_bytes() == b"\n".join([b"bump_id,x,y", *rows, b""])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
