@@ -4,8 +4,8 @@ Subcommands: validate, potential-flow, section-flow, polarization, gluing,
 lift, converge, report.  Each subcommand but `report` judges its checks as
 `Check` rows and writes them to `<subcommand>.json` (dashes as underscores),
 with a top-level `pass`; `report` merges those files into `summary.json`.
-Exit codes: 0 all checks pass, 1 configuration or validation error (a failed
-`validate` row included), 2 numerical failure (any other failed row).
+Exit codes: 0 all checks pass, 1 usage, configuration or validation error (a
+failed `validate` row included), 2 numerical failure (any other failed row).
 Outputs are deterministic: fixed float formatting, sorted keys, seeded
 sampling with the seed recorded.
 """
@@ -288,8 +288,10 @@ def cmd_report(exp: Experiment, out: Path, args) -> int:
     for path in sorted(out.glob("*.json")):
         if path.name == "summary.json":
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            content = json.load(fh)
+        try:
+            content = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"report: {path.name} is not JSON: {exc}") from exc
         merged[path.name] = content
         verdict = content.get("pass")
         if verdict is not None:
@@ -314,17 +316,31 @@ _COMMANDS = {
 }
 
 
+def _usage_error(message: str):
+    """The parser's error hook: a usage error exits 1 through `main`, as a
+    config error does, instead of argparse's exit 2."""
+    raise ConfigError(message)
+
+
+def _seed(text: str) -> int:
+    """A `--seed`: numpy's generators take a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricflow",
         description="Run toric Kahler flow experiments from a config file.",
     )
+    parser.error = _usage_error
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="ignored; accepted for callers that pass it")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="sample-point selection seed (recorded in outputs)")
     parser.add_argument("--corrupt-transition", action="store_true",
                         dest="corrupt_transition",
@@ -333,18 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run one subcommand and return its exit code.  A usage error, a config
+    that does not validate, a file that cannot be read or written, and a
+    ConfigError or FiberDegenerationError from the subcommand exit 1; any
+    other ToricFlowError is a numerical failure and exits 2."""
     try:
+        args = build_parser().parse_args(argv)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         exp = load_config(args.config).validate()
-    except (ConfigError, OSError, ToricFlowError) as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.subcommand](exp, out, args)
-    except (ConfigError, FiberDegenerationError) as exc:
-        print(f"error: {exc}")
+    except (ConfigError, FiberDegenerationError, OSError) as exc:
+        print(f"config error: {exc}")
         return EXIT_CONFIG
     except ToricFlowError as exc:
         print(f"numerical failure: {exc}")

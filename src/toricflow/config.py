@@ -42,7 +42,7 @@ import numpy as np
 from .convergence import FIBER_WEIGHTS, BumpProfile
 from .errors import ConfigError, GridSizeError
 from .flow import SymplecticPotential, fit_window
-from .polytopes import DelzantPolytope, Facet
+from .polytopes import MAX_SAMPLE_DRAWS, DelzantPolytope, Facet
 from .potentials import ConvexPotential, LogSumExpPotential, QuadraticPotential
 from .quadrature import QuadratureSpec
 
@@ -184,11 +184,12 @@ class ExperimentConfig:
         referenced lattice points lie in P, every weight and bump center has
         the polytope's dimension, t grids are finite, non-empty and rising
         and hold no negative time, the experiment grid leaves a log-log fit
-        two times, the sample count is positive, every real number is
-        finite, phi and the quadrature spec build, the finest grid the spec
+        two times, the sample count lies in [1, MAX_SAMPLE_DRAWS], every
+        real number is finite, phi and the quadrature spec build, the finest grid the spec
         allows stays under the grid-size cap and the fiber mode is known."""
         poly = self._polytope()
-        poly.require_valid()
+        with _as_config_error("polytope.facet"):
+            poly.require_valid()
         dim = poly.dimension
         weights = tuple(_numbers(raw, "section.lambda", int, dim)
                         for raw in self.lines.get("section.lambda", []))
@@ -205,8 +206,9 @@ class ExperimentConfig:
                 fit_window(grids["experiment_t_grid"])
         (sample_points,) = _numbers(self._get("flow.sample_points", "20"),
                                     "flow.sample_points", int, 1)
-        if sample_points < 1:
-            raise ConfigError("flow.sample_points must be at least 1")
+        if not 1 <= sample_points <= MAX_SAMPLE_DRAWS:  # sample_interior draws no more
+            raise ConfigError(f"flow.sample_points must lie in [1, {MAX_SAMPLE_DRAWS}], "
+                              f"got {sample_points}")
         phi = self._phi(dim)
         with _as_config_error("quad"):
             spec = QuadratureSpec(**{name: _numbers(self.lines[key][0], key, kind, 1)[0]
@@ -292,5 +294,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -406,6 +406,9 @@ def box(sides: Sequence[float]) -> DelzantPolytope:
     return DelzantPolytope(facets, name="box")
 
 
+MAX_SAMPLE_DRAWS = 100_000
+
+
 def sample_interior(
     poly: DelzantPolytope,
     count: int,
@@ -413,7 +416,7 @@ def sample_interior(
     margin: float = 0.0,
 ) -> np.ndarray:
     """Rejection-sample `count` points with all l_k > margin, in at most
-    100,000 draws.
+    MAX_SAMPLE_DRAWS draws.
 
     Each round draws the missing rows at once; it can accept no more than it
     draws, so it makes the draws of a one-at-a-time loop, in the same order.
@@ -422,7 +425,7 @@ def sample_interior(
     pts = np.empty((0, poly.dimension))
     tries = 0
     while len(pts) < count:
-        need = min(count - len(pts), 100_000 - tries)
+        need = min(count - len(pts), MAX_SAMPLE_DRAWS - tries)
         if need == 0:
             raise EmptyGridError(
                 f"could not sample {count} interior points at margin {margin}"

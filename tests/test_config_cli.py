@@ -111,6 +111,43 @@ def test_cli_converge_boundary_lambda(tmp_path, capsys):
     assert "t*_{Z,reg}" in out
 
 
+def test_cli_converge_lambda_outside_polytope(tmp_path, capsys):
+    cfg = tmp_path / "outside.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "experiment.lambda = 5"))
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("config error: lambda [5.0] is not interior") and "t*_{Z,reg}" in out
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_gluing_on_a_triangle_is_config_error(tmp_path, capsys):
+    assert main(["gluing", "--config", str(CP2_CFG), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        "config error: gluing: the two-chart model needs a one-dimensional polytope\n")
+    assert not (tmp_path / "gluing.json").exists()
+
+
+@pytest.mark.parametrize("case", ["unknown-subcommand", "missing-config", "seed-not-a-number",
+                                  "negative-seed", "out-is-a-file", "config-not-utf8",
+                                  "report-over-bad-json"])
+def test_cli_input_error_exits_1_with_one_line(tmp_path, capsys, case):
+    # argparse's own usage errors exit 2, which the exit-code contract keeps
+    # for numerical failures; the rest raised a traceback
+    cfg, out = tmp_path / "cp1.cfg", tmp_path / "out"
+    cfg.write_bytes(CP1_CFG.read_bytes() + (b"# caf\xe9\n" if case == "config-not-utf8" else b""))
+    sub = {"unknown-subcommand": "bogus", "report-over-bad-json": "report"}.get(case, "potential-flow")
+    argv = [sub, "--out", str(out)] + ([] if case == "missing-config" else ["--config", str(cfg)])
+    argv += {"seed-not-a-number": ["--seed", "x"], "negative-seed": ["--seed", "-1"]}.get(case, [])
+    if case == "out-is-a-file":
+        out.write_text("")
+    if case == "report-over-bad-json":
+        out.mkdir()
+        (out / "gluing.json").write_text("{")
+    assert main(argv) == 1
+    said = capsys.readouterr()
+    assert said.out.startswith("config error: ") and said.out.count("\n") == 1 and said.err == ""
+
+
 def test_cli_gluing_and_corruption(tmp_path):
     assert main(["gluing", "--config", str(CP1_CFG), "--out", str(tmp_path)]) == 0
     code = main(
@@ -407,6 +444,8 @@ def _case_id(v) -> str:
         (CP2_CFG, ["phi.Q = 1 2 3 4"], "potential-flow"),
         (CP1_CFG, ["phi.perturbation = x ; 1"], "potential-flow"),
         (CP1_CFG, ["flow.sample_points = 0"], "potential-flow"),
+        # sample_interior makes at most 100,000 draws
+        (CP1_CFG, ["flow.sample_points = 100001"], "potential-flow"),
         (
             CP1_CFG,
             ["phi.kind = log-sum-exp", "phi.wavevector = 1 2", "phi.wavevector = -1 0"],
