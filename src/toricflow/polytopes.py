@@ -139,7 +139,7 @@ class DelzantPolytope:
     """Moment polytope from an ordered facet list.
 
     Values are immutable after construction; derived data (vertices,
-    validation, grids) is memoized.
+    validation, triangulations) is memoized.
     """
 
     def __init__(self, facets: Sequence[Facet], name: str = ""):
@@ -294,8 +294,6 @@ class DelzantPolytope:
 
     def lattice_points(self) -> list[tuple[int, ...]]:
         """The integer points of P as int tuples, in lexicographic order."""
-        if "lattice" in self._cache:
-            return self._cache["lattice"]
         self.require_valid()
         lo, hi = self.bounding_box()
         ranges = [
@@ -303,9 +301,7 @@ class DelzantPolytope:
             for l, h in zip(lo, hi)
         ]
         # the product of ascending ranges is already in lexicographic order
-        pts = [coords for coords in itertools.product(*ranges) if self.contains(coords)]
-        self._cache["lattice"] = pts
-        return pts
+        return [coords for coords in itertools.product(*ranges) if self.contains(coords)]
 
     def grid_cells(
         self, resolution: int, margin: float = 0.0, clip_depth: int = 6
@@ -323,17 +319,13 @@ class DelzantPolytope:
         perfbench/tracing.py binds it by name in its grid cache key, and goes
         with that key (ROADMAP item 1).  Raises EmptyGridError when the region
         has no interior."""
-        key = ("grid", resolution, float(margin))
-        if key in self._cache:
-            return self._cache[key]
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
         if margin < 0:
             raise ValueError("margin must be nonnegative")
         simplices, simplex_volumes, ks, cells = _kuhn_plan(self._triangulation(margin), resolution)
         counts = np.array(ks) ** self.dimension
-        grid = self._cache[key] = Grid(simplices, tuple(ks), simplex_volumes / counts, cells)
-        return grid
+        return Grid(simplices, tuple(ks), simplex_volumes / counts, cells)
 
     def grid_cell_count(self, resolution: int) -> int:
         """The number of cells of `grid_cells(resolution)`, counted without
