@@ -292,6 +292,8 @@ def cmd_report(exp: Experiment, out: Path, args) -> int:
             content = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"report: {path.name} is not JSON: {exc}") from exc
+        if not isinstance(content, dict):
+            raise ConfigError(f"report: {path.name} holds no JSON object")
         merged[path.name] = content
         verdict = content.get("pass")
         if verdict is not None:

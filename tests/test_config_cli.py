@@ -129,20 +129,20 @@ def test_cli_gluing_on_a_triangle_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["unknown-subcommand", "missing-config", "seed-not-a-number",
                                   "negative-seed", "out-is-a-file", "config-not-utf8",
-                                  "report-over-bad-json"])
+                                  "report-over-bad-json", "report-over-json-list"])
 def test_cli_input_error_exits_1_with_one_line(tmp_path, capsys, case):
-    # argparse's own usage errors exit 2, which the exit-code contract keeps
-    # for numerical failures; the rest raised a traceback
+    # exit 2 means a numerical failure, so a usage error exits 1 like any
+    # other input error, with one line and no traceback
     cfg, out = tmp_path / "cp1.cfg", tmp_path / "out"
     cfg.write_bytes(CP1_CFG.read_bytes() + (b"# caf\xe9\n" if case == "config-not-utf8" else b""))
-    sub = {"unknown-subcommand": "bogus", "report-over-bad-json": "report"}.get(case, "potential-flow")
+    sub = "bogus" if case == "unknown-subcommand" else "report" if "report" in case else "potential-flow"
     argv = [sub, "--out", str(out)] + ([] if case == "missing-config" else ["--config", str(cfg)])
     argv += {"seed-not-a-number": ["--seed", "x"], "negative-seed": ["--seed", "-1"]}.get(case, [])
     if case == "out-is-a-file":
         out.write_text("")
-    if case == "report-over-bad-json":
+    if "report" in case:
         out.mkdir()
-        (out / "gluing.json").write_text("{")
+        (out / "gluing.json").write_text("{" if case == "report-over-bad-json" else "[1]")
     assert main(argv) == 1
     said = capsys.readouterr()
     assert said.out.startswith("config error: ") and said.out.count("\n") == 1 and said.err == ""

@@ -14,8 +14,9 @@ when its own `__code__` ran: a comprehension or a nested function is a code
 object of its own, so it never counts for the function around it.
 
 `python tests/test_surface.py` prints every unreached function with its line
-count and allowlist reason, and exits 1 on any audit problem or when the
-unreached lines exceed UNREACHED_CEILING.
+count and allowlist reason, then the unreached total beside the line count of
+src/, and exits 1 on any audit problem or when the unreached lines exceed
+UNREACHED_CEILING.
 
 The same runs pin the verdict contract (every verdict is the `checks` rows of
 the run's one JSON file) and the artifact manifest: the sha256 of every
@@ -452,7 +453,9 @@ if __name__ == "__main__":
         key = _entry(name, ALLOWLIST)
         why = f"{ALLOWLIST[key].reason} ({ALLOWLIST[key].needed_by})" if key else "NOT ALLOWLISTED"
         print(f"{name:58s} {count:4d}  {why}")
-    print(f"{sum(lines.values())} lines of unreached function bodies")
+    src_lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                    for path in sorted((ROOT / "src").rglob("*.py")))
+    print(f"{sum(lines.values())} lines of unreached function bodies, of {src_lines} lines in src/")
     problems = audit(functions, reached) + ceiling_problems(lines)
     for problem in problems:
         print("problem:", problem)
