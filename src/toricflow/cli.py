@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -143,12 +144,13 @@ def _finish(command: str, out: Path, rows: list[Check], fail_code: int = EXIT_NU
 
 def cmd_validate(exp: Experiment, out: Path, args) -> int:
     poly = exp.poly
-    # block by block, keeping the first minimum that an argmin over the whole
-    # grid would give (a NaN first), so no Hessian stack of the grid is held;
-    # a Hessian that overflows is reported as not finite, without a warning
+    # 32 nodes per axis per unit of P's widest extent, block by block,
+    # keeping the first minimum that an argmin over the whole grid would give
+    # (a NaN first), so no Hessian stack of the grid is held; a Hessian that
+    # overflows is reported as not finite, without a warning
+    grid = poly.grid_cells(32 * math.ceil(np.ptp(poly.vertices(), axis=0).max() - 1e-9))
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [check_strict_convexity(exp.phi, pts)
-                  for pts, _ in poly.grid_cells(32).blocks(2**14)]
+        blocks = [check_strict_convexity(exp.phi, pts) for pts, _ in grid.blocks(2**14)]
     report = blocks[int(np.argmin([b.min_eigenvalue for b in blocks]))]
     issues = [] if report.ok else [
         f"phi's Hessian is not finite at {list(report.witness)}"

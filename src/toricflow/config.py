@@ -214,9 +214,9 @@ class ExperimentConfig:
         with _as_config_error("quad"):
             spec = QuadratureSpec(**{name: _numbers(self.lines[key][0], key, kind, 1)[0]
                                      for key, (name, kind) in _QUAD.items() if key in self.lines})
-        # integrate_many's finest grid: the base resolution, doubled for the
-        # first fine sum and once more per refinement
-        finest = spec.resolution * 2 ** (spec.max_refinements + 1)
+        # integrate_many's finest grid: the base resolution, doubled once per
+        # refinement
+        finest = spec.resolution * 2**spec.max_refinements
         try:
             poly.grid_cell_count(finest)
         except GridSizeError as exc:

@@ -56,7 +56,7 @@ class EmptyGridError(ToricFlowError, ValueError):
 
 
 class GridSizeError(ToricFlowError, MemoryError):
-    """A grid would hold more cells than the package allows; raised before
+    """A grid would hold more nodes than the package allows; raised before
     anything is allocated."""
 
 

@@ -17,17 +17,19 @@ recession cone, and of the polyhedron of inscribed balls one dimension up.
 scipy is imported only when a grid triangulates a non-simplex (Delaunay).
 
 Besides validation, this module enumerates the lattice points of P (the index
-set of the torus-weight basis) and plans midpoint-rule evaluation grids
-(`Grid`): a triangulation of P whose simplices are split by the
-Freudenthal-Kuhn edgewise subdivision, so every cell lies inside P and the
-cell volumes add up to vol(P) exactly.  A grid is built block by block when
-it is iterated, so memory holds about one block, whatever the cell count.
-Grid points are column-major, as a ufunc over row-major (m, n) points loops
-over only n <= 3 entries per row.
+set of the torus-weight basis) and plans quadrature grids (`Grid`): a
+Gauss-Legendre product rule in collapsed (Duffy) coordinates on each simplex
+of a triangulation of P, or on the cones from a peak point over the boundary
+faces of P, with the radial axis graded toward the peak.  Nodes are strictly
+interior.  A grid is built block by block when it is iterated, so memory
+holds about one block, whatever the node count.  Grid points are
+column-major, as a ufunc over row-major (m, n) points loops over only
+n <= 3 entries per row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,52 +89,49 @@ def _plain(v) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Grid:
-    """Midpoint-rule cells of a polytope, as a plan: a triangulation whose
-    simplex i is Kuhn-subdivided into ks[i]^n cells of volume
-    cell_volumes[i].  `len` is the cell count; no cell is built until
-    `blocks` is iterated.  Cell j has an evaluation point (the centroid) and
-    a Lebesgue volume, and the cells come in a fixed order."""
+    """A Gauss product rule on simplices, as a plan.  Simplex i, with apex
+    v_0 = simplices[i, 0], is the image of the unit cube under the collapsed
+    (Duffy) map x = v_0 + sum_k (u_1 ... u_k)(v_k - v_{k-1}), and axis k of
+    the cube carries the rule axes[i][k] of nodes and weights, with the
+    Jacobian scales[i] u_1^{n-1} u_2^{n-2} ... u_{n-1} folded into the
+    weights.  No node is built until `blocks` is iterated."""
 
-    simplices: np.ndarray     # (s, n + 1, n)
-    ks: tuple[int, ...]
-    cell_volumes: np.ndarray  # (s,)
-    cells: int
+    simplices: np.ndarray  # (s, n + 1, n)
+    axes: tuple            # per simplex, n (nodes, weights) pairs
+    scales: np.ndarray     # (s,), n! times the volumes
 
     def __len__(self) -> int:
-        return self.cells
+        return sum(math.prod(len(u) for u, _ in axes) for axes in self.axes)
 
-    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, float]]:
-        """The cells in order as (points, volume) blocks of at most `rows`
-        rows; points are column-major (m, n).  A block never crosses a
-        simplex, so all its cells have that simplex's cell volume `volume`.
-        Each block is built when it is requested, so only one is held at a
-        time."""
+    def blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The nodes in a fixed order as (points, weights) blocks of at most
+        `rows` rows, points column-major (m, n); a block never crosses a
+        simplex, and only the block requested is held."""
         n = self.simplices.shape[2]
-        for simplex, k, volume in zip(self.simplices, self.ks, self.cell_volumes):
-            origin, steps = simplex[0], np.diff(simplex, axis=0) / k
-            chunks, chunk, used = _kuhn_centroid_chunks(n, k, rows), np.empty((0, n)), 0
-            for start in range(0, k**n, rows):
-                points = np.empty((min(rows, k**n - start), n), order="F")
-                filled = 0
-                while filled < len(points):
-                    if used == len(chunk):
-                        chunk, used = next(chunks), 0
-                    take = min(len(points) - filled, len(chunk) - used)
-                    out = points[filled : filled + take]
-                    np.matmul(chunk[used : used + take], steps, out=out)
-                    out += origin
-                    filled, used = filled + take, used + take
-                yield points, float(volume)
+        for simplex, axes, scale in zip(self.simplices, self.axes, self.scales):
+            shape = tuple(len(u) for u, _ in axes)
+            steps, total = np.diff(simplex, axis=0), math.prod(shape)
+            for start in range(0, total, rows):
+                index = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
+                points = np.empty((len(index[0]), n), order="F")
+                points[:] = simplex[0]
+                weights, scaled = np.full(len(points), float(scale)), np.ones(len(points))
+                for (u, w), i, step in zip(axes, index, steps):
+                    scaled *= u[i]
+                    weights *= w[i]
+                    for j in range(n):
+                        points[:, j] += scaled * step[j]
+                yield points, weights
 
     @property
     def points(self) -> np.ndarray:
-        """All cell centroids, (len, n) column-major."""
-        return np.concatenate([points for points, _ in self.blocks(self.cells)])
+        """All nodes, (len, n) column-major."""
+        return np.concatenate([points for points, _ in self.blocks(len(self))])
 
     @property
-    def volumes(self) -> np.ndarray:
-        """All cell volumes, (len,)."""
-        return np.repeat(self.cell_volumes, np.array(self.ks) ** self.simplices.shape[2])
+    def weights(self) -> np.ndarray:
+        """All weights, (len,)."""
+        return np.concatenate([weights for _, weights in self.blocks(len(self))])
 
 
 class DelzantPolytope:
@@ -306,31 +305,48 @@ class DelzantPolytope:
     def grid_cells(
         self, resolution: int, margin: float = 0.0, clip_depth: int = 6
     ) -> Grid:
-        """Midpoint-rule cells of {x : l_k(x) >= margin} as a `Grid` plan,
-        whose points are built block by block when `Grid.blocks` is iterated.
-
-        The region is triangulated from its vertices (a simplex is its
-        own triangulation, anything else goes through Delaunay), and each
-        simplex is split by the Freudenthal-Kuhn edgewise subdivision into
-        k^n congruent simplices, k = resolution * ceil(longest sup-norm
-        edge); doubling `resolution` doubles every k.  Points are the
-        sub-simplex centroids, so they are strictly interior, and the volumes
-        are exact.  `clip_depth` is unused; it stays because
-        perfbench/tracing.py binds it by name in its grid cache key, and goes
-        with that key (ROADMAP item 1).  Raises EmptyGridError when the region
-        has no interior."""
+        """The Gauss plan of {x : l_k(x) >= margin}, `resolution` nodes per
+        axis on each simplex of its triangulation (a simplex is its own
+        triangulation, anything else goes through Delaunay).  `clip_depth`
+        is unused; it stays because perfbench/tracing.py binds it by name in
+        its grid cache key, and goes with that key (ROADMAP item 1).  Raises
+        EmptyGridError when the region has no interior."""
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
         if margin < 0:
             raise ValueError("margin must be nonnegative")
-        simplices, simplex_volumes, ks, cells = _kuhn_plan(self._triangulation(margin), resolution)
-        counts = np.array(ks) ** self.dimension
-        return Grid(simplices, tuple(ks), simplex_volumes / counts, cells)
+        simplices, volumes = self._triangulation(margin)
+        return _plan(simplices, volumes * math.factorial(self.dimension), resolution)
 
     def grid_cell_count(self, resolution: int) -> int:
-        """The number of cells of `grid_cells(resolution)`, counted without
-        building the grid.  Raises GridSizeError where `grid_cells` would."""
-        return _kuhn_plan(self._triangulation(0.0), resolution)[3]
+        """len(grid_cells(resolution)), without a traced grid_cells call."""
+        return len(_plan(*self._triangulation(0.0), resolution))
+
+    def cone_cells(self, apex, width: float, resolution: int) -> Grid:
+        """The Gauss plan of P on the cones from `apex`, a point of P, over
+        the boundary faces of its triangulation that lie on no facet through
+        `apex`, each split at the foot of `apex`.  Each radial axis grades
+        its first panel toward the apex down to `width`, a peak width (inf
+        grades none), so a density peaked there is resolved at every scale;
+        the next axis, across the face from the foot, grades down to the
+        foot's distance from the apex, the width of the peak across it."""
+        key = ("cones", tuple(float(v) for v in apex))
+        if key not in self._cache:
+            lam, far = np.array(key[1]), self.facet_values(key[1]) > 1e-9
+            faces = [np.delete(simplex, drop, axis=0) for simplex in self._triangulation(0.0)[0]
+                     for drop in range(self.dimension + 1)]
+            self._cache[key] = np.array([
+                np.vstack([lam, part]) for face in faces
+                if ((np.abs(self.facet_values(face)) <= 1e-9).all(axis=0) & far).any()
+                for part in _split_at_foot(face, lam)])
+        cones = self._cache[key]
+        edges = cones[:, 1:] - cones[:, :1]
+        floors = np.full(edges.shape[:2], np.inf)
+        floors[:, 0] = width / np.linalg.norm(edges, axis=2).max(axis=1)
+        if self.dimension > 1:
+            across = np.linalg.norm(cones[:, 2:] - cones[:, 1:2], axis=2).max(axis=1)
+            floors[:, 1] = np.linalg.norm(edges[:, 0], axis=1) / across
+        return _plan(cones, np.abs(np.linalg.det(edges)), resolution, floors)
 
     def _triangulation(self, margin: float) -> tuple[np.ndarray, np.ndarray]:
         """`_triangulate` of {x : l_k(x) >= margin}, once per margin."""
@@ -474,72 +490,77 @@ def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return simplices[keep], volumes[keep]
 
 
-def _decreasing_sequences(n: int, top: int, lo: int, hi: int) -> list[np.ndarray]:
-    """The columns c_1, ..., c_n of the integer rows top >= c_1 >= ... >= c_n
-    >= 0 with lo <= c_n < hi, built column by column from the last.  The rows
-    come in order of c_n, so consecutive ranges [lo, hi) tile the full set."""
-    cols = [np.arange(lo, hi)]
-    for _ in range(n - 1):
-        counts = top + 1 - cols[0]
-        rows = np.repeat(np.arange(len(cols[0])), counts)
-        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = [cols[0][rows] + step] + [c[rows] for c in cols]
-    return cols
+def _split_at_foot(face: np.ndarray, point: np.ndarray) -> list[np.ndarray]:
+    """The parts (foot, face minus one vertex) of the simplex `face` split at
+    the foot of `point` on its affine hull, when the foot lies in the face,
+    else the face.  Seen from `point`, a density peaked there peaks across
+    the face at the foot, so each part holds that peak at a corner."""
+    coef = np.linalg.lstsq((face[1:] - face[0]).T, point - face[0], rcond=None)[0]
+    bary = np.concatenate([[1.0 - coef.sum()], coef])
+    if bary.min() < -1e-12:
+        return [face]
+    foot = bary @ face
+    return [np.vstack([foot, np.delete(face, i, axis=0)]) for i in np.flatnonzero(bary > 1e-12)]
 
 
-def _kuhn_centroid_chunks(n: int, k: int, rows: int) -> Iterator[np.ndarray]:
-    """Centroids of the k^n congruent simplices of the Kuhn subdivision of the
-    dilated order simplex {k >= z_1 >= ... >= z_n >= 0}, in column-major
-    chunks of at most `rows` rows, or of one value of the last anchor
-    coordinate where that alone has more.
-
-    The sub-simplex with integer anchor a and permutation p has vertices
-    a, a + e_p(1), a + e_p(1) + e_p(2), ..., so its centroid is a + w with
-    w_p(m) = (n + 1 - m)/(n + 1).  It lies in the order simplex iff
-    k - 1 >= a_1 >= ... >= a_n >= 0 with a_i > a_{i+1} wherever p takes
-    axis i + 1 before axis i; those anchors are enumerated directly, in
-    order of a_n.  The C(top - v + n - 1, n - 1) anchors with a_n = v come
-    together, so a chunk is a range of a_n.
-    """
-    for perm in itertools.permutations(range(n)):
-        rank = np.argsort(perm)
-        strict = (rank[1:] < rank[:-1]).astype(int)
-        top = k - 1 - strict.sum()
-        if top < 0:
-            continue
-        shift = np.append(np.cumsum(strict[::-1])[::-1], 0)
-        counts = np.ones(top + 1, dtype=np.int64)
-        for j in range(1, n):  # C(top - v + j, j) from C(top - v + j - 1, j - 1)
-            counts = counts * (top - np.arange(top + 1) + j) // j
-        ends = np.cumsum(counts)
-        lo = 0
-        while lo <= top:
-            done = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + rows, side="right")))
-            base = _decreasing_sequences(n, top, lo, hi)
-            chunk = np.empty((len(base[0]), n), order="F")
-            for i, col in enumerate(base):
-                np.add(col + shift[i], (n - rank[i]) / (n + 1), out=chunk[:, i])
-            yield chunk
-            lo = hi
+# The most nodes one plan may hold: plans are built block by block, so the
+# cap bounds the work of one integral, 2^24 integrand rows per field.
+_MAX_GRID_NODES = 2**24
 
 
-# The most cells one grid may hold.  The largest grid a known run needs is
-# 256^3 = 2^24: `converge` on the size-4 3-simplex at t <= 320, quadrature
-# resolution 8 and depth 2.  Grids are built block by block, so the cap bounds
-# the work of one integral (2^24 integrand rows per field), not its memory.
-_MAX_GRID_CELLS = 2**24
+@functools.lru_cache(maxsize=None)
+def _gauss(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q-point Gauss-Legendre rule on [0, 1] by Golub-Welsch: the
+    eigenvalues and first eigenvector components of the Jacobi matrix."""
+    k = np.arange(1.0, q)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return (nodes + 1.0) / 2.0, vectors[0] ** 2
 
 
-def _kuhn_plan(triangulation: tuple[np.ndarray, np.ndarray], resolution: int):
-    """The simplices and volumes of a `_triangulate` result, the subdivision
-    k = resolution * ceil(longest sup-norm edge) of each simplex, and the cell
-    count sum k^n.  Raises GridSizeError above _MAX_GRID_CELLS cells."""
-    simplices, simplex_volumes = triangulation
+def _panels(resolution: int) -> tuple[int, int]:
+    """ceil(resolution / 8) uniform panels and the Gauss nodes of each, at
+    most 8: 8 nodes integrate polynomials of degree 15 exactly."""
+    panels = -(-resolution // 8)
+    return panels, -(-resolution // panels)
+
+
+def _graded(panels: int, floor: float) -> int:
+    """The graded panels that replace the first of `panels` uniform panels:
+    they shrink toward 0 by 2^{-2/panels}, panels/2 of them per halving of
+    the radius, until the last ends at most at `floor`.  They grow in
+    number with the resolution like the uniform panels, so the two levels
+    of a refinement differ near the apex too."""
+    return math.ceil(math.log2(1.0 / (panels * floor)) * panels / 2) if panels * floor < 1.0 else 0
+
+
+@functools.lru_cache(maxsize=256)
+def _axis_rule(resolution: int, power: int, graded: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the composite Gauss rule of
+    `_panels(resolution)`, the first panel replaced by `graded` panels of
+    `_graded`, with the weights multiplied by u^power."""
+    panels, q = _panels(resolution)
+    uniform = np.linspace(0.0, 1.0, panels + 1)
+    inner = uniform[1] * 2.0 ** (-2.0 / panels * np.arange(graded, 0, -1))
+    breaks = np.concatenate([[0.0], inner, uniform[1:]])
+    x, w = _gauss(q)
+    widths = np.diff(breaks)[:, None]
+    nodes = (breaks[:-1, None] + widths * x).ravel()
+    weights = (widths * w).ravel() * nodes**power
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by the cache
+    return nodes, weights
+
+
+def _plan(simplices: np.ndarray, scales: np.ndarray, resolution: int, floors=None) -> Grid:
+    """The Grid of `resolution` nodes per axis on each simplex, axis k of
+    simplex i graded toward 0 down to floors[i, k] (none by default).
+    Raises GridSizeError above _MAX_GRID_NODES nodes, before building any."""
     n = simplices.shape[2]
-    longest = np.abs(simplices[:, :, None] - simplices[:, None]).max(axis=(1, 2, 3))
-    ks = [resolution * max(1, math.ceil(e - 1e-9)) for e in longest]
-    cells = sum(k**n for k in ks)
-    if cells > _MAX_GRID_CELLS:
-        raise GridSizeError(f"a grid of {cells} cells exceeds the cap of {_MAX_GRID_CELLS}")
-    return simplices, simplex_volumes, ks, cells
+    panels, q = _panels(resolution)
+    floors = np.full((len(simplices), n), np.inf) if floors is None else floors
+    graded = [[_graded(panels, f) for f in row] for row in floors]
+    nodes = sum(math.prod(q * (panels + g) for g in row) for row in graded)
+    if nodes > _MAX_GRID_NODES:
+        raise GridSizeError(f"a grid of {nodes} nodes exceeds the cap of {_MAX_GRID_NODES}")
+    return Grid(simplices, tuple(tuple(_axis_rule(resolution, n - 1 - k, g) for k, g in enumerate(row))
+                                 for row in graded), scales)

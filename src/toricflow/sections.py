@@ -207,28 +207,42 @@ def _laplace_integrand(phi: ConvexPotential, lams, ts, g0: Optional[SymplecticPo
     return kernel, log_peaks
 
 
+def _peak_width(phi: ConvexPotential, lam, t: float, s: float) -> float:
+    """The width (s t lambda_min(Hess phi(lam)))^{-1/2} of the peak of
+    e^{-s t f_lam} at lam, inf where the density is flat."""
+    curvature = s * t * np.linalg.eigvalsh(phi.hess(np.asarray(lam, dtype=float))).min()
+    return float(curvature**-0.5) if curvature > 0 else np.inf
+
+
 def _laplace_moments(poly: DelzantPolytope, phi: ConvexPotential, lams, ts, spec: QuadratureSpec,
                      g0: Optional[SymplecticPotential] = None, fs: Sequence = ()):
     """Log-masses log int_P rho_j dx and moment ratios
     int_P rho_j f_i dx / int_P rho_j dx of the `_laplace_integrand`
-    densities rho_j, from one `integrate_many` call.
+    densities rho_j, from one `integrate_many` call per distinct weight, on
+    the cones from that weight graded down to the peak width at its largest
+    time (s = 2 for a section density e^{-2 A}, 1 for `converge`).
 
     Density j and its moments form one quadrature group judged by its mass,
     so every column stops at the level a separate integration would stop
     at.  The log-masses add the log-peaks back, so they stay finite far
     beyond the float range of the masses themselves.  Raises
-    QuadratureOverflow when a scaled mass is not positive, as when the peak
-    is so narrow that the density underflows on every cell.
+    QuadratureOverflow when a scaled mass is not positive.
     """
-    kernel, log_peaks = _laplace_integrand(phi, lams, ts, g0, fs)
+    lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
     width = 1 + len(fs)
-    results = integrate_many(kernel, len(log_peaks) * width, poly, spec, group=width)
-    moments = np.array([r.value for r in results]).reshape(-1, width)
+    moments, log_peaks = np.empty((len(ts), width)), np.empty(len(ts))
+    keys = [tuple(lam) for lam in lams]
+    for key in dict.fromkeys(keys):
+        cols = [j for j, other in enumerate(keys) if other == key]
+        kernel, log_peaks[cols] = _laplace_integrand(phi, lams[cols], ts[cols], g0, fs)
+        peak = (key, _peak_width(phi, key, ts[cols].max(), 1.0 if g0 is None else 2.0))
+        results = integrate_many(kernel, len(cols) * width, poly, spec, group=width, peak=peak)
+        moments[cols] = np.array([r.value for r in results]).reshape(-1, width)
     for j, mass in enumerate(moments[:, 0]):
         if not mass > 0.0:
             raise QuadratureOverflow(
                 f"density mass {mass} at t = {ts[j]:g}: the grid does not resolve "
-                f"the peak of column {j} (weight {np.asarray(lams[j]).tolist()})"
+                f"the peak of column {j} (weight {lams[j].tolist()})"
             )
     return np.log(moments[:, 0]) + log_peaks, moments[:, 1:] / moments[:, :1]
 
@@ -238,14 +252,14 @@ def section_log_norms_sq(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
     """log of the L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam,t}} dx of
-    sections that share one g_0 and one phi, in one pass over the grid.
+    sections that share one g_0 and one phi.
 
     The torus direction integrates exactly to (2 pi)^n; the polytope factor
-    goes through the midpoint quadrature on the uniform simplicial grid, and
-    every norm is judged on its own, at the refinement level a separate
-    integration would stop at.  Raises ValueError for sections of different
-    models, and QuadratureOverflow when a density underflows on every grid
-    cell.
+    goes through the Gauss rule on the cones from each weight, one
+    `integrate_many` call per distinct weight, and every norm is judged on
+    its own, at the refinement level a separate integration would stop at.
+    Raises ValueError for sections of different models, and
+    QuadratureOverflow when a mass is not positive.
     """
     g0, phi = sections[0].g0, sections[0].phi
     if any(s.g0 is not g0 or s.phi is not phi for s in sections):

@@ -16,9 +16,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE_CAP = 1_500_000_000
 
 
-def integrate(f, poly, spec=tf.QuadratureSpec()):
-    """One scalar field f over poly: the k = 1 `integrate_many` call."""
-    return integrate_many(lambda p: np.asarray(f(p), dtype=float)[:, None], 1, poly, spec)[0]
+def integrate(f, poly, spec=tf.QuadratureSpec(), peak=None):
+    """One scalar field f over poly: the k = 1 `integrate_many` call, on the
+    cones of `peak` = (apex, width) when given."""
+    return integrate_many(lambda p: np.asarray(f(p), dtype=float)[:, None], 1, poly, spec,
+                          peak=peak)[0]
 
 
 def concentration_moments(lam, phi, poly, t, spec=tf.QuadratureSpec()):

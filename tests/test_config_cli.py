@@ -522,7 +522,8 @@ def test_cli_potential_flow_nan_residual_fails(tmp_path, capsys):
 
 
 def test_cli_converge_past_grid_resolution_is_numerical_failure(tmp_path, capsys):
-    # at t = 1e11 the density underflows on every grid cell: its mass is 0
+    # at t = 1e11 the exponent t f_lam of the density rounds at about
+    # t * 1e-16: the masses carry noise near 1e-6, and refinement stagnates
     cfg = tmp_path / "huge_t.cfg"
     cfg.write_text(_with_values(CP1_CFG, "experiment.t_grid = 1e11,1e12"))
     assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -531,7 +532,7 @@ def test_cli_converge_past_grid_resolution_is_numerical_failure(tmp_path, capsys
 
 @pytest.mark.parametrize("sub", ["validate", "section-flow"])
 def test_cli_oversized_grid_is_config_error(tmp_path, run_capped, sub):
-    # 10^8 cells at the first level and 6.4e9 at depth 2: every subcommand
+    # 2.5e7 nodes at the first level and 4e8 at depth 2: every subcommand
     # refuses the config before it allocates a grid, as `validate` does
     cfg = tmp_path / "huge_grid.cfg"
     cfg.write_text(_with_values(CP2_CFG, "quad.resolution = 5000"))
@@ -539,7 +540,7 @@ def test_cli_oversized_grid_is_config_error(tmp_path, run_capped, sub):
     done = run_capped(f"import sys\nfrom toricflow.cli import main\nsys.exit(main({argv!r}))")
     assert done.returncode == 1, done.stderr
     assert done.stdout.startswith("config error: quad: the finest grid")
-    assert "a grid of 6400000000 cells exceeds the cap of 16777216" in done.stdout
+    assert "a grid of 400000000 nodes exceeds the cap of 16777216" in done.stdout
 
 
 def test_cli_validate_witness_is_plain_floats(tmp_path):
@@ -547,7 +548,8 @@ def test_cli_validate_witness_is_plain_floats(tmp_path):
     cfg.write_text(_with_values(CP1_CFG, "phi.Q = -1"))
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     issues = _verdict(tmp_path, "validate")["issues"]
-    assert issues == ["phi is not strictly convex (min eig -1.000e+00 at [0.015625])"]
+    # the first node that validate scans, 2 * 0.0198550717512319 / 8
+    assert issues == ["phi is not strictly convex (min eig -1.000e+00 at [0.004963767937807978])"]
 
 
 @pytest.mark.parametrize("sub", ["potential-flow", "section-flow", "gluing", "lift"])
@@ -587,9 +589,9 @@ def test_cli_validate_non_finite_hessian_is_a_failure(tmp_path, capsys):
     assert not report["pass"] and np.isnan(report["checks"][0]["residual"])
     assert capsys.readouterr().err == ""
     # the witness is the first grid point, in validate's scan order, whose
-    # Hessian is not finite
+    # Hessian is not finite: 32 nodes per axis per unit of the size-4 simplex
     exp = parse_config(NAN_HESSIAN_3D).validate()
-    blocks = (pts for pts, _ in exp.poly.grid_cells(32).blocks(2**14))
+    blocks = (pts for pts, _ in exp.poly.grid_cells(32 * 4).blocks(2**14))
     with np.errstate(over="ignore", invalid="ignore"):
         first = next(pts[bad][0] for pts in blocks
                      if (bad := ~np.isfinite(exp.phi.hess(pts)).all(axis=(-2, -1))).any())

@@ -7,11 +7,12 @@ from scipy.special import erf
 from scipy.stats import norm
 
 import toricflow as tf
+from toricflow import sections
 from conftest import concentration_moments, fiber_weight, integrate
 from toricflow.config import load_config, parse_t_grid
 from toricflow.errors import FiberDegenerationError, QuadratureOverflow
 from toricflow.quadrature import integrate_many
-from toricflow.sections import _laplace_integrand, _laplace_moments
+from toricflow.sections import _laplace_integrand, _laplace_moments, _peak_width
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -159,8 +160,8 @@ def _norm_bump(bump, x):
 @pytest.mark.parametrize("height", [1.3, -0.7])
 def test_bump_matches_norm_reference_bit_for_bit(n, plateau, height):
     rng = np.random.default_rng(n)
-    # the first block of a Kuhn grid is column-major, as converge passes it
-    grid = tf.standard_simplex(n, 3.0).grid_cells((1024, 16, 16)[n - 1])
+    # the first block of a grid is column-major, as converge passes it
+    grid = tf.standard_simplex(n, 3.0).grid_cells((1024, 32, 16)[n - 1])
     block, _ = next(grid.blocks(2**12))
     assert block.flags.f_contiguous and block.shape[0] > 1000
     exact = tf.BumpProfile((0.5, 0.75, 1.0)[:n], 0.5, height, plateau)
@@ -235,10 +236,21 @@ def test_concentration_large_time(spec):
     assert tail_mass >= 0.999
 
 
-def test_concentration_past_grid_resolution_raises():
-    # at t = 1e10 the peak is far narrower than a cell, so the density
-    # underflows to 0 on every cell and the mass cannot normalize anything
+def test_concentration_past_grid_resolution_raises(monkeypatch):
+    # at t = 1e10 the cones from lam, graded down to the peak width 1e-5,
+    # resolve the peak: the variance is 1 / t to the Laplace correction
     phi = tf.QuadraticPotential([[1.0]])
+    _, cov, tail_mass = concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10)
+    assert abs(1e10 * cov[0, 0] - 1.0) < 1e-6 and tail_mass > 0.999
+    # a density that underflows on every node has mass 0: it cannot
+    # normalize anything, and the guard of _laplace_moments refuses it
+    original = sections._laplace_integrand
+
+    def underflowing(*args, **kwargs):
+        kernel, log_peaks = original(*args, **kwargs)
+        return (lambda x: 0.0 * kernel(x)), log_peaks
+
+    monkeypatch.setattr(sections, "_laplace_integrand", underflowing)
     with pytest.raises(QuadratureOverflow, match=r"density mass 0.0 at t = 1e\+10: "):
         concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10)
 
@@ -374,9 +386,9 @@ def test_convergence_requires_interior_weight(model2, spec):
 
 
 def test_batched_pairings_match_per_t_moments():
-    # cp1_size2's large-t grid: t = 10 refines twice and every later t stops
-    # at the first level; each t's group, integrated alone from the same
-    # full-width kernel output, gives the one-pass pairings bit for bit
+    # cp1_size2's large-t grid: every t stops at the first level; each t's
+    # group, integrated alone from the same full-width kernel output on the
+    # same cones, gives the one-pass pairings bit for bit
     exp = load_config(REPO / "configs" / "cp1_size2.cfg").validate()
     lam = np.asarray(exp.lam, dtype=float)
     ts = parse_t_grid("10:1280:2")
@@ -384,7 +396,8 @@ def test_batched_pairings_match_per_t_moments():
     lams = np.broadcast_to(lam, (len(ts), len(lam)))
     kernel, _ = _laplace_integrand(exp.phi, lams, ts, fs=exp.bumps)
     width = 1 + len(exp.bumps)
-    levels = []
+    peak = (tuple(lam), _peak_width(exp.phi, lam, ts[-1], 1.0))
+    points = []
     for i in range(len(ts)):
         sizes = []
 
@@ -392,7 +405,10 @@ def test_batched_pairings_match_per_t_moments():
             sizes.append(len(p))
             return kernel(p)[:, i * width : (i + 1) * width]
 
-        moments = np.array([r.value for r in integrate_many(group, width, exp.poly, exp.spec)])
-        levels.append(len(sizes))
+        results = integrate_many(group, width, exp.poly, exp.spec, peak=peak)
+        moments = np.array([r.value for r in results])
+        points.append(sum(sizes))
         assert [b.pairings[i] for b in report.bumps] == list(moments[1:] / moments[0])
-    assert levels == [4] + [2] * (len(ts) - 1)
+    first_level = sum(len(exp.poly.cone_cells(*peak, n))
+                      for n in (exp.spec.resolution // 2, exp.spec.resolution))
+    assert points == [first_level] * len(ts)

@@ -3,8 +3,9 @@ integral, or validate's convexity scan, holds about one block of points,
 never the whole grid.
 
 numpy reports its buffers to tracemalloc, so the traced peak counts every
-array the call allocates.  The bounds are about 3x the streamed peaks; a
-whole-grid build reads 9.2 MB, 133 MB and 252 MB here."""
+array the call allocates.  The bounds are 2x to 5x the streamed peaks of
+0.98, 2.1 and 4.2 MB; a whole-grid build of the largest plan reads 1.6 MB,
+8.3 MB and 201 MB here, on top of the rest."""
 
 import tracemalloc
 from pathlib import Path
@@ -28,8 +29,8 @@ def _traced_peak_mb(call):
 
 
 def test_section_norms_peak_memory():
-    # the 12 sections of the shipped cp2_size2 section-flow: the finest
-    # grid is the 147,456-cell one of resolution 192
+    # the 12 sections of the shipped cp2_size2 section-flow: the largest
+    # plan is the 36,864-node one of the cones from (1, 1) at resolution 96
     exp = load_config(CP2_CONFIG).validate()
     sections = [
         tf.WeightSection(lam, exp.g0, exp.phi, t)
@@ -38,11 +39,12 @@ def test_section_norms_peak_memory():
     ]
     log_norms, peak = _traced_peak_mb(lambda: tf.section_log_norms_sq(sections, exp.spec))
     assert np.isfinite(log_norms).all()
-    assert peak < 3.0
+    assert peak < 2.0
 
 
 def test_converge_3d_peak_memory():
-    # the size-4 3-simplex at t <= 80: the finest grid has 128^3 = 2,097,152 cells
+    # the size-4 3-simplex at t <= 80: the finest plan, of the cones from
+    # (1, 1, 1) at resolution 16, has 172,032 nodes
     poly = tf.standard_simplex(3, 4.0)
     phi = tf.QuadraticPotential(np.diag([2.0, 3.0, 4.0]))
     bumps = [
@@ -72,8 +74,8 @@ quad.max_depth = 2
 
 
 def test_validate_3d_peak_memory(tmp_path):
-    # validate checks phi's convexity on the resolution-32 grid of the size-4
-    # 3-simplex, 2,097,152 cells, one block of 2^14 points at a time
+    # validate checks phi's convexity on the resolution-128 grid of the
+    # size-4 3-simplex, 2,097,152 nodes, one block of 2^14 points at a time
     cfg = tmp_path / "cp3_size4.cfg"
     cfg.write_text(CP3_CFG)
     code, peak = _traced_peak_mb(lambda: main(["validate", "--config", str(cfg), "--out", str(tmp_path)]))

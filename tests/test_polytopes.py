@@ -1,4 +1,5 @@
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import toricflow as tf
 from toricflow import polytopes
 from toricflow.config import load_config
 from toricflow.errors import DomainError, EmptyGridError
-from toricflow.polytopes import _kuhn_centroid_chunks, _kuhn_plan
 
 
 def test_unit_interval_is_delzant(cp1_unit):
@@ -93,15 +93,16 @@ def test_lattice_points_invariant_under_facet_relabeling():
     assert a.lattice_points() == shuffled.lattice_points()
 
 
-def test_interior_grid_midpoints(cp1_unit):
+def test_interior_grid_gauss_nodes(cp1_unit):
     grid = cp1_unit.grid_cells(4)
-    assert np.allclose(sorted(grid.points[:, 0]), [0.125, 0.375, 0.625, 0.875])
-    assert all(abs(v - 0.25) < 1e-15 for v in grid.volumes)
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert np.allclose(grid.points[:, 0], (nodes + 1) / 2, rtol=0, atol=1e-15)
+    assert np.allclose(grid.weights, weights / 2, rtol=0, atol=1e-15)
 
 
 def test_interior_grid_simplex_volume():
     grid = tf.standard_simplex(2, 1.0).grid_cells(128)
-    assert abs(grid.volumes.sum() - 0.5) < 1e-3
+    assert abs(grid.weights.sum() - 0.5) < 1e-14
 
 
 def _hirzebruch_f1():
@@ -113,48 +114,84 @@ def _hirzebruch_f1():
 
 
 @pytest.mark.parametrize(
-    "poly,margin,volume,ks",
+    "poly,margin,volume,simplices",
     [
-        (tf.segment(2.0), 0.0, 2.0, [2]),
-        (tf.standard_simplex(2, 2.0), 0.0, 2.0, [2]),
-        (tf.standard_simplex(3, 3.0), 0.0, 4.5, [3]),
+        (tf.segment(2.0), 0.0, 2.0, 1),
+        (tf.standard_simplex(2, 2.0), 0.0, 2.0, 1),
+        (tf.standard_simplex(3, 3.0), 0.0, 4.5, 1),
         # Delaunay splits the square along a diagonal into two triangles
-        (tf.box([2.0, 2.0]), 0.0, 4.0, [2, 2]),
+        (tf.box([2.0, 2.0]), 0.0, 4.0, 2),
         # Delaunay triangles (0,0),(0,1),(2,1) and (0,0),(2,1),(3,0)
-        (_hirzebruch_f1(), 0.0, 2.5, [2, 3]),
+        (_hirzebruch_f1(), 0.0, 2.5, 2),
         # the shrunk simplex {x_i >= 1/4, 2 - x1 - x2 >= 1/4}, legs 5/4
-        (tf.standard_simplex(2, 2.0), 0.25, 0.5 * 1.25**2, [2]),
+        (tf.standard_simplex(2, 2.0), 0.25, 0.5 * 1.25**2, 1),
     ],
     ids=["segment", "simplex2d", "simplex3d", "box", "hirzebruch-f1", "simplex2d-margin"],
 )
 @pytest.mark.parametrize("resolution", [4, 32])
-def test_grid_volumes_exact(poly, margin, volume, ks, resolution):
+def test_grid_volumes_exact(poly, margin, volume, simplices, resolution):
     grid = poly.grid_cells(resolution, margin=margin)
-    assert grid.volumes.sum() == pytest.approx(volume, rel=1e-14, abs=0)
+    assert grid.weights.sum() == pytest.approx(volume, rel=1e-14, abs=0)
     assert (poly.facet_values(grid.points).min(axis=1) > margin).all()
-    assert len(grid) == sum((k * resolution) ** poly.dimension for k in ks)
+    assert len(grid) == simplices * resolution**poly.dimension
 
 
-def _kuhn_reference(n, k):
-    """Every Kuhn simplex of the cube grid on [0, k]^n whose vertices all lie
-    in {k >= z_1 >= ... >= z_n >= 0}, one at a time: centroids, sorted."""
-    centroids = []
-    for anchor in itertools.product(range(k), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            verts = [np.array(anchor, dtype=float)]
-            for axis in perm:
-                verts.append(verts[-1] + np.eye(n)[axis])
-            verts = np.array(verts)
-            if (np.diff(verts, axis=1) <= 0).all() and verts.max() <= k and verts.min() >= 0:
-                centroids.append(verts.mean(axis=0))
-    return np.array(sorted(map(tuple, centroids)))
+CONE_POLYTOPES = {
+    "segment": (lambda: tf.segment(2.0), [(0.0,), (1.0,), (0.5,)]),
+    "simplex2d": (lambda: tf.standard_simplex(2, 2.0), [(0, 0), (1, 0), (1, 1), (0.5, 0.25)]),
+    "simplex3d": (lambda: tf.standard_simplex(3, 2.0), [(0, 0, 0), (1, 0, 1), (0.5, 0.5, 0.5)]),
+    "hirzebruch-f1": (_hirzebruch_f1, [(0, 0), (1, 0), (2, 1), (1, 0.5)]),
+    "box3d": (lambda: tf.box([1.0, 2.0, 3.0]), [(0, 0, 0), (1, 1, 1), (0.5, 1, 1)]),
+}
 
 
-@pytest.mark.parametrize("n,k", [(1, 3), (2, 1), (2, 4), (3, 1), (3, 2), (3, 5)])
-def test_kuhn_centroids_match_reference(n, k):
-    direct = np.concatenate(list(_kuhn_centroid_chunks(n, k, 5)))
-    assert len(direct) == k**n
-    assert np.allclose(np.array(sorted(map(tuple, direct))), _kuhn_reference(n, k), atol=1e-12)
+@pytest.mark.parametrize("name", CONE_POLYTOPES)
+def test_cone_plan_covers_the_polytope(name):
+    # the cones from any point of P over the boundary faces that miss it
+    # tile P: their weights add up to vol(P), and every node is interior
+    make, apexes = CONE_POLYTOPES[name]
+    poly = make()
+    volume = poly.grid_cells(4).weights.sum()
+    for apex in apexes:
+        for width in (np.inf, 1e-3):
+            grid = poly.cone_cells(apex, width, 8)
+            assert grid.weights.sum() == pytest.approx(volume, rel=1e-13, abs=0)
+            assert (poly.facet_values(grid.points).min(axis=1) > 0).all()
+            assert (grid.simplices[:, 0] == apex).all()
+
+
+def test_cone_radial_axis_is_graded_down_to_the_width():
+    # the size-3 triangle from (1, 1) at the width of the benchmark's
+    # converge (t = 80): each face splits at the foot of (1, 1) into two
+    # cones, and each radial axis grades its first uniform panel down to
+    # width / reach, reach the cone's farthest vertex from the apex, in
+    # panels/2 panels per halving of the radius
+    poly = tf.standard_simplex(2, 3.0)
+    width = 80.0**-0.5 / np.sqrt(2.0)
+    assert len(poly.cone_cells((1, 1), np.inf, 32)) == 6 * 32 * 32
+    first = {}
+    for resolution, panels in ((32, 4), (64, 8)):
+        grid = poly.cone_cells((1, 1), width, resolution)
+        assert len(grid.simplices) == 6
+        for cone, ((radial, _), (angular, _)) in zip(grid.simplices, grid.axes):
+            floor = width / np.linalg.norm(cone[1:] - cone[0], axis=1).max()
+            assert len(angular) == resolution and len(radial) % 8 == 0
+            assert radial[7] < floor
+            extra = len(radial) // 8 - panels
+            assert extra == math.ceil(np.log2(1 / (panels * floor)) * panels / 2)
+            first.setdefault(tuple(cone.ravel()), []).append(radial[radial < 0.25])
+    # the two levels of a refinement differ near the peak too, inside the
+    # coarse level's first uniform panel
+    assert all(len(coarse) != len(fine) or not np.array_equal(coarse, fine)
+               for coarse, fine in first.values())
+    # across a face, the axis from the foot grades down to the foot's
+    # distance from the apex over the part's reach: at resolution 16 (2
+    # panels), 1/sqrt(2) over 3/sqrt(2) on the hypotenuse halves, 1 over 1
+    # and 1 over 2 on the other faces' parts
+    grid = poly.cone_cells((1, 1), width, 16)
+    hypotenuse = np.isclose(grid.simplices[:, 1].sum(axis=1), 3.0)
+    assert [len(angular) for (_, (angular, _)) in grid.axes] == [
+        24 if on else 16 for on in hypotenuse]
 
 
 def test_interior_grid_margin_too_large(cp1_unit):
@@ -168,16 +205,17 @@ def test_interior_grid_points_inside_margin(cp1_size2):
 
 
 def test_oversized_grid_raises_before_allocating(run_capped):
-    # about 1.5e8 cells: the points alone would overrun the address-space cap
+    # 8192^2 = 6.7e7 nodes, four times the cap: the points alone would
+    # overrun the address-space cap
     done = run_capped("""
 import toricflow as tf
 try:
-    tf.standard_simplex(2, 3.0).grid_cells(4096)
+    tf.standard_simplex(2, 3.0).grid_cells(8192)
 except tf.ToricFlowError as exc:
     print(type(exc).__name__, exc)
 """)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("GridSizeError a grid of 150994944 cells")
+    assert done.stdout.startswith("GridSizeError a grid of 67108864 nodes exceeds the cap of 16777216")
 
 
 def test_sample_interior_respects_margin(cp2_size2, rng):
@@ -367,37 +405,21 @@ def test_sample_interior_cap_cuts_the_last_round():
     assert batched.bit_generator.state == single.bit_generator.state
 
 
-def _decreasing_rows_reference(n, top):
-    """The row-major `_decreasing_sequences` of the row-major grid builder."""
-    seqs = np.arange(top + 1)[:, None]
-    for _ in range(n - 1):
-        counts = top + 1 - seqs[:, 0]
-        rows = np.repeat(np.arange(len(seqs)), counts)
-        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        seqs = np.column_stack([seqs[rows, 0] + step, seqs[rows]])
-    return seqs
-
-
-def _row_major_cells_reference(poly, resolution):
-    """Points and volumes of the row-major grid builder, frozen: centroid rows
-    per permutation, concatenated, then mapped onto each simplex."""
-    n = poly.dimension
-    simplices, simplex_volumes, ks, _ = _kuhn_plan(poly._triangulation(0.0), resolution)
-    points, volumes = [], []
-    for simplex, volume, k in zip(simplices, simplex_volumes, ks):
-        blocks = []
-        for perm in itertools.permutations(range(n)):
-            rank = np.argsort(perm)
-            strict = (rank[1:] < rank[:-1]).astype(int)
-            if strict.sum() > k - 1:
-                continue
-            shift = np.append(np.cumsum(strict[::-1])[::-1], 0)
-            base = _decreasing_rows_reference(n, k - 1 - strict.sum())
-            blocks.append(base + shift + (n - rank) / (n + 1))
-        steps = np.diff(simplex, axis=0) / k
-        points.append(simplex[0] + np.concatenate(blocks) @ steps)
-        volumes.append(np.full(k**n, volume / k**n))
-    return np.concatenate(points), np.concatenate(volumes)
+def _row_major_nodes_reference(grid):
+    """Points and weights of a plan built whole and row-major, simplex by
+    simplex: the collapsed map on the product of its axis rules."""
+    points, weights = [], []
+    for simplex, axes, scale in zip(grid.simplices, grid.axes, grid.scales):
+        mesh = np.meshgrid(*[u for u, _ in axes], indexing="ij")
+        wmesh = np.meshgrid(*[w for _, w in axes], indexing="ij")
+        x, scaled, weight = np.tile(simplex[0], (mesh[0].size, 1)), 1.0, float(scale)
+        for u, w, step in zip(mesh, wmesh, np.diff(simplex, axis=0)):
+            scaled = scaled * u.ravel()
+            weight = weight * w.ravel()
+            x = x + scaled[:, None] * step
+        points.append(x)
+        weights.append(weight)
+    return np.concatenate(points), np.concatenate(weights)
 
 
 LAYOUT_POLYTOPES = {
@@ -415,11 +437,11 @@ LAYOUT_POLYTOPES = {
 def test_column_major_grid_is_bit_equal_to_row_major_build(name, resolution):
     poly = LAYOUT_POLYTOPES[name]()
     grid = poly.grid_cells(resolution)
-    points, volumes = _row_major_cells_reference(poly, resolution)
+    points, weights = _row_major_nodes_reference(grid)
     assert grid.points.flags.f_contiguous
-    assert grid.points.shape == points.shape and grid.volumes.shape == volumes.shape
+    assert grid.points.shape == points.shape and grid.weights.shape == weights.shape
     assert np.ascontiguousarray(grid.points).tobytes() == points.tobytes()
-    assert grid.volumes.tobytes() == volumes.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 7, 4096, None])
@@ -427,20 +449,19 @@ def test_column_major_grid_is_bit_equal_to_row_major_build(name, resolution):
 @pytest.mark.parametrize("name", LAYOUT_POLYTOPES)
 def test_grid_blocks_are_bit_equal_to_row_major_build(name, resolution, rows):
     # the boxes and F1 triangulate into several simplices, and a block stops
-    # at each simplex's last cell; rows=None asks for more rows than the grid has
+    # at each simplex's last node; rows=None asks for more rows than the grid has
     poly = LAYOUT_POLYTOPES[name]()
     grid = poly.grid_cells(resolution)
     rows = rows or len(grid) + 5
-    points, volumes = _row_major_cells_reference(poly, resolution)
+    points, weights = _row_major_nodes_reference(grid)
     blocks = list(grid.blocks(rows))
-    assert all(1 <= len(p) <= rows and isinstance(v, float) for p, v in blocks)
+    assert all(1 <= len(p) == len(w) <= rows for p, w in blocks)
     assert all(p.flags.f_contiguous and p.shape[1] == poly.dimension for p, _ in blocks)
     assert np.concatenate([p for p, _ in blocks]).tobytes() == points.tobytes()
-    repeated = np.concatenate([np.full(len(p), v) for p, v in blocks])
-    assert repeated.tobytes() == volumes.tobytes()
+    assert np.concatenate([w for _, w in blocks]).tobytes() == weights.tobytes()
     # block ends include every simplex end, and a block is short only there
     ends = np.cumsum([len(p) for p, _ in blocks])
-    simplex_ends = np.cumsum(np.array(grid.ks) ** poly.dimension)
+    simplex_ends = np.cumsum([resolution**poly.dimension] * len(grid.simplices))
     assert np.isin(simplex_ends, ends).all()
     assert all(len(p) == rows or end in simplex_ends for (p, _), end in zip(blocks, ends))
     if name in ("box2d", "box3d", "hirzebruch-f1"):

@@ -110,7 +110,9 @@ def test_log_sum_exp_matches_scipy(weights):
 
     phi = tf.LogSumExpPotential([(1, 0), (0, 1), (-1, -1)], weights)
     block = _size3_block()
-    for x in (block, np.ascontiguousarray(block), block[17]):
+    # one row away from the vertex (0, 0), where grad phi vanishes for equal
+    # weights and a relative error measures only the cancellation of rounding
+    for x in (block, np.ascontiguousarray(block), block[2100]):
         exponents = x @ phi.K.T + np.log(phi.weights)
         p = np.exp(exponents - logsumexp(exponents, axis=-1, keepdims=True))
         np.testing.assert_allclose(

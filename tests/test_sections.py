@@ -17,7 +17,7 @@ from toricflow.errors import (
 from toricflow import sections
 from toricflow.flow import flowed_potentials
 from toricflow.quadrature import integrate_many
-from toricflow.sections import _laplace_integrand, gluing_points
+from toricflow.sections import _laplace_integrand, _peak_width, gluing_points
 
 CP2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cp2_size2.cfg"
 
@@ -179,12 +179,21 @@ def test_norm_monotone_convex_after_weight_shift(model2):
     assert (np.diff(slopes) > -1e-10).all()
 
 
-def test_norm_underflow_raises(cp2_model):
-    # at t = 1e11 the density of weight (0, 0) underflows on every grid cell:
-    # its norm must not read 0.0
+def test_norm_underflow_raises(cp2_model, monkeypatch):
+    # at t = 1e11 the cones from weight (0, 0), graded down to the peak
+    # width, resolve its density; one that underflows on every node has
+    # norm 0, and that must not read as a log norm
     _, g0, phi, spec = cp2_model
     sections = [tf.WeightSection((0, 0), g0, phi, t) for t in (0.5, 1e11)]
-    with pytest.raises(QuadratureOverflow, match="column 1"):
+    assert np.isfinite(tf.section_log_norms_sq(sections, spec)).all()
+    original = _laplace_integrand
+
+    def underflowing(*args, **kwargs):
+        kernel, log_peaks = original(*args, **kwargs)
+        return (lambda x: kernel(x) * [1.0, 0.0]), log_peaks
+
+    monkeypatch.setattr("toricflow.sections._laplace_integrand", underflowing)
+    with pytest.raises(QuadratureOverflow, match="density mass 0.0 at t = 1e\\+11: .* column 1"):
         tf.section_log_norms_sq(sections, spec)
 
 
@@ -241,7 +250,8 @@ def test_log_norms_match_unshifted_reference(triangle3):
     g0, phi, spec = triangle3
     sections = [tf.WeightSection((1, 1), g0, phi, t) for t in (80.0, 110.0)]
     for s, log_norm in zip(sections, tf.section_log_norms_sq(sections, spec)):
-        ref = integrate(lambda x: _reference_density(s, x), g0.polytope, spec).value
+        ref = integrate(lambda x: _reference_density(s, x), g0.polytope, spec,
+                        _peak(sections, s)).value
         assert log_norm == pytest.approx(np.log((2 * np.pi) ** 2 * ref), rel=1e-13, abs=0)
 
 
@@ -254,6 +264,13 @@ def test_log_norms_finite_beyond_float_range(triangle3):
     assert log_norms.min() > np.log(np.finfo(float).max)
 
 
+def _peak(sections, s):
+    # the cones a batch integrates the weight of s on: from that weight,
+    # graded down to the peak width at its largest time in the batch
+    t = max(other.t for other in sections if other.weight == s.weight)
+    return tuple(s.lam), _peak_width(s.phi, s.lam, t, 2.0)
+
+
 def _assert_batch_matches_reference(sections, spec):
     poly = sections[0].polytope
     volume = (2 * np.pi) ** poly.dimension
@@ -261,9 +278,10 @@ def _assert_batch_matches_reference(sections, spec):
     pts = poly.grid_cells(spec.resolution).points
     for s, norm in zip(sections, norms):
         np.testing.assert_allclose(_density(s, pts), _reference_density(s, pts), rtol=1e-13, atol=0)
-        ref = volume * integrate(lambda x: _reference_density(s, x), poly, spec).value
+        ref = volume * integrate(lambda x: _reference_density(s, x), poly, spec, _peak(sections, s)).value
         assert norm == pytest.approx(ref, rel=1e-13, abs=0)
-        assert norm == pytest.approx(tf.section_norm_sq(s, spec), rel=1e-13, abs=0)
+        # alone, the cones are graded down to the section's own peak width
+        assert norm == pytest.approx(tf.section_norm_sq(s, spec), rel=spec.rel_tol, abs=0)
 
 
 def test_batch_norms_match_reference_cp2():
@@ -279,10 +297,11 @@ def test_batch_norms_match_reference_cp2():
 
 
 def test_batch_freezes_each_column(model2):
-    # lam = 1, t = 10 meets the tolerance at level 0, the others refine 3
-    # times: the batch must equal one separate integration per column
+    # on one grid, the columns at t = 0.5 meet the tolerance at level 0, and
+    # those at t = 2 and t = 10 refine once and twice: the batch must equal
+    # one separate integration per column
     poly, g0, phi = model2
-    spec = tf.QuadratureSpec()
+    spec = tf.QuadratureSpec(resolution=16)
     sections = [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
     kernel = _section_kernel(sections)
     batch = integrate_many(kernel, len(sections), poly, spec, group=1)
@@ -294,8 +313,8 @@ def test_batch_freezes_each_column(model2):
             return kernel(x)[:, [j]]
 
         assert batch[j] == integrate_many(column, 1, poly, spec)[0]
-        levels = 2 if s.weight == (1,) and s.t == 10.0 else 5
-        assert sum(points) == sum(512 * 2**i for i in range(levels))
+        levels = {0.5: 2, 2.0: 3, 10.0: 4}[s.t]
+        assert sum(points) == sum(8 * 2**i for i in range(levels))
     _assert_batch_matches_reference(sections, spec)
 
 
@@ -322,11 +341,26 @@ def test_batch_norms_3d_simplex():
     )
 
 
-def test_batch_stagnating_column_raises(model2):
-    # at t = 400 the peak is far narrower than the coarse cells
+def test_batch_stagnating_column_raises(model2, monkeypatch):
+    # column 1's density, at t = 0.5 wide across the uniform panels, times an
+    # oscillation far finer than any node spacing: its estimate never
+    # settles, and the batch names the column
     _, g0, phi = model2
-    spec = tf.QuadratureSpec(resolution=4, rel_tol=1e-10, max_refinements=1)
-    sections = [tf.WeightSection((1,), g0, phi, t) for t in (0.5, 400.0)]
+    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-10, max_refinements=5)
+    sections = [tf.WeightSection((1,), g0, phi, t) for t in (400.0, 0.5)]
+    original = _laplace_integrand
+
+    def oscillating(*args, **kwargs):
+        kernel, log_peaks = original(*args, **kwargs)
+
+        def noisy(x):
+            out = kernel(x)
+            out[:, 1] *= 1.0 + 0.5 * np.sin(1e7 * x[:, 0])
+            return out
+
+        return noisy, log_peaks
+
+    monkeypatch.setattr("toricflow.sections._laplace_integrand", oscillating)
     with pytest.raises(QuadratureStagnation, match="column 1"):
         tf.section_log_norms_sq(sections, spec)
 
@@ -442,7 +476,7 @@ def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
         blocks.append(len(x))
         return kernel(x)
 
-    spec = tf.QuadratureSpec(resolution=64, rel_tol=1e-6, max_refinements=1)
+    spec = tf.QuadratureSpec(resolution=128, rel_tol=1e-6, max_refinements=1)
     integrate_many(counted_kernel, 2, cp2_size2, spec, group=1)
     assert len(blocks) > 2
     expected = {"value": len(blocks), "grad": len(blocks), "hess": 0}

@@ -238,8 +238,8 @@ ALLOWLIST: dict[str, Keep] = {
     "polytopes.segment": Keep(SUPPORT, "tests/conftest.py"),
     "polytopes.standard_simplex": Keep(SUPPORT, "tests/conftest.py"),
     "polytopes.box": Keep(SUPPORT, "tests/test_polytopes.py::test_vertices_of_box"),
-    "polytopes.Grid.points": Keep(SUPPORT, "tests/test_polytopes.py::test_interior_grid_midpoints"),
-    "polytopes.Grid.volumes": Keep(SUPPORT, "tests/test_polytopes.py::test_interior_grid_midpoints"),
+    "polytopes.Grid.points": Keep(SUPPORT, "tests/test_polytopes.py::test_interior_grid_gauss_nodes"),
+    "polytopes.Grid.weights": Keep(SUPPORT, "tests/test_polytopes.py::test_interior_grid_gauss_nodes"),
     "polytopes.DelzantPolytope.offsets": Keep(
         SUPPORT, "tests/test_polytopes.py::test_chebyshev_radius_matches_lp_reference"),
     "potentials.CallablePotential": Keep(SUPPORT, "tests/test_sections.py"),
