@@ -301,6 +301,10 @@ def cmd_report(exp: Experiment, out: Path, args) -> int:
         if verdict is not None:
             ok = ok and bool(verdict)
             rows = content.get("checks", [])
+            if not (isinstance(rows, list) and all(
+                    isinstance(row, dict) and {"check", "pass"} <= row.keys() for row in rows)):
+                raise ConfigError(f"report: the checks of {path.name} are not "
+                                  "a list of rows with 'check' and 'pass'")
             failed = ", ".join(dict.fromkeys(row["check"] for row in rows if not row["pass"]))
             print(f"{path.name:28s} {'PASS' if verdict else 'FAIL ' + failed}")
     _write_json(out / "summary.json", {"pass": ok, "reports": merged})

@@ -129,7 +129,8 @@ def test_cli_gluing_on_a_triangle_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["unknown-subcommand", "missing-config", "seed-not-a-number",
                                   "negative-seed", "out-is-a-file", "config-not-utf8",
-                                  "report-over-bad-json", "report-over-json-list"])
+                                  "report-over-bad-json", "report-over-json-list",
+                                  "report-over-rows-without-pass", "report-over-checks-not-a-list"])
 def test_cli_input_error_exits_1_with_one_line(tmp_path, capsys, case):
     # exit 2 means a numerical failure, so a usage error exits 1 like any
     # other input error, with one line and no traceback
@@ -142,7 +143,11 @@ def test_cli_input_error_exits_1_with_one_line(tmp_path, capsys, case):
         out.write_text("")
     if "report" in case:
         out.mkdir()
-        (out / "gluing.json").write_text("{" if case == "report-over-bad-json" else "[1]")
+        (out / "gluing.json").write_text({
+            "report-over-bad-json": "{", "report-over-json-list": "[1]",
+            "report-over-rows-without-pass": '{"pass": false, "checks": [{"x": 1}]}',
+            "report-over-checks-not-a-list": '{"pass": false, "checks": 5}',
+        }[case])
     assert main(argv) == 1
     said = capsys.readouterr()
     assert said.out.startswith("config error: ") and said.out.count("\n") == 1 and said.err == ""
@@ -219,13 +224,17 @@ def test_cli_route_equality_passes_at_large_t(tmp_path):
 def test_cli_section_checks_pass_at_large_t(tmp_path, base):
     # e^{-A_{lam,t}} overflows at t = 400 on the segments: gluing and lift
     # compare log amplitudes, and the rounding of every two-route residual
-    # grows like t, so do their tolerances: a correct program passes up to t = 1e6
+    # grows like t, so do their tolerances: a correct program passes up to
+    # t = 1e6.  The section norms of the triangle resolve their peaks on the
+    # cones from each weight, graded down to the peak width at t = 1e6
     times = {0.5, 2.0, 10.0, 400.0, 1000.0, 1e4, 1e5, 1e6}
     grid = ",".join("%g" % t for t in sorted(times))
     cfg = tmp_path / "large_t.cfg"
     cfg.write_text(_with_values(base, f"section.t = {grid}", f"flow.t_grid = {grid}"))
     runs = [("potential-flow", ("duality",)), ("lift", ("lift",))]
-    if base != CP2_CFG:
+    if base == CP2_CFG:
+        runs += [("section-flow", ("route-equality",))]
+    else:
         runs += [("section-flow", ("route-equality", "gluing")), ("gluing", ("gluing",))]
     for sub, checks in runs:
         out = tmp_path / sub
@@ -241,6 +250,26 @@ def test_cli_section_checks_pass_at_large_t(tmp_path, base):
         control = tmp_path / "control"
         argv = ["gluing", "--config", str(cfg), "--out", str(control), "--corrupt-transition"]
         assert main(argv) == 2
+
+
+def test_cli_converge_reaches_the_laplace_correction_at_large_t(tmp_path, monkeypatch):
+    # the benchmark's size-3 triangle out to t = 1e5: bump 0 covers
+    # lam = (1, 1), and its pairing follows H(lam) + c1 / t, with the first
+    # Laplace correction c1 = 1/2 tr(Q^{-1} Hess H(lam)) = -0.520833
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    cfg = tmp_path / "cp2_size3.cfg"
+    cfg.write_text("\n".join(
+        "experiment.t_grid = 1280,10000,100000" if line.startswith("experiment.t_grid") else line
+        for line in workloads.CP2_CONVERGE_CFG.splitlines()) + "\n")
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = _verdict(tmp_path, "converge")
+    assert report["t_grid"] == [1280.0, 1e4, 1e5]
+    bump = report["bumps"][0]
+    c1 = 0.5 * np.trace(np.linalg.inv(np.diag([2.0, 4.0])) * (-2.0 / bump["radius"] ** 2))
+    assert c1 == pytest.approx(-0.520833, abs=1e-6)
+    assert abs(1e5 * (bump["pairings"][-1] - bump["fiber_value"]) - c1) < 1e-3
 
 
 def test_cli_route_equality_fails_a_scaled_phi_term(tmp_path, monkeypatch):
