@@ -19,7 +19,8 @@ Scalar keys, with the value an absent key takes:
     section.t (0.5,2,10)
     experiment.lambda (none; converge needs it), experiment.t_grid
     (10:320:2), experiment.mode (normalized | paper-form; normalized)
-    quad.resolution, quad.tol, quad.max_depth (QuadratureSpec's fields)
+    quad.resolution (Gauss nodes per axis on each simplex), quad.tol,
+    quad.max_depth (QuadratureSpec's fields)
 
 The numbers of a value are separated by whitespace or commas, and every
 real number is finite.  Facet offsets are integers: the prequantum line

@@ -22,7 +22,8 @@ The same runs pin the verdict contract (every verdict is the `checks` rows of
 the run's one JSON file) and the artifact manifest: the sha256 of every
 `--out` file, committed in `artifact_manifest.json` with the numpy version and
 platform it was made on.  `python tests/test_surface.py --write-manifest`
-regenerates it.
+regenerates it, and prints each artifact whose hash was added, removed or
+changed.
 """
 
 from __future__ import annotations
@@ -443,6 +444,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         reached, exits = probe(Path(tmp), workloads.CP2_CONVERGE_CFG, workloads.LARGE_T_GRID)
         if sys.argv[1:] == ["--write-manifest"]:
+            # every artifact whose hash is new, gone or changed, before writing
+            old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.is_file() else {}
+            words = {"new": "added", "missing": "removed", "differs": "changed"}
+            for problem in manifest_problems(Path(tmp), {"sha256": old.get("sha256", {})}):
+                name, _, kind = problem.rpartition(": ")
+                print(f"{name}: {words[kind]}")
             manifest = {"built_with": build_info(), "sha256": artifact_hashes(Path(tmp))}
             MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
             print(f"wrote {len(manifest['sha256'])} hashes to {MANIFEST.name}")
