@@ -530,7 +530,8 @@ def _graded(panels: int, floor: float) -> int:
     they shrink toward 0 by 2^{-2/panels}, panels/2 of them per halving of
     the radius, until the last ends at most at `floor`.  They grow in
     number with the resolution like the uniform panels, so the two levels
-    of a refinement differ near the apex too."""
+    of a refinement differ near the apex too, but for the innermost panel,
+    which they may share."""
     return math.ceil(math.log2(1.0 / (panels * floor)) * panels / 2) if panels * floor < 1.0 else 0
 
 
