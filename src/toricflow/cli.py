@@ -22,7 +22,7 @@ import numpy as np
 
 from . import convergence as conv
 from .config import Experiment, load_config
-from .errors import Check, ConfigError, FiberDegenerationError, ToricFlowError
+from .errors import Check, ConfigError, FiberDegenerationError, GridSizeError, ToricFlowError
 from .flow import (
     complex_structure_of,
     fit_loglog_slope,
@@ -359,15 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.  A usage error, a config
     that does not validate, a file that cannot be read or written, and a
-    ConfigError or FiberDegenerationError from the subcommand exit 1; any
-    other ToricFlowError is a numerical failure and exits 2."""
+    ConfigError, FiberDegenerationError or GridSizeError (a `quad.*` spec too
+    fine for the run's plans) from the subcommand exit 1; any other
+    ToricFlowError is a numerical failure and exits 2."""
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         exp = load_config(args.config).validate()
         return _COMMANDS[args.subcommand](exp, out, args)
-    except (ConfigError, FiberDegenerationError, OSError) as exc:
+    except (ConfigError, FiberDegenerationError, GridSizeError, OSError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
     except ToricFlowError as exc:

@@ -186,9 +186,10 @@ class ExperimentConfig:
         the polytope's dimension, t grids are finite, non-empty and rising
         and hold no negative time, the experiment grid leaves a log-log fit
         two times, the sample count lies in [1, MAX_SAMPLE_DRAWS], every
-        real number is finite, phi and the quadrature spec build, the
-        finest grid the spec allows stays under the grid-size cap and the
-        fiber mode is known."""
+        real number is finite, phi and the quadrature spec build, P's plain
+        grid at the finest resolution the spec allows stays under the
+        grid-size cap (the early refusal: a run's cones hold more nodes, and
+        cli.main refuses a plan over the cap too) and the fiber mode is known."""
         poly = self._polytope()
         with _as_config_error("polytope.facet"):
             poly.require_valid()

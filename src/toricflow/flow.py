@@ -195,11 +195,10 @@ def mixed_polarization_basis(n: int) -> np.ndarray:
 
 
 def subspace_angle(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest principal angle (radians) between the column spans of A and B.
-
-    Orthonormalize both frames and read the angles off the singular values
-    of the cross-Gram matrix; zero exactly when the spans coincide.
-    """
+    """Largest principal angle (radians) between the column spans of A and B:
+    orthonormalize both frames and read the angles off the singular values
+    of the cross-Gram matrix; zero exactly when the spans coincide.  No CLI
+    run calls it; it stays, with its scipy import, for the tests and perfbench."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape[0] != B.shape[0]:

@@ -14,17 +14,17 @@ symplectic potential directly, and vertices are derived.
 Validation solves no linear program.  Boundedness and the inscribed
 (Chebyshev) radius are both read off closed-form vertex enumerations: of the
 recession cone, and of the polyhedron of inscribed balls one dimension up.
-scipy is imported only when a grid triangulates a non-simplex (Delaunay).
+Nothing here imports scipy but the `linprog` shim kept for perfbench.
 
 Besides validation, this module enumerates the lattice points of P (the index
 set of the torus-weight basis) and plans quadrature grids (`Grid`): a
-Gauss-Legendre product rule in collapsed (Duffy) coordinates on each simplex
-of a triangulation of P, or on the cones from a peak point over the boundary
-faces of P, with the radial axis graded toward the peak.  Nodes are strictly
-interior.  A grid is built block by block when it is iterated, so memory
-holds about one block, whatever the node count.  Grid points are
-column-major, as a ufunc over row-major (m, n) points loops over only
-n <= 3 entries per row.
+Gauss-Legendre product rule in collapsed (Duffy) coordinates on the cones
+from one point over a pulling triangulation of the boundary of P: from the
+first vertex, or from a peak point with the radial axis graded toward it.
+Nodes are strictly interior.  A grid is built block by block when it is
+iterated, so memory holds about one block, whatever the node count.  Grid
+points are column-major, as a ufunc over row-major (m, n) points loops over
+only n <= 3 entries per row.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class DelzantPolytope:
     """Moment polytope from an ordered facet list.
 
     Values are immutable after construction; derived data (vertices,
-    validation, triangulations) is memoized.
+    validation, the boundary triangulation, cones) is memoized.
     """
 
     def __init__(self, facets: Sequence[Facet], name: str = ""):
@@ -302,69 +302,67 @@ class DelzantPolytope:
         # the product of ascending ranges is already in lexicographic order
         return [coords for coords in itertools.product(*ranges) if self.contains(coords)]
 
-    def grid_cells(
-        self, resolution: int, margin: float = 0.0, clip_depth: int = 6
-    ) -> Grid:
-        """The Gauss plan of {x : l_k(x) >= margin}, `resolution` nodes per
-        axis on each simplex of its triangulation (a simplex is its own
-        triangulation, anything else goes through Delaunay).  `clip_depth`
-        is unused; it stays because perfbench/tracing.py binds it by name in
-        its grid cache key, and goes with that key (ROADMAP item 1).  Raises
-        EmptyGridError when the region has no interior."""
+    def grid_cells(self, resolution: int, margin: float = 0.0, clip_depth: int = 6) -> Grid:
+        """The Gauss plan of P, `resolution` nodes per axis on each of the
+        unpeaked `cone_cells` from the first vertex (a simplex is its own
+        cone).  `margin` must be 0 and `clip_depth` is unused; both stay
+        because perfbench/tracing.py binds them by name in its grid cache
+        key, and go with that key (ROADMAP item 1)."""
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
-        if margin < 0:
-            raise ValueError("margin must be nonnegative")
-        simplices, volumes = self._triangulation(margin)
-        return _plan(simplices, volumes * math.factorial(self.dimension), resolution)
+        if margin:
+            raise ValueError("a grid covers all of P; margin must be 0")
+        self.require_valid()
+        return self.cone_cells(self.vertices()[0], np.inf, resolution)
 
     def grid_cell_count(self, resolution: int) -> int:
-        """len(grid_cells(resolution)), without a traced grid_cells call."""
-        return len(_plan(*self._triangulation(0.0), resolution))
+        """len(grid_cells(resolution)) of a valid P, without a traced call."""
+        return len(self.cone_cells(self.vertices()[0], np.inf, resolution))
 
     def cone_cells(self, apex, width: float, resolution: int) -> Grid:
         """The Gauss plan of P on the cones from `apex`, a point of P, over
-        the boundary faces of its triangulation that lie on no facet through
-        `apex`, each split at the foot of `apex`.  Each radial axis grades
-        its first panel toward the apex down to `width`, a peak width (inf
-        grades none), so a density peaked there is resolved at every scale;
-        the next axis, across the face from the foot, grades down to the
-        foot's distance from the apex, the width of the peak across it."""
-        key = ("cones", tuple(float(v) for v in apex))
+        the `_boundary` simplices on facets that miss `apex`.  For a finite
+        `width`, a peak width, each simplex is split at the foot of `apex`,
+        and each radial axis grades its first panel toward the apex down to
+        `width`, so a density peaked there is resolved at every scale; the
+        next axis, across the face from the foot, grades down to the foot's
+        distance from the apex, the width of the peak across it.  For width
+        inf the cones are the plain pulling triangulation from `apex`."""
+        peaked = width < np.inf
+        key = ("cones", tuple(float(v) for v in apex), peaked)
         if key not in self._cache:
-            lam, far = np.array(key[1]), self.facet_values(key[1]) > 1e-9
-            faces = [np.delete(simplex, drop, axis=0) for simplex in self._triangulation(0.0)[0]
-                     for drop in range(self.dimension + 1)]
+            lam, (faces, facets) = np.array(key[1]), self._boundary()
             self._cache[key] = np.array([
-                np.vstack([lam, part]) for face in faces
-                if ((np.abs(self.facet_values(face)) <= 1e-9).all(axis=0) & far).any()
-                for part in _split_at_foot(face, lam)])
+                np.vstack([lam, part]) for face in faces[self.facet_values(lam)[facets] > 1e-9]
+                for part in (_split_at_foot(face, lam) if peaked else [face])])
         cones = self._cache[key]
         edges = cones[:, 1:] - cones[:, :1]
         floors = np.full(edges.shape[:2], np.inf)
         floors[:, 0] = width / np.linalg.norm(edges, axis=2).max(axis=1)
-        if self.dimension > 1:
+        if peaked and self.dimension > 1:
             across = np.linalg.norm(cones[:, 2:] - cones[:, 1:2], axis=2).max(axis=1)
             floors[:, 1] = np.linalg.norm(edges[:, 0], axis=1) / across
         return _plan(cones, np.abs(np.linalg.det(edges)), resolution, floors)
 
-    def _triangulation(self, margin: float) -> tuple[np.ndarray, np.ndarray]:
-        """`_triangulate` of {x : l_k(x) >= margin}, once per margin."""
-        key = ("triangulation", float(margin))
-        if key not in self._cache:
+    def _boundary(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n-1)-simplices (b, n, n) of `_pulling`'s triangulation of the
+        boundary of P, and the facet of each (b,), once per polytope.  They
+        come in descending order of their vertex indices, so on a simplex the
+        face opposite vertex 0 comes first."""
+        if "boundary" not in self._cache:
             self.require_valid()
-            verts = (self.vertices() if margin == 0
-                     else _intersection_vertices(self._normals, self._offsets - margin))
-            self._cache[key] = _triangulate(verts)
-        return self._cache[key]
+            verts = self.vertices()
+            faces, facets = zip(*sorted(_pulling(np.abs(self.facet_values(verts)) <= 1e-8), reverse=True))
+            self._cache["boundary"] = verts[np.array(faces)], np.array(facets)
+        return self._cache["boundary"]
 
 
 # -- module-level operation surface -------------------------------------------
 
 
 def __getattr__(name):
-    # `polytopes.linprog` is kept for perfbench/tracing.py, which wraps it by
-    # name; nothing in this package calls it, so scipy loads only on request
+    # `polytopes.linprog` is kept for perfbench/tracing.py and the tests; no
+    # package code calls it, so scipy (a test extra) loads only on request
     if name == "linprog":
         from scipy.optimize import linprog
 
@@ -467,27 +465,24 @@ def _intersection_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarr
     return np.array(sorted(found[uniq].tolist())).reshape(-1, n)
 
 
-def _triangulate(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-dimensional simplices (s, n + 1, n) covering the convex hull of
-    `verts`, with their volumes; a simplex is its own triangulation."""
-    n = verts.shape[1]
-    if len(verts) <= n:
-        raise EmptyGridError(f"region has {len(verts)} vertices, no interior")
-    if len(verts) == n + 1:
-        simplices = verts[None]
-    else:
-        from scipy.spatial import Delaunay, QhullError
+def _pulling(incidence: np.ndarray) -> list[tuple[tuple[int, ...], int]]:
+    """The pulling triangulation of the boundary of a simple polytope, from
+    its (vertices, facets) incidence table: each facet is coned from its
+    first vertex over the pulled faces of the facet that miss that vertex,
+    recursively down to vertices (De Loera, Rambau and Santos,
+    Triangulations, 2010).  In a simple polytope the face on the facets S
+    and k is a facet of the face on S whenever it holds a vertex, so the
+    faces of a face are its nonempty meets with the other facets.  Returns
+    the vertex indices, ascending, and the facet of each (n-1)-simplex."""
 
-        try:
-            simplices = verts[Delaunay(verts).simplices]
-        except QhullError as exc:
-            raise EmptyGridError(f"region has no interior: {exc}") from exc
-    volumes = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / math.factorial(n)
-    extent = float(np.ptp(verts, axis=0).max())
-    keep = volumes > 1e-12 * extent**n
-    if not keep.any():
-        raise EmptyGridError("region has zero volume")
-    return simplices[keep], volumes[keep]
+    def pull(face: np.ndarray) -> list[tuple[int, ...]]:
+        first = int(np.argmax(face))
+        if face.sum() == 1:
+            return [(first,)]
+        return [(first, *simplex) for k in np.flatnonzero(~incidence[first])
+                if (sub := face & incidence[:, k]).any() for simplex in pull(sub)]
+
+    return [(simplex, k) for k in range(incidence.shape[1]) for simplex in pull(incidence[:, k])]
 
 
 def _split_at_foot(face: np.ndarray, point: np.ndarray) -> list[np.ndarray]:

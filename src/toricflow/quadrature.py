@@ -1,9 +1,9 @@
 """Error-controlled integration over polytope interiors.
 
 One rule: a Gauss-Legendre product rule in collapsed (Duffy) coordinates on
-simplices, either those of a triangulation of P (`grid_cells`) or, for a
-density peaked at a point, the cones from the peak over the boundary faces
-of P with the radial axis graded down to the peak width (`cone_cells`).
+the cones from one point over a pulling triangulation of the boundary of P:
+from its first vertex (`grid_cells`) or, for a density peaked at a point,
+from the peak with the radial axis graded down to the peak width (`cone_cells`).
 Each axis holds panels of about 8 nodes, exact to degree 15, and nodes are
 strictly interior, so an integrand that is continuous but not smooth at the
 boundary (l log l terms) is never evaluated there.  `integrate_many`

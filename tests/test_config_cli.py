@@ -395,12 +395,40 @@ def test_cli_validate_empty_interior_is_config_error(tmp_path, capsys):
     assert not (out / "validate.json").exists()
 
 
+# The Hirzebruch surface F_1 as a trapezoid, vertices (0,0), (4,0), (2,2), (0,2)
+F1_CFG = """\
+polytope.dim = 2
+polytope.name = hirzebruch-f1
+polytope.facet = 1 0 ; 0
+polytope.facet = 0 1 ; 0
+polytope.facet = 0 -1 ; 2
+polytope.facet = -1 -1 ; 4
+
+phi.kind = quadratic
+phi.Q = 2 0 0 4
+
+section.t = 0.5,2,10
+
+experiment.lambda = 1 1
+experiment.bumps = 1 1 ; 1.2 ; 1.0
+experiment.bumps = 2.2 0.4 ; 0.3 ; 1.0
+experiment.t_grid = 20:80:2
+
+quad.resolution = 32
+quad.tol = 0.0001
+quad.max_depth = 2
+"""
+
+
 def test_cli_path_solves_no_lp_and_imports_no_scipy(tmp_path, monkeypatch):
     # boundedness and the Chebyshev radius are closed-form vertex
-    # enumerations and log-sum-exp is a numpy max shift, so a CLI call
-    # neither solves an LP nor imports scipy
+    # enumerations, every plan is a set of cones over the pulled boundary of
+    # P, a non-simplex too, and log-sum-exp is a numpy max shift, so a CLI
+    # call neither solves an LP nor imports scipy
     lse = tmp_path / "lse.cfg"
     lse.write_text(LSE_CFG, encoding="utf-8")
+    f1 = tmp_path / "f1.cfg"
+    f1.write_text(F1_CFG, encoding="utf-8")
     script = f"""
 import sys
 from toricflow.cli import load_config, main
@@ -410,6 +438,8 @@ for command in ("section-flow", "converge"):
 # the log-sum-exp converge errors are not asymptotic by t = 80 (test_surface.py)
 for command, code in (("potential-flow", 0), ("section-flow", 0), ("converge", 2)):
     assert main([command, "--config", {str(lse)!r}, "--out", {str(tmp_path / "lse")!r}]) == code
+for command in ("validate", "section-flow", "converge"):
+    assert main([command, "--config", {str(f1)!r}, "--out", {str(tmp_path / "f1")!r}]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
@@ -570,6 +600,21 @@ def test_cli_oversized_grid_is_config_error(tmp_path, run_capped, sub):
     assert done.returncode == 1, done.stderr
     assert done.stdout.startswith("config error: quad: the finest grid")
     assert "a grid of 400000000 nodes exceeds the cap of 16777216" in done.stdout
+
+
+def test_cli_plan_over_the_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    # config sizes P's plain grid, 64^2 nodes at max_depth 0, which meets the
+    # lowered cap; the run's cones from each weight hold more, and that too
+    # is a quad spec too fine for the run: one config error line, no artifact
+    monkeypatch.setattr(polytopes, "_MAX_GRID_NODES", 64**2)
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text(_with_values(CP2_CFG, "quad.resolution = 64", "quad.max_depth = 0"))
+    out = tmp_path / "out"
+    assert main(["section-flow", "--config", str(cfg), "--out", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1 and printed[0].startswith("config error: a grid of ")
+    assert printed[0].endswith(" nodes exceeds the cap of 4096")
+    assert list(out.iterdir()) == []
 
 
 def test_cli_validate_witness_is_plain_floats(tmp_path):

@@ -114,26 +114,73 @@ def _hirzebruch_f1():
 
 
 @pytest.mark.parametrize(
-    "poly,margin,volume,simplices",
+    "poly,volume,simplices",
     [
-        (tf.segment(2.0), 0.0, 2.0, 1),
-        (tf.standard_simplex(2, 2.0), 0.0, 2.0, 1),
-        (tf.standard_simplex(3, 3.0), 0.0, 4.5, 1),
-        # Delaunay splits the square along a diagonal into two triangles
-        (tf.box([2.0, 2.0]), 0.0, 4.0, 2),
-        # Delaunay triangles (0,0),(0,1),(2,1) and (0,0),(2,1),(3,0)
-        (_hirzebruch_f1(), 0.0, 2.5, 2),
-        # the shrunk simplex {x_i >= 1/4, 2 - x1 - x2 >= 1/4}, legs 5/4
-        (tf.standard_simplex(2, 2.0), 0.25, 0.5 * 1.25**2, 1),
+        (tf.segment(2.0), 2.0, 1),
+        (tf.standard_simplex(2, 2.0), 2.0, 1),
+        (tf.standard_simplex(3, 3.0), 4.5, 1),
+        # the cones from (0,0) over the two edges that miss it split the
+        # square along its diagonal
+        (tf.box([2.0, 2.0]), 4.0, 2),
+        # the cones from (0,0): triangles (0,0),(0,1),(2,1) and (0,0),(2,1),(3,0)
+        (_hirzebruch_f1(), 2.5, 2),
     ],
-    ids=["segment", "simplex2d", "simplex3d", "box", "hirzebruch-f1", "simplex2d-margin"],
+    ids=["segment", "simplex2d", "simplex3d", "box", "hirzebruch-f1"],
 )
 @pytest.mark.parametrize("resolution", [4, 32])
-def test_grid_volumes_exact(poly, margin, volume, simplices, resolution):
-    grid = poly.grid_cells(resolution, margin=margin)
+def test_grid_volumes_exact(poly, volume, simplices, resolution):
+    grid = poly.grid_cells(resolution)
     assert grid.weights.sum() == pytest.approx(volume, rel=1e-14, abs=0)
-    assert (poly.facet_values(grid.points).min(axis=1) > margin).all()
+    assert (poly.facet_values(grid.points).min(axis=1) > 0).all()
     assert len(grid) == simplices * resolution**poly.dimension
+
+
+def test_grid_takes_no_margin(cp1_unit):
+    # a grid covers all of P; margin and clip_depth stay in the signature
+    # only for the tracer's grid cache key
+    with pytest.raises(ValueError, match="margin must be 0"):
+        cp1_unit.grid_cells(8, margin=0.25)
+    assert len(cp1_unit.grid_cells(8, margin=0.0, clip_depth=3)) == 8
+
+
+def _hexagon():
+    # the Delzant hexagon |x|, |y|, |x + y| <= 1: CP^2 blown up at three points
+    return tf.DelzantPolytope([tf.Facet((sign * a, sign * b), 1.0)
+                               for a, b in ((1, 0), (0, 1), (1, 1)) for sign in (1, -1)])
+
+
+# name: (polytope, volume, exponents of a cubic monomial, its integral over P)
+ORACLE_POLYTOPES = {
+    # int_0^2 x^2 dx int_0^3 y dy = 8/3 * 9/2
+    "box23": (lambda: tf.box([2.0, 3.0]), 6.0, (2, 1), 12.0),
+    # 1/2 * 4/2 * 9/2
+    "box123": (lambda: tf.box([1.0, 2.0, 3.0]), 6.0, (1, 1, 1), 4.5),
+    # int_0^1 y (3 - y)^3 / 3 dy
+    "hirzebruch-f1": (_hirzebruch_f1, 2.5, (2, 1), 131 / 60),
+    # the square [-1, 1]^2 less two corners; x^2 y is odd under (x, y) -> (-x, -y)
+    "hexagon": (_hexagon, 3.0, (2, 1), 0.0),
+    # s^(n + 3) / (n + 3)! on the size-s standard n-simplex
+    "simplex3d-size4": (lambda: tf.standard_simplex(3, 4.0), 32 / 3, (1, 1, 1), 4.0**6 / 720),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_POLYTOPES)
+def test_pulled_cones_integrate_cubics_exactly(name):
+    # from every vertex, the Chebyshev centre and every lattice point, peaked
+    # or not, the cones hold P's volume and integrate a cubic exactly, the
+    # degree-15 panels being exact on it and its Duffy Jacobian
+    make, volume, exponents, integral = ORACLE_POLYTOPES[name]
+    poly = make()
+    extent = np.abs(poly.vertices()).max()
+    apexes = [*poly.vertices(), poly.chebyshev_center()[0], *poly.lattice_points()]
+    for apex in apexes:
+        for width in (np.inf, 1e-3):
+            grid = poly.cone_cells(apex, width, 8)
+            points, weights = grid.points, grid.weights
+            assert weights.sum() == pytest.approx(volume, rel=1e-13, abs=0)
+            got = weights @ np.prod(points**np.array(exponents), axis=1)
+            assert abs(got - integral) <= 1e-13 * volume * extent**3
+            assert (poly.facet_values(points).min(axis=1) > 0).all()
 
 
 CONE_POLYTOPES = {
@@ -168,7 +215,8 @@ def test_cone_radial_axis_is_graded_down_to_the_width():
     # panels/2 panels per halving of the radius
     poly = tf.standard_simplex(2, 3.0)
     width = 80.0**-0.5 / np.sqrt(2.0)
-    assert len(poly.cone_cells((1, 1), np.inf, 32)) == 6 * 32 * 32
+    # unpeaked, the cones over the three edges are not split
+    assert len(poly.cone_cells((1, 1), np.inf, 32)) == 3 * 32 * 32
     first = {}
     for resolution, panels in ((32, 4), (64, 8)):
         grid = poly.cone_cells((1, 1), width, resolution)
@@ -192,16 +240,6 @@ def test_cone_radial_axis_is_graded_down_to_the_width():
     hypotenuse = np.isclose(grid.simplices[:, 1].sum(axis=1), 3.0)
     assert [len(angular) for (_, (angular, _)) in grid.axes] == [
         24 if on else 16 for on in hypotenuse]
-
-
-def test_interior_grid_margin_too_large(cp1_unit):
-    with pytest.raises(EmptyGridError):
-        cp1_unit.grid_cells(8, margin=0.6)
-
-
-def test_interior_grid_points_inside_margin(cp1_size2):
-    for p in cp1_size2.grid_cells(16, margin=0.25).points:
-        assert cp1_size2.facet_values(p).min() >= 0.25 - 1e-12
 
 
 def test_oversized_grid_raises_before_allocating(run_capped):
@@ -481,24 +519,6 @@ def test_facet_values_on_column_major_block_is_bit_equal(name):
     assert poly.facet_values(rows).tobytes() == reference
 
 
-def test_margin_zero_grid_reuses_memoized_vertices(monkeypatch):
-    poly = _hirzebruch_f1()
-    poly.validate()
-    poly.vertices()
-    calls = []
-    original = polytopes._intersection_vertices
-
-    def counted(normals, offsets):
-        calls.append(len(normals))
-        return original(normals, offsets)
-
-    monkeypatch.setattr(polytopes, "_intersection_vertices", counted)
-    poly.grid_cells(4)
-    assert calls == []
-    poly.grid_cells(4, margin=0.1)
-    assert calls == [4]
-
-
 # -- batched validation against its per-combination and per-vertex loops ---------
 
 
@@ -610,19 +630,21 @@ def test_validate_issues_unchanged(name):
                                   lambda: tf.box([1.0, 2.0, 3.0])],
                          ids=["simplex", "hirzebruch-f1", "box123"])
 def test_validate_and_grids_triangulate_once(monkeypatch, make):
+    # validation, grids at three resolutions and peaked and plain cones from
+    # every vertex share one pulling triangulation of the boundary
     calls = []
-    original = polytopes._triangulate
+    original = polytopes._pulling
 
-    def counted(verts):
-        calls.append(len(verts))
-        return original(verts)
+    def counted(incidence):
+        calls.append(incidence.shape)
+        return original(incidence)
 
-    monkeypatch.setattr(polytopes, "_triangulate", counted)
+    monkeypatch.setattr(polytopes, "_pulling", counted)
     poly = make()
     assert poly.validate().ok
     for resolution in (4, 8, 16):
         assert poly.grid_cell_count(resolution) == len(poly.grid_cells(resolution))
-    assert len(calls) == 1
-    poly.grid_cells(4, margin=0.1)
-    poly.grid_cells(8, margin=0.1)
-    assert len(calls) == 2
+    for apex in poly.vertices():
+        for width in (np.inf, 1e-3):
+            poly.cone_cells(apex, width, 8)
+    assert calls == [(len(poly.vertices()), len(poly.facets))]
