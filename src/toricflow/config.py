@@ -187,9 +187,11 @@ class ExperimentConfig:
         and hold no negative time, the experiment grid leaves a log-log fit
         two times, the sample count lies in [1, MAX_SAMPLE_DRAWS], every
         real number is finite, phi and the quadrature spec build, P's plain
-        grid at the finest resolution the spec allows stays under the
-        grid-size cap (the early refusal: a run's cones hold more nodes, and
-        cli.main refuses a plan over the cap too) and the fiber mode is known."""
+        grid at the finest resolution the spec allows, resolution *
+        2^max_depth, the last rung of integrate_many's ladder whatever rung
+        it starts from, stays under the grid-size cap (the early refusal: a
+        run's cones hold more nodes, and cli.main refuses a plan over the
+        cap too) and the fiber mode is known."""
         poly = self._polytope()
         with _as_config_error("polytope.facet"):
             poly.require_valid()
@@ -217,7 +219,7 @@ class ExperimentConfig:
             spec = QuadratureSpec(**{name: _numbers(self.lines[key][0], key, kind, 1)[0]
                                      for key, (name, kind) in _QUAD.items() if key in self.lines})
         # integrate_many's finest grid: the base resolution, doubled once per
-        # refinement
+        # refinement (its ladder may start below the base, never above it)
         finest = spec.resolution * 2**spec.max_refinements
         try:
             poly.grid_cell_count(finest)

@@ -65,8 +65,8 @@ class NewtonError(ToricFlowError, RuntimeError):
 
 
 class QuadratureStagnation(ToricFlowError, RuntimeError):
-    """Refinement stopped shrinking the error estimate before reaching the
-    requested tolerance.  Carries the best value and estimate achieved."""
+    """A column's error estimate still misses the requested tolerance at
+    the finest refinement.  Carries that column's value and estimate."""
 
     def __init__(self, message, value, estimate):
         super().__init__(message)

@@ -522,11 +522,11 @@ def _panels(resolution: int) -> tuple[int, int]:
 
 def _graded(panels: int, floor: float) -> int:
     """The graded panels that replace the first of `panels` uniform panels:
-    they shrink toward 0 by 2^{-2/panels}, panels/2 of them per halving of
-    the radius, until the last ends at most at `floor`.  They grow in
-    number with the resolution like the uniform panels, so the two levels
-    of a refinement differ near the apex too, but for the innermost panel,
-    which they may share."""
+    they shrink toward 0 by 2^{-2/panels}, the first by 2^{-3/(2 panels)},
+    panels/2 of them per halving of the radius, until the last ends at most
+    a quarter step, 2^{1/(2 panels)}, beyond `floor`.  They grow in number
+    with the resolution like the uniform panels, so the two rungs of a
+    refinement differ near the apex too (see `_axis_rule`)."""
     return math.ceil(math.log2(1.0 / (panels * floor)) * panels / 2) if panels * floor < 1.0 else 0
 
 
@@ -534,10 +534,15 @@ def _graded(panels: int, floor: float) -> int:
 def _axis_rule(resolution: int, power: int, graded: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] of the composite Gauss rule of
     `_panels(resolution)`, the first panel replaced by `graded` panels of
-    `_graded`, with the weights multiplied by u^power."""
+    `_graded`, with the weights multiplied by u^power.  The graded
+    breakpoints are 2^{-(2k - 1/2)/panels} / panels, k = 1 .. graded.
+    Counted down from 2/panels in factors of 2^{-1/panels}, they lie on
+    half-integers, those of the rung with panels/2 panels on odd integers,
+    and both rungs' uniform breakpoints on even ones, so the two rungs of a
+    refinement share no panel, the innermost included."""
     panels, q = _panels(resolution)
     uniform = np.linspace(0.0, 1.0, panels + 1)
-    inner = uniform[1] * 2.0 ** (-2.0 / panels * np.arange(graded, 0, -1))
+    inner = uniform[1] * 2.0 ** (-2.0 / panels * (np.arange(graded, 0, -1) - 0.25))
     breaks = np.concatenate([[0.0], inner, uniform[1:]])
     x, w = _gauss(q)
     widths = np.diff(breaks)[:, None]

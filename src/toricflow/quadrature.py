@@ -8,7 +8,11 @@ Each axis holds panels of about 8 nodes, exact to degree 15, and nodes are
 strictly interior, so an integrand that is continuous but not smooth at the
 boundary (l log l terms) is never evaluated there.  `integrate_many`
 compares the rule at N/2 with the rule at N and doubles N until the
-difference, the error estimate, meets the tolerance.
+difference, the error estimate, meets the tolerance.  It starts from the
+coarsest N/2 that halving the resolution reaches with at least two panels,
+16 nodes, per axis: the rule converges geometrically on an analytic
+integrand, so the estimate is checked where it is cheap, and an integrand
+that needs more nodes takes more doublings up to the same finest N.
 
 The integrand is evaluated on consecutive blocks of at most 2^12 points,
 each built by `Grid.blocks` when reached and dropped once summed, whatever
@@ -32,7 +36,10 @@ from .polytopes import DelzantPolytope, Grid
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Base resolution (Gauss nodes per axis on each simplex), number of
-    refinement doublings allowed, and target relative tolerance."""
+    refinement doublings allowed past it, and target relative tolerance.
+    The finest rule has resolution * 2^max_refinements nodes per axis; the
+    first comparison is resolution/2 against resolution, or a halving of
+    it, down to 16 against 32 (see `integrate_many`)."""
 
     resolution: int = 256
     max_refinements: int = 3
@@ -56,6 +63,9 @@ class QuadratureResult(NamedTuple):
 
 # Points per integrand call, whatever the number of fields.
 _BLOCK = 2**12
+# The fewest Gauss nodes per axis on the coarse side of a first comparison
+# that starts below resolution/2: two panels of 8.
+_MIN_NODES = 16
 
 
 def _weighted_sums(matrix_f, k: int, grid: Grid) -> np.ndarray:
@@ -84,70 +94,57 @@ def integrate_many(
 
     `matrix_f` maps (m, n) points to (m, k) values; it is called on blocks of
     at most _BLOCK points of `poly.grid_cells`, or with `peak = (apex,
-    width)` of `poly.cone_cells`.  Every field gets its own value, the rule
-    at the finest N, and estimate, its distance from the rule at N/2.  The
-    fields come in consecutive groups of `group` (default k, one group), and
-    the first field of each group is its reference (e.g. a density the
-    others are moments of): a group is frozen at the first level where its
-    reference meets the tolerance, only groups still refining are checked
-    for finiteness, and stagnation is judged on the references.  The results
-    are those of k / group separate calls; `group=1` judges every field on
-    its own.
+    width)` of `poly.cone_cells`.  The rungs N are resolution * 2^d up to
+    d = max_refinements, preceded by resolution/2 and by the further integer
+    halvings that leave a comparison's coarse side at least _MIN_NODES
+    nodes: resolution 256 compares 16 against 32 first, 96 compares 24
+    against 48, and 16 compares 8 against 16.  Every field gets its own value, the rule at the finest N, and estimate,
+    its distance from the rule at N/2.  The fields come in consecutive
+    groups of `group` (default k, one group), and the first field of each
+    group is its reference (e.g. a density the others are moments of):
+    field j meets the tolerance when e_j <= rel_tol * max(|v_j|, |v_ref|),
+    so a moment's ratio to its reference is known to rel_tol * max(|ratio|,
+    1), and a group is frozen at the first rung where all its fields meet
+    it.  Only groups still refining are checked for finiteness.  A field
+    that misses the tolerance at the finest rung raises
+    QuadratureStagnation naming its column.  The results are those of
+    k / group separate calls; `group=1` judges every field on its own.
     """
     group = k if group is None else group
     if group < 1 or k % group:
         raise ValueError(f"group size {group} does not divide {k} fields")
-    # column j is judged by column judge[j], the first column of its group
-    judge = np.arange(k) // group * group
+    # column j is also judged against column ref[j], the first of its group
+    ref = np.arange(k) // group * group
 
     def sums(resolution: int) -> np.ndarray:
         grid = (poly.grid_cells(resolution) if peak is None
                 else poly.cone_cells(*peak, resolution))
         return _weighted_sums(matrix_f, k, grid)
 
-    def compare(coarse: np.ndarray, fine: np.ndarray, refining: np.ndarray):
-        estimates = np.abs(fine - coarse)
-        bad = refining & ~(np.isfinite(fine) & np.isfinite(estimates))
+    rungs = [spec.resolution << d for d in range(spec.max_refinements + 1)]
+    while rungs[0] == spec.resolution or rungs[0] // 2 >= _MIN_NODES:
+        rungs.insert(0, rungs[0] // 2)
+    values, estimates, done = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    fine = sums(rungs[0])
+    for res in rungs[1:]:
+        coarse, fine = fine, sums(res)
+        refining = ~done
+        values[refining], estimates[refining] = fine[refining], np.abs(fine - coarse)[refining]
+        bad = refining & ~(np.isfinite(values) & np.isfinite(estimates))
         if bad.any():
             j = int(np.argmax(bad))
             raise QuadratureOverflow(
-                f"non-finite quadrature value {fine[j]:.3e} in column {j} "
+                f"non-finite quadrature value {values[j]:.3e} in column {j} "
                 f"(estimate {estimates[j]:.3e})"
             )
-        return fine.copy(), estimates
-
-    def good(v, e):
-        return (e <= spec.rel_tol * np.maximum(np.abs(v), 1e-300))[judge]
-
-    res = spec.resolution
-    coarse, fine = sums(res // 2), sums(res)
-    values, estimates = compare(coarse, fine, np.ones(k, dtype=bool))
-    done = good(values, estimates)
-
-    first_estimates, previous = estimates.copy(), estimates.copy()
-    refinements = 0
-    while not done.all() and refinements < spec.max_refinements:
-        refinements += 1
-        res *= 2
-        coarse, fine = fine, sums(res)
-        new_values, new_estimates = compare(coarse, fine, ~done)
-        previous = estimates.copy()
-        values[~done], estimates[~done] = new_values[~done], new_estimates[~done]
-        done |= good(values, estimates)
-
-    # judged against the first estimate, as an unresolved feature may grow at
-    # first: the rule converges second-order even on a kink or an l log l
-    # term, 4x per round, but noise such as an unresolved oscillation only
-    # 1.4x, and may drop by chance in one round, so the last two must hold
-    bound = first_estimates * 0.4**refinements
-    stagnated = ~done & (judge == np.arange(k))
-    stagnated &= (estimates > bound) | (previous > bound / 0.4)
-    if stagnated.any():
-        j = int(np.argmax(stagnated))
-        raise QuadratureStagnation(
-            f"error estimate of column {j} stagnated at {estimates[j]:.3e} "
-            f"(value {values[j]:.12e})",
-            values[j],
-            estimates[j],
-        )
-    return [QuadratureResult(float(v), float(e)) for v, e in zip(values, estimates)]
+        met = estimates <= spec.rel_tol * np.maximum(np.abs(values), np.abs(values[ref]))
+        done = met.reshape(-1, group).all(axis=1).repeat(group)
+        if done.all():
+            return [QuadratureResult(float(v), float(e)) for v, e in zip(values, estimates)]
+    j = int(np.argmin(met))
+    raise QuadratureStagnation(
+        f"error estimate of column {j} is {estimates[j]:.3e} at resolution {rungs[-1]}, "
+        f"above rel_tol {spec.rel_tol:g} (value {values[j]:.12e})",
+        values[j],
+        estimates[j],
+    )

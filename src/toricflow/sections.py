@@ -222,11 +222,13 @@ def _laplace_moments(poly: DelzantPolytope, phi: ConvexPotential, lams, ts, spec
     the cones from that weight graded down to the peak width at its largest
     time (s = 2 for a section density e^{-2 A}, 1 for `converge`).
 
-    Density j and its moments form one quadrature group judged by its mass,
-    so every column stops at the level a separate integration would stop
-    at.  The log-masses add the log-peaks back, so they stay finite far
-    beyond the float range of the masses themselves.  Raises
-    QuadratureOverflow when a scaled mass is not positive.
+    Density j and its moments form one quadrature group, each moment judged
+    against the larger of itself and the mass, so a moment ratio is known
+    to rel_tol * max(|ratio|, 1), and every column stops at the rung a
+    separate integration would stop at.  The log-masses add the log-peaks
+    back, so they stay finite far beyond the float range of the masses
+    themselves.  Raises QuadratureOverflow when a scaled mass is not
+    positive.
     """
     lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
     width = 1 + len(fs)

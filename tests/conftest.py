@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,23 +24,39 @@ def integrate(f, poly, spec=tf.QuadratureSpec(), peak=None):
                           peak=peak)[0]
 
 
+# The tolerance of the tail-mass moment: its indicator is discontinuous at
+# the radius, so its Gauss rule converges only algebraically, and at t = 1e4
+# it misses 1e-8 at the default finest rung
+# (test_unmet_moment_names_its_column).
+TAIL_TOL = 1e-4
+
+
 def concentration_moments(lam, phi, poly, t, spec=tf.QuadratureSpec()):
     """Mean, covariance and mass within 5/sqrt(t) of lam of the normalized
     density e^{-t f_lam} / |e^{-t f_lam}|_1: moment ratios of the Laplace
-    kernel that `converge` calls, one column per moment function."""
+    kernel that `converge` calls, one column per moment function.  The mass
+    within the radius comes from its own call, at rel_tol no finer than
+    TAIL_TOL."""
     lam = np.asarray(lam, dtype=float)
     n = len(lam)
-    radius = 5.0 / np.sqrt(t) if t > 0 else np.inf
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     fs = [lambda p, i=i: p[:, i] - lam[i] for i in range(n)]
     fs += [lambda p, i=i, j=j: (p[:, i] - lam[i]) * (p[:, j] - lam[j]) for i, j in pairs]
-    fs.append(lambda p: (np.linalg.norm(p - lam, axis=-1) <= radius).astype(float))
     _, (ratios,) = _laplace_moments(poly, phi, [lam], [t], spec, fs=fs)
     first = ratios[:n]
     cov = np.zeros((n, n))
-    for (i, j), raw in zip(pairs, ratios[n:-1]):
+    for (i, j), raw in zip(pairs, ratios[n:]):
         cov[i, j] = cov[j, i] = raw - first[i] * first[j]
-    return lam + first, cov, ratios[-1]
+    tail_spec = dataclasses.replace(spec, rel_tol=max(spec.rel_tol, TAIL_TOL))
+    _, ((tail_mass,),) = _laplace_moments(poly, phi, [lam], [t], tail_spec,
+                                          fs=[tail_indicator(lam, t)])
+    return lam + first, cov, tail_mass
+
+
+def tail_indicator(lam, t):
+    """The indicator of the ball of radius 5/sqrt(t) about lam."""
+    radius = 5.0 / np.sqrt(t) if t > 0 else np.inf
+    return lambda p: (np.linalg.norm(p - lam, axis=-1) <= radius).astype(float)
 
 
 def fiber_weight(poly, lam, mode):

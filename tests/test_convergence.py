@@ -8,9 +8,9 @@ from scipy.stats import norm
 
 import toricflow as tf
 from toricflow import sections
-from conftest import concentration_moments, fiber_weight, integrate
+from conftest import concentration_moments, fiber_weight, integrate, tail_indicator
 from toricflow.config import load_config, parse_t_grid
-from toricflow.errors import FiberDegenerationError, QuadratureOverflow
+from toricflow.errors import FiberDegenerationError, QuadratureOverflow, QuadratureStagnation
 from toricflow.quadrature import integrate_many
 from toricflow.sections import _laplace_integrand, _laplace_moments, _peak_width
 
@@ -238,9 +238,15 @@ def test_concentration_large_time(spec):
 
 def test_concentration_past_grid_resolution_raises(monkeypatch):
     # at t = 1e10 the cones from lam, graded down to the peak width 1e-5,
-    # resolve the peak: the variance is 1 / t to the Laplace correction
+    # resolve the peak, but the exponent t f_lam rounds at about t * 1e-16,
+    # so the mass carries noise near 1e-7 of itself: at rel_tol 1e-8 the
+    # call names the mass's column; at 1e-6 the variance is 1 / t to the
+    # Laplace correction
     phi = tf.QuadraticPotential([[1.0]])
-    _, cov, tail_mass = concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10)
+    with pytest.raises(QuadratureStagnation, match="column 0 "):
+        concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10)
+    spec = tf.QuadratureSpec(rel_tol=1e-6)
+    _, cov, tail_mass = concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10, spec)
     assert abs(1e10 * cov[0, 0] - 1.0) < 1e-6 and tail_mass > 0.999
     # a density that underflows on every node has mass 0: it cannot
     # normalize anything, and the guard of _laplace_moments refuses it
@@ -252,7 +258,19 @@ def test_concentration_past_grid_resolution_raises(monkeypatch):
 
     monkeypatch.setattr(sections, "_laplace_integrand", underflowing)
     with pytest.raises(QuadratureOverflow, match=r"density mass 0.0 at t = 1e\+10: "):
-        concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10)
+        concentration_moments(np.array([1.0]), phi, tf.segment(2.0), 1e10, spec)
+
+
+def test_unmet_moment_names_its_column():
+    # at t = 1e4 the mass meets rel_tol 1e-8, but the indicator of the ball
+    # of radius 5/sqrt(t), discontinuous where the density is e^-12.5 of its
+    # peak, misses it at the finest rung: the failure names the indicator's
+    # column, not the mass's (a group judged on its mass alone returned it)
+    phi = tf.QuadraticPotential([[1.0]])
+    lam = np.array([1.0])
+    fs = [lambda p: p[:, 0] - 1.0, tail_indicator(lam, 1e4)]
+    with pytest.raises(QuadratureStagnation, match="column 2 "):
+        _laplace_moments(tf.segment(2.0), phi, [lam], [1e4], tf.QuadratureSpec(), fs=fs)
 
 
 def test_concentration_uniform_at_time_zero(model2, spec):
@@ -302,7 +320,7 @@ def test_concentration_2d_covariance(phi_aniso):
 def test_concentration_3d_covariance():
     poly = tf.standard_simplex(3, 4.0)
     phi = tf.QuadraticPotential(np.diag([2.0, 3.0, 4.0]))
-    spec = tf.QuadratureSpec(resolution=8, rel_tol=1e-6, max_refinements=1)
+    spec = tf.QuadratureSpec(resolution=8, rel_tol=1e-6, max_refinements=2)
     _, cov, _ = concentration_moments(np.ones(3), phi, poly, 20.0, spec)
     cov_t = 20.0 * np.diag(cov)
     assert np.max(np.abs(cov_t - [0.5, 1.0 / 3.0, 0.25])) < 2e-3
@@ -386,9 +404,9 @@ def test_convergence_requires_interior_weight(model2, spec):
 
 
 def test_batched_pairings_match_per_t_moments():
-    # cp1_size2's large-t grid: every t stops at the first level; each t's
-    # group, integrated alone from the same full-width kernel output on the
-    # same cones, gives the one-pass pairings bit for bit
+    # cp1_size2's large-t grid: each t's group, integrated alone from the
+    # same full-width kernel output on the same cones, gives the one-pass
+    # pairings bit for bit
     exp = load_config(REPO / "configs" / "cp1_size2.cfg").validate()
     lam = np.asarray(exp.lam, dtype=float)
     ts = parse_t_grid("10:1280:2")
@@ -409,6 +427,10 @@ def test_batched_pairings_match_per_t_moments():
         moments = np.array([r.value for r in results])
         points.append(sum(sizes))
         assert [b.pairings[i] for b in report.bumps] == list(moments[1:] / moments[0])
-    first_level = sum(len(exp.poly.cone_cells(*peak, n))
-                      for n in (exp.spec.resolution // 2, exp.spec.resolution))
-    assert points == [first_level] * len(ts)
+    # resolution 256 starts at the coarsest rung, 16 against 32 nodes; the
+    # C^2 bumps' moments converge algebraically, so the wide densities of t
+    # = 10 to 40 take every rung up to 256, t = 80 up to 128 (the moment of
+    # the bump at 1.7), and the rest stop at the first
+    assert exp.spec.resolution == 256
+    rungs = np.cumsum([len(exp.poly.cone_cells(*peak, n)) for n in (16, 32, 64, 128, 256)])
+    assert points == [rungs[4]] * 3 + [rungs[3]] + [rungs[1]] * 4

@@ -242,6 +242,24 @@ def test_cone_radial_axis_is_graded_down_to_the_width():
         24 if on else 16 for on in hypotenuse]
 
 
+def test_refinement_rungs_share_no_panel():
+    # the size-3 triangle from (1, 1) at the benchmark's converge widths:
+    # on every cone and axis, no panel of 8 nodes at one rung is a panel of
+    # the next, so the error estimate sees every panel (the innermost
+    # radial panel was shared on 4 of the 6 cones at rungs 16/32 and
+    # 32/64, and a graded panel at 16 would be a uniform one at 32)
+    poly = tf.standard_simplex(2, 3.0)
+    for t in (20.0, 40.0, 80.0, 1e3, 1e6):
+        width = (2.0 * t) ** -0.5
+        for coarse, fine in ((16, 32), (32, 64), (64, 128)):
+            a, b = poly.cone_cells((1, 1), width, coarse), poly.cone_cells((1, 1), width, fine)
+            for axes_a, axes_b in zip(a.axes, b.axes):
+                for (nodes_a, _), (nodes_b, _) in zip(axes_a, axes_b):
+                    pa, pb = nodes_a.reshape(-1, 8), nodes_b.reshape(-1, 8)
+                    same = np.isclose(pa[:, None], pb[None], rtol=1e-12, atol=0).all(axis=2)
+                    assert not same.any(), (t, coarse)
+
+
 def test_oversized_grid_raises_before_allocating(run_capped):
     # 8192^2 = 6.7e7 nodes, four times the cap: the points alone would
     # overrun the address-space cap

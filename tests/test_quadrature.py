@@ -32,10 +32,21 @@ def test_gaussian_against_adaptive_oracle(cp1_unit):
 
 
 def test_boundary_singular_integrand(cp1_unit):
-    # int_0^1 x log x dx = -1/4; the l log l boundary behavior must not bias
-    spec = tf.QuadratureSpec(resolution=1024, rel_tol=1e-10, max_refinements=2)
+    # int_0^1 x log x dx = -1/4; the l log l boundary behavior must not bias.
+    # The rule converges only 4x per doubling on it, so rel_tol 1e-10 takes
+    # 32,768 nodes
+    spec = tf.QuadratureSpec(resolution=1024, rel_tol=1e-10, max_refinements=5)
     value, _ = integrate(lambda p: p[:, 0] * np.log(p[:, 0]), cp1_unit, spec)
     assert abs(value + 0.25) < 1e-8
+
+
+def test_unmet_tolerance_raises(cp1_unit):
+    # the same integrand stops at 4,096 nodes with its estimate still
+    # falling but above rel_tol: the value is not returned
+    spec = tf.QuadratureSpec(resolution=1024, rel_tol=1e-10, max_refinements=2)
+    with pytest.raises(QuadratureStagnation, match="column 0 .* at resolution 4096") as err:
+        integrate(lambda p: p[:, 0] * np.log(p[:, 0]), cp1_unit, spec)
+    assert 0.25e-10 < err.value.estimate < 1e-8
 
 
 def test_error_estimate_conservative(cp1_unit):
@@ -129,13 +140,51 @@ def test_2d_error_falls_100x_per_doubling(cp2_size2):
     exact = 0.5 * (np.e**2 - 1.0) ** 2
     errors = []
     for res in (4, 8, 16, 32, 64):
-        spec = tf.QuadratureSpec(resolution=res, max_refinements=0)
-        value, est = integrate(lambda p: np.exp(p[:, 0] + 2.0 * p[:, 1]), cp2_size2, spec)
+        grid = cp2_size2.grid_cells(res)
+        value = _weighted_sums(lambda p: np.exp(p[:, [0]] + 2.0 * p[:, [1]]), 1, grid)[0]
         errors.append(abs(value - exact))
     floor = 1e-14 * exact
     assert errors[0] > 1e-4 and errors[-1] < floor
     for a, b in zip(errors, errors[1:]):
         assert b <= a / 100 or b < floor, errors
+
+
+def _truncated_gauss(center, sides, sigma):
+    # int over the box prod [0, s_i] of exp(-|x - c|^2 / (2 sigma^2))
+    scale = sigma * np.sqrt(2.0)
+    return math.prod(sigma * np.sqrt(np.pi / 2) * (erf((s - c) / scale) + erf(c / scale))
+                     for c, s in zip(center, sides))
+
+
+def _gauss_case(center, sigma):
+    def f(p):
+        return np.exp(-((p[:, 0] - center[0]) ** 2 + (p[:, 1] - center[1]) ** 2) / (2 * sigma**2))
+
+    return tf.box([2.0, 1.0]), f, _truncated_gauss(center, (2.0, 1.0), sigma), (center, sigma)
+
+
+# closed-form integrals: (polytope, integrand, exact value, peak or None)
+ORACLES = {
+    "dirichlet-segment": (tf.segment(2.0), lambda p: p[:, 0] ** 40,
+                          2.0**41 * _simplex_monomial((40,)), None),
+    "dirichlet-triangle": (tf.standard_simplex(2, 2.0), lambda p: p[:, 0] ** 17 * p[:, 1] ** 9,
+                           2.0**28 * _simplex_monomial((17, 9)), None),
+    "gauss-at-vertex": _gauss_case((0.0, 0.0), 0.05),
+    "gauss-inside": _gauss_case((0.7, 0.4), 0.02),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
+@pytest.mark.parametrize("name", ORACLES)
+def test_every_start_meets_tolerance_against_closed_forms(name, rel_tol):
+    # whichever rung the resolution starts from (8 to 31 nodes on its
+    # first comparison's coarse side), the value is within rel_tol of the
+    # exact one
+    poly, f, exact, peak = ORACLES[name]
+    for resolution in range(16, 257):
+        spec = tf.QuadratureSpec(resolution=resolution, rel_tol=rel_tol)
+        value, _ = integrate(f, poly, spec, peak=peak)
+        assert abs(value - exact) <= rel_tol * abs(exact), (resolution, value, exact)
 
 
 class _ArrayGrid:
@@ -210,15 +259,30 @@ def test_overflow_names_column(cp1_unit):
 
 
 def test_stagnation_names_column(cp1_unit):
+    # column 0 meets the tolerance at once, but a moment column is judged
+    # too, against the larger of its own value and column 0's: in one group
+    # or alone, the failure names column 1, with the value and estimate of
+    # the same integral done alone
     f = lambda p: np.column_stack([np.ones(len(p)), np.sin(1e7 * p[:, 0])])
     spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-12, max_refinements=5)
-    # column 0 judges every column by default and meets the tolerance at once
-    assert integrate_many(f, 2, cp1_unit, spec)[0].value == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(QuadratureStagnation, match="column 1") as err:
-        integrate_many(f, 2, cp1_unit, spec, group=1)
     with pytest.raises(QuadratureStagnation) as alone:
         integrate(lambda p: np.sin(1e7 * p[:, 0]), cp1_unit, spec)
-    assert (err.value.value, err.value.estimate) == (alone.value.value, alone.value.estimate)
+    for group in (2, 1):
+        with pytest.raises(QuadratureStagnation, match="column 1") as err:
+            integrate_many(f, 2, cp1_unit, spec, group=group)
+        assert (err.value.value, err.value.estimate) == (alone.value.value, alone.value.estimate)
+
+
+def test_moment_judged_against_its_reference(cp1_unit):
+    # a step moment, discontinuous between nodes, converges only
+    # algebraically: judged on its group's reference alone it froze at
+    # once, 7e-3 off; judged on max(|moment|, |reference|) it refines until
+    # the moment is known to rel_tol of the reference
+    f = lambda p: np.column_stack([np.ones(len(p)), (p[:, 0] > 1 / 3).astype(float)])
+    spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-4, max_refinements=10)
+    ref, step = integrate_many(f, 2, cp1_unit, spec)
+    assert abs(step.value - 2 / 3) <= 1e-4 and step.estimate <= 1e-4
+    assert ref.value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_independent_columns_freeze(cp1_unit):

@@ -476,7 +476,9 @@ def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
         blocks.append(len(x))
         return kernel(x)
 
-    spec = tf.QuadratureSpec(resolution=128, rel_tol=1e-6, max_refinements=1)
+    # from 16 nodes per axis, rel_tol 1e-12 takes the rungs 16, 32 and 64:
+    # blocks of 256, 1,024 and 4,096 points
+    spec = tf.QuadratureSpec(resolution=128, rel_tol=1e-12, max_refinements=1)
     integrate_many(counted_kernel, 2, cp2_size2, spec, group=1)
     assert len(blocks) > 2
     expected = {"value": len(blocks), "grad": len(blocks), "hess": 0}
