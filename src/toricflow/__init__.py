@@ -55,7 +55,6 @@ from .potentials import (
 )
 from .quadrature import QuadratureSpec
 from .sections import (
-    WeightSection,
     frame_holomorphicity_residual,
     gluing_check_cp1,
     lift_section_consistency,

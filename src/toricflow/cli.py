@@ -22,7 +22,8 @@ import numpy as np
 
 from . import convergence as conv
 from .config import Experiment, load_config
-from .errors import Check, ConfigError, FiberDegenerationError, GridSizeError, ToricFlowError
+from .errors import (Check, ConfigError, DomainError, FiberDegenerationError, GridSizeError,
+                     ToricFlowError)
 from .flow import (
     complex_structure_of,
     fit_loglog_slope,
@@ -33,7 +34,6 @@ from .flow import (
 from .polytopes import sample_interior
 from .potentials import _min_eigenvalues, check_strict_convexity
 from .sections import (
-    WeightSection,
     frame_holomorphicity_residual,
     gluing_check_cp1,
     gluing_points,
@@ -115,16 +115,27 @@ def _rounding_tols(phi, pts, ts, lams) -> np.ndarray:
 
 
 def _weight_rows(check: str, residual, exp: Experiment, lams, ts, pts) -> list[list[Check]]:
-    """Each weight's rows of a two-route check: `residual(s0, ts, pts)` of
-    the weight's time-zero section against the rounding tolerances at `pts`."""
-    return [_rows(check, lam, ts, residual(WeightSection(lam, exp.g0, exp.phi, 0.0), ts, pts), tols)
+    """Each weight's rows of a two-route check: `residual(g0, phi, lam, ts,
+    pts)` of the weight against the rounding tolerances at `pts`."""
+    return [_rows(check, lam, ts, residual(exp.g0, exp.phi, lam, ts, pts), tols)
             for lam, tols in zip(lams, _rounding_tols(exp.phi, pts, ts, lams))]
+
+
+def _gluing_points(exp: Experiment) -> np.ndarray:
+    """`gluing_points` of P.  The two-chart model takes only a segment
+    [0, a], so any other P is a config error."""
+    try:
+        return gluing_points(exp.poly)
+    except DomainError as exc:
+        raise ConfigError(f"gluing: {exc}") from exc
 
 
 def _gluing_rows(exp: Experiment, lams, ts, args) -> list[list[Check]]:
     """The two-chart gluing rows of each weight, for section-flow and gluing."""
-    return _weight_rows("gluing", lambda s0, ts, _: gluing_check_cp1(s0, ts, args.corrupt_transition),
-                        exp, lams, ts, gluing_points(exp.poly))
+    def residual(g0, phi, lam, ts, _):
+        return gluing_check_cp1(g0, phi, lam, ts, args.corrupt_transition)
+
+    return _weight_rows("gluing", residual, exp, lams, ts, _gluing_points(exp))
 
 
 def _finish(command: str, out: Path, rows: list[Check], fail_code: int = EXIT_NUMERICAL,
@@ -201,7 +212,7 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     _require_kahler(exp, ts, pts)
     _require_kahler(exp, [t_frame], frame_pts)
     if poly.dimension == 1:
-        _require_kahler(exp, ts, gluing_points(poly))
+        _require_kahler(exp, ts, _gluing_points(exp))
 
     lams = _weights(exp)
     route = _weight_rows("route-equality", route_equality_residual, exp, lams, ts, pts)
@@ -210,11 +221,11 @@ def cmd_section_flow(exp: Experiment, out: Path, args) -> int:
     frame_resid = frame_holomorphicity_residual(g0, phi, t_frame, frame_pts)
     rows.append(Check("frame-holomorphicity", None, t_frame, frame_resid, FRAME_TOL))
 
-    pairs = [(lam, t) for lam in lams for t in ts]
-    log_norms = section_log_norms_sq([WeightSection(lam, g0, phi, t) for lam, t in pairs], exp.spec)
+    pair_lams, pair_ts = [lam for lam in lams for _ in ts], [t for _ in lams for t in ts]
+    log_norms = section_log_norms_sq(g0, phi, pair_lams, pair_ts, exp.spec)
     _write_csv(out / "section_norms.csv", ["lambda", "t", "log_norm_sq"],
-               np.column_stack([[t for _, t in pairs], log_norms]),
-               [" ".join(map(str, lam)) for lam, _ in pairs])
+               np.column_stack([pair_ts, log_norms]),
+               [" ".join(map(str, lam)) for lam in pair_lams])
     return _finish("section-flow", out, rows, seed=args.seed)
 
 
@@ -251,10 +262,8 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
 
 
 def cmd_gluing(exp: Experiment, out: Path, args) -> int:
-    if exp.poly.dimension != 1:
-        raise ConfigError("gluing: the two-chart model needs a one-dimensional polytope")
     ts = exp.section_t
-    _require_kahler(exp, ts, gluing_points(exp.poly))
+    _require_kahler(exp, ts, _gluing_points(exp))
     return _finish("gluing", out, sum(_gluing_rows(exp, _weights(exp), ts, args), []))
 
 

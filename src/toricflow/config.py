@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .convergence import FIBER_WEIGHTS, BumpProfile
-from .errors import ConfigError, GridSizeError
+from .errors import ConfigError
 from .flow import SymplecticPotential, fit_window
 from .polytopes import MAX_SAMPLE_DRAWS, DelzantPolytope, Facet
 from .potentials import ConvexPotential, LogSumExpPotential, QuadraticPotential
@@ -186,12 +186,9 @@ class ExperimentConfig:
         the polytope's dimension, t grids are finite, non-empty and rising
         and hold no negative time, the experiment grid leaves a log-log fit
         two times, the sample count lies in [1, MAX_SAMPLE_DRAWS], every
-        real number is finite, phi and the quadrature spec build, P's plain
-        grid at the finest resolution the spec allows, resolution *
-        2^max_depth, the last rung of integrate_many's ladder whatever rung
-        it starts from, stays under the grid-size cap (the early refusal: a
-        run's cones hold more nodes, and cli.main refuses a plan over the
-        cap too) and the fiber mode is known."""
+        real number is finite, phi and the quadrature spec build, and the
+        fiber mode is known.  A plan over the grid-size cap is refused where
+        a run builds it (cli.main exits 1), not here."""
         poly = self._polytope()
         with _as_config_error("polytope.facet"):
             poly.require_valid()
@@ -218,16 +215,6 @@ class ExperimentConfig:
         with _as_config_error("quad"):
             spec = QuadratureSpec(**{name: _numbers(self.lines[key][0], key, kind, 1)[0]
                                      for key, (name, kind) in _QUAD.items() if key in self.lines})
-        # integrate_many's finest grid: the base resolution, doubled once per
-        # refinement (its ladder may start below the base, never above it)
-        finest = spec.resolution * 2**spec.max_refinements
-        try:
-            poly.grid_cell_count(finest)
-        except GridSizeError as exc:
-            raise ConfigError(
-                f"quad: the finest grid that quad.resolution and quad.max_depth "
-                f"allow, at resolution {finest}, is too large: {exc}"
-            ) from exc
         mode = self._get("experiment.mode", "normalized")
         if mode not in FIBER_WEIGHTS:
             raise ConfigError(f"experiment.mode must be {' or '.join(map(repr, FIBER_WEIGHTS))}")

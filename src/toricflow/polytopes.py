@@ -315,10 +315,6 @@ class DelzantPolytope:
         self.require_valid()
         return self.cone_cells(self.vertices()[0], np.inf, resolution)
 
-    def grid_cell_count(self, resolution: int) -> int:
-        """len(grid_cells(resolution)) of a valid P, without a traced call."""
-        return len(self.cone_cells(self.vertices()[0], np.inf, resolution))
-
     def cone_cells(self, apex, width: float, resolution: int) -> Grid:
         """The Gauss plan of P on the cones from `apex`, a point of P, over
         the `_boundary` simplices on facets that miss `apex`.  For a finite

@@ -17,22 +17,22 @@ closes on the polytope.
 
 The exponential of the quantum operator  phihat s = -i nabla_{X_phi} s + phi s
 acts diagonally on weights: e^{t phihat} s_{lam,0} = e^{-t f_lam(mu)} s_{lam,0}
-(multiplier route, `WeightSection(lam, g_0, phi, t).amplitude_log`).  The same
+(multiplier route, F_{lam,0} + t f_lam by `concentration_rate`).  The same
 flow computed geometrically, by pulling the monomial back along the
 T-equivariant time-t biholomorphism and multiplying by the flowed frame
-(pullback route, `pullback_amplitude_log`), must agree pointwise, weight by
-weight; so must the two local representatives of a flowed section on the two
-invariant charts of a segment model (gluing), and the bundle-lifted flow
-acting on equivariant functions (lift).  Each check takes one weight's whole
-t grid and returns the relative deviation |lhs - rhs| / |rhs| of its two
-sides as max |expm1(log lhs - log rhs)|, finite where the amplitudes
-overflow.  Together with the numerically verified holomorphicity of
-e^{-rho_t/2} sigma, these cross-checks pin every sign convention.
+(pullback route, `pullback_amplitude_log(g0, phi, lam, t, x)`), must agree
+pointwise, weight by weight; so must the two local representatives of a
+flowed section on the two invariant charts of a segment model (gluing), and
+the bundle-lifted flow acting on equivariant functions (lift).  Each check
+takes the model (g0, phi), one weight lam and its whole t grid, and returns
+the relative deviation |lhs - rhs| / |rhs| of its two sides as
+max |expm1(log lhs - log rhs)|, finite where the amplitudes overflow.
+Together with the numerically verified holomorphicity of e^{-rho_t/2} sigma,
+these cross-checks pin every sign convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,74 +46,52 @@ from .quadrature import QuadratureSpec, integrate_many
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class WeightSection:
-    """A weight-lam holomorphic section, represented by its lattice point and
-    its time-t gauge amplitude on the polytope."""
-
-    weight: tuple[int, ...]
-    g0: SymplecticPotential
-    phi: ConvexPotential
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not all(float(v).is_integer() for v in self.weight):
-            raise DomainError(f"weight {self.weight} is not a lattice point")
-        object.__setattr__(self, "weight", tuple(int(v) for v in self.weight))
-        if len(self.weight) != self.g0.dimension:
-            raise DimensionMismatch("weight dimension does not match the model")
-        if self.t < 0:
-            raise ValueError("flow time must be nonnegative")
-        if not self.g0.polytope.contains(self.lam):
-            raise DomainError(f"weight {self.weight} lies outside the moment polytope")
-
-    @property
-    def lam(self) -> np.ndarray:
-        return np.asarray(self.weight, dtype=float)
-
-    @property
-    def polytope(self) -> DelzantPolytope:
-        return self.g0.polytope
-
-    def amplitude_log(self, x) -> np.ndarray:
-        """A_{lam,t}(x) = F_{lam,0}(x) + t f_lam(x), with F_{lam,0} the
-        concentration rate of g_0 (interior only)."""
-        return concentration_rate(self.g0, self.lam, x) + self.t * concentration_rate(
-            self.phi, self.lam, x
-        )
+def _weight(g0: SymplecticPotential, lam) -> np.ndarray:
+    """The weight lam of a section of the model g0, as floats: a lattice
+    point of g0's polytope P."""
+    lam = np.asarray(lam, dtype=float)
+    if not all(float(v).is_integer() for v in lam.ravel()):
+        raise DomainError(f"weight {lam.tolist()} is not a lattice point")
+    if lam.shape != (g0.dimension,):
+        raise DimensionMismatch("weight dimension does not match the model")
+    if not g0.polytope.contains(lam):
+        raise DomainError(f"weight {lam.tolist()} lies outside the moment polytope")
+    return lam
 
 
-def pullback_amplitude_log(s0: WeightSection, t: float, x) -> np.ndarray:
-    """A_{lam,t}(x) by the geometric route from a time-zero section: pull the
-    monomial w^lam back along the biholomorphism and multiply by the flowed
-    frame e^{-rho_t/2}, with rho_t from the Legendre route.  Shares no step
-    with the multiplier formula of `WeightSection.amplitude_log`."""
-    _times(s0, [t], "the pullback route")
-    x = np.asarray(x, dtype=float)
-    g, dg, p, dp = s0.g0.value(x), s0.g0.grad(x), s0.phi.value(x), s0.phi.grad(x)
-    pullback = t * (dp @ s0.lam)
-    monomial = np.einsum("...i,...i->...", np.broadcast_to(s0.lam, x.shape), dg)
-    return 0.5 * _legendre_rho(x, g, dg, p, dp, t) - (pullback + monomial)
-
-
-def _times(s0: WeightSection, ts, check: str) -> None:
-    if s0.t != 0.0:
-        raise ValueError(f"{check} starts from a time-zero section")
+def _times(ts) -> None:
     if any(t < 0 for t in ts):
         raise ValueError("flow time must be nonnegative")
 
 
-def route_equality_residual(s0: WeightSection, ts, xs) -> np.ndarray:
+def pullback_amplitude_log(g0: SymplecticPotential, phi: ConvexPotential, lam, t: float,
+                           x) -> np.ndarray:
+    """A_{lam,t}(x) by the geometric route from the time-zero section: pull
+    the monomial w^lam back along the biholomorphism and multiply by the
+    flowed frame e^{-rho_t/2}, with rho_t from the Legendre route.  Shares
+    no step with the multiplier formula F_{lam,0} + t f_lam."""
+    lam = _weight(g0, lam)
+    _times([t])
+    x = np.asarray(x, dtype=float)
+    g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
+    pullback = t * (dp @ lam)
+    monomial = np.einsum("...i,...i->...", np.broadcast_to(lam, x.shape), dg)
+    return 0.5 * _legendre_rho(x, g, dg, p, dp, t) - (pullback + monomial)
+
+
+def route_equality_residual(g0: SymplecticPotential, phi: ConvexPotential, lam, ts,
+                            xs) -> np.ndarray:
     """Max relative deviation |e^{-A_pull} / e^{-A_mult} - 1| between the
     multiplier and pullback routes over the sample points, at each time of
     `ts`, from the log amplitudes, so it stays finite where both amplitudes
     underflow; the phase e^{i lam.theta} cancels.  g_0 and phi are evaluated
-    once, and each residual is bit for bit that of `amplitude_log` of
-    `WeightSection(s0.weight, s0.g0, s0.phi, t)` against
-    `pullback_amplitude_log(s0, t, xs)`."""
-    _times(s0, ts, "the pullback route")
-    x, lam = np.asarray(xs, dtype=float), s0.lam
-    g, dg, p, dp = s0.g0.value(x), s0.g0.grad(x), s0.phi.value(x), s0.phi.grad(x)
+    once, and each residual is bit for bit that of the multiplier
+    `concentration_rate(g0, lam, xs) + t concentration_rate(phi, lam, xs)`
+    against `pullback_amplitude_log(g0, phi, lam, t, xs)`."""
+    lam = _weight(g0, lam)
+    _times(ts)
+    x = np.asarray(xs, dtype=float)
+    g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
     rate_g0, rate, push = _rate(x, lam, dg, g), _rate(x, lam, dp, p), dp @ lam
     monomial = np.einsum("...i,...i->...", np.broadcast_to(lam, x.shape), dg)
     out = []
@@ -249,41 +227,35 @@ def _laplace_moments(poly: DelzantPolytope, phi: ConvexPotential, lams, ts, spec
     return np.log(moments[:, 0]) + log_peaks, moments[:, 1:] / moments[:, :1]
 
 
-def section_log_norms_sq(
-    sections: Sequence[WeightSection],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """log of the L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam,t}} dx of
-    sections that share one g_0 and one phi.
+def section_log_norms_sq(g0: SymplecticPotential, phi: ConvexPotential, lams, ts,
+                         spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """log of the L^2 norms squared (2 pi)^n int_P e^{-2 A_{lam_j,t_j}} dx
+    of the sections of the model (g0, phi) at the weights `lams` and the
+    times `ts`, one pair per norm.
 
     The torus direction integrates exactly to (2 pi)^n; the polytope factor
     goes through the Gauss rule on the cones from each weight, one
     `integrate_many` call per distinct weight, and every norm is judged on
     its own, at the refinement level a separate integration would stop at.
-    Raises ValueError for sections of different models, and
-    QuadratureOverflow when a mass is not positive.
+    Raises QuadratureOverflow when a mass is not positive.
     """
-    g0, phi = sections[0].g0, sections[0].phi
-    if any(s.g0 is not g0 or s.phi is not phi for s in sections):
-        raise ValueError("batched sections must share one g0 and one phi")
-    lams, ts = [s.lam for s in sections], [s.t for s in sections]
+    lams = [_weight(g0, lam) for lam in lams]
+    _times(ts)
     log_masses, _ = _laplace_moments(g0.polytope, phi, lams, ts, spec, g0)
     return np.log(torus_volume(g0.dimension)) + log_masses
 
 
-def section_norm_sq(
-    s: WeightSection,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def section_norm_sq(g0: SymplecticPotential, phi: ConvexPotential, lam, t: float,
+                    spec: QuadratureSpec = QuadratureSpec()) -> float:
     """L^2 norm squared of one section, the exp of
-    `section_log_norms_sq([s])[0]`.  Raises QuadratureOverflow when the norm
-    is not positive and finite, as when it lies beyond the float range; its
-    log is still finite."""
+    `section_log_norms_sq(g0, phi, [lam], [t])[0]`.  Raises
+    QuadratureOverflow when the norm is not positive and finite, as when it
+    lies beyond the float range; its log is still finite."""
     with np.errstate(over="ignore"):
-        norm = float(np.exp(section_log_norms_sq([s], spec)[0]))
+        norm = float(np.exp(section_log_norms_sq(g0, phi, [lam], [t], spec)[0]))
     if not 0.0 < norm < np.inf:
         raise QuadratureOverflow(
-            f"norm {norm} of weight {s.weight} at t = {s.t:g} is beyond the float range"
+            f"norm {norm} of weight {tuple(map(int, lam))} at t = {t:g} is beyond the float range"
         )
     return norm
 
@@ -293,7 +265,7 @@ def section_norm_sq(
 
 def _segment_length(poly: DelzantPolytope) -> int:
     if poly.dimension != 1:
-        raise DomainError("the two-chart model is defined for segments only")
+        raise DomainError("the two-chart model needs a one-dimensional polytope")
     verts = poly.vertices().ravel()
     if len(verts) != 2 or abs(verts[0]) > 1e-9:
         raise DomainError("the two-chart model needs the standard segment [0, a]")
@@ -311,13 +283,14 @@ def gluing_points(poly: DelzantPolytope) -> np.ndarray:
     return np.linspace(0.05, _segment_length(poly) - 0.05, 13)[:, None]
 
 
-def gluing_check_cp1(s: WeightSection, ts, corrupt: bool = False) -> np.ndarray:
+def gluing_check_cp1(g0: SymplecticPotential, phi: ConvexPotential, lam, ts,
+                     corrupt: bool = False) -> np.ndarray:
     """Max relative deviation between the chart-U and chart-V representatives
     of the flowed section on the overlap of the two invariant charts of the
     segment [0, a], at 13 points of [0.05, a - 0.05] and 8 angles, at each
     time of `ts`.  Each chart's complex log amplitude is
     -A_{lam,t}(x) + i lam . theta, with A_{lam,t} bit for bit the chart's
-    `WeightSection.amplitude_log`, from two rates evaluated once.
+    multiplier F_{lam,0} + t f_lam, from two rates evaluated once.
 
     Chart V carries the reflected data x' = a - x, theta' = -theta, weight
     a - lam and reflected potentials; the Guillemin part of [0, a] is
@@ -327,20 +300,21 @@ def gluing_check_cp1(s: WeightSection, ts, corrupt: bool = False) -> np.ndarray:
     the transition sign (negative control): the residual becomes
     |e^{-2 i a theta} - 1|, up to 2.
     """
-    a = _segment_length(s.polytope)
-    _times(s, ts, "gluing check")
-    x = gluing_points(s.polytope)[..., None]
+    lam = _weight(g0, lam)
+    a = _segment_length(g0.polytope)
+    _times(ts)
+    x = gluing_points(g0.polytope)[..., None]
     theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
 
     center = (float(a),)
-    extra_v = None if s.g0.extra is None else ReflectedPotential(s.g0.extra, center)
+    extra_v = None if g0.extra is None else ReflectedPotential(g0.extra, center)
     charts = (
-        (s.g0, s.phi, s.lam, x, theta),
-        (SymplecticPotential(s.polytope, extra_v), ReflectedPotential(s.phi, center),
-         np.array([a - s.weight[0]], dtype=float), a - x, -theta),
+        (g0, phi, lam, x, theta),
+        (SymplecticPotential(g0.polytope, extra_v), ReflectedPotential(phi, center),
+         a - lam, a - x, -theta),
     )
-    rates = [(concentration_rate(g0, lam, y), concentration_rate(phi, lam, y), 1j * (th @ lam))
-             for g0, phi, lam, y, th in charts]
+    rates = [(concentration_rate(g, w, y), concentration_rate(f, w, y), 1j * (th @ w))
+             for g, f, w, y, th in charts]
 
     transition = (-1.0 if corrupt else 1.0) * 1j * a * theta[..., 0]
     out = []
@@ -353,7 +327,8 @@ def gluing_check_cp1(s: WeightSection, ts, corrupt: bool = False) -> np.ndarray:
 # -- bundle lift -------------------------------------------------------------------
 
 
-def lift_section_consistency(s0: WeightSection, ts, xs) -> np.ndarray:
+def lift_section_consistency(g0: SymplecticPotential, phi: ConvexPotential, lam, ts,
+                             xs) -> np.ndarray:
     """Flow the bundle point (base by the biholomorphism, equivariant fiber
     coordinate by the fiber scale e^{t (phi - beta(X_phi))} = e^{-t f_0}) and
     evaluate the time-zero equivariant function there; return its max
@@ -366,9 +341,10 @@ def lift_section_consistency(s0: WeightSection, ts, xs) -> np.ndarray:
     t (grad phi . lam - lam . grad phi), so the residual is rounding: no
     formula defect in phi or g_0 can fail it.
     """
-    _times(s0, ts, "lift check")
-    xs, lam = np.atleast_2d(np.asarray(xs, dtype=float)), s0.lam
-    dg, dp, p = s0.g0.grad(xs), s0.phi.grad(xs), s0.phi.value(xs)
+    lam = _weight(g0, lam)
+    _times(ts)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    dg, dp, p = g0.grad(xs), phi.grad(xs), phi.value(xs)
     rate0, rate = _rate(xs, np.zeros(len(lam)), dp, p), _rate(xs, lam, dp, p)
     out = []
     for t in ts:

@@ -75,8 +75,7 @@ def test_criterion_03_route_equality():
     for poly, g0, phis in _models():
         xs = tf.sample_interior(poly, 30, rng, margin=0.05)
         for lam in poly.lattice_points():
-            s0 = tf.WeightSection(lam, g0, phis[-1])
-            worst = max(worst, *tf.route_equality_residual(s0, (0.5, 2.0, 10.0), xs))
+            worst = max(worst, *tf.route_equality_residual(g0, phis[-1], lam, (0.5, 2.0, 10.0), xs))
     _report(3, "multiplier vs pullback route agreement < 1e-12 relative",
             worst < 1e-12, f"max residual {worst:.2e}")
 
@@ -89,7 +88,7 @@ def test_criterion_04_norm_oracle():
     phi = tf.QuadraticPotential([[1.0]])
     worst = 0.0
     for lam in (0, 1):
-        norm = tf.section_norm_sq(tf.WeightSection((lam,), g0, phi))
+        norm = tf.section_norm_sq(g0, phi, (lam,), 0.0)
         oracle = 2 * np.pi * beta(lam + 1, 2 - lam)
         worst = max(worst, abs(norm - oracle) / oracle)
     _report(4, "norm oracle 2*pi*B(lam+1, 2-lam) within relative 1e-6",
@@ -154,8 +153,8 @@ def test_criterion_06_gluing():
     phi = tf.QuadraticPotential([[1.0]])
     worst = 0.0
     for lam in ((0,), (1,), (2,)):
-        worst = max(worst, *tf.gluing_check_cp1(tf.WeightSection(lam, g0, phi), (1.0, 3.0)))
-    control = tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), [3.0], corrupt=True)[0]
+        worst = max(worst, *tf.gluing_check_cp1(g0, phi, lam, (1.0, 3.0)))
+    control = tf.gluing_check_cp1(g0, phi, (1,), [3.0], corrupt=True)[0]
     ok = worst < 1e-10 and control > 0.1
     _report(6, "two-chart gluing < 1e-10 with corrupted-transition control",
             ok, f"max residual {worst:.2e}, control {control:.2f}")
@@ -169,8 +168,7 @@ def test_criterion_07_bundle_lift():
     xs = tf.sample_interior(poly, 20, rng, margin=0.05)
     worst = 0.0
     for lam in ((0,), (1,), (2,)):
-        s0 = tf.WeightSection(lam, g0, phi)
-        worst = max(worst, *tf.lift_section_consistency(s0, (0.5, 2.0), xs))
+        worst = max(worst, *tf.lift_section_consistency(g0, phi, lam, (0.5, 2.0), xs))
     _report(7, "bundle-lift consistency < 1e-10 at 20 random points",
             worst < 1e-10, f"max residual {worst:.2e}")
 

@@ -127,6 +127,20 @@ def test_cli_gluing_on_a_triangle_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "gluing.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["gluing", "section-flow"])
+def test_cli_shifted_segment_is_config_error(tmp_path, capsys, sub):
+    # [1, 3] is a Delzant segment, but the two-chart model needs [0, a]: a
+    # restriction on the input, so exit 1 with one line and no artifact
+    cfg = tmp_path / "shifted.cfg"
+    cfg.write_text(_with_values(CP1_CFG, "polytope.facet = 1 ; -1", "polytope.facet = -1 ; 3",
+                                "section.lambda = 2", "experiment.lambda = 2"))
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "config error: gluing: the two-chart model needs the standard segment [0, a]\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", ["unknown-subcommand", "missing-config", "seed-not-a-number",
                                   "negative-seed", "out-is-a-file", "config-not-utf8",
                                   "report-over-bad-json", "report-over-json-list",
@@ -589,17 +603,53 @@ def test_cli_converge_past_grid_resolution_is_numerical_failure(tmp_path, capsys
     assert capsys.readouterr().out.startswith("numerical failure:")
 
 
-@pytest.mark.parametrize("sub", ["validate", "section-flow"])
+# The size-4 3-simplex cut at the origin (its toric blow-up at that vertex),
+# with no quad.* keys: QuadratureSpec's defaults, 256 nodes per axis and 3
+# doublings, let a run's plans grow past the 2^24-node cap.
+CUT_SIMPLEX_3D = """\
+polytope.dim = 3
+polytope.facet = 1 0 0 ; 0
+polytope.facet = 0 1 0 ; 0
+polytope.facet = 0 0 1 ; 0
+polytope.facet = -1 -1 -1 ; 4
+polytope.facet = 1 1 1 ; -1
+phi.kind = quadratic
+phi.Q = 2 0 0 0 2 0 0 0 2
+experiment.lambda = 1 1 1
+experiment.bumps = 1 1 1 ; 0.5 ; 1.0
+"""
+
+
+@pytest.mark.parametrize("sub", ["validate", "section-flow", "converge"])
 def test_cli_oversized_grid_is_config_error(tmp_path, run_capped, sub):
-    # 2.5e7 nodes at the first level and 4e8 at depth 2: every subcommand
-    # refuses the config before it allocates a grid, as `validate` does
+    # a grid over the cap is refused where a run builds it, before it is
+    # allocated: one config error line and no artifact.  validate's own
+    # convexity scan, 32 nodes per axis per unit of P's extent, outgrows the
+    # cap on the size-300 triangle; section-flow over every lattice point and
+    # converge outgrow it on the 3D config without quad.* keys
     cfg = tmp_path / "huge_grid.cfg"
-    cfg.write_text(_with_values(CP2_CFG, "quad.resolution = 5000"))
-    argv = [sub, "--config", str(cfg), "--out", str(tmp_path)]
+    if sub == "validate":
+        cfg.write_text(_with_values(CP2_CFG, "polytope.facet = 1 0 ; 0", "polytope.facet = 0 1 ; 0",
+                                    "polytope.facet = -1 -1 ; 300"))
+    else:
+        cfg.write_text(CUT_SIMPLEX_3D)
+    out = tmp_path / "out"
+    argv = [sub, "--config", str(cfg), "--out", str(out)]
     done = run_capped(f"import sys\nfrom toricflow.cli import main\nsys.exit(main({argv!r}))")
     assert done.returncode == 1, done.stderr
-    assert done.stdout.startswith("config error: quad: the finest grid")
-    assert "a grid of 400000000 nodes exceeds the cap of 16777216" in done.stdout
+    nodes = {"validate": 92160000, "section-flow": 18219008, "converge": 81002496}[sub]
+    assert done.stdout == f"config error: a grid of {nodes} nodes exceeds the cap of 16777216\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["polarization", "potential-flow", "lift"])
+def test_cli_3d_config_without_quad_keys_runs(tmp_path, sub):
+    # no quad.* key sizes a plan up front: a subcommand that builds no
+    # quadrature plan runs on the 3D config
+    cfg = tmp_path / "cut3d.cfg"
+    cfg.write_text(CUT_SIMPLEX_3D)
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _verdict(tmp_path, sub.replace("-", "_"))["pass"]
 
 
 def test_cli_plan_over_the_cap_is_config_error(tmp_path, capsys, monkeypatch):

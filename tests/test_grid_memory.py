@@ -32,12 +32,10 @@ def test_section_norms_peak_memory():
     # the 12 sections of the shipped cp2_size2 section-flow: the largest
     # plan is the 36,864-node one of the cones from (1, 1) at resolution 96
     exp = load_config(CP2_CONFIG).validate()
-    sections = [
-        tf.WeightSection(lam, exp.g0, exp.phi, t)
-        for lam in ((0, 0), (1, 0), (0, 1), (1, 1))
-        for t in (0.5, 2.0, 10.0)
-    ]
-    log_norms, peak = _traced_peak_mb(lambda: tf.section_log_norms_sq(sections, exp.spec))
+    weights, ts = ((0, 0), (1, 0), (0, 1), (1, 1)), (0.5, 2.0, 10.0)
+    lams, pair_ts = [lam for lam in weights for _ in ts], [t for _ in weights for t in ts]
+    log_norms, peak = _traced_peak_mb(
+        lambda: tf.section_log_norms_sq(exp.g0, exp.phi, lams, pair_ts, exp.spec))
     assert np.isfinite(log_norms).all()
     assert peak < 2.0
 

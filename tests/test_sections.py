@@ -10,6 +10,7 @@ from conftest import integrate
 from toricflow.cli import FRAME_TOL
 from toricflow.config import load_config
 from toricflow.errors import (
+    DimensionMismatch,
     DomainError,
     QuadratureOverflow,
     QuadratureStagnation,
@@ -40,27 +41,55 @@ def sample_points(model2):
 # -- flow routes -----------------------------------------------------------------
 
 
+def _multiplier_log(g0, phi, lam, t, x):
+    # the multiplier route's A_{lam,t}(x) = F_{lam,0}(x) + t f_lam(x)
+    return tf.concentration_rate(g0, lam, x) + t * tf.concentration_rate(phi, lam, x)
+
+
+def _entry_points(g0, phi, xs):
+    # every section function, called at one weight
+    return {
+        "pullback": lambda lam: tf.pullback_amplitude_log(g0, phi, lam, 1.0, xs),
+        "route": lambda lam: tf.route_equality_residual(g0, phi, lam, [1.0], xs),
+        "gluing": lambda lam: tf.gluing_check_cp1(g0, phi, lam, [1.0]),
+        "lift": lambda lam: tf.lift_section_consistency(g0, phi, lam, [1.0], xs),
+        "log-norms": lambda lam: tf.section_log_norms_sq(g0, phi, [(1,), lam], [0.5, 0.5]),
+        "norm": lambda lam: tf.section_norm_sq(g0, phi, lam, 0.5),
+    }
+
+
 @pytest.mark.parametrize("weight", [(1.7,), (0.9999999,)])
-def test_weight_section_rejects_non_lattice_weight(model2, weight):
+def test_weight_section_rejects_non_lattice_weight(model2, sample_points, weight):
     _, g0, phi = model2
-    with pytest.raises(DomainError, match="not a lattice point"):
-        tf.WeightSection(weight, g0, phi)
+    for call in _entry_points(g0, phi, sample_points).values():
+        with pytest.raises(DomainError, match="not a lattice point"):
+            call(weight)
+
+
+@pytest.mark.parametrize("weight,error,message", [
+    ((3,), DomainError, "outside the moment polytope"),
+    ((-1,), DomainError, "outside the moment polytope"),
+    ((1, 0), DimensionMismatch, "weight dimension"),
+])
+def test_section_functions_refuse_a_weight_off_the_model(model2, sample_points, weight, error,
+                                                         message):
+    _, g0, phi = model2
+    for call in _entry_points(g0, phi, sample_points).values():
+        with pytest.raises(error, match=message):
+            call(weight)
 
 
 def test_flow_section_multiplier(model2):
     _, g0, phi = model2
-    s0 = tf.WeightSection((0,), g0, phi)
     x = np.array([0.5])
-    flowed = tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + 1.0)
-    ratio = np.exp(s0.amplitude_log(x) - flowed.amplitude_log(x))
+    ratio = np.exp(_multiplier_log(g0, phi, [0.0], 0.0, x) - _multiplier_log(g0, phi, [0.0], 1.0, x))
     assert ratio == pytest.approx(np.exp(-0.125))
 
 
 def test_pullback_route_weight_zero_trivial(model2, sample_points):
     _, g0, phi = model2
     xs = sample_points
-    s0 = tf.WeightSection((0,), g0, phi)
-    assert tf.route_equality_residual(s0, [2.0], xs)[0] < 1e-12
+    assert tf.route_equality_residual(g0, phi, (0,), [2.0], xs)[0] < 1e-12
 
 
 def test_pullback_route_factors(model2):
@@ -88,8 +117,7 @@ def test_route_equality_random_simplex(cp2_size2, phi_aniso, rng):
     g0 = tf.SymplecticPotential(cp2_size2)
     xs = tf.sample_interior(cp2_size2, 15, rng, margin=0.05)
     for lam in [(0, 0), (1, 1), (2, 0)]:
-        s0 = tf.WeightSection(lam, g0, phi_aniso)
-        assert tf.route_equality_residual(s0, (0.5, 2.0, 10.0), xs).max() < 1e-12
+        assert tf.route_equality_residual(g0, phi_aniso, lam, (0.5, 2.0, 10.0), xs).max() < 1e-12
 
 
 def test_pullback_route_semigroup(model2, sample_points):
@@ -97,10 +125,9 @@ def test_pullback_route_semigroup(model2, sample_points):
     # at the summed time
     _, g0, phi = model2
     xs = sample_points
-    s = tf.WeightSection((1,), g0, phi)
-    direct = tf.pullback_amplitude_log(s, 2.3, xs)
-    staged = tf.pullback_amplitude_log(s, 0.7, xs) + 1.6 * tf.concentration_rate(
-        phi, s.lam, xs
+    direct = tf.pullback_amplitude_log(g0, phi, (1,), 2.3, xs)
+    staged = tf.pullback_amplitude_log(g0, phi, (1,), 0.7, xs) + 1.6 * tf.concentration_rate(
+        phi, [1.0], xs
     )
     assert np.max(np.abs(direct - staged)) < 1e-12
 
@@ -113,7 +140,7 @@ def test_norm_beta_integral_unit_segment():
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential([[1.0]])
     for lam in (0, 1):
-        norm = tf.section_norm_sq(tf.WeightSection((lam,), g0, phi))
+        norm = tf.section_norm_sq(g0, phi, (lam,), 0.0)
         assert norm == pytest.approx(np.pi, rel=1e-9)
 
 
@@ -134,33 +161,32 @@ def test_norm_dirichlet_integral_cp2(cp2_model):
         exact = (2 * np.pi) ** 2 * 2 ** (a + b + c + 2) * math.factorial(a) * math.factorial(
             b
         ) * math.factorial(c) / math.factorial(a + b + c + 2)
-        norm = tf.section_norm_sq(tf.WeightSection(point, g0, phi), spec)
+        norm = tf.section_norm_sq(g0, phi, point, 0.0, spec)
         assert norm == pytest.approx(exact, rel=1e-12, abs=0)
 
 
-def _density(s, x):
+def _density(g0, phi, lam, t, x):
     # the pointwise squared h-norm e^{-2 A_{lam,t}}: the one-column Laplace
-    # kernel of s, times its peak
-    kernel, (log_peak,) = _laplace_integrand(s.phi, [s.lam], [s.t], s.g0)
-    return kernel(np.asarray(x, dtype=float).reshape(-1, s.g0.dimension))[:, 0] * np.exp(log_peak)
+    # kernel of the section, times its peak
+    kernel, (log_peak,) = _laplace_integrand(phi, [lam], [t], g0)
+    return kernel(np.asarray(x, dtype=float).reshape(-1, g0.dimension))[:, 0] * np.exp(log_peak)
 
 
 def test_norm_against_dblquad_cp2(cp2_model):
     poly, g0, phi, spec = cp2_model
-    s = tf.WeightSection((1, 1), g0, phi, 10.0)
     oracle, _ = dblquad(
-        lambda y, x: float(_density(s, np.array([[x, y]]))[0]),
+        lambda y, x: float(_density(g0, phi, (1, 1), 10.0, np.array([[x, y]]))[0]),
         0.0, 2.0, 0.0, lambda x: 2.0 - x, epsabs=0.0, epsrel=1e-12,
     )
-    norm = tf.section_norm_sq(s, spec)
+    norm = tf.section_norm_sq(g0, phi, (1, 1), 10.0, spec)
     assert norm == pytest.approx((2 * np.pi) ** 2 * oracle, rel=1e-8, abs=0)
 
 
 def test_norms_symmetric_under_flip(model2):
     _, g0, phi = model2
     # at t=0 the amplitude is symmetric under x -> 2 - x, lam -> 2 - lam
-    n0 = tf.section_norm_sq(tf.WeightSection((0,), g0, phi))
-    n2 = tf.section_norm_sq(tf.WeightSection((2,), g0, phi))
+    n0 = tf.section_norm_sq(g0, phi, (0,), 0.0)
+    n2 = tf.section_norm_sq(g0, phi, (2,), 0.0)
     assert n0 == pytest.approx(n2, rel=1e-9)
 
 
@@ -170,7 +196,7 @@ def test_norm_monotone_convex_after_weight_shift(model2):
     ts = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
     vals = []
     for t in ts:
-        n = tf.section_norm_sq(tf.WeightSection((1,), g0, phi, float(t)))
+        n = tf.section_norm_sq(g0, phi, (1,), float(t))
         vals.append(np.log(n) - 2 * t * phi.value(lam))
     vals = np.array(vals)
     assert (np.diff(vals) < 1e-12).all()
@@ -184,8 +210,8 @@ def test_norm_underflow_raises(cp2_model, monkeypatch):
     # width, resolve its density; one that underflows on every node has
     # norm 0, and that must not read as a log norm
     _, g0, phi, spec = cp2_model
-    sections = [tf.WeightSection((0, 0), g0, phi, t) for t in (0.5, 1e11)]
-    assert np.isfinite(tf.section_log_norms_sq(sections, spec)).all()
+    lams, ts = [(0, 0)] * 2, [0.5, 1e11]
+    assert np.isfinite(tf.section_log_norms_sq(g0, phi, lams, ts, spec)).all()
     original = _laplace_integrand
 
     def underflowing(*args, **kwargs):
@@ -194,7 +220,7 @@ def test_norm_underflow_raises(cp2_model, monkeypatch):
 
     monkeypatch.setattr("toricflow.sections._laplace_integrand", underflowing)
     with pytest.raises(QuadratureOverflow, match="density mass 0.0 at t = 1e\\+11: .* column 1"):
-        tf.section_log_norms_sq(sections, spec)
+        tf.section_log_norms_sq(g0, phi, lams, ts, spec)
 
 
 def test_norm_beyond_float_range_raises(model2):
@@ -202,39 +228,38 @@ def test_norm_beyond_float_range_raises(model2):
     _, g0, phi = model2
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(QuadratureOverflow):
-            tf.section_norm_sq(tf.WeightSection((1,), g0, phi, 800.0))
+            tf.section_norm_sq(g0, phi, (1,), 800.0)
 
 
 def test_density_extends_to_boundary(model2):
     _, g0, phi = model2
-    s1 = tf.WeightSection((1,), g0, phi)
-    edge = _density(s1, np.array([[0.0], [2.0], [1.0]]))
+    edge = _density(g0, phi, (1,), 0.0, np.array([[0.0], [2.0], [1.0]]))
     # e^{-2F} = x (2 - x): vanishes at both ends for the interior weight
     assert edge[0] == pytest.approx(0.0)
     assert edge[1] == pytest.approx(0.0)
     assert edge[2] == pytest.approx(1.0)
-    s0 = tf.WeightSection((0,), g0, phi)
     # e^{-2F} = (2 - x)^2: bounded, nonzero at its own vertex
-    assert _density(s0, np.array([0.0])) == pytest.approx(4.0)
+    assert _density(g0, phi, (0,), 0.0, np.array([0.0])) == pytest.approx(4.0)
 
 
 # -- batched norms -------------------------------------------------------------------
 
 
-def _reference_density(s, x):
+def _reference_density(g0, phi, lam, t, x):
     # the elementwise formula: exp(E) * exp(-2 extra) * exp(-2 t f_lam), with
     # E = sum_k [l_k(lam) - l_k(x) + l_k(lam) log l_k(x)]
-    poly = s.polytope
+    poly = g0.polytope
+    lam = np.asarray(lam, dtype=float)
     lx = np.maximum(poly.facet_values(x), 0.0)
-    llam = poly.facet_values(s.lam)
+    llam = poly.facet_values(lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pow = np.where(llam > 0.0, llam * np.log(np.maximum(lx, 1e-300)), 0.0)
     out = np.exp(np.sum(llam - lx + log_pow, axis=-1))
-    if s.g0.extra is not None:
-        e = s.g0.extra
-        amp = np.einsum("...i,...i->...", x - s.lam, e.grad(x)) - e.value(x)
+    if g0.extra is not None:
+        e = g0.extra
+        amp = np.einsum("...i,...i->...", x - lam, e.grad(x)) - e.value(x)
         out = out * np.exp(-2.0 * amp)
-    return out * np.exp(-2.0 * s.t * tf.concentration_rate(s.phi, s.lam, x))
+    return out * np.exp(-2.0 * t * tf.concentration_rate(phi, lam, x))
 
 
 @pytest.fixture(scope="module")
@@ -248,52 +273,55 @@ def triangle3():
 def test_log_norms_match_unshifted_reference(triangle3):
     # near the float range the peak shift must not change the norm
     g0, phi, spec = triangle3
-    sections = [tf.WeightSection((1, 1), g0, phi, t) for t in (80.0, 110.0)]
-    for s, log_norm in zip(sections, tf.section_log_norms_sq(sections, spec)):
-        ref = integrate(lambda x: _reference_density(s, x), g0.polytope, spec,
-                        _peak(sections, s)).value
+    lams, ts = [(1, 1)] * 2, [80.0, 110.0]
+    for lam, t, log_norm in zip(lams, ts, tf.section_log_norms_sq(g0, phi, lams, ts, spec)):
+        ref = integrate(lambda x: _reference_density(g0, phi, lam, t, x), g0.polytope, spec,
+                        _peak(phi, lams, ts, lam)).value
         assert log_norm == pytest.approx(np.log((2 * np.pi) ** 2 * ref), rel=1e-13, abs=0)
 
 
 def test_log_norms_finite_beyond_float_range(triangle3):
     # e^{-2 A} peaks at e^{2 g_t(lam)}, beyond the float range from t = 120
     g0, phi, spec = triangle3
-    sections = [tf.WeightSection((1, 1), g0, phi, t) for t in (120.0, 640.0)]
-    log_norms = tf.section_log_norms_sq(sections, spec)
+    log_norms = tf.section_log_norms_sq(g0, phi, [(1, 1)] * 2, [120.0, 640.0], spec)
     assert np.isfinite(log_norms).all()
     assert log_norms.min() > np.log(np.finfo(float).max)
 
 
-def _peak(sections, s):
-    # the cones a batch integrates the weight of s on: from that weight,
-    # graded down to the peak width at its largest time in the batch
-    t = max(other.t for other in sections if other.weight == s.weight)
-    return tuple(s.lam), _peak_width(s.phi, s.lam, t, 2.0)
+def _peak(phi, lams, ts, lam):
+    # the cones a batch integrates weight lam on: from that weight, graded
+    # down to the peak width at its largest time in the batch
+    t = max(other_t for other, other_t in zip(lams, ts) if tuple(other) == tuple(lam))
+    return tuple(map(float, lam)), _peak_width(phi, np.asarray(lam, dtype=float), t, 2.0)
 
 
-def _assert_batch_matches_reference(sections, spec):
-    poly = sections[0].polytope
+def _assert_batch_matches_reference(g0, phi, lams, ts, spec):
+    poly = g0.polytope
     volume = (2 * np.pi) ** poly.dimension
-    norms = np.exp(tf.section_log_norms_sq(sections, spec))
+    norms = np.exp(tf.section_log_norms_sq(g0, phi, lams, ts, spec))
     pts = poly.grid_cells(spec.resolution).points
-    for s, norm in zip(sections, norms):
-        np.testing.assert_allclose(_density(s, pts), _reference_density(s, pts), rtol=1e-13, atol=0)
-        ref = volume * integrate(lambda x: _reference_density(s, x), poly, spec, _peak(sections, s)).value
+    for lam, t, norm in zip(lams, ts, norms):
+        np.testing.assert_allclose(_density(g0, phi, lam, t, pts),
+                                   _reference_density(g0, phi, lam, t, pts), rtol=1e-13, atol=0)
+        ref = volume * integrate(lambda x: _reference_density(g0, phi, lam, t, x), poly, spec,
+                                 _peak(phi, lams, ts, lam)).value
         assert norm == pytest.approx(ref, rel=1e-13, abs=0)
         # alone, the cones are graded down to the section's own peak width
-        assert norm == pytest.approx(tf.section_norm_sq(s, spec), rel=spec.rel_tol, abs=0)
+        assert norm == pytest.approx(tf.section_norm_sq(g0, phi, lam, t, spec), rel=spec.rel_tol,
+                                     abs=0)
+
+
+def _pairs(lams, ts):
+    # every (weight, time) pair, as the two lists section-flow passes
+    return [lam for lam in lams for _ in ts], [t for _ in lams for t in ts]
 
 
 def test_batch_norms_match_reference_cp2():
     # all 12 (lam, t) norms of the shipped config, as section-flow batches them
     exp = load_config(CP2_CONFIG).validate()
-    sections = [
-        tf.WeightSection(lam, exp.g0, exp.phi, t)
-        for lam in exp.weights
-        for t in exp.section_t
-    ]
-    assert len(sections) == 12
-    _assert_batch_matches_reference(sections, exp.spec)
+    lams, ts = _pairs(exp.weights, exp.section_t)
+    assert len(lams) == len(ts) == 12
+    _assert_batch_matches_reference(exp.g0, exp.phi, lams, ts, exp.spec)
 
 
 def test_batch_freezes_each_column(model2):
@@ -302,10 +330,10 @@ def test_batch_freezes_each_column(model2):
     # one separate integration per column
     poly, g0, phi = model2
     spec = tf.QuadratureSpec(resolution=16)
-    sections = [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
-    kernel = _section_kernel(sections)
-    batch = integrate_many(kernel, len(sections), poly, spec, group=1)
-    for j, s in enumerate(sections):
+    lams, ts = _pairs([(0,), (1,), (2,)], [0.5, 2.0, 10.0])
+    kernel = _section_kernel(g0, phi, lams, ts)
+    batch = integrate_many(kernel, len(lams), poly, spec, group=1)
+    for j, t in enumerate(ts):
         points = []
 
         def column(x, j=j):
@@ -313,19 +341,17 @@ def test_batch_freezes_each_column(model2):
             return kernel(x)[:, [j]]
 
         assert batch[j] == integrate_many(column, 1, poly, spec)[0]
-        levels = {0.5: 2, 2.0: 3, 10.0: 4}[s.t]
+        levels = {0.5: 2, 2.0: 3, 10.0: 4}[t]
         assert sum(points) == sum(8 * 2**i for i in range(levels))
-    _assert_batch_matches_reference(sections, spec)
+    _assert_batch_matches_reference(g0, phi, lams, ts, spec)
 
 
 def test_batch_norms_with_extra_potential(cp2_size2):
     g0 = tf.SymplecticPotential(cp2_size2, extra=tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]))
     phi = tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]])
-    sections = [
-        tf.WeightSection(lam, g0, phi, t) for lam in ((0, 0), (1, 1), (2, 0)) for t in (0.0, 3.0)
-    ]
     _assert_batch_matches_reference(
-        sections, tf.QuadratureSpec(resolution=32, rel_tol=1e-6, max_refinements=2)
+        g0, phi, *_pairs([(0, 0), (1, 1), (2, 0)], [0.0, 3.0]),
+        tf.QuadratureSpec(resolution=32, rel_tol=1e-6, max_refinements=2)
     )
 
 
@@ -333,11 +359,9 @@ def test_batch_norms_3d_simplex():
     poly = tf.standard_simplex(3, 2.0)
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential(np.diag([2.0, 3.0, 4.0]))
-    sections = [
-        tf.WeightSection(lam, g0, phi, t) for lam in ((0, 0, 0), (1, 0, 1)) for t in (0.5, 2.0)
-    ]
     _assert_batch_matches_reference(
-        sections, tf.QuadratureSpec(resolution=8, rel_tol=1e-3, max_refinements=1)
+        g0, phi, *_pairs([(0, 0, 0), (1, 0, 1)], [0.5, 2.0]),
+        tf.QuadratureSpec(resolution=8, rel_tol=1e-3, max_refinements=1)
     )
 
 
@@ -347,7 +371,6 @@ def test_batch_stagnating_column_raises(model2, monkeypatch):
     # settles, and the batch names the column
     _, g0, phi = model2
     spec = tf.QuadratureSpec(resolution=16, rel_tol=1e-10, max_refinements=5)
-    sections = [tf.WeightSection((1,), g0, phi, t) for t in (400.0, 0.5)]
     original = _laplace_integrand
 
     def oscillating(*args, **kwargs):
@@ -362,43 +385,33 @@ def test_batch_stagnating_column_raises(model2, monkeypatch):
 
     monkeypatch.setattr("toricflow.sections._laplace_integrand", oscillating)
     with pytest.raises(QuadratureStagnation, match="column 1"):
-        tf.section_log_norms_sq(sections, spec)
+        tf.section_log_norms_sq(g0, phi, [(1,)] * 2, [400.0, 0.5], spec)
 
 
 def test_batch_overflow_names_column(model2):
     # the norm at t = 800 is about e^800: the batch's logs are finite, and
     # the norm of that section alone, as a value, is refused with its name
     _, g0, phi = model2
-    sections = [tf.WeightSection((1,), g0, phi, t) for t in (2.0, 800.0)]
-    log_norms = tf.section_log_norms_sq(sections)
+    log_norms = tf.section_log_norms_sq(g0, phi, [(1,)] * 2, [2.0, 800.0])
     assert np.isfinite(log_norms).all()
-    assert tf.section_norm_sq(sections[0]) == pytest.approx(np.exp(log_norms[0]), rel=1e-13, abs=0)
+    assert tf.section_norm_sq(g0, phi, (1,), 2.0) == pytest.approx(np.exp(log_norms[0]), rel=1e-13,
+                                                                  abs=0)
     with pytest.raises(QuadratureOverflow, match=r"norm inf of weight \(1,\) at t = 800"):
-        tf.section_norm_sq(sections[1])
+        tf.section_norm_sq(g0, phi, (1,), 800.0)
 
 
-def test_batch_rejects_mixed_models(model2):
-    _, g0, phi = model2
-    other = tf.QuadraticPotential([[2.0]])
-    sections = [tf.WeightSection((1,), g0, phi), tf.WeightSection((1,), g0, other)]
-    with pytest.raises(ValueError, match="share one g0 and one phi"):
-        tf.section_log_norms_sq(sections)
-
-
-def _section_kernel(sections):
+def _section_kernel(g0, phi, lams, ts):
     # the section columns of the one Laplace kernel
-    g0, phi = sections[0].g0, sections[0].phi
-    return _laplace_integrand(phi, [s.lam for s in sections], [s.t for s in sections], g0)[0]
+    return _laplace_integrand(phi, lams, ts, g0)[0]
 
 
-def _column_stack_kernel(sections):
+def _column_stack_kernel(g0, phi, lams, ts):
     # reference: the section kernel as a list of feature arrays, joined by
     # `column_stack`, one product and `exp`, with the same log-peak shift
     # 2 g_t(lam); `_section_kernel` must match it bit for bit
-    g0, phi = sections[0].g0, sections[0].phi
     poly = g0.polytope
-    lams = np.array([s.lam for s in sections])
-    ts = np.array([s.t for s in sections])
+    lams = np.array(lams, dtype=float)
+    ts = np.array(ts, dtype=float)
     llam = poly.facet_values(lams)
     rows = [llam.T, -np.ones_like(ts), -2.0 * ts, 2.0 * ts * lams.T]
     log_peaks = (llam * np.log(np.where(llam > 0.0, llam, 1.0))).sum(axis=1)
@@ -426,24 +439,25 @@ def _column_stack_kernel(sections):
 
 def _kernel_cases():
     exp = load_config(CP2_CONFIG).validate()
-    yield [tf.WeightSection(lam, exp.g0, exp.phi, t) for lam in exp.weights for t in exp.section_t]
+    yield (exp.g0, exp.phi, *_pairs(exp.weights, exp.section_t))
     poly = tf.standard_simplex(2, 2.0)
     g0 = tf.SymplecticPotential(poly, extra=tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]))
     phi = tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]])
-    yield [tf.WeightSection(lam, g0, phi, t) for lam in ((0, 0), (1, 1), (2, 0)) for t in (0.0, 3.0)]
+    yield (g0, phi, *_pairs([(0, 0), (1, 1), (2, 0)], [0.0, 3.0]))
     g0 = tf.SymplecticPotential(tf.segment(2.0))
     phi = tf.QuadraticPotential([[1.0]])
-    yield [tf.WeightSection((lam,), g0, phi, t) for lam in (0, 1, 2) for t in (0.5, 2.0, 10.0)]
+    yield (g0, phi, *_pairs([(0,), (1,), (2,)], [0.5, 2.0, 10.0]))
 
 
 @pytest.mark.parametrize("case", range(3), ids=["cp2-config", "cp2-extra", "segment"])
 def test_density_kernel_is_bit_identical_to_column_stack_form(case):
-    sections = list(_kernel_cases())[case]
-    poly = sections[0].polytope
+    g0, phi, lams, ts = list(_kernel_cases())[case]
+    poly = g0.polytope
     # a full block, an odd block, and the vertices, where log l_k hits _TINY
     for x in (poly.grid_cells(48).points, poly.grid_cells(5).points[:37], poly.vertices()):
         x = np.ascontiguousarray(x, dtype=float)
-        assert np.array_equal(_section_kernel(sections)(x), _column_stack_kernel(sections)(x))
+        assert np.array_equal(_section_kernel(g0, phi, lams, ts)(x),
+                              _column_stack_kernel(g0, phi, lams, ts)(x))
 
 
 def _counting(pot, counts):
@@ -465,7 +479,7 @@ def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
         cp2_size2, extra=_counting(tf.QuadraticPotential([[0.6, 0.2], [0.2, 0.4]]), extra_counts)
     )
     phi = _counting(tf.QuadraticPotential([[2.0, 0.0], [0.0, 4.0]]), phi_counts)
-    kernel = _section_kernel([tf.WeightSection(lam, g0, phi, 1.0) for lam in ((0, 0), (1, 1))])
+    kernel = _section_kernel(g0, phi, [(0, 0), (1, 1)], [1.0, 1.0])
     # building the kernel evaluates each value once, at the weights, for the log-peaks
     assert phi_counts["value"] == extra_counts["value"] == 1
     phi_counts.update(value=0)
@@ -493,19 +507,19 @@ def test_density_kernel_calls_each_potential_once_per_block(cp2_size2):
 @pytest.mark.parametrize("t", [1.0, 3.0])
 def test_gluing_residual(model2, lam, t):
     _, g0, phi = model2
-    assert tf.gluing_check_cp1(tf.WeightSection(lam, g0, phi), [t])[0] < 1e-10
+    assert tf.gluing_check_cp1(g0, phi, lam, [t])[0] < 1e-10
 
 
 def test_gluing_time_zero_unit_segment():
     poly = tf.segment(1.0)
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential([[1.0]])
-    assert tf.gluing_check_cp1(tf.WeightSection((0,), g0, phi), [0.0])[0] < 1e-12
+    assert tf.gluing_check_cp1(g0, phi, (0,), [0.0])[0] < 1e-12
 
 
 def test_gluing_corrupted_transition_flagged(model2):
     _, g0, phi = model2
-    assert tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), [3.0], corrupt=True)[0] > 0.1
+    assert tf.gluing_check_cp1(g0, phi, (1,), [3.0], corrupt=True)[0] > 0.1
 
 
 def test_gluing_needs_integer_segment():
@@ -513,7 +527,7 @@ def test_gluing_needs_integer_segment():
     g0 = tf.SymplecticPotential(poly)
     phi = tf.QuadraticPotential([[1.0]])
     with pytest.raises(DomainError):
-        tf.gluing_check_cp1(tf.WeightSection((1,), g0, phi), [1.0])
+        tf.gluing_check_cp1(g0, phi, (1,), [1.0])
 
 
 @pytest.mark.parametrize("lam", [(0,), (1,), (2,)])
@@ -524,10 +538,9 @@ def test_checks_with_extra_potential(sample_points, lam):
     g0 = tf.SymplecticPotential(tf.segment(2.0), extra=tf.QuadraticPotential([[0.3]], b=[0.1]))
     phi = tf.QuadraticPotential([[1.0]])
     xs = sample_points
-    s0 = tf.WeightSection(lam, g0, phi)
     ts = (0.0, 1.0, 3.0)
-    assert tf.route_equality_residual(s0, ts, xs).max() < 1e-12
-    assert tf.gluing_check_cp1(s0, ts).max() < 1e-10
+    assert tf.route_equality_residual(g0, phi, lam, ts, xs).max() < 1e-12
+    assert tf.gluing_check_cp1(g0, phi, lam, ts).max() < 1e-10
     for _, rho, rho_leg in flowed_potentials(g0, phi, ts, xs):
         assert np.max(np.abs(rho - rho_leg)) < 1e-12
     assert tf.frame_holomorphicity_residual(g0, phi, 1.0, xs[:5]) < 1e-8
@@ -540,40 +553,39 @@ def test_lift_consistency(model2, sample_points):
     _, g0, phi = model2
     xs = sample_points
     for lam in [(0,), (1,)]:
-        s0 = tf.WeightSection(lam, g0, phi)
-        resids = tf.lift_section_consistency(s0, (0.0, 0.5, 2.0), xs)
+        resids = tf.lift_section_consistency(g0, phi, lam, (0.0, 0.5, 2.0), xs)
         assert resids[0] < 1e-14 and resids.max() < 1e-10
 
 
 # -- the t-grid checks against their per-t references ---------------------------------
 
 
-def _route_reference(s0, t, xs):
+def _route_reference(g0, phi, lam, t, xs):
     """The route-equality residual at one time, from the two routes' amplitudes."""
-    flowed = tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + t)
-    diff = flowed.amplitude_log(xs) - tf.pullback_amplitude_log(s0, t, xs)
+    diff = _multiplier_log(g0, phi, lam, t, xs) - tf.pullback_amplitude_log(g0, phi, lam, t, xs)
     return float(np.max(np.abs(np.expm1(diff))))
 
 
-def _gluing_reference(s, t, corrupt):
+def _gluing_reference(g0, phi, lam, t, corrupt):
     """The gluing residual at one time, from the two charts' log amplitudes."""
-    a = int(round(s.polytope.vertices()[-1, 0]))
-    x = gluing_points(s.polytope)[..., None]
+    a = int(round(g0.polytope.vertices()[-1, 0]))
+    x = gluing_points(g0.polytope)[..., None]
     theta = (2.0 * np.pi * np.arange(8) / 8).reshape(1, -1, 1)
     center = (float(a),)
-    extra_v = None if s.g0.extra is None else tf.ReflectedPotential(s.g0.extra, center)
-    s_v = tf.WeightSection((a - s.weight[0],), tf.SymplecticPotential(s.polytope, extra_v),
-                           tf.ReflectedPotential(s.phi, center), t)
-    s_u = tf.WeightSection(s.weight, s.g0, s.phi, s.t + t)
-    u_chart = -s_u.amplitude_log(x) + 1j * (theta @ s_u.lam)
-    v_chart = -s_v.amplitude_log(a - x) + 1j * (-theta @ s_v.lam)
+    extra_v = None if g0.extra is None else tf.ReflectedPotential(g0.extra, center)
+    lam_u = np.asarray(lam, dtype=float)
+    lam_v = np.array([a - lam[0]], dtype=float)
+    u_chart = -_multiplier_log(g0, phi, lam_u, t, x) + 1j * (theta @ lam_u)
+    v_chart = -_multiplier_log(tf.SymplecticPotential(g0.polytope, extra_v),
+                               tf.ReflectedPotential(phi, center), lam_v, t, a - x
+                               ) + 1j * (-theta @ lam_v)
     transition = (-1.0 if corrupt else 1.0) * 1j * a * theta[..., 0]
     return float(np.max(np.abs(np.expm1(v_chart + transition - u_chart))))
 
 
-def _lift_reference(s0, t, xs):
+def _lift_reference(g0, phi, lam, t, xs):
     """The lift residual at one time, from the two sides' logs."""
-    lam, g0, phi = s0.lam, s0.g0, s0.phi
+    lam = np.asarray(lam, dtype=float)
     fiber_scale_log = -t * tf.concentration_rate(phi, np.zeros(len(lam)), xs)
     lhs = (g0.grad(xs) + t * phi.grad(xs)) @ lam + fiber_scale_log
     rhs = g0.grad(xs) @ lam - t * tf.concentration_rate(phi, lam, xs)
@@ -599,17 +611,15 @@ def _bits(values):
 def test_route_equality_grid_is_bit_equal_to_per_t(check_model):
     exp, xs = check_model
     for lam in exp.poly.lattice_points():
-        s0 = tf.WeightSection(lam, exp.g0, exp.phi)
-        expected = [_route_reference(s0, t, xs) for t in T_GRID]
-        assert _bits(tf.route_equality_residual(s0, T_GRID, xs)) == _bits(expected)
+        expected = [_route_reference(exp.g0, exp.phi, lam, t, xs) for t in T_GRID]
+        assert _bits(tf.route_equality_residual(exp.g0, exp.phi, lam, T_GRID, xs)) == _bits(expected)
 
 
 def test_lift_grid_is_bit_equal_to_per_t(check_model):
     exp, xs = check_model
     for lam in exp.poly.lattice_points():
-        s0 = tf.WeightSection(lam, exp.g0, exp.phi)
-        expected = [_lift_reference(s0, t, xs) for t in T_GRID]
-        assert _bits(tf.lift_section_consistency(s0, T_GRID, xs)) == _bits(expected)
+        expected = [_lift_reference(exp.g0, exp.phi, lam, t, xs) for t in T_GRID]
+        assert _bits(tf.lift_section_consistency(exp.g0, exp.phi, lam, T_GRID, xs)) == _bits(expected)
 
 
 @pytest.mark.parametrize("extra", [None, tf.QuadraticPotential([[0.3]], b=[0.1])])
@@ -618,24 +628,31 @@ def test_gluing_grid_is_bit_equal_to_per_t(extra, corrupt):
     exp = load_config(CHECK_CONFIGS["cp1_size2"]).validate()
     g0 = tf.SymplecticPotential(exp.poly, extra)
     for lam in exp.poly.lattice_points():
-        s = tf.WeightSection(lam, g0, exp.phi)
-        expected = [_gluing_reference(s, t, corrupt) for t in T_GRID]
-        assert _bits(tf.gluing_check_cp1(s, T_GRID, corrupt)) == _bits(expected)
+        expected = [_gluing_reference(g0, exp.phi, lam, t, corrupt) for t in T_GRID]
+        assert _bits(tf.gluing_check_cp1(g0, exp.phi, lam, T_GRID, corrupt)) == _bits(expected)
 
 
 def test_t_grid_checks_refuse_a_negative_time(check_model):
     exp, xs = check_model
-    checks = [lambda s, ts: tf.route_equality_residual(s, ts, xs),
-              lambda s, ts: tf.lift_section_consistency(s, ts, xs)]
+    checks = [lambda lam, ts: tf.route_equality_residual(exp.g0, exp.phi, lam, ts, xs),
+              lambda lam, ts: tf.lift_section_consistency(exp.g0, exp.phi, lam, ts, xs)]
     if exp.poly.dimension == 1:
-        checks.append(tf.gluing_check_cp1)
-    s0 = tf.WeightSection(exp.poly.lattice_points()[0], exp.g0, exp.phi)
+        checks.append(lambda lam, ts: tf.gluing_check_cp1(exp.g0, exp.phi, lam, ts))
+    lam = exp.poly.lattice_points()[0]
     for check in checks:
-        assert check(s0, []).shape == (0,)
+        assert check(lam, []).shape == (0,)
         with pytest.raises(ValueError, match="nonnegative"):
-            check(s0, [1.0, -0.5])
-        with pytest.raises(ValueError, match="time-zero section"):
-            check(tf.WeightSection(s0.weight, s0.g0, s0.phi, s0.t + 1.0), [1.0])
+            check(lam, [1.0, -0.5])
+
+
+def test_norms_refuse_a_negative_time(model2, sample_points):
+    _, g0, phi = model2
+    with pytest.raises(ValueError, match="nonnegative"):
+        tf.section_log_norms_sq(g0, phi, [(1,)] * 2, [1.0, -0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        tf.section_norm_sq(g0, phi, (1,), -0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tf.pullback_amplitude_log(g0, phi, (1,), -0.5, sample_points)
 
 
 # -- frame holomorphicity ----------------------------------------------------------------

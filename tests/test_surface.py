@@ -234,8 +234,6 @@ ALLOWLIST: dict[str, Keep] = {
     "potentials.legendre_inverse": Keep(REFERENCE, "tests/test_potentials.py::test_legendre_inverse_roundtrip"),
     "sections.pullback_amplitude_log": Keep(
         REFERENCE, "tests/test_sections.py::test_route_equality_grid_is_bit_equal_to_per_t"),
-    "sections.WeightSection.amplitude_log": Keep(
-        REFERENCE, "tests/test_sections.py::test_route_equality_grid_is_bit_equal_to_per_t"),
     "polytopes.segment": Keep(SUPPORT, "tests/conftest.py"),
     "polytopes.standard_simplex": Keep(SUPPORT, "tests/conftest.py"),
     "polytopes.box": Keep(SUPPORT, "tests/test_polytopes.py::test_vertices_of_box"),
@@ -251,7 +249,7 @@ ALLOWLIST: dict[str, Keep] = {
 
 
 # Lines of unreached function bodies; lower it when the surface shrinks.
-UNREACHED_CEILING = 180
+UNREACHED_CEILING = 173
 
 
 def _covers(key: str, name: str) -> bool:
