@@ -49,7 +49,6 @@ from .potentials import (
     LogSumExpPotential,
     QuadraticPotential,
     ReflectedPotential,
-    check_strict_convexity,
     concentration_rate,
     legendre_inverse,
 )

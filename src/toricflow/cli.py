@@ -13,6 +13,7 @@ sampling with the seed recorded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import convergence as conv
 from .config import Experiment, load_config
-from .errors import (Check, ConfigError, DomainError, FiberDegenerationError, GridSizeError,
-                     ToricFlowError)
+from .errors import (Check, ConfigError, DomainError, EmptyGridError, FiberDegenerationError,
+                     GridSizeError, ToricFlowError)
 from .flow import (
     complex_structure_of,
     fit_loglog_slope,
@@ -31,8 +32,8 @@ from .flow import (
     limit_angle,
     metric_hessians,
 )
-from .polytopes import sample_interior
-from .potentials import _min_eigenvalues, check_strict_convexity
+from .polytopes import _plain, sample_interior
+from .potentials import _min_eigenvalues
 from .sections import (
     frame_holomorphicity_residual,
     gluing_check_cp1,
@@ -83,15 +84,17 @@ def _weights(exp: Experiment):
     return exp.weights or exp.poly.lattice_points()
 
 
-def _require_kahler(exp: Experiment, ts, pts) -> None:
-    """Raise ToricFlowError (exit 2) unless G_t = Hess g_t is positive definite
-    at every point and time a check evaluates; elsewhere J_t is not Kahler."""
-    lows = _min_eigenvalues(metric_hessians(exp.g0, exp.phi, ts, pts))
-    for t, low in zip(ts, lows):
+def _require_kahler(exp: Experiment, ts, pts) -> np.ndarray:
+    """The stack of G_t = Hess g_t over `ts` and `pts`, the times and points
+    a check evaluates; raise ToricFlowError (exit 2) unless each is positive
+    definite, since elsewhere J_t is not Kahler."""
+    G = metric_hessians(exp.g0, exp.phi, ts, pts)
+    for t, low in zip(ts, _min_eigenvalues(G)):
         i = int(np.argmin(low))  # a NaN minimum is picked first
         if not low[i] > 0:
             raise ToricFlowError(f"G_t is not positive definite at t = {t:g}, "
                                  f"x = {pts[i].tolist()} (min eigenvalue {low[i]:.3e})")
+    return G
 
 
 def _rows(check: str, lam, ts, resids, tols) -> list[Check]:
@@ -160,16 +163,18 @@ def cmd_validate(exp: Experiment, out: Path, args) -> int:
     # (a NaN first), so no Hessian stack of the grid is held; a Hessian that
     # overflows is reported as not finite, without a warning
     grid = poly.grid_cells(32 * math.ceil(np.ptp(poly.vertices(), axis=0).max() - 1e-9))
+    minima = []
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [check_strict_convexity(exp.phi, pts) for pts, _ in grid.blocks(2**14)]
-    report = blocks[int(np.argmin([b.min_eigenvalue for b in blocks]))]
-    issues = [] if report.ok else [
-        f"phi's Hessian is not finite at {list(report.witness)}"
-        if np.isnan(report.min_eigenvalue) else
-        f"phi is not strictly convex (min eig {report.min_eigenvalue:.3e} "
-        f"at {list(report.witness)})"
+        for pts, _ in grid.blocks(2**14):
+            lows = _min_eigenvalues(exp.phi.hess(pts))
+            i = int(np.argmin(lows))
+            minima.append((float(lows[i]), list(_plain(pts[i]))))
+    low, witness = minima[int(np.argmin([m for m, _ in minima]))]
+    issues = [] if low > 0 else [
+        f"phi's Hessian is not finite at {witness}" if np.isnan(low) else
+        f"phi is not strictly convex (min eig {low:.3e} at {witness})"
     ]
-    row = Check("strict-convexity", None, None, -report.min_eigenvalue, 0.0)
+    row = Check("strict-convexity", None, None, -low, 0.0)
     code = _finish("validate", out, [row], EXIT_CONFIG, polytope=poly.name, issues=issues)
     for issue in issues:
         print(f"  - {issue}")
@@ -234,13 +239,8 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     ts = POLARIZATION_T
     pts = _sample(exp, exp.sample_points, np.random.default_rng(args.seed))
 
-    G = metric_hessians(exp.g0, exp.phi, ts, pts)
-    bad = np.argwhere(~np.isfinite(G).all(axis=(-2, -1)))
-    if len(bad):  # eigvalsh and J_t's inverse would raise or return garbage
-        k, i = bad[0]
-        raise ToricFlowError(f"G_t is not finite at t = {ts[k]:g}, x = {pts[i].tolist()}")
-    eigs = np.linalg.eigvalsh(G)
-    angles = limit_angle(eigs)
+    G = _require_kahler(exp, ts, pts)
+    angles = limit_angle(np.linalg.eigvalsh(G))
     slopes = fit_loglog_slope(ts, angles).tolist()
     J = complex_structure_of(G)
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
@@ -254,8 +254,6 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     )
     rows = [Check.within("slope", s, SLOPE_BAND) for s in slopes] + [
         Check("J-squared", None, None, j_resid, J_SQUARED_TOL),
-        # the metric diag(G_t, G_t^{-1}) is positive exactly when G_t is
-        Check("metric-positive", None, None, -eigs.min(), 0.0),
     ]
     return _finish("polarization", out, rows, slope_band=list(SLOPE_BAND), t_grid=list(ts),
                    seed=args.seed)
@@ -294,8 +292,7 @@ def cmd_converge(exp: Experiment, out: Path, args) -> int:
 
 
 def cmd_report(exp: Experiment, out: Path, args) -> int:
-    merged = {}
-    ok = True
+    merged, verdicts = {}, []
     for path in sorted(out.glob("*.json")):
         if path.name == "summary.json":
             continue
@@ -308,7 +305,7 @@ def cmd_report(exp: Experiment, out: Path, args) -> int:
         merged[path.name] = content
         verdict = content.get("pass")
         if verdict is not None:
-            ok = ok and bool(verdict)
+            verdicts.append(bool(verdict))
             rows = content.get("checks", [])
             if not (isinstance(rows, list) and all(
                     isinstance(row, dict) and {"check", "pass"} <= row.keys() for row in rows)):
@@ -316,6 +313,9 @@ def cmd_report(exp: Experiment, out: Path, args) -> int:
                                   "a list of rows with 'check' and 'pass'")
             failed = ", ".join(dict.fromkeys(row["check"] for row in rows if not row["pass"]))
             print(f"{path.name:28s} {'PASS' if verdict else 'FAIL ' + failed}")
+    if not verdicts:  # an empty or mistyped --out has nothing to pass
+        raise ConfigError(f"report: no subcommand verdict in {out}")
+    ok = all(verdicts)
     _write_json(out / "summary.json", {"pass": ok, "reports": merged})
     print(f"report: overall {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -346,6 +346,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricflow",
@@ -368,16 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.  A usage error, a config
     that does not validate, a file that cannot be read or written, and a
-    ConfigError, FiberDegenerationError or GridSizeError (a `quad.*` spec too
-    fine for the run's plans) from the subcommand exit 1; any other
-    ToricFlowError is a numerical failure and exits 2."""
+    ConfigError, EmptyGridError (more `flow.sample_points` than the draws
+    of `sample_interior` find inside P's margin), FiberDegenerationError or
+    GridSizeError (a `quad.*` spec too fine for the run's plans) from the
+    subcommand exit 1; any other ToricFlowError is a numerical failure and
+    exits 2."""
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         exp = load_config(args.config).validate()
         return _COMMANDS[args.subcommand](exp, out, args)
-    except (ConfigError, FiberDegenerationError, GridSizeError, OSError) as exc:
+    except (ConfigError, EmptyGridError, FiberDegenerationError, GridSizeError, OSError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
     except ToricFlowError as exc:

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Check, DimensionMismatch, FiberDegenerationError
-from .flow import FIT_DECADE, SymplecticPotential, fit_loglog_slope
+from .flow import FIT_DECADE, SymplecticPotential, _times, fit_loglog_slope
 from .potentials import ConvexPotential
 from .quadrature import QuadratureSpec
 from .sections import _laplace_moments, torus_volume
@@ -190,11 +190,9 @@ def convergence_experiment(
         raise FiberDegenerationError(
             f"lambda {lam.tolist()} is not interior to the polytope; convergence needs a "
             "regular integral value of the moment map (lambda in t*_{Z,reg})")
-    ts = np.asarray(t_grid, dtype=float)
+    ts = _times(t_grid)
     if not (np.diff(ts) > 0).all():
         raise ValueError("t grid must be strictly increasing")
-    if (ts < 0).any():
-        raise ValueError("flow time must be nonnegative")
     if mode not in FIBER_WEIGHTS:
         raise ValueError(f"mode must be {' or '.join(map(repr, FIBER_WEIGHTS))}")
     window = (float(ts.max() / FIT_DECADE), float(ts.max()))

@@ -113,12 +113,20 @@ class SymplecticPotential:
         return out
 
 
+def _times(ts) -> np.ndarray:
+    """The flow times `ts`, a scalar or a sequence, as floats; a negative
+    time raises ValueError: g_t need not be convex there."""
+    ts = np.asarray(ts, dtype=float)
+    if (ts < 0).any():
+        raise ValueError("flow time must be nonnegative")
+    return ts
+
+
 def flowed_potentials(g0: SymplecticPotential, phi: ConvexPotential, ts, x):
     """(g_t, rho_t = rho_0 + 2 t f_0, rho_t by the Legendre route) at x for each t
     of `ts`, with g_0 and phi evaluated once (f_0 from phi's value and gradient).
-    A negative time raises ValueError, as in `metric_hessians`."""
-    if any(t < 0 for t in ts):
-        raise ValueError("flow time must be nonnegative")
+    A negative time raises ValueError (`_times`)."""
+    _times(ts)
     g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
     rho0 = 2.0 * (np.einsum("...i,...i->...", x, dg) - g)
     f0 = _rate(x, np.zeros(phi.dimension), dp, p)
@@ -137,12 +145,10 @@ def metric_hessians(g0: SymplecticPotential, phi: ConvexPotential, t, x) -> np.n
 
     A scalar t gives shape (..., n, n); times of shape (T,) give the stack
     (T, ..., n, n), bit for bit the per-t values.  A negative time raises
-    ValueError: g_t need not be convex there.
+    ValueError (`_times`).
     """
     x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise ValueError("flow time must be nonnegative")
+    t = _times(t)
     return g0.hess(x) + t.reshape(t.shape + (1,) * (x.ndim + 1)) * phi.hess(x)
 
 

@@ -19,12 +19,12 @@ All evaluations are numpy-vectorized: `x` may be a single point of shape
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NewtonError
-from .polytopes import _matmul_columns, _plain
+from .polytopes import _matmul_columns
 
 
 class ConvexPotential:
@@ -267,24 +267,3 @@ def _min_eigenvalues(hess: np.ndarray) -> np.ndarray:
     lows = np.full(finite.shape, np.nan)
     lows[finite] = np.linalg.eigvalsh(hess[finite]).min(axis=-1)
     return lows
-
-
-class StrictConvexityReport(NamedTuple):
-    ok: bool
-    min_eigenvalue: float
-    witness: tuple[float, ...]
-
-
-def check_strict_convexity(
-    phi: ConvexPotential, samples
-) -> StrictConvexityReport:
-    """Minimum Hessian eigenvalue of phi over the sample points; the witness
-    is the point where it is attained.  A non-finite Hessian has minimum NaN,
-    so the first such point is the witness."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("samples must be nonempty")
-    per_point = _min_eigenvalues(phi.hess(samples))
-    idx = int(np.argmin(per_point))
-    val = float(per_point[idx])
-    return StrictConvexityReport(val > 0.0, val, _plain(samples[idx]))

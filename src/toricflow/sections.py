@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, QuadratureOverflow
-from .flow import SymplecticPotential, _legendre_rho, metric_hessians
+from .flow import SymplecticPotential, _legendre_rho, _times, metric_hessians
 from .polytopes import DelzantPolytope, _matmul_columns
 from .potentials import ConvexPotential, ReflectedPotential, _rate, concentration_rate
 from .quadrature import QuadratureSpec, integrate_many
@@ -59,11 +59,6 @@ def _weight(g0: SymplecticPotential, lam) -> np.ndarray:
     return lam
 
 
-def _times(ts) -> None:
-    if any(t < 0 for t in ts):
-        raise ValueError("flow time must be nonnegative")
-
-
 def pullback_amplitude_log(g0: SymplecticPotential, phi: ConvexPotential, lam, t: float,
                            x) -> np.ndarray:
     """A_{lam,t}(x) by the geometric route from the time-zero section: pull
@@ -71,7 +66,7 @@ def pullback_amplitude_log(g0: SymplecticPotential, phi: ConvexPotential, lam, t
     flowed frame e^{-rho_t/2}, with rho_t from the Legendre route.  Shares
     no step with the multiplier formula F_{lam,0} + t f_lam."""
     lam = _weight(g0, lam)
-    _times([t])
+    _times(t)
     x = np.asarray(x, dtype=float)
     g, dg, p, dp = g0.value(x), g0.grad(x), phi.value(x), phi.grad(x)
     pullback = t * (dp @ lam)

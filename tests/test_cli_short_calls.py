@@ -118,7 +118,7 @@ def test_polarization_matches_per_t_loop(tmp_path, cfg, seed):
     rows = {row["check"]: row for row in verdict["checks"]}
     expected = [tf.Check.within("slope", s, cli.SLOPE_BAND).to_dict() for s in slopes]
     assert [row for row in verdict["checks"] if row["check"] == "slope"] == expected
-    assert rows["metric-positive"]["pass"] is positive is True
+    assert positive is True
     assert rows["J-squared"]["residual"] == j_resid
 
 

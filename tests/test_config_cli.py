@@ -735,12 +735,48 @@ def test_cli_non_finite_metric_is_numerical_failure(tmp_path, capsys, sub):
     out = tmp_path / "out"
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     said = capsys.readouterr().out
-    if sub == "polarization":
-        assert said.startswith("numerical failure: G_t is not finite at t = 10, x = [")
-    else:
-        assert said.startswith("numerical failure: G_t is not positive definite at t = ")
-        assert said.endswith("(min eigenvalue nan)\n")
+    assert said.startswith("numerical failure: G_t is not positive definite at t = ")
+    assert said.endswith("(min eigenvalue nan)\n")
     assert not list(out.iterdir())
+
+
+def test_cli_polarization_indefinite_metric_is_numerical_failure(tmp_path, capsys):
+    # Hess g_0 + 10 diag(1, -1) is indefinite at the first of polarization's times
+    cfg = tmp_path / "indefinite.cfg"
+    cfg.write_text(_with_values(CP2_CFG, "phi.Q = 1 0 0 -1"))
+    out = tmp_path / "out"
+    assert main(["polarization", "--config", str(cfg), "--out", str(out)]) == 2
+    said = capsys.readouterr().out
+    assert said.startswith("numerical failure: G_t is not positive definite at t = 10, x = [")
+    assert said.count("\n") == 1
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("sub", ["potential-flow", "polarization"])
+def test_cli_undrawable_sample_count_is_config_error(tmp_path, capsys, sub):
+    # within the config cap, but the draws leave fewer points inside the margin
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(_with_values(CP2_CFG, "flow.sample_points = 60000"))
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    said = capsys.readouterr().out
+    assert said.startswith("config error: could not sample 60000 interior points")
+    assert said.count("\n") == 1
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("files", [{}, {"notes.json": "{}"}])
+def test_cli_report_without_a_verdict_is_config_error(tmp_path, capsys, files):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, text in files.items():
+        (out / name).write_text(text)
+    assert main(["report", "--config", str(CP1_CFG), "--out", str(out)]) == 1
+    said = capsys.readouterr().out
+    assert said == f"config error: report: no subcommand verdict in {out}\n"
+    assert not (out / "summary.json").exists()
+    assert main(["report", "--config", str(CP1_CFG), "--out", str(tmp_path / "typo")]) == 1
+    assert not (tmp_path / "typo" / "summary.json").exists()
 
 
 def test_cli_report_fails_after_failed_validate(tmp_path):

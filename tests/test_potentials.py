@@ -1,8 +1,17 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import toricflow as tf
+from toricflow import cli
+from toricflow.config import load_config
 from toricflow.errors import NewtonError
+from toricflow.potentials import _min_eigenvalues
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _fd_grad(f, x, h=1e-6):
@@ -205,36 +214,56 @@ def test_legendre_inverse_budget_exhaustion(cp1_unit):
 # -- strict convexity --------------------------------------------------------------
 
 
-def test_strict_convexity_identity(cp1_unit):
+def _validate(tmp_path, cfg, phi):
+    """`validate` on a shipped config with phi replaced: its exit code and verdict."""
+    exp = dataclasses.replace(load_config(CONFIGS / cfg).validate(), phi=phi)
+    code = cli.cmd_validate(exp, tmp_path, None)
+    return code, json.loads((tmp_path / "validate.json").read_text())
+
+
+def test_min_eigenvalues_identity(cp1_unit):
     samples = cp1_unit.grid_cells(16).points
     phi2 = tf.QuadraticPotential(np.eye(1))
-    report = tf.check_strict_convexity(phi2, samples)
-    assert report.ok
-    assert report.min_eigenvalue == pytest.approx(1.0)
+    lows = _min_eigenvalues(phi2.hess(samples))
+    assert (lows > 0).all()
+    assert lows.min() == pytest.approx(1.0)
 
 
-def test_strict_convexity_anisotropic(phi_aniso):
+def test_min_eigenvalues_anisotropic(phi_aniso):
     samples = np.array([[0.1, 0.2], [0.5, 0.1]])
-    report = tf.check_strict_convexity(phi_aniso, samples)
-    assert report.min_eigenvalue == pytest.approx(2.0)
+    lows = _min_eigenvalues(phi_aniso.hess(samples))
+    assert lows.min() == pytest.approx(2.0)
 
 
-def test_strict_convexity_failure_with_witness():
-    cubic = tf.CallablePotential(
+def _cubic(shift):
+    """phi(x) = (x - shift)^3, whose Hessian 6 (x - shift) is negative left of shift."""
+    return tf.CallablePotential(
         1,
-        lambda x: np.sum(x**3, axis=-1),
-        lambda x: 3 * x**2,
-        lambda x: (6 * x)[..., None],
+        lambda x: np.sum((x - shift) ** 3, axis=-1),
+        lambda x: 3 * (x - shift) ** 2,
+        lambda x: (6 * (x - shift))[..., None],
         label="cubic",
     )
+
+
+def test_min_eigenvalues_failure_with_witness(tmp_path):
     samples = np.array([[0.0], [0.01], [0.5]])
-    report = tf.check_strict_convexity(cubic, samples)
-    assert not report.ok
-    assert report.min_eigenvalue <= 0.0
-    assert report.witness == (0.0,)
+    lows = _min_eigenvalues(_cubic(0.0).hess(samples))
+    assert not lows.min() > 0.0
+    assert lows.min() <= 0.0
+    assert tuple(samples[np.argmin(lows)]) == (0.0,)
+    # validate names the grid node of the least eigenvalue, the leftmost one
+    code, verdict = _validate(tmp_path, "cp1_unit.cfg", _cubic(0.5))
+    nodes = load_config(CONFIGS / "cp1_unit.cfg").validate().poly.grid_cells(32).points
+    witness = nodes[np.argmin(nodes[:, 0])]
+    low = 6 * (witness[0] - 0.5)
+    assert code == 1 and not verdict["pass"]
+    assert verdict["checks"][0]["residual"] == -low > 0
+    assert verdict["issues"] == [
+        f"phi is not strictly convex (min eig {low:.3e} at {witness.tolist()})"]
 
 
-def test_strict_convexity_non_finite_hessian_is_nan_failure():
+def test_min_eigenvalues_non_finite_hessian_is_nan(tmp_path):
     # eigvalsh returns finite garbage on this matrix, and raises on others
     partly_nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
     assert np.isfinite(np.linalg.eigvalsh(partly_nan)).all()
@@ -246,18 +275,26 @@ def test_strict_convexity_non_finite_hessian_is_nan_failure():
 
     phi = tf.CallablePotential(2, lambda x: 0.0 * x[..., 0], lambda x: 0.0 * x, hess)
     samples = np.array([[0.1, 0.1], [0.7, 0.2], [0.2, 0.3], [0.9, 0.4]])
-    report = tf.check_strict_convexity(phi, samples)
-    assert not report.ok
-    assert np.isnan(report.min_eigenvalue)
-    assert report.witness == (0.7, 0.2)
+    lows = _min_eigenvalues(phi.hess(samples))
+    assert not lows.min() > 0.0
+    assert np.isnan(lows[[1, 3]]).all() and np.isnan(np.min(lows))
+    assert tuple(samples[np.argmin(lows)]) == (0.7, 0.2)
+    # validate names the first node, in its scan order, whose Hessian is not finite
+    code, verdict = _validate(tmp_path, "cp2_size2.cfg", phi)
+    nodes = load_config(CONFIGS / "cp2_size2.cfg").validate().poly.grid_cells(64).points
+    first = nodes[np.argmax(nodes[:, 0] > 0.5)]
+    assert code == 1 and not verdict["pass"]
+    assert np.isnan(verdict["checks"][0]["residual"])
+    assert verdict["issues"] == [f"phi's Hessian is not finite at {first.tolist()}"]
 
 
-def test_strict_convexity_finite_minimum_is_eigvalsh_minimum(phi_aniso, rng):
+def test_min_eigenvalues_finite_minimum_is_eigvalsh_minimum(phi_aniso, rng):
     samples = rng.uniform(0.1, 0.9, size=(50, 2))
-    report = tf.check_strict_convexity(phi_aniso, samples)
-    lows = np.linalg.eigvalsh(phi_aniso.hess(samples)).min(axis=-1)
-    assert report.min_eigenvalue == lows.min()
-    assert report.witness == tuple(samples[np.argmin(lows)])
+    lows = _min_eigenvalues(phi_aniso.hess(samples))
+    reference = np.linalg.eigvalsh(phi_aniso.hess(samples)).min(axis=-1)
+    assert lows.min() == reference.min()
+    assert (lows == reference).all()
+    assert tuple(samples[np.argmin(lows)]) == tuple(samples[np.argmin(reference)])
 
 
 def test_reflected_potential(phi_1d, rng):
