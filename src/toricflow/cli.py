@@ -84,17 +84,19 @@ def _weights(exp: Experiment):
     return exp.weights or exp.poly.lattice_points()
 
 
-def _require_kahler(exp: Experiment, ts, pts) -> np.ndarray:
+def _require_kahler(exp: Experiment, ts, pts) -> tuple[np.ndarray, np.ndarray]:
     """The stack of G_t = Hess g_t over `ts` and `pts`, the times and points
-    a check evaluates; raise ToricFlowError (exit 2) unless each is positive
-    definite, since elsewhere J_t is not Kahler."""
+    a check evaluates, and the smallest eigenvalue of each; raise
+    ToricFlowError (exit 2) unless each is positive definite, since elsewhere
+    J_t is not Kahler."""
     G = metric_hessians(exp.g0, exp.phi, ts, pts)
-    for t, low in zip(ts, _min_eigenvalues(G)):
+    lows = _min_eigenvalues(G)
+    for t, low in zip(ts, lows):
         i = int(np.argmin(low))  # a NaN minimum is picked first
         if not low[i] > 0:
             raise ToricFlowError(f"G_t is not positive definite at t = {t:g}, "
                                  f"x = {pts[i].tolist()} (min eigenvalue {low[i]:.3e})")
-    return G
+    return G, lows
 
 
 def _rows(check: str, lam, ts, resids, tols) -> list[Check]:
@@ -239,8 +241,8 @@ def cmd_polarization(exp: Experiment, out: Path, args) -> int:
     ts = POLARIZATION_T
     pts = _sample(exp, exp.sample_points, np.random.default_rng(args.seed))
 
-    G = _require_kahler(exp, ts, pts)
-    angles = limit_angle(np.linalg.eigvalsh(G))
+    G, lows = _require_kahler(exp, ts, pts)
+    angles = limit_angle(lows[..., None])  # G_t is positive definite: min |eig| = min eig
     slopes = fit_loglog_slope(ts, angles).tolist()
     J = complex_structure_of(G)
     # np.max, unlike Python's max, keeps a NaN residual, which then fails
@@ -377,7 +379,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        if args.subcommand != "report":  # report reads --out and creates nothing
+            out.mkdir(parents=True, exist_ok=True)
         exp = load_config(args.config).validate()
         return _COMMANDS[args.subcommand](exp, out, args)
     except (ConfigError, EmptyGridError, FiberDegenerationError, GridSizeError, OSError) as exc:

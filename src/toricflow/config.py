@@ -191,7 +191,7 @@ class ExperimentConfig:
         a run builds it (cli.main exits 1), not here."""
         poly = self._polytope()
         with _as_config_error("polytope.facet"):
-            poly.require_valid()
+            poly.validate()
         dim = poly.dimension
         weights = tuple(_numbers(raw, "section.lambda", int, dim)
                         for raw in self.lines.get("section.lambda", []))

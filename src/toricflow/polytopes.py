@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,17 +61,6 @@ class Facet:
             raise ValueError("facet normal must be nonzero")
         if math.gcd(*(abs(v) for v in normal)) != 1:
             raise ValueError(f"facet normal {normal} is not primitive")
-
-
-class ValidationIssue(NamedTuple):
-    kind: str       # "unbounded" | "empty-interior" | "non-delzant-vertex" | "non-simple-vertex"
-    message: str
-    witness: Optional[tuple[float, ...]]
-
-
-class DelzantValidation(NamedTuple):
-    ok: bool
-    issues: tuple[ValidationIssue, ...]
 
 
 def _matmul_columns(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -137,8 +126,10 @@ class Grid:
 class DelzantPolytope:
     """Moment polytope from an ordered facet list.
 
-    Values are immutable after construction; derived data (vertices,
-    validation, the boundary triangulation, cones) is memoized.
+    Values are immutable after construction; derived data (vertices, the
+    reasons `validate` raises on, the boundary triangulation, cones) is
+    memoized.  Lattice points and grids exist only on a Delzant P: they call
+    `validate` first, which raises DomainError otherwise.
     """
 
     def __init__(self, facets: Sequence[Facet], name: str = ""):
@@ -229,39 +220,24 @@ class DelzantPolytope:
             self._cache["unbounded"] = far[0] if len(far) else None
         return self._cache["unbounded"]
 
-    def validate(self) -> DelzantValidation:
-        if "validation" in self._cache:
-            return self._cache["validation"]
-        issues: list[ValidationIssue] = []
-
-        direction = self._unbounded_direction()
-        if direction is not None:
-            witness = _plain(direction)
-            issues.append(
-                ValidationIssue(
-                    "unbounded",
-                    f"polytope is unbounded along direction {witness}",
-                    witness,
-                )
-            )
-        else:
-            _, radius = self.chebyshev_center()
-            if radius <= 1e-9:
-                issues.append(
-                    ValidationIssue(
-                        "empty-interior",
-                        f"polytope interior is empty (inscribed radius {radius + 0.0:.3e})",
-                        None,
-                    )
-                )
+    def validate(self) -> None:
+        """Raise DomainError naming every reason P is not Delzant: unbounded
+        (with a recession direction), an empty interior (with the inscribed
+        radius), or a vertex that is not simple or whose normals are not a
+        Z-basis (with the vertex).  The reasons are memoized."""
+        if "reasons" not in self._cache:
+            direction = self._unbounded_direction()
+            if direction is not None:
+                reasons = [f"polytope is unbounded along direction {_plain(direction)}"]
+            elif (radius := self.chebyshev_center()[1]) <= 1e-9:
+                reasons = [f"polytope interior is empty (inscribed radius {radius + 0.0:.3e})"]
             else:
-                issues.extend(self._vertex_issues())
+                reasons = self._vertex_issues()
+            self._cache["reasons"] = reasons
+        if self._cache["reasons"]:
+            raise DomainError("polytope is not Delzant: " + "; ".join(self._cache["reasons"]))
 
-        result = DelzantValidation(not issues, tuple(issues))
-        self._cache["validation"] = result
-        return result
-
-    def _vertex_issues(self) -> list[ValidationIssue]:
+    def _vertex_issues(self) -> list[str]:
         """Non-simple and non-unimodular vertices, in vertex order, from one
         `facet_values` call and one stacked det over the simple vertices."""
         n = self.dimension
@@ -272,28 +248,17 @@ class DelzantPolytope:
         dets = iter(np.linalg.det(self._normals[np.nonzero(active[simple])[1].reshape(-1, n)]))
         issues = []
         for i, meets, ok in zip(first, active.sum(axis=1), simple):
-            key = keys[i]
             if not ok:
-                issues.append(ValidationIssue(
-                    "non-simple-vertex", f"vertex {key} meets {meets} facets, expected {n}", key))
+                issues.append(f"vertex {keys[i]} meets {meets} facets, expected {n}")
             elif abs(det := round(next(dets))) != 1:
-                issues.append(ValidationIssue(
-                    "non-delzant-vertex",
-                    f"vertex {key}: meeting normals have determinant {det}, not a Z-basis", key))
+                issues.append(f"vertex {keys[i]}: meeting normals have determinant {det}, not a Z-basis")
         return issues
-
-    def require_valid(self):
-        result = self.validate()
-        if not result.ok:
-            raise DomainError(
-                "polytope is not Delzant: " + "; ".join(i.message for i in result.issues)
-            )
 
     # -- lattice points and grids ---------------------------------------------
 
     def lattice_points(self) -> list[tuple[int, ...]]:
         """The integer points of P as int tuples, in lexicographic order."""
-        self.require_valid()
+        self.validate()
         lo, hi = self.bounding_box()
         ranges = [
             range(math.ceil(l - 1e-9), math.floor(h + 1e-9) + 1)
@@ -312,7 +277,7 @@ class DelzantPolytope:
             raise ValueError("resolution must be at least 2")
         if margin:
             raise ValueError("a grid covers all of P; margin must be 0")
-        self.require_valid()
+        self.validate()
         return self.cone_cells(self.vertices()[0], np.inf, resolution)
 
     def cone_cells(self, apex, width: float, resolution: int) -> Grid:
@@ -346,7 +311,7 @@ class DelzantPolytope:
         come in descending order of their vertex indices, so on a simplex the
         face opposite vertex 0 comes first."""
         if "boundary" not in self._cache:
-            self.require_valid()
+            self.validate()
             verts = self.vertices()
             faces, facets = zip(*sorted(_pulling(np.abs(self.facet_values(verts)) <= 1e-8), reverse=True))
             self._cache["boundary"] = verts[np.array(faces)], np.array(facets)
@@ -366,13 +331,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def validate_delzant(poly: DelzantPolytope) -> DelzantValidation:
-    """Check boundedness, nonempty interior and the vertex Z-basis condition.
-
-    On failure the result names the violated condition and a witness vertex
-    or direction.
+def validate_delzant(poly: DelzantPolytope) -> None:
+    """`poly.validate()`: raise DomainError unless P is bounded with nonempty
+    interior and the normals at every vertex form a Z-basis, naming each
+    violated condition with its witness direction, radius or vertex.
     """
-    return poly.validate()
+    poly.validate()
 
 
 # -- convenience constructors --------------------------------------------------

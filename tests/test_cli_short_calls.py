@@ -151,6 +151,22 @@ def test_polarization_evaluates_each_hessian_once(tmp_path, hess_calls, grid):
     assert hess_calls == {"g0": 1, "phi": 1}
 
 
+@pytest.mark.parametrize("cfg", [CP1_CFG, CP2_CFG], ids=["cp1_size2", "cp2_size2"])
+def test_polarization_takes_eigenvalues_once(tmp_path, monkeypatch, cfg):
+    # the angles come from the minima the positive-definite gate computed
+    exp = load_config(cfg).validate()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *rest, **kw):
+        calls.append(a.shape)
+        return eigvalsh(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert cli.cmd_polarization(exp, tmp_path, _args("polarization", cfg, tmp_path)) == 0
+    assert len(calls) == 1
+
+
 def test_require_kahler_evaluates_each_hessian_once_per_point_set(hess_calls):
     exp = load_config(CP2_CFG).validate()
     pts = _points(exp, 0)

@@ -14,6 +14,7 @@ from toricflow.cli import main
 from toricflow.config import parse_config, parse_t_grid
 from toricflow.errors import ConfigError
 
+from test_polytopes import ISSUE_POLYTOPES
 from test_surface import LSE_CFG
 
 REPO = Path(__file__).resolve().parent.parent
@@ -44,7 +45,7 @@ def test_parse_and_build():
     exp = parse_config(MINIMAL).validate()
     poly = exp.poly
     assert poly.dimension == 1
-    assert tf.validate_delzant(poly).ok
+    tf.validate_delzant(poly)
     phi = exp.phi
     assert phi.value(np.array([1.0])) == pytest.approx(0.5)
     assert list(exp.weights) == [(1,)]
@@ -473,8 +474,24 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     monkeypatch.setattr(polytopes, "linprog", counting)
     argv = ["section-flow", "--config", str(CP2_CFG), "--out", str(tmp_path / "cp2")]
     assert main(argv) == 0
-    assert tf.standard_simplex(2, 2.0).validate().ok
+    tf.standard_simplex(2, 2.0).validate()
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ISSUE_POLYTOPES)
+def test_cli_validate_names_every_non_delzant_reason(tmp_path, capsys, name):
+    # the polytope is checked before the subcommand runs: one config error
+    # line with validate()'s joined reasons, and nothing in --out
+    facets, reasons = ISSUE_POLYTOPES[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"polytope.dim = {len(facets[0].normal)}\n" + "".join(
+        f"polytope.facet = {' '.join(map(str, f.normal))} ; {f.offset:g}\n" for f in facets))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+    said = capsys.readouterr().out
+    assert said == ("config error: polytope.facet: polytope is not Delzant: "
+                    + "; ".join(reasons) + "\n")
+    assert not list(out.iterdir())
 
 
 def test_bad_bump_line_is_config_error():
@@ -776,7 +793,7 @@ def test_cli_report_without_a_verdict_is_config_error(tmp_path, capsys, files):
     assert said == f"config error: report: no subcommand verdict in {out}\n"
     assert not (out / "summary.json").exists()
     assert main(["report", "--config", str(CP1_CFG), "--out", str(tmp_path / "typo")]) == 1
-    assert not (tmp_path / "typo" / "summary.json").exists()
+    assert not (tmp_path / "typo").exists()
 
 
 def test_cli_report_fails_after_failed_validate(tmp_path):

@@ -13,11 +13,11 @@ from toricflow.errors import DomainError, EmptyGridError
 
 
 def test_unit_interval_is_delzant(cp1_unit):
-    assert tf.validate_delzant(cp1_unit).ok
+    tf.validate_delzant(cp1_unit)
 
 
 def test_standard_simplex_is_delzant():
-    assert tf.validate_delzant(tf.standard_simplex(2, 1.0)).ok
+    tf.validate_delzant(tf.standard_simplex(2, 1.0))
 
 
 def test_non_unimodular_vertex_reported():
@@ -26,28 +26,27 @@ def test_non_unimodular_vertex_reported():
     poly = tf.DelzantPolytope(
         [tf.Facet((1, 0), 0.0), tf.Facet((0, 1), 0.0), tf.Facet((-2, -1), 2.0)]
     )
-    result = tf.validate_delzant(poly)
-    assert not result.ok
-    kinds = {issue.kind for issue in result.issues}
-    assert "non-delzant-vertex" in kinds
-    witness = next(i.witness for i in result.issues if i.kind == "non-delzant-vertex")
-    assert np.allclose(witness, (1.0, 0.0))
+    message = ("polytope is not Delzant: vertex (1.0, 0.0): "
+               "meeting normals have determinant 2, not a Z-basis")
+    with pytest.raises(DomainError) as raised:
+        tf.validate_delzant(poly)
+    assert str(raised.value) == message
 
 
 def test_unbounded_polytope_reported():
     poly = tf.DelzantPolytope([tf.Facet((1,), 0.0)])
-    result = tf.validate_delzant(poly)
-    assert not result.ok
-    assert result.issues[0].kind == "unbounded"
+    with pytest.raises(DomainError) as raised:
+        tf.validate_delzant(poly)
+    assert str(raised.value) == "polytope is not Delzant: polytope is unbounded along direction (1.0,)"
 
 
 def test_empty_interior_reported():
     poly = tf.DelzantPolytope([tf.Facet((1,), 0.0), tf.Facet((-1,), 0.0)])
-    result = tf.validate_delzant(poly)
-    assert not result.ok
-    assert result.issues[0].kind == "empty-interior"
+    with pytest.raises(DomainError) as raised:
+        tf.validate_delzant(poly)
     # the radius of the point x = 0 is written 0, not -0
-    assert "inscribed radius 0.000e+00" in result.issues[0].message
+    assert str(raised.value) == ("polytope is not Delzant: "
+                                 "polytope interior is empty (inscribed radius 0.000e+00)")
 
 
 def test_facet_normal_must_be_primitive():
@@ -283,7 +282,7 @@ def test_vertices_of_box():
     b = tf.box([1.0, 2.0])
     verts = b.vertices()
     assert verts.shape == (4, 2)
-    assert tf.validate_delzant(b).ok
+    tf.validate_delzant(b)
 
 
 def _lp_unbounded_direction(poly):
@@ -324,15 +323,21 @@ def _lp_unbounded_direction(poly):
 )
 def test_boundedness_matches_lp_reference(poly, unbounded):
     reference = _lp_unbounded_direction(poly)
-    issues = [i for i in poly.validate().issues if i.kind == "unbounded"]
-    assert bool(issues) == (reference is not None) == unbounded
-    witnesses = [reference] + [i.witness for i in issues] if unbounded else []
-    for d in witnesses:
-        d = np.asarray(d)
-        assert (poly.normals @ d).min() >= -1e-9
-        assert np.abs(d).max() > 1e-7
-    for issue in issues:
-        assert all(type(c) is float for c in issue.witness)
+    direction = poly._unbounded_direction()
+    try:
+        poly.validate()
+        raised = None
+    except DomainError as exc:
+        raised = str(exc)
+    assert (raised is not None) == (direction is not None) == (reference is not None) == unbounded
+    if unbounded:
+        witness = polytopes._plain(direction)
+        assert raised == f"polytope is not Delzant: polytope is unbounded along direction {witness}"
+        for d in (reference, witness):
+            d = np.asarray(d)
+            assert (poly.normals @ d).min() >= -1e-9
+            assert np.abs(d).max() > 1e-7
+        assert all(type(c) is float for c in witness)
 
 
 def _lp_chebyshev_center(poly):
@@ -571,31 +576,27 @@ def _vertex_systems(poly):
 
 
 F = tf.Facet
-# validate()'s issues on each of these, as the per-vertex loop reported them
+# the reasons validate() raises on for each of these, joined by "; " after
+# "polytope is not Delzant: ", as the per-vertex loop reported them
 ISSUE_POLYTOPES = {
     "unbounded-wedge": ([F((1, 0), 0.0), F((0, 1), 0.0)], [
-        ("unbounded", "polytope is unbounded along direction (0.0, 1.0)", (0.0, 1.0))]),
+        "polytope is unbounded along direction (0.0, 1.0)"]),
     "vertex-free-strip": ([F((0, 1), 0.0), F((0, -1), 1.0)], [
-        ("unbounded", "polytope is unbounded along direction (-1.0, 0.0)", (-1.0, 0.0))]),
+        "polytope is unbounded along direction (-1.0, 0.0)"]),
     "empty": ([F((1,), 0.0), F((-1,), -1.0)], [
-        ("empty-interior", "polytope interior is empty (inscribed radius -5.000e-01)", None)]),
+        "polytope interior is empty (inscribed radius -5.000e-01)"]),
     "non-simple-pyramid": ([F((0, 0, 1), 0.0), F((1, 0, -1), 0.0), F((0, 1, -1), 0.0),
                             F((-1, 0, -1), 2.0), F((0, -1, -1), 2.0)], [
-        ("non-simple-vertex", "vertex (1.0, 1.0, 1.0) meets 4 facets, expected 3", (1.0, 1.0, 1.0))]),
+        "vertex (1.0, 1.0, 1.0) meets 4 facets, expected 3"]),
     "non-unimodular-triangle": ([F((1, 0), 0.0), F((0, 1), 0.0), F((-2, -1), 2.0)], [
-        ("non-delzant-vertex",
-         "vertex (1.0, 0.0): meeting normals have determinant 2, not a Z-basis", (1.0, 0.0))]),
+        "vertex (1.0, 0.0): meeting normals have determinant 2, not a Z-basis"]),
     "steep-pyramid": ([F((0, 0, 1), 0.0), F((2, 0, -1), 0.0), F((0, 2, -1), 0.0),
                        F((-2, 0, -1), 4.0), F((0, -2, -1), 4.0)], [
-        ("non-delzant-vertex",
-         "vertex (0.0, 0.0, 0.0): meeting normals have determinant 4, not a Z-basis", (0.0, 0.0, 0.0)),
-        ("non-delzant-vertex",
-         "vertex (0.0, 2.0, 0.0): meeting normals have determinant -4, not a Z-basis", (0.0, 2.0, 0.0)),
-        ("non-simple-vertex", "vertex (1.0, 1.0, 2.0) meets 4 facets, expected 3", (1.0, 1.0, 2.0)),
-        ("non-delzant-vertex",
-         "vertex (2.0, 0.0, 0.0): meeting normals have determinant 4, not a Z-basis", (2.0, 0.0, 0.0)),
-        ("non-delzant-vertex",
-         "vertex (2.0, 2.0, 0.0): meeting normals have determinant 4, not a Z-basis", (2.0, 2.0, 0.0))]),
+        "vertex (0.0, 0.0, 0.0): meeting normals have determinant 4, not a Z-basis",
+        "vertex (0.0, 2.0, 0.0): meeting normals have determinant -4, not a Z-basis",
+        "vertex (1.0, 1.0, 2.0) meets 4 facets, expected 3",
+        "vertex (2.0, 0.0, 0.0): meeting normals have determinant 4, not a Z-basis",
+        "vertex (2.0, 2.0, 0.0): meeting normals have determinant 4, not a Z-basis"]),
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -639,9 +640,9 @@ def test_vertex_free_system_has_no_vertices():
 @pytest.mark.parametrize("name", ISSUE_POLYTOPES)
 def test_validate_issues_unchanged(name):
     facets, expected = ISSUE_POLYTOPES[name]
-    result = tf.DelzantPolytope(facets).validate()
-    assert not result.ok
-    assert [tuple(issue) for issue in result.issues] == expected
+    with pytest.raises(DomainError) as raised:
+        tf.DelzantPolytope(facets).validate()
+    assert str(raised.value) == "polytope is not Delzant: " + "; ".join(expected)
 
 
 @pytest.mark.parametrize("make", [lambda: tf.standard_simplex(2, 2.0), _hirzebruch_f1,
@@ -659,7 +660,7 @@ def test_validate_and_grids_triangulate_once(monkeypatch, make):
 
     monkeypatch.setattr(polytopes, "_pulling", counted)
     poly = make()
-    assert poly.validate().ok
+    poly.validate()
     for resolution in (4, 8, 16):
         assert len(poly.grid_cells(resolution)) > 0
     for apex in poly.vertices():

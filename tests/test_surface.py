@@ -249,7 +249,7 @@ ALLOWLIST: dict[str, Keep] = {
 
 
 # Lines of unreached function bodies; lower it when the surface shrinks.
-UNREACHED_CEILING = 173
+UNREACHED_CEILING = 172
 
 
 def _covers(key: str, name: str) -> bool:
