@@ -19,8 +19,8 @@ Scalar keys, with the value an absent key takes:
     section.t (0.5,2,10)
     experiment.lambda (none; converge needs it), experiment.t_grid
     (10:320:2), experiment.mode (normalized | paper-form; normalized)
-    quad.resolution (Gauss nodes per axis on each simplex), quad.tol,
-    quad.max_depth (QuadratureSpec's fields)
+    quad.resolution (256), quad.tol (1e-8), quad.max_depth (3): QuadratureSpec,
+    whose finest rung has resolution * 2^max_depth Gauss nodes per axis
 
 The numbers of a value are separated by whitespace or commas, and every
 real number is finite.  Facet offsets are integers: the prequantum line

@@ -7,12 +7,13 @@ from the peak with the radial axis graded down to the peak width (`cone_cells`).
 Each axis holds panels of about 8 nodes, exact to degree 15, and nodes are
 strictly interior, so an integrand that is continuous but not smooth at the
 boundary (l log l terms) is never evaluated there.  `integrate_many`
-compares the rule at N/2 with the rule at N and doubles N until the
-difference, the error estimate, meets the tolerance.  It starts from the
-coarsest N/2 that halving the resolution reaches with at least two panels,
-16 nodes, per axis: the rule converges geometrically on an analytic
-integrand, so the estimate is checked where it is cheap, and an integrand
-that needs more nodes takes more doublings up to the same finest N.
+compares the rule at each rung N with the rule at the rung before and
+doubles N until the difference, the error estimate, meets the tolerance.
+The ladder starts at two panels, 16 nodes, per axis (fewer only when the
+resolution is below 32) and ends at the finest rung the spec allows: the
+rule converges geometrically on an analytic integrand, so the estimate is
+checked where it is cheap, and an integrand that needs more nodes takes
+more doublings up to the same finest N.
 
 The integrand is evaluated on consecutive blocks of at most 2^12 points,
 each built by `Grid.blocks` when reached and dropped once summed, whatever
@@ -37,9 +38,9 @@ from .polytopes import DelzantPolytope, Grid
 class QuadratureSpec:
     """Base resolution (Gauss nodes per axis on each simplex), number of
     refinement doublings allowed past it, and target relative tolerance.
-    The finest rule has resolution * 2^max_refinements nodes per axis; the
-    first comparison is resolution/2 against resolution, or a halving of
-    it, down to 16 against 32 (see `integrate_many`)."""
+    Together they set only the finest rule, resolution * 2^max_refinements
+    nodes per axis; the first comparison is 16 against 32 nodes, or
+    resolution // 2 against twice that below 32 (see `integrate_many`)."""
 
     resolution: int = 256
     max_refinements: int = 3
@@ -63,8 +64,8 @@ class QuadratureResult(NamedTuple):
 
 # Points per integrand call, whatever the number of fields.
 _BLOCK = 2**12
-# The fewest Gauss nodes per axis on the coarse side of a first comparison
-# that starts below resolution/2: two panels of 8.
+# Gauss nodes per axis on the coarse side of the first comparison, two
+# panels of 8, unless resolution/2 is fewer.
 _MIN_NODES = 16
 
 
@@ -94,12 +95,13 @@ def integrate_many(
 
     `matrix_f` maps (m, n) points to (m, k) values; it is called on blocks of
     at most _BLOCK points of `poly.grid_cells`, or with `peak = (apex,
-    width)` of `poly.cone_cells`.  The rungs N are resolution * 2^d up to
-    d = max_refinements, preceded by resolution/2 and by the further integer
-    halvings that leave a comparison's coarse side at least _MIN_NODES
-    nodes: resolution 256 compares 16 against 32 first, 96 compares 24
-    against 48, and 16 compares 8 against 16.  Every field gets its own value, the rule at the finest N, and estimate,
-    its distance from the rule at N/2.  The fields come in consecutive
+    width)` of `poly.cone_cells`.  The rungs N double from
+    min(_MIN_NODES, resolution // 2), made one at a time, up to the finest,
+    resolution * 2^max_refinements, which is the last: resolution 96 at
+    depth 2 takes 16, 32, 64, 128, 256 and 384, 256 at depth 3 takes 16 up
+    to 2048, and 16 compares 8 against 16.  Every field gets its own value,
+    the rule at the rung where its group stops, and estimate, its distance
+    from the rule at the rung before.  The fields come in consecutive
     groups of `group` (default k, one group), and the first field of each
     group is its reference (e.g. a density the others are moments of):
     field j meets the tolerance when e_j <= rel_tol * max(|v_j|, |v_ref|),
@@ -121,12 +123,14 @@ def integrate_many(
                 else poly.cone_cells(*peak, resolution))
         return _weighted_sums(matrix_f, k, grid)
 
-    rungs = [spec.resolution << d for d in range(spec.max_refinements + 1)]
-    while rungs[0] == spec.resolution or rungs[0] // 2 >= _MIN_NODES:
-        rungs.insert(0, rungs[0] // 2)
+    # a rung past 2^24 nodes per axis exceeds the grid cap, as resolution << 25
+    # does, so capping the exponent changes no rung that can be built
+    finest = spec.resolution << min(spec.max_refinements, 25)
+    res = min(_MIN_NODES, spec.resolution // 2)
     values, estimates, done = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
-    fine = sums(rungs[0])
-    for res in rungs[1:]:
+    fine = sums(res)
+    while res < finest:
+        res = min(2 * res, finest)
         coarse, fine = fine, sums(res)
         refining = ~done
         values[refining], estimates[refining] = fine[refining], np.abs(fine - coarse)[refining]
@@ -143,7 +147,7 @@ def integrate_many(
             return [QuadratureResult(float(v), float(e)) for v, e in zip(values, estimates)]
     j = int(np.argmin(met))
     raise QuadratureStagnation(
-        f"error estimate of column {j} is {estimates[j]:.3e} at resolution {rungs[-1]}, "
+        f"error estimate of column {j} is {estimates[j]:.3e} at resolution {finest}, "
         f"above rel_tol {spec.rel_tol:g} (value {values[j]:.12e})",
         values[j],
         estimates[j],

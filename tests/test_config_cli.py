@@ -659,6 +659,22 @@ def test_cli_oversized_grid_is_config_error(tmp_path, run_capped, sub):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("depth", [200_000, 10**12])
+def test_cli_huge_max_depth_runs(tmp_path, run_capped, depth):
+    # the ladder is built rung by rung, and its finest rung is capped past
+    # the grid cap: a huge max_depth neither lists its rungs nor forms
+    # 96 * 2^max_depth (a 125 GB integer at 10^12), and cp2_size2 meets
+    # tol 1e-4 on the same rungs as at depth 2
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(_with_values(CP2_CFG, f"quad.max_depth = {depth}"))
+    argv = ["section-flow", "--config", str(cfg), "--out", str(tmp_path / "deep")]
+    done = run_capped(f"import sys\nfrom toricflow.cli import main\nsys.exit(main({argv!r}))")
+    assert done.returncode == 0, done.stderr
+    assert main(["section-flow", "--config", str(CP2_CFG), "--out", str(tmp_path / "shipped")]) == 0
+    deep, shipped = ((tmp_path / d / "section_norms.csv").read_bytes() for d in ("deep", "shipped"))
+    assert deep == shipped
+
+
 @pytest.mark.parametrize("sub", ["polarization", "potential-flow", "lift"])
 def test_cli_3d_config_without_quad_keys_runs(tmp_path, sub):
     # no quad.* key sizes a plan up front: a subcommand that builds no

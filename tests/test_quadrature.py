@@ -9,6 +9,7 @@ from scipy.special import erf
 import toricflow as tf
 from conftest import integrate
 from toricflow.errors import QuadratureOverflow, QuadratureStagnation
+from toricflow.polytopes import _axis_rule, _graded, _panels
 from toricflow.quadrature import _BLOCK, _weighted_sums, integrate_many
 
 
@@ -177,14 +178,56 @@ ORACLES = {
 @pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
 @pytest.mark.parametrize("name", ORACLES)
 def test_every_start_meets_tolerance_against_closed_forms(name, rel_tol):
-    # whichever rung the resolution starts from (8 to 31 nodes on its
-    # first comparison's coarse side), the value is within rel_tol of the
-    # exact one
+    # whichever rung the resolution starts from (8 to 16 nodes on its
+    # first comparison's coarse side), and whatever the step to its finest
+    # rung, the value is within rel_tol of the exact one
     poly, f, exact, peak = ORACLES[name]
     for resolution in range(16, 257):
         spec = tf.QuadratureSpec(resolution=resolution, rel_tol=rel_tol)
         value, _ = integrate(f, poly, spec, peak=peak)
         assert abs(value - exact) <= rel_tol * abs(exact), (resolution, value, exact)
+
+
+LADDERS = {
+    # (resolution, max_refinements): the rungs, doubling from
+    # min(16, resolution // 2) up to the finest, resolution * 2^max_refinements
+    (96, 2): [16, 32, 64, 128, 256, 384],
+    (24, 0): [12, 24],
+    (16, 0): [8, 16],
+    **{(8, d): [4 << i for i in range(d + 2)] for d in range(4)},
+    (32, 2): [16, 32, 64, 128],
+    (256, 3): [16 << i for i in range(8)],
+}
+
+
+@pytest.mark.parametrize("resolution, depth", LADDERS)
+def test_ladder_doubles_from_sixteen_nodes(resolution, depth, monkeypatch):
+    # an integrand that never meets the tolerance takes every rung once
+    rungs = []
+    grid_cells = tf.DelzantPolytope.grid_cells
+
+    def counted(poly, n):
+        rungs.append(n)
+        return grid_cells(poly, n)
+
+    monkeypatch.setattr(tf.DelzantPolytope, "grid_cells", counted)
+    spec = tf.QuadratureSpec(resolution=resolution, max_refinements=depth, rel_tol=1e-300)
+    with pytest.raises(QuadratureStagnation, match=f"at resolution {resolution << depth},"):
+        integrate(lambda p: np.sin(1e3 * p[:, 0]), tf.segment(1.0), spec)
+    assert rungs == LADDERS[resolution, depth]
+
+
+def test_consecutive_rungs_share_no_panel():
+    # every axis of the 96/2 ladder, uniform or graded toward 0: no panel of
+    # 8 nodes at one rung is a panel of the next, the x1.5 step from 256 to
+    # 384 included, so every estimate compares two different rules
+    ladder = LADDERS[96, 2]
+    for floor in (np.inf, 1e-2, 1e-5):
+        for coarse, fine in zip(ladder, ladder[1:]):
+            a, b = (_axis_rule(n, 0, _graded(_panels(n)[0], floor))[0].reshape(-1, 8)
+                    for n in (coarse, fine))
+            same = np.isclose(a[:, None], b[None], rtol=1e-12, atol=0).all(axis=2)
+            assert not same.any(), (floor, coarse)
 
 
 class _ArrayGrid:

@@ -324,6 +324,36 @@ def test_batch_norms_match_reference_cp2():
     _assert_batch_matches_reference(exp.g0, exp.phi, lams, ts, exp.spec)
 
 
+def test_cp2_norms_integrand_points(monkeypatch):
+    # the shipped config's 12 norms, at tol 1e-4, stop at the first
+    # comparison of each weight's ladder, 16 against 32 nodes per axis: 24
+    # integrand calls on 30,592 points
+    exp = load_config(CP2_CONFIG).validate()
+    lams, ts = _pairs(exp.weights, exp.section_t)
+    points = []
+
+    def counting(matrix_f, *args, **kwargs):
+        def counted(x):
+            points.append(len(x))
+            return matrix_f(x)
+
+        return integrate_many(counted, *args, **kwargs)
+
+    monkeypatch.setattr(sections, "integrate_many", counting)
+    tf.section_log_norms_sq(exp.g0, exp.phi, lams, ts, exp.spec)
+    assert (len(points), sum(points)) == (24, 30_592)
+
+
+def test_cp2_log_norms_match_a_fine_reference():
+    # the shipped spec's log norms against a tol-1e-13 reference: the Gauss
+    # rule converges geometrically, so 16 against 32 nodes is already ~1e-11
+    exp = load_config(CP2_CONFIG).validate()
+    lams, ts = _pairs(exp.weights, exp.section_t)
+    got = tf.section_log_norms_sq(exp.g0, exp.phi, lams, ts, exp.spec)
+    ref = tf.section_log_norms_sq(exp.g0, exp.phi, lams, ts, tf.QuadratureSpec(256, 1, 1e-13))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+
+
 def test_batch_freezes_each_column(model2):
     # on one grid, the columns at t = 0.5 meet the tolerance at level 0, and
     # those at t = 2 and t = 10 refine once and twice: the batch must equal
